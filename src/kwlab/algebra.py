@@ -51,18 +51,24 @@ def inner(u: np.ndarray, v: np.ndarray) -> complex:
     return -0.5 * np.trace(u @ v)
 
 
-def herm_inner(u: np.ndarray, v: np.ndarray) -> complex:
-    """Positive-definite Hermitian product 1/2 trace(u^dag v) on sl(2,C)."""
-    return 0.5 * np.trace(u.conj().T @ v)
+def herm_inner(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Positive-definite Hermitian product 1/2 trace(u^dag v) on sl(2,C).
+
+    Batched over the leading axes of (..., 2, 2) arrays (a scalar for 2x2).
+    """
+    return 0.5 * np.sum(u.conj() * v, axis=(-2, -1))
 
 
-def norm(u: np.ndarray) -> float:
-    """Hermitian norm; agrees with sqrt(inner(u,u)) on su(2)."""
-    return float(np.sqrt(max(herm_inner(u, u).real, 0.0)))
+def norm(u: np.ndarray) -> np.ndarray:
+    """Hermitian norm; agrees with sqrt(inner(u,u)) on su(2).
+
+    Batched over the leading axes of (..., 2, 2) arrays (a scalar for 2x2).
+    """
+    return np.sqrt(np.maximum(herm_inner(u, u).real, 0.0))
 
 
 def bracket(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Commutator u v - v u."""
+    """Commutator u v - v u; batched over the leading axes of (..., 2, 2) arrays."""
     return u @ v - v @ u
 
 

@@ -23,7 +23,7 @@ import math
 import numpy as np
 
 from .algebra import SIGMA
-from .model import AXIS_RADIUS, ModelSolution, fields
+from .model import ModelSolution, evaluate
 
 _ZERO2 = np.zeros((2, 2), dtype=complex)
 
@@ -115,42 +115,21 @@ class ModelBackground:
         if np.any(r < self.axis_exclusion):
             raise ValueError("point inside the excluded axis disk")
 
-    def _fields(self, P):
+    def _eval(self, P):
         P = _batch(P)
-        t = P[..., 0]
-        z = P[..., 1] + 1j * P[..., 2]
-        return t, z, fields(self.solution, t, z)
+        return evaluate(self.solution, P[..., 0], P[..., 1] + 1j * P[..., 2])
 
     def a_at(self, P):
-        t, z, f = self._fields(P)
-        pc = f["phi_coef"]
-        out = np.empty(np.shape(t) + (3, 2, 2), dtype=complex)
-        out[..., 0, :, :] = (
-            pc.real[..., None, None] * SIGMA[0] + pc.imag[..., None, None] * SIGMA[1]
-        )
-        out[..., 1, :, :] = (
-            pc.real[..., None, None] * SIGMA[1] - pc.imag[..., None, None] * SIGMA[0]
-        )
-        out[..., 2, :, :] = f["alpha"][..., None, None] * SIGMA[2]
-        return out
+        ev = self._eval(P)
+        return np.stack([ev.a1, ev.a2, ev.a3], axis=-3)
 
     def A_at(self, P):
-        t, z, f = self._fields(P)
-        r2 = np.abs(z) ** 2
-        r2 = np.where(r2 < AXIS_RADIUS ** 2, 1.0, r2)
-        coef = f["Aphi"] / r2
-        out = np.zeros(np.shape(t) + (3, 2, 2), dtype=complex)
-        out[..., 0, :, :] = (-coef * z.imag)[..., None, None] * SIGMA[2]
-        out[..., 1, :, :] = (coef * z.real)[..., None, None] * SIGMA[2]
-        return out
+        ev = self._eval(P)
+        return np.stack([ev.A1, ev.A2, np.zeros_like(ev.A1)], axis=-3)
 
     def curvature_at(self, P):
-        t, z, f = self._fields(P)
-        e_coef = f["e_coef"]
-        e1 = (-e_coef * z.imag)[..., None, None] * SIGMA[2]
-        e2 = (e_coef * z.real)[..., None, None] * SIGMA[2]
-        b3 = f["b3"][..., None, None] * SIGMA[2]
-        return e1, e2, b3
+        ev = self._eval(P)
+        return ev.E1, ev.E2, ev.B3
 
     def dcov_a_at(self, P):
         P = _batch(P)
@@ -256,8 +235,12 @@ def make_background(kind: str, m: int = 1):
         return TrivialBackground()
     if kind == "nahm":
         return NahmBackground()
-    if kind.startswith("model"):
-        if ":" in kind:
-            m = int(kind.split(":", 1)[1])
+    if kind == "model":
+        return ModelBackground(m)
+    if kind.startswith("model:"):
+        try:
+            m = int(kind[len("model:"):])
+        except ValueError:
+            raise ValueError(f"unknown background kind {kind!r}") from None
         return ModelBackground(m)
     raise ValueError(f"unknown background kind {kind!r}")

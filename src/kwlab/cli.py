@@ -9,7 +9,6 @@ Suites: algebra, clifford, model, operator, spectral, flow-smoke, all.
 Reports are JSON on stdout (or --out); identical invocations produce
 byte-identical reports (timings go to stderr).  Exit codes: 0 = all checks
 pass (flagged items allowed), 1 = at least one failure, 2 = usage error.
-KWLAB_THREADS caps the parallelism of internal point sweeps.
 """
 
 from __future__ import annotations
@@ -25,12 +24,34 @@ import time
 import numpy as np
 
 from . import spectral as spectral_mod
+from .backgrounds import make_background
 from .flow import CFLError, FlowConfig, lojasiewicz_fit, run_flow
 from .modes import positive_spectrum_field
 from .operator import smallest_nonzero_symbol_eig
 from .reporting import SuiteReport
 from .suites import SUITE_NAMES, run_suite
 from .torus import TorusField, random_field
+
+
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
+
+
+def _background_kind(text: str) -> str:
+    try:
+        make_background(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return text
 
 
 def _suite_kwargs(args) -> dict:
@@ -215,12 +236,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_suite_options(p, name):
         if name == "model":
-            p.add_argument("--m", type=int, default=1)
-            p.add_argument("--samples", type=int, default=200)
+            p.add_argument("--m", type=_int_at_least(0), default=1)
+            p.add_argument("--samples", type=_int_at_least(1), default=200)
         if name == "operator":
-            p.add_argument("--background", type=str, default="model:1",
+            p.add_argument("--background", type=_background_kind, default="model:1",
                            help="trivial | nahm | model:m")
-            p.add_argument("--points", type=int, default=200)
+            p.add_argument("--points", type=_int_at_least(1), default=200)
 
     for name in SUITE_NAMES + ("all",):
         if name == "spectral":

@@ -31,12 +31,17 @@ The reduced first-order equations tying these together are
     B3 = (d alpha/d t - |phi|^2) sigma3,
 
 and ``verify_reduced_eqs`` checks all five by centered differences.
+
+Every evaluation takes arrays: ``fields`` (the scalar profile data) and
+``evaluate`` (the su(2) matrices built from it) accept (t, z) of any
+broadcastable shape, and the checks evaluate each stencil offset, rescaling
+and ray sample once over their whole sample set.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,10 +72,6 @@ class FieldPoint:
     def __post_init__(self):
         if self.t <= 0:
             raise ValueError(f"need t > 0, got t={self.t}")
-
-    @property
-    def x(self) -> float:
-        return math.hypot(self.t, abs(self.z))
 
 
 def theta(z: complex, t: float) -> tuple[float, float]:
@@ -159,111 +160,121 @@ def fields(ms: ModelSolution, t: np.ndarray, z: np.ndarray) -> dict[str, np.ndar
             "e_coef": e_coef, "x": x}
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelEval:
-    """All fields of a model solution at one point."""
+    """Every field of a model solution at a batch of points.
+
+    Matrix fields have shape (..., 2, 2) and alpha, Aphi shape (...), where
+    (...) is the broadcast shape of the (t, z) arrays given to ``evaluate``.
+    A1, A2 are the connection relative to the product connection (it has no
+    dt or dx3 part).
+    """
 
     a1: np.ndarray
     a2: np.ndarray
     a3: np.ndarray
-    Aphi: float
+    phi: np.ndarray
+    A1: np.ndarray
+    A2: np.ndarray
     B3: np.ndarray
     E1: np.ndarray
     E2: np.ndarray
-    alpha: float
-    phi: np.ndarray
-    point: FieldPoint = field(repr=False, default=None)
+    alpha: np.ndarray
+    Aphi: np.ndarray
 
 
-def evaluate(ms: ModelSolution, p: FieldPoint) -> ModelEval:
-    """Evaluate every field of the solution at p.
+def _col(a) -> np.ndarray:
+    """a[..., None, None]: per-point scalars against (..., 2, 2) matrices."""
+    return np.asarray(a)[..., None, None]
 
-    Off axis this is the closed form above; at |z| < AXIS_RADIUS the
-    axis limits are used (phi -> 0 for m >= 1, alpha -> -(m+1)/(2t),
-    curvature components and Aphi -> 0).
+
+def evaluate(ms: ModelSolution, t, z) -> ModelEval:
+    """Every field of the solution at (t, z) arrays of any (broadcastable) shape.
+
+    This is the one place where the scalar ``fields`` become su(2) matrices;
+    scalar t, z give 2x2 matrices.  Off axis this is the closed form above;
+    at |z| < AXIS_RADIUS the axis limits are used (phi -> 0 for m >= 1,
+    alpha -> -(m+1)/(2t), curvature components, Aphi and A -> 0).
     """
-    f = fields(ms, np.array(p.t), np.array(p.z))
-    alpha = float(f["alpha"])
-    pc = complex(f["phi_coef"])
-    phi = pc * E_PLUS
-    a1 = pc.real * SIGMA[0] + pc.imag * SIGMA[1]
-    a2 = pc.real * SIGMA[1] - pc.imag * SIGMA[0]
-    e_coef = float(f["e_coef"])
+    z = np.asarray(z, dtype=complex)
+    f = fields(ms, t, z)
+    pc = f["phi_coef"]
+    r2 = np.abs(z) ** 2
+    a_coef = f["Aphi"] / np.where(r2 < AXIS_RADIUS ** 2, 1.0, r2)
+    e_coef = f["e_coef"]
     return ModelEval(
-        a1=a1,
-        a2=a2,
-        a3=alpha * SIGMA[2],
-        Aphi=float(f["Aphi"]),
-        B3=float(f["b3"]) * SIGMA[2],
-        E1=-e_coef * p.z.imag * SIGMA[2],
-        E2=e_coef * p.z.real * SIGMA[2],
-        alpha=alpha,
-        phi=phi,
-        point=p,
+        a1=_col(pc.real) * SIGMA[0] + _col(pc.imag) * SIGMA[1],
+        a2=_col(pc.real) * SIGMA[1] - _col(pc.imag) * SIGMA[0],
+        a3=_col(f["alpha"]) * SIGMA[2],
+        phi=_col(pc) * E_PLUS,
+        A1=_col(-a_coef * z.imag) * SIGMA[2],
+        A2=_col(a_coef * z.real) * SIGMA[2],
+        B3=_col(f["b3"]) * SIGMA[2],
+        E1=_col(-e_coef * z.imag) * SIGMA[2],
+        E2=_col(e_coef * z.real) * SIGMA[2],
+        alpha=f["alpha"],
+        Aphi=f["Aphi"],
     )
 
 
-def connection_at(ms: ModelSolution, p: FieldPoint) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(A1, A2, A3) of the connection relative to the product connection.
-
-    A = Aphi (z1 dz2 - z2 dz1)/|z|^2 sigma3; there is no dx3 or dt component.
-    """
-    r2 = abs(p.z) ** 2
-    if r2 < AXIS_RADIUS ** 2:
-        zero = np.zeros((2, 2), dtype=complex)
-        return zero, zero.copy(), zero.copy()
-    a_phi = float(fields(ms, np.array(p.t), np.array(p.z))["Aphi"])
-    a1 = a_phi * (-p.z.imag / r2) * SIGMA[2]
-    a2 = a_phi * (p.z.real / r2) * SIGMA[2]
-    return a1, a2, np.zeros((2, 2), dtype=complex)
+def _coords(samples) -> tuple[np.ndarray, np.ndarray]:
+    """(t, z) arrays of a sequence of FieldPoints."""
+    return (np.array([p.t for p in samples], dtype=float),
+            np.array([p.z for p in samples], dtype=complex))
 
 
-def _cov_grad_phi(ms: ModelSolution, p: FieldPoint, h: float):
-    """(grad_t phi, grad_1 phi, grad_2 phi) by centered differences."""
-    def phi_at(t, z):
-        return evaluate(ms, FieldPoint(t=t, z=z, x3=p.x3)).phi
-
-    t, z = p.t, p.z
-    dt = (phi_at(t + h, z) - phi_at(t - h, z)) / (2 * h)
-    d1 = (phi_at(t, z + h) - phi_at(t, z - h)) / (2 * h)
-    d2 = (phi_at(t, z + 1j * h) - phi_at(t, z - 1j * h)) / (2 * h)
-    a1c, a2c, _ = connection_at(ms, p)
-    phi = phi_at(t, z)
-    return dt, d1 + bracket(a1c, phi), d2 + bracket(a2c, phi)
+# Offsets of the centred-difference stencil in units of the step: the centre,
+# then t +- h, x1 +- h, x2 +- h.
+_STENCIL_T = np.array([0.0, 1.0, -1.0, 0.0, 0.0, 0.0, 0.0])
+_STENCIL_Z = np.array([0.0, 0.0, 0.0, 1.0, -1.0, 1j, -1j])
 
 
-def verify_reduced_eqs(ms: ModelSolution, p: FieldPoint, h: float) -> dict[str, float]:
-    """Residual norms of the five reduced equations at p.
+def _stencil(t, z, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(step, t, z): the step h * min(t, |z|) at each point, and the (t, z) of
+    the stencil around it along a new leading axis of 7."""
+    step = h * np.minimum(t, np.abs(z))
+    if np.any(np.abs(z) < 10 * step):
+        raise ValueError("step too large relative to distance from the axis")
+    return step, t + np.multiply.outer(_STENCIL_T, step), z + np.multiply.outer(_STENCIL_Z, step)
 
-    h is the relative step factor: the stencil step is h * min(t, |z|), so
-    the differencing error stays O(h^2) uniformly over the sample box
-    instead of degrading near the axis or the boundary.
+
+def _grad(f: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(d/dt, d/dx1, d/dx2) by centred differences of stencil values f."""
+    h = np.asarray(h)
+    step = 2.0 * h.reshape(h.shape + (1,) * (f.ndim - 1 - h.ndim))
+    return tuple((f[i] - f[i + 1]) / step for i in (1, 3, 5))
+
+
+def verify_reduced_eqs(ms: ModelSolution, samples, h: float) -> dict[str, float]:
+    """Worst residual norm of each of the five reduced equations over samples.
+
+    samples is a sequence of FieldPoints; every stencil offset is evaluated
+    once over the whole set.  h is the relative step factor: the stencil
+    step is h * min(t, |z|) at each point, so the differencing error stays
+    O(h^2) uniformly over the sample box instead of degrading near the axis
+    or the boundary.
 
     Keys: 'dt_phi' for grad_t phi - 2 alpha phi, 'dbar_phi' for
     (grad_1 + i grad_2) phi, 'E1', 'E2' for the curvature components against
     alpha-derivatives, 'B3' for B3 - (d alpha/dt - |phi|^2) sigma3.
     """
-    h = h * min(p.t, abs(p.z))
-    if abs(p.z) < 10 * h:
-        raise ValueError("step too large relative to distance from the axis")
-    ev = evaluate(ms, p)
-    gt, g1, g2 = _cov_grad_phi(ms, p, h)
-
-    def alpha_at(t, z):
-        return evaluate(ms, FieldPoint(t=t, z=z, x3=p.x3)).alpha
-
-    t, z = p.t, p.z
-    dadt = (alpha_at(t + h, z) - alpha_at(t - h, z)) / (2 * h)
-    dad1 = (alpha_at(t, z + h) - alpha_at(t, z - h)) / (2 * h)
-    dad2 = (alpha_at(t, z + 1j * h) - alpha_at(t, z - 1j * h)) / (2 * h)
-    phi_norm_sq = herm_inner(ev.phi, ev.phi).real
-    return {
-        "dt_phi": norm(gt - 2.0 * ev.alpha * ev.phi),
+    t, z = _coords(samples)
+    step, ts, zs = _stencil(t, z, h)
+    ev = evaluate(ms, ts, zs)
+    phi, alpha = ev.phi[0], ev.alpha[0]
+    dphi_dt, dphi_d1, dphi_d2 = _grad(ev.phi, step)
+    dadt, dad1, dad2 = _grad(ev.alpha, step)
+    g1 = dphi_d1 + bracket(ev.A1[0], phi)
+    g2 = dphi_d2 + bracket(ev.A2[0], phi)
+    phi_norm_sq = herm_inner(phi, phi).real
+    res = {
+        "dt_phi": norm(dphi_dt - 2.0 * _col(alpha) * phi),
         "dbar_phi": norm(g1 + 1j * g2),
-        "E1": norm(ev.E1 - dad2 * SIGMA[2]),
-        "E2": norm(ev.E2 + dad1 * SIGMA[2]),
-        "B3": norm(ev.B3 - (dadt - phi_norm_sq) * SIGMA[2]),
+        "E1": norm(ev.E1[0] - _col(dad2) * SIGMA[2]),
+        "E2": norm(ev.E2[0] + _col(dad1) * SIGMA[2]),
+        "B3": norm(ev.B3[0] - _col(dadt - phi_norm_sq) * SIGMA[2]),
     }
+    return {k: float(np.max(v)) for k, v in res.items()}
 
 
 def sample_points(rng: np.random.Generator, n: int, ell: float = 2 * math.pi) -> list[FieldPoint]:
@@ -280,50 +291,37 @@ def sample_points(rng: np.random.Generator, n: int, ell: float = 2 * math.pi) ->
 
 
 def verify_properties(ms: ModelSolution, samples: list[FieldPoint], h: float = 1e-5) -> dict:
-    """Property report over a sample set.
+    """Property report over a sample set of FieldPoints.
 
     Checks: alpha strictly negative with 2t*alpha in [-(m+1), -1];
     d alpha/dt > 0; |phi| sqrt(2) t <= 1 (equality only at m = 0);
     B1 = B2 = E3 = 0 structurally; sup of |B3|,|E1|,|E2| times x^3/t
-    reported; rescaling equivariance at lambda in {2, 1/3}.
+    reported; rescaling equivariance at lambda in {2, 1/3}.  Each offset
+    and each rescaling is evaluated once over the whole sample set.
     """
     m = ms.m
     report: dict = {"m": m, "n_samples": len(samples)}
-    alpha_scaled = []
-    dalpha_dt = []
-    phi_bound = []
-    curvature_c = []
+    t, z = _coords(samples)
+    ev = evaluate(ms, t, z)
+    alpha_scaled = 2.0 * t * ev.alpha
+    dalpha_dt = (evaluate(ms, t + h, z).alpha - evaluate(ms, t - h, z).alpha) / (2 * h)
+    phi_bound = norm(ev.phi) * math.sqrt(2.0) * t
+    curvature_c = (np.maximum(norm(ev.B3), np.maximum(norm(ev.E1), norm(ev.E2)))
+                   * (np.hypot(t, np.abs(z)) ** 3 / t))
+    # scaling weight of each field: 1-form coefficients 1, curvature 2, Aphi 0
+    weights = {"a1": 1, "a2": 1, "a3": 1, "Aphi": 0, "B3": 2, "E1": 2, "E2": 2}
     scale_err = 0.0
-    for p in samples:
-        ev = evaluate(ms, p)
-        alpha_scaled.append(2.0 * p.t * ev.alpha)
-        ap = evaluate(ms, FieldPoint(p.t + h, p.z, p.x3)).alpha
-        am = evaluate(ms, FieldPoint(p.t - h, p.z, p.x3)).alpha
-        dalpha_dt.append((ap - am) / (2 * h))
-        phi_bound.append(norm(ev.phi) * math.sqrt(2.0) * p.t)
-        xc = p.x ** 3 / p.t
-        curvature_c.append(max(norm(ev.B3), norm(ev.E1), norm(ev.E2)) * xc)
-        for lam in (2.0, 1.0 / 3.0):
-            q = FieldPoint(lam * p.t, lam * p.z, p.x3)
-            evq = evaluate(ms, q)
-            scale_err = max(
-                scale_err,
-                float(np.max(np.abs(lam * evq.a1 - ev.a1))),
-                float(np.max(np.abs(lam * evq.a2 - ev.a2))),
-                float(np.max(np.abs(lam * evq.a3 - ev.a3))),
-                abs(evq.Aphi - ev.Aphi),
-                float(np.max(np.abs(lam ** 2 * evq.B3 - ev.B3))),
-                float(np.max(np.abs(lam ** 2 * evq.E1 - ev.E1))),
-                float(np.max(np.abs(lam ** 2 * evq.E2 - ev.E2))),
-            )
-    alpha_scaled = np.array(alpha_scaled)
-    phi_bound = np.array(phi_bound)
+    for lam in (2.0, 1.0 / 3.0):
+        evq = evaluate(ms, lam * t, lam * z)
+        for name, w in weights.items():
+            err = np.abs(lam ** w * getattr(evq, name) - getattr(ev, name))
+            scale_err = max(scale_err, float(np.max(err)))
     report["alpha_range_ok"] = bool(
         np.all(alpha_scaled <= -1.0 + 1e-12) and np.all(alpha_scaled >= -(m + 1) - 1e-12)
     )
     report["alpha_scaled_min"] = float(alpha_scaled.min())
     report["alpha_scaled_max"] = float(alpha_scaled.max())
-    report["dalpha_dt_positive"] = bool(np.all(np.array(dalpha_dt) > 0))
+    report["dalpha_dt_positive"] = bool(np.all(dalpha_dt > 0))
     report["phi_bound_ok"] = bool(np.all(phi_bound <= 1.0 + 1e-10))
     report["phi_bound_max"] = float(phi_bound.max())
     # equality |phi| sqrt(2) t = 1 holds identically iff m = 0
@@ -332,25 +330,30 @@ def verify_properties(ms: ModelSolution, samples: list[FieldPoint], h: float = 1
     else:
         report["phi_bound_equality"] = bool(np.any(np.abs(phi_bound - 1.0) < 1e-10))
     report["B1_B2_E3_zero"] = True  # structural: never materialized as nonzero
-    report["curvature_x3_over_t_sup"] = float(max(curvature_c))
-    report["scaling_equivariance_err"] = float(scale_err)
+    report["curvature_x3_over_t_sup"] = float(curvature_c.max())
+    report["scaling_equivariance_err"] = scale_err
     return report
 
 
-def case4_section(ms: ModelSolution, p_degree: int, p: FieldPoint) -> np.ndarray:
-    """The L^- valued section sigma_minus with trace pairing <phi sigma_minus> = z^p.
-
-    sigma_minus = z^p phi^* / <phi phi^*> where phi^* = a1 + i a2; requires
-    p_degree >= m, otherwise sigma_minus has a pole on the axis.
-    """
+def _section(ms: ModelSolution, p_degree: int, ev: ModelEval, z) -> np.ndarray:
+    """sigma_minus from the fields ev evaluated at points with coordinate z."""
     if p_degree < ms.m:
         raise ValueError(
             f"pairing degree {p_degree} < m = {ms.m}: the section has a pole on the axis"
         )
-    ev = evaluate(ms, p)
     phi_star = ev.a1 + 1j * ev.a2
-    pairing = -0.5 * np.trace(ev.phi @ phi_star)  # = 2 c(t,Theta)^2 > 0
-    return (p.z ** p_degree) * phi_star / pairing
+    pairing = -0.5 * np.trace(ev.phi @ phi_star, axis1=-2, axis2=-1)  # = 2 c(t,Theta)^2 > 0
+    return _col(np.asarray(z) ** p_degree) * phi_star / _col(pairing)
+
+
+def case4_section(ms: ModelSolution, p_degree: int, t, z) -> np.ndarray:
+    """The L^- valued section sigma_minus with trace pairing <phi sigma_minus> = z^p.
+
+    sigma_minus = z^p phi^* / <phi phi^*> where phi^* = a1 + i a2, at (t, z)
+    arrays of any shape (result shape (..., 2, 2)); requires p_degree >= m,
+    otherwise sigma_minus has a pole on the axis.
+    """
+    return _section(ms, p_degree, evaluate(ms, t, z), z)
 
 
 def case4_solution(ms: ModelSolution, p_degree: int, point: FieldPoint, h: float) -> dict:
@@ -359,31 +362,23 @@ def case4_solution(ms: ModelSolution, p_degree: int, point: FieldPoint, h: float
 
     The equations are grad_t sigma + 2 alpha sigma = 0 and
     (grad_1 + i grad_2) sigma = 0; the expected ray exponent is p_degree + 1.
+    The stencil and the ray samples are each evaluated in one batch.
     """
     if ms.m < 1:
         raise ValueError("the construction is stated for m >= 1")
-    h = h * min(point.t, abs(point.z))
-    if abs(point.z) < 10 * h:
-        raise ValueError("step too large relative to distance from the axis")
-
-    def sig(t, z):
-        return case4_section(ms, p_degree, FieldPoint(t, z, point.x3))
-
     t, z = point.t, point.z
-    s0 = sig(t, z)
-    dt = (sig(t + h, z) - sig(t - h, z)) / (2 * h)
-    d1 = (sig(t, z + h) - sig(t, z - h)) / (2 * h)
-    d2 = (sig(t, z + 1j * h) - sig(t, z - 1j * h)) / (2 * h)
-    a1c, a2c, _ = connection_at(ms, point)
-    g1 = d1 + bracket(a1c, s0)
-    g2 = d2 + bracket(a2c, s0)
-    ev = evaluate(ms, point)
-    res_t = norm(dt + 2.0 * ev.alpha * s0)
+    step, ts, zs = _stencil(t, z, h)
+    ev = evaluate(ms, ts, zs)
+    sig = _section(ms, p_degree, ev, zs)
+    dt, d1, d2 = _grad(sig, step)
+    g1 = d1 + bracket(ev.A1[0], sig[0])
+    g2 = d2 + bracket(ev.A2[0], sig[0])
+    res_t = norm(dt + 2.0 * ev.alpha[0] * sig[0])
     res_z = norm(g1 + 1j * g2)
 
     # exponent of |sigma_minus| ~ x^(p+1) along the ray through `point`
     lams = np.geomspace(0.5, 2.0, 9)
-    vals = [norm(case4_section(ms, p_degree, FieldPoint(l * t, l * z, point.x3))) for l in lams]
-    xs = [FieldPoint(l * t, l * z).x for l in lams]
+    vals = norm(case4_section(ms, p_degree, lams * t, lams * z))
+    xs = np.hypot(lams * t, np.abs(lams * z))
     slope = np.polyfit(np.log(xs), np.log(vals), 1)[0]
-    return {"res_t": res_t, "res_dbar": res_z, "ray_exponent": float(slope)}
+    return {"res_t": float(res_t), "res_dbar": float(res_z), "ray_exponent": float(slope)}

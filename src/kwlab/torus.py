@@ -173,11 +173,13 @@ def l2_inner(F: TorusField, u1, v1, u2, v2) -> float:
 
 def gradient_check(F: TorusField, direction, s_list=(1e-3, 5e-4, 2.5e-4)) -> dict:
     """Centered-difference directional derivative of cs against the inner
-    product with the gradient; returns relative errors per step (O(s^2))."""
+    product with the gradient; returns relative errors per step (O(s^2)) and
+    the signed differences fd(s) - exact per step."""
     db, dc = direction
     gA, ga = gradient(F)
     exact = l2_inner(F, gA, ga, db, dc)
     errs = {}
+    diffs = {}
     for s in s_list:
         Fp = F.copy()
         Fp.A = F.A + s * db
@@ -186,8 +188,9 @@ def gradient_check(F: TorusField, direction, s_list=(1e-3, 5e-4, 2.5e-4)) -> dic
         Fm.A = F.A - s * db
         Fm.a = F.a - s * dc
         fd = (cs_functional(Fp) - cs_functional(Fm)) / (2 * s)
+        diffs[s] = fd - exact
         errs[s] = abs(fd - exact) / max(abs(exact), 1e-14)
-    return {"exact": exact, "relative_errors": errs}
+    return {"exact": exact, "relative_errors": errs, "differences": diffs}
 
 
 # ---------------------------------------------------------------------------

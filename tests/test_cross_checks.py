@@ -31,7 +31,7 @@ def case4_spinor_section(ms: model.ModelSolution, p_degree: int) -> op.FuncSecti
         flat = P.reshape(-1, 4)
         out = np.zeros((len(flat), 8, 2, 2), dtype=complex)
         for i, (t, x1, x2, _) in enumerate(flat):
-            sig = model.case4_section(ms, p_degree, model.FieldPoint(t, complex(x1, x2)))
+            sig = model.case4_section(ms, p_degree, t, complex(x1, x2))
             out[i, 4] = sig + star(sig)
             out[i, 5] = 1j * (sig - star(sig))
         return out.reshape(P.shape[:-1] + (8, 2, 2))
@@ -91,7 +91,7 @@ def test_case_potentials_match_model_fields(m):
     for th in (0.2, 0.7, 1.5, 3.0, 6.0):
         t = math.tanh(th)
         r = 1.0 / math.cosh(th)
-        ev = model.evaluate(ms, model.FieldPoint(t, complex(r, 0.0)))
+        ev = model.evaluate(ms, t, complex(r, 0.0))
         phi2 = herm_inner(ev.phi, ev.phi).real
         assert w2(np.array(th)) == pytest.approx(4.0 * phi2, rel=1e-12)
         assert w3(np.array(th)) == pytest.approx(4.0 * ev.alpha ** 2 + 2.0 * phi2,

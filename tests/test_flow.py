@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from kwlab import torus
 from kwlab.flow import CFLError, FlowConfig, FlowTrace, lojasiewicz_fit, run_flow
+from kwlab.suites import richardson_gradient_check
 from kwlab.torus import (
     TorusField, abelian_field, cs_functional, div_cov, dot, gauge_transform,
     gradient, gradient_check, grad_norm_sq, random_field,
@@ -44,6 +46,29 @@ def test_gradient_check_quadratic_in_s():
     assert errs[-1] < 1e-6
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.1)
     assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.1)
+
+
+def _flow_smoke_gradient_data(seed):
+    # the field and direction that flow_smoke_suite draws first from its seed
+    rng = np.random.default_rng(seed)
+    F = random_field(rng, 12, amplitude=5e-2)
+    d = (random_field(rng, 12, amplitude=1.0).A, random_field(rng, 12, amplitude=1.0).a)
+    return F, d
+
+
+@pytest.mark.parametrize("seed", [0, 258119753])
+def test_flow_smoke_gradient_check_richardson(seed):
+    # both seeds fail a single centred difference at s = 1e-4 against 1e-6
+    check = richardson_gradient_check(*_flow_smoke_gradient_data(seed))
+    assert check.tolerance == 1e-6
+    assert check.status == "pass"
+
+
+def test_flow_smoke_gradient_check_catches_wrong_gradient(monkeypatch):
+    F, d = _flow_smoke_gradient_data(0)
+    exact = torus.gradient
+    monkeypatch.setattr(torus, "gradient", lambda G: tuple(1.001 * g for g in exact(G)))
+    assert richardson_gradient_check(F, d).status == "fail"
 
 
 def test_gradient_direction_gives_norm():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from kwlab import model
 from kwlab.algebra import SIGMA, herm_inner, norm
+from kwlab.backgrounds import ModelBackground
 
 
 def test_theta_examples():
@@ -24,7 +26,7 @@ def test_theta_examples():
 def test_nahm_pole_member():
     ms = model.ModelSolution(0)
     p = model.FieldPoint(t=0.7, z=0.5 + 0.3j)
-    ev = model.evaluate(ms, p)
+    ev = model.evaluate(ms, p.t, p.z)
     assert abs(ev.alpha + 1.0 / (2 * 0.7)) < 1e-14
     assert abs(norm(ev.phi) - 1.0 / (math.sqrt(2) * 0.7)) < 1e-13
     for i, field in enumerate((ev.a1, ev.a2, ev.a3)):
@@ -37,23 +39,48 @@ def test_m0_curvature_vanishes_widely():
     ms = model.ModelSolution(0)
     rng = np.random.default_rng(3)
     for p in model.sample_points(rng, 100):
-        ev = model.evaluate(ms, p)
+        ev = model.evaluate(ms, p.t, p.z)
         assert max(norm(ev.B3), norm(ev.E1), norm(ev.E2)) < 1e-14
+
+
+def _assert_close(batched, single):
+    assert batched.shape == np.shape(single)
+    assert np.max(np.abs(batched - single)) <= 1e-14 * np.max(np.abs(single))
+
+
+@pytest.mark.parametrize("m", [0, 1, 3])
+def test_batched_evaluation_matches_pointwise(m):
+    rng = np.random.default_rng(40 + m)
+    t = rng.uniform(0.1, 3.0, (3, 4))
+    z = rng.uniform(-3.0, 3.0, (3, 4)) + 1j * rng.uniform(-3.0, 3.0, (3, 4))
+    z[0, :3] = [0.0, 0.5 * model.AXIS_RADIUS, 0.5j * model.AXIS_RADIUS]  # on the axis
+    ms = model.ModelSolution(m)
+    batch = model.evaluate(ms, t, z)
+    bg = ModelBackground(m)
+    P = np.stack([t, z.real, z.imag, np.ones_like(t)], axis=-1)
+    bg_batch = (bg.a_at(P), bg.A_at(P), np.stack(bg.curvature_at(P), axis=-3))
+    for idx in np.ndindex(t.shape):
+        one = model.evaluate(ms, t[idx], z[idx])
+        for f in dataclasses.fields(model.ModelEval):
+            _assert_close(getattr(batch, f.name)[idx], getattr(one, f.name))
+        bg_one = (bg.a_at(P[idx]), bg.A_at(P[idx]), np.stack(bg.curvature_at(P[idx]), axis=-3))
+        for b, o in zip(bg_batch, bg_one):
+            _assert_close(b[idx], o)
 
 
 @pytest.mark.parametrize("m", [0, 1, 2, 3])
 def test_reduced_equations(m):
     ms = model.ModelSolution(m)
     p = model.FieldPoint(1.0, 0.7 + 0.2j)
-    res = model.verify_reduced_eqs(ms, p, 1e-4)
+    res = model.verify_reduced_eqs(ms, [p], 1e-4)
     assert max(res.values()) < 1e-8
 
 
 def test_reduced_equations_richardson():
     ms = model.ModelSolution(2)
     p = model.FieldPoint(1.0, 0.7 + 0.2j)
-    r1 = model.verify_reduced_eqs(ms, p, 1e-4)
-    r2 = model.verify_reduced_eqs(ms, p, 5e-5)
+    r1 = model.verify_reduced_eqs(ms, [p], 1e-4)
+    r2 = model.verify_reduced_eqs(ms, [p], 5e-5)
     for k in r1:
         if r2[k] > 1e-14:
             assert abs(r1[k] / r2[k] - 4.0) < 0.5
@@ -63,10 +90,10 @@ def test_b3_negative_control():
     # deleting the |phi|^2 term must leave an O(1) residual
     ms = model.ModelSolution(1)
     p = model.FieldPoint(1.0, 0.7 + 0.2j)
-    ev = model.evaluate(ms, p)
+    ev = model.evaluate(ms, p.t, p.z)
     h = 1e-4 * min(p.t, abs(p.z))
-    ap = model.evaluate(ms, model.FieldPoint(p.t + h, p.z)).alpha
-    am = model.evaluate(ms, model.FieldPoint(p.t - h, p.z)).alpha
+    ap = model.evaluate(ms, p.t + h, p.z).alpha
+    am = model.evaluate(ms, p.t - h, p.z).alpha
     dadt = (ap - am) / (2 * h)
     broken = norm(ev.B3 - dadt * SIGMA[2])
     assert broken > 1e-2
@@ -86,7 +113,7 @@ def test_scaling_equivariance_property(t, z1, z2, lam, m):
     ms = model.ModelSolution(m)
     p = model.FieldPoint(t, complex(z1, z2 + 0.3))
     q = model.FieldPoint(lam * t, lam * p.z)
-    ev, evq = model.evaluate(ms, p), model.evaluate(ms, q)
+    ev, evq = model.evaluate(ms, p.t, p.z), model.evaluate(ms, q.t, q.z)
     assert np.max(np.abs(lam * evq.a1 - ev.a1)) < 1e-12
     assert np.max(np.abs(lam * evq.a3 - ev.a3)) < 1e-12
     assert abs(evq.Aphi - ev.Aphi) < 1e-12
@@ -108,7 +135,7 @@ def test_property_report(m):
 def test_phi_lies_in_lplus():
     from kwlab.algebra import l_decompose
     for m in (0, 2):
-        ev = model.evaluate(model.ModelSolution(m), model.FieldPoint(0.8, 0.4 - 0.6j))
+        ev = model.evaluate(model.ModelSolution(m), 0.8, 0.4 - 0.6j)
         d = l_decompose(ev.phi)
         assert np.max(np.abs(d.minus)) < 1e-14
         assert abs(d.zero) < 1e-14
@@ -120,9 +147,8 @@ def test_sigma3_covariantly_constant():
     # the connection is proportional to sigma3, so [A_i, sigma3] = 0 and the
     # constant section sigma3 is covariantly constant
     ms = model.ModelSolution(2)
-    p = model.FieldPoint(0.8, 0.4 - 0.6j)
-    a1c, a2c, a3c = model.connection_at(ms, p)
-    for ac in (a1c, a2c, a3c):
+    ev = model.evaluate(ms, 0.8, 0.4 - 0.6j)
+    for ac in (ev.A1, ev.A2):
         assert np.max(np.abs(ac @ SIGMA[2] - SIGMA[2] @ ac)) < 1e-14
 
 
@@ -137,7 +163,7 @@ def test_case4():
         model.case4_solution(ms, 0, p, 1e-4)
     # the pairing section lands in L^-
     from kwlab.algebra import l_decompose
-    sig = model.case4_section(ms, 1, p)
+    sig = model.case4_section(ms, 1, p.t, p.z)
     d = l_decompose(sig)
     assert np.max(np.abs(d.plus)) < 1e-12 and abs(d.zero) < 1e-12
 
@@ -145,7 +171,7 @@ def test_case4():
 def test_case4_pairing_normalization():
     ms = model.ModelSolution(2)
     p = model.FieldPoint(0.9, 0.5 + 0.1j)
-    sig = model.case4_section(ms, 3, p)
-    phi = model.evaluate(ms, p).phi
+    sig = model.case4_section(ms, 3, p.t, p.z)
+    phi = model.evaluate(ms, p.t, p.z).phi
     pairing = -0.5 * np.trace(phi @ sig)
     assert abs(pairing - p.z ** 3) < 1e-12
