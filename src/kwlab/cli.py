@@ -46,6 +46,16 @@ def _int_at_least(low: int):
     return parse
 
 
+def _nonzero_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if value == 0.0 or not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite and nonzero, got {value}")
+    return value
+
+
 def _background_kind(text: str) -> str:
     try:
         make_background(text)
@@ -217,9 +227,12 @@ def _cmd_flow(args) -> int:
     summary["linear_gap"] = gap
     summary["predicted_linear_deficit_rate"] = 2.0 * gap
     with open(f"{outdir}/summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
+        json.dump(summary, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     print(f"wrote {outdir}/trace.csv and {outdir}/summary.json", file=sys.stderr)
+    if trace.meta["status"] == "diverged":
+        print(f"flow diverged at step {trace.meta['blowup_step']}", file=sys.stderr)
+        return 1
     return 0
 
 
@@ -257,10 +270,11 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(sp)
     sp.add_argument("--case", type=str, default="b3ct",
                     choices=["b3ct", "case2", "case3"])
-    sp.add_argument("--m", type=int, default=1)
-    sp.add_argument("--mesh", type=int, default=2000)
+    sp.add_argument("--m", type=_int_at_least(1), default=1,
+                    help="pole index of case2/case3 (b3ct ignores it)")
+    sp.add_argument("--mesh", type=_int_at_least(100), default=2000)
     sp.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    sp.add_argument("--k", type=float, default=1.0)
+    sp.add_argument("--k", type=_nonzero_float, default=1.0)
     sp.set_defaults(func=_cmd_spectral, suite="spectral")
 
     vp = sub.add_parser("verify", help="alias: verify <suite> [options]")

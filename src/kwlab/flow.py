@@ -38,6 +38,11 @@ class CFLError(ValueError):
         )
 
 
+def _finite_or_none(x) -> float | None:
+    x = float(x)
+    return x if math.isfinite(x) else None
+
+
 @dataclass
 class FlowConfig:
     dt: float
@@ -59,22 +64,26 @@ class FlowTrace:
     meta: dict = field(default_factory=dict)
 
     def summary(self) -> dict:
+        """Scalars of the run; those that are not finite (a diverged run) are
+        None, so the summary is strict JSON."""
         inner = slice(1, -1) if len(self.times) > 2 else slice(None)
-        return {
+        out = {
             "steps": int(len(self.times) - 1),
-            "cs_initial": float(self.cs[0]),
-            "cs_final": float(self.cs[-1]),
+            "cs_initial": _finite_or_none(self.cs[0]),
+            "cs_final": _finite_or_none(self.cs[-1]),
             "monotone": bool(self.monotone),
-            "worst_decrease": float(self.worst_decrease),
-            "energy_identity_max_relerr": float(
+            "worst_decrease": _finite_or_none(self.worst_decrease),
+            "energy_identity_max_relerr": _finite_or_none(
                 np.max(self.energy_identity_relerr[inner]) if len(self.times) > 2 else 0.0
             ),
-            "two_forms_max_relerr": float(
+            "two_forms_max_relerr": _finite_or_none(
                 np.max(self.two_forms_relerr[inner]) if len(self.times) > 2 else 0.0
             ),
-            "constraint_drift_max": float(np.max(self.constraint_drift)),
-            "sup_a_max": float(np.max(self.sup_a)),
+            "constraint_drift_max": _finite_or_none(np.max(self.constraint_drift)),
+            "sup_a_max": _finite_or_none(np.max(self.sup_a)),
         }
+        out.update((k, self.meta[k]) for k in ("status", "blowup_step") if k in self.meta)
+        return out
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -93,7 +102,7 @@ class FlowTrace:
 def _rhs(F: TorusField, A, a):
     work = TorusField(F.N, F.L, A, a, F.scheme)
     gA = curl_cov(work, a)
-    ga = b_field(work) - star_wedge(a, a)
+    ga = b_field(work) - star_wedge(a)
     return gA, ga
 
 
@@ -104,6 +113,12 @@ def run_flow(F0: TorusField, config: FlowConfig) -> FlowTrace:
     cs with int(|curl_A a|^2 + |da/dt|^2), da/dt also centered; the two-forms
     column compares that with the gradient-norm form (both normalized by
     max(1, value)).  Endpoints carry zeros for those two columns.
+
+    Recording a state evaluates the gradient there, which is the k1 stage of
+    the next RK4 step; that step takes it from the record instead of calling
+    _rhs again.  The run stops at the first recorded state whose cs or
+    gradient norm is not finite: meta["status"] is then "diverged" and
+    meta["blowup_step"] that step (the trace ends with it), else "completed".
     """
     dt = config.dt
     bound = CFL_FACTOR * F0.h
@@ -125,11 +140,13 @@ def run_flow(F0: TorusField, config: FlowConfig) -> FlowTrace:
     F = TorusField(F0.N, F0.L, A, a, F0.scheme)
 
     def record(i):
+        """Monitor state i; returns the gradient (curl_A a, B - star(a wedge a))."""
         work = TorusField(F.N, F.L, A, a, F.scheme)
         times[i] = i * dt
-        cs[i] = cs_functional(work)
+        B = b_field(work)
+        cs[i] = cs_functional(work, B)
         gA = curl_cov(work, a)
-        gb = b_field(work) - star_wedge(a, a)
+        gb = B - star_wedge(a)
         e_curl[i] = work.integrate(dot(gA, gA).sum(axis=0))
         gns[i] = e_curl[i] + work.integrate(dot(gb, gb).sum(axis=0))
         dva = div_cov(work, a)
@@ -146,24 +163,36 @@ def run_flow(F0: TorusField, config: FlowConfig) -> FlowTrace:
             dcs = (cs[i] - cs[i - 2]) / (2 * dt)
             ei[i - 1] = abs(dcs - rhs22) / max(1.0, abs(rhs22))
             tf[i - 1] = abs(rhs22 - gns[i - 1]) / max(1.0, abs(gns[i - 1]))
+        return gA, gb
 
-    record(0)
-    for n in range(1, config.steps + 1):
-        k1A, k1a = _rhs(F, A, a)
-        k2A, k2a = _rhs(F, A + 0.5 * dt * k1A, a + 0.5 * dt * k1a)
-        k3A, k3a = _rhs(F, A + 0.5 * dt * k2A, a + 0.5 * dt * k2a)
-        k4A, k4a = _rhs(F, A + dt * k3A, a + dt * k3a)
-        A = A + dt / 6.0 * (k1A + 2 * k2A + 2 * k3A + k4A)
-        a = a + dt / 6.0 * (k1a + 2 * k2a + 2 * k3a + k4a)
-        record(n)
+    def finite(i):
+        return math.isfinite(cs[i]) and math.isfinite(gns[i])
+
+    meta = {"N": F0.N, "L": F0.L, "dt": dt, "scheme": F0.scheme, "status": "completed"}
+    # a diverging run overflows on its way to the state that stops it; the
+    # status below reports that instead of numpy's warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        k1A, k1a = record(0)
+        last = 0
+        while last < config.steps and finite(last):
+            k2A, k2a = _rhs(F, A + 0.5 * dt * k1A, a + 0.5 * dt * k1a)
+            k3A, k3a = _rhs(F, A + 0.5 * dt * k2A, a + 0.5 * dt * k2a)
+            k4A, k4a = _rhs(F, A + dt * k3A, a + dt * k3a)
+            A = A + dt / 6.0 * (k1A + 2 * k2A + 2 * k3A + k4A)
+            a = a + dt / 6.0 * (k1a + 2 * k2a + 2 * k3a + k4a)
+            last += 1
+            k1A, k1a = record(last)
+    if not finite(last):
+        meta.update(status="diverged", blowup_step=last)
+    keep = slice(0, last + 1)
 
     trace = FlowTrace(
-        times=times, cs=cs, grad_norm_sq=gns, constraint_drift=drift,
-        sup_a=sup_a, energy_identity_relerr=ei, two_forms_relerr=tf,
-        meta={"N": F0.N, "L": F0.L, "dt": dt, "scheme": F0.scheme},
+        times=times[keep], cs=cs[keep], grad_norm_sq=gns[keep],
+        constraint_drift=drift[keep], sup_a=sup_a[keep],
+        energy_identity_relerr=ei[keep], two_forms_relerr=tf[keep], meta=meta,
     )
-    dcs_steps = np.diff(cs)
-    trace.worst_decrease = float(-min(dcs_steps.min(), 0.0))
+    dcs_steps = np.diff(trace.cs)
+    trace.worst_decrease = float(-dcs_steps.min(initial=0.0))
     trace.monotone = bool(np.all(dcs_steps >= -config.monotone_tol))
     return trace
 
@@ -177,8 +206,10 @@ def lojasiewicz_fit(trace: FlowTrace) -> dict:
     slope -(q+1).  The better log-linear fit decides the model; q maps to
     the decay-law parameter mu through q = 1/(1 - 2 mu), and an exponential
     tail is the mu = 1/2 case.  The limit is then extrapolated with the
-    chosen model and reported.
+    chosen model and reported.  A diverged run is reported as such, unfitted.
     """
+    if trace.meta.get("status") == "diverged":
+        return {"status": "diverged", "model": None, "mu_estimate": None}
     cs = trace.cs
     t = trace.times
     n = len(cs)

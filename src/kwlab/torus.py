@@ -27,15 +27,29 @@ from dataclasses import dataclass
 
 import numpy as np
 
+CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))  # the (k, i, j) with EPS[k, i, j] = 1
 EPS = np.zeros((3, 3, 3))
-for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+for _i, _j, _k in CYCLIC:
     EPS[_i, _j, _k] = 1.0
     EPS[_j, _i, _k] = -1.0
 
 
 def comm(u, v):
-    """[u, v] on sigma coefficients: -2 (u x v), cross along axis 0."""
-    return -2.0 * np.cross(u, v, axis=0)
+    """[u, v] on sigma coefficients: -2 (u x v) along axis 0, by components.
+
+    Accepts (3,) vectors, complex coefficients and broadcastable shapes.
+    """
+    u0, u1, u2 = u = np.asarray(u)
+    v0, v1, v2 = v = np.asarray(v)
+    out = np.empty(np.broadcast_shapes(u.shape, v.shape), np.result_type(u, v))
+    # out[k, ...] is a view even for (3,) input, where out[k] is a scalar
+    for k, (p, q, r, s) in enumerate(((u2, v1, u1, v2), (u0, v2, u2, v0),
+                                      (u1, v0, u0, v1))):
+        o = out[k, ...]
+        np.multiply(p, q, out=o)
+        o -= r * s
+    out *= 2
+    return out
 
 
 def dot(u, v):
@@ -73,12 +87,18 @@ class TorusField:
         """d f / d x_{i+1} on the last three axes (periodic)."""
         ax = f.ndim - 3 + i
         if self.scheme == "fd4":
-            return (
-                -np.roll(f, -2, axis=ax)
-                + 8.0 * np.roll(f, -1, axis=ax)
-                - 8.0 * np.roll(f, 1, axis=ax)
-                + np.roll(f, 2, axis=ax)
-            ) / (12.0 * self.h)
+            # wrap-pad two cells each side once, then take the stencil from
+            # four shifted slices of the padded array
+            n = f.shape[ax]
+            lead = (slice(None),) * ax
+            g = np.concatenate((f[lead + (slice(n - 2, n),)], f,
+                                f[lead + (slice(0, 2),)]), axis=ax)
+            out = np.subtract(g[lead + (slice(3, n + 3),)], g[lead + (slice(1, n + 1),)])
+            out *= 8.0
+            out += g[lead + (slice(0, n),)]
+            out -= g[lead + (slice(4, n + 4),)]
+            out *= 1.0 / (12.0 * self.h)
+            return out
         if self.scheme == "spectral":
             k = np.fft.fftfreq(self.N, d=self.h) * 2.0 * math.pi
             shape = [1] * f.ndim
@@ -94,47 +114,31 @@ class TorusField:
 
 
 def b_field(F: TorusField) -> np.ndarray:
-    """B_k = eps_kij (d_i A_j + 1/2 [A_i, A_j])."""
-    out = np.zeros_like(F.A)
-    for k in range(3):
-        acc = 0.0
-        for i in range(3):
-            for j in range(3):
-                e = EPS[k, i, j]
-                if e == 0.0:
-                    continue
-                acc = acc + e * (F.deriv(F.A[j], i) + 0.5 * comm(F.A[i], F.A[j]))
-        out[k] = acc
+    """B_k = eps_kij (d_i A_j + 1/2 [A_i, A_j]) = d_i A_j - d_j A_i + [A_i, A_j]
+    over the cyclic (k, i, j)."""
+    out = np.empty_like(F.A)
+    for k, i, j in CYCLIC:
+        np.subtract(F.deriv(F.A[j], i), F.deriv(F.A[i], j), out=out[k])
+        out[k] += comm(F.A[i], F.A[j])
     return out
 
 
 def curl_cov(F: TorusField, u: np.ndarray) -> np.ndarray:
-    """(curl_A u)_k = eps_kij (d_i u_j + [A_i, u_j])."""
-    out = np.zeros_like(u)
-    for k in range(3):
-        acc = 0.0
-        for i in range(3):
-            for j in range(3):
-                e = EPS[k, i, j]
-                if e == 0.0:
-                    continue
-                acc = acc + e * (F.deriv(u[j], i) + comm(F.A[i], u[j]))
-        out[k] = acc
+    """(curl_A u)_k = eps_kij (d_i u_j + [A_i, u_j]), over the cyclic (k, i, j)."""
+    out = np.empty_like(u)
+    for k, i, j in CYCLIC:
+        np.subtract(F.deriv(u[j], i), F.deriv(u[i], j), out=out[k])
+        out[k] += comm(F.A[i], u[j])
+        out[k] -= comm(F.A[j], u[i])
     return out
 
 
-def star_wedge(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """star(u wedge v)_k = 1/2 eps_kij [u_i, v_j] (equal arguments halve)."""
-    out = np.zeros_like(u)
-    for k in range(3):
-        acc = 0.0
-        for i in range(3):
-            for j in range(3):
-                e = EPS[k, i, j]
-                if e == 0.0:
-                    continue
-                acc = acc + 0.5 * e * comm(u[i], v[j])
-        out[k] = acc
+def star_wedge(u: np.ndarray) -> np.ndarray:
+    """star(u wedge u)_k = 1/2 eps_kij [u_i, u_j] = [u_i, u_j] over the cyclic
+    (k, i, j)."""
+    out = np.empty_like(u)
+    for k, i, j in CYCLIC:
+        out[k] = comm(u[i], u[j])
     return out
 
 
@@ -146,9 +150,10 @@ def div_cov(F: TorusField, u: np.ndarray) -> np.ndarray:
     return acc
 
 
-def cs_functional(F: TorusField) -> float:
-    """int ( sum_k <a_k, B_k> - <[a_1, a_2], a_3> )."""
-    B = b_field(F)
+def cs_functional(F: TorusField, B: np.ndarray | None = None) -> float:
+    """int ( sum_k <a_k, B_k> - <[a_1, a_2], a_3> ); B = b_field(F) unless given."""
+    if B is None:
+        B = b_field(F)
     density = sum(dot(F.a[k], B[k]) for k in range(3))
     density = density - dot(comm(F.a[0], F.a[1]), F.a[2])
     return F.integrate(density)
@@ -157,7 +162,7 @@ def cs_functional(F: TorusField) -> float:
 def gradient(F: TorusField) -> tuple[np.ndarray, np.ndarray]:
     """(gA, ga) = (curl_A a, B - star(a wedge a))."""
     gA = curl_cov(F, F.a)
-    ga = b_field(F) - star_wedge(F.a, F.a)
+    ga = b_field(F) - star_wedge(F.a)
     return gA, ga
 
 
@@ -210,10 +215,11 @@ def su2_exp_coeffs(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _quat_mul(w1, v1, w2, v2):
     """(w1 + v1.sigma)(w2 + v2.sigma) via sigma_a sigma_b = -delta + sigma-cross.
 
-    sigma_a sigma_b = -delta_ab - eps_abc sigma_c with this basis.
+    sigma_a sigma_b = -delta_ab - eps_abc sigma_c with this basis, and
+    -(v1 x v2) = 1/2 [v1, v2].
     """
     w = w1 * w2 - np.sum(v1 * v2, axis=0)
-    v = w1[None] * v2 + w2[None] * v1 - np.cross(v1, v2, axis=0)
+    v = w1[None] * v2 + w2[None] * v1 + 0.5 * comm(v1, v2)
     return w, v
 
 

@@ -125,6 +125,35 @@ def test_flow_cfl_rejection(tmp_path, capsys):
     assert "suggested dt" in err
 
 
+def test_flow_run_diverged(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "N": 8, "dt": 0.02, "steps": 400, "seed": 0,
+        "init": {"kind": "random", "amplitude": 0.5},
+    }))
+    code, _, err = run(["flow", "run", "--config", str(cfg), "--out", str(tmp_path)], capsys)
+    assert code == 1 and "diverged" in err
+
+    def reject(name):
+        raise ValueError(f"non-strict JSON constant {name}")
+
+    summary = json.loads((tmp_path / "summary.json").read_text(), parse_constant=reject)
+    assert summary["status"] == "diverged"
+    assert summary["lojasiewicz_fit"]["status"] == "diverged"
+    rows = (tmp_path / "trace.csv").read_text().splitlines()
+    assert len(rows) == summary["blowup_step"] + 2  # header and steps 0..blowup
+
+
+def test_spectral_exclusion_reports_uncovered(monkeypatch, capsys):
+    # a Rayleigh minimum too small to exclude [0, 3/2] is a failing check
+    from kwlab import spectral
+    monkeypatch.setattr(spectral, "rayleigh_min", lambda prob: {"mu": 0.5, "n_mesh": 10})
+    rep = spectral.exclusion_report("case2", 1)
+    assert rep["covers_0_to_3half"] is False
+    code, out, _ = run(["spectral", "exclusion", "--case", "case2"], capsys)
+    assert code == 1 and json.loads(out)["covers_0_to_3half"] is False
+
+
 def test_tolerance_scale_plumbs_through(capsys):
     code, out, _ = run(["algebra", "--tolerance-scale", "100.0"], capsys)
     assert code == 0
@@ -146,6 +175,9 @@ def test_unwritable_out_path(capsys):
     ["operator", "--background", "bogus"],
     ["operator", "--background", "modelfoo"],
     ["verify", "operator", "--background", "model:-1"],
+    ["spectral", "exclusion", "--case", "case2", "--m", "0"],
+    ["spectral", "ode", "--k", "0"],
+    ["spectral", "hemisphere", "--mesh", "10"],
 ])
 def test_suite_argument_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -1,7 +1,9 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kwlab import torus
 from kwlab.flow import CFLError, FlowConfig, FlowTrace, lojasiewicz_fit, run_flow
@@ -211,3 +213,69 @@ def test_trace_csv(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0].split(",")[:3] == ["step", "time", "cs"]
     assert len(lines) == 7
+
+
+def test_k1_reuse_call_counts_and_trace(monkeypatch):
+    # each recorded state's gradient is the next step's k1: 1 + 4n evaluations
+    import kwlab.flow
+
+    F = random_field(np.random.default_rng(21), 8, amplitude=0.05)
+    cfg = FlowConfig(dt=0.05 * F.h, steps=6)
+    counts = {}
+    for name in ("b_field", "curl_cov", "star_wedge"):
+        orig = getattr(torus, name)
+
+        def counted(*args, _name=name, _orig=orig, **kwargs):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _orig(*args, **kwargs)
+
+        # both modules, so a b_field call inside cs_functional counts too
+        monkeypatch.setattr(kwlab.flow, name, counted)
+        monkeypatch.setattr(torus, name, counted)
+    tr = run_flow(F, cfg)
+    monkeypatch.undo()
+    assert counts == {name: 1 + 4 * cfg.steps
+                      for name in ("b_field", "curl_cov", "star_wedge")}
+    # the same trace from an RK4 that evaluates k1 afresh at every step
+    for n in range(cfg.steps + 1):
+        A, a = _final_state(F, FlowConfig(dt=cfg.dt, steps=n))
+        Fn = TorusField(8, A=A, a=a)
+        assert tr.cs[n] == pytest.approx(cs_functional(Fn), rel=1e-12)
+        assert tr.grad_norm_sq[n] == pytest.approx(grad_norm_sq(Fn), rel=1e-12)
+        assert tr.sup_a[n] == pytest.approx(
+            float(np.sqrt(np.sum(a * a, axis=(0, 1)).max())), rel=1e-12)
+    assert tr.meta["status"] == "completed" and "blowup_step" not in tr.meta
+
+
+def test_diverged_flow_stops_and_says_so():
+    # random data at amplitude 0.5 on N = 8 blows up within a few steps
+    F = random_field(np.random.default_rng(0), 8, amplitude=0.5)
+    tr = run_flow(F, FlowConfig(dt=0.02, steps=400))
+    step = tr.meta["blowup_step"]
+    assert tr.meta["status"] == "diverged"
+    assert 0 < step < 400 and len(tr.times) == step + 1
+    assert np.all(np.isfinite(tr.cs[:-1])) and np.all(np.isfinite(tr.grad_norm_sq[:-1]))
+    assert not (np.isfinite(tr.cs[-1]) and np.isfinite(tr.grad_norm_sq[-1]))
+    assert lojasiewicz_fit(tr)["status"] == "diverged"
+    s = tr.summary()
+    assert s["status"] == "diverged" and s["blowup_step"] == step
+    assert s["cs_final"] is None and not s["monotone"]
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(N=st.integers(6, 10), amplitude=st.floats(0.0, 2.0), seed=st.integers(0, 99),
+       cfl=st.floats(0.05, 1.0), steps=st.integers(1, 30))
+def test_flow_status_contract(N, amplitude, seed, cfl, steps):
+    # every run ends completed with a finite trace, or diverged at its first
+    # non-finite state; either way the summary is strict JSON
+    F = random_field(np.random.default_rng(seed), N, amplitude=amplitude)
+    tr = run_flow(F, FlowConfig(dt=cfl * 0.2 * F.h, steps=steps))
+    finite = np.isfinite(tr.cs) & np.isfinite(tr.grad_norm_sq)
+    if tr.meta["status"] == "completed":
+        assert len(tr.times) == steps + 1 and finite.all()
+    else:
+        assert tr.meta["status"] == "diverged"
+        assert tr.meta["blowup_step"] == len(tr.times) - 1 <= steps
+        assert finite[:-1].all() and not finite[-1]
+        assert lojasiewicz_fit(tr)["status"] == "diverged"
+    json.dumps(tr.summary(), allow_nan=False)

@@ -1,0 +1,139 @@
+"""The torus kernels against plain reference formulas.
+
+The references are the direct definitions: the commutator through
+np.cross, the fd4 stencil through four np.roll copies, and the field
+operators as sums over every entry of the Levi-Civita symbol.
+"""
+
+import numpy as np
+import pytest
+
+from kwlab.torus import (
+    EPS, TorusField, b_field, comm, curl_cov, div_cov, random_field, star_wedge,
+)
+
+
+def _ref_comm(u, v):
+    return -2.0 * np.cross(u, v, axis=0)
+
+
+def _ref_deriv(F, f, i):
+    if F.scheme != "fd4":
+        return F.deriv(f, i)
+    ax = f.ndim - 3 + i
+    return (
+        -np.roll(f, -2, axis=ax)
+        + 8.0 * np.roll(f, -1, axis=ax)
+        - 8.0 * np.roll(f, 1, axis=ax)
+        + np.roll(f, 2, axis=ax)
+    ) / (12.0 * F.h)
+
+
+# Sums over all 27 EPS entries; `sign` multiplies every bracket term, so
+# sign=-1 is the wrong convention the comparisons must catch.
+
+
+def _ref_b_field(F, sign=1.0):
+    out = np.zeros_like(F.A)
+    for k in range(3):
+        acc = 0.0
+        for i in range(3):
+            for j in range(3):
+                e = EPS[k, i, j]
+                if e == 0.0:
+                    continue
+                acc = acc + e * (_ref_deriv(F, F.A[j], i)
+                                 + sign * 0.5 * _ref_comm(F.A[i], F.A[j]))
+        out[k] = acc
+    return out
+
+
+def _ref_curl_cov(F, u, sign=1.0):
+    out = np.zeros_like(u)
+    for k in range(3):
+        acc = 0.0
+        for i in range(3):
+            for j in range(3):
+                e = EPS[k, i, j]
+                if e == 0.0:
+                    continue
+                acc = acc + e * (_ref_deriv(F, u[j], i) + sign * _ref_comm(F.A[i], u[j]))
+        out[k] = acc
+    return out
+
+
+def _ref_star_wedge(u, v, sign=1.0):
+    out = np.zeros_like(u)
+    for k in range(3):
+        acc = 0.0
+        for i in range(3):
+            for j in range(3):
+                e = EPS[k, i, j]
+                if e == 0.0:
+                    continue
+                acc = acc + sign * 0.5 * e * _ref_comm(u[i], v[j])
+        out[k] = acc
+    return out
+
+
+def _ref_div_cov(F, u, sign=1.0):
+    acc = 0.0
+    for i in range(3):
+        acc = acc + _ref_deriv(F, u[i], i) + sign * _ref_comm(F.A[i], u[i])
+    return acc
+
+
+def _relerr(x, ref):
+    return float(np.max(np.abs(x - ref)) / np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("shape_u,shape_v,complex_", [
+    ((3,), (3,), False),
+    ((3, 4, 4, 4), (3, 4, 4, 4), False),
+    ((3, 5), (3, 5), True),
+    ((3, 1, 4), (3, 6, 4), False),
+])
+def test_comm_matches_cross(shape_u, shape_v, complex_):
+    rng = np.random.default_rng(0)
+    u = rng.normal(size=shape_u)
+    v = rng.normal(size=shape_v)
+    if complex_:
+        u = u + 1j * rng.normal(size=shape_u)
+        v = v + 1j * rng.normal(size=shape_v)
+    got = comm(u, v)
+    ref = _ref_comm(u, v)
+    assert got.shape == ref.shape and got.dtype == ref.dtype
+    np.testing.assert_allclose(got, ref, rtol=1e-14, atol=1e-15)
+
+
+@pytest.mark.parametrize("ndim", [4, 5])
+@pytest.mark.parametrize("i", [0, 1, 2])
+def test_fd4_deriv_matches_roll_stencil(ndim, i):
+    rng = np.random.default_rng(1)
+    F = TorusField(8)
+    f = rng.normal(size=(3,) * (ndim - 3) + (8, 8, 8))
+    assert _relerr(F.deriv(f, i), _ref_deriv(F, f, i)) < 1e-13
+
+
+@pytest.fixture(params=["fd4", "spectral"])
+def field(request):
+    F = random_field(np.random.default_rng(4), 8, amplitude=0.3)
+    F.scheme = request.param
+    return F
+
+
+def test_field_operators_match_eps_sums(field):
+    F = field
+    assert _relerr(b_field(F), _ref_b_field(F)) < 1e-13
+    assert _relerr(curl_cov(F, F.a), _ref_curl_cov(F, F.a)) < 1e-13
+    assert _relerr(star_wedge(F.a), _ref_star_wedge(F.a, F.a)) < 1e-13
+    assert _relerr(div_cov(F, F.a), _ref_div_cov(F, F.a)) < 1e-13
+
+
+def test_flipped_bracket_sign_is_caught(field):
+    # the comparison above can fail: the wrong bracket sign is far off
+    F = field
+    assert _relerr(b_field(F), _ref_b_field(F, sign=-1.0)) > 1e-2
+    assert _relerr(curl_cov(F, F.a), _ref_curl_cov(F, F.a, sign=-1.0)) > 1e-2
+    assert _relerr(star_wedge(F.a), _ref_star_wedge(F.a, F.a, sign=-1.0)) > 1e-2
+    assert _relerr(div_cov(F, F.a), _ref_div_cov(F, F.a, sign=-1.0)) > 1e-2
