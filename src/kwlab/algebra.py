@@ -13,6 +13,12 @@ Inner product on su(2): <u, v> = -1/2 trace(u v), which makes
 trace pairing is kept, and the positive-definite Hermitian product is
 <u, v>_H = 1/2 trace(u^dag v) (equivalently <star(u) v> with
 star(u) = -u^dag).
+
+The rest of the package stores su(2) / sl(2,C) values as their coefficient
+vectors (v1, v2, v3) in this basis, real for su(2).  There the bracket is
+[u, v] = -2 u x v, the Hermitian product is sum_a conj(u_a) v_a and the
+trace pairing is sum_a u_a v_a; ``coeff_bracket`` and ``coeff_norm`` are
+the coefficient forms of ``bracket`` and ``norm``.
 """
 
 from __future__ import annotations
@@ -33,6 +39,12 @@ _PAULI = (
 SIGMA = tuple(1j * p for p in _PAULI)
 
 IDENTITY2 = np.eye(2, dtype=complex)
+
+CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))  # the (k, i, j) with EPS[k, i, j] = 1
+EPS = np.zeros((3, 3, 3))
+for _i, _j, _k in CYCLIC:
+    EPS[_i, _j, _k] = 1.0
+    EPS[_j, _i, _k] = -1.0
 
 # Raising/lowering combinations: E_PLUS spans L^+, E_MINUS spans L^-.
 E_PLUS = SIGMA[0] - 1j * SIGMA[1]
@@ -70,6 +82,31 @@ def norm(u: np.ndarray) -> np.ndarray:
 def bracket(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Commutator u v - v u; batched over the leading axes of (..., 2, 2) arrays."""
     return u @ v - v @ u
+
+
+def coeff_bracket(u, v) -> np.ndarray:
+    """[u, v] on sigma coefficients along the last axis: -2 (u x v).
+
+    Batched and broadcast over the leading axes; complex coefficients give
+    the sl(2,C) bracket.
+    """
+    u = np.asarray(u)
+    v = np.asarray(v)
+    u0, u1, u2 = u[..., 0], u[..., 1], u[..., 2]
+    v0, v1, v2 = v[..., 0], v[..., 1], v[..., 2]
+    out = np.empty(np.broadcast_shapes(u.shape, v.shape), np.result_type(u, v))
+    out[..., 0] = u2 * v1 - u1 * v2
+    out[..., 1] = u0 * v2 - u2 * v0
+    out[..., 2] = u1 * v0 - u0 * v1
+    out *= 2
+    return out
+
+
+def coeff_norm(u) -> np.ndarray:
+    """Hermitian norm sqrt(sum_a |u_a|^2) of coefficient vectors on the last
+    axis; equals ``norm`` of the matrix they stand for."""
+    u = np.asarray(u)
+    return np.sqrt(np.sum((u.conj() * u).real, axis=-1))
 
 
 def star(v: np.ndarray) -> np.ndarray:

@@ -1,15 +1,15 @@
 """Background pairs (connection, Higgs 1-form) that the linearized operator sees.
 
 A background provides, at batched points P of shape (..., 4) with coordinates
-(t, x1, x2, x3):
+(t, x1, x2, x3), su(2) values as real sigma coefficients (last axis of 3):
 
-    A_at(P)  -> (..., 3, 2, 2)   spatial connection components (no dt part)
-    a_at(P)  -> (..., 3, 2, 2)   Higgs components (no dt part, su(2) valued)
+    A_at(P)  -> (..., 3, 3)   spatial connection components (no dt part)
+    a_at(P)  -> (..., 3, 3)   Higgs components (no dt part)
 
 and, where the zeroth-order curvature data is needed,
 
-    curvature_at(P) -> (E1, E2, B3) su(2) values   (all other components zero)
-    dcov_a_at(P)    -> (..., 2, 2, 2, 2)  grad_i a_j for i, j in {1, 2}
+    curvature_at(P) -> (E1, E2, B3), each (..., 3)   (all other components zero)
+    dcov_a_at(P)    -> (..., 2, 2, 3)  grad_i a_j for i, j in {1, 2}
 
 Four kinds: trivial (A = a = 0 anywhere), the pole background
 a_i = -sigma_i/(2t), the integer-m model family, and trigonometric
@@ -22,10 +22,8 @@ import math
 
 import numpy as np
 
-from .algebra import SIGMA
+from .algebra import coeff_bracket
 from .model import ModelSolution, evaluate
-
-_ZERO2 = np.zeros((2, 2), dtype=complex)
 
 
 def _batch(P):
@@ -45,17 +43,17 @@ class TrivialBackground:
 
     def A_at(self, P):
         P = _batch(P)
-        return np.zeros(P.shape[:-1] + (3, 2, 2), dtype=complex)
+        return np.zeros(P.shape[:-1] + (3, 3))
 
     a_at = A_at
 
     def curvature_at(self, P):
         z = self.A_at(P)
-        return z[..., 0, :, :], z[..., 1, :, :], z[..., 2, :, :]
+        return z[..., 0, :], z[..., 1, :], z[..., 2, :]
 
     def dcov_a_at(self, P):
         P = _batch(P)
-        return np.zeros(P.shape[:-1] + (2, 2, 2, 2), dtype=complex)
+        return np.zeros(P.shape[:-1] + (2, 2, 3))
 
 
 class NahmBackground:
@@ -70,25 +68,21 @@ class NahmBackground:
 
     def A_at(self, P):
         P = _batch(P)
-        return np.zeros(P.shape[:-1] + (3, 2, 2), dtype=complex)
+        return np.zeros(P.shape[:-1] + (3, 3))
 
     def a_at(self, P):
         P = _batch(P)
         self.domain_check(P)
-        t = P[..., 0]
-        out = np.empty(P.shape[:-1] + (3, 2, 2), dtype=complex)
-        for i in range(3):
-            out[..., i, :, :] = (-1.0 / (2.0 * t))[..., None, None] * SIGMA[i]
-        return out
+        return (-1.0 / (2.0 * P[..., 0]))[..., None, None] * np.eye(3)
 
     def curvature_at(self, P):
         P = _batch(P)
-        z = np.zeros(P.shape[:-1] + (2, 2), dtype=complex)
+        z = np.zeros(P.shape[:-1] + (3,))
         return z, z.copy(), z.copy()
 
     def dcov_a_at(self, P):
         P = _batch(P)
-        return np.zeros(P.shape[:-1] + (2, 2, 2, 2), dtype=complex)
+        return np.zeros(P.shape[:-1] + (2, 2, 3))
 
 
 class ModelBackground:
@@ -121,11 +115,11 @@ class ModelBackground:
 
     def a_at(self, P):
         ev = self._eval(P)
-        return np.stack([ev.a1, ev.a2, ev.a3], axis=-3)
+        return np.stack([ev.a1, ev.a2, ev.a3], axis=-2)
 
     def A_at(self, P):
         ev = self._eval(P)
-        return np.stack([ev.A1, ev.A2, np.zeros_like(ev.A1)], axis=-3)
+        return np.stack([ev.A1, ev.A2, np.zeros_like(ev.A1)], axis=-2)
 
     def curvature_at(self, P):
         ev = self._eval(P)
@@ -136,7 +130,7 @@ class ModelBackground:
         t = P[..., 0]
         r = np.hypot(P[..., 1], P[..., 2])
         h = 1e-3 * np.minimum(t, r)
-        out = np.zeros(P.shape[:-1] + (2, 2, 2, 2), dtype=complex)
+        out = np.zeros(P.shape[:-1] + (2, 2, 3))
         A = self.A_at(P)
         a0 = self.a_at(P)
         for i in range(2):
@@ -146,10 +140,9 @@ class ModelBackground:
                 Q[..., 1 + i] = Q[..., 1 + i] + step * h
                 shifts.append(self.a_at(Q))
             f2, f1, fm1, fm2 = shifts
-            da = (-f2 + 8.0 * f1 - 8.0 * fm1 + fm2) / (12.0 * h)[..., None, None, None]
+            da = (-f2 + 8.0 * f1 - 8.0 * fm1 + fm2) / (12.0 * h)[..., None, None]
             for j in range(2):
-                comm = A[..., i, :, :] @ a0[..., j, :, :] - a0[..., j, :, :] @ A[..., i, :, :]
-                out[..., i, j, :, :] = da[..., j, :, :] + comm
+                out[..., i, j, :] = da[..., j, :] + coeff_bracket(A[..., i, :], a0[..., j, :])
         return out
 
 
@@ -174,7 +167,7 @@ class TorusTrigBackground:
 
     def _sum(self, P, slot: str, deriv: int | None = None):
         P = _batch(P)
-        out = np.zeros(P.shape[:-1] + (3, 2, 2), dtype=complex)
+        out = np.zeros(P.shape[:-1] + (3, 3))
         w = 2.0 * math.pi / self.L
         for (sl, comp, k, phase, coeffs) in self.terms:
             if sl != slot:
@@ -184,8 +177,7 @@ class TorusTrigBackground:
             val = np.cos(arg)
             if deriv is not None:
                 val = -np.sin(arg) * (w * k[deriv])
-            mat = sum(c * s for c, s in zip(coeffs, SIGMA))
-            out[..., comp, :, :] += val[..., None, None] * mat
+            out[..., comp, :] += val[..., None] * np.asarray(coeffs, dtype=float)
         return out
 
     def A_at(self, P):
@@ -207,12 +199,7 @@ class TorusTrigBackground:
         A = self.A_at(P)
         d1A = self.dA_at(P, 0)
         d2A = self.dA_at(P, 1)
-        b3 = (
-            d1A[..., 1, :, :]
-            - d2A[..., 0, :, :]
-            + A[..., 0, :, :] @ A[..., 1, :, :]
-            - A[..., 1, :, :] @ A[..., 0, :, :]
-        )
+        b3 = d1A[..., 1, :] - d2A[..., 0, :] + coeff_bracket(A[..., 0, :], A[..., 1, :])
         z = np.zeros_like(b3)
         return z, z.copy(), b3
 
@@ -220,12 +207,11 @@ class TorusTrigBackground:
         P = _batch(P)
         A = self.A_at(P)
         a0 = self.a_at(P)
-        out = np.zeros(P.shape[:-1] + (2, 2, 2, 2), dtype=complex)
+        out = np.zeros(P.shape[:-1] + (2, 2, 3))
         for i in range(2):
             da = self.da_at(P, i)
             for j in range(2):
-                comm = A[..., i, :, :] @ a0[..., j, :, :] - a0[..., j, :, :] @ A[..., i, :, :]
-                out[..., i, j, :, :] = da[..., j, :, :] + comm
+                out[..., i, j, :] = da[..., j, :] + coeff_bracket(A[..., i, :], a0[..., j, :])
         return out
 
 

@@ -32,8 +32,12 @@ from .reporting import SuiteReport
 from .suites import SUITE_NAMES, run_suite
 from .torus import TorusField, random_field
 
+# largest `spectral hemisphere --mesh`: the solver holds about ten float
+# arrays of the mesh size; 10^6 cells peak near 200 MB and take ~2 s
+MAX_MESH = 10 ** 6
 
-def _int_at_least(low: int):
+
+def _int_in_range(low: int, high: int | None = None):
     def parse(text: str) -> int:
         try:
             value = int(text)
@@ -41,18 +45,27 @@ def _int_at_least(low: int):
             raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
         if value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be <= {high}, got {value}")
         return value
 
     return parse
 
 
-def _nonzero_float(text: str) -> float:
+def _finite_float(text: str) -> float:
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
-    if value == 0.0 or not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite and nonzero, got {value}")
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {value}")
+    return value
+
+
+def _nonzero_float(text: str) -> float:
+    value = _finite_float(text)
+    if value == 0.0:
+        raise argparse.ArgumentTypeError(f"must be nonzero, got {value}")
     return value
 
 
@@ -133,8 +146,17 @@ def _cmd_spectral(args) -> int:
         _write(json.dumps(rep, indent=2, sort_keys=True), args.out)
         return 0 if rep["covers_0_to_3half"] else 1
     if args.mode == "ode":
-        st = spectral_mod.radial_ode_solve(args.lam, args.k)
-        adm = spectral_mod.radial_admissible(args.lam, args.k)
+        # the solutions grow like x^(+-lambda) and e^(+-k x); beyond what
+        # double precision can follow the integrator overflows and gives up,
+        # which is reported as one error line
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                st = spectral_mod.radial_ode_solve(args.lam, args.k)
+                adm = spectral_mod.radial_admissible(args.lam, args.k)
+        except RuntimeError as exc:
+            print(f"error: no radial solution at --lambda {args.lam:g} --k {args.k:g}: {exc}",
+                  file=sys.stderr)
+            return 2
         out = args.out or "radial_ode.csv"
         with open(out, "w", newline="") as fh:
             w = csv.writer(fh)
@@ -249,12 +271,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_suite_options(p, name):
         if name == "model":
-            p.add_argument("--m", type=_int_at_least(0), default=1)
-            p.add_argument("--samples", type=_int_at_least(1), default=200)
+            p.add_argument("--m", type=_int_in_range(0), default=1)
+            p.add_argument("--samples", type=_int_in_range(1), default=200)
         if name == "operator":
             p.add_argument("--background", type=_background_kind, default="model:1",
                            help="trivial | nahm | model:m")
-            p.add_argument("--points", type=_int_at_least(1), default=200)
+            p.add_argument("--points", type=_int_in_range(1), default=200)
 
     for name in SUITE_NAMES + ("all",):
         if name == "spectral":
@@ -270,10 +292,10 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(sp)
     sp.add_argument("--case", type=str, default="b3ct",
                     choices=["b3ct", "case2", "case3"])
-    sp.add_argument("--m", type=_int_at_least(1), default=1,
+    sp.add_argument("--m", type=_int_in_range(1), default=1,
                     help="pole index of case2/case3 (b3ct ignores it)")
-    sp.add_argument("--mesh", type=_int_at_least(100), default=2000)
-    sp.add_argument("--lambda", dest="lam", type=float, default=1.0)
+    sp.add_argument("--mesh", type=_int_in_range(100, MAX_MESH), default=2000)
+    sp.add_argument("--lambda", dest="lam", type=_finite_float, default=1.0)
     sp.add_argument("--k", type=_nonzero_float, default=1.0)
     sp.set_defaults(func=_cmd_spectral, suite="spectral")
 

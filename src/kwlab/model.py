@@ -33,7 +33,7 @@ The reduced first-order equations tying these together are
 and ``verify_reduced_eqs`` checks all five by centered differences.
 
 Every evaluation takes arrays: ``fields`` (the scalar profile data) and
-``evaluate`` (the su(2) matrices built from it) accept (t, z) of any
+``evaluate`` (the sigma coefficients built from it) accept (t, z) of any
 broadcastable shape, and the checks evaluate each stencil offset, rescaling
 and ray sample once over their whole sample set.
 """
@@ -45,7 +45,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import SIGMA, E_PLUS, bracket, herm_inner, norm
+from .algebra import coeff_bracket, coeff_norm
+
+# sigma coefficients of sigma1, sigma2, sigma3 and of E_PLUS = sigma1 - i sigma2
+_SIGMA = np.eye(3)
+_E_PLUS = _SIGMA[0] - 1j * _SIGMA[1]
 
 AXIS_RADIUS = 1e-12  # below this |z| the on-axis limit branch is used
 SAMPLING_AXIS_EXCLUSION = 1e-6  # random samples stay outside this disk
@@ -164,10 +168,12 @@ def fields(ms: ModelSolution, t: np.ndarray, z: np.ndarray) -> dict[str, np.ndar
 class ModelEval:
     """Every field of a model solution at a batch of points.
 
-    Matrix fields have shape (..., 2, 2) and alpha, Aphi shape (...), where
-    (...) is the broadcast shape of the (t, z) arrays given to ``evaluate``.
-    A1, A2 are the connection relative to the product connection (it has no
-    dt or dx3 part).
+    The su(2) fields are sigma coefficients of shape (..., 3), real except
+    phi, which is complex (phi = phi_coef E_PLUS, and E_PLUS = sigma1 -
+    i sigma2 has coefficients (1, -i, 0)); alpha and Aphi have shape (...),
+    where (...) is the broadcast shape of the (t, z) arrays given to
+    ``evaluate``.  A1, A2 are the connection relative to the product
+    connection (it has no dt or dx3 part).
     """
 
     a1: np.ndarray
@@ -184,17 +190,18 @@ class ModelEval:
 
 
 def _col(a) -> np.ndarray:
-    """a[..., None, None]: per-point scalars against (..., 2, 2) matrices."""
-    return np.asarray(a)[..., None, None]
+    """a[..., None]: per-point scalars against (..., 3) coefficients."""
+    return np.asarray(a)[..., None]
 
 
 def evaluate(ms: ModelSolution, t, z) -> ModelEval:
     """Every field of the solution at (t, z) arrays of any (broadcastable) shape.
 
-    This is the one place where the scalar ``fields`` become su(2) matrices;
-    scalar t, z give 2x2 matrices.  Off axis this is the closed form above;
-    at |z| < AXIS_RADIUS the axis limits are used (phi -> 0 for m >= 1,
-    alpha -> -(m+1)/(2t), curvature components, Aphi and A -> 0).
+    This is the one place where the scalar ``fields`` become su(2) values
+    (sigma coefficients); scalar t, z give (3,) vectors.  Off axis this is
+    the closed form above; at |z| < AXIS_RADIUS the axis limits are used
+    (phi -> 0 for m >= 1, alpha -> -(m+1)/(2t), curvature components, Aphi
+    and A -> 0).
     """
     z = np.asarray(z, dtype=complex)
     f = fields(ms, t, z)
@@ -203,15 +210,15 @@ def evaluate(ms: ModelSolution, t, z) -> ModelEval:
     a_coef = f["Aphi"] / np.where(r2 < AXIS_RADIUS ** 2, 1.0, r2)
     e_coef = f["e_coef"]
     return ModelEval(
-        a1=_col(pc.real) * SIGMA[0] + _col(pc.imag) * SIGMA[1],
-        a2=_col(pc.real) * SIGMA[1] - _col(pc.imag) * SIGMA[0],
-        a3=_col(f["alpha"]) * SIGMA[2],
-        phi=_col(pc) * E_PLUS,
-        A1=_col(-a_coef * z.imag) * SIGMA[2],
-        A2=_col(a_coef * z.real) * SIGMA[2],
-        B3=_col(f["b3"]) * SIGMA[2],
-        E1=_col(-e_coef * z.imag) * SIGMA[2],
-        E2=_col(e_coef * z.real) * SIGMA[2],
+        a1=_col(pc.real) * _SIGMA[0] + _col(pc.imag) * _SIGMA[1],
+        a2=_col(pc.real) * _SIGMA[1] - _col(pc.imag) * _SIGMA[0],
+        a3=_col(f["alpha"]) * _SIGMA[2],
+        phi=_col(pc) * _E_PLUS,
+        A1=_col(-a_coef * z.imag) * _SIGMA[2],
+        A2=_col(a_coef * z.real) * _SIGMA[2],
+        B3=_col(f["b3"]) * _SIGMA[2],
+        E1=_col(-e_coef * z.imag) * _SIGMA[2],
+        E2=_col(e_coef * z.real) * _SIGMA[2],
         alpha=f["alpha"],
         Aphi=f["Aphi"],
     )
@@ -264,15 +271,15 @@ def verify_reduced_eqs(ms: ModelSolution, samples, h: float) -> dict[str, float]
     phi, alpha = ev.phi[0], ev.alpha[0]
     dphi_dt, dphi_d1, dphi_d2 = _grad(ev.phi, step)
     dadt, dad1, dad2 = _grad(ev.alpha, step)
-    g1 = dphi_d1 + bracket(ev.A1[0], phi)
-    g2 = dphi_d2 + bracket(ev.A2[0], phi)
-    phi_norm_sq = herm_inner(phi, phi).real
+    g1 = dphi_d1 + coeff_bracket(ev.A1[0], phi)
+    g2 = dphi_d2 + coeff_bracket(ev.A2[0], phi)
+    phi_norm_sq = coeff_norm(phi) ** 2
     res = {
-        "dt_phi": norm(dphi_dt - 2.0 * _col(alpha) * phi),
-        "dbar_phi": norm(g1 + 1j * g2),
-        "E1": norm(ev.E1[0] - _col(dad2) * SIGMA[2]),
-        "E2": norm(ev.E2[0] + _col(dad1) * SIGMA[2]),
-        "B3": norm(ev.B3[0] - _col(dadt - phi_norm_sq) * SIGMA[2]),
+        "dt_phi": coeff_norm(dphi_dt - 2.0 * _col(alpha) * phi),
+        "dbar_phi": coeff_norm(g1 + 1j * g2),
+        "E1": coeff_norm(ev.E1[0] - _col(dad2) * _SIGMA[2]),
+        "E2": coeff_norm(ev.E2[0] + _col(dad1) * _SIGMA[2]),
+        "B3": coeff_norm(ev.B3[0] - _col(dadt - phi_norm_sq) * _SIGMA[2]),
     }
     return {k: float(np.max(v)) for k, v in res.items()}
 
@@ -305,8 +312,9 @@ def verify_properties(ms: ModelSolution, samples: list[FieldPoint], h: float = 1
     ev = evaluate(ms, t, z)
     alpha_scaled = 2.0 * t * ev.alpha
     dalpha_dt = (evaluate(ms, t + h, z).alpha - evaluate(ms, t - h, z).alpha) / (2 * h)
-    phi_bound = norm(ev.phi) * math.sqrt(2.0) * t
-    curvature_c = (np.maximum(norm(ev.B3), np.maximum(norm(ev.E1), norm(ev.E2)))
+    phi_bound = coeff_norm(ev.phi) * math.sqrt(2.0) * t
+    curvature_c = (np.maximum(coeff_norm(ev.B3),
+                              np.maximum(coeff_norm(ev.E1), coeff_norm(ev.E2)))
                    * (np.hypot(t, np.abs(z)) ** 3 / t))
     # scaling weight of each field: 1-form coefficients 1, curvature 2, Aphi 0
     weights = {"a1": 1, "a2": 1, "a3": 1, "Aphi": 0, "B3": 2, "E1": 2, "E2": 2}
@@ -342,7 +350,7 @@ def _section(ms: ModelSolution, p_degree: int, ev: ModelEval, z) -> np.ndarray:
             f"pairing degree {p_degree} < m = {ms.m}: the section has a pole on the axis"
         )
     phi_star = ev.a1 + 1j * ev.a2
-    pairing = -0.5 * np.trace(ev.phi @ phi_star, axis1=-2, axis2=-1)  # = 2 c(t,Theta)^2 > 0
+    pairing = np.sum(ev.phi * phi_star, axis=-1)  # -1/2 tr(phi phi^*) = 2 c(t,Theta)^2 > 0
     return _col(np.asarray(z) ** p_degree) * phi_star / _col(pairing)
 
 
@@ -350,7 +358,7 @@ def case4_section(ms: ModelSolution, p_degree: int, t, z) -> np.ndarray:
     """The L^- valued section sigma_minus with trace pairing <phi sigma_minus> = z^p.
 
     sigma_minus = z^p phi^* / <phi phi^*> where phi^* = a1 + i a2, at (t, z)
-    arrays of any shape (result shape (..., 2, 2)); requires p_degree >= m,
+    arrays of any shape (sigma coefficients, shape (..., 3)); requires p_degree >= m,
     otherwise sigma_minus has a pole on the axis.
     """
     return _section(ms, p_degree, evaluate(ms, t, z), z)
@@ -371,14 +379,14 @@ def case4_solution(ms: ModelSolution, p_degree: int, point: FieldPoint, h: float
     ev = evaluate(ms, ts, zs)
     sig = _section(ms, p_degree, ev, zs)
     dt, d1, d2 = _grad(sig, step)
-    g1 = d1 + bracket(ev.A1[0], sig[0])
-    g2 = d2 + bracket(ev.A2[0], sig[0])
-    res_t = norm(dt + 2.0 * ev.alpha[0] * sig[0])
-    res_z = norm(g1 + 1j * g2)
+    g1 = d1 + coeff_bracket(ev.A1[0], sig[0])
+    g2 = d2 + coeff_bracket(ev.A2[0], sig[0])
+    res_t = coeff_norm(dt + 2.0 * ev.alpha[0] * sig[0])
+    res_z = coeff_norm(g1 + 1j * g2)
 
     # exponent of |sigma_minus| ~ x^(p+1) along the ray through `point`
     lams = np.geomspace(0.5, 2.0, 9)
-    vals = norm(case4_section(ms, p_degree, lams * t, lams * z))
+    vals = coeff_norm(case4_section(ms, p_degree, lams * t, lams * z))
     xs = np.hypot(lams * t, np.abs(lams * z))
     slope = np.polyfit(np.log(xs), np.log(vals), 1)[0]
     return {"res_t": float(res_t), "res_dbar": float(res_z), "ray_exponent": float(slope)}

@@ -35,8 +35,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .algebra import EPS
 from .clifford import GAMMA
-from .torus import EPS, TorusField, comm
+from .torus import TorusField, comm
 
 
 def k_lattice(k_max: int) -> np.ndarray:

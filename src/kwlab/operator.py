@@ -1,7 +1,12 @@
 """The linearized operator on 8-component su(2)-valued fields, three ways.
 
-A field value is an array of shape (..., 8, 2, 2): eight sl(2,C) slots
-ordered (b1, b2, b3, bt, c1, c2, c3, ct).  The operator acts as
+A field value is an array of shape (..., 8, 3): eight slots ordered
+(b1, b2, b3, bt, c1, c2, c3, ct), each holding the sigma coefficients of an
+su(2) value (real; complex only in the complexified picture of
+``spatial_identification``).  The commutator is the coefficient formula
+[u, v] = -2 u x v, the Hermitian product 1/2 trace(u^dag v) is
+sum_a conj(u_a) v_a, and the 8x8 Clifford matrices act on the slot axis by
+a matrix product.  The operator acts as
 
     D psi = grad_t psi + gamma_i grad_i psi + rho_i [a_i, psi]
 
@@ -16,12 +21,12 @@ and is implemented in three independent forms that must agree pointwise:
 The formal L2 adjoint is D^dag = -grad_t + gamma_i grad_i + rho_i [a_i, .].
 
 Also here: the Weitzenbock remainder X of D^dag D (an 8x8 grid of su(2)
-entries acting by commutator, rows/columns 3 and 8 identically zero), the
-radial factorization operator Omega on x3-invariant sections, the
-automorphism Y with D Y = -Y D^dag, the flat-torus symbol spectrum of the
-spatial part, and quadrature checks (adjoint duality, the Pythagoras split
-of |D psi|^2, and the identification of the spatial part with the
-complexified exterior-derivative complex).
+entries of shape (..., 8, 8, 3) acting by commutator, rows/columns 3 and 8
+identically zero), the radial factorization operator Omega on x3-invariant
+sections, the automorphism Y with D Y = -Y D^dag, the flat-torus symbol
+spectrum of the spatial part, and quadrature checks (adjoint duality, the
+Pythagoras split of |D psi|^2, and the identification of the spatial part
+with the complexified exterior-derivative complex).
 """
 
 from __future__ import annotations
@@ -30,13 +35,12 @@ import math
 
 import numpy as np
 
-from .algebra import SIGMA
-from .clifford import GAMMA, RHO, ad_matrix, y_auto_8
+from .algebra import CYCLIC
+from .clifford import GAMMA, RHO, y_auto_8
 
-EPS3 = np.zeros((3, 3, 3))
-for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-    EPS3[_i, _j, _k] = 1.0
-    EPS3[_j, _i, _k] = -1.0
+_GAMMA = tuple(g.astype(float) for g in GAMMA)
+_RHO = tuple(r.astype(float) for r in RHO)
+_SIGMA3 = np.array([0.0, 0.0, 1.0])  # sigma coefficients of sigma3
 
 # The 8x8 symbolic table of the operator: 'dt' means grad_t, ('d', k) means
 # grad_k, ('a', k) means [a_k, .]; the integer is the sign.
@@ -55,16 +59,35 @@ OP_TABLE = [
 ]
 
 
-def comm(x, y):
-    """Batched commutator of (..., 2, 2) arrays."""
-    return x @ y - y @ x
+def comm(u, v):
+    """[u, v] on sigma coefficients along the last axis, -2 (u x v), written
+    out by components; batched and broadcast over the leading axes.
+
+    The operator's own kernel (the model and backgrounds use
+    ``algebra.coeff_bracket``), so per-layer profiles keep the two apart.
+    """
+    u0, u1, u2 = u[..., 0], u[..., 1], u[..., 2]
+    v0, v1, v2 = v[..., 0], v[..., 1], v[..., 2]
+    out = np.empty(np.broadcast_shapes(u.shape, v.shape), np.result_type(u, v))
+    np.multiply(u2, v1, out=out[..., 0])
+    out[..., 0] -= u1 * v2
+    np.multiply(u0, v2, out=out[..., 1])
+    out[..., 1] -= u2 * v0
+    np.multiply(u1, v0, out=out[..., 2])
+    out[..., 2] -= u0 * v1
+    out *= 2
+    return out
+
+
+def _pair(u, v):
+    """Pointwise spinor pairing sum_slots <u_s, v_s> (Hermitian form):
+    1/2 trace(u_s^dag v_s) = sum_a conj(u_sa) v_sa in the sigma basis."""
+    return np.sum((u.conj() * v).real, axis=(-2, -1))
 
 
 def spinor_slot_norms(v) -> np.ndarray:
     """Hermitian norm of each of the 8 slots; shape (..., 8)."""
-    return np.sqrt(
-        0.5 * np.einsum("...ij,...ij->...", v.conj(), v).real
-    )
+    return np.sqrt(np.sum((v.conj() * v).real, axis=-1))
 
 
 def spinor_norm(v) -> np.ndarray:
@@ -76,13 +99,12 @@ def spinor_max(v) -> float:
 
 
 def random_spinor_coeffs(rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
-    """A random constant spinor value, shape (8, 2, 2)."""
-    c = rng.normal(scale=scale, size=(8, 3))
-    return np.einsum("sa,aij->sij", c, np.stack(SIGMA))
+    """A random constant spinor value, shape (8, 3)."""
+    return rng.normal(scale=scale, size=(8, 3))
 
 
 class FuncSection:
-    """A section given by a batched callable P (...,4) -> (...,8,2,2)."""
+    """A section given by a batched callable P (...,4) -> (...,8,3)."""
 
     def __init__(self, value, deriv=None):
         self._value = value
@@ -110,8 +132,7 @@ class GaussTrigSection(FuncSection):
 
     def __init__(self, blobs, ell: float = 2 * math.pi):
         self.blobs = [
-            (np.einsum("sa,aij->sij", np.asarray(a, float), np.stack(SIGMA)),
-             np.asarray(c, float), float(s), int(n), float(ph))
+            (np.asarray(a, float), np.asarray(c, float), float(s), int(n), float(ph))
             for (a, c, s, n, ph) in blobs
         ]
         self.ell = ell
@@ -130,7 +151,7 @@ class GaussTrigSection(FuncSection):
     def _val(self, P):
         out = 0.0
         for amp, d, s, n, ph, g, trig, w in self._envelopes(P):
-            out = out + (g * trig)[..., None, None, None] * amp
+            out = out + (g * trig)[..., None, None] * amp
         return out
 
     def _der(self, P, mu):
@@ -140,7 +161,7 @@ class GaussTrigSection(FuncSection):
                 f = -d[..., mu] / (s * s) * g * trig
             else:
                 f = -g * np.sin(n * w * P[..., 3] + ph) * n * w
-            out = out + f[..., None, None, None] * amp
+            out = out + f[..., None, None] * amp
         return out
 
 
@@ -167,8 +188,7 @@ class TorusTrigSection(FuncSection):
 
     def __init__(self, terms, L: float = 2 * math.pi, t_center=None, t_width: float = 0.5):
         self.terms = [
-            (np.einsum("sa,aij->sij", np.asarray(a, float), np.stack(SIGMA)),
-             np.asarray(k, float), float(ph))
+            (np.asarray(a, float), np.asarray(k, float), float(ph))
             for (a, k, ph) in terms
         ]
         self.L = L
@@ -189,7 +209,7 @@ class TorusTrigSection(FuncSection):
         out = 0.0
         for amp, k, ph in self.terms:
             arg = w * np.einsum("...i,i->...", P[..., 1:], k) + ph
-            out = out + (g * np.cos(arg))[..., None, None, None] * amp
+            out = out + (g * np.cos(arg))[..., None, None] * amp
         return out
 
     def _der(self, P, mu):
@@ -202,7 +222,7 @@ class TorusTrigSection(FuncSection):
                 f = dg * np.cos(arg)
             else:
                 f = -g * np.sin(arg) * w * k[mu - 1]
-            out = out + f[..., None, None, None] * amp
+            out = out + f[..., None, None] * amp
         return out
 
 
@@ -217,7 +237,7 @@ def random_torus_section(rng: np.random.Generator, k_max: int = 2, n_terms: int 
 
 
 def covariant_grads(bg, sec, P, h: float | None, order: int = 2):
-    """(value, grads) with grads[..., mu, 8, 2, 2] = grad_mu psi for mu = t,1,2,3.
+    """(value, grads) with grads[..., mu, 8, 3] = grad_mu psi for mu = t,1,2,3.
 
     Exact derivatives are used when h is None and the section provides them;
     otherwise centered differences of order 2 or 4 at step h.  The connection
@@ -225,12 +245,13 @@ def covariant_grads(bg, sec, P, h: float | None, order: int = 2):
     """
     P = np.asarray(P, dtype=float)
     val = sec.value(P)
-    grads = np.empty(P.shape[:-1] + (4,) + val.shape[len(P.shape[:-1]):], dtype=complex)
+    grads = np.empty(P.shape[:-1] + (4,) + val.shape[len(P.shape[:-1]):],
+                     dtype=np.result_type(val, 1.0))
     if h is None:
         if not getattr(sec, "has_exact_derivs", False):
             raise ValueError("need a step h for a section without exact derivatives")
         for mu in range(4):
-            grads[..., mu, :, :, :] = sec.deriv(P, mu)
+            grads[..., mu, :, :] = sec.deriv(P, mu)
     else:
         if order == 2:
             steps, weights = (1.0, -1.0), (0.5, -0.5)
@@ -251,47 +272,43 @@ def covariant_grads(bg, sec, P, h: float | None, order: int = 2):
             for w in weights:
                 acc = acc + w * stack[idx]
                 idx += 1
-            grads[..., mu, :, :, :] = acc / h
+            grads[..., mu, :, :] = acc / h
     A = bg.A_at(P)
     for i in range(3):
-        Ai = A[..., i, :, :][..., None, :, :]
-        grads[..., 1 + i, :, :, :] += comm(Ai, val)
+        grads[..., 1 + i, :, :] += comm(A[..., i, None, :], val)
     return val, grads
 
 
 def _assemble_components(val, grads, a):
     """Slot formulas: the 1-form/function split with d_A, star and wedges."""
-    b = val[..., 0:3, :, :]
-    bt = val[..., 3, :, :]
-    c = val[..., 4:7, :, :]
-    ct = val[..., 7, :, :]
-    g = grads  # (..., mu, slot, 2, 2)
-    out = np.empty_like(val)
-    for k in range(3):
-        pk = g[..., 0, k, :, :] - g[..., 1 + k, 3, :, :] + comm(a[..., k, :, :], ct)
-        qk = g[..., 0, 4 + k, :, :] - g[..., 1 + k, 7, :, :] - comm(a[..., k, :, :], bt)
-        for i in range(3):
-            for j in range(3):
-                e = EPS3[k, i, j]
-                if e == 0.0:
-                    continue
-                pk = pk - e * g[..., 1 + i, 4 + j, :, :] - e * comm(b[..., i, :, :], a[..., j, :, :])
-                qk = qk - e * g[..., 1 + i, j, :, :] + e * comm(c[..., i, :, :], a[..., j, :, :])
-        out[..., k, :, :] = pk
-        out[..., 4 + k, :, :] = qk
-    pt = g[..., 0, 3, :, :]
-    qt = g[..., 0, 7, :, :]
+    b = val[..., 0:3, :]
+    bt = val[..., 3, :]
+    c = val[..., 4:7, :]
+    ct = val[..., 7, :]
+    g = grads  # (..., mu, slot, 3)
+    out = np.empty_like(val, dtype=grads.dtype)
+    for k, i0, j0 in CYCLIC:
+        pk = g[..., 0, k, :] - g[..., 1 + k, 3, :] + comm(a[..., k, :], ct)
+        qk = g[..., 0, 4 + k, :] - g[..., 1 + k, 7, :] - comm(a[..., k, :], bt)
+        # the two nonzero eps_kij: +1 at (i0, j0), -1 at (j0, i0)
+        for i, j, e in ((i0, j0, 1.0), (j0, i0, -1.0)):
+            pk = pk - e * g[..., 1 + i, 4 + j, :] - e * comm(b[..., i, :], a[..., j, :])
+            qk = qk - e * g[..., 1 + i, j, :] + e * comm(c[..., i, :], a[..., j, :])
+        out[..., k, :] = pk
+        out[..., 4 + k, :] = qk
+    pt = g[..., 0, 3, :]
+    qt = g[..., 0, 7, :]
     for i in range(3):
-        pt = pt + g[..., 1 + i, i, :, :] + comm(a[..., i, :, :], c[..., i, :, :])
-        qt = qt + g[..., 1 + i, 4 + i, :, :] - comm(a[..., i, :, :], b[..., i, :, :])
-    out[..., 3, :, :] = pt
-    out[..., 7, :, :] = qt
+        pt = pt + g[..., 1 + i, i, :] + comm(a[..., i, :], c[..., i, :])
+        qt = qt + g[..., 1 + i, 4 + i, :] - comm(a[..., i, :], b[..., i, :])
+    out[..., 3, :] = pt
+    out[..., 7, :] = qt
     return out
 
 
 def _assemble_matrix(val, grads, a, dt_sign: float = 1.0):
     """Instantiate the symbolic 8x8 table entry by entry."""
-    out = np.zeros_like(val)
+    out = np.empty_like(val, dtype=grads.dtype)
     for r in range(8):
         acc = 0.0
         for col in range(8):
@@ -299,26 +316,26 @@ def _assemble_matrix(val, grads, a, dt_sign: float = 1.0):
             if entry is None:
                 continue
             if entry[0] == "dt":
-                acc = acc + dt_sign * grads[..., 0, col, :, :]
+                acc = acc + dt_sign * grads[..., 0, col, :]
             elif entry[0] == "d":
                 _, k, s = entry
-                acc = acc + s * grads[..., k, col, :, :]
+                acc = acc + s * grads[..., k, col, :]
             else:
                 _, k, s = entry
-                acc = acc + s * comm(a[..., k - 1, :, :], val[..., col, :, :])
-        out[..., r, :, :] = acc
+                acc = acc + s * comm(a[..., k - 1, :], val[..., col, :])
+        out[..., r, :] = acc
     return out
 
 
 def _assemble_clifford(val, grads, a, dt_sign: float = 1.0, skip_gamma3: bool = False):
-    out = dt_sign * grads[..., 0, :, :, :]
+    """The gamma/rho contraction: 8x8 matrices times the (..., 8, 3) values."""
+    out = dt_sign * grads[..., 0, :, :]
     for i in range(3):
         if skip_gamma3 and i == 2:
             continue
-        out = out + np.einsum("rs,...sij->...rij", GAMMA[i].astype(float), grads[..., 1 + i, :, :, :])
+        out = out + _GAMMA[i] @ grads[..., 1 + i, :, :]
     for i in range(3):
-        ai = a[..., i, :, :][..., None, :, :]
-        out = out + np.einsum("rs,...sij->...rij", RHO[i].astype(float), comm(ai, val))
+        out = out + _RHO[i] @ comm(a[..., i, None, :], val)
     return out
 
 
@@ -363,7 +380,7 @@ def apply_Xi(bg, sec, P, h: float | None = 1e-5, order: int = 2):
 
 
 def x_blocks(bg, P) -> np.ndarray:
-    """The remainder of D^dag D as an 8x8 grid of su(2) entries, (...,8,8,2,2).
+    """The remainder of D^dag D as an 8x8 grid of su(2) entries, (...,8,8,3).
 
     Entry (r, s) acts on slot s by commutator and contributes to output
     slot r.  Rows/columns 3 and 8 (0-indexed 2 and 7) vanish identically.
@@ -373,13 +390,13 @@ def x_blocks(bg, P) -> np.ndarray:
     e1, e2, b3 = bg.curvature_at(P)
     dca = bg.dcov_a_at(P)
     a = bg.a_at(P)
-    c12 = comm(a[..., 0, :, :], a[..., 1, :, :])
-    c23 = comm(a[..., 1, :, :], a[..., 2, :, :])
-    c31 = comm(a[..., 2, :, :], a[..., 0, :, :])
-    A11 = dca[..., 0, 0, :, :]
-    A12 = dca[..., 0, 1, :, :]
-    A21 = dca[..., 1, 0, :, :]
-    A22 = dca[..., 1, 1, :, :]
+    c12 = comm(a[..., 0, :], a[..., 1, :])
+    c23 = comm(a[..., 1, :], a[..., 2, :])
+    c31 = comm(a[..., 2, :], a[..., 0, :])
+    A11 = dca[..., 0, 0, :]
+    A12 = dca[..., 0, 1, :]
+    A21 = dca[..., 1, 0, :]
+    A22 = dca[..., 1, 1, :]
     # First-derivative blocks: the operator algebra gives
     # sum_{ij} gamma_i rho_j ad(grad_i a_j), whose (b1,b2)x(c1,c2) entries are
     # the symmetrized combinations below (equal to 2 grad_i a_j on
@@ -387,95 +404,93 @@ def x_blocks(bg, P) -> np.ndarray:
     # basis spinors, the remainder confirms these and every other entry.
     S11 = A11 - A22
     S12 = A12 + A21
-    X = np.zeros(P.shape[:-1] + (8, 8, 2, 2), dtype=complex)
-    X[..., 0, 1, :, :] = -2 * b3
-    X[..., 0, 3, :, :] = 2 * e1
-    X[..., 0, 4, :, :] = -S11
-    X[..., 0, 5, :, :] = -S12
-    X[..., 0, 6, :, :] = 2 * e2
-    X[..., 1, 0, :, :] = 2 * b3
-    X[..., 1, 3, :, :] = 2 * e2
-    X[..., 1, 4, :, :] = -S12
-    X[..., 1, 5, :, :] = S11
-    X[..., 1, 6, :, :] = -2 * e1
-    X[..., 3, 0, :, :] = -2 * e1
-    X[..., 3, 1, :, :] = -2 * e2
-    X[..., 3, 4, :, :] = 2 * c23
-    X[..., 3, 5, :, :] = 2 * c31
-    X[..., 3, 6, :, :] = 2 * c12 - 2 * b3
-    X[..., 4, 0, :, :] = S11
-    X[..., 4, 1, :, :] = S12
-    X[..., 4, 3, :, :] = -2 * c23
-    X[..., 4, 5, :, :] = -2 * c12
-    X[..., 4, 6, :, :] = 2 * c31
-    X[..., 5, 0, :, :] = S12
-    X[..., 5, 1, :, :] = -S11
-    X[..., 5, 3, :, :] = -2 * c31
-    X[..., 5, 4, :, :] = 2 * c12
-    X[..., 5, 6, :, :] = -2 * c23
-    X[..., 6, 0, :, :] = -2 * e2
-    X[..., 6, 1, :, :] = 2 * e1
-    X[..., 6, 3, :, :] = -2 * c12 + 2 * b3
-    X[..., 6, 4, :, :] = -2 * c31
-    X[..., 6, 5, :, :] = 2 * c23
+    X = np.zeros(P.shape[:-1] + (8, 8, 3), dtype=np.result_type(e1, dca, a))
+    X[..., 0, 1, :] = -2 * b3
+    X[..., 0, 3, :] = 2 * e1
+    X[..., 0, 4, :] = -S11
+    X[..., 0, 5, :] = -S12
+    X[..., 0, 6, :] = 2 * e2
+    X[..., 1, 0, :] = 2 * b3
+    X[..., 1, 3, :] = 2 * e2
+    X[..., 1, 4, :] = -S12
+    X[..., 1, 5, :] = S11
+    X[..., 1, 6, :] = -2 * e1
+    X[..., 3, 0, :] = -2 * e1
+    X[..., 3, 1, :] = -2 * e2
+    X[..., 3, 4, :] = 2 * c23
+    X[..., 3, 5, :] = 2 * c31
+    X[..., 3, 6, :] = 2 * c12 - 2 * b3
+    X[..., 4, 0, :] = S11
+    X[..., 4, 1, :] = S12
+    X[..., 4, 3, :] = -2 * c23
+    X[..., 4, 5, :] = -2 * c12
+    X[..., 4, 6, :] = 2 * c31
+    X[..., 5, 0, :] = S12
+    X[..., 5, 1, :] = -S11
+    X[..., 5, 3, :] = -2 * c31
+    X[..., 5, 4, :] = 2 * c12
+    X[..., 5, 6, :] = -2 * c23
+    X[..., 6, 0, :] = -2 * e2
+    X[..., 6, 1, :] = 2 * e1
+    X[..., 6, 3, :] = -2 * c12 + 2 * b3
+    X[..., 6, 4, :] = -2 * c31
+    X[..., 6, 5, :] = 2 * c23
     return X
 
 
 def apply_x(X, val):
     """Apply an x_blocks grid to a spinor value: out_r = sum_s [X_rs, val_s]."""
-    out = np.zeros_like(val)
-    for r in range(8):
-        acc = 0.0
-        for s in range(8):
-            acc = acc + comm(X[..., r, s, :, :], val[..., s, :, :])
-        out[..., r, :, :] = acc
-    return out
+    return np.sum(comm(X, val[..., None, :, :]), axis=-2)
+
+
+def _ad3(x) -> np.ndarray:
+    """The 3x3 matrix of ad(x) = [x, .] = -2 x cross . on sigma coefficients,
+    batched: (..., 3) -> (..., 3, 3); antisymmetric for real x."""
+    x0, x1, x2 = x[..., 0], x[..., 1], x[..., 2]
+    z = np.zeros_like(x0)
+    return 2 * np.stack([np.stack([z, x2, -x1], axis=-1),
+                         np.stack([-x2, z, x0], axis=-1),
+                         np.stack([x1, -x0, z], axis=-1)], axis=-2)
 
 
 def x_matrix24(bg, p) -> np.ndarray:
-    """The remainder at a single point as a real 24x24 matrix (sigma basis)."""
+    """The remainder at a single point as a real 24x24 matrix (sigma basis):
+    block (r, s) is the ad matrix of X_rs."""
     X = x_blocks(bg, np.asarray(p, float))
-    out = np.zeros((24, 24))
-    for r in range(8):
-        for s in range(8):
-            out[3 * r:3 * r + 3, 3 * s:3 * s + 3] = ad_matrix(X[r, s])
-    return out
+    return _ad3(X).transpose(0, 2, 1, 3).reshape(24, 24)
 
 
 def bochner_block_report(bg, p, h: float = 5e-4, tol: float = 1e-3) -> dict:
     """Extract the true remainder on the 24 basis spinors and diff it
     blockwise against the assembled grid.
 
-    Any block whose mismatch exceeds tol (relative to the larger of the two
-    block norms, floor 1) is flagged rather than silently absorbed; healthy
-    backgrounds produce an empty flag list.
+    Any block whose mismatch exceeds tol (relative to the largest block norm
+    of either matrix, so the test keeps its meaning at any field scale) is
+    flagged rather than silently absorbed; healthy backgrounds produce an
+    empty flag list.
     """
     p = np.asarray(p, dtype=float)
     m_true = np.zeros((24, 24))
     for s in range(8):
         for aa in range(3):
-            v = np.zeros((8, 2, 2), dtype=complex)
-            v[s] = SIGMA[aa]
-            sec = FuncSection(lambda P, v=v: np.broadcast_to(v, P.shape[:-1] + (8, 2, 2)).copy())
-            out = bochner_check(bg, sec, p, h)["remainder"]
-            for r in range(8):
-                for bb in range(3):
-                    m_true[3 * r + bb, 3 * s + aa] = (
-                        -0.5 * np.trace(SIGMA[bb] @ out[r])
-                    ).real
+            v = np.zeros((8, 3))
+            v[s, aa] = 1.0
+            sec = FuncSection(lambda P, v=v: np.broadcast_to(v, P.shape[:-1] + (8, 3)).copy())
+            # column (s, aa) holds the coefficients of the remainder's slots
+            m_true[:, 3 * s + aa] = bochner_check(bg, sec, p, h)["remainder"].ravel()
     m_asm = x_matrix24(bg, p)
-    flagged = []
-    worst = 0.0
-    for r in range(8):
-        for s in range(8):
-            bt = m_true[3 * r:3 * r + 3, 3 * s:3 * s + 3]
-            ba = m_asm[3 * r:3 * r + 3, 3 * s:3 * s + 3]
-            scale = max(np.linalg.norm(bt), np.linalg.norm(ba), 1.0)
-            d = float(np.linalg.norm(bt - ba) / scale)
-            worst = max(worst, d)
-            if d > tol:
-                flagged.append({"block": (r + 1, s + 1), "relative_diff": d})
-    return {"flagged_blocks": flagged, "worst_block_diff": worst}
+
+    def blocks(m):
+        return m.reshape(8, 3, 8, 3).transpose(0, 2, 1, 3)
+
+    bt, ba = blocks(m_true), blocks(m_asm)
+    diffs = np.linalg.norm(bt - ba, axis=(-2, -1))
+    scale = max(float(np.max(np.linalg.norm(bt, axis=(-2, -1)))),
+                float(np.max(np.linalg.norm(ba, axis=(-2, -1)))))
+    rel = diffs / scale if scale > 0 else diffs
+    flagged = [{"block": (r + 1, s + 1), "relative_diff": float(rel[r, s])}
+               for r, s in zip(*np.nonzero(rel > tol))]
+    return {"flagged_blocks": flagged, "worst_block_diff": float(np.max(rel))}
 
 
 def laplacian_cov(bg, sec, P, h: float, order: int = 2):
@@ -483,14 +498,14 @@ def laplacian_cov(bg, sec, P, h: float, order: int = 2):
     def first(mu):
         def f(Q):
             _, g = covariant_grads(bg, sec, Q, h, order)
-            return g[..., mu, :, :, :]
+            return g[..., mu, :, :]
         return FuncSection(f)
 
     P = np.asarray(P, dtype=float)
     out = 0.0
     for mu in range(4):
         _, g2 = covariant_grads(bg, first(mu), P, h, order)
-        out = out + g2[..., mu, :, :, :]
+        out = out + g2[..., mu, :, :]
     return out
 
 
@@ -506,7 +521,7 @@ def bochner_check(bg, sec, p, h: float) -> dict:
     a = bg.a_at(p)
     commterm = 0.0
     for i in range(3):
-        ai = a[..., i, :, :][..., None, :, :]
+        ai = a[..., i, None, :]
         commterm = commterm + comm(ai, comm(val, ai))
     remainder = ddag_d + lap - commterm
     xpsi = apply_x(x_blocks(bg, p), val)
@@ -520,7 +535,7 @@ def bochner_check(bg, sec, p, h: float) -> dict:
 
 
 def _apply_endo8(m8, val):
-    return np.einsum("rs,...sij->...rij", np.asarray(m8, dtype=float), val)
+    return np.asarray(m8, dtype=float) @ val
 
 
 def u_inv_section(sec) -> FuncSection:
@@ -535,7 +550,7 @@ def u_inv_section(sec) -> FuncSection:
             + P[..., 2][..., None, None] * GAMMA[1]
         ) / x[..., None, None]
         uinv = np.swapaxes(u, -1, -2)  # orthogonal
-        return np.einsum("...rs,...sij->...rij", uinv, sec.value(P))
+        return uinv @ sec.value(P)
 
     return FuncSection(value)
 
@@ -556,9 +571,7 @@ def omega_apply(bg, sec, p, h: float) -> np.ndarray:
 
 def apply_q_endo(val):
     """Q = rho1 rho2 - [sigma3, .] acting on a spinor value."""
-    out = _apply_endo8(RHO[0] @ RHO[1], val)
-    s3 = SIGMA[2]
-    return out - (np.einsum("ij,...sjk->...sik", s3, val) - np.einsum("...sij,jk->...sik", val, s3))
+    return _apply_endo8(RHO[0] @ RHO[1], val) - comm(_SIGMA3, val)
 
 
 def y_apply(val):
@@ -623,30 +636,31 @@ def _box_grid(t_range, nt, nx, L):
     return P, wt, vol_x
 
 
-def _pair(u, v):
-    """Pointwise spinor pairing sum_slots <u_s, v_s> (Hermitian form)."""
-    return 0.5 * np.einsum("...sij,...sij->...", u.conj(), v).real
+def _box_integral(f, wt, vol_x) -> float:
+    """Trapezoid in t (weights wt on the leading axis) times the periodic cell volume."""
+    return float(np.sum(np.einsum("t...,t->t...", f, wt)) * vol_x)
 
 
 def duality_gap(bg, psi, xi, t_range=(0.5, 3.5), nt=40, nx=8, L=2 * math.pi,
                 h: float | None = None) -> float:
-    """| int <D psi, xi> - int <psi, D^dag xi> | over a periodic box.
+    """| int <D psi, xi> - int <psi, D^dag xi> | over a periodic box, relative
+    to its Cauchy-Schwarz bound sqrt(int |D psi|^2 int |xi|^2).
 
     psi and xi should decay at both t endpoints (Gaussian t-envelopes well
     inside the range); trapezoid in t, exact trapezoid in the periodic
-    directions.
+    directions.  The check only has teeth when int <D psi, xi> is not small
+    against that bound for a wrong adjoint: give xi the wavevectors of psi
+    and a different t-envelope, so the grad_t terms do not integrate to zero.
     """
     P, wt, vol_x = _box_grid(t_range, nt, nx, L)
     dpsi = apply_D(bg, psi, P, h, depiction="clifford")
     ddagxi = apply_D_dagger(bg, xi, P, h)
     xival = xi.value(P)
-    psival = psi.value(P)
-    f1 = _pair(dpsi, xival)
-    f2 = _pair(psival, ddagxi)
-    i1 = np.sum(np.einsum("t...,t->t...", f1, wt)) * vol_x
-    i2 = np.sum(np.einsum("t...,t->t...", f2, wt)) * vol_x
-    norm1 = np.sum(np.einsum("t...,t->t...", _pair(psival, psival), wt)) * vol_x
-    return abs(i1 - i2) / max(1.0, norm1)
+    i1 = _box_integral(_pair(dpsi, xival), wt, vol_x)
+    i2 = _box_integral(_pair(psi.value(P), ddagxi), wt, vol_x)
+    scale = math.sqrt(_box_integral(_pair(dpsi, dpsi), wt, vol_x)
+                      * _box_integral(_pair(xival, xival), wt, vol_x))
+    return abs(i1 - i2) / scale if scale > 0 else abs(i1 - i2)
 
 
 def pythagoras_gap(bg, psi, t_range=(0.5, 3.5), nt=40, nx=8, L=2 * math.pi,
@@ -660,13 +674,9 @@ def pythagoras_gap(bg, psi, t_range=(0.5, 3.5), nt=40, nx=8, L=2 * math.pi,
     a = bg.a_at(P)
     dpsi = _assemble_clifford(val, grads, a)
     lpsi = _assemble_clifford(val, grads, a, dt_sign=0.0)
-    tpsi = grads[..., 0, :, :, :]
-
-    def integ(f):
-        return float(np.sum(np.einsum("t...,t->t...", f, wt)) * vol_x)
-
-    lhs = integ(_pair(dpsi, dpsi))
-    rhs = integ(_pair(tpsi, tpsi)) + integ(_pair(lpsi, lpsi))
+    tpsi = grads[..., 0, :, :]
+    lhs = _box_integral(_pair(dpsi, dpsi), wt, vol_x)
+    rhs = _box_integral(_pair(tpsi, tpsi), wt, vol_x) + _box_integral(_pair(lpsi, lpsi), wt, vol_x)
     return {"lhs": lhs, "rhs": rhs, "rel_gap": abs(lhs - rhs) / max(abs(lhs), 1e-30)}
 
 
@@ -690,41 +700,36 @@ def spatial_identification(bg, sec, P) -> float:
     A = bg.A_at(P)
     out = _assemble_clifford(val, grads, a, dt_sign=0.0)
     # complexified data
-    eta = val[..., 0:3, :, :] + 1j * val[..., 4:7, :, :]
-    v = val[..., 7, :, :] + 1j * val[..., 3, :, :]
+    eta = val[..., 0:3, :] + 1j * val[..., 4:7, :]
+    v = val[..., 7, :] + 1j * val[..., 3, :]
     # plain spatial derivatives of eta and v (strip the connection addition)
-    d_eta = np.empty(P.shape[:-1] + (3, 3, 2, 2), dtype=complex)  # (mu, comp)
-    d_v = np.empty(P.shape[:-1] + (3, 2, 2), dtype=complex)
+    d_eta = np.empty(P.shape[:-1] + (3, 3, 3), dtype=complex)  # (mu, comp, coeff)
+    d_v = np.empty(P.shape[:-1] + (3, 3), dtype=complex)
     for mu in range(3):
         db = sec.deriv(P, 1 + mu)
-        d_eta[..., mu, :, :, :] = db[..., 0:3, :, :] + 1j * db[..., 4:7, :, :]
-        d_v[..., mu, :, :] = db[..., 7, :, :] + 1j * db[..., 3, :, :]
+        d_eta[..., mu, :, :] = db[..., 0:3, :] + 1j * db[..., 4:7, :]
+        d_v[..., mu, :] = db[..., 7, :] + 1j * db[..., 3, :]
     Cp = A + 1j * a  # connection C
     Cm = A - 1j * a  # connection C*
     # star d_C eta: (d_C eta)_{ij} = grad_i eta_j - grad_j eta_i
     grad_eta = np.empty_like(d_eta)
     for mu in range(3):
         for j in range(3):
-            grad_eta[..., mu, j, :, :] = d_eta[..., mu, j, :, :] + comm(Cp[..., mu, :, :], eta[..., j, :, :])
-    star_d_eta = np.empty(P.shape[:-1] + (3, 2, 2), dtype=complex)
-    for k in range(3):
-        acc = 0.0
-        for i in range(3):
-            for j in range(3):
-                if EPS3[k, i, j] != 0.0:
-                    acc = acc + EPS3[k, i, j] * grad_eta[..., i, j, :, :]
-        star_d_eta[..., k, :, :] = acc
+            grad_eta[..., mu, j, :] = d_eta[..., mu, j, :] + comm(Cp[..., mu, :], eta[..., j, :])
+    star_d_eta = np.empty(P.shape[:-1] + (3, 3), dtype=complex)
+    for k, i, j in CYCLIC:
+        star_d_eta[..., k, :] = grad_eta[..., i, j, :] - grad_eta[..., j, i, :]
     # d_{C*} v
-    d_cstar_v = np.empty(P.shape[:-1] + (3, 2, 2), dtype=complex)
+    d_cstar_v = np.empty(P.shape[:-1] + (3, 3), dtype=complex)
     for mu in range(3):
-        d_cstar_v[..., mu, :, :] = d_v[..., mu, :, :] + comm(Cm[..., mu, :, :], v)
+        d_cstar_v[..., mu, :] = d_v[..., mu, :] + comm(Cm[..., mu, :], v)
     # d_C^dag eta = -sum_i grad^{C*}_i eta_i
     ddag = 0.0
     for i in range(3):
-        ddag = ddag - (d_eta[..., i, i, :, :] + comm(Cm[..., i, :, :], eta[..., i, :, :]))
+        ddag = ddag - (d_eta[..., i, i, :] + comm(Cm[..., i, :], eta[..., i, :]))
     # assemble the complexified image of the spatial operator output
-    form1 = out[..., 4:7, :, :] + 1j * out[..., 0:3, :, :]   # q + i p
-    form0 = out[..., 3, :, :] + 1j * out[..., 7, :, :]       # pt + i qt
+    form1 = out[..., 4:7, :] + 1j * out[..., 0:3, :]   # q + i p
+    form0 = out[..., 3, :] + 1j * out[..., 7, :]       # pt + i qt
     want1 = -(star_d_eta + d_cstar_v)
     want0 = -ddag
     r1 = float(np.max(np.abs(form1 - want1)))

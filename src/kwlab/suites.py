@@ -259,10 +259,14 @@ def operator_suite(seed: int, tol_scale: float = 1.0, background: str = "model:1
         "spatial part = complexified (star d, d, d^dag) complex",
         op.spatial_identification(TrivialBackground(), tsec, Pt), 1e-9 * tol_scale))
     psi = op.random_torus_section(rng, k_max=1, n_terms=3, t_center=2.0, t_width=0.35)
-    eta = op.random_torus_section(rng, k_max=1, n_terms=3, t_center=2.0, t_width=0.35)
+    # xi on psi's wavevectors, with fresh amplitudes and phases and a shifted,
+    # wider t-envelope: a wrong adjoint then leaves a gap far above round-off
+    xi = op.TorusTrigSection(
+        [(rng.normal(size=(8, 3)), k, rng.uniform(0, 2 * math.pi)) for _, k, _ in psi.terms],
+        t_center=1.8, t_width=0.45)
     out.append(CheckResult.from_bound(
         "adjoint_duality", "int <D psi, xi> = int <psi, D^dag xi>",
-        op.duality_gap(TrivialBackground(), psi, eta, t_range=(0.0, 4.0), nt=40, nx=8),
+        op.duality_gap(TrivialBackground(), psi, xi, t_range=(0.0, 4.0), nt=40, nx=8),
         1e-6 * tol_scale))
     pg = op.pythagoras_gap(TrivialBackground(), psi, t_range=(0.0, 4.0), nt=40, nx=8)
     out.append(CheckResult.from_bound(

@@ -27,11 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))  # the (k, i, j) with EPS[k, i, j] = 1
-EPS = np.zeros((3, 3, 3))
-for _i, _j, _k in CYCLIC:
-    EPS[_i, _j, _k] = 1.0
-    EPS[_j, _i, _k] = -1.0
+from .algebra import CYCLIC
 
 
 def comm(u, v):

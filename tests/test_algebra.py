@@ -99,3 +99,16 @@ def test_star_involution_and_swap():
     d = al.l_decompose(sp)
     assert np.max(np.abs(d.plus)) < 1e-12  # star(L+) lies in L-
     assert np.max(np.abs(d.minus - sp)) < 1e-12
+
+
+@given(triple, triple, triple, triple)
+@settings(max_examples=30, deadline=None)
+def test_coeff_bracket_and_norm_match_matrices(ur, ui, vr, vi):
+    u, v = np.array(ur) + 1j * np.array(ui), np.array(vr) + 1j * np.array(vi)
+    want = al.bracket(al.coeffs_to_su2(u), al.coeffs_to_su2(v))
+    assert np.max(np.abs(al.coeffs_to_su2(al.coeff_bracket(u, v)) - want)) < 1e-12
+    # real coefficients stay real, and the kernel broadcasts over leading axes
+    batch = al.coeff_bracket(np.array(ur)[None, :], np.stack([np.array(vr)] * 4))
+    assert batch.dtype == float and batch.shape == (4, 3)
+    assert np.max(np.abs(batch - al.coeff_bracket(np.array(ur), np.array(vr)))) == 0.0
+    assert al.coeff_norm(u) == pytest.approx(float(al.norm(al.coeffs_to_su2(u))), rel=1e-12)

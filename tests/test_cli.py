@@ -64,6 +64,17 @@ def test_spectral_ode_csv(tmp_path, capsys):
     assert rep["admissible"] is True
 
 
+@pytest.mark.parametrize("argv", [["--lambda", "1e9"], ["--lambda", "100"]])
+def test_spectral_ode_out_of_range(argv, tmp_path, capsys):
+    # the integrator gives up on such data: one error line, exit 2, no CSV
+    out = tmp_path / "ode.csv"
+    code, stdout, err = run(["spectral", "ode", *argv, "--out", str(out)], capsys)
+    assert code == 2
+    assert len([line for line in err.splitlines() if "error:" in line]) == 1
+    assert "Traceback" not in err and "Warning" not in err and stdout == ""
+    assert not out.exists()
+
+
 def test_spectral_hemisphere_csv(tmp_path, capsys):
     out = tmp_path / "hemi.csv"
     code, _, err = run(["spectral", "hemisphere", "--mesh", "400", "--out", str(out)], capsys)
@@ -178,6 +189,9 @@ def test_unwritable_out_path(capsys):
     ["spectral", "exclusion", "--case", "case2", "--m", "0"],
     ["spectral", "ode", "--k", "0"],
     ["spectral", "hemisphere", "--mesh", "10"],
+    ["spectral", "ode", "--lambda", "nan"],
+    ["spectral", "ode", "--lambda", "inf"],
+    ["spectral", "hemisphere", "--mesh", "100000000"],
 ])
 def test_suite_argument_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as exc:

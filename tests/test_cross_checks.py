@@ -14,7 +14,6 @@ import pytest
 from kwlab import model
 from kwlab import operator as op
 from kwlab import spectral as sp
-from kwlab.algebra import herm_inner, star
 from kwlab.backgrounds import ModelBackground
 from kwlab.clifford import GAMMA
 from kwlab.modes import from_grid, k_lattice, quadratic_map_grid, symbol
@@ -29,12 +28,13 @@ def case4_spinor_section(ms: model.ModelSolution, p_degree: int) -> op.FuncSecti
     def value(P):
         P = np.asarray(P, dtype=float)
         flat = P.reshape(-1, 4)
-        out = np.zeros((len(flat), 8, 2, 2), dtype=complex)
+        out = np.zeros((len(flat), 8, 3), dtype=complex)
         for i, (t, x1, x2, _) in enumerate(flat):
             sig = model.case4_section(ms, p_degree, t, complex(x1, x2))
-            out[i, 4] = sig + star(sig)
-            out[i, 5] = 1j * (sig - star(sig))
-        return out.reshape(P.shape[:-1] + (8, 2, 2))
+            # star(v) = -v^dag conjugates the sigma coefficients
+            out[i, 4] = sig + sig.conj()
+            out[i, 5] = 1j * (sig - sig.conj())
+        return out.reshape(P.shape[:-1] + (8, 3))
 
     return op.FuncSection(value)
 
@@ -70,7 +70,7 @@ def test_case4_section_is_omega_eigenvector(m, p_deg):
             + P[..., 1][..., None, None] * GAMMA[0]
             + P[..., 2][..., None, None] * GAMMA[1]
         ) / x[..., None, None]
-        return np.einsum("...rs,...sij->...rij", u, psi.value(P))
+        return u @ psi.value(P)
 
     xi = op.FuncSection(u_psi)
     pt = np.array([0.9, 0.6, 0.3, 0.0])
@@ -92,7 +92,7 @@ def test_case_potentials_match_model_fields(m):
         t = math.tanh(th)
         r = 1.0 / math.cosh(th)
         ev = model.evaluate(ms, t, complex(r, 0.0))
-        phi2 = herm_inner(ev.phi, ev.phi).real
+        phi2 = np.vdot(ev.phi, ev.phi).real
         assert w2(np.array(th)) == pytest.approx(4.0 * phi2, rel=1e-12)
         assert w3(np.array(th)) == pytest.approx(4.0 * ev.alpha ** 2 + 2.0 * phi2,
                                                  rel=1e-12)

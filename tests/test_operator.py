@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from kwlab import operator as op
-from kwlab.algebra import SIGMA
+from kwlab.algebra import SIGMA, bracket, coeffs_to_su2, norm, su2_to_coeffs
 from kwlab.backgrounds import (
     ModelBackground, NahmBackground, TorusTrigBackground, TrivialBackground,
     make_background,
 )
+from kwlab.clifford import ad_matrix
+from kwlab.suites import operator_suite
 
 RNG = np.random.default_rng(0)
 
@@ -20,6 +22,77 @@ def random_points(rng, center, n=40):
         center[2] + rng.uniform(-0.2, 0.2, n),
         rng.uniform(0, 2 * math.pi, n),
     ])
+
+
+def _to_mat(c):
+    """coeffs_to_su2 over the leading axes: (..., 3) -> (..., 2, 2)."""
+    c = np.asarray(c)
+    out = np.empty(c.shape[:-1] + (2, 2), dtype=complex)
+    for idx in np.ndindex(c.shape[:-1]):
+        out[idx] = coeffs_to_su2(c[idx])
+    return out
+
+
+def _coeff_pair(rng, shape_u, shape_v, complex_):
+    u = rng.normal(size=shape_u)
+    v = rng.normal(size=shape_v)
+    if complex_:
+        u = u + 1j * rng.normal(size=shape_u)
+        v = v + 1j * rng.normal(size=shape_v)
+    return u, v
+
+
+COMM_SHAPES = [
+    ((3,), (3,), False),
+    ((5, 8, 3), (5, 8, 3), False),
+    ((4, 3), (4, 3), True),
+    ((2, 1, 3), (1, 8, 3), False),
+    ((6, 1, 3), (6, 8, 3), True),
+]
+
+
+@pytest.mark.parametrize("shape_u,shape_v,complex_", COMM_SHAPES)
+def test_comm_matches_matrix_bracket(shape_u, shape_v, complex_):
+    u, v = _coeff_pair(np.random.default_rng(2), shape_u, shape_v, complex_)
+    got = op.comm(u, v)
+    assert got.shape == np.broadcast_shapes(u.shape, v.shape)
+    assert got.dtype == (complex if complex_ else float)
+    np.testing.assert_allclose(_to_mat(got), bracket(_to_mat(u), _to_mat(v)),
+                               rtol=1e-14, atol=1e-14)
+
+
+def test_comm_sign_slip_is_caught():
+    # the oracle above can fail: [v, u] = -[u, v] is far from the bracket
+    u, v = _coeff_pair(np.random.default_rng(3), (5, 8, 3), (5, 8, 3), False)
+    ref = bracket(_to_mat(u), _to_mat(v))
+    assert np.max(np.abs(_to_mat(op.comm(v, u)) - ref)) > 1e-1 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_spinor_norms_match_trace(complex_):
+    v, _ = _coeff_pair(np.random.default_rng(4), (5, 8, 3), (3,), complex_)
+    want = norm(_to_mat(v))  # sqrt(1/2 trace(u^dag u)) per slot
+    np.testing.assert_allclose(op.spinor_slot_norms(v), want, rtol=1e-14)
+    np.testing.assert_allclose(op.spinor_norm(v), np.sqrt(np.sum(want ** 2, axis=-1)),
+                               rtol=1e-14)
+    assert op.spinor_max(v) == pytest.approx(float(np.max(want)), rel=1e-14)
+
+
+def test_x_matrix24_matches_ad_matrix():
+    bg = ModelBackground(2)
+    p = np.array([0.8, 0.5, -0.6, 0.0])
+    X = op.x_blocks(bg, p)
+    X24 = op.x_matrix24(bg, p)
+    scale = np.max(np.abs(X24))
+    for r in range(8):
+        for s in range(8):
+            want = ad_matrix(coeffs_to_su2(X[r, s]))
+            np.testing.assert_allclose(X24[3 * r:3 * r + 3, 3 * s:3 * s + 3], want,
+                                       rtol=0, atol=1e-14 * scale)
+    # and the 24x24 matrix acts on a flattened spinor as apply_x does
+    v = np.random.default_rng(5).normal(size=(8, 3))
+    np.testing.assert_allclose(op.apply_x(X, v).ravel(), X24 @ v.ravel(),
+                               rtol=0, atol=1e-13 * scale)
 
 
 @pytest.mark.parametrize("bg,center", [
@@ -41,7 +114,7 @@ def test_three_depictions_agree(bg, center):
 
 def test_constant_section_trivial_background():
     val = op.random_spinor_coeffs(RNG)
-    sec = op.FuncSection(lambda P: np.broadcast_to(val, P.shape[:-1] + (8, 2, 2)).copy())
+    sec = op.FuncSection(lambda P: np.broadcast_to(val, P.shape[:-1] + (8, 3)).copy())
     out = op.apply_D(TrivialBackground(), sec, np.array([1.0, 0.2, 0.3, 0.4]), 1e-5)
     assert op.spinor_max(out) == 0.0
     outd = op.apply_D_dagger(TrivialBackground(), sec, np.array([1.0, 0.2, 0.3, 0.4]), 1e-5)
@@ -49,15 +122,16 @@ def test_constant_section_trivial_background():
 
 
 def test_nahm_ct_coupling_by_hand():
-    xi = np.zeros((8, 2, 2), complex)
-    xi[7] = SIGMA[0] + 0.3 * SIGMA[2]
-    sec = op.FuncSection(lambda P: np.broadcast_to(xi, P.shape[:-1] + (8, 2, 2)).copy())
+    xi = np.zeros((8, 3))
+    xi[7] = (1.0, 0.0, 0.3)  # sigma1 + 0.3 sigma3
+    sec = op.FuncSection(lambda P: np.broadcast_to(xi, P.shape[:-1] + (8, 3)).copy())
     t = 0.7
     out = op.apply_D(NahmBackground(), sec, np.array([t, 0.1, -0.2, 0.3]), 1e-5)
     want = np.zeros_like(out)
+    xi7 = coeffs_to_su2(xi[7])
     for k in range(3):
         ak = -SIGMA[k] / (2 * t)
-        want[k] = ak @ xi[7] - xi[7] @ ak
+        want[k] = su2_to_coeffs(ak @ xi7 - xi7 @ ak)
     assert op.spinor_max(out - want) < 1e-12
 
 
@@ -83,6 +157,31 @@ def test_duality_quadrature():
     assert op.duality_gap(bgt, psi, eta, t_range=(0.0, 4.0), nt=40, nx=8) < 1e-6
     # finite-difference derivative route stays within quadrature tolerance
     assert op.duality_gap(bgt, psi, eta, t_range=(0.0, 4.0), nt=40, nx=8, h=1e-5) < 1e-6
+
+
+def _flipped_gamma_adjoint(bg, sec, P, h=1e-5, order=2):
+    """-grad_t - gamma_i grad_i + rho_i [a_i, .]: a wrong adjoint."""
+    val, grads = op.covariant_grads(bg, sec, P, h, order)
+    grads[..., 1:, :, :] *= -1.0
+    return op._assemble_clifford(val, grads, bg.a_at(P), dt_sign=-1.0)
+
+
+def _d_for_d_dagger(bg, sec, P, h=1e-5, order=2):
+    return op.apply_D(bg, sec, P, h, "clifford", order)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_adjoint_duality_check_catches_wrong_adjoint(seed, monkeypatch):
+    def duality():
+        report = operator_suite(seed, background="trivial", points=8)
+        return next(c for c in report if c.check_id == "adjoint_duality")
+
+    good = duality()
+    assert good.status == "pass" and good.metric < 1e-10
+    for wrong_adjoint in (_d_for_d_dagger, _flipped_gamma_adjoint):
+        monkeypatch.setattr(op, "apply_D_dagger", wrong_adjoint)
+        bad = duality()
+        assert bad.status == "fail" and bad.metric > 1e2 * bad.tolerance
 
 
 def test_pythagoras_split():
@@ -113,6 +212,25 @@ def test_bochner_blocks_clean():
     assert rep["worst_block_diff"] < 1e-3
 
 
+def test_bochner_blocks_flag_small_scale_error(monkeypatch):
+    # at p0 scaled by 100 every X entry is below 3e-4, so a relative error
+    # must be measured against the blocks themselves, not against 1
+    bg = ModelBackground(1)
+    p = np.array([100.0, 70.0, 40.0, 0.3])
+    clean = op.bochner_block_report(bg, p)
+    assert clean["flagged_blocks"] == [] and clean["worst_block_diff"] < 1e-6
+    x_blocks = op.x_blocks
+
+    def corrupted(bg, P):
+        X = x_blocks(bg, P)
+        X[..., 0, 3, :] *= 1.05  # a 5% error in block (1, 4)
+        return X
+
+    monkeypatch.setattr(op, "x_blocks", corrupted)
+    rep = op.bochner_block_report(bg, p)
+    assert [f["block"] for f in rep["flagged_blocks"]] == [(1, 4)]
+
+
 def test_x_structure():
     bg = ModelBackground(2)
     p = np.array([0.8, 0.5, -0.6, 0.0])
@@ -122,8 +240,8 @@ def test_x_structure():
     assert np.max(np.abs(Xb[2])) == 0.0 and np.max(np.abs(Xb[7])) == 0.0
     assert np.max(np.abs(Xb[:, 2])) == 0.0 and np.max(np.abs(Xb[:, 7])) == 0.0
     for slot in (2, 7):
-        v = np.zeros((8, 2, 2), complex)
-        v[slot] = SIGMA[1]
+        v = np.zeros((8, 3))
+        v[slot, 1] = 1.0  # sigma2
         assert op.spinor_max(op.apply_x(Xb, v)) == 0.0
 
 

@@ -8,8 +8,9 @@ operators as sums over every entry of the Levi-Civita symbol.
 import numpy as np
 import pytest
 
+from kwlab.algebra import EPS
 from kwlab.torus import (
-    EPS, TorusField, b_field, comm, curl_cov, div_cov, random_field, star_wedge,
+    TorusField, b_field, comm, curl_cov, div_cov, random_field, star_wedge,
 )
 
 
