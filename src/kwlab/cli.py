@@ -35,6 +35,12 @@ from .torus import TorusField, random_field
 # largest `spectral hemisphere --mesh`: the solver holds about ten float
 # arrays of the mesh size; 10^6 cells peak near 200 MB and take ~2 s
 MAX_MESH = 10 ** 6
+# largest `flow run` grid N: a 3-step random flow peaks near 0.5 GB at N = 64,
+# and memory grows 8x per doubling of N
+MAX_FLOW_N = 64
+# largest `flow run` step count: the trace preallocates eight float arrays
+# of steps + 1 entries
+MAX_FLOW_STEPS = 10 ** 6
 
 
 def _int_in_range(low: int, high: int | None = None):
@@ -188,29 +194,50 @@ FLOW_SCHEMA = {
 INIT_SCHEMA = {"kind": str, "amplitude": float}
 
 
+def _typed(name: str, value, typ):
+    """value as typ: an int passes as a float, a bool as neither."""
+    if typ is float and isinstance(value, int) and not isinstance(value, bool):
+        value = float(value)
+    if isinstance(value, bool) or not isinstance(value, typ):
+        raise ValueError(f"config field '{name}' must be {typ.__name__}")
+    return value
+
+
+def _require(ok: bool, name: str, what: str, value) -> None:
+    if not ok:
+        raise ValueError(f"config field '{name}' must be {what}, got {value!r}")
+
+
 def _load_flow_config(path: str) -> dict:
     with open(path) as fh:
         cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise ValueError("config must be a JSON object")
     merged = {"L": 2 * math.pi, "seed": 0, "kmax_linear": 1,
               "init": {"kind": "zero", "amplitude": 0.0}}
     merged.update(cfg)
     for key, typ in FLOW_SCHEMA.items():
         if key not in merged:
             raise ValueError(f"config field '{key}' is missing")
-        if typ is float and isinstance(merged[key], int):
-            merged[key] = float(merged[key])
-        if not isinstance(merged[key], typ):
-            raise ValueError(f"config field '{key}' must be {typ.__name__}")
+        merged[key] = _typed(key, merged[key], typ)
+    init = merged["init"]
     for key, typ in INIT_SCHEMA.items():
-        if key not in merged["init"]:
+        if key not in init:
             raise ValueError(f"config field 'init.{key}' is missing")
-        val = merged["init"][key]
-        if typ is float and isinstance(val, int):
-            merged["init"][key] = float(val)
-        elif not isinstance(val, typ):
-            raise ValueError(f"config field 'init.{key}' must be {typ.__name__}")
-    if merged["init"]["kind"] not in ("zero", "random", "abelian"):
+        init[key] = _typed(f"init.{key}", init[key], typ)
+    if init["kind"] not in ("zero", "random", "abelian"):
         raise ValueError("config field 'init.kind' must be zero|random|abelian")
+    # the fd4 stencil needs five distinct points
+    _require(5 <= merged["N"] <= MAX_FLOW_N, "N", f"between 5 and {MAX_FLOW_N}", merged["N"])
+    for key in ("L", "dt"):
+        _require(math.isfinite(merged[key]) and merged[key] > 0, key, "finite and > 0",
+                 merged[key])
+    _require(1 <= merged["steps"] <= MAX_FLOW_STEPS, "steps",
+             f"between 1 and {MAX_FLOW_STEPS}", merged["steps"])
+    _require(merged["seed"] >= 0, "seed", ">= 0", merged["seed"])
+    _require(merged["kmax_linear"] >= 1, "kmax_linear", ">= 1", merged["kmax_linear"])
+    _require(math.isfinite(init["amplitude"]) and init["amplitude"] >= 0, "init.amplitude",
+             "finite and >= 0", init["amplitude"])
     return merged
 
 

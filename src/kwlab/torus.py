@@ -7,9 +7,16 @@ traceless anti-Hermitian.  The commutator in this representation is
 [u, v] = -2 u x v (coefficient cross product) and <u, v> is the plain dot
 product of coefficients.
 
-Derivatives are 4th-order centered differences on the periodic grid by
-default; a spectral variant is available where an identity has to hold to
-round-off (e.g. the gauge invariance spot check).
+Every derivative takes one path: the field is contracted along the grid
+axis with a cached, read-only (N, N) periodic differentiation matrix, one
+BLAS matmul per call (diff_matrix).  The scheme picks the matrix:
+
+    fd4       the circulant of the 4th-order centered stencil
+              (f_{n-2} - 8 f_{n-1} + 8 f_{n+1} - f_{n+2}) / (12 h), the default;
+    spectral  the FFT derivative i k applied to the identity, real part: exact
+              on the resolved Fourier modes, with the Nyquist mode dropped.
+              Used where an identity has to hold to round-off (e.g. the gauge
+              invariance spot check).
 
 Conventions pinned by the directional-derivative identity of the functional:
 
@@ -22,6 +29,7 @@ Conventions pinned by the directional-derivative identity of the functional:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -53,6 +61,33 @@ def dot(u, v):
     return np.sum(u * v, axis=0)
 
 
+@functools.lru_cache(maxsize=64)
+def diff_matrix(scheme: str, N: int, L: float) -> np.ndarray:
+    """The (N, N) matrix D with (D f)_n = d f / dx at grid point n, for f
+    periodic on N points over [0, L); built on first use and cached.
+
+    Read-only, and stored in Fortran order so that D.T, which the x3
+    derivative f @ D.T multiplies from the right, is C-contiguous: with the
+    transposed view of a C-ordered D that matmul takes about 2.5x as long
+    at N = 16.
+    """
+    h = L / N
+    if scheme == "fd4":
+        # row n holds the stencil weights at columns n + s (mod N)
+        def shift(s):
+            return np.roll(np.eye(N), s, axis=1)
+
+        D = (8.0 * (shift(1) - shift(-1)) - (shift(2) - shift(-2))) / (12.0 * h)
+    elif scheme == "spectral":
+        k = np.fft.fftfreq(N, d=h) * 2.0 * math.pi
+        D = np.fft.ifft(np.fft.fft(np.eye(N), axis=0) * (1j * k)[:, None], axis=0).real
+    else:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    D = np.asfortranarray(D)
+    D.flags.writeable = False
+    return D
+
+
 @dataclass
 class TorusField:
     """A pair (A, a) of su(2)-valued triples on the N^3 periodic grid."""
@@ -80,29 +115,15 @@ class TorusField:
         return TorusField(self.N, self.L, self.A.copy(), self.a.copy(), self.scheme)
 
     def deriv(self, f: np.ndarray, i: int) -> np.ndarray:
-        """d f / d x_{i+1} on the last three axes (periodic)."""
-        ax = f.ndim - 3 + i
-        if self.scheme == "fd4":
-            # wrap-pad two cells each side once, then take the stencil from
-            # four shifted slices of the padded array
-            n = f.shape[ax]
-            lead = (slice(None),) * ax
-            g = np.concatenate((f[lead + (slice(n - 2, n),)], f,
-                                f[lead + (slice(0, 2),)]), axis=ax)
-            out = np.subtract(g[lead + (slice(3, n + 3),)], g[lead + (slice(1, n + 1),)])
-            out *= 8.0
-            out += g[lead + (slice(0, n),)]
-            out -= g[lead + (slice(4, n + 4),)]
-            out *= 1.0 / (12.0 * self.h)
-            return out
-        if self.scheme == "spectral":
-            k = np.fft.fftfreq(self.N, d=self.h) * 2.0 * math.pi
-            shape = [1] * f.ndim
-            shape[ax] = self.N
-            return np.fft.ifftn(
-                np.fft.fftn(f, axes=(ax,)) * (1j * k.reshape(shape)), axes=(ax,)
-            ).real
-        raise ValueError(f"unknown scheme {self.scheme!r}")
+        """d f / d x_{i+1} on the last three axes (periodic): f contracted
+        with diff_matrix(scheme, N, L) along that axis, one matmul."""
+        D = diff_matrix(self.scheme, self.N, self.L)
+        if i == 2:
+            return f @ D.T
+        if i == 1:
+            return D @ f
+        n = self.N
+        return (D @ f.reshape(f.shape[:-3] + (n, n * n))).reshape(f.shape)
 
     def integrate(self, density: np.ndarray) -> float:
         """Trapezoid = mean * volume on the periodic grid."""

@@ -125,6 +125,62 @@ def test_flow_schema_errors(tmp_path, capsys):
     assert code == 2 and "init.kind" in err
 
 
+@pytest.mark.parametrize("override", [
+    {"N": 0},
+    {"N": -3},
+    {"N": 4},
+    {"N": 100000},
+    {"N": True},
+    {"L": 0},
+    {"L": float("inf")},
+    {"dt": float("nan")},
+    {"dt": -0.01},
+    {"dt": 0},
+    {"dt": True},
+    {"steps": -2},
+    {"steps": 0},
+    {"steps": 10 ** 12},
+    {"steps": 2.0},
+    {"seed": -1},
+    {"kmax_linear": 0},
+    {"init": {"kind": "random", "amplitude": -1}},
+    {"init": {"kind": "random", "amplitude": float("nan")}},
+    {"init": {"kind": "abelian", "amplitude": float("inf")}},
+], ids=lambda o: json.dumps(o))
+def test_flow_config_usage_errors(override, tmp_path, capsys):
+    # bad values are usage errors: exit 2, one error line, nothing written
+    cfg = tmp_path / "cfg.json"
+    config = {"N": 8, "dt": 0.02, "steps": 3, "seed": 0,
+              "init": {"kind": "random", "amplitude": 0.01}}
+    config.update(override)
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    code, stdout, err = run(["flow", "run", "--config", str(cfg), "--out", str(out)], capsys)
+    assert code == 2
+    assert len([line for line in err.splitlines() if "error:" in line]) == 1
+    assert "Traceback" not in err and stdout == ""
+    assert not out.exists()
+
+
+def test_flow_run_identical_across_blas_threads(tmp_path):
+    # the derivatives run inside OpenBLAS; its thread count must not change
+    # a byte of the outputs (N = 32 is above OpenBLAS's threading threshold)
+    root = Path(__file__).resolve().parents[1]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"N": 32, "dt": 0.03, "steps": 4, "seed": 5,
+                               "init": {"kind": "random", "amplitude": 0.01}}))
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=str(root / "src"))
+        out = tmp_path / f"threads{threads}"
+        proc = subprocess.run([sys.executable, "-m", "kwlab.cli", "flow", "run",
+                               "--config", str(cfg), "--out", str(out)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append([(out / name).read_bytes() for name in ("trace.csv", "summary.json")])
+    assert outputs[0] == outputs[1]
+
+
 def test_flow_cfl_rejection(tmp_path, capsys):
     cfg = tmp_path / "cfl.json"
     cfg.write_text(json.dumps({

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 
@@ -162,6 +163,42 @@ def test_abelian_decaying_flow():
     ktilde = (8 * math.sin(kh) - math.sin(2 * kh)) / (6 * kh) * 1.0
     assert fit["rate"] == pytest.approx(2.0 * ktilde, rel=5e-3)
     assert fit["mu_estimate"] == 0.5
+
+
+@functools.cache
+def _abelian_mode_flow(N):
+    # one axis mode (1, 0, 0) in the decaying sector: the discrete flow is
+    # exactly linear there, with fd4 symbol ktilde instead of |k| = 1
+    from kwlab.modes import positive_spectrum_field
+    F = positive_spectrum_field(np.random.default_rng(3), N, 0.05, abelian=True,
+                                modes=[(1, 0, 0)])
+    dt = 0.05 * F.h
+    return run_flow(F, FlowConfig(dt=dt, steps=160)), dt
+
+
+@pytest.mark.parametrize("N", [12, 16])
+def test_abelian_flow_matches_exact_rk4_evolution(N):
+    # cs is quadratic, so cs[n] = cs[0] R(-ktilde dt)^(2n), R the RK4 growth
+    # polynomial and ktilde = (8 sin kh - sin 2kh) / (6h) the stencil's symbol
+    tr, dt = _abelian_mode_flow(N)
+    h = 2 * math.pi / N
+    ktilde = (8 * math.sin(h) - math.sin(2 * h)) / (6 * h)
+    z = -ktilde * dt
+    R = 1 + z + z ** 2 / 2 + z ** 3 / 6 + z ** 4 / 24
+    want = tr.cs[0] * R ** (2.0 * np.arange(len(tr.cs)))
+    assert tr.cs[0] < 0 and len(tr.cs) == 161
+    assert np.max(np.abs(tr.cs / want - 1)) < 1e-12
+
+
+def test_abelian_flow_rate_converges_at_fourth_order():
+    # the measured decay rate approaches |k| = 1 like h^4: refining N from
+    # 12 to 16 shrinks 1 - rate by (16/12)^4
+    deficits = []
+    for N in (12, 16):
+        tr, _ = _abelian_mode_flow(N)
+        rate = -math.log(tr.cs[-1] / tr.cs[0]) / (2 * tr.times[-1])
+        deficits.append(1 - rate)
+    assert deficits[0] / deficits[1] == pytest.approx((16 / 12) ** 4, rel=0.05)
 
 
 def test_lojasiewicz_synthetic_oracle():

@@ -1,16 +1,19 @@
 """The torus kernels against plain reference formulas.
 
 The references are the direct definitions: the commutator through
-np.cross, the fd4 stencil through four np.roll copies, and the field
-operators as sums over every entry of the Levi-Civita symbol.
+np.cross, the fd4 stencil through four np.roll copies, the spectral
+derivative through np.fft, and the field operators as sums over every entry
+of the Levi-Civita symbol.
 """
+
+import math
 
 import numpy as np
 import pytest
 
 from kwlab.algebra import EPS
 from kwlab.torus import (
-    TorusField, b_field, comm, curl_cov, div_cov, random_field, star_wedge,
+    TorusField, b_field, comm, curl_cov, diff_matrix, div_cov, random_field, star_wedge,
 )
 
 
@@ -19,9 +22,15 @@ def _ref_comm(u, v):
 
 
 def _ref_deriv(F, f, i):
-    if F.scheme != "fd4":
-        return F.deriv(f, i)
     ax = f.ndim - 3 + i
+    if F.scheme == "spectral":
+        k = np.fft.fftfreq(F.N, d=F.h) * 2.0 * math.pi
+        if F.N % 2 == 0:
+            k[F.N // 2] = 0.0  # the Nyquist mode has no real derivative
+        shape = [1] * f.ndim
+        shape[ax] = F.N
+        out = np.fft.ifft(np.fft.fft(f, axis=ax) * (1j * k.reshape(shape)), axis=ax)
+        return out if np.iscomplexobj(f) else out.real
     return (
         -np.roll(f, -2, axis=ax)
         + 8.0 * np.roll(f, -1, axis=ax)
@@ -114,6 +123,60 @@ def test_fd4_deriv_matches_roll_stencil(ndim, i):
     F = TorusField(8)
     f = rng.normal(size=(3,) * (ndim - 3) + (8, 8, 8))
     assert _relerr(F.deriv(f, i), _ref_deriv(F, f, i)) < 1e-13
+
+
+def _deriv_input(kind, N):
+    rng = np.random.default_rng(2)
+    grid = (N, N, N)
+    if kind == "connection_slice":  # F.A[:, 1]: a view, strided leading axis
+        return random_field(rng, N, amplitude=1.0).A[:, 1]
+    if kind == "strided":
+        return rng.normal(size=(6,) + grid)[::2]
+    if kind == "swapped_grid_axes":  # the last two axes not C-contiguous
+        return np.swapaxes(rng.normal(size=(3,) + grid), -1, -2)
+    if kind == "scalar":  # gauge_transform's w
+        return rng.normal(size=grid)
+    if kind == "complex":
+        return rng.normal(size=(3,) + grid) + 1j * rng.normal(size=(3,) + grid)
+    raise ValueError(kind)
+
+
+@pytest.mark.parametrize("kind", ["connection_slice", "strided", "swapped_grid_axes",
+                                  "scalar", "complex"])
+@pytest.mark.parametrize("scheme,N", [("fd4", 8), ("spectral", 8), ("spectral", 7)])
+def test_deriv_matches_references(kind, scheme, N):
+    F = TorusField(N, scheme=scheme)
+    f = _deriv_input(kind, N)
+    for i in range(3):
+        got, ref = F.deriv(f, i), _ref_deriv(F, f, i)
+        assert got.shape == ref.shape and got.dtype == ref.dtype
+        assert _relerr(got, ref) < 1e-13
+
+
+def test_fd4_diff_matrix_symbol():
+    # constants go to 0; sin(kx) goes to the stencil symbol times cos(kx)
+    N, L = 12, 2 * math.pi
+    D = diff_matrix("fd4", N, L)
+    h = L / N
+    x = np.arange(N) * h
+    assert np.max(np.abs(D @ np.ones(N))) < 1e-14 * np.max(np.abs(D))
+    for k in (1, 2, 5):
+        ktilde = (8 * math.sin(k * h) - math.sin(2 * k * h)) / (6 * h)
+        np.testing.assert_allclose(D @ np.sin(k * x), ktilde * np.cos(k * x),
+                                   rtol=0, atol=1e-13)
+    assert D is diff_matrix("fd4", N, L) and not D.flags.writeable
+
+
+def test_spectral_diff_matrix_symbol():
+    # exact on the resolved modes; the Nyquist mode cos(pi n) is annihilated
+    N, L = 12, 2 * math.pi
+    D = diff_matrix("spectral", N, L)
+    x = np.arange(N) * (L / N)
+    for k in (1, 3, 5):
+        np.testing.assert_allclose(D @ np.sin(k * x), k * np.cos(k * x), rtol=0, atol=1e-13)
+    assert np.max(np.abs(D @ np.cos(6 * x))) < 1e-13
+    with pytest.raises(ValueError, match="unknown scheme"):
+        diff_matrix("fd2", N, L)
 
 
 @pytest.fixture(params=["fd4", "spectral"])
