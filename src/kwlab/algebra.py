@@ -27,8 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-TOL_ALGEBRA = 1e-12
-
 _PAULI = (
     np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
     np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
@@ -114,15 +112,6 @@ def star(v: np.ndarray) -> np.ndarray:
     return -v.conj().T
 
 
-def is_traceless(u: np.ndarray, tol: float = TOL_ALGEBRA) -> bool:
-    return abs(np.trace(u)) <= tol
-
-
-def is_su2(u: np.ndarray, tol: float = TOL_ALGEBRA) -> bool:
-    """Anti-Hermitian and traceless."""
-    return is_traceless(u, tol) and np.max(np.abs(u + u.conj().T)) <= tol
-
-
 def su2_to_coeffs(u: np.ndarray) -> np.ndarray:
     """Coefficients (v1,v2,v3) with u = sum v_a sigma_a; real for su(2) input."""
     c = np.array([inner(basis_sigma(a), u) for a in (1, 2, 3)])
@@ -175,13 +164,13 @@ def ad_half_isigma3(v: np.ndarray) -> np.ndarray:
     return bracket(0.5j * SIGMA[2], v)
 
 
-def random_su2(rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
-    return coeffs_to_su2(rng.normal(scale=scale, size=3))
+def random_su2(rng: np.random.Generator) -> np.ndarray:
+    return coeffs_to_su2(rng.normal(size=3))
 
 
-def random_sl2c(rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
-    re = rng.normal(scale=scale, size=3)
-    im = rng.normal(scale=scale, size=3)
+def random_sl2c(rng: np.random.Generator) -> np.ndarray:
+    re = rng.normal(size=3)
+    im = rng.normal(size=3)
     return coeffs_to_su2(re + 1j * im)
 
 

@@ -18,8 +18,6 @@ time-independent data on a flat 3-torus.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .algebra import coeff_bracket
@@ -35,8 +33,6 @@ def _batch(P):
 
 class TrivialBackground:
     """A = 0, a = 0 on flat space; every point is admissible."""
-
-    is_flat = True
 
     def domain_check(self, P) -> None:
         _batch(P)
@@ -58,8 +54,6 @@ class TrivialBackground:
 
 class NahmBackground:
     """Product connection with a_i = -sigma_i/(2t); flat, grad_i a_j = 0."""
-
-    is_flat = True
 
     def domain_check(self, P) -> None:
         P = _batch(P)
@@ -95,11 +89,10 @@ class ModelBackground:
     error is far below any test stencil's).
     """
 
-    is_flat = True
     axis_exclusion = 1e-8
 
-    def __init__(self, m: int, ell: float = 2 * math.pi):
-        self.solution = ModelSolution(m, ell)
+    def __init__(self, m: int):
+        self.solution = ModelSolution(m)
 
     def domain_check(self, P) -> None:
         P = _batch(P)
@@ -147,20 +140,17 @@ class ModelBackground:
 
 
 class TorusTrigBackground:
-    """Time-independent trigonometric (A, a) on the flat torus of side L.
+    """Time-independent trigonometric (A, a) on the flat torus of side 2 pi.
 
     Built from a list of terms (slot, comp, k, phase, coeffs) where slot is
     'A' or 'a', comp in {0,1,2}, k an integer 3-vector, and coeffs a real
     3-vector of sigma coefficients; each term contributes
-    coeffs . sigma * cos(2 pi k.x / L + phase) to that component.  Exact
-    spatial derivatives are available, so curvature data is analytic.
+    coeffs . sigma * cos(k.x + phase) to that component.  Exact spatial
+    derivatives are available, so curvature data is analytic.
     """
 
-    is_flat = True
-
-    def __init__(self, terms, L: float = 2 * math.pi):
+    def __init__(self, terms):
         self.terms = list(terms)
-        self.L = L
 
     def domain_check(self, P) -> None:
         _batch(P)
@@ -168,15 +158,14 @@ class TorusTrigBackground:
     def _sum(self, P, slot: str, deriv: int | None = None):
         P = _batch(P)
         out = np.zeros(P.shape[:-1] + (3, 3))
-        w = 2.0 * math.pi / self.L
         for (sl, comp, k, phase, coeffs) in self.terms:
             if sl != slot:
                 continue
             k = np.asarray(k, dtype=float)
-            arg = w * (P[..., 1] * k[0] + P[..., 2] * k[1] + P[..., 3] * k[2]) + phase
+            arg = P[..., 1] * k[0] + P[..., 2] * k[1] + P[..., 3] * k[2] + phase
             val = np.cos(arg)
             if deriv is not None:
-                val = -np.sin(arg) * (w * k[deriv])
+                val = -np.sin(arg) * k[deriv]
             out[..., comp, :] += val[..., None] * np.asarray(coeffs, dtype=float)
         return out
 
@@ -215,14 +204,14 @@ class TorusTrigBackground:
         return out
 
 
-def make_background(kind: str, m: int = 1):
-    """Parse 'trivial' | 'nahm' | 'model:m' into a background object."""
+def make_background(kind: str):
+    """Parse 'trivial' | 'nahm' | 'model' (m = 1) | 'model:m' into a background object."""
     if kind == "trivial":
         return TrivialBackground()
     if kind == "nahm":
         return NahmBackground()
     if kind == "model":
-        return ModelBackground(m)
+        return ModelBackground(1)
     if kind.startswith("model:"):
         try:
             m = int(kind[len("model:"):])

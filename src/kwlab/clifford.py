@@ -193,10 +193,6 @@ def y_auto_8() -> np.ndarray:
     return (GAMMA[0] @ GAMMA[1] @ GAMMA[2] @ RHO[0] @ RHO[1] @ RHO[2]).astype(float)
 
 
-def y_endo() -> np.ndarray:
-    return comp_action(y_auto_8())
-
-
 def u_endo(t: float, z1: float, z2: float) -> np.ndarray:
     """U = (t + z1 gamma1 + z2 gamma2) / x with x = sqrt(t^2+z1^2+z2^2); orthogonal."""
     x = np.sqrt(t * t + z1 * z1 + z2 * z2)
@@ -234,19 +230,15 @@ def nahm_pole_spectrum(t: float) -> tuple[np.ndarray, dict[float, int]]:
     return evals, {k / t: v for k, v in sorted(mult.items())}
 
 
-def antisymmetric_spectrum(m: np.ndarray, tol: float = 1e-10) -> list[float]:
+def antisymmetric_spectrum(m: np.ndarray) -> list[float]:
     """Imaginary parts of the eigenvalues of a real antisymmetric matrix.
 
-    Returned sorted; the real parts are checked to vanish to tol.
+    Returned sorted; the real parts are checked to vanish to 1e-10.
     """
     evals = np.linalg.eigvals(np.asarray(m, dtype=float))
-    if np.max(np.abs(evals.real)) > tol:
+    if np.max(np.abs(evals.real)) > 1e-10:
         raise ValueError("matrix is not antisymmetric enough: real eigenvalue parts")
     return sorted(float(v) for v in evals.imag)
-
-
-def derived_endos() -> dict[str, np.ndarray]:
-    return {"Q": q_endo(), "L": l_endo(), "Y": y_auto_8()}
 
 
 assert_relations()

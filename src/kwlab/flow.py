@@ -22,8 +22,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .torus import (
-    TorusField, b_field, cs_functional, curl_cov, div_cov, dot, star_wedge,
+# curl_cov and star_wedge are not called here, but they stay module names so
+# that call counters can patch the flow's kernels in this module as in torus
+from .torus import (  # noqa: F401
+    TorusField, b_field, cs_functional, curl_cov, div_cov, dot, gradient, star_wedge,
 )
 
 CFL_FACTOR = 0.2
@@ -100,10 +102,8 @@ class FlowTrace:
 
 
 def _rhs(F: TorusField, A, a):
-    work = TorusField(F.N, F.L, A, a, F.scheme)
-    gA = curl_cov(work, a)
-    ga = b_field(work) - star_wedge(a)
-    return gA, ga
+    """The flow's right-hand side at (A, a) on F's grid."""
+    return gradient(TorusField(F.N, F.L, A, a, F.scheme))
 
 
 def run_flow(F0: TorusField, config: FlowConfig) -> FlowTrace:
@@ -145,8 +145,7 @@ def run_flow(F0: TorusField, config: FlowConfig) -> FlowTrace:
         times[i] = i * dt
         B = b_field(work)
         cs[i] = cs_functional(work, B)
-        gA = curl_cov(work, a)
-        gb = B - star_wedge(a)
+        gA, gb = gradient(work, B)
         e_curl[i] = work.integrate(dot(gA, gA).sum(axis=0))
         gns[i] = e_curl[i] + work.integrate(dot(gb, gb).sum(axis=0))
         dva = div_cov(work, a)

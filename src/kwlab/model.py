@@ -57,10 +57,9 @@ SAMPLING_AXIS_EXCLUSION = 1e-6  # random samples stay outside this disk
 
 @dataclass(frozen=True)
 class ModelSolution:
-    """The integer-m member of the family; ell is the circle length."""
+    """The integer-m member of the family."""
 
     m: int
-    ell: float = 2.0 * math.pi
 
     def __post_init__(self):
         if self.m < 0:
@@ -284,8 +283,9 @@ def verify_reduced_eqs(ms: ModelSolution, samples, h: float) -> dict[str, float]
     return {k: float(np.max(v)) for k, v in res.items()}
 
 
-def sample_points(rng: np.random.Generator, n: int, ell: float = 2 * math.pi) -> list[FieldPoint]:
-    """Random off-axis points with t in [0.1, 3], |z| in [axis cutoff, 3]."""
+def sample_points(rng: np.random.Generator, n: int) -> list[FieldPoint]:
+    """Random off-axis points with t in [0.1, 3], |z| in [axis cutoff, 3] and
+    x3 on the circle [0, 2 pi)."""
     pts = []
     while len(pts) < n:
         t = rng.uniform(0.1, 3.0)
@@ -293,16 +293,16 @@ def sample_points(rng: np.random.Generator, n: int, ell: float = 2 * math.pi) ->
         zi = rng.uniform(-3.0, 3.0)
         if abs(complex(zr, zi)) < max(SAMPLING_AXIS_EXCLUSION, 0.05):
             continue
-        pts.append(FieldPoint(t=t, z=complex(zr, zi), x3=rng.uniform(0, ell)))
+        pts.append(FieldPoint(t=t, z=complex(zr, zi), x3=rng.uniform(0, 2 * math.pi)))
     return pts
 
 
-def verify_properties(ms: ModelSolution, samples: list[FieldPoint], h: float = 1e-5) -> dict:
+def verify_properties(ms: ModelSolution, samples: list[FieldPoint]) -> dict:
     """Property report over a sample set of FieldPoints.
 
     Checks: alpha strictly negative with 2t*alpha in [-(m+1), -1];
-    d alpha/dt > 0; |phi| sqrt(2) t <= 1 (equality only at m = 0);
-    B1 = B2 = E3 = 0 structurally; sup of |B3|,|E1|,|E2| times x^3/t
+    d alpha/dt > 0 (centred difference at step 1e-5); |phi| sqrt(2) t <= 1
+    (equality only at m = 0); B1 = B2 = E3 = 0 structurally; sup of |B3|,|E1|,|E2| times x^3/t
     reported; rescaling equivariance at lambda in {2, 1/3}.  Each offset
     and each rescaling is evaluated once over the whole sample set.
     """
@@ -311,6 +311,7 @@ def verify_properties(ms: ModelSolution, samples: list[FieldPoint], h: float = 1
     t, z = _coords(samples)
     ev = evaluate(ms, t, z)
     alpha_scaled = 2.0 * t * ev.alpha
+    h = 1e-5
     dalpha_dt = (evaluate(ms, t + h, z).alpha - evaluate(ms, t - h, z).alpha) / (2 * h)
     phi_bound = coeff_norm(ev.phi) * math.sqrt(2.0) * t
     curvature_c = (np.maximum(coeff_norm(ev.B3),

@@ -144,8 +144,7 @@ def linearized_decay(k_max: int, psi0: ModeVector, T: float, dt: float) -> dict:
 
 
 def random_mode_vector(rng: np.random.Generator, k_max: int, scale: float = 1.0,
-                       slots=range(8), include_zero: bool = False,
-                       L: float = 2 * math.pi) -> ModeVector:
+                       slots=range(8), include_zero: bool = False) -> ModeVector:
     """Random reality-symmetric mode data supported on the given slots."""
     ks = k_lattice(k_max)
     coeffs = np.zeros((len(ks), 8, 3), dtype=complex)
@@ -165,7 +164,7 @@ def random_mode_vector(rng: np.random.Generator, k_max: int, scale: float = 1.0,
         c[~mask] = 0.0
         coeffs[i] = c
         coeffs[index[tuple(-k)]] = c.conj()
-    return ModeVector(ks, coeffs, L)
+    return ModeVector(ks, coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -229,14 +228,14 @@ def _grid_size(k_max: int) -> int:
     return n
 
 
-def kuranishi_w(phi: ModeVector, k_max: int, tol: float = 1e-12,
-                max_iter: int = 200) -> tuple[ModeVector, dict]:
+def kuranishi_w(phi: ModeVector, k_max: int) -> tuple[ModeVector, dict]:
     """Fixed point of w -> -Linv (1 - Pi0) ((phi + w) # (phi + w)).
 
     phi must live in the 1-form slots (b, c) only.  Iteration starts at
-    w = 0 and converges geometrically inside the contraction radius; the
-    observed ratio of successive update norms is reported, and a ratio
-    above 1 raises ContractionError.
+    w = 0 and converges geometrically inside the contraction radius, until
+    an update is at most 1e-12 or for at most 200 steps; the observed ratio
+    of successive update norms is reported, and a ratio above 1 (or no
+    convergence in 200 steps) raises ContractionError.
 
     Returned diagnostics include kappa = |w| / |phi|^2 and the fixed-point
     residual |Lw + (1 - Pi0) #(phi + w)| (which for kernel inputs phi is the
@@ -258,8 +257,9 @@ def kuranishi_w(phi: ModeVector, k_max: int, tol: float = 1e-12,
         return out
 
     w_mv = ModeVector(k_lattice(k_max), np.zeros((len(k_lattice(k_max)), 8, 3), complex), phi.L)
+    tol = 1e-12
     updates = []
-    for it in range(max_iter):
+    for it in range(200):
         new = step(w_mv.to_grid(N))
         delta = float(np.sqrt(np.sum(np.abs(new.coeffs - w_mv.coeffs) ** 2)))
         updates.append(delta)
@@ -300,8 +300,8 @@ def kuranishi_w(phi: ModeVector, k_max: int, tol: float = 1e-12,
 
 
 def positive_spectrum_field(rng: np.random.Generator, N: int, amplitude: float,
-                            k_max: int = 1, L: float = 2 * math.pi,
-                            abelian: bool = False, modes=None) -> TorusField:
+                            L: float = 2 * math.pi, abelian: bool = False,
+                            modes=None) -> TorusField:
     """A TorusField whose (A, a) data lies in the decaying (positive) part of
     the linearized flow spectrum: transverse per mode and supported on the
     positive eigenvectors of the restricted symbol, so the flow from it
@@ -314,10 +314,13 @@ def positive_spectrum_field(rng: np.random.Generator, N: int, amplitude: float,
     sigma3; every commutator then vanishes identically, the flow is exactly
     linear on this sector, and the decay persists for arbitrarily long runs
     at O(1) amplitude.
+
+    modes lists the wavevectors to fill; by default every nonzero k with
+    |k|_inf <= 1.
     """
     w = 2 * math.pi / L
     if modes is None:
-        ks = [k for k in k_lattice(k_max) if np.any(k)]
+        ks = [k for k in k_lattice(1) if np.any(k)]
     else:
         ks = [np.asarray(k, dtype=int) for k in modes]
     F = TorusField(N, L)

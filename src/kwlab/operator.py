@@ -37,6 +37,7 @@ import numpy as np
 
 from .algebra import CYCLIC
 from .clifford import GAMMA, RHO, y_auto_8
+from .modes import k_lattice, symbol
 
 _GAMMA = tuple(g.astype(float) for g in GAMMA)
 _RHO = tuple(r.astype(float) for r in RHO)
@@ -98,9 +99,9 @@ def spinor_max(v) -> float:
     return float(np.max(spinor_slot_norms(v)))
 
 
-def random_spinor_coeffs(rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
+def random_spinor_coeffs(rng: np.random.Generator) -> np.ndarray:
     """A random constant spinor value, shape (8, 3)."""
-    return rng.normal(scale=scale, size=(8, 3))
+    return rng.normal(size=(8, 3))
 
 
 class FuncSection:
@@ -125,73 +126,70 @@ class FuncSection:
 
 class GaussTrigSection(FuncSection):
     """Smooth test fields: sums of Gaussian blobs in (t, x1, x2) times a
-    circle harmonic in x3, with exact derivatives.
+    circle harmonic in x3 (the circle of length 2 pi), with exact derivatives.
 
     blobs: list of (amp (8,3) real, center (3,), width, n_x3, phase).
     """
 
-    def __init__(self, blobs, ell: float = 2 * math.pi):
+    def __init__(self, blobs):
         self.blobs = [
             (np.asarray(a, float), np.asarray(c, float), float(s), int(n), float(ph))
             for (a, c, s, n, ph) in blobs
         ]
-        self.ell = ell
         super().__init__(self._val, self._der)
 
     def _envelopes(self, P):
-        w = 2 * math.pi / self.ell
         out = []
         for amp, c, s, n, ph in self.blobs:
             d = P[..., :3] - c
             g = np.exp(-np.sum(d * d, axis=-1) / (2 * s * s))
-            trig = np.cos(n * w * P[..., 3] + ph)
-            out.append((amp, d, s, n, ph, g, trig, w))
+            trig = np.cos(n * P[..., 3] + ph)
+            out.append((amp, d, s, n, ph, g, trig))
         return out
 
     def _val(self, P):
         out = 0.0
-        for amp, d, s, n, ph, g, trig, w in self._envelopes(P):
+        for amp, d, s, n, ph, g, trig in self._envelopes(P):
             out = out + (g * trig)[..., None, None] * amp
         return out
 
     def _der(self, P, mu):
         out = 0.0
-        for amp, d, s, n, ph, g, trig, w in self._envelopes(P):
+        for amp, d, s, n, ph, g, trig in self._envelopes(P):
             if mu < 3:
                 f = -d[..., mu] / (s * s) * g * trig
             else:
-                f = -g * np.sin(n * w * P[..., 3] + ph) * n * w
+                f = -g * np.sin(n * P[..., 3] + ph) * n
             out = out + f[..., None, None] * amp
         return out
 
 
-def random_section(rng: np.random.Generator, center=(1.0, 0.0, 0.0), spread=0.8,
-                   n_blobs: int = 3, ell: float = 2 * math.pi) -> GaussTrigSection:
+def random_section(rng: np.random.Generator, center=(1.0, 0.0, 0.0),
+                   spread=0.8) -> GaussTrigSection:
     blobs = []
-    for _ in range(n_blobs):
+    for _ in range(3):
         amp = rng.normal(size=(8, 3))
         c = np.asarray(center, float) + rng.uniform(-spread, spread, size=3)
         s = rng.uniform(0.6, 1.4)
         n = int(rng.integers(0, 3))
         ph = rng.uniform(0, 2 * math.pi)
         blobs.append((amp, c, s, n, ph))
-    return GaussTrigSection(blobs, ell=ell)
+    return GaussTrigSection(blobs)
 
 
 class TorusTrigSection(FuncSection):
-    """Periodic test fields on the torus, optionally with a Gaussian factor
-    in t; exact derivatives.
+    """Periodic test fields on the torus of side 2 pi, optionally with a
+    Gaussian factor in t; exact derivatives.
 
     terms: list of (amp (8,3) real, k (3,) int, phase); value is
-    sum amp cos(2 pi k.x / L + phase) times the t-envelope.
+    sum amp cos(k.x + phase) times the t-envelope.
     """
 
-    def __init__(self, terms, L: float = 2 * math.pi, t_center=None, t_width: float = 0.5):
+    def __init__(self, terms, t_center=None, t_width: float = 0.5):
         self.terms = [
             (np.asarray(a, float), np.asarray(k, float), float(ph))
             for (a, k, ph) in terms
         ]
-        self.L = L
         self.t_center = t_center
         self.t_width = t_width
         super().__init__(self._val, self._der)
@@ -204,43 +202,41 @@ class TorusTrigSection(FuncSection):
         return g, -u / self.t_width * g
 
     def _val(self, P):
-        w = 2 * math.pi / self.L
         g, _ = self._env(P)
         out = 0.0
         for amp, k, ph in self.terms:
-            arg = w * np.einsum("...i,i->...", P[..., 1:], k) + ph
+            arg = np.einsum("...i,i->...", P[..., 1:], k) + ph
             out = out + (g * np.cos(arg))[..., None, None] * amp
         return out
 
     def _der(self, P, mu):
-        w = 2 * math.pi / self.L
         g, dg = self._env(P)
         out = 0.0
         for amp, k, ph in self.terms:
-            arg = w * np.einsum("...i,i->...", P[..., 1:], k) + ph
+            arg = np.einsum("...i,i->...", P[..., 1:], k) + ph
             if mu == 0:
                 f = dg * np.cos(arg)
             else:
-                f = -g * np.sin(arg) * w * k[mu - 1]
+                f = -g * np.sin(arg) * k[mu - 1]
             out = out + f[..., None, None] * amp
         return out
 
 
 def random_torus_section(rng: np.random.Generator, k_max: int = 2, n_terms: int = 4,
-                         L: float = 2 * math.pi, t_center=None, t_width=0.5) -> TorusTrigSection:
+                         t_center=None, t_width=0.5) -> TorusTrigSection:
     terms = []
     for _ in range(n_terms):
         amp = rng.normal(size=(8, 3))
         k = rng.integers(-k_max, k_max + 1, size=3)
         terms.append((amp, k, rng.uniform(0, 2 * math.pi)))
-    return TorusTrigSection(terms, L=L, t_center=t_center, t_width=t_width)
+    return TorusTrigSection(terms, t_center=t_center, t_width=t_width)
 
 
-def covariant_grads(bg, sec, P, h: float | None, order: int = 2):
+def covariant_grads(bg, sec, P, h: float | None):
     """(value, grads) with grads[..., mu, 8, 3] = grad_mu psi for mu = t,1,2,3.
 
     Exact derivatives are used when h is None and the section provides them;
-    otherwise centered differences of order 2 or 4 at step h.  The connection
+    otherwise second-order centered differences at step h.  The connection
     commutator [A_mu, psi] is added for the three spatial directions.
     """
     P = np.asarray(P, dtype=float)
@@ -253,26 +249,15 @@ def covariant_grads(bg, sec, P, h: float | None, order: int = 2):
         for mu in range(4):
             grads[..., mu, :, :] = sec.deriv(P, mu)
     else:
-        if order == 2:
-            steps, weights = (1.0, -1.0), (0.5, -0.5)
-        elif order == 4:
-            steps, weights = (2.0, 1.0, -1.0, -2.0), (-1 / 12, 8 / 12, -8 / 12, 1 / 12)
-        else:
-            raise ValueError("order must be 2 or 4")
         shifted = []
         for mu in range(4):
-            for s in steps:
+            for s in (1.0, -1.0):
                 Q = P.copy()
                 Q[..., mu] += s * h
                 shifted.append(Q)
         stack = sec.value(np.stack(shifted))
-        idx = 0
         for mu in range(4):
-            acc = 0.0
-            for w in weights:
-                acc = acc + w * stack[idx]
-                idx += 1
-            grads[..., mu, :, :] = acc / h
+            grads[..., mu, :, :] = (stack[2 * mu] - stack[2 * mu + 1]) / (2 * h)
     A = bg.A_at(P)
     for i in range(3):
         grads[..., 1 + i, :, :] += comm(A[..., i, None, :], val)
@@ -306,7 +291,7 @@ def _assemble_components(val, grads, a):
     return out
 
 
-def _assemble_matrix(val, grads, a, dt_sign: float = 1.0):
+def _assemble_matrix(val, grads, a):
     """Instantiate the symbolic 8x8 table entry by entry."""
     out = np.empty_like(val, dtype=grads.dtype)
     for r in range(8):
@@ -316,7 +301,7 @@ def _assemble_matrix(val, grads, a, dt_sign: float = 1.0):
             if entry is None:
                 continue
             if entry[0] == "dt":
-                acc = acc + dt_sign * grads[..., 0, col, :]
+                acc = acc + grads[..., 0, col, :]
             elif entry[0] == "d":
                 _, k, s = entry
                 acc = acc + s * grads[..., k, col, :]
@@ -339,11 +324,10 @@ def _assemble_clifford(val, grads, a, dt_sign: float = 1.0, skip_gamma3: bool = 
     return out
 
 
-def apply_D(bg, sec, P, h: float | None = 1e-5, depiction: str = "matrix",
-            order: int = 2):
+def apply_D(bg, sec, P, h: float | None = 1e-5, depiction: str = "matrix"):
     """D psi at P in the chosen depiction; the three agree pointwise."""
     bg.domain_check(P)
-    val, grads = covariant_grads(bg, sec, P, h, order)
+    val, grads = covariant_grads(bg, sec, P, h)
     a = bg.a_at(P)
     if depiction == "components":
         return _assemble_components(val, grads, a)
@@ -354,24 +338,24 @@ def apply_D(bg, sec, P, h: float | None = 1e-5, depiction: str = "matrix",
     raise ValueError(f"unknown depiction {depiction!r}")
 
 
-def apply_D_dagger(bg, sec, P, h: float | None = 1e-5, order: int = 2):
+def apply_D_dagger(bg, sec, P, h: float | None = 1e-5):
     """The formal L2 adjoint: -grad_t + gamma_i grad_i + rho_i [a_i, .]."""
     bg.domain_check(P)
-    val, grads = covariant_grads(bg, sec, P, h, order)
+    val, grads = covariant_grads(bg, sec, P, h)
     return _assemble_clifford(val, grads, bg.a_at(P), dt_sign=-1.0)
 
 
-def apply_spatial(bg, sec, P, h: float | None = 1e-5, order: int = 2):
+def apply_spatial(bg, sec, P, h: float | None = 1e-5):
     """D minus its grad_t term (the symmetric spatial part)."""
     bg.domain_check(P)
-    val, grads = covariant_grads(bg, sec, P, h, order)
+    val, grads = covariant_grads(bg, sec, P, h)
     return _assemble_clifford(val, grads, bg.a_at(P), dt_sign=0.0)
 
 
-def apply_Xi(bg, sec, P, h: float | None = 1e-5, order: int = 2):
+def apply_Xi(bg, sec, P, h: float | None = 1e-5):
     """D minus its gamma3 grad_3 term (acts within x3-invariant sections)."""
     bg.domain_check(P)
-    val, grads = covariant_grads(bg, sec, P, h, order)
+    val, grads = covariant_grads(bg, sec, P, h)
     return _assemble_clifford(val, grads, bg.a_at(P), skip_gamma3=True)
 
 
@@ -460,7 +444,7 @@ def x_matrix24(bg, p) -> np.ndarray:
     return _ad3(X).transpose(0, 2, 1, 3).reshape(24, 24)
 
 
-def bochner_block_report(bg, p, h: float = 5e-4, tol: float = 1e-3) -> dict:
+def bochner_block_report(bg, p, tol: float = 1e-3) -> dict:
     """Extract the true remainder on the 24 basis spinors and diff it
     blockwise against the assembled grid.
 
@@ -477,7 +461,7 @@ def bochner_block_report(bg, p, h: float = 5e-4, tol: float = 1e-3) -> dict:
             v[s, aa] = 1.0
             sec = FuncSection(lambda P, v=v: np.broadcast_to(v, P.shape[:-1] + (8, 3)).copy())
             # column (s, aa) holds the coefficients of the remainder's slots
-            m_true[:, 3 * s + aa] = bochner_check(bg, sec, p, h)["remainder"].ravel()
+            m_true[:, 3 * s + aa] = bochner_check(bg, sec, p, 5e-4)["remainder"].ravel()
     m_asm = x_matrix24(bg, p)
 
     def blocks(m):
@@ -488,23 +472,23 @@ def bochner_block_report(bg, p, h: float = 5e-4, tol: float = 1e-3) -> dict:
     scale = max(float(np.max(np.linalg.norm(bt, axis=(-2, -1)))),
                 float(np.max(np.linalg.norm(ba, axis=(-2, -1)))))
     rel = diffs / scale if scale > 0 else diffs
-    flagged = [{"block": (r + 1, s + 1), "relative_diff": float(rel[r, s])}
+    flagged = [{"block": (int(r) + 1, int(s) + 1), "relative_diff": float(rel[r, s])}
                for r, s in zip(*np.nonzero(rel > tol))]
     return {"flagged_blocks": flagged, "worst_block_diff": float(np.max(rel))}
 
 
-def laplacian_cov(bg, sec, P, h: float, order: int = 2):
+def laplacian_cov(bg, sec, P, h: float):
     """sum_mu grad_mu grad_mu psi by nested centered differences."""
     def first(mu):
         def f(Q):
-            _, g = covariant_grads(bg, sec, Q, h, order)
+            _, g = covariant_grads(bg, sec, Q, h)
             return g[..., mu, :, :]
         return FuncSection(f)
 
     P = np.asarray(P, dtype=float)
     out = 0.0
     for mu in range(4):
-        _, g2 = covariant_grads(bg, first(mu), P, h, order)
+        _, g2 = covariant_grads(bg, first(mu), P, h)
         out = out + g2[..., mu, :, :]
     return out
 
@@ -600,16 +584,10 @@ def lattice_L_spectrum(k_max: int, L: float = 2 * math.pi) -> list[dict]:
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    w = 2 * math.pi / L
     out = []
-    rng = range(-k_max, k_max + 1)
-    for k1 in rng:
-        for k2 in rng:
-            for k3 in rng:
-                gk = w * (k1 * GAMMA[0] + k2 * GAMMA[1] + k3 * GAMMA[2])
-                ev = np.linalg.eigvalsh(1j * gk.astype(complex))
-                ev24 = np.repeat(np.sort(ev), 3)
-                out.append({"k": (k1, k2, k3), "eigenvalues": ev24})
+    for k in k_lattice(k_max):
+        ev = np.linalg.eigvalsh(symbol(k, L))
+        out.append({"k": tuple(int(c) for c in k), "eigenvalues": np.repeat(np.sort(ev), 3)})
     return out
 
 
@@ -624,7 +602,9 @@ def smallest_nonzero_symbol_eig(k_max: int, L: float = 2 * math.pi) -> float:
 # Quadrature checks on periodic boxes
 
 
-def _box_grid(t_range, nt, nx, L):
+def _box_grid(t_range, nt, nx):
+    """Trapezoid nodes in t times the periodic nx^3 grid on the torus of side 2 pi."""
+    L = 2 * math.pi
     t = np.linspace(t_range[0], t_range[1], nt)
     xs = np.arange(nx) * (L / nx)
     T, X1, X2, X3 = np.meshgrid(t, xs, xs, xs, indexing="ij")
@@ -641,7 +621,7 @@ def _box_integral(f, wt, vol_x) -> float:
     return float(np.sum(np.einsum("t...,t->t...", f, wt)) * vol_x)
 
 
-def duality_gap(bg, psi, xi, t_range=(0.5, 3.5), nt=40, nx=8, L=2 * math.pi,
+def duality_gap(bg, psi, xi, t_range=(0.5, 3.5), nt=40, nx=8,
                 h: float | None = None) -> float:
     """| int <D psi, xi> - int <psi, D^dag xi> | over a periodic box, relative
     to its Cauchy-Schwarz bound sqrt(int |D psi|^2 int |xi|^2).
@@ -652,7 +632,7 @@ def duality_gap(bg, psi, xi, t_range=(0.5, 3.5), nt=40, nx=8, L=2 * math.pi,
     against that bound for a wrong adjoint: give xi the wavevectors of psi
     and a different t-envelope, so the grad_t terms do not integrate to zero.
     """
-    P, wt, vol_x = _box_grid(t_range, nt, nx, L)
+    P, wt, vol_x = _box_grid(t_range, nt, nx)
     dpsi = apply_D(bg, psi, P, h, depiction="clifford")
     ddagxi = apply_D_dagger(bg, xi, P, h)
     xival = xi.value(P)
@@ -663,14 +643,13 @@ def duality_gap(bg, psi, xi, t_range=(0.5, 3.5), nt=40, nx=8, L=2 * math.pi,
     return abs(i1 - i2) / scale if scale > 0 else abs(i1 - i2)
 
 
-def pythagoras_gap(bg, psi, t_range=(0.5, 3.5), nt=40, nx=8, L=2 * math.pi,
-                   h: float | None = None) -> dict:
+def pythagoras_gap(bg, psi, t_range=(0.5, 3.5), nt=40, nx=8) -> dict:
     """For t-independent backgrounds: int |D psi|^2 against
     int |grad_t psi|^2 + int |L psi|^2 (cross term drops by symmetry of the
     spatial part); returns both sides and the relative gap.
     """
-    P, wt, vol_x = _box_grid(t_range, nt, nx, L)
-    val, grads = covariant_grads(bg, psi, P, h if h is not None else None)
+    P, wt, vol_x = _box_grid(t_range, nt, nx)
+    val, grads = covariant_grads(bg, psi, P, None)
     a = bg.a_at(P)
     dpsi = _assemble_clifford(val, grads, a)
     lpsi = _assemble_clifford(val, grads, a, dt_sign=0.0)

@@ -49,7 +49,7 @@ def hardy_halfline_ratio(f: Callable, df: Callable, grid=None) -> float:
     return _trapz(fv * fv / grid ** 2, grid) / _trapz(dv * dv, grid)
 
 
-def hardy_near_extremal_sweep(eps_list=(0.2, 0.1, 0.05, 0.02, 0.01)) -> dict:
+def hardy_near_extremal_sweep() -> dict:
     """Ratios for f = t^(1/2+eps) e^{-t}; they approach 4 from below.
 
     The mass integral behaves like Gamma(2 eps) ~ 1/(2 eps), so the grid has
@@ -58,7 +58,7 @@ def hardy_near_extremal_sweep(eps_list=(0.2, 0.1, 0.05, 0.02, 0.01)) -> dict:
     """
     grid = np.geomspace(1e-90, 90.0, 40000)
     out = {}
-    for eps in eps_list:
+    for eps in (0.2, 0.1, 0.05, 0.02, 0.01):
         p = 0.5 + eps
 
         def f(t, p=p):
@@ -71,14 +71,15 @@ def hardy_near_extremal_sweep(eps_list=(0.2, 0.1, 0.05, 0.02, 0.01)) -> dict:
     return out
 
 
-def hardy_cone_ratio(a: float = 1.0, s: float = 1.0, n_grid: int = 600, span: float = 8.0) -> float:
+def hardy_cone_ratio(a: float = 1.0, s: float = 1.0) -> float:
     """int psi^2/x^2 over int |grad psi|^2 for psi = t^a exp(-x^2/(2 s^2))
     on the half-space t > 0 (x3-invariant); the constant is 4/9.
 
-    2D quadrature in (t, r) with the measure 2 pi r dr dt.
+    2D quadrature in (t, r) with the measure 2 pi r dr dt, on 600 x 600
+    nodes up to 8 s.
     """
-    t = np.linspace(1e-6, span * s, n_grid)
-    r = np.linspace(1e-6, span * s, n_grid)
+    t = np.linspace(1e-6, 8.0 * s, 600)
+    r = np.linspace(1e-6, 8.0 * s, 600)
     T, R = np.meshgrid(t, r, indexing="ij")
     X2 = T * T + R * R
     psi = T ** a * np.exp(-X2 / (2 * s * s))
@@ -90,10 +91,10 @@ def hardy_cone_ratio(a: float = 1.0, s: float = 1.0, n_grid: int = 600, span: fl
     return float(num / den)
 
 
-def hardy_profile_ratio(kappa: float = 1.0, n_grid: int = 40000) -> float:
+def hardy_profile_ratio(kappa: float = 1.0) -> float:
     """int f^2/sinh^2 over int f'^2/cosh^2 on (0, inf) for f = tanh^kappa;
     bounded by 4 for bounded f vanishing at 0."""
-    th = np.geomspace(1e-8, 40.0, n_grid)
+    th = np.geomspace(1e-8, 40.0, 40000)
     f = np.tanh(th) ** kappa
     df = kappa * np.tanh(th) ** (kappa - 1) / np.cosh(th) ** 2
     num = _trapz(f * f / np.sinh(th) ** 2, th)
@@ -142,6 +143,12 @@ def hemisphere_eig0(n_mesh: int = 2000) -> dict:
     reported (no assertion).  Cell-centered conservative differences; the
     sin(theta) face weight vanishes at theta = 0, so regularity there is
     automatic.
+
+    The lowest eigenvalue is the discrete Rayleigh quotient f^T K f / f^T M f
+    of the computed eigenvector: the solver's own eigenvalue carries
+    round-off that grows like n^2 eps and swamps the O(h^2) discretization
+    error beyond about 10^4 cells, while the quotient's error is quadratic
+    in the eigenvector's.
     """
     if n_mesh < 100:
         raise ValueError("mesh too coarse")
@@ -158,13 +165,16 @@ def hemisphere_eig0(n_mesh: int = 2000) -> dict:
     vals, vecs = eigh_tridiagonal(d, e, select="i", select_range=(0, 1))
     f = vecs[:, 0] / np.sqrt(mass)  # undo the symmetrizing similarity
     f = f / np.sqrt(np.sum(f * f * mass))
+    # f^T K f face by face: the sin-weighted jumps plus the Dirichlet ghost
+    energy = (np.sum(sf[1:-1] * np.diff(f) ** 2) + 2.0 * sf[-1] * f[-1] ** 2) / hh
+    rayleigh = energy / np.sum(f * f * mass)
     ref = np.cos(centers)
     ref = ref / np.sqrt(np.sum(ref * ref * mass))
     if np.dot(f, ref * mass) < 0:
         f = -f
     dist = math.sqrt(np.sum((f - ref) ** 2 * mass))
     return {
-        "eigenvalue": float(vals[0]),
+        "eigenvalue": float(rayleigh),
         "second_eigenvalue": float(vals[1]),
         "eigenfunction_distance_to_cos": dist,
         "theta": centers,
@@ -176,25 +186,29 @@ def hemisphere_eig0(n_mesh: int = 2000) -> dict:
 # Sturm-Liouville reductions in the profile coordinate
 
 
+# The Sturm-Liouville truncation [THETA_MIN, THETA_MAX] of the profile
+# coordinate and the coarsest mesh that rayleigh_min refines from.
+THETA_MIN = 1e-6
+THETA_MAX = 30.0
+SL_MESH = 2000
+
+
 @dataclass
 class SLProblem:
-    """1D reduction on Theta in [theta_min, theta_max].
+    """1D reduction on Theta in [THETA_MIN, THETA_MAX].
 
-    The equator end theta_min carries the Dirichlet condition (it is the
-    true hemisphere boundary); the pole end theta_max gets the natural
+    The equator end THETA_MIN carries the Dirichlet condition (it is the
+    true hemisphere boundary); the pole end THETA_MAX gets the natural
     (regularity) condition, since Theta -> inf is an interior point of the
     hemisphere where the coordinate merely degenerates.  A Dirichlet wall at
-    the pole end would bias the minimum upward by O(1/theta_max), i.e. far
-    beyond the target accuracy at the default truncation.
+    the pole end would bias the minimum upward by O(1/THETA_MAX), i.e. far
+    beyond the target accuracy at this truncation.
 
     potential is W(Theta) as it multiplies |f|^2 in the hemisphere (round
     measure) integral; it enters the flat-measure energy with the same
     sech^2 weight as the mass term.  W must be >= 0 on the mesh.
     """
 
-    theta_min: float = 1e-6
-    theta_max: float = 30.0
-    n_mesh: int = 2000
     angular_mode: int = 0
     potential: Callable | None = None
 
@@ -214,7 +228,7 @@ class SLProblem:
 def _sl_min_once(prob: SLProblem, n_mesh: int) -> float:
     """Smallest generalized Rayleigh quotient by inverse-power iteration.
 
-    The mass weight sech^2 underflows to ~1e-26 at the default truncation,
+    The mass weight sech^2 underflows to ~1e-26 at THETA_MAX,
     which would wreck a symmetrized dense/tridiagonal eigensolve (absolute
     backward error scales with the matrix norm).  Inverse iteration on
     K^{-1} M only ever factorizes the well-conditioned stiffness K, so the
@@ -222,8 +236,8 @@ def _sl_min_once(prob: SLProblem, n_mesh: int) -> float:
     """
     from scipy.linalg import solve_banded
 
-    hh = (prob.theta_max - prob.theta_min) / n_mesh
-    th = prob.theta_min + hh * np.arange(1, n_mesh + 1)
+    hh = (THETA_MAX - THETA_MIN) / n_mesh
+    th = THETA_MIN + hh * np.arange(1, n_mesh + 1)
     sech2 = 1.0 / np.cosh(th) ** 2
     wv = prob.w_values(th)
     diag_k = np.full(n_mesh, 2.0 / hh)
@@ -250,15 +264,16 @@ def _sl_min_once(prob: SLProblem, n_mesh: int) -> float:
     return mu_prev
 
 
-def rayleigh_min(prob: SLProblem, rel_tol: float = 5e-4, max_doublings: int = 4) -> dict:
-    """Minimum generalized Rayleigh quotient, refined until successive mesh
-    doublings agree to rel_tol (3 significant digits by default)."""
-    n = prob.n_mesh
+def rayleigh_min(prob: SLProblem) -> dict:
+    """Minimum generalized Rayleigh quotient, refined from SL_MESH cells until
+    successive mesh doublings agree to 5e-4 relative (3 significant digits),
+    in at most four doublings; "n_mesh" is the finest mesh used."""
+    n = SL_MESH
     prev = _sl_min_once(prob, n)
-    for _ in range(max_doublings):
+    for _ in range(4):
         n *= 2
         cur = _sl_min_once(prob, n)
-        if abs(cur - prev) <= rel_tol * max(abs(cur), 1.0):
+        if abs(cur - prev) <= 5e-4 * max(abs(cur), 1.0):
             return {"mu": cur, "mu_coarse": prev, "n_mesh": n, "converged": True}
         prev = cur
     raise RuntimeError("Rayleigh minimum did not converge under mesh doubling")
@@ -390,23 +405,22 @@ def radial_ode_solve(lam: float, k: float, x_range=(0.1, 10.0), init=None,
                           identity_residual=res, sol=sol)
 
 
-def radial_admissible(lam: float, k: float, x_min: float = 1e-4,
-                      x_max: float | None = None) -> dict:
+def radial_admissible(lam: float, k: float) -> dict:
     """Decide whether the solution decaying at infinity has finite
     int (a^2 + b^2) x^2 dx near 0.
 
-    Integrates inward from x_max with the decaying asymptotic direction
-    (1, 1) e^{-|k| x}; fits the local exponent of g = x^2 (a^2 + b^2) over
-    [x_min, 100 x_min] and calls the solution admissible when the fitted
-    exponent exceeds -1 (so the integral converges under range extension;
-    verified by extending x_min fourfold).  An ill-conditioned fit (local
-    slopes scattered by more than 0.2) widens the range once and retries.
+    Integrates inward from x_max = max(14/|k|, 14) with the decaying
+    asymptotic direction (1, 1) e^{-|k| x} down to x_min = 1e-4; fits the
+    local exponent of g = x^2 (a^2 + b^2) over [x_min, 100 x_min] and calls
+    the solution admissible when the fitted exponent exceeds -1 (so the
+    integral converges under range extension; verified by extending x_min
+    fourfold).  An ill-conditioned fit (local slopes scattered by more than
+    0.2) widens the range once and retries.
     """
     if k == 0:
         raise ValueError("need k != 0")
-    kk = abs(k)
-    if x_max is None:
-        x_max = max(14.0 / kk, 14.0)
+    x_min = 1e-4
+    x_max = max(14.0 / abs(k), 14.0)
     init = [1.0, 1.0 if k > 0 else -1.0]
 
     def run(xm):

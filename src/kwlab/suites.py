@@ -218,11 +218,12 @@ def operator_suite(seed: int, tol_scale: float = 1.0, background: str = "model:1
         out.append(CheckResult.from_bound(
             "weitzenbock_order", "remainder comparison is 2nd order",
             abs(b1["residual"] / max(b2["residual"], 1e-300) - 4.0), 1.0 * tol_scale))
-        rep = op.bochner_block_report(bg, p0)
+        block_tol = 1e-3 * tol_scale
+        rep = op.bochner_block_report(bg, p0, tol=block_tol)
         out.append(CheckResult(
             "weitzenbock_blocks", "blockwise extraction vs assembled remainder",
             "pass" if not rep["flagged_blocks"] else "flagged",
-            metric=rep["worst_block_diff"], tolerance=1e-3 * tol_scale,
+            metric=rep["worst_block_diff"], tolerance=block_tol,
             worst_location=str(rep["flagged_blocks"]) if rep["flagged_blocks"] else None))
     X24 = op.x_matrix24(bg, p0)
     zero_rows = max(float(np.max(np.abs(X24[6:9, :]))), float(np.max(np.abs(X24[21:24, :]))),

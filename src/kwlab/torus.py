@@ -176,10 +176,12 @@ def cs_functional(F: TorusField, B: np.ndarray | None = None) -> float:
     return F.integrate(density)
 
 
-def gradient(F: TorusField) -> tuple[np.ndarray, np.ndarray]:
-    """(gA, ga) = (curl_A a, B - star(a wedge a))."""
+def gradient(F: TorusField, B: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(gA, ga) = (curl_A a, B - star(a wedge a)); B = b_field(F) unless given."""
+    if B is None:
+        B = b_field(F)
     gA = curl_cov(F, F.a)
-    ga = b_field(F) - star_wedge(F.a)
+    ga = B - star_wedge(F.a)
     return gA, ga
 
 
@@ -248,15 +250,13 @@ def _quat_conj_action(w, v, u):
     return vf
 
 
-def gauge_transform(F: TorusField, phi: np.ndarray, scheme: str | None = None) -> TorusField:
+def gauge_transform(F: TorusField, phi: np.ndarray) -> TorusField:
     """Apply g = exp(phi . sigma): A -> g A g^-1 - (dg) g^-1, a -> g a g^-1.
 
     phi has shape (3, N, N, N).  The derivative of g uses the same scheme as
-    the field (or the override), acting on the quaternion components.
+    the field, acting on the quaternion components.
     """
     out = F.copy()
-    if scheme is not None:
-        out.scheme = scheme
     w, v = su2_exp_coeffs(phi)
     for comp in range(3):
         out.A[comp] = _quat_conj_action(w, v, F.A[comp])
@@ -266,7 +266,6 @@ def gauge_transform(F: TorusField, phi: np.ndarray, scheme: str | None = None) -
         dv = out.deriv(v, comp)
         _, dg_part = _quat_mul(dw, dv, w, -v)
         out.A[comp] = out.A[comp] - dg_part
-    out.scheme = F.scheme
     return out
 
 
@@ -288,10 +287,11 @@ def random_field(rng: np.random.Generator, N: int, L: float = 2 * math.pi,
     return F
 
 
-def abelian_field(N: int, L: float = 2 * math.pi, amplitude: float = 0.1) -> TorusField:
-    """A = 0, a = amplitude sigma3 sin(x1) dx2: abelian, so cs vanishes."""
-    F = TorusField(N, L)
-    xs = np.arange(N) * (L / N)
+def abelian_field(N: int, amplitude: float = 0.1) -> TorusField:
+    """A = 0, a = amplitude sigma3 sin(x1) dx2 on the torus of side 2 pi:
+    abelian, so cs vanishes."""
+    F = TorusField(N)
+    xs = np.arange(N) * (2 * math.pi / N)
     X1 = np.meshgrid(xs, xs, xs, indexing="ij")[0]
-    F.a[1, 2] = amplitude * np.sin(2 * math.pi * X1 / L)
+    F.a[1, 2] = amplitude * np.sin(X1)
     return F

@@ -1,0 +1,56 @@
+"""Every top-level function and class of the package, and every public
+method, is referenced somewhere in the package, the tests or the benchmark
+outside its own definition.
+
+A reference is a Name, an Attribute, an import alias or a string constant;
+string constants cover the benchmark tracer, which names what it wraps.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SCANNED = ("src/kwlab", "tests", "perfbench")
+
+
+def _references(tree):
+    """(name, line) of every reference in a module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.alias):
+            for name in (node.name.rsplit(".", 1)[-1], node.asname):
+                if name:
+                    yield name, node.lineno
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value, node.lineno
+
+
+def _definitions(tree):
+    """Top-level functions and classes, and the public methods of the classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item
+
+
+def test_no_orphans():
+    trees = {p: ast.parse(p.read_text(), str(p))
+             for d in SCANNED for p in sorted((ROOT / d).glob("*.py"))}
+    refs = {}  # name -> [(path, line)]
+    for path, tree in trees.items():
+        for name, line in _references(tree):
+            refs.setdefault(name, []).append((path, line))
+    orphans = []
+    for path in sorted((ROOT / "src/kwlab").glob("*.py")):
+        for qualname, node in _definitions(trees[path]):
+            uses = refs.get(node.name, [])
+            if not any(p != path or not node.lineno <= line <= node.end_lineno
+                       for p, line in uses):
+                orphans.append(f"{path.stem}.{qualname}")
+    assert orphans == []

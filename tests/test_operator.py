@@ -10,7 +10,7 @@ from kwlab.backgrounds import (
     make_background,
 )
 from kwlab.clifford import ad_matrix
-from kwlab.suites import operator_suite
+from kwlab.suites import operator_suite, run_suite
 
 RNG = np.random.default_rng(0)
 
@@ -159,15 +159,15 @@ def test_duality_quadrature():
     assert op.duality_gap(bgt, psi, eta, t_range=(0.0, 4.0), nt=40, nx=8, h=1e-5) < 1e-6
 
 
-def _flipped_gamma_adjoint(bg, sec, P, h=1e-5, order=2):
+def _flipped_gamma_adjoint(bg, sec, P, h=1e-5):
     """-grad_t - gamma_i grad_i + rho_i [a_i, .]: a wrong adjoint."""
-    val, grads = op.covariant_grads(bg, sec, P, h, order)
+    val, grads = op.covariant_grads(bg, sec, P, h)
     grads[..., 1:, :, :] *= -1.0
     return op._assemble_clifford(val, grads, bg.a_at(P), dt_sign=-1.0)
 
 
-def _d_for_d_dagger(bg, sec, P, h=1e-5, order=2):
-    return op.apply_D(bg, sec, P, h, "clifford", order)
+def _d_for_d_dagger(bg, sec, P, h=1e-5):
+    return op.apply_D(bg, sec, P, h, "clifford")
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -182,6 +182,16 @@ def test_adjoint_duality_check_catches_wrong_adjoint(seed, monkeypatch):
         monkeypatch.setattr(op, "apply_D_dagger", wrong_adjoint)
         bad = duality()
         assert bad.status == "fail" and bad.metric > 1e2 * bad.tolerance
+
+
+def test_status_agrees_with_tolerance_at_small_scale():
+    # a check's status must follow its reported metric and tolerance at any
+    # --tolerance-scale, including the blockwise Weitzenbock comparison
+    report = run_suite("operator", seed=1, tol_scale=1e-6)
+    bounded = [c for c in report.checks if c.metric is not None and c.tolerance is not None]
+    assert any(c.check_id == "weitzenbock_blocks" for c in bounded)
+    for c in bounded:
+        assert (c.status == "pass") == (c.metric <= c.tolerance), c.check_id
 
 
 def test_pythagoras_split():

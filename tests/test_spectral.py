@@ -47,6 +47,12 @@ def test_hemisphere_ground_state():
         sp.hemisphere_eig0(50)
 
 
+def test_hemisphere_ground_state_fine_mesh():
+    # the O(h^2) discretization error is 1e-10 at 10^5 cells; the solver's
+    # own eigenvalue is off by 5e-7 there from round-off
+    assert abs(sp.hemisphere_eig0(100_000)["eigenvalue"] - 2.0) < 1e-8
+
+
 def test_rayleigh_zero_potential():
     res = sp.rayleigh_min(sp.SLProblem())
     assert abs(res["mu"] - 2.0) < 5e-3
