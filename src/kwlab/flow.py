@@ -22,11 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# curl_cov and star_wedge are not called here, but they stay module names so
-# that call counters can patch the flow's kernels in this module as in torus
-from .torus import (  # noqa: F401
-    TorusField, b_field, cs_functional, curl_cov, div_cov, dot, gradient, star_wedge,
-)
+from .torus import TorusField, b_field, cs_functional, div_cov, dot, gradient
 
 CFL_FACTOR = 0.2
 

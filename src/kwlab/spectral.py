@@ -28,8 +28,9 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.linalg import eigh_tridiagonal
+
+# scipy is imported inside the solvers that use it, so that importing kwlab
+# (and every command that runs no spectral solve) loads numpy alone
 
 
 # ---------------------------------------------------------------------------
@@ -136,11 +137,13 @@ def hardy_suite() -> dict:
 
 
 def hemisphere_eig0(n_mesh: int = 2000) -> dict:
-    """Lowest Dirichlet eigenvalue of -(1/sin) d/dtheta (sin d/dtheta .) on
-    the polar interval [0, pi/2]: Dirichlet at pi/2, natural regularity at 0.
+    """Lowest two Dirichlet eigenvalues of -(1/sin) d/dtheta (sin d/dtheta .)
+    on the polar interval [0, pi/2]: Dirichlet at pi/2, natural regularity at 0.
 
-    The lowest eigenvalue is 2 with eigenfunction cos(theta); the second is
-    reported (no assertion).  Cell-centered conservative differences; the
+    In x = cos(theta) this is Legendre's equation, and the Dirichlet
+    condition at x = 0 keeps the odd P_l: the eigenvalues are l(l + 1) =
+    2, 12, ..., the lowest with eigenfunction cos(theta).  Both computed
+    values converge as h^2.  Cell-centered conservative differences; the
     sin(theta) face weight vanishes at theta = 0, so regularity there is
     automatic.
 
@@ -150,6 +153,8 @@ def hemisphere_eig0(n_mesh: int = 2000) -> dict:
     error beyond about 10^4 cells, while the quotient's error is quadratic
     in the eigenvector's.
     """
+    from scipy.linalg import eigh_tridiagonal
+
     if n_mesh < 100:
         raise ValueError("mesh too coarse")
     hh = (math.pi / 2) / n_mesh
@@ -377,6 +382,8 @@ def radial_ode_solve(lam: float, k: float, x_range=(0.1, 10.0), init=None,
 
     evaluated with 4th-order differences of the dense output.
     """
+    from scipy.integrate import solve_ivp
+
     if k == 0:
         raise ValueError("need k != 0")
     x0, x1 = x_range
@@ -417,6 +424,8 @@ def radial_admissible(lam: float, k: float) -> dict:
     fourfold).  An ill-conditioned fit (local slopes scattered by more than
     0.2) widens the range once and retries.
     """
+    from scipy.integrate import solve_ivp
+
     if k == 0:
         raise ValueError("need k != 0")
     x_min = 1e-4

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kwlab import torus
+from kwlab import suites, torus
 from kwlab.flow import CFLError, FlowConfig, FlowTrace, lojasiewicz_fit, run_flow
-from kwlab.suites import richardson_gradient_check
+from kwlab.suites import gauge_invariance_check, richardson_gradient_check
 from kwlab.torus import (
     TorusField, abelian_field, cs_functional, div_cov, dot, gauge_transform,
     gradient, gradient_check, grad_norm_sq, random_field,
@@ -96,6 +96,27 @@ def test_gauge_invariance_spectral():
     assert abs(cs_functional(Fg) - cs_functional(F)) < 1e-8
     # the gradient norm is gauge invariant too
     assert grad_norm_sq(Fg) == pytest.approx(grad_norm_sq(F), abs=1e-8)
+
+
+def test_flow_smoke_gauge_invariance_catches_fd4_gauge_transform(monkeypatch):
+    # a gauge transformation that differentiates g with fd4 on spectral data
+    # leaves a drift of about 1e-6 of the cs terms, far above the 1e-12 tolerance
+    exact = gauge_transform
+
+    def fd4_gauge_transform(F, phi):
+        G = F.copy()
+        G.scheme = "fd4"
+        return exact(G, phi)
+
+    for seed in range(6):
+        F, _ = _flow_smoke_gradient_data(seed)
+        F.scheme = "spectral"
+        good = gauge_invariance_check(F)
+        assert good.status == "pass" and good.tolerance == 1e-12
+        monkeypatch.setattr(suites, "gauge_transform", fd4_gauge_transform)
+        bad = gauge_invariance_check(F)
+        monkeypatch.undo()
+        assert bad.status == "fail" and bad.metric > 1e5 * bad.tolerance
 
 
 def test_gauge_flow_equivariance():
@@ -266,9 +287,10 @@ def test_k1_reuse_call_counts_and_trace(monkeypatch):
             counts[_name] = counts.get(_name, 0) + 1
             return _orig(*args, **kwargs)
 
-        # both modules, so a b_field call inside cs_functional counts too
-        monkeypatch.setattr(kwlab.flow, name, counted)
         monkeypatch.setattr(torus, name, counted)
+    # run_flow calls b_field by its own module name; gradient and
+    # cs_functional look all three up in torus
+    monkeypatch.setattr(kwlab.flow, "b_field", torus.b_field)
     tr = run_flow(F, cfg)
     monkeypatch.undo()
     assert counts == {name: 1 + 4 * cfg.steps

@@ -184,14 +184,31 @@ def test_adjoint_duality_check_catches_wrong_adjoint(seed, monkeypatch):
         assert bad.status == "fail" and bad.metric > 1e2 * bad.tolerance
 
 
-def test_status_agrees_with_tolerance_at_small_scale():
+def test_status_agrees_with_tolerance_at_small_scale(monkeypatch):
     # a check's status must follow its reported metric and tolerance at any
     # --tolerance-scale, including the blockwise Weitzenbock comparison
+    reports = []
+    block_report = op.bochner_block_report
+
+    def recorded(*args, **kwargs):
+        reports.append(block_report(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(op, "bochner_block_report", recorded)
     report = run_suite("operator", seed=1, tol_scale=1e-6)
     bounded = [c for c in report.checks if c.metric is not None and c.tolerance is not None]
     assert any(c.check_id == "weitzenbock_blocks" for c in bounded)
     for c in bounded:
         assert (c.status == "pass") == (c.metric <= c.tolerance), c.check_id
+    # most blocks are flagged here; the location names the worst one and a
+    # count, not every flagged block
+    blocks = next(c for c in report.checks if c.check_id == "weitzenbock_blocks")
+    flagged = reports[0]["flagged_blocks"]
+    worst = max(flagged, key=lambda b: b["relative_diff"])
+    assert blocks.status == "flagged" and len(flagged) > 1
+    assert worst["relative_diff"] == blocks.metric
+    assert blocks.worst_location == f"block {worst['block']}, {len(flagged)} flagged"
+    assert len(blocks.worst_location) < 100
 
 
 def test_pythagoras_split():

@@ -53,6 +53,15 @@ def test_hemisphere_ground_state_fine_mesh():
     assert abs(sp.hemisphere_eig0(100_000)["eigenvalue"] - 2.0) < 1e-8
 
 
+def test_hemisphere_second_eigenvalue_order():
+    # the second eigenvalue is exactly 12 (Legendre P_3); its error falls 4x
+    # per mesh doubling
+    errs = [sp.hemisphere_eig0(n)["second_eigenvalue"] - 12.0 for n in (1000, 2000, 4000)]
+    assert abs(errs[1]) < 5e-5
+    for coarse, fine in zip(errs, errs[1:]):
+        assert abs(coarse / fine - 4.0) < 0.05
+
+
 def test_rayleigh_zero_potential():
     res = sp.rayleigh_min(sp.SLProblem())
     assert abs(res["mu"] - 2.0) < 5e-3
