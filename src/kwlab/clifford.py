@@ -16,14 +16,14 @@ rho_i the coefficient matrices of the three Higgs-commutator slots.
 Constant 24x24 endomorphisms acting on 8-component su(2)-valued vectors are
 assembled as Kronecker products: an 8x8 matrix acts on the component index,
 and ad(xi) (a real 3x3 matrix in the sigma-coefficient basis) acts on the
-su(2) values.
+su(2) values.  Every endomorphism here is built on sigma coefficients, and
+``ad_matrix`` and ``u_endo`` are batched, so the operator applies these same
+definitions at its points.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from .algebra import SIGMA, bracket, su2_to_coeffs
 
 _G1 = [
     [0, 0, 0, -1, 0, 0, 0, 0],
@@ -158,13 +158,15 @@ def assert_relations() -> None:
         raise AssertionError(f"Clifford relations violated: {bad}")
 
 
-def ad_matrix(xi: np.ndarray) -> np.ndarray:
-    """Real 3x3 matrix of ad(xi) = [xi, .] in the sigma-coefficient basis.
-
-    Antisymmetric whenever xi is su(2).
-    """
-    cols = [su2_to_coeffs(bracket(xi, SIGMA[a])) for a in range(3)]
-    return np.array(cols, dtype=float).T
+def ad_matrix(x) -> np.ndarray:
+    """The 3x3 matrix of ad(x) = [x, .] = -2 x cross . on sigma coefficients,
+    batched: (..., 3) -> (..., 3, 3); antisymmetric for real x."""
+    x = np.asarray(x)
+    x0, x1, x2 = x[..., 0], x[..., 1], x[..., 2]
+    z = np.zeros_like(x0)
+    return 2 * np.stack([np.stack([z, x2, -x1], axis=-1),
+                         np.stack([-x2, z, x0], axis=-1),
+                         np.stack([x1, -x0, z], axis=-1)], axis=-2)
 
 
 def comp_action(m8: np.ndarray) -> np.ndarray:
@@ -172,14 +174,15 @@ def comp_action(m8: np.ndarray) -> np.ndarray:
     return np.kron(np.asarray(m8, dtype=float), _I3)
 
 
-def value_action(xi: np.ndarray) -> np.ndarray:
-    """Lift ad(xi) on su(2) values to the 24-dim space (trivial on components)."""
-    return np.kron(np.eye(8), ad_matrix(xi))
+def value_action(x) -> np.ndarray:
+    """Lift ad(x), x the sigma coefficients of an su(2) value, to the 24-dim
+    space (trivial on components)."""
+    return np.kron(np.eye(8), ad_matrix(x))
 
 
 def q_endo() -> np.ndarray:
     """Q = rho1 rho2 - [sigma3, .] as a real antisymmetric 24x24 matrix."""
-    return comp_action(RHO[0] @ RHO[1]) - value_action(SIGMA[2])
+    return comp_action(RHO[0] @ RHO[1]) - value_action(_I3[2])
 
 
 def l_endo() -> np.ndarray:
@@ -193,19 +196,25 @@ def y_auto_8() -> np.ndarray:
     return (GAMMA[0] @ GAMMA[1] @ GAMMA[2] @ RHO[0] @ RHO[1] @ RHO[2]).astype(float)
 
 
-def u_endo(t: float, z1: float, z2: float) -> np.ndarray:
-    """U = (t + z1 gamma1 + z2 gamma2) / x with x = sqrt(t^2+z1^2+z2^2); orthogonal."""
+def u_endo(t, z1, z2) -> np.ndarray:
+    """U = (t + z1 gamma1 + z2 gamma2) / x with x = sqrt(t^2+z1^2+z2^2); orthogonal.
+
+    Batched over the broadcast shape of (t, z1, z2): (...) -> (..., 8, 8).
+    """
+    t, z1, z2 = (np.asarray(c, dtype=float)[..., None, None] for c in (t, z1, z2))
     x = np.sqrt(t * t + z1 * z1 + z2 * z2)
-    if x == 0.0:
+    if np.any(x == 0.0):
         raise ValueError("U is undefined at the origin")
     return (t * np.eye(8) + z1 * GAMMA[0] + z2 * GAMMA[1]) / x
 
 
-def higgs_commutator_endo(a_components) -> np.ndarray:
-    """sum_i rho_i [a_i, .] as a 24x24 matrix, for su(2) values a_i."""
+def higgs_commutator_endo(a) -> np.ndarray:
+    """sum_i rho_i [a_i, .] as a 24x24 matrix; row i of the (3, 3) array a
+    holds the sigma coefficients of a_i."""
+    ads = ad_matrix(a)
     out = np.zeros((24, 24))
     for i in range(3):
-        out += np.kron(RHO[i].astype(float), ad_matrix(a_components[i]))
+        out += np.kron(RHO[i].astype(float), ads[i])
     return out
 
 
@@ -213,7 +222,7 @@ def nahm_pole_endo(t: float) -> np.ndarray:
     """rho_i [a_i, .] at the Nahm pole a_i = -sigma_i/(2t); symmetric 24x24."""
     if t <= 0:
         raise ValueError(f"need t > 0, got {t}")
-    return higgs_commutator_endo([-s / (2.0 * t) for s in SIGMA])
+    return higgs_commutator_endo(-_I3 / (2.0 * t))
 
 
 def nahm_pole_spectrum(t: float) -> tuple[np.ndarray, dict[float, int]]:

@@ -35,13 +35,12 @@ import math
 
 import numpy as np
 
-from .algebra import CYCLIC
-from .clifford import GAMMA, RHO, y_auto_8
+from .algebra import CYCLIC, coeff_norm
+from .clifford import GAMMA, RHO, ad_matrix, q_endo, u_endo, y_auto_8
 from .modes import k_lattice, symbol
 
 _GAMMA = tuple(g.astype(float) for g in GAMMA)
 _RHO = tuple(r.astype(float) for r in RHO)
-_SIGMA3 = np.array([0.0, 0.0, 1.0])  # sigma coefficients of sigma3
 
 # The 8x8 symbolic table of the operator: 'dt' means grad_t, ('d', k) means
 # grad_k, ('a', k) means [a_k, .]; the integer is the sign.
@@ -86,17 +85,13 @@ def _pair(u, v):
     return np.sum((u.conj() * v).real, axis=(-2, -1))
 
 
-def spinor_slot_norms(v) -> np.ndarray:
-    """Hermitian norm of each of the 8 slots; shape (..., 8)."""
-    return np.sqrt(np.sum((v.conj() * v).real, axis=-1))
-
-
 def spinor_norm(v) -> np.ndarray:
-    return np.sqrt(np.sum(spinor_slot_norms(v) ** 2, axis=-1))
+    return np.sqrt(np.sum(coeff_norm(v) ** 2, axis=-1))
 
 
 def spinor_max(v) -> float:
-    return float(np.max(spinor_slot_norms(v)))
+    """The largest Hermitian norm of a slot."""
+    return float(np.max(coeff_norm(v)))
 
 
 def random_spinor_coeffs(rng: np.random.Generator) -> np.ndarray:
@@ -427,21 +422,11 @@ def apply_x(X, val):
     return np.sum(comm(X, val[..., None, :, :]), axis=-2)
 
 
-def _ad3(x) -> np.ndarray:
-    """The 3x3 matrix of ad(x) = [x, .] = -2 x cross . on sigma coefficients,
-    batched: (..., 3) -> (..., 3, 3); antisymmetric for real x."""
-    x0, x1, x2 = x[..., 0], x[..., 1], x[..., 2]
-    z = np.zeros_like(x0)
-    return 2 * np.stack([np.stack([z, x2, -x1], axis=-1),
-                         np.stack([-x2, z, x0], axis=-1),
-                         np.stack([x1, -x0, z], axis=-1)], axis=-2)
-
-
 def x_matrix24(bg, p) -> np.ndarray:
     """The remainder at a single point as a real 24x24 matrix (sigma basis):
     block (r, s) is the ad matrix of X_rs."""
     X = x_blocks(bg, np.asarray(p, float))
-    return _ad3(X).transpose(0, 2, 1, 3).reshape(24, 24)
+    return ad_matrix(X).transpose(0, 2, 1, 3).reshape(24, 24)
 
 
 def bochner_block_report(bg, p, tol: float = 1e-3) -> dict:
@@ -518,22 +503,12 @@ def bochner_check(bg, sec, p, h: float) -> dict:
 # Radial factorization and the algebraic automorphism
 
 
-def _apply_endo8(m8, val):
-    return np.asarray(m8, dtype=float) @ val
-
-
 def u_inv_section(sec) -> FuncSection:
     """The section q -> U(q)^{-1} psi(q); U = (t + z1 g1 + z2 g2)/x."""
 
     def value(P):
         P = np.asarray(P, dtype=float)
-        x = np.sqrt(P[..., 0] ** 2 + P[..., 1] ** 2 + P[..., 2] ** 2)
-        u = (
-            P[..., 0][..., None, None] * np.eye(8)
-            + P[..., 1][..., None, None] * GAMMA[0]
-            + P[..., 2][..., None, None] * GAMMA[1]
-        ) / x[..., None, None]
-        uinv = np.swapaxes(u, -1, -2)  # orthogonal
+        uinv = np.swapaxes(u_endo(P[..., 0], P[..., 1], P[..., 2]), -1, -2)  # orthogonal
         return uinv @ sec.value(P)
 
     return FuncSection(value)
@@ -554,12 +529,15 @@ def omega_apply(bg, sec, p, h: float) -> np.ndarray:
 
 
 def apply_q_endo(val):
-    """Q = rho1 rho2 - [sigma3, .] acting on a spinor value."""
-    return _apply_endo8(RHO[0] @ RHO[1], val) - comm(_SIGMA3, val)
+    """Q = rho1 rho2 - [sigma3, .] acting on a spinor value: the 24x24
+    ``clifford.q_endo`` on its (..., 24) flattening."""
+    val = np.asarray(val)
+    flat = val.reshape(val.shape[:-2] + (24,))
+    return (flat @ q_endo().T).reshape(val.shape)
 
 
 def y_apply(val):
-    return _apply_endo8(y_auto_8(), val)
+    return y_auto_8() @ val
 
 
 def y_intertwine(bg, sec, p, h: float) -> float:

@@ -83,7 +83,40 @@ def algebra_suite(seed: int, tol_scale: float = 1.0) -> list[CheckResult]:
         max(float(np.max(np.abs(algebra.star(algebra.star(u)) - u))),
             float(np.max(np.abs(algebra.l_decompose(algebra.star(pu)).plus)))),
         1e-12 * tol_scale))
+    out.append(coeff_kernels_check(rng, tol_scale))
     return out
+
+
+def coeff_kernels_check(rng: np.random.Generator, tol_scale: float) -> CheckResult:
+    """The coefficient kernels the lab runs against the 2x2 realization.
+
+    algebra.coeff_bracket, operator.comm and torus.comm (coefficients on
+    axis 0) against ``bracket``, and coeff_norm against ``norm``, on 32
+    random su(2) pairs and 32 random sl(2,C) pairs; each error is relative
+    to the largest entry of its oracle.
+    """
+    su2 = rng.normal(size=(2, 32, 3))
+    sl2c = rng.normal(size=(2, 32, 3)) + 1j * rng.normal(size=(2, 32, 3))
+
+    def mats(c):
+        return np.array([algebra.coeffs_to_su2(ci) for ci in c])
+
+    def rel(got, want):
+        return float(np.max(np.abs(got - want))) / float(np.max(np.abs(want)))
+
+    errs = []
+    for u, v in (su2, sl2c):
+        want = algebra.bracket(mats(u), mats(v))
+        errs += [(rel(mats(got), want), name) for name, got in (
+            ("algebra.coeff_bracket", algebra.coeff_bracket(u, v)),
+            ("operator.comm", op.comm(u, v)),
+            ("torus.comm", comm(u.T, v.T).T))]
+        errs.append((rel(algebra.coeff_norm(u), algebra.norm(mats(u))), "algebra.coeff_norm"))
+    err, worst = max(errs)
+    return CheckResult.from_bound(
+        "coeff_kernels_match_matrices",
+        "coefficient bracket and norm kernels equal the 2x2 bracket and norm",
+        err, 1e-14 * tol_scale, location=f"worst: {worst}")
 
 
 def clifford_suite(seed: int, tol_scale: float = 1.0) -> list[CheckResult]:
@@ -140,10 +173,11 @@ def model_suite(seed: int, tol_scale: float = 1.0, m: int = 1, samples: int = 20
     rng = np.random.default_rng(seed)
     ms = model.ModelSolution(m)
     out = []
-    th, x = model.theta(4.0 + 0.0j, 3.0)
+    f = model.fields(ms, 3.0, 4.0 + 0.0j)
     out.append(CheckResult.from_bound(
         "theta_pythagoras", "x = sqrt(t^2 + |z|^2); sinh Theta = t/|z|",
-        max(abs(x - 5.0), abs(math.sinh(th) - 0.75)), 1e-14 * tol_scale))
+        max(abs(float(f["x"]) - 5.0), abs(math.sinh(float(f["theta"])) - 0.75)),
+        1e-14 * tol_scale))
     pts = model.sample_points(rng, max(10, samples // 10))
     worst = max(model.verify_reduced_eqs(ms, pts, 1e-4).values())
     out.append(CheckResult.from_bound(
@@ -296,17 +330,17 @@ def spectral_suite(seed: int, tol_scale: float = 1.0) -> list[CheckResult]:
     hs = spectral.hardy_suite()
     out.append(CheckResult.from_bound(
         "hardy_halfline", "int f^2/t^2 <= 4 int f'^2",
-        hs["halfline"]["ratio_sup"], 4.0 + 1e-9 * tol_scale))
+        hs["halfline"]["ratio_sup"], hs["halfline"]["constant"] + 1e-9 * tol_scale))
     out.append(CheckResult.from_bool(
         "hardy_halfline_sharp", "near-extremal family exceeds 3.5",
         hs["halfline"]["sweep_reaches"] > 3.5,
         location=f"sweep max {hs['halfline']['sweep_reaches']:.4f}"))
     out.append(CheckResult.from_bound(
         "hardy_cone", "int psi^2/x^2 <= 4/9 of the gradient energy",
-        hs["cone"]["ratio_sup"], 4.0 / 9.0 + 1e-9 * tol_scale))
+        hs["cone"]["ratio_sup"], hs["cone"]["constant"] + 1e-9 * tol_scale))
     out.append(CheckResult.from_bound(
         "hardy_profile", "weighted profile inequality with constant 4",
-        hs["profile"]["ratio_sup"], 4.0 + 1e-9 * tol_scale))
+        hs["profile"]["ratio_sup"], hs["profile"]["constant"] + 1e-9 * tol_scale))
     he = spectral.hemisphere_eig0(2000)
     out.append(CheckResult.from_bound(
         "hemisphere_ground", "lowest polar Dirichlet eigenvalue is 2",

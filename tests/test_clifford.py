@@ -59,6 +59,17 @@ def test_u_endo():
         cl.u_endo(0.0, 0.0, 0.0)
 
 
+def test_u_endo_batched():
+    rng = np.random.default_rng(6)
+    q = rng.normal(size=(4, 5, 3))
+    u = cl.u_endo(q[..., 0], q[..., 1], q[..., 2])
+    assert u.shape == (4, 5, 8, 8)
+    for idx in np.ndindex(4, 5):
+        assert np.array_equal(u[idx], cl.u_endo(*q[idx]))
+    with pytest.raises(ValueError):
+        cl.u_endo(np.array([1.0, 0.0]), 0.0, 0.0)
+
+
 @pytest.mark.parametrize("t", [1.0, 2.0, 0.37])
 def test_nahm_pole_spectrum(t):
     evs, mult = cl.nahm_pole_spectrum(t)

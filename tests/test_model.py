@@ -13,16 +13,17 @@ from kwlab.backgrounds import ModelBackground
 
 
 def test_theta_examples():
-    th, x = model.theta(1.0 + 0.0j, 1.0)
-    assert abs(th - math.log(1 + math.sqrt(2))) < 1e-12  # arcsinh(1)
-    th2, _ = model.theta(1e6 + 0.0j, 1.0)
-    assert th2 < 2e-6
-    _, x = model.theta(4.0 + 0.0j, 3.0)
-    assert abs(x - 5.0) < 1e-14
-    th3, x3 = model.theta(0.0j, 2.0)
-    assert math.isinf(th3) and abs(x3 - 2.0) < 1e-14
+    ms = model.ModelSolution(1)
+    f = model.fields(ms, np.array([1.0, 1.0, 3.0, 2.0]),
+                     np.array([1.0, 1e6, 4.0, 0.0], dtype=complex))
+    th, x = f["theta"], f["x"]
+    assert abs(th[0] - math.log(1 + math.sqrt(2))) < 1e-12  # arcsinh(1)
+    assert th[1] < 2e-6
+    assert abs(x[2] - 5.0) < 1e-14
+    assert abs(math.sinh(th[2]) - 0.75) < 1e-15
+    assert math.isinf(th[3]) and abs(x[3] - 2.0) < 1e-14
     with pytest.raises(ValueError):
-        model.theta(1.0 + 0.0j, -1.0)
+        model.fields(ms, -1.0, 1.0 + 0.0j)
 
 
 def test_nahm_pole_member():

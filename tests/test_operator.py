@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from kwlab import operator as op
-from kwlab.algebra import SIGMA, bracket, coeffs_to_su2, norm, su2_to_coeffs
+from kwlab.algebra import SIGMA, bracket, coeff_norm, coeffs_to_su2, norm, su2_to_coeffs
 from kwlab.backgrounds import (
     ModelBackground, NahmBackground, TorusTrigBackground, TrivialBackground,
     make_background,
 )
-from kwlab.clifford import ad_matrix
 from kwlab.suites import operator_suite, run_suite
 
 RNG = np.random.default_rng(0)
@@ -72,7 +71,7 @@ def test_comm_sign_slip_is_caught():
 def test_spinor_norms_match_trace(complex_):
     v, _ = _coeff_pair(np.random.default_rng(4), (5, 8, 3), (3,), complex_)
     want = norm(_to_mat(v))  # sqrt(1/2 trace(u^dag u)) per slot
-    np.testing.assert_allclose(op.spinor_slot_norms(v), want, rtol=1e-14)
+    np.testing.assert_allclose(coeff_norm(v), want, rtol=1e-14)
     np.testing.assert_allclose(op.spinor_norm(v), np.sqrt(np.sum(want ** 2, axis=-1)),
                                rtol=1e-14)
     assert op.spinor_max(v) == pytest.approx(float(np.max(want)), rel=1e-14)
@@ -86,7 +85,9 @@ def test_x_matrix24_matches_ad_matrix():
     scale = np.max(np.abs(X24))
     for r in range(8):
         for s in range(8):
-            want = ad_matrix(coeffs_to_su2(X[r, s]))
+            # column a holds the coefficients of [X_rs, sigma_a]
+            x = coeffs_to_su2(X[r, s])
+            want = np.array([su2_to_coeffs(bracket(x, SIGMA[a])) for a in range(3)]).T
             np.testing.assert_allclose(X24[3 * r:3 * r + 3, 3 * s:3 * s + 3], want,
                                        rtol=0, atol=1e-14 * scale)
     # and the 24x24 matrix acts on a flattened spinor as apply_x does

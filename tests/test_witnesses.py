@@ -1,0 +1,115 @@
+"""Witnesses: a planted defect in each constant object and each coefficient
+kernel fails the suite check that validates it.
+
+Theta, U, Q and ad each have one definition, used both by the check and by
+the code that needs it, so a defect in the definition also changes what that
+code computes.  A defect is planted by replacing the one definition wherever
+a kwlab module holds it, as a wrong line in its body would.
+"""
+
+import sys
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+from kwlab import algebra, clifford, model, torus
+from kwlab import operator as op
+from kwlab.backgrounds import ModelBackground
+from kwlab.suites import run_suite
+
+
+def plant(monkeypatch, fn, broken):
+    """Replace fn by broken in every kwlab module that holds it."""
+    for name, mod in list(sys.modules.items()):
+        if mod is not None and (name == "kwlab" or name.startswith("kwlab.")):
+            for key, val in list(vars(mod).items()):
+                if val is fn:
+                    monkeypatch.setattr(mod, key, broken)
+
+
+def failing(suite, **kwargs):
+    """Ids of the checks that fail or are flagged."""
+    return {c.check_id for c in run_suite(suite, seed=0, **kwargs).checks
+            if c.status != "pass"}
+
+
+def theta_upside_down(mp):
+    # Theta is the arcsinh in model.fields; the defect takes sinh Theta = |z|/t
+    upside_down = SimpleNamespace(**{**vars(np), "arcsinh": lambda s: np.arcsinh(1 / s)})
+    mp.setattr(model, "np", upside_down)
+
+
+def u_off_normalization(mp):
+    u = clifford.u_endo
+    plant(mp, u, lambda t, z1, z2: 1.001 * u(t, z1, z2))
+
+
+def q_wrong_generator(mp):
+    # Q = rho1 rho2 - [sigma1, .]: the spectrum is unchanged, [Q, L] is not
+    q = lambda: (clifford.comp_action(clifford.RHO[0] @ clifford.RHO[1])
+                 - clifford.value_action(np.eye(3)[0]))
+    plant(mp, clifford.q_endo, q)
+
+
+def ad_without_factor_two(mp):
+    ad = clifford.ad_matrix
+    plant(mp, ad, lambda x: 0.5 * ad(x))
+
+
+def ad_sign_slip(mp):
+    # a global sign leaves the pole and Q spectra as they are; the
+    # operator's own brackets disagree with the assembled remainder and Q
+    ad = clifford.ad_matrix
+    plant(mp, ad, lambda x: -ad(x))
+
+
+BG = ModelBackground(1)
+P0 = np.array([1.0, 0.7, 0.4, 0.3])
+SEC = op.random_section(np.random.default_rng(0), center=P0[:3], spread=0.25)
+V = np.random.default_rng(1).normal(size=(5, 8, 3))
+T, Z = np.array([0.4, 1.0, 2.5]), np.array([0.3 + 0.2j, -1.0 + 0.5j, 2.0 - 1.0j])
+
+# (defect, suite and its options, checks that must fail, output of the code
+# that uses the object)
+WITNESSES = {
+    "theta": (theta_upside_down, ("model", {}), {"theta_pythagoras"},
+              lambda: model.fields(model.ModelSolution(1), T, Z)["alpha"]),
+    "U": (u_off_normalization, ("clifford", {}), {"u_orthogonal"},
+          lambda: op.omega_apply(BG, SEC, P0, 1e-5)),
+    "Q": (q_wrong_generator, ("clifford", {}), {"ql_commute"},
+          lambda: op.apply_q_endo(V)),
+    "ad_scale": (ad_without_factor_two, ("clifford", {}),
+                 {"pole_endo_eigenvalues_t1", "pole_endo_eigenvalues_t2", "q_spectrum"},
+                 lambda: op.x_matrix24(BG, P0)),
+    "ad_sign": (ad_sign_slip, ("operator", {"points": 20}),
+                {"weitzenbock_blocks", "omega_q_commute"}, lambda: op.x_matrix24(BG, P0)),
+}
+
+
+@pytest.mark.parametrize("name", list(WITNESSES))
+def test_defect_fails_its_check_and_changes_its_user(monkeypatch, name):
+    defect, (suite, kwargs), checks, user = WITNESSES[name]
+    before = user()
+    assert not failing(suite, **kwargs) & checks
+    defect(monkeypatch)
+    assert checks <= failing(suite, **kwargs)
+    assert not np.allclose(user(), before, rtol=1e-6, atol=0)
+
+
+KERNEL_SLIPS = {
+    "algebra.coeff_bracket": (algebra.coeff_bracket, lambda f: lambda u, v: -f(u, v)),
+    "operator.comm": (op.comm, lambda f: lambda u, v: -f(u, v)),
+    "torus.comm": (torus.comm, lambda f: lambda u, v: -f(u, v)),
+    "algebra.coeff_norm": (algebra.coeff_norm, lambda f: lambda u: 1.001 * f(u)),
+}
+
+
+@pytest.mark.parametrize("name", list(KERNEL_SLIPS))
+def test_kernel_slip_fails_kernel_check(monkeypatch, name):
+    kernel, slip = KERNEL_SLIPS[name]
+    assert "coeff_kernels_match_matrices" not in failing("algebra")
+    plant(monkeypatch, kernel, slip(kernel))
+    check = {c.check_id: c for c in run_suite("algebra", seed=0).checks}[
+        "coeff_kernels_match_matrices"]
+    assert check.status == "fail" and check.worst_location == f"worst: {name}"
