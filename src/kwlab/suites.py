@@ -166,6 +166,15 @@ def clifford_suite(seed: int, tol_scale: float = 1.0) -> list[CheckResult]:
             "eigenvalues of rho_i [a_i, .] at the pole are +-1/t, +-2/t",
             max(err, dev), 1e-10 * tol_scale,
             location=f"multiplicities {mult}"))
+    # the spectra above are invariant under ad -> -ad; the 2x2 bracket pins the sign
+    e, sigma = np.eye(3), algebra.SIGMA
+    ad_err = max(
+        float(np.max(np.abs(clifford.ad_matrix(e[a]) @ e[b]
+                            - algebra.su2_to_coeffs(algebra.bracket(sigma[a], sigma[b])))))
+        for a in range(3) for b in range(3))
+    out.append(CheckResult.from_bound(
+        "ad_matches_bracket", "ad(sigma_a) sigma_b = [sigma_a, sigma_b] on coefficients",
+        ad_err, 1e-15 * tol_scale))
     return out
 
 
@@ -261,7 +270,7 @@ def operator_suite(seed: int, tol_scale: float = 1.0, background: str = "model:1
         worst = max(flagged, key=lambda b: b["relative_diff"]) if flagged else None
         out.append(CheckResult(
             "weitzenbock_blocks", "blockwise extraction vs assembled remainder",
-            "flagged" if flagged else "pass",
+            "fail" if flagged else "pass",
             metric=rep["worst_block_diff"], tolerance=block_tol,
             worst_location=f"block {worst['block']}, {len(flagged)} flagged" if flagged else None))
     X24 = op.x_matrix24(bg, p0)

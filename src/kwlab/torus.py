@@ -7,6 +7,14 @@ traceless anti-Hermitian.  The commutator in this representation is
 [u, v] = -2 u x v (coefficient cross product) and <u, v> is the plain dot
 product of coefficients.
 
+A field may instead have shape (3, 1, N, N, N), A and a alike: the
+coefficient of the abelian line span(sigma3).  Every kernel below runs on it
+unchanged, because derivatives act on each coefficient separately and comm
+returns 0.0 for it, the bracket of that line being zero.  Its results are
+the sigma3 slices of the same kernels on the embedded three-coefficient
+field, bit for bit: every product in the bracket of two sigma3-valued fields
+has a zero factor.
+
 Every derivative takes one path: the field is contracted along the grid
 axis with a cached, read-only (N, N) periodic differentiation matrix, one
 BLAS matmul per call (diff_matrix).  The scheme picks the matrix:
@@ -42,9 +50,14 @@ def comm(u, v):
     """[u, v] on sigma coefficients: -2 (u x v) along axis 0, by components.
 
     Accepts (3,) vectors, complex coefficients and broadcastable shapes.
+    When the coefficient axis has length 1 (the sigma3 coefficient of an
+    abelian field) the bracket is zero and the result is the scalar 0.0.
     """
-    u0, u1, u2 = u = np.asarray(u)
-    v0, v1, v2 = v = np.asarray(v)
+    u, v = np.asarray(u), np.asarray(v)
+    if len(u) == len(v) == 1:
+        return 0.0
+    u0, u1, u2 = u
+    v0, v1, v2 = v
     out = np.empty(np.broadcast_shapes(u.shape, v.shape), np.result_type(u, v))
     # out[k, ...] is a view even for (3,) input, where out[k] is a scalar
     for k, (p, q, r, s) in enumerate(((u2, v1, u1, v2), (u0, v2, u2, v0),
@@ -90,7 +103,9 @@ def diff_matrix(scheme: str, N: int, L: float) -> np.ndarray:
 
 @dataclass
 class TorusField:
-    """A pair (A, a) of su(2)-valued triples on the N^3 periodic grid."""
+    """A pair (A, a) of su(2)-valued triples on the N^3 periodic grid, with
+    three sigma coefficients or, for abelian data, the sigma3 coefficient
+    alone."""
 
     N: int
     L: float = 2.0 * math.pi
@@ -104,8 +119,9 @@ class TorusField:
             self.A = np.zeros(shape)
         if self.a is None:
             self.a = np.zeros(shape)
-        if self.A.shape != shape or self.a.shape != shape:
-            raise ValueError(f"fields must have shape {shape}")
+        if self.A.shape != self.a.shape or self.A.shape not in (shape, (3, 1) + shape[2:]):
+            raise ValueError(f"fields must both have shape {shape}, or (3, 1, N, N, N) "
+                             f"for the sigma3 coefficient alone")
 
     @property
     def h(self) -> float:

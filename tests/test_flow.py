@@ -306,6 +306,86 @@ def test_k1_reuse_call_counts_and_trace(monkeypatch):
     assert tr.meta["status"] == "completed" and "blowup_step" not in tr.meta
 
 
+TRACE_COLUMNS = ("times", "cs", "grad_norm_sq", "constraint_drift", "sup_a",
+                 "energy_identity_relerr", "two_forms_relerr")
+
+
+def _sigma3_field(N, amplitude=0.05):
+    from kwlab.modes import positive_spectrum_field
+    return positive_spectrum_field(np.random.default_rng(3), N, amplitude, abelian=True)
+
+
+def test_abelian_run_matches_full_path_on_sigma1():
+    # a cyclic permutation of the sigma coefficients is a bracket
+    # automorphism; it moves the data onto sigma1, where the run takes the
+    # full three-coefficient path, and the trace must not change at all
+    F = _sigma3_field(12)
+    G = TorusField(12, A=np.roll(F.A, 1, axis=1), a=np.roll(F.a, 1, axis=1))
+    assert np.any(G.a[:, 0]) and not np.any(G.a[:, 1:])
+    cfg = FlowConfig(dt=0.05 * F.h, steps=100)
+    tr, tr_full = run_flow(F, cfg), run_flow(G, cfg)
+    assert tr.meta["abelian"] and not tr_full.meta["abelian"]
+    for col in TRACE_COLUMNS:
+        assert np.array_equal(getattr(tr, col), getattr(tr_full, col)), col
+    assert tr.summary() == tr_full.summary()
+
+
+def test_abelian_trace_equals_full_field_monitors():
+    # the sigma3-only run against the full-field RK4 state after n steps:
+    # cs exactly, and the gradient norm exactly as the trace splits it
+    # (grad_norm_sq integrates the summed density, an ulp away)
+    F = _sigma3_field(8)
+    cfg = FlowConfig(dt=0.05 * F.h, steps=6)
+    tr = run_flow(F, cfg)
+    assert tr.meta["abelian"]
+    for n in range(cfg.steps + 1):
+        A, a = _final_state(F, FlowConfig(dt=cfg.dt, steps=n))
+        Fn = TorusField(8, A=A, a=a)
+        gA, ga = gradient(Fn)
+        assert tr.cs[n] == cs_functional(Fn)
+        assert tr.grad_norm_sq[n] == (Fn.integrate(dot(gA, gA).sum(axis=0))
+                                      + Fn.integrate(dot(ga, ga).sum(axis=0)))
+        assert tr.grad_norm_sq[n] == pytest.approx(grad_norm_sq(Fn), rel=1e-12)
+
+
+def test_single_sigma1_entry_takes_full_path():
+    F = _sigma3_field(8)
+    F.A[1, 0, 2, 3, 4] = 1e-300
+    assert not run_flow(F, FlowConfig(dt=0.05 * F.h, steps=1)).meta["abelian"]
+
+
+def _nahm_field(f0, N=6):
+    # A = 0, a_i = f0 sigma_i: constant, so the flow is the Nahm-type ODE
+    # df/dt = 2 f^2, f = f0 / (1 - 2 f0 t), with cs = 2 f^3 L^3
+    F = TorusField(N)
+    for i in range(3):
+        F.a[i, i] = f0
+    return F
+
+
+def test_nahm_sector_decay_is_fourth_order():
+    errs = []
+    for frac in (0.05, 0.025):
+        F = _nahm_field(-0.5)
+        dt = frac * F.h
+        tr = run_flow(F, FlowConfig(dt=dt, steps=round(2 / dt)))
+        assert tr.meta["status"] == "completed" and not tr.meta["abelian"]
+        f = -0.5 / (1 + tr.times)
+        errs.append(np.max(np.abs(tr.cs - 2 * f ** 3 * F.L ** 3)))
+    assert errs[1] < 1e-6
+    assert errs[0] / errs[1] == pytest.approx(16.0, abs=1.5)
+
+
+@pytest.mark.parametrize("frac,t_max", [(0.05, 1.15), (0.0125, 1.05)])
+def test_nahm_sector_blows_up_after_t_one(frac, t_max):
+    # f0 = 1/2 reaches the pole at t = 1; RK4 steps past it and overflows
+    F = _nahm_field(0.5)
+    dt = frac * F.h
+    tr = run_flow(F, FlowConfig(dt=dt, steps=round(2 / dt)))
+    assert tr.meta["status"] == "diverged"
+    assert 1.0 < tr.meta["blowup_step"] * dt <= t_max
+
+
 def test_diverged_flow_stops_and_says_so():
     # random data at amplitude 0.5 on N = 8 blows up within a few steps
     F = random_field(np.random.default_rng(0), 8, amplitude=0.5)

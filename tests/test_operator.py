@@ -201,12 +201,12 @@ def test_status_agrees_with_tolerance_at_small_scale(monkeypatch):
     assert any(c.check_id == "weitzenbock_blocks" for c in bounded)
     for c in bounded:
         assert (c.status == "pass") == (c.metric <= c.tolerance), c.check_id
-    # most blocks are flagged here; the location names the worst one and a
-    # count, not every flagged block
+    # most blocks are flagged here, which fails the check; the location names
+    # the worst one and a count, not every flagged block
     blocks = next(c for c in report.checks if c.check_id == "weitzenbock_blocks")
     flagged = reports[0]["flagged_blocks"]
     worst = max(flagged, key=lambda b: b["relative_diff"])
-    assert blocks.status == "flagged" and len(flagged) > 1
+    assert blocks.status == "fail" and len(flagged) > 1
     assert worst["relative_diff"] == blocks.metric
     assert blocks.worst_location == f"block {worst['block']}, {len(flagged)} flagged"
     assert len(blocks.worst_location) < 100

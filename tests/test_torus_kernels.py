@@ -13,7 +13,8 @@ import pytest
 
 from kwlab.algebra import EPS
 from kwlab.torus import (
-    TorusField, b_field, comm, curl_cov, diff_matrix, div_cov, random_field, star_wedge,
+    TorusField, b_field, comm, cs_functional, curl_cov, diff_matrix, div_cov, gradient,
+    random_field, star_wedge,
 )
 
 
@@ -201,3 +202,25 @@ def test_flipped_bracket_sign_is_caught(field):
     assert _relerr(curl_cov(F, F.a), _ref_curl_cov(F, F.a, sign=-1.0)) > 1e-2
     assert _relerr(star_wedge(F.a), _ref_star_wedge(F.a, F.a, sign=-1.0)) > 1e-2
     assert _relerr(div_cov(F, F.a), _ref_div_cov(F, F.a, sign=-1.0)) > 1e-2
+
+
+def test_sigma3_coefficient_field_is_the_sigma3_slice(field):
+    # a (3, 1, N, N, N) field is the sigma3 coefficient of an abelian field:
+    # each kernel on it equals, bit for bit, the sigma3 slice of the same
+    # kernel on the embedded three-coefficient field
+    full = field.copy()
+    full.A[:, :2] = 0.0
+    full.a[:, :2] = 0.0
+    line = TorusField(full.N, full.L, full.A[:, 2:].copy(), full.a[:, 2:].copy(), full.scheme)
+    assert comm(line.A[0], line.a[1]) == 0.0
+    for i in range(3):
+        assert np.array_equal(line.deriv(line.a, i), full.deriv(full.a, i)[:, 2:])
+    assert np.array_equal(b_field(line), b_field(full)[:, 2:])
+    assert np.array_equal(curl_cov(line, line.a), curl_cov(full, full.a)[:, 2:])
+    assert np.array_equal(star_wedge(line.a), star_wedge(full.a)[:, 2:])
+    assert np.array_equal(div_cov(line, line.a), div_cov(full, full.a)[2:])
+    for g_line, g_full in zip(gradient(line), gradient(full)):
+        assert np.array_equal(g_line, g_full[:, 2:])
+    assert cs_functional(line) == cs_functional(full)
+    with pytest.raises(ValueError, match="shape"):
+        TorusField(full.N, A=full.A, a=line.a)

@@ -59,7 +59,7 @@ def ad_without_factor_two(mp):
 
 def ad_sign_slip(mp):
     # a global sign leaves the pole and Q spectra as they are; the
-    # operator's own brackets disagree with the assembled remainder and Q
+    # coefficient brackets, the operator's own brackets and Q disagree with it
     ad = clifford.ad_matrix
     plant(mp, ad, lambda x: -ad(x))
 
@@ -84,6 +84,8 @@ WITNESSES = {
                  lambda: op.x_matrix24(BG, P0)),
     "ad_sign": (ad_sign_slip, ("operator", {"points": 20}),
                 {"weitzenbock_blocks", "omega_q_commute"}, lambda: op.x_matrix24(BG, P0)),
+    "ad_sign_clifford": (ad_sign_slip, ("clifford", {}), {"ad_matches_bracket"},
+                         lambda: op.x_matrix24(BG, P0)),
 }
 
 
