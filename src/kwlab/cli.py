@@ -5,16 +5,17 @@
     kwlab spectral {hardy|hemisphere|exclusion|ode} [...]
     kwlab flow run --config cfg.json [--out DIR]
 
-Suites: algebra, clifford, model, operator, spectral, flow-smoke, all.
-Reports are JSON on stdout (or --out); identical invocations produce
-byte-identical reports (timings go to stderr).  Exit codes: 0 = all checks
-pass (flagged items allowed), 1 = at least one failure, 2 = usage error.
+Suites: algebra, clifford, model, operator, spectral, flow-smoke, all;
+`verify <suite>` is the same command as `<suite>`.  Reports are strict JSON
+on stdout (or --out); identical invocations produce byte-identical reports
+(timings go to stderr).  Exit codes: 0 = every check passes, 1 = at least
+one check fails (or a flow diverges), 2 = usage error, including an output
+path that cannot be written.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -28,7 +29,7 @@ from .backgrounds import make_background
 from .flow import CFLError, FlowConfig, lojasiewicz_fit, run_flow
 from .modes import positive_spectrum_field
 from .operator import smallest_nonzero_symbol_eig
-from .reporting import SuiteReport
+from .reporting import csv_text, json_text
 from .suites import SUITE_NAMES, run_suite
 from .torus import TorusField, random_field
 
@@ -83,43 +84,48 @@ def _background_kind(text: str) -> str:
     return text
 
 
-def _suite_kwargs(args) -> dict:
-    kw = {}
-    if args.suite == "model":
-        kw["m"] = args.m
-        kw["samples"] = args.samples
-    if args.suite == "operator":
-        kw["background"] = args.background
-        kw["points"] = args.points
-    return kw
+# each suite's own options: flag -> add_argument keywords; the flag's dest
+# is the keyword the suite function takes
+SUITE_OPTIONS = {
+    "model": {
+        "--m": dict(type=_int_in_range(0), default=1),
+        "--samples": dict(type=_int_in_range(1), default=200),
+    },
+    "operator": {
+        "--background": dict(type=_background_kind, default="model:1",
+                             help="trivial | nahm | model:m"),
+        "--points": dict(type=_int_in_range(1), default=200),
+    },
+}
 
 
-def _emit_report(rep: SuiteReport, args) -> int:
-    text = rep.to_json()
-    if args.out:
-        try:
-            with open(args.out, "w") as fh:
-                fh.write(text + "\n")
-        except OSError as exc:
-            print(f"error: cannot write report to {args.out!r}: {exc}", file=sys.stderr)
-            return 2
-    else:
-        print(text)
-    if args.table or rep.suite == "clifford":
-        print(rep.table(), file=sys.stderr)
-    if rep.wall_time_s is not None:
-        print(f"[{rep.suite}] wall time {rep.wall_time_s:.2f} s", file=sys.stderr)
-    return rep.exit_code
+class Unwritable(Exception):
+    """Unwritable(path, OSError): an output path that cannot be written,
+    reported as one error line and exit 2."""
+
+
+def _write(text: str, out: str | None) -> None:
+    """Write text, with a final newline if it has none, to the file out, or
+    to stdout when out is None."""
+    if not text.endswith("\n"):
+        text += "\n"
+    if out is None:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(out, "w", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise Unwritable(out, exc) from None
 
 
 def _cmd_suite(args) -> int:
-    try:
-        rep = run_suite(args.suite, seed=args.seed, tol_scale=args.tolerance_scale,
-                        **_suite_kwargs(args))
-    except KeyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return _emit_report(rep, args)
+    kwargs = {flag[2:]: getattr(args, flag[2:]) for flag in SUITE_OPTIONS.get(args.suite, ())}
+    rep = run_suite(args.suite, seed=args.seed, tol_scale=args.tolerance_scale, **kwargs)
+    _write(rep.to_json(), args.out)
+    if args.table or rep.suite == "clifford":
+        print(rep.table(), file=sys.stderr)
+    return rep.exit_code
 
 
 def _cmd_spectral(args) -> int:
@@ -127,64 +133,43 @@ def _cmd_spectral(args) -> int:
         return _cmd_suite(args)
     if args.mode == "hardy":
         payload = spectral_mod.hardy_suite()
-        payload["halfline"]["ratio_sweep"] = {
-            str(k): v for k, v in payload["halfline"]["ratio_sweep"].items()}
-        text = json.dumps(payload, indent=2, sort_keys=True)
-        ok = all(payload[k]["pass"] for k in payload)
-        _write(text, args.out)
-        return 0 if ok else 1
+        _write(json_text(payload), args.out)
+        return 0 if all(payload[k]["pass"] for k in payload) else 1
     if args.mode == "hemisphere":
         he = spectral_mod.hemisphere_eig0(args.mesh)
         out = args.out or "hemisphere.csv"
-        with open(out, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["eigenvalue", he["eigenvalue"]])
-            w.writerow(["second_eigenvalue", he["second_eigenvalue"]])
-            w.writerow(["theta", "eigenfunction"])
-            for th, f in zip(he["theta"], he["eigenfunction"]):
-                w.writerow([f"{th:.8g}", f"{f:.10g}"])
+        _write(csv_text([["eigenvalue", he["eigenvalue"]],
+                         ["second_eigenvalue", he["second_eigenvalue"]],
+                         ["theta", "eigenfunction"]]
+                        + [[f"{th:.8g}", f"{f:.10g}"]
+                           for th, f in zip(he["theta"], he["eigenfunction"])]), out)
         print(f"lowest eigenvalue {he['eigenvalue']:.6f} "
               f"(distance to cos: {he['eigenfunction_distance_to_cos']:.2e}); "
               f"wrote {out}", file=sys.stderr)
         return 0 if abs(he["eigenvalue"] - 2.0) < 1e-3 * args.tolerance_scale else 1
     if args.mode == "exclusion":
         rep = spectral_mod.exclusion_report(args.case, args.m)
-        _write(json.dumps(rep, indent=2, sort_keys=True), args.out)
+        _write(json_text(rep), args.out)
         return 0 if rep["covers_0_to_3half"] else 1
-    if args.mode == "ode":
-        # the solutions grow like x^(+-lambda) and e^(+-k x); beyond what
-        # double precision can follow the integrator overflows and gives up,
-        # which is reported as one error line
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                st = spectral_mod.radial_ode_solve(args.lam, args.k)
-                adm = spectral_mod.radial_admissible(args.lam, args.k)
-        except RuntimeError as exc:
-            print(f"error: no radial solution at --lambda {args.lam:g} --k {args.k:g}: {exc}",
-                  file=sys.stderr)
-            return 2
-        out = args.out or "radial_ode.csv"
-        with open(out, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["x", "a", "b"])
-            for x, a, b in zip(st.x_grid, st.a, st.b):
-                w.writerow([f"{x:.8g}", f"{a:.10g}", f"{b:.10g}"])
-        print(json.dumps({"lambda": args.lam, "k": args.k,
-                          "identity_residual": st.identity_residual,
-                          "admissible": adm["admissible"],
-                          "exponent_at_zero": adm["exponent_at_zero"]},
-                         indent=2, sort_keys=True))
-        return 0
-    print(f"error: unknown spectral mode {args.mode!r}", file=sys.stderr)
-    return 2
-
-
-def _write(text: str, out) -> None:
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    # ode: the solutions grow like x^(+-lambda) and e^(+-k x); beyond what
+    # double precision can follow the integrator overflows and gives up,
+    # which is reported as one error line
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            st = spectral_mod.radial_ode_solve(args.lam, args.k)
+            adm = spectral_mod.radial_admissible(args.lam, args.k)
+    except RuntimeError as exc:
+        print(f"error: no radial solution at --lambda {args.lam:g} --k {args.k:g}: {exc}",
+              file=sys.stderr)
+        return 2
+    _write(csv_text([["x", "a", "b"]] + [[f"{x:.8g}", f"{a:.10g}", f"{b:.10g}"]
+                                         for x, a, b in zip(st.x_grid, st.a, st.b)]),
+           args.out or "radial_ode.csv")
+    _write(json_text({"lambda": args.lam, "k": args.k,
+                  "identity_residual": st.identity_residual,
+                  "admissible": adm["admissible"],
+                  "exponent_at_zero": adm["exponent_at_zero"]}), None)
+    return 0
 
 
 FLOW_SCHEMA = {
@@ -264,8 +249,11 @@ def _cmd_flow(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     outdir = args.out or "."
-    os.makedirs(outdir, exist_ok=True)
-    trace.to_csv(f"{outdir}/trace.csv")
+    try:
+        os.makedirs(outdir, exist_ok=True)
+    except OSError as exc:
+        raise Unwritable(outdir, exc) from None
+    _write(trace.to_csv(), f"{outdir}/trace.csv")
     summary = trace.summary()
     summary["config"] = cfg
     try:
@@ -275,9 +263,7 @@ def _cmd_flow(args) -> int:
     gap = smallest_nonzero_symbol_eig(cfg["kmax_linear"], cfg["L"])
     summary["linear_gap"] = gap
     summary["predicted_linear_deficit_rate"] = 2.0 * gap
-    with open(f"{outdir}/summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+    _write(json_text(summary), f"{outdir}/summary.json")
     print(f"wrote {outdir}/trace.csv and {outdir}/summary.json", file=sys.stderr)
     if trace.meta["status"] == "diverged":
         print(f"flow diverged at step {trace.meta['blowup_step']}", file=sys.stderr)
@@ -290,33 +276,19 @@ def build_parser() -> argparse.ArgumentParser:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    for name in SUITE_NAMES + ("all",):
+        p = sub.add_parser(name, help=f"run the {name} suite")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", type=str, default=None)
         p.add_argument("--tolerance-scale", dest="tolerance_scale", type=float, default=1.0)
         p.add_argument("--table", action="store_true", help="also print a human table")
-
-    def add_suite_options(p, name):
-        if name == "model":
-            p.add_argument("--m", type=_int_in_range(0), default=1)
-            p.add_argument("--samples", type=_int_in_range(1), default=200)
-        if name == "operator":
-            p.add_argument("--background", type=_background_kind, default="model:1",
-                           help="trivial | nahm | model:m")
-            p.add_argument("--points", type=_int_in_range(1), default=200)
-
-    for name in SUITE_NAMES + ("all",):
-        if name == "spectral":
-            continue
-        p = sub.add_parser(name, help=f"run the {name} suite")
-        add_common(p)
-        add_suite_options(p, name)
+        for flag, spec in SUITE_OPTIONS.get(name, {}).items():
+            p.add_argument(flag, **spec)
         p.set_defaults(func=_cmd_suite, suite=name)
 
-    sp = sub.add_parser("spectral", help="spectral suite or one of its solvers")
-    sp.add_argument("mode", nargs="?", default=None,
+    sp = sub.choices["spectral"]
+    sp.add_argument("mode", nargs="?", default=None, help="run this solver instead",
                     choices=["hardy", "hemisphere", "exclusion", "ode"])
-    add_common(sp)
     sp.add_argument("--case", type=str, default="b3ct",
                     choices=["b3ct", "case2", "case3"])
     sp.add_argument("--m", type=_int_in_range(1), default=1,
@@ -324,18 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--mesh", type=_int_in_range(100, MAX_MESH), default=2000)
     sp.add_argument("--lambda", dest="lam", type=_finite_float, default=1.0)
     sp.add_argument("--k", type=_nonzero_float, default=1.0)
-    sp.set_defaults(func=_cmd_spectral, suite="spectral")
-
-    vp = sub.add_parser("verify", help="alias: verify <suite> [options]")
-    vsub = vp.add_subparsers(dest="suite", required=True)
-    for name in SUITE_NAMES + ("all",):
-        p = vsub.add_parser(name)
-        add_common(p)
-        add_suite_options(p, name)
-        if name == "spectral":
-            p.set_defaults(func=_cmd_spectral, suite=name, mode=None)
-        else:
-            p.set_defaults(func=_cmd_suite, suite=name)
+    sp.set_defaults(func=_cmd_spectral)
 
     fp = sub.add_parser("flow", help="run the gradient flow from a JSON config")
     fsub = fp.add_subparsers(dest="flow_cmd", required=True)
@@ -347,10 +308,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
+    if argv[:1] == ["verify"]:
+        del argv[0]  # `verify <suite>` is `<suite>`
+    args = build_parser().parse_args(argv)
     t0 = time.perf_counter()
-    code = args.func(args)
+    try:
+        code = args.func(args)
+    except Unwritable as exc:
+        print(f"error: cannot write {exc.args[0]!r}: {exc.args[1]}", file=sys.stderr)
+        code = 2
     print(f"[kwlab] total {time.perf_counter() - t0:.2f} s", file=sys.stderr)
     return code
 

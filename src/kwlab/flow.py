@@ -16,12 +16,12 @@ asserted up front (h = grid spacing); no adaptivity, for reproducibility.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .reporting import csv_text, finite_or_none
 from .torus import TorusField, b_field, cs_functional, div_cov, dot, gradient
 
 CFL_FACTOR = 0.2
@@ -34,11 +34,6 @@ class CFLError(ValueError):
             f"dt = {dt:g} exceeds the stability bound {bound:g}; "
             f"suggested dt = {self.suggested_dt:g}"
         )
-
-
-def _finite_or_none(x) -> float | None:
-    x = float(x)
-    return x if math.isfinite(x) else None
 
 
 @dataclass
@@ -67,34 +62,31 @@ class FlowTrace:
         inner = slice(1, -1) if len(self.times) > 2 else slice(None)
         out = {
             "steps": int(len(self.times) - 1),
-            "cs_initial": _finite_or_none(self.cs[0]),
-            "cs_final": _finite_or_none(self.cs[-1]),
+            "cs_initial": finite_or_none(self.cs[0]),
+            "cs_final": finite_or_none(self.cs[-1]),
             "monotone": bool(self.monotone),
-            "worst_decrease": _finite_or_none(self.worst_decrease),
-            "energy_identity_max_relerr": _finite_or_none(
+            "worst_decrease": finite_or_none(self.worst_decrease),
+            "energy_identity_max_relerr": finite_or_none(
                 np.max(self.energy_identity_relerr[inner]) if len(self.times) > 2 else 0.0
             ),
-            "two_forms_max_relerr": _finite_or_none(
+            "two_forms_max_relerr": finite_or_none(
                 np.max(self.two_forms_relerr[inner]) if len(self.times) > 2 else 0.0
             ),
-            "constraint_drift_max": _finite_or_none(np.max(self.constraint_drift)),
-            "sup_a_max": _finite_or_none(np.max(self.sup_a)),
+            "constraint_drift_max": finite_or_none(np.max(self.constraint_drift)),
+            "sup_a_max": finite_or_none(np.max(self.sup_a)),
         }
         out.update((k, self.meta[k]) for k in ("status", "blowup_step") if k in self.meta)
         return out
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["step", "time", "cs", "grad_norm_sq",
-                        "energy_identity_relerr", "constraint_drift", "sup_a"])
-            for i in range(len(self.times)):
-                w.writerow([
-                    i, f"{self.times[i]:.10g}", f"{self.cs[i]:.12g}",
-                    f"{self.grad_norm_sq[i]:.12g}",
-                    f"{self.energy_identity_relerr[i]:.6g}",
-                    f"{self.constraint_drift[i]:.6g}", f"{self.sup_a[i]:.6g}",
-                ])
+    def to_csv(self) -> str:
+        """The trace as CSV text, one row per recorded step."""
+        header = ["step", "time", "cs", "grad_norm_sq",
+                  "energy_identity_relerr", "constraint_drift", "sup_a"]
+        return csv_text([header] + [
+            [i, f"{self.times[i]:.10g}", f"{self.cs[i]:.12g}", f"{self.grad_norm_sq[i]:.12g}",
+             f"{self.energy_identity_relerr[i]:.6g}", f"{self.constraint_drift[i]:.6g}",
+             f"{self.sup_a[i]:.6g}"]
+            for i in range(len(self.times))])
 
 
 def _rhs(F: TorusField, A, a):

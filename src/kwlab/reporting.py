@@ -1,9 +1,33 @@
-"""Machine-readable pass/fail reports for the verification suites."""
+"""Machine-readable pass/fail reports for the verification suites, and the
+JSON and CSV rendering of everything the command line writes.
+
+A report is strict JSON: a number that is not finite is written as null.
+"""
 
 from __future__ import annotations
 
+import csv
+import io
 import json
+import math
 from dataclasses import dataclass, field
+
+
+def finite_or_none(x) -> float | None:
+    """x as a float, or None when it is None or not finite."""
+    return None if x is None or not math.isfinite(x) else float(x)
+
+
+def json_text(payload) -> str:
+    """payload as strict JSON with sorted keys; equal payloads, equal bytes."""
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+
+
+def csv_text(rows) -> str:
+    """rows as CSV text, with the csv module's defaults (CRLF line ends)."""
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
 
 
 @dataclass
@@ -11,8 +35,8 @@ class CheckResult:
     """One check: an identity or bound with its measured metric.
 
     ref names the mathematical fact being checked (or 'plumbing' for
-    artifact-internal checks); status is 'pass', 'fail' or 'flagged'
-    (flagged = reported anomaly that does not fail the suite).
+    artifact-internal checks); status is 'pass' or 'fail'.  A bound passes
+    when metric <= tolerance, which a NaN metric never is.
     """
 
     check_id: str
@@ -36,8 +60,8 @@ class CheckResult:
             "check_id": self.check_id,
             "ref": self.ref,
             "status": self.status,
-            "metric": self.metric,
-            "tolerance": self.tolerance,
+            "metric": finite_or_none(self.metric),
+            "tolerance": finite_or_none(self.tolerance),
             "worst_location": self.worst_location,
         }
 
@@ -47,39 +71,33 @@ class SuiteReport:
     suite: str
     seed: int
     checks: list[CheckResult] = field(default_factory=list)
-    wall_time_s: float | None = None  # kept out of the JSON payload so that
-    # identical invocations produce byte-identical reports
 
     @property
     def n_fail(self) -> int:
         return sum(1 for c in self.checks if c.status == "fail")
 
     @property
-    def n_flagged(self) -> int:
-        return sum(1 for c in self.checks if c.status == "flagged")
-
-    @property
     def exit_code(self) -> int:
         return 1 if self.n_fail else 0
 
     def to_json(self) -> str:
-        payload = {
+        """The report as strict JSON: no timings, so identical runs give
+        identical bytes."""
+        return json_text({
             "suite": self.suite,
             "seed": self.seed,
             "n_checks": len(self.checks),
             "n_fail": self.n_fail,
-            "n_flagged": self.n_flagged,
             "checks": [c.to_dict() for c in self.checks],
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
+        })
 
     def table(self) -> str:
+        """A human-readable table of the checks."""
         lines = [f"suite: {self.suite} (seed {self.seed})"]
         width = max((len(c.check_id) for c in self.checks), default=10)
         for c in self.checks:
             metric = "" if c.metric is None else f"  metric={c.metric:.3e}"
             tol = "" if c.tolerance is None else f" tol={c.tolerance:.1e}"
-            lines.append(f"  [{c.status.upper():7s}] {c.check_id:<{width}s}{metric}{tol}")
-        lines.append(f"  -> {len(self.checks)} checks, {self.n_fail} failed, "
-                     f"{self.n_flagged} flagged")
+            lines.append(f"  [{c.status.upper()}] {c.check_id:<{width}s}{metric}{tol}")
+        lines.append(f"  -> {len(self.checks)} checks, {self.n_fail} failed")
         return "\n".join(lines)

@@ -214,10 +214,11 @@ def model_suite(seed: int, tol_scale: float = 1.0, m: int = 1, samples: int = 20
     out.append(CheckResult.from_bound(
         "scaling_equivariance", "fields fixed by (t, z) -> (lambda t, lambda z)",
         rep["scaling_equivariance_err"], 1e-12 * tol_scale))
-    out.append(CheckResult(
-        "curvature_decay", "|B3|, |E1|, |E2| <= C t / x^3", "pass",
-        metric=rep["curvature_x3_over_t_sup"], tolerance=None,
-        worst_location="reported constant"))
+    # x^3/t |B3| tends to (m+1)/2 as Theta -> inf and x^3/t |E| to m(m+2)/3
+    # as Theta -> 0, the larger of the two for m >= 1; at m = 0 both vanish
+    out.append(CheckResult.from_bound(
+        "curvature_decay", "|B3|, |E1|, |E2| <= m(m+2)/3 t / x^3",
+        rep["curvature_x3_over_t_sup"], m * (m + 2) / 3 + 1e-9 * tol_scale))
     if m >= 1:
         c4 = model.case4_solution(ms, m, p0, 1e-4)
         out.append(CheckResult.from_bound(
@@ -268,11 +269,10 @@ def operator_suite(seed: int, tol_scale: float = 1.0, background: str = "model:1
         rep = op.bochner_block_report(bg, p0, tol=block_tol)
         flagged = rep["flagged_blocks"]
         worst = max(flagged, key=lambda b: b["relative_diff"]) if flagged else None
-        out.append(CheckResult(
+        out.append(CheckResult.from_bound(
             "weitzenbock_blocks", "blockwise extraction vs assembled remainder",
-            "fail" if flagged else "pass",
-            metric=rep["worst_block_diff"], tolerance=block_tol,
-            worst_location=f"block {worst['block']}, {len(flagged)} flagged" if flagged else None))
+            rep["worst_block_diff"], block_tol,
+            location=f"block {worst['block']}, {len(flagged)} flagged" if flagged else None))
     X24 = op.x_matrix24(bg, p0)
     zero_rows = max(float(np.max(np.abs(X24[6:9, :]))), float(np.max(np.abs(X24[21:24, :]))),
                     float(np.max(np.abs(X24[:, 6:9]))), float(np.max(np.abs(X24[:, 21:24]))))
@@ -516,9 +516,8 @@ SUITES = {
 
 
 def run_suite(name: str, seed: int = 0, tol_scale: float = 1.0, **kwargs) -> SuiteReport:
-    import time
-
-    start = time.perf_counter()
+    """The named suite's report ('all': every suite, ids prefixed with the
+    suite name); an unknown name raises KeyError."""
     if name == "all":
         checks = []
         for sub in SUITE_NAMES:
@@ -526,10 +525,7 @@ def run_suite(name: str, seed: int = 0, tol_scale: float = 1.0, **kwargs) -> Sui
             for c in sub_checks:
                 c.check_id = f"{sub}.{c.check_id}"
             checks.extend(sub_checks)
-        return SuiteReport(suite="all", seed=seed, checks=checks,
-                           wall_time_s=time.perf_counter() - start)
+        return SuiteReport(suite="all", seed=seed, checks=checks)
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}")
-    checks = SUITES[name](seed, tol_scale, **kwargs)
-    return SuiteReport(suite=name, seed=seed, checks=checks,
-                       wall_time_s=time.perf_counter() - start)
+    return SuiteReport(suite=name, seed=seed, checks=SUITES[name](seed, tol_scale, **kwargs))

@@ -229,10 +229,51 @@ def test_tolerance_scale_plumbs_through(capsys):
     assert any(t >= 1e-11 for t in tols)
 
 
-def test_unwritable_out_path(capsys):
-    code, _, err = run(["algebra", "--out", "/nonexistent-dir/report.json"], capsys)
-    assert code == 2
-    assert "cannot write" in err
+WRITERS = {
+    "suite": ["algebra"],
+    "hardy": ["spectral", "hardy"],
+    "exclusion": ["spectral", "exclusion"],
+    "hemisphere": ["spectral", "hemisphere", "--mesh", "200"],
+    "ode": ["spectral", "ode"],
+    "flow": ["flow", "run", "--config", "CONFIG"],
+}
+
+
+@pytest.mark.parametrize("name", list(WRITERS))
+def test_unwritable_out_path(name, tmp_path, capsys):
+    # a path under a regular file cannot be created, not even by root
+    (tmp_path / "file").write_text("")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"N": 8, "dt": 0.02, "steps": 3,
+                               "init": {"kind": "zero", "amplitude": 0.0}}))
+    argv = [str(cfg) if a == "CONFIG" else a for a in WRITERS[name]]
+    code, stdout, err = run([*argv, "--out", str(tmp_path / "file" / "x")], capsys)
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert code == 2 and stdout == "" and "Traceback" not in err
+    assert len(errors) == 1 and errors[0].startswith("error: cannot write")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "file"]
+
+
+@pytest.mark.parametrize("argv", [["algebra"], ["clifford"], ["model", "--samples", "20"],
+                                  ["spectral"]])
+def test_verify_prefix_gives_the_same_report(argv, tmp_path, capsys):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    code_a, _, _ = run([*argv, "--out", str(a)], capsys)
+    code_b, _, _ = run(["verify", *argv, "--out", str(b)], capsys)
+    assert code_a == code_b == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
+def test_key_error_inside_a_check_is_not_a_usage_error(monkeypatch):
+    # argparse limits suite names, so a KeyError can only come from a check
+    from kwlab import suites
+
+    def broken(seed, tol_scale):
+        return {}["missing"]
+
+    monkeypatch.setitem(suites.SUITES, "algebra", broken)
+    with pytest.raises(KeyError):
+        main(["algebra"])
 
 
 @pytest.mark.parametrize("argv", [

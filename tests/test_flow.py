@@ -263,12 +263,10 @@ def test_constraint_drift_monitored_not_enforced():
     assert tr.constraint_drift.min() > 0.0
 
 
-def test_trace_csv(tmp_path):
+def test_trace_csv():
     F = abelian_field(8, amplitude=0.01)
     tr = run_flow(F, FlowConfig(dt=0.05 * F.h, steps=5))
-    path = tmp_path / "trace.csv"
-    tr.to_csv(path)
-    lines = path.read_text().strip().splitlines()
+    lines = tr.to_csv().splitlines()
     assert lines[0].split(",")[:3] == ["step", "time", "cs"]
     assert len(lines) == 7
 

@@ -7,6 +7,7 @@ code computes.  A defect is planted by replacing the one definition wherever
 a kwlab module holds it, as a wrong line in its body would.
 """
 
+import json
 import sys
 from types import SimpleNamespace
 
@@ -16,6 +17,7 @@ import pytest
 from kwlab import algebra, clifford, model, torus
 from kwlab import operator as op
 from kwlab.backgrounds import ModelBackground
+from kwlab.cli import main
 from kwlab.suites import run_suite
 
 
@@ -29,7 +31,7 @@ def plant(monkeypatch, fn, broken):
 
 
 def failing(suite, **kwargs):
-    """Ids of the checks that fail or are flagged."""
+    """Ids of the checks that fail."""
     return {c.check_id for c in run_suite(suite, seed=0, **kwargs).checks
             if c.status != "pass"}
 
@@ -50,6 +52,12 @@ def q_wrong_generator(mp):
     q = lambda: (clifford.comp_action(clifford.RHO[0] @ clifford.RHO[1])
                  - clifford.value_action(np.eye(3)[0]))
     plant(mp, clifford.q_endo, q)
+
+
+def e_factor_too_large(mp):
+    # |E| x^3/t then exceeds its bound m(m+2)/3 near Theta = 0
+    pf = model.profile_factors
+    plant(mp, pf, lambda m, th: {**pf(m, th), "e_factor": 1.01 * pf(m, th)["e_factor"]})
 
 
 def ad_without_factor_two(mp):
@@ -75,6 +83,8 @@ T, Z = np.array([0.4, 1.0, 2.5]), np.array([0.3 + 0.2j, -1.0 + 0.5j, 2.0 - 1.0j]
 WITNESSES = {
     "theta": (theta_upside_down, ("model", {}), {"theta_pythagoras"},
               lambda: model.fields(model.ModelSolution(1), T, Z)["alpha"]),
+    "curvature": (e_factor_too_large, ("model", {}), {"curvature_decay"},
+                  lambda: model.evaluate(model.ModelSolution(1), T, Z).E1),
     "U": (u_off_normalization, ("clifford", {}), {"u_orthogonal"},
           lambda: op.omega_apply(BG, SEC, P0, 1e-5)),
     "Q": (q_wrong_generator, ("clifford", {}), {"ql_commute"},
@@ -97,6 +107,22 @@ def test_defect_fails_its_check_and_changes_its_user(monkeypatch, name):
     defect(monkeypatch)
     assert checks <= failing(suite, **kwargs)
     assert not np.allclose(user(), before, rtol=1e-6, atol=0)
+
+
+def test_non_finite_metric_is_null_in_a_strict_report(monkeypatch, capsys):
+    # ad/2 gives the pole endomorphism the wrong number of eigenvalues, whose
+    # distance to the expected set is infinite
+    ad_without_factor_two(monkeypatch)
+    assert main(["clifford"]) == 1
+
+    def reject(name):
+        raise ValueError(f"non-strict JSON constant {name}")
+
+    report = json.loads(capsys.readouterr().out, parse_constant=reject)
+    checks = {c["check_id"]: c for c in report["checks"]}
+    for t in (1, 2):
+        assert checks[f"pole_endo_eigenvalues_t{t}"]["status"] == "fail"
+        assert checks[f"pole_endo_eigenvalues_t{t}"]["metric"] is None
 
 
 KERNEL_SLIPS = {
