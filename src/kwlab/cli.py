@@ -69,6 +69,13 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _positive_float(text: str) -> float:
+    value = _finite_float(text)
+    if value <= 0.0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
 def _nonzero_float(text: str) -> float:
     value = _finite_float(text)
     if value == 0.0:
@@ -280,7 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"run the {name} suite")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", type=str, default=None)
-        p.add_argument("--tolerance-scale", dest="tolerance_scale", type=float, default=1.0)
+        p.add_argument("--tolerance-scale", dest="tolerance_scale", type=_positive_float,
+                       default=1.0)
         p.add_argument("--table", action="store_true", help="also print a human table")
         for flag, spec in SUITE_OPTIONS.get(name, {}).items():
             p.add_argument(flag, **spec)

@@ -311,9 +311,12 @@ def positive_spectrum_field(rng: np.random.Generator, N: int, amplitude: float,
     so generic data blows up in finite time under the ascending flow, and
     even tangent-to-stable data feeds growing modes at second order through
     the quadratic terms.  With abelian=True all values are proportional to
-    sigma3; every commutator then vanishes identically, the flow is exactly
-    linear on this sector, and the decay persists for arbitrarily long runs
-    at O(1) amplitude.
+    sigma3; every commutator then vanishes identically and the flow is
+    exactly linear.  The data decays only in exact arithmetic: round-off
+    seeds the growing modes, which the flow amplifies by e^{rate_max T}
+    (about 1e101 over 2000 steps at N = 16), so a long run leaves the
+    decaying sector at any amplitude; the linear flow scales round-off with
+    the data, so a small amplitude does not help.
 
     modes lists the wavevectors to fill; by default every nonzero k with
     |k|_inf <= 1.

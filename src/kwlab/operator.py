@@ -119,44 +119,52 @@ class FuncSection:
         return self._deriv(np.asarray(P, dtype=float), mu)
 
 
+def _superpose(w, amps):
+    """sum_j w[..., j] amps[j]: one (points x terms) . (terms x 24) contraction,
+    reshaped to spinor values (..., 8, 3).
+
+    einsum accumulates the terms in order, so the sum is the per-term loop's
+    to the last bit; a BLAS product would round differently, and the
+    difference quotients of the operator checks amplify that by 1/h^2.
+    """
+    return np.einsum("...j,jc->...c", w, amps).reshape(w.shape[:-1] + (8, 3))
+
+
 class GaussTrigSection(FuncSection):
     """Smooth test fields: sums of Gaussian blobs in (t, x1, x2) times a
     circle harmonic in x3 (the circle of length 2 pi), with exact derivatives.
 
-    blobs: list of (amp (8,3) real, center (3,), width, n_x3, phase).
+    blobs: list of (amp (8,3) real, center (3,), width, n_x3, phase).  The
+    blobs are stacked along a terms axis, so the value and each derivative
+    are one weighted superposition of the amplitudes.
     """
 
     def __init__(self, blobs):
-        self.blobs = [
-            (np.asarray(a, float), np.asarray(c, float), float(s), int(n), float(ph))
-            for (a, c, s, n, ph) in blobs
-        ]
+        amp, c, s, n, ph = zip(*blobs)
+        self._amps = np.reshape(np.asarray(amp, float), (-1, 24))
+        self._centers = np.asarray(c, float)
+        self._widths = np.asarray(s, float)
+        self._n = np.asarray(n, float)
+        self._phases = np.asarray(ph, float)
         super().__init__(self._val, self._der)
 
     def _envelopes(self, P):
-        out = []
-        for amp, c, s, n, ph in self.blobs:
-            d = P[..., :3] - c
-            g = np.exp(-np.sum(d * d, axis=-1) / (2 * s * s))
-            trig = np.cos(n * P[..., 3] + ph)
-            out.append((amp, d, s, n, ph, g, trig))
-        return out
+        """Per-blob offsets (..., terms, 3), Gaussians and x3 angles (..., terms)."""
+        d = P[..., None, :3] - self._centers
+        g = np.exp(-np.sum(d * d, axis=-1) / (2 * self._widths * self._widths))
+        return d, g, self._n * P[..., 3, None] + self._phases
 
     def _val(self, P):
-        out = 0.0
-        for amp, d, s, n, ph, g, trig in self._envelopes(P):
-            out = out + (g * trig)[..., None, None] * amp
-        return out
+        _, g, angle = self._envelopes(P)
+        return _superpose(g * np.cos(angle), self._amps)
 
     def _der(self, P, mu):
-        out = 0.0
-        for amp, d, s, n, ph, g, trig in self._envelopes(P):
-            if mu < 3:
-                f = -d[..., mu] / (s * s) * g * trig
-            else:
-                f = -g * np.sin(n * P[..., 3] + ph) * n
-            out = out + f[..., None, None] * amp
-        return out
+        d, g, angle = self._envelopes(P)
+        if mu < 3:
+            w = -d[..., mu] / (self._widths * self._widths) * g * np.cos(angle)
+        else:
+            w = -g * np.sin(angle) * self._n
+        return _superpose(w, self._amps)
 
 
 def random_section(rng: np.random.Generator, center=(1.0, 0.0, 0.0),
@@ -177,7 +185,9 @@ class TorusTrigSection(FuncSection):
     Gaussian factor in t; exact derivatives.
 
     terms: list of (amp (8,3) real, k (3,) int, phase); value is
-    sum amp cos(k.x + phase) times the t-envelope.
+    sum amp cos(k.x + phase) times the t-envelope.  The terms are stacked
+    along a terms axis, so the value and each derivative are one weighted
+    superposition of the amplitudes.
     """
 
     def __init__(self, terms, t_center=None, t_width: float = 0.5):
@@ -185,36 +195,35 @@ class TorusTrigSection(FuncSection):
             (np.asarray(a, float), np.asarray(k, float), float(ph))
             for (a, k, ph) in terms
         ]
+        self._amps = np.reshape([a for a, _, _ in self.terms], (-1, 24))
+        self._ks = np.reshape([k for _, k, _ in self.terms], (-1, 3))
+        self._phases = np.array([ph for _, _, ph in self.terms])
         self.t_center = t_center
         self.t_width = t_width
         super().__init__(self._val, self._der)
 
     def _env(self, P):
+        """The t-envelope and its t-derivative, (..., 1) for the terms axis."""
         if self.t_center is None:
-            return np.ones(P.shape[:-1]), np.zeros(P.shape[:-1])
-        u = (P[..., 0] - self.t_center) / self.t_width
+            return np.ones(P.shape[:-1] + (1,)), np.zeros(P.shape[:-1] + (1,))
+        u = (P[..., 0, None] - self.t_center) / self.t_width
         g = np.exp(-0.5 * u * u)
         return g, -u / self.t_width * g
 
+    def _arg(self, P):
+        return np.einsum("...i,ji->...j", P[..., 1:], self._ks) + self._phases
+
     def _val(self, P):
         g, _ = self._env(P)
-        out = 0.0
-        for amp, k, ph in self.terms:
-            arg = np.einsum("...i,i->...", P[..., 1:], k) + ph
-            out = out + (g * np.cos(arg))[..., None, None] * amp
-        return out
+        return _superpose(g * np.cos(self._arg(P)), self._amps)
 
     def _der(self, P, mu):
         g, dg = self._env(P)
-        out = 0.0
-        for amp, k, ph in self.terms:
-            arg = np.einsum("...i,i->...", P[..., 1:], k) + ph
-            if mu == 0:
-                f = dg * np.cos(arg)
-            else:
-                f = -g * np.sin(arg) * k[mu - 1]
-            out = out + f[..., None, None] * amp
-        return out
+        if mu == 0:
+            w = dg * np.cos(self._arg(P))
+        else:
+            w = -g * np.sin(self._arg(P)) * self._ks[:, mu - 1]
+        return _superpose(w, self._amps)
 
 
 def random_torus_section(rng: np.random.Generator, k_max: int = 2, n_terms: int = 4,
@@ -232,7 +241,8 @@ def covariant_grads(bg, sec, P, h: float | None):
 
     Exact derivatives are used when h is None and the section provides them;
     otherwise second-order centered differences at step h.  The connection
-    commutator [A_mu, psi] is added for the three spatial directions.
+    commutator [A_mu, psi] is added for the three spatial directions (and
+    skipped where the connection vanishes identically, as it only adds zeros).
     """
     P = np.asarray(P, dtype=float)
     val = sec.value(P)
@@ -254,8 +264,9 @@ def covariant_grads(bg, sec, P, h: float | None):
         for mu in range(4):
             grads[..., mu, :, :] = (stack[2 * mu] - stack[2 * mu + 1]) / (2 * h)
     A = bg.A_at(P)
-    for i in range(3):
-        grads[..., 1 + i, :, :] += comm(A[..., i, None, :], val)
+    if np.any(A):
+        for i in range(3):
+            grads[..., 1 + i, :, :] += comm(A[..., i, None, :], val)
     return val, grads
 
 
@@ -308,14 +319,16 @@ def _assemble_matrix(val, grads, a):
 
 
 def _assemble_clifford(val, grads, a, dt_sign: float = 1.0, skip_gamma3: bool = False):
-    """The gamma/rho contraction: 8x8 matrices times the (..., 8, 3) values."""
+    """The gamma/rho contraction: 8x8 matrices times the (..., 8, 3) values;
+    the rho terms are skipped where the Higgs field vanishes identically."""
     out = dt_sign * grads[..., 0, :, :]
     for i in range(3):
         if skip_gamma3 and i == 2:
             continue
         out = out + _GAMMA[i] @ grads[..., 1 + i, :, :]
-    for i in range(3):
-        out = out + _RHO[i] @ comm(a[..., i, None, :], val)
+    if np.any(a):
+        for i in range(3):
+            out = out + _RHO[i] @ comm(a[..., i, None, :], val)
     return out
 
 
@@ -429,9 +442,28 @@ def x_matrix24(bg, p) -> np.ndarray:
     return ad_matrix(X).transpose(0, 2, 1, 3).reshape(24, 24)
 
 
+# the 24 basis spinors e_(s, c), 1 in slot s and sigma coefficient c
+_BASIS24 = np.eye(24).reshape(24, 8, 3)
+
+
+def remainder_matrix24(bg, p) -> np.ndarray:
+    """The remainder at a single point as a real 24x24 matrix, extracted from
+    D^dag D by differencing (step 5e-4): column (s, c) holds the coefficients
+    of bochner_check's remainder on the basis spinor e_(s, c).
+
+    The 24 basis spinors ride one batch axis: the point is repeated 24
+    times, and the constant section returns basis spinor j at the j-th copy
+    of every query, so one bochner_check call extracts every column.
+    """
+    P = np.broadcast_to(np.asarray(p, dtype=float), (24, 4))
+    basis = FuncSection(lambda Q: np.broadcast_to(_BASIS24, Q.shape[:-1] + (8, 3)))
+    return bochner_check(bg, basis, P, 5e-4)["remainder"].reshape(24, 24).T
+
+
 def bochner_block_report(bg, p, tol: float = 1e-3) -> dict:
-    """Extract the true remainder on the 24 basis spinors and diff it
-    blockwise against the assembled grid.
+    """Diff the remainder extracted on the 24 basis spinors
+    (``remainder_matrix24``, one batched bochner_check call) blockwise against
+    the assembled grid (``x_matrix24``).
 
     Any block whose mismatch exceeds tol (relative to the largest block norm
     of either matrix, so the test keeps its meaning at any field scale) is
@@ -439,14 +471,7 @@ def bochner_block_report(bg, p, tol: float = 1e-3) -> dict:
     empty flag list.
     """
     p = np.asarray(p, dtype=float)
-    m_true = np.zeros((24, 24))
-    for s in range(8):
-        for aa in range(3):
-            v = np.zeros((8, 3))
-            v[s, aa] = 1.0
-            sec = FuncSection(lambda P, v=v: np.broadcast_to(v, P.shape[:-1] + (8, 3)).copy())
-            # column (s, aa) holds the coefficients of the remainder's slots
-            m_true[:, 3 * s + aa] = bochner_check(bg, sec, p, 5e-4)["remainder"].ravel()
+    m_true = remainder_matrix24(bg, p)
     m_asm = x_matrix24(bg, p)
 
     def blocks(m):

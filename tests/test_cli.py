@@ -229,6 +229,18 @@ def test_tolerance_scale_plumbs_through(capsys):
     assert any(t >= 1e-11 for t in tols)
 
 
+@pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+def test_tolerance_scale_must_be_positive_and_finite(value, capsys):
+    # such a scale would fail (or, inf, pass) every bound whatever the numbers
+    with pytest.raises(SystemExit) as exc:
+        main(["algebra", "--tolerance-scale", value])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    errors = [line for line in out.err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "--tolerance-scale" in errors[0]
+    assert out.out == "" and "Traceback" not in out.err
+
+
 WRITERS = {
     "suite": ["algebra"],
     "hardy": ["spectral", "hardy"],

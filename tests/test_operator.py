@@ -361,3 +361,118 @@ def test_domain_guards():
         op.apply_D(bg, sec, np.array([-1.0, 0.5, 0.5, 0.0]), 1e-5)
     with pytest.raises(ValueError):
         op.apply_D(bg, sec, np.array([1.0, 0.0, 0.0, 0.0]), 1e-5)
+
+
+@pytest.mark.parametrize("kind", ["model:1", "model:2"])
+def test_batched_remainder_matches_per_spinor_loop(kind):
+    # the extraction before batching: one bochner_check per basis spinor
+    bg = make_background(kind)
+    p = np.array([1.0, 0.7, 0.4, 0.3])
+    want = np.zeros((24, 24))
+    for s in range(8):
+        for c in range(3):
+            v = np.zeros((8, 3))
+            v[s, c] = 1.0
+            sec = op.FuncSection(lambda P, v=v: np.broadcast_to(v, P.shape[:-1] + (8, 3)).copy())
+            want[:, 3 * s + c] = op.bochner_check(bg, sec, p, 5e-4)["remainder"].ravel()
+    got = op.remainder_matrix24(bg, p)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_block_report_makes_one_bochner_check_call(monkeypatch):
+    calls = []
+    check = op.bochner_check
+
+    def counted(*args, **kwargs):
+        calls.append(np.shape(args[2]))
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(op, "bochner_check", counted)
+    rep = op.bochner_block_report(ModelBackground(1), np.array([1.0, 0.7, 0.4, 0.3]))
+    assert calls == [(24, 4)]
+    assert rep["flagged_blocks"] == []
+
+
+def _gauss_per_blob(blobs, P):
+    """GaussTrigSection's value and four derivatives summed blob by blob."""
+    val, ders = 0.0, [0.0] * 4
+    for amp, c, s, n, ph in blobs:
+        d = P[..., :3] - c
+        g = np.exp(-np.sum(d * d, axis=-1) / (2 * s * s))
+        trig = np.cos(n * P[..., 3] + ph)
+        val = val + (g * trig)[..., None, None] * amp
+        for mu in range(4):
+            f = (-d[..., mu] / (s * s) * g * trig if mu < 3
+                 else -g * np.sin(n * P[..., 3] + ph) * n)
+            ders[mu] = ders[mu] + f[..., None, None] * amp
+    return val, ders
+
+
+def _torus_per_term(terms, t_center, t_width, P):
+    """TorusTrigSection's value and four derivatives summed term by term."""
+    if t_center is None:
+        g, dg = np.ones(P.shape[:-1]), np.zeros(P.shape[:-1])
+    else:
+        u = (P[..., 0] - t_center) / t_width
+        g = np.exp(-0.5 * u * u)
+        dg = -u / t_width * g
+    val, ders = 0.0, [0.0] * 4
+    for amp, k, ph in terms:
+        arg = np.einsum("...i,i->...", P[..., 1:], k) + ph
+        val = val + (g * np.cos(arg))[..., None, None] * amp
+        for mu in range(4):
+            f = dg * np.cos(arg) if mu == 0 else -g * np.sin(arg) * k[mu - 1]
+            ders[mu] = ders[mu] + f[..., None, None] * amp
+    return val, ders
+
+
+@pytest.mark.parametrize("kind", ["gauss", "torus", "torus-t-envelope"])
+def test_trig_sections_match_per_term_sums(kind):
+    rng = np.random.default_rng(5)
+    if kind == "gauss":
+        blobs = [(rng.normal(size=(8, 3)), rng.uniform(0.5, 1.5, 3), rng.uniform(0.6, 1.4),
+                  int(rng.integers(0, 3)), rng.uniform(0, 2 * math.pi)) for _ in range(3)]
+        sec = op.GaussTrigSection(blobs)
+        reference = lambda P: _gauss_per_blob(blobs, P)
+    else:
+        terms = [(rng.normal(size=(8, 3)), rng.integers(-2, 3, size=3).astype(float),
+                  rng.uniform(0, 2 * math.pi)) for _ in range(3)]
+        t_center, t_width = (None, 0.5) if kind == "torus" else (2.0, 0.35)
+        sec = op.TorusTrigSection(terms, t_center=t_center, t_width=t_width)
+        reference = lambda P: _torus_per_term(terms, t_center, t_width, P)
+    P = random_points(rng, (1.0, 0.7, 0.4), n=60).reshape(3, 20, 4)
+    val, ders = reference(P)
+    assert sec.value(P).shape == (3, 20, 8, 3)
+    assert np.max(np.abs(sec.value(P) - val)) <= 1e-13
+    for mu in range(4):
+        assert np.max(np.abs(sec.deriv(P, mu) - ders[mu])) <= 1e-13
+    # a single point keeps its shape
+    assert sec.value(P[0, 0]).shape == (8, 3)
+
+
+def test_zero_background_skips_bracket_terms(monkeypatch):
+    # on the trivial background the brackets are exact zeros: skipping them
+    # calls no commutator and leaves D psi unchanged
+    sec = op.random_torus_section(np.random.default_rng(2), k_max=1, n_terms=3)
+    P = random_points(np.random.default_rng(3), (1.0, 0.0, 0.0))
+    calls = []
+    comm = op.comm
+
+    def counted(u, v):
+        calls.append(1)
+        return comm(u, v)
+
+    monkeypatch.setattr(op, "comm", counted)
+    got = op.apply_D(TrivialBackground(), sec, P, None, depiction="clifford")
+    monkeypatch.undo()
+    assert calls == []
+    # the contraction with every bracket term added, as zeros
+    val, zero = sec.value(P), np.zeros(P.shape[:-1] + (3, 3))
+    grads = [sec.deriv(P, 0)] + [sec.deriv(P, 1 + i) + op.comm(zero[..., i, None, :], val)
+                                 for i in range(3)]
+    want = grads[0]
+    for i in range(3):
+        want = want + op._GAMMA[i] @ grads[1 + i]
+    for i in range(3):
+        want = want + op._RHO[i] @ op.comm(zero[..., i, None, :], val)
+    assert np.array_equal(got, want)

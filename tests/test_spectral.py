@@ -159,3 +159,64 @@ def test_radial_errors():
         sp.radial_ode_solve(1.0, 0.0)
     with pytest.raises(ValueError):
         sp.radial_admissible(1.0, 0.0)
+
+
+def _count_solve_ivp(monkeypatch):
+    """Record the t_span of every solve_ivp call the spectral solvers make."""
+    import scipy.integrate
+
+    spans = []
+    solve = scipy.integrate.solve_ivp
+
+    def counted(fun, t_span, *args, **kwargs):
+        spans.append(tuple(t_span))
+        return solve(fun, t_span, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.integrate, "solve_ivp", counted)
+    return spans
+
+
+@pytest.mark.parametrize("lam", [0.0, 1.0, 2.0])
+def test_admissibility_integrates_once(lam, monkeypatch):
+    # a well-conditioned fit: one integration to x_min/4 serves the fit and
+    # both extension integrals
+    spans = _count_solve_ivp(monkeypatch)
+    rep = sp.radial_admissible(lam, 1.0)
+    assert spans == [(14.0, 1e-4 / 4)]
+    assert rep["fit_scatter"] <= 0.2
+
+
+def test_admissibility_retry_integrates_twice(monkeypatch):
+    # at lambda = 1, g = 2 e^{-2kx} e^{2k x_max}: the local slope -2kx spreads
+    # by more than 0.2 over [1e-4, 1e-2] once k > 12.6, and the widened range
+    # is worse, so the retry integrates once more, to x_min/10, and gives up
+    spans = _count_solve_ivp(monkeypatch)
+    with pytest.raises(RuntimeError, match="ambiguous indicial fit"):
+        sp.radial_admissible(1.0, 15.0)
+    assert spans == [(14.0, 1e-4 / 4), (14.0, 1e-4 / 10)]
+
+
+@pytest.mark.parametrize("lam", [0.0, 1.0, 2.0])
+def test_shared_integration_matches_separate_runs(lam):
+    # the algorithm before the shared integration: the fit and the x_min
+    # integral from a run to x_min, the extended integral from a second run
+    from scipy.integrate import solve_ivp
+
+    x_min, x_max = 1e-4, 14.0
+
+    def run(x_end):
+        return solve_ivp(sp._radial_rhs(lam, 1.0), (x_max, x_end), [1.0, 1.0],
+                         method="DOP853", rtol=1e-11, atol=1e-300, dense_output=True)
+
+    def x2dx(sol, lo):
+        xs = np.geomspace(lo, x_max, 4000)
+        return np.trapezoid(xs ** 2 * np.sum(sol.sol(xs) ** 2, axis=0), xs)
+
+    sol = run(x_min)
+    xs = np.geomspace(x_min, 100 * x_min, 60)
+    slope = np.polyfit(np.log(xs), np.log(xs ** 2 * np.sum(sol.sol(xs) ** 2, axis=0)), 1)[0]
+    i1, i2 = x2dx(sol, x_min), x2dx(run(x_min / 4), x_min / 4)
+    rep = sp.radial_admissible(lam, 1.0)
+    assert rep["exponent_at_zero"] == pytest.approx(slope, rel=1e-8)
+    assert rep["x2dx_integral"] == pytest.approx(i1, rel=1e-8)
+    assert rep["extension_growth"] == pytest.approx(abs(i2 - i1) / i1, rel=1e-8)
