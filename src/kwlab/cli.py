@@ -181,7 +181,7 @@ def _cmd_spectral(args) -> int:
 
 FLOW_SCHEMA = {
     "N": int, "L": float, "dt": float, "steps": int, "seed": int,
-    "init": dict, "kmax_linear": int,
+    "init": dict,
 }
 INIT_SCHEMA = {"kind": str, "amplitude": float}
 
@@ -205,7 +205,7 @@ def _load_flow_config(path: str) -> dict:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise ValueError("config must be a JSON object")
-    merged = {"L": 2 * math.pi, "seed": 0, "kmax_linear": 1,
+    merged = {"L": 2 * math.pi, "seed": 0,
               "init": {"kind": "zero", "amplitude": 0.0}}
     merged.update(cfg)
     for key, typ in FLOW_SCHEMA.items():
@@ -227,7 +227,6 @@ def _load_flow_config(path: str) -> dict:
     _require(1 <= merged["steps"] <= MAX_FLOW_STEPS, "steps",
              f"between 1 and {MAX_FLOW_STEPS}", merged["steps"])
     _require(merged["seed"] >= 0, "seed", ">= 0", merged["seed"])
-    _require(merged["kmax_linear"] >= 1, "kmax_linear", ">= 1", merged["kmax_linear"])
     _require(math.isfinite(init["amplitude"]) and init["amplitude"] >= 0, "init.amplitude",
              "finite and >= 0", init["amplitude"])
     return merged
@@ -266,8 +265,8 @@ def _cmd_flow(args) -> int:
     try:
         summary["lojasiewicz_fit"] = lojasiewicz_fit(trace)
     except ValueError as exc:
-        summary["lojasiewicz_fit"] = {"status": str(exc), "model": None}
-    gap = smallest_nonzero_symbol_eig(cfg["kmax_linear"], cfg["L"])
+        summary["lojasiewicz_fit"] = {"status": str(exc)}
+    gap = smallest_nonzero_symbol_eig(1, cfg["L"])
     summary["linear_gap"] = gap
     summary["predicted_linear_deficit_rate"] = 2.0 * gap
     _write(json_text(summary), f"{outdir}/summary.json")

@@ -197,63 +197,36 @@ def run_flow(F0: TorusField, config: FlowConfig) -> FlowTrace:
 
 
 def lojasiewicz_fit(trace: FlowTrace) -> dict:
-    """Fit the tail of cs against exponential and power approach to a limit.
+    """The Lojasiewicz exponent mu and the decay rate of the trace's tail.
 
-    Works on the positive increments of cs, which avoids estimating the
-    limit value first: an exponential approach C e^{-rt} makes log(dcs)
-    linear in t, a power approach C t^{-q} makes it linear in log t with
-    slope -(q+1).  The better log-linear fit decides the model; q maps to
-    the decay-law parameter mu through q = 1/(1 - 2 mu), and an exponential
-    tail is the mu = 1/2 case.  The limit is then extrapolated with the
-    chosen model and reported.  A diverged run is reported as such, unfitted.
+    With g = |grad cs|^2 and D = cs_inf - cs, the Lojasiewicz relation
+    g ~ c D^theta, theta = 2 (1 - mu), and dD/dt = -g make
+    r = -d log g/dt = theta g / D proportional to g^(1 - 1/theta).  r is the
+    centred difference of log g (exact for an exponential); over the second
+    half of the trace one least-squares line of log r against log g has
+    slope s = 1 - 1/theta, so mu = 1 - 1/(2 (1 - s)): 1/2 for an exponential
+    approach, 1/3 on the Nahm pole.  Neither cs_inf nor the time origin
+    enters, so the fit is invariant under time shifts and under rescaling
+    g.  "rate" is the median of r over the tail.  Fewer than 8 tail points
+    with finite r > 0 give status "no_decay"; a diverged run is reported as
+    such, unfitted.
     """
     if trace.meta.get("status") == "diverged":
-        return {"status": "diverged", "model": None, "mu_estimate": None}
-    cs = trace.cs
-    t = trace.times
-    n = len(cs)
+        return {"status": "diverged", "mu_estimate": None, "rate": None}
+    n = len(trace.times)
     if n < 16:
         raise ValueError("trace too short to fit")
-    scale = max(abs(cs[-1] - cs[0]), np.max(np.abs(cs)), 1e-300)
-    if np.max(trace.grad_norm_sq) < 1e-24 or abs(cs[-1] - cs[n // 2]) < 1e-15 * scale:
-        return {"status": "already_converged", "model": None, "mu_estimate": None}
-    g = trace.grad_norm_sq
-    if g[-1] > 1.2 * g[n // 2] + 1e-18:
-        return {"status": "not_converged", "model": None, "mu_estimate": None}
-    tail = slice(n // 2, n - 1)
-    dcs = np.diff(cs)[tail]
-    tm = 0.5 * (t[:-1] + t[1:])[tail]
-    good = dcs > 1e-14 * scale
-    if np.count_nonzero(good) < 8:
-        return {"status": "already_converged", "model": None, "mu_estimate": None}
-    ld = np.log(dcs[good])
-    tm = tm[good]
-
-    def rsq(x, y):
-        c = np.polyfit(x, y, 1)
-        resid = y - np.polyval(c, x)
-        sst = np.sum((y - y.mean()) ** 2)
-        return c, 1.0 - np.sum(resid ** 2) / max(sst, 1e-300)
-
-    ce, r2e = rsq(tm, ld)
-    cp, r2p = rsq(np.log(tm), ld)
-    dt_step = t[1] - t[0]
-    if r2e >= r2p:
-        rate = float(-ce[0])
-        cs_inf = cs[-1]
-        if rate > 0:
-            cs_inf = cs[-1] + (cs[-1] - cs[-2]) * math.exp(-rate * dt_step / 2) / max(
-                1.0 - math.exp(-rate * dt_step), 1e-300)
-        return {"status": "ok", "model": "exponential", "rate": rate,
-                "mu_estimate": 0.5, "r2_exponential": float(r2e),
-                "r2_power": float(r2p), "cs_inf": float(cs_inf)}
-    q = float(-cp[0] - 1.0)
-    mu = 0.5 * (1.0 - 1.0 / q) if q > 0 else None
-    cs_inf = cs[-1]
-    if q > 0:
-        # integrate the fitted increment density beyond the trace end
-        cdens = math.exp(cp[1]) / dt_step
-        cs_inf = cs[-1] + (cdens / q) * t[-1] ** (-q)
-    return {"status": "ok", "model": "power", "exponent": q,
-            "mu_estimate": mu, "r2_exponential": float(r2e),
-            "r2_power": float(r2p), "cs_inf": float(cs_inf)}
+    t = trace.times
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lg = np.log(trace.grad_norm_sq)
+        r = (lg[:-2] - lg[2:]) / (t[2:] - t[:-2])  # at t[1:-1]
+    lg, r = lg[n // 2:-1], r[n // 2 - 1:]
+    ok = np.isfinite(lg) & np.isfinite(r) & (r > 0)
+    if np.count_nonzero(ok) < 8:
+        return {"status": "no_decay", "mu_estimate": None, "rate": None}
+    x = lg[ok] - lg[ok].mean()
+    s = x @ np.log(r[ok]) / (x @ x)  # the least-squares slope
+    # the median by hand: the first np.median call imports numpy.ma, 1.5 MB of RSS
+    rs = np.sort(r[ok])
+    return {"status": "ok", "mu_estimate": float(1.0 - 0.5 / (1.0 - s)),
+            "rate": float(0.5 * (rs[(len(rs) - 1) // 2] + rs[len(rs) // 2]))}

@@ -303,9 +303,13 @@ def positive_spectrum_field(rng: np.random.Generator, N: int, amplitude: float,
                             L: float = 2 * math.pi, abelian: bool = False,
                             modes=None) -> TorusField:
     """A TorusField whose (A, a) data lies in the decaying (positive) part of
-    the linearized flow spectrum: transverse per mode and supported on the
-    positive eigenvectors of the restricted symbol, so the flow from it
-    contracts to the flat point at rate min |k| 2 pi / L per mode.
+    the linearized flow spectrum.
+
+    The flow's linearization at the flat point is -symbol(k, L) restricted to
+    the (A, a) slots (0, 1, 2, 4, 5, 6), so each filled wavevector k carries
+    random su(2) amplitudes on the two eigenvectors of that 6x6 block with
+    eigenvalue +|k| 2 pi / L (the other four have 0 and -|k| 2 pi / L); the
+    flow from it contracts to the flat point at that rate per mode.
 
     The flat point is a saddle: the linearization has symmetric +- spectrum,
     so generic data blows up in finite time under the ascending flow, and
@@ -329,43 +333,20 @@ def positive_spectrum_field(rng: np.random.Generator, N: int, amplitude: float,
     F = TorusField(N, L)
     xs = np.arange(N) * (L / N)
     X = np.meshgrid(xs, xs, xs, indexing="ij")
+    slots = [0, 1, 2, 4, 5, 6]
     for k in ks:
         if tuple(k) < tuple(-k):
             continue  # one representative per pair; real part doubles it
-        kv = np.asarray(k, dtype=float)
-        # orthonormal transverse complex basis of k-perp
-        t1 = np.cross(kv, [1.0, 0.3, -0.2])
-        if np.linalg.norm(t1) < 1e-8:
-            t1 = np.cross(kv, [0.0, 1.0, 0.0])
-        t1 = t1 / np.linalg.norm(t1)
-        t2 = np.cross(kv, t1)
-        t2 = t2 / np.linalg.norm(t2)
-        basis = [t1, t2]
-        # restricted operator on (b, c) transverse: L(b, c) = (-i w k x c, -i w k x b)
-        M = np.zeros((4, 4), dtype=complex)
-        cross = np.zeros((2, 2), dtype=complex)
-        for ii in range(2):
-            kxb = -1j * w * np.cross(kv, basis[ii])
-            for jj in range(2):
-                cross[jj, ii] = np.dot(basis[jj], kxb)
-        M[0:2, 2:4] = cross
-        M[2:4, 0:2] = cross
-        evals, vecs = np.linalg.eigh(M)
-        pos = [vecs[:, j] for j in range(4) if evals[j] > 1e-9]
+        # eigh sorts the block's spectrum: -|k| w twice, 0 twice, +|k| w twice
+        _, vecs = np.linalg.eigh(symbol(k, L)[np.ix_(slots, slots)])
 
         def su2_coef():
             if abelian:
                 return np.array([0.0, 0.0, 1.0]) * (rng.normal() + 1j * rng.normal())
             return rng.normal(size=3) + 1j * rng.normal(size=3)
 
-        coeff = sum(
-            su2_coef()[None, :] * v[:, None] for v in pos
-        )  # (4, 3): (b_t1, b_t2, c_t1, c_t2) x sigma coefficients
+        coeff = sum(su2_coef()[None, :] * v[:, None] for v in vecs[:, 4:].T)  # (6, 3)
         phase = np.exp(1j * w * (k[0] * X[0] + k[1] * X[1] + k[2] * X[2]))
-        for ii in range(2):
-            bvec = np.real(coeff[ii][:, None, None, None] * phase[None])
-            cvec = np.real(coeff[2 + ii][:, None, None, None] * phase[None])
-            for comp in range(3):
-                F.A[comp] += amplitude * basis[ii][comp] * bvec
-                F.a[comp] += amplitude * basis[ii][comp] * cvec
+        for field, part in ((F.A, coeff[:3]), (F.a, coeff[3:])):
+            field += amplitude * np.real(part[:, :, None, None, None] * phase)
     return F

@@ -426,7 +426,9 @@ def radial_admissible(lam: float, k: float) -> dict:
 
     One integration serves the fit and both extension integrals: it runs
     down to x_min/4, or to x_min/10 on the retry path, and every quantity is
-    read from its dense output.
+    read from its dense output.  A solution that overflows on its way in
+    (|k| above about 25, where it grows like e^{|k| x_max}) raises
+    RuntimeError.
     """
     from scipy.integrate import solve_ivp
 
@@ -465,6 +467,8 @@ def radial_admissible(lam: float, k: float) -> dict:
     # convergence of the integral under extension of the lower endpoint
     i1 = x2dx(sol, x_min)
     i2 = x2dx(sol, x_min / 4.0)
+    if not np.all(np.isfinite([slope, scatter, i1, i2])):
+        raise RuntimeError("the solution overflows double precision on its way in")
     extension_growth = abs(i2 - i1) / max(i1, 1e-300)
     admissible = slope > -1.0 + 0.05 and extension_growth < 0.05
     return {

@@ -21,8 +21,8 @@ from .modes import (
 )
 from .reporting import CheckResult, SuiteReport
 from .torus import (
-    TorusField, b_field, comm, cs_functional, dot, gauge_transform, gradient_check,
-    random_field,
+    TorusField, b_field, comm, cs_functional, diff_matrix, dot, gauge_transform,
+    gradient_check, random_field,
 )
 
 SUITE_NAMES = ("algebra", "clifford", "model", "operator", "spectral", "flow-smoke")
@@ -438,6 +438,21 @@ def gauge_invariance_check(F: TorusField, tol_scale: float = 1.0) -> CheckResult
         drift / terms, 1e-12 * tol_scale)
 
 
+def _oracle_trace(t, cs, g) -> FlowTrace:
+    """A trace with the given times, cs and gradient norm, for lojasiewicz_fit."""
+    return FlowTrace(times=t, cs=cs, grad_norm_sq=g, constraint_drift=0 * t, sup_a=0 * t,
+                     energy_identity_relerr=0 * t, two_forms_relerr=0 * t)
+
+
+def _decay_law_error(fit: dict, mu: float, rate: float | None = None) -> float:
+    """|mu_estimate - mu|, or with a rate the larger of that and the rate's
+    relative error; inf for a trace that was not fitted."""
+    if fit["status"] != "ok":
+        return math.inf
+    err = abs(fit["mu_estimate"] - mu)
+    return err if rate is None else max(err, abs(fit["rate"] - rate) / rate)
+
+
 def flow_smoke_suite(seed: int, tol_scale: float = 1.0) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
     out = []
@@ -470,19 +485,31 @@ def flow_smoke_suite(seed: int, tol_scale: float = 1.0) -> list[CheckResult]:
     out.append(CheckResult.from_bound(
         "two_rate_forms", "the two expressions for d cs/dt agree",
         s["two_forms_max_relerr"], 1e-3 * tol_scale))
-    fit = lojasiewicz_fit(tr)
-    out.append(CheckResult.from_bool(
-        "linear_regime_rate", "deficit decays exponentially at twice the gap",
-        fit["model"] == "exponential" and abs(fit["rate"] - 2.0) < 0.05,
-        location=f"rate {fit.get('rate', 0):.4f}"))
-    t = np.linspace(0, 6, 400)
-    fake = FlowTrace(times=t, cs=1 - np.exp(-3 * t), grad_norm_sq=3 * np.exp(-3 * t),
-                     constraint_drift=0 * t, sup_a=0 * t,
-                     energy_identity_relerr=0 * t, two_forms_relerr=0 * t)
-    sf = lojasiewicz_fit(fake)
+    # the stencil's wavenumber k~ for |k| = 1: its derivative of sin(2 pi x / L) at x = 0
+    grid_sin = np.sin(2 * math.pi / Fd.N * np.arange(Fd.N))
+    ktilde = diff_matrix(Fd.scheme, Fd.N, Fd.L)[0] @ grid_sin
     out.append(CheckResult.from_bound(
-        "decay_fit_oracle", "synthetic exponential trace is fit to 1%",
-        abs(sf["rate"] - 3.0) / 3.0, 1e-2 * tol_scale))
+        "linear_regime_rate", "deficit decays exponentially (mu = 1/2) at twice the gap",
+        _decay_law_error(lojasiewicz_fit(tr), 0.5, 2 * ktilde), 1e-6 * tol_scale))
+    t = np.linspace(0, 6, 400)
+    f = -0.5 / (1 + t)  # the Nahm pole at t0 = 1 on the torus of side 2 pi
+    L3 = (2 * math.pi) ** 3
+    exp_fit = lojasiewicz_fit(_oracle_trace(t, 1 - np.exp(-3 * t), 3 * np.exp(-3 * t)))
+    nahm_fit = lojasiewicz_fit(_oracle_trace(t, 2 * f ** 3 * L3, 12 * f ** 4 * L3))
+    out.append(CheckResult.from_bound(
+        "decay_fit_oracle", "closed-form exponential and Nahm-pole traces are fit",
+        max(_decay_law_error(exp_fit, 0.5, 3.0), _decay_law_error(nahm_fit, 1 / 3)),
+        1e-4 * tol_scale))
+    Fn = TorusField(6)
+    for i in range(3):
+        Fn.a[i, i] = -0.5  # a_i = f sigma_i with f = -1/(2 (1 + t)) and cs = 2 f^3 L^3
+    trn = run_flow(Fn, FlowConfig(dt=0.05 * Fn.h, steps=99))
+    f = -0.5 / (1 + trn.times)
+    cs_err = float(np.max(np.abs(trn.cs / (2 * f ** 3 * Fn.L ** 3) - 1)))
+    out.append(CheckResult.from_bound(
+        "nahm_decay_exponent", "the Nahm-pole flow decays with Lojasiewicz exponent 1/3",
+        _decay_law_error(lojasiewicz_fit(trn), 1 / 3), 1e-4 * tol_scale,
+        location=f"cs relative error {cs_err:.1e} against 2 f^3 L^3"))
     ks = k_lattice(1)
     idx = {tuple(k): i for i, k in enumerate(ks)}
     coeffs = np.zeros((len(ks), 8, 3), complex)

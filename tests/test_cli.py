@@ -64,9 +64,11 @@ def test_spectral_ode_csv(tmp_path, capsys):
     assert rep["admissible"] is True
 
 
-@pytest.mark.parametrize("argv", [["--lambda", "1e9"], ["--lambda", "100"]])
+@pytest.mark.parametrize("argv", [["--lambda", "1e9"], ["--lambda", "100"],
+                                  ["--lambda", "1", "--k", "30"]])
 def test_spectral_ode_out_of_range(argv, tmp_path, capsys):
-    # the integrator gives up on such data: one error line, exit 2, no CSV
+    # the integrator gives up on such data, or its solution overflows on the
+    # way in (k = 30): one error line, exit 2, no CSV
     out = tmp_path / "ode.csv"
     code, stdout, err = run(["spectral", "ode", *argv, "--out", str(out)], capsys)
     assert code == 2
@@ -84,6 +86,7 @@ def test_spectral_hemisphere_csv(tmp_path, capsys):
 
 
 def test_flow_run_outputs(tmp_path, capsys):
+    # unknown keys are ignored: configs that still carry kmax_linear run
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
         "N": 8, "dt": 0.02, "steps": 40, "seed": 2,
@@ -97,7 +100,9 @@ def test_flow_run_outputs(tmp_path, capsys):
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["monotone"] is True
     assert summary["energy_identity_max_relerr"] < 1e-3
-    assert "lojasiewicz_fit" in summary
+    fit = summary["lojasiewicz_fit"]
+    assert sorted(fit) == ["mu_estimate", "rate", "status"] and fit["status"] == "ok"
+    assert fit["mu_estimate"] == pytest.approx(0.5, abs=1e-9)
     assert summary["linear_gap"] == 1.0
 
 
@@ -105,7 +110,7 @@ def test_flow_zero_config(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
         "N": 8, "dt": 0.02, "steps": 10, "seed": 0,
-        "init": {"kind": "zero", "amplitude": 0.0}, "kmax_linear": 1,
+        "init": {"kind": "zero", "amplitude": 0.0},
     }))
     code, _, _ = run(["flow", "run", "--config", str(cfg), "--out", str(tmp_path)], capsys)
     assert code == 0
@@ -142,7 +147,6 @@ def test_flow_schema_errors(tmp_path, capsys):
     {"steps": 10 ** 12},
     {"steps": 2.0},
     {"seed": -1},
-    {"kmax_linear": 0},
     {"init": {"kind": "random", "amplitude": -1}},
     {"init": {"kind": "random", "amplitude": float("nan")}},
     {"init": {"kind": "abelian", "amplitude": float("inf")}},
@@ -185,7 +189,7 @@ def test_flow_cfl_rejection(tmp_path, capsys):
     cfg = tmp_path / "cfl.json"
     cfg.write_text(json.dumps({
         "N": 8, "dt": 0.79, "steps": 10, "seed": 0,
-        "init": {"kind": "zero", "amplitude": 0.0}, "kmax_linear": 1,
+        "init": {"kind": "zero", "amplitude": 0.0},
     }))
     code, _, err = run(["flow", "run", "--config", str(cfg)], capsys)
     assert code == 2

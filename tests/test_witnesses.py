@@ -14,7 +14,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from kwlab import algebra, clifford, model, torus
+from kwlab import algebra, clifford, flow, model, torus
 from kwlab import operator as op
 from kwlab.backgrounds import ModelBackground
 from kwlab.cli import main
@@ -72,10 +72,24 @@ def ad_sign_slip(mp):
     plant(mp, ad, lambda x: -ad(x))
 
 
+def mu_off_by_a_hundredth(mp):
+    # a decay-law fit whose exponent is 0.01 too large
+    fit = flow.lojasiewicz_fit
+
+    def off(trace):
+        out = fit(trace)
+        return {**out, "mu_estimate": out["mu_estimate"] + 0.01}
+
+    plant(mp, fit, off)
+
+
 BG = ModelBackground(1)
 P0 = np.array([1.0, 0.7, 0.4, 0.3])
 SEC = op.random_section(np.random.default_rng(0), center=P0[:3], spread=0.25)
 V = np.random.default_rng(1).normal(size=(5, 8, 3))
+TS = np.linspace(0.0, 6.0, 400)
+# times, cs and grad_norm_sq of an exponential approach; the four monitors zero
+EXP_TRACE = flow.FlowTrace(TS, 1 - np.exp(-3 * TS), 3 * np.exp(-3 * TS), *[0 * TS] * 4)
 T, Z = np.array([0.4, 1.0, 2.5]), np.array([0.3 + 0.2j, -1.0 + 0.5j, 2.0 - 1.0j])
 
 # (defect, suite and its options, checks that must fail, output of the code
@@ -96,6 +110,9 @@ WITNESSES = {
                 {"weitzenbock_blocks", "omega_q_commute"}, lambda: op.x_matrix24(BG, P0)),
     "ad_sign_clifford": (ad_sign_slip, ("clifford", {}), {"ad_matches_bracket"},
                          lambda: op.x_matrix24(BG, P0)),
+    "decay_law": (mu_off_by_a_hundredth, ("flow-smoke", {}),
+                  {"linear_regime_rate", "decay_fit_oracle", "nahm_decay_exponent"},
+                  lambda: flow.lojasiewicz_fit(EXP_TRACE)["mu_estimate"]),
 }
 
 
