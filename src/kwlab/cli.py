@@ -29,9 +29,9 @@ from .backgrounds import make_background
 from .flow import CFLError, FlowConfig, lojasiewicz_fit, run_flow
 from .modes import positive_spectrum_field
 from .operator import smallest_nonzero_symbol_eig
-from .reporting import csv_text, json_text
-from .suites import SUITE_NAMES, run_suite
-from .torus import TorusField, random_field
+from .reporting import SuiteReport, csv_text, json_text
+from .suites import SUITE_NAMES, exclusion_checks, hardy_checks, run_suite
+from .torus import TorusField, random_field, stencil_wavenumber
 
 # largest `spectral hemisphere --mesh`: the solver holds about ten float
 # arrays of the mesh size; 10^6 cells peak near 200 MB and take ~2 s
@@ -141,7 +141,8 @@ def _cmd_spectral(args) -> int:
     if args.mode == "hardy":
         payload = spectral_mod.hardy_suite()
         _write(json_text(payload), args.out)
-        return 0 if all(payload[k]["pass"] for k in payload) else 1
+        checks = hardy_checks(payload, args.tolerance_scale)
+        return SuiteReport("spectral", args.seed, checks).exit_code
     if args.mode == "hemisphere":
         he = spectral_mod.hemisphere_eig0(args.mesh)
         out = args.out or "hemisphere.csv"
@@ -157,7 +158,8 @@ def _cmd_spectral(args) -> int:
     if args.mode == "exclusion":
         rep = spectral_mod.exclusion_report(args.case, args.m)
         _write(json_text(rep), args.out)
-        return 0 if rep["covers_0_to_3half"] else 1
+        checks = exclusion_checks(rep, args.tolerance_scale)
+        return SuiteReport("spectral", args.seed, checks).exit_code
     # ode: the solutions grow like x^(+-lambda) and e^(+-k x); beyond what
     # double precision can follow the integrator overflows and gives up,
     # which is reported as one error line
@@ -266,9 +268,10 @@ def _cmd_flow(args) -> int:
         summary["lojasiewicz_fit"] = lojasiewicz_fit(trace)
     except ValueError as exc:
         summary["lojasiewicz_fit"] = {"status": str(exc)}
-    gap = smallest_nonzero_symbol_eig(1, cfg["L"])
-    summary["linear_gap"] = gap
-    summary["predicted_linear_deficit_rate"] = 2.0 * gap
+    summary["linear_gap"] = smallest_nonzero_symbol_eig(1, cfg["L"])
+    # |grad cs|^2 of the lowest mode decays at twice the stencil's k~, not 2 pi / L
+    summary["predicted_linear_deficit_rate"] = 2.0 * stencil_wavenumber(F0.scheme, cfg["N"],
+                                                                        cfg["L"])
     _write(json_text(summary), f"{outdir}/summary.json")
     print(f"wrote {outdir}/trace.csv and {outdir}/summary.json", file=sys.stderr)
     if trace.meta["status"] == "diverged":

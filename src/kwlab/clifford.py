@@ -105,55 +105,45 @@ def load_clifford() -> dict[str, np.ndarray]:
     }
 
 
-def relation_checks() -> list[tuple[str, bool]]:
-    """Every defining relation, checked in integer arithmetic (zero tolerance)."""
-    out: list[tuple[str, bool]] = []
+def relation_checks() -> list[tuple[str, int]]:
+    """Every defining relation as (name, residual) in integer arithmetic: the
+    largest |entry| of the relation's defect, 0 exactly when it holds."""
+    def worst(defect) -> int:
+        return int(np.max(np.abs(defect)))
+
+    out: list[tuple[str, int]] = []
     for name, mats in (("gamma", GAMMA), ("rho", RHO)):
         for i in range(3):
             m = mats[i]
-            out.append((f"{name}{i+1} antisymmetric", bool(np.array_equal(m.T, -m))))
-            out.append((f"{name}{i+1} traceless", int(np.trace(m)) == 0))
-            out.append(
-                (
-                    f"{name}{i+1} one nonzero entry per row, entries in {{-1,0,1}}",
-                    bool(
-                        np.all(np.sum(m != 0, axis=1) == 1)
-                        and np.all(np.isin(m, [-1, 0, 1]))
-                    ),
-                )
-            )
+            out.append((f"{name}{i+1} antisymmetric", worst(m.T + m)))
+            out.append((f"{name}{i+1} traceless", worst(np.trace(m))))
+            # a row count other than 1, or an entry beyond +-1
+            out.append((f"{name}{i+1} one nonzero entry per row, entries in {{-1,0,1}}",
+                        max(worst(np.sum(m != 0, axis=1) - 1), worst(m) - 1)))
     for i in range(3):
         for j in range(3):
             gg = GAMMA[i] @ GAMMA[j] + GAMMA[j] @ GAMMA[i]
             rr = RHO[i] @ RHO[j] + RHO[j] @ RHO[i]
             gr = GAMMA[i] @ RHO[j] + RHO[j] @ GAMMA[i]
             want = -2 * _I8 if i == j else 0 * _I8
-            out.append((f"gamma{i+1} gamma{j+1} anticommutator", bool(np.array_equal(gg, want))))
-            out.append((f"rho{i+1} rho{j+1} anticommutator", bool(np.array_equal(rr, want))))
-            out.append((f"gamma{i+1} rho{j+1} anticommute", bool(np.array_equal(gr, 0 * _I8))))
+            out.append((f"gamma{i+1} gamma{j+1} anticommutator", worst(gg - want)))
+            out.append((f"rho{i+1} rho{j+1} anticommutator", worst(rr - want)))
+            out.append((f"gamma{i+1} rho{j+1} anticommute", worst(gr)))
     # Parity consequences of the anticommutation table: an even product of
     # rho's commutes with each gamma, the odd product rho1 rho2 rho3
     # anticommutes with each gamma.
     r12 = RHO[0] @ RHO[1]
     r123 = RHO[0] @ RHO[1] @ RHO[2]
     for i in range(3):
-        out.append(
-            (
-                f"rho1 rho2 commutes with gamma{i+1}",
-                bool(np.array_equal(r12 @ GAMMA[i], GAMMA[i] @ r12)),
-            )
-        )
-        out.append(
-            (
-                f"rho1 rho2 rho3 anticommutes with gamma{i+1}",
-                bool(np.array_equal(r123 @ GAMMA[i], -GAMMA[i] @ r123)),
-            )
-        )
+        out.append((f"rho1 rho2 commutes with gamma{i+1}",
+                    worst(r12 @ GAMMA[i] - GAMMA[i] @ r12)))
+        out.append((f"rho1 rho2 rho3 anticommutes with gamma{i+1}",
+                    worst(r123 @ GAMMA[i] + GAMMA[i] @ r123)))
     return out
 
 
 def assert_relations() -> None:
-    bad = [name for name, ok in relation_checks() if not ok]
+    bad = [name for name, residual in relation_checks() if residual != 0]
     if bad:
         raise AssertionError(f"Clifford relations violated: {bad}")
 

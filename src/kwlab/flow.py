@@ -25,6 +25,8 @@ from .reporting import csv_text, finite_or_none
 from .torus import TorusField, b_field, cs_functional, div_cov, dot, gradient
 
 CFL_FACTOR = 0.2
+# the largest per-step decrease of cs that still counts as monotone
+MONOTONE_TOL = 1e-10
 
 
 class CFLError(ValueError):
@@ -40,7 +42,6 @@ class CFLError(ValueError):
 class FlowConfig:
     dt: float
     steps: int
-    monotone_tol: float = 1e-10  # allowed per-step decrease of cs
 
 
 @dataclass
@@ -192,7 +193,7 @@ def run_flow(F0: TorusField, config: FlowConfig) -> FlowTrace:
     )
     dcs_steps = np.diff(trace.cs)
     trace.worst_decrease = float(-dcs_steps.min(initial=0.0))
-    trace.monotone = bool(np.all(dcs_steps >= -config.monotone_tol))
+    trace.monotone = bool(trace.worst_decrease <= MONOTONE_TOL)
     return trace
 
 

@@ -289,14 +289,12 @@ def sample_points(rng: np.random.Generator, n: int) -> list[FieldPoint]:
 def verify_properties(ms: ModelSolution, samples: list[FieldPoint]) -> dict:
     """Property report over a sample set of FieldPoints.
 
-    Checks: alpha strictly negative with 2t*alpha in [-(m+1), -1];
-    d alpha/dt > 0 (centred difference at step 1e-5); |phi| sqrt(2) t <= 1
-    (equality only at m = 0); sup of |B3|,|E1|,|E2| times x^3/t reported;
-    rescaling equivariance at lambda in {2, 1/3}.  Each offset
-    and each rescaling is evaluated once over the whole sample set.
+    Measurements only, for the model suite's verdicts: the range of 2t*alpha
+    (in [-(m+1), -1]), min d alpha/dt (centred, step 1e-5; positive), the
+    range of |phi| sqrt(2) t (at most 1, identically 1 only at m = 0), the
+    sup of |B3|,|E1|,|E2| x^3/t, and the rescaling error at lambda in
+    {2, 1/3}.  Each offset and rescaling is evaluated once over all samples.
     """
-    m = ms.m
-    report: dict = {"m": m, "n_samples": len(samples)}
     t, z = _coords(samples)
     ev = evaluate(ms, t, z)
     alpha_scaled = 2.0 * t * ev.alpha
@@ -314,22 +312,14 @@ def verify_properties(ms: ModelSolution, samples: list[FieldPoint]) -> dict:
         for name, w in weights.items():
             err = np.abs(lam ** w * getattr(evq, name) - getattr(ev, name))
             scale_err = max(scale_err, float(np.max(err)))
-    report["alpha_range_ok"] = bool(
-        np.all(alpha_scaled <= -1.0 + 1e-12) and np.all(alpha_scaled >= -(m + 1) - 1e-12)
-    )
-    report["alpha_scaled_min"] = float(alpha_scaled.min())
-    report["alpha_scaled_max"] = float(alpha_scaled.max())
-    report["dalpha_dt_positive"] = bool(np.all(dalpha_dt > 0))
-    report["phi_bound_ok"] = bool(np.all(phi_bound <= 1.0 + 1e-10))
-    report["phi_bound_max"] = float(phi_bound.max())
-    # equality |phi| sqrt(2) t = 1 holds identically iff m = 0
-    if m == 0:
-        report["phi_bound_equality"] = bool(np.all(np.abs(phi_bound - 1.0) < 1e-10))
-    else:
-        report["phi_bound_equality"] = bool(np.any(np.abs(phi_bound - 1.0) < 1e-10))
-    report["curvature_x3_over_t_sup"] = float(curvature_c.max())
-    report["scaling_equivariance_err"] = scale_err
-    return report
+    return {"m": ms.m, "n_samples": len(samples),
+            "alpha_scaled_min": float(alpha_scaled.min()),
+            "alpha_scaled_max": float(alpha_scaled.max()),
+            "dalpha_dt_min": float(dalpha_dt.min()),
+            "phi_bound_min": float(phi_bound.min()),
+            "phi_bound_max": float(phi_bound.max()),
+            "curvature_x3_over_t_sup": float(curvature_c.max()),
+            "scaling_equivariance_err": scale_err}
 
 
 def _section(ms: ModelSolution, p_degree: int, ev: ModelEval, z) -> np.ndarray:

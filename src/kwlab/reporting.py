@@ -32,28 +32,28 @@ def csv_text(rows) -> str:
 
 @dataclass
 class CheckResult:
-    """One check: an identity or bound with its measured metric.
+    """One check: a bound on a measured metric.
 
     ref names the mathematical fact being checked (or 'plumbing' for
-    artifact-internal checks); status is 'pass' or 'fail'.  A bound passes
-    when metric <= tolerance, which a NaN metric never is.
+    artifact-internal checks).  Every check is a bound: its status is
+    'pass' when metric <= tolerance, which a NaN metric never is, and
+    'fail' otherwise.  An exact relation reports its defect against
+    tolerance 0.
     """
 
     check_id: str
     ref: str
-    status: str
-    metric: float | None = None
-    tolerance: float | None = None
+    metric: float
+    tolerance: float
     worst_location: str | None = None
+
+    @property
+    def status(self) -> str:
+        return "pass" if self.metric <= self.tolerance else "fail"
 
     @classmethod
     def from_bound(cls, check_id, ref, metric, tolerance, location=None):
-        status = "pass" if metric <= tolerance else "fail"
-        return cls(check_id, ref, status, float(metric), float(tolerance), location)
-
-    @classmethod
-    def from_bool(cls, check_id, ref, ok, location=None):
-        return cls(check_id, ref, "pass" if ok else "fail", None, None, location)
+        return cls(check_id, ref, float(metric), float(tolerance), location)
 
     def to_dict(self):
         return {
@@ -96,8 +96,7 @@ class SuiteReport:
         lines = [f"suite: {self.suite} (seed {self.seed})"]
         width = max((len(c.check_id) for c in self.checks), default=10)
         for c in self.checks:
-            metric = "" if c.metric is None else f"  metric={c.metric:.3e}"
-            tol = "" if c.tolerance is None else f" tol={c.tolerance:.1e}"
-            lines.append(f"  [{c.status.upper()}] {c.check_id:<{width}s}{metric}{tol}")
+            lines.append(f"  [{c.status.upper()}] {c.check_id:<{width}s}"
+                         f"  metric={c.metric:.3e} tol={c.tolerance:.1e}")
         lines.append(f"  -> {len(self.checks)} checks, {self.n_fail} failed")
         return "\n".join(lines)

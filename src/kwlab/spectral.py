@@ -104,7 +104,8 @@ def hardy_profile_ratio(kappa: float = 1.0) -> float:
 
 
 def hardy_suite() -> dict:
-    """Supremum ratios for the three weighted inequalities, with constants."""
+    """Supremum ratios for the three weighted inequalities, with their
+    constants; the verdicts are ``suites.hardy_checks``."""
     base = hardy_halfline_ratio(lambda t: t * np.exp(-t),
                                 lambda t: np.exp(-t) * (1 - t))
     sweep = hardy_near_extremal_sweep()
@@ -116,19 +117,10 @@ def hardy_suite() -> dict:
             "ratio_base": base,
             "ratio_sweep": sweep,
             "ratio_sup": max(max(sweep.values()), base),
-            "pass": max(max(sweep.values()), base) <= 4.0 + 1e-9,
             "sweep_reaches": max(sweep.values()),
         },
-        "cone": {
-            "constant": 4.0 / 9.0,
-            "ratio_sup": cone,
-            "pass": cone <= 4.0 / 9.0 + 1e-9,
-        },
-        "profile": {
-            "constant": 4.0,
-            "ratio_sup": profile,
-            "pass": profile <= 4.0 + 1e-9,
-        },
+        "cone": {"constant": 4.0 / 9.0, "ratio_sup": cone},
+        "profile": {"constant": 4.0, "ratio_sup": profile},
     }
 
 
@@ -307,8 +299,9 @@ def exclusion_report(case: str, m: int = 1) -> dict:
     """Rayleigh minimum of the case and the lambda interval it excludes.
 
     'b3ct' and 'case2' exclude the lambda with lambda(lambda-1) <= mu;
-    'case3' those with lambda(lambda+1) <= mu.  covers_0_to_3half says
-    whether [0, 3/2] is inside the excluded interval, as it must be.
+    'case3' those with lambda(lambda+1) <= mu.  The excluded interval
+    (lo, hi) must contain [0, 3/2]; ``suites.exclusion_checks`` makes that
+    verdict.
     """
     if case in ("case2", "case3") and m < 1:
         raise ValueError("cases with a pole index need m >= 1")
@@ -322,14 +315,12 @@ def exclusion_report(case: str, m: int = 1) -> dict:
     else:
         lo, hi = (-1.0 - disc) / 2.0, (-1.0 + disc) / 2.0
         quad = "lambda(lambda+1)"
-    covers = lo <= 0.0 and hi >= 1.5
     return {
         "case": case,
         "m": m,
         "mu_min": mu,
         "quadratic": quad,
         "excluded_interval": (lo, hi),
-        "covers_0_to_3half": covers,
         "n_mesh": res["n_mesh"],
     }
 

@@ -101,6 +101,12 @@ def diff_matrix(scheme: str, N: int, L: float) -> np.ndarray:
     return D
 
 
+def stencil_wavenumber(scheme: str, N: int, L: float) -> float:
+    """k~, the scheme's derivative of sin(2 pi x / L) at x = 0: 2 pi / L for
+    'spectral', 0.99757510 for 'fd4' at N = 12, L = 2 pi."""
+    return float(diff_matrix(scheme, N, L)[0] @ np.sin(2 * math.pi / N * np.arange(N)))
+
+
 @dataclass
 class TorusField:
     """A pair (A, a) of su(2)-valued triples on the N^3 periodic grid, with

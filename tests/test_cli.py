@@ -50,7 +50,8 @@ def test_spectral_exclusion_json(capsys):
     assert code == 0
     rep = json.loads(out)
     assert rep["mu_min"] >= 6.0 - 5e-3
-    assert rep["covers_0_to_3half"]
+    lo, hi = rep["excluded_interval"]
+    assert lo <= 0.0 and hi >= 1.5
 
 
 def test_spectral_ode_csv(tmp_path, capsys):
@@ -104,6 +105,8 @@ def test_flow_run_outputs(tmp_path, capsys):
     assert sorted(fit) == ["mu_estimate", "rate", "status"] and fit["status"] == "ok"
     assert fit["mu_estimate"] == pytest.approx(0.5, abs=1e-9)
     assert summary["linear_gap"] == 1.0
+    # the fd4 flow decays at twice the stencil's k~ (1.97643 at N = 8), not at 2
+    assert summary["predicted_linear_deficit_rate"] == pytest.approx(fit["rate"], rel=1e-6)
 
 
 def test_flow_zero_config(tmp_path, capsys):
@@ -220,16 +223,27 @@ def test_spectral_exclusion_reports_uncovered(monkeypatch, capsys):
     from kwlab import spectral
     monkeypatch.setattr(spectral, "rayleigh_min", lambda prob: {"mu": 0.5, "n_mesh": 10})
     rep = spectral.exclusion_report("case2", 1)
-    assert rep["covers_0_to_3half"] is False
+    assert rep["excluded_interval"][1] < 1.5
     code, out, _ = run(["spectral", "exclusion", "--case", "case2"], capsys)
-    assert code == 1 and json.loads(out)["covers_0_to_3half"] is False
+    assert code == 1 and json.loads(out)["excluded_interval"][1] < 1.5
+
+
+@pytest.mark.parametrize("name,value", [
+    ("hardy_cone_ratio", lambda a, s: 0.5),                    # above its 4/9
+    ("hardy_near_extremal_sweep", lambda: {0.1: 3.0}),         # short of 3.5
+])
+def test_spectral_hardy_exit_follows_its_checks(monkeypatch, capsys, name, value):
+    from kwlab import spectral
+    assert run(["spectral", "hardy"], capsys)[0] == 0
+    monkeypatch.setattr(spectral, name, value)
+    assert run(["spectral", "hardy"], capsys)[0] == 1
 
 
 def test_tolerance_scale_plumbs_through(capsys):
     code, out, _ = run(["algebra", "--tolerance-scale", "100.0"], capsys)
     assert code == 0
     rep = json.loads(out)
-    tols = [c["tolerance"] for c in rep["checks"] if c["tolerance"] is not None]
+    tols = [c["tolerance"] for c in rep["checks"]]
     assert any(t >= 1e-11 for t in tols)
 
 

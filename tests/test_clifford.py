@@ -5,7 +5,21 @@ from kwlab import clifford as cl
 
 
 def test_all_relations_exact():
-    assert all(ok for _, ok in cl.relation_checks())
+    assert all(residual == 0 for _, residual in cl.relation_checks())
+
+
+def test_relation_residual_is_the_integer_defect(monkeypatch):
+    # gamma1 with its entry (3, 0) doubled: 2 against -1 across the diagonal
+    g1 = cl.GAMMA[0].copy()
+    g1[3, 0] = 2
+    monkeypatch.setattr(cl, "GAMMA", (g1,) + cl.GAMMA[1:])
+    residuals = dict(cl.relation_checks())
+    assert residuals["gamma1 antisymmetric"] == 1
+    assert residuals["gamma1 one nonzero entry per row, entries in {-1,0,1}"] == 1
+    assert residuals["gamma1 gamma1 anticommutator"] > 0
+    assert residuals["gamma2 gamma3 anticommutator"] == 0
+    with pytest.raises(AssertionError, match="gamma1 antisymmetric"):
+        cl.assert_relations()
 
 
 def test_load_clifford_matrices():

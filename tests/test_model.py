@@ -127,10 +127,13 @@ def test_scaling_equivariance_property(t, z1, z2, lam, m):
 def test_property_report(m):
     rng = np.random.default_rng(7 + m)
     rep = model.verify_properties(model.ModelSolution(m), model.sample_points(rng, 150))
-    assert rep["alpha_range_ok"]
-    assert rep["dalpha_dt_positive"]
-    assert rep["phi_bound_ok"]
-    assert rep["phi_bound_equality"] == (m == 0)
+    assert -(m + 1) - 1e-12 <= rep["alpha_scaled_min"]
+    assert rep["alpha_scaled_max"] <= -1 + 1e-12
+    assert rep["dalpha_dt_min"] > 0
+    if m == 0:  # |phi| sqrt(2) t = 1 identically
+        assert 1 - 1e-10 < rep["phi_bound_min"] and rep["phi_bound_max"] < 1 + 1e-10
+    else:  # and strictly below 1 at every sample
+        assert rep["phi_bound_max"] <= 1 - 1e-10
     assert rep["scaling_equivariance_err"] < 1e-12
     assert rep["curvature_x3_over_t_sup"] < 20.0  # finite reported constant
 

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from kwlab.backgrounds import (
     ModelBackground, NahmBackground, TorusTrigBackground, TrivialBackground,
     make_background,
 )
+from kwlab.cli import main
 from kwlab.suites import operator_suite, run_suite
 
 RNG = np.random.default_rng(0)
@@ -185,6 +187,19 @@ def test_adjoint_duality_check_catches_wrong_adjoint(seed, monkeypatch):
         assert bad.status == "fail" and bad.metric > 1e2 * bad.tolerance
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_every_check_is_a_finite_bound(tmp_path, seed):
+    # every check of `kwlab all` reports a number against a tolerance, and
+    # its status is exactly metric <= tolerance
+    out = tmp_path / "all.json"
+    assert main(["all", "--seed", str(seed), "--out", str(out)]) == 0
+    checks = json.loads(out.read_text())["checks"]
+    assert len(checks) == 120
+    for c in checks:
+        assert c["metric"] is not None and c["tolerance"] is not None, c["check_id"]
+        assert (c["status"] == "pass") == (c["metric"] <= c["tolerance"]), c["check_id"]
+
+
 def test_status_agrees_with_tolerance_at_small_scale(monkeypatch):
     # a check's status must follow its reported metric and tolerance at any
     # --tolerance-scale, including the blockwise Weitzenbock comparison
@@ -197,9 +212,7 @@ def test_status_agrees_with_tolerance_at_small_scale(monkeypatch):
 
     monkeypatch.setattr(op, "bochner_block_report", recorded)
     report = run_suite("operator", seed=1, tol_scale=1e-6)
-    bounded = [c for c in report.checks if c.metric is not None and c.tolerance is not None]
-    assert any(c.check_id == "weitzenbock_blocks" for c in bounded)
-    for c in bounded:
+    for c in report.checks:
         assert (c.status == "pass") == (c.metric <= c.tolerance), c.check_id
     # most blocks are flagged here, which fails the check; the location names
     # the worst one and a count, not every flagged block

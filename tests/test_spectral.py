@@ -94,7 +94,6 @@ def test_rayleigh_potential_monotonicity():
 def test_exclusions(case, m, floor):
     rep = sp.exclusion_report(case, m)
     assert rep["mu_min"] >= floor
-    assert rep["covers_0_to_3half"]
     lo, hi = rep["excluded_interval"]
     assert lo <= 0.0 <= 1.5 <= hi
     assert lo <= 0.5 <= hi  # the half-integer degree is always excluded

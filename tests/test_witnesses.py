@@ -14,7 +14,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from kwlab import algebra, clifford, flow, model, torus
+from kwlab import algebra, clifford, flow, model, modes, torus
 from kwlab import operator as op
 from kwlab.backgrounds import ModelBackground
 from kwlab.cli import main
@@ -72,6 +72,12 @@ def ad_sign_slip(mp):
     plant(mp, ad, lambda x: -ad(x))
 
 
+def symbol_off_by_a_millionth(mp):
+    # eigenvalues (1 + 1e-6) |k|: inside np.allclose's default rtol of 1e-5
+    sym = modes.symbol
+    plant(mp, sym, lambda k, L=2 * np.pi: (1 + 1e-6) * sym(k, L))
+
+
 def mu_off_by_a_hundredth(mp):
     # a decay-law fit whose exponent is 0.01 too large
     fit = flow.lojasiewicz_fit
@@ -90,6 +96,9 @@ V = np.random.default_rng(1).normal(size=(5, 8, 3))
 TS = np.linspace(0.0, 6.0, 400)
 # times, cs and grad_norm_sq of an exponential approach; the four monitors zero
 EXP_TRACE = flow.FlowTrace(TS, 1 - np.exp(-3 * TS), 3 * np.exp(-3 * TS), *[0 * TS] * 4)
+# one plane wave at k = (1, 0, 0), every slot filled
+PLANE_WAVE = modes.ModeVector(modes.k_lattice(1), np.zeros((27, 8, 3), complex))
+PLANE_WAVE.coeffs[[tuple(k) for k in PLANE_WAVE.ks].index((1, 0, 0))] = 1.0
 T, Z = np.array([0.4, 1.0, 2.5]), np.array([0.3 + 0.2j, -1.0 + 0.5j, 2.0 - 1.0j])
 
 # (defect, suite and its options, checks that must fail, output of the code
@@ -110,6 +119,8 @@ WITNESSES = {
                 {"weitzenbock_blocks", "omega_q_commute"}, lambda: op.x_matrix24(BG, P0)),
     "ad_sign_clifford": (ad_sign_slip, ("clifford", {}), {"ad_matches_bracket"},
                          lambda: op.x_matrix24(BG, P0)),
+    "symbol": (symbol_off_by_a_millionth, ("operator", {"points": 20}), {"symbol_spectrum"},
+               lambda: modes.linearized_decay(1, PLANE_WAVE, T=10.0, dt=1.0)["f_plus"]),
     "decay_law": (mu_off_by_a_hundredth, ("flow-smoke", {}),
                   {"linear_regime_rate", "decay_fit_oracle", "nahm_decay_exponent"},
                   lambda: flow.lojasiewicz_fit(EXP_TRACE)["mu_estimate"]),
