@@ -10,6 +10,11 @@ spatial fields, one from the actual time derivatives -- must agree.  Both are
 monitored along every run, together with the constraint scalar d_A * a
 (watched, never projected) and sup |a|.
 
+The state is the complex connection Z = A + i a.  Its curvature F_Z holds
+the whole gradient (torus.curvature: Re F_Z = B - star(a wedge a),
+Im F_Z = curl_A a), so the flow is dZ/dt = i conj(F_Z), one curvature per
+RK4 stage, and each recorded state's monitors reduce that same F_Z.
+
 Integrator: classical RK4 at fixed dt with the stability bound dt <= 0.2 h
 asserted up front (h = grid spacing); no adaptivity, for reproducibility.
 """
@@ -22,7 +27,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .reporting import csv_text, finite_or_none
-from .torus import TorusField, b_field, cs_functional, div_cov, dot, gradient
+from .torus import (
+    TorusField, complex_connection, cs_functional, curvature, div_cov, dot, gradient,
+)
 
 CFL_FACTOR = 0.2
 # the largest per-step decrease of cs that still counts as monotone
@@ -91,8 +98,22 @@ class FlowTrace:
 
 
 def _rhs(F: TorusField, A, a):
-    """The flow's right-hand side at (A, a) on F's grid."""
+    """The flow's right-hand side in real form, (dA/dt, da/dt) at (A, a) on
+    F's grid; run_flow integrates the same flow on Z = A + i a."""
     return gradient(TorusField(F.N, F.L, A, a, F.scheme))
+
+
+def _advance(Z, FZ, h, out):
+    """Z + h i conj(F_Z), a step of length h along dZ/dt = i conj(F_Z),
+    written to out (an array of Z's shape other than Z).
+
+    Each part of the product with i h has one exactly zero term, so the
+    real part is A + h Im F_Z and the imaginary part a + h Re F_Z, rounded
+    as the real form (A, a) + h (dA/dt, da/dt) rounds them."""
+    np.conjugate(FZ, out=out)
+    out *= 1j * h
+    out += Z
+    return out
 
 
 def run_flow(F0: TorusField, config: FlowConfig) -> FlowTrace:
@@ -103,10 +124,11 @@ def run_flow(F0: TorusField, config: FlowConfig) -> FlowTrace:
     column compares that with the gradient-norm form (both normalized by
     max(1, value)).  Endpoints carry zeros for those two columns.
 
-    Recording a state evaluates the gradient there, which is the k1 stage of
-    the next RK4 step; that step takes it from the record instead of calling
-    _rhs again.  The run stops at the first recorded state whose cs or
-    gradient norm is not finite: meta["status"] is then "diverged" and
+    The run carries Z = A + i a and evaluates torus.curvature once per RK4
+    stage.  Recording a state evaluates the curvature there, which is the k1
+    stage of the next RK4 step; that step takes it from the record instead
+    of evaluating it again.  The run stops at the first recorded state whose
+    cs or gradient norm is not finite: meta["status"] is then "diverged" and
     meta["blowup_step"] that step (the trace ends with it), else "completed".
 
     When the sigma1 and sigma2 coefficients of A and a are all zero
@@ -123,9 +145,10 @@ def run_flow(F0: TorusField, config: FlowConfig) -> FlowTrace:
         raise CFLError(dt, bound)
     A, a = F0.A, F0.a
     abelian = not (np.any(A[:, :-1]) or np.any(a[:, :-1]))
+    F = F0
     if abelian:
-        A, a = A[:, -1:], a[:, -1:]
-    A, a = A.copy(), a.copy()
+        F = TorusField(F0.N, F0.L, A[:, -1:], a[:, -1:], F0.scheme)
+    Z = complex_connection(F)
     n_rec = config.steps + 1
     times = np.zeros(n_rec)
     cs = np.zeros(n_rec)
@@ -137,21 +160,21 @@ def run_flow(F0: TorusField, config: FlowConfig) -> FlowTrace:
     tf = np.zeros(n_rec)
     a_hist: list = []  # rolling window of the last three a snapshots
 
-    F = TorusField(F0.N, F0.L, A, a, F0.scheme)
-
-    def record(i):
-        """Monitor state i; returns the gradient (curl_A a, B - star(a wedge a))."""
-        work = TorusField(F.N, F.L, A, a, F.scheme)
+    def record(i, FZ):
+        """Monitor state i; its curvature, the next step's k1, goes to FZ."""
+        a = Z.imag.copy()
+        work = TorusField(F.N, F.L, Z.real, a, F.scheme)
+        curvature(work, Z, FZ)
         times[i] = i * dt
-        B = b_field(work)
-        cs[i] = cs_functional(work, B)
-        gA, gb = gradient(work, B)
-        e_curl[i] = work.integrate(dot(gA, gA).sum(axis=0))
-        gns[i] = e_curl[i] + work.integrate(dot(gb, gb).sum(axis=0))
+        cs[i] = cs_functional(work, FZ)
+        # |Re F_Z|^2 and |Im F_Z|^2 side by side, summed over form and coefficient
+        sq = np.sum(np.square(FZ.view(float)), axis=(0, 1))
+        e_curl[i] = work.integrate(sq[..., 1::2])
+        gns[i] = e_curl[i] + work.integrate(sq[..., ::2])
         dva = div_cov(work, a)
         drift[i] = math.sqrt(work.integrate(dot(dva, dva)))
         sup_a[i] = float(np.sqrt(np.sum(a * a, axis=(0, 1)).max()))
-        a_hist.append(a.copy())
+        a_hist.append(a)
         if len(a_hist) > 3:
             a_hist.pop(0)
         if len(a_hist) == 3:
@@ -162,7 +185,6 @@ def run_flow(F0: TorusField, config: FlowConfig) -> FlowTrace:
             dcs = (cs[i] - cs[i - 2]) / (2 * dt)
             ei[i - 1] = abs(dcs - rhs22) / max(1.0, abs(rhs22))
             tf[i - 1] = abs(rhs22 - gns[i - 1]) / max(1.0, abs(gns[i - 1]))
-        return gA, gb
 
     def finite(i):
         return math.isfinite(cs[i]) and math.isfinite(gns[i])
@@ -172,16 +194,24 @@ def run_flow(F0: TorusField, config: FlowConfig) -> FlowTrace:
     # a diverging run overflows on its way to the state that stops it; the
     # status below reports that instead of numpy's warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        k1A, k1a = record(0)
+        # RK4 in three arrays, reused at every step: ksum starts as k1, the
+        # record's curvature, and sums k1 + 2 k2 + 2 k3 + k4 in that order
+        ksum, k, stage = (np.empty_like(Z) for _ in range(3))
+        record(0, ksum)
         last = 0
         while last < config.steps and finite(last):
-            k2A, k2a = _rhs(F, A + 0.5 * dt * k1A, a + 0.5 * dt * k1a)
-            k3A, k3a = _rhs(F, A + 0.5 * dt * k2A, a + 0.5 * dt * k2a)
-            k4A, k4a = _rhs(F, A + dt * k3A, a + dt * k3a)
-            A = A + dt / 6.0 * (k1A + 2 * k2A + 2 * k3A + k4A)
-            a = a + dt / 6.0 * (k1a + 2 * k2a + 2 * k3a + k4a)
+            curvature(F, _advance(Z, ksum, 0.5 * dt, stage), k)  # k2
+            _advance(Z, k, 0.5 * dt, stage)
+            k *= 2
+            ksum += k
+            curvature(F, stage, k)  # k3
+            _advance(Z, k, dt, stage)
+            k *= 2
+            ksum += k
+            ksum += curvature(F, stage, k)  # k4
+            Z, stage = _advance(Z, ksum, dt / 6.0, stage), Z
             last += 1
-            k1A, k1a = record(last)
+            record(last, ksum)
     if not finite(last):
         meta.update(status="diverged", blowup_step=last)
     keep = slice(0, last + 1)

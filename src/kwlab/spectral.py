@@ -284,14 +284,17 @@ def case_potential(case: str, m: int = 1) -> Callable | None:
     deliberately dropped as a lower-bound substitution.
     """
     n = m + 1
+
+    def cosh_over_sinh_n(th):
+        # cosh(th) / sinh(n th), with no factor that overflows at large n th
+        return (np.exp((1 - n) * th) + np.exp(-(1 + n) * th)) / -np.expm1(-2 * n * th)
+
     if case == "b3ct":
         return None
-    if case == "case2":
-        return lambda th: 2.0 * n ** 2 * np.cosh(th) ** 2 / np.sinh(n * th) ** 2
-    if case == "case3":
-        return lambda th: (
-            n ** 2 * (np.cosh(n * th) ** 2 + np.cosh(th) ** 2) / np.sinh(n * th) ** 2
-        )
+    if case == "case2":  # 2 n^2 cosh^2(th) / sinh^2(n th)
+        return lambda th: 2.0 * n ** 2 * cosh_over_sinh_n(th) ** 2
+    if case == "case3":  # n^2 (cosh^2(n th) + cosh^2(th)) / sinh^2(n th)
+        return lambda th: n ** 2 * (1.0 / np.tanh(n * th) ** 2 + cosh_over_sinh_n(th) ** 2)
     raise ValueError(f"unknown case {case!r}")
 
 

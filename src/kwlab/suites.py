@@ -448,7 +448,7 @@ def gauge_invariance_check(F: TorusField, tol_scale: float = 1.0) -> CheckResult
     B = b_field(F)
     terms = F.integrate(sum(np.abs(dot(F.a[k], B[k])) for k in range(3))
                         + np.abs(dot(comm(F.a[0], F.a[1]), F.a[2])))
-    drift = abs(cs_functional(gauge_transform(F, phi)) - cs_functional(F, B))
+    drift = abs(cs_functional(gauge_transform(F, phi)) - cs_functional(F))
     return CheckResult.from_bound(
         "gauge_invariance", "cs is invariant under gauge transformations",
         drift / terms, 1e-12 * tol_scale)

@@ -17,7 +17,10 @@ has a zero factor.
 
 Every derivative takes one path: the field is contracted along the grid
 axis with a cached, read-only (N, N) periodic differentiation matrix, one
-BLAS matmul per call (diff_matrix).  The scheme picks the matrix:
+real BLAS matmul per call (diff_matrix).  A complex field is contracted on
+its float view, where the real and imaginary parts of each value sit side by
+side: along x1 and x2 with the same matrix, along x3 with the cached pair
+matrix kron(D, I_2) (pair_matrix).  The scheme picks the matrix:
 
     fd4       the circulant of the 4th-order centered stencil
               (f_{n-2} - 8 f_{n-1} + 8 f_{n+1} - f_{n+2}) / (12 h), the default;
@@ -33,6 +36,19 @@ Conventions pinned by the directional-derivative identity of the functional:
     grad cs    = (curl_A a,  B - star(a wedge a)),
     curl_A u_k = eps_kij (d_i u_j + [A_i, u_j]),
     star(a wedge a)_k = 1/2 eps_kij [a_i, a_j].
+
+The gradient is one curvature.  For the complex connection Z = A + i a
+(Kapustin-Witten's A + i phi), F_Z = dZ + Z wedge Z has
+
+    Re F_Z = B - star(a wedge a),    Im F_Z = curl_A a,
+
+so curvature computes the gradient with six complex derivatives and three
+complex brackets, and gradient returns (Im F_Z, Re F_Z).  Since
+<a, star(a wedge a)> sums three copies of the triple product
+<[a_1, a_2], a_3> (it is cyclic), cs = int ( <a, Re F_Z> + 2 <[a_1, a_2], a_3> ),
+which is how cs_functional evaluates it.  b_field, curl_cov and star_wedge
+build the same fields from their real definitions; the flow does not call
+them, the tests hold curvature to them.
 """
 
 from __future__ import annotations
@@ -101,6 +117,16 @@ def diff_matrix(scheme: str, N: int, L: float) -> np.ndarray:
     return D
 
 
+@functools.lru_cache(maxsize=64)
+def pair_matrix(scheme: str, N: int, L: float) -> np.ndarray:
+    """kron(D, I_2) for D = diff_matrix(scheme, N, L): the x3 derivative on
+    the float view of a complex field, whose last axis interleaves the real
+    and imaginary parts.  Read-only and in Fortran order, as D is."""
+    P = np.asfortranarray(np.kron(diff_matrix(scheme, N, L), np.eye(2)))
+    P.flags.writeable = False
+    return P
+
+
 def stencil_wavenumber(scheme: str, N: int, L: float) -> float:
     """k~, the scheme's derivative of sin(2 pi x / L) at x = 0: 2 pi / L for
     'spectral', 0.99757510 for 'fd4' at N = 12, L = 2 pi."""
@@ -136,20 +162,37 @@ class TorusField:
     def copy(self) -> "TorusField":
         return TorusField(self.N, self.L, self.A.copy(), self.a.copy(), self.scheme)
 
-    def deriv(self, f: np.ndarray, i: int) -> np.ndarray:
+    def deriv(self, f: np.ndarray, i: int, out: np.ndarray | None = None) -> np.ndarray:
         """d f / d x_{i+1} on the last three axes (periodic): f contracted
-        with diff_matrix(scheme, N, L) along that axis, one matmul."""
+        with diff_matrix(scheme, N, L) along that axis, one real matmul,
+        written to out (C-contiguous, f's shape and dtype) when given.
+
+        A complex f is differentiated on its float view, where the real and
+        imaginary parts of each value sit side by side; along x3 that view
+        takes pair_matrix, kron(D, I_2), in place of D."""
         D = diff_matrix(self.scheme, self.N, self.L)
+        pairs = np.iscomplexobj(f)
+        v, o = f, out
+        if pairs:
+            v = (f if f.strides[-1] == f.itemsize else np.ascontiguousarray(f)).view(float)
+            o = None if out is None else out.view(float)
         if i == 2:
-            return f @ D.T
-        if i == 1:
-            return D @ f
-        n = self.N
-        return (D @ f.reshape(f.shape[:-3] + (n, n * n))).reshape(f.shape)
+            M = pair_matrix(self.scheme, self.N, self.L) if pairs else D
+            o = np.matmul(v, M.T, out=o)
+        elif i == 1:
+            o = np.matmul(D, v, out=o)
+        else:  # x1: D times each (x1, x2 x3) matrix
+            rows = v.shape[:-3] + (self.N, -1)
+            o = np.matmul(D, v.reshape(rows), out=None if o is None else o.reshape(rows))
+            o = o.reshape(v.shape)
+        if out is not None:
+            return out
+        return o.view(complex) if pairs else o
 
     def integrate(self, density: np.ndarray) -> float:
-        """Trapezoid = mean * volume on the periodic grid."""
-        return float(np.mean(density) * self.L ** 3)
+        """Trapezoid = mean * volume on the periodic grid (the mean as
+        np.mean takes it, sum / size, without its call overhead)."""
+        return float(density.sum() / density.size * self.L ** 3)
 
 
 def b_field(F: TorusField) -> np.ndarray:
@@ -183,28 +226,69 @@ def star_wedge(u: np.ndarray) -> np.ndarray:
 
 def div_cov(F: TorusField, u: np.ndarray) -> np.ndarray:
     """sum_i (d_i u_i + [A_i, u_i]); the constraint scalar for u = a."""
-    acc = 0.0
+    acc = F.deriv(u[0], 0)
     for i in range(3):
-        acc = acc + F.deriv(u[i], i) + comm(F.A[i], u[i])
+        if i:
+            acc += F.deriv(u[i], i)
+        Au = comm(F.A[i], u[i])
+        if isinstance(Au, np.ndarray):  # 0.0 on the sigma3 line
+            acc += Au
     return acc
 
 
-def cs_functional(F: TorusField, B: np.ndarray | None = None) -> float:
-    """int ( sum_k <a_k, B_k> - <[a_1, a_2], a_3> ); B = b_field(F) unless given."""
-    if B is None:
-        B = b_field(F)
-    density = sum(dot(F.a[k], B[k]) for k in range(3))
-    density = density - dot(comm(F.a[0], F.a[1]), F.a[2])
-    return F.integrate(density)
+def complex_connection(F: TorusField) -> np.ndarray:
+    """Z = A + i a, a new C-contiguous complex array of F's field shape."""
+    Z = np.empty(F.A.shape, complex)
+    Z.real, Z.imag = F.A, F.a
+    return Z
 
 
-def gradient(F: TorusField, B: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """(gA, ga) = (curl_A a, B - star(a wedge a)); B = b_field(F) unless given."""
-    if B is None:
-        B = b_field(F)
-    gA = curl_cov(F, F.a)
-    ga = B - star_wedge(F.a)
-    return gA, ga
+def curvature(F: TorusField, Z: np.ndarray | None = None,
+              out: np.ndarray | None = None) -> np.ndarray:
+    """F_Z = dZ + Z wedge Z of the complex connection Z = A + i a:
+    (F_Z)_k = d_i Z_j - d_j Z_i + [Z_i, Z_j] over the cyclic (k, i, j).
+
+    Re F_Z = B - star(a wedge a) and Im F_Z = curl_A a.  Z is F's unless
+    given, as a complex array of F's field shape on F's grid; the result is
+    written to out (C-contiguous, Z's shape) when given.  Six complex
+    derivatives, the first of each pair written straight into the result,
+    and three complex brackets; on the sigma3 line comm returns 0.0 and the
+    bracket is skipped.
+    """
+    if Z is None:
+        Z = complex_connection(F)
+    if out is None:
+        out = np.empty_like(Z)
+    for k, i, j in CYCLIC:
+        F.deriv(Z[j], i, out=out[k])
+        out[k] -= F.deriv(Z[i], j)
+        zz = comm(Z[i], Z[j])
+        if isinstance(zz, np.ndarray):  # 0.0 on the sigma3 line
+            out[k] += zz
+    return out
+
+
+def cs_functional(F: TorusField, FZ: np.ndarray | None = None) -> float:
+    """int <a, Re F_Z> + 2 int <[a_1, a_2], a_3>; FZ = curvature(F) unless
+    given.
+
+    <a, Re F_Z> = <a, B> - sum_k <a_k, [a_i, a_j]> and each of the three
+    cyclic terms is the triple product <[a_1, a_2], a_3>, so this is
+    int ( sum_k <a_k, B_k> - <[a_1, a_2], a_3> ).
+    """
+    if FZ is None:
+        FZ = curvature(F)
+    cs = F.integrate(np.sum(F.a * FZ.real, axis=(0, 1)))
+    a12 = comm(F.a[0], F.a[1])
+    if isinstance(a12, np.ndarray):  # 0.0 on the sigma3 line
+        cs += 2.0 * F.integrate(dot(a12, F.a[2]))
+    return cs
+
+
+def gradient(F: TorusField) -> tuple[np.ndarray, np.ndarray]:
+    """(gA, ga) = (curl_A a, B - star(a wedge a)) = (Im F_Z, Re F_Z)."""
+    FZ = curvature(F)
+    return FZ.imag, FZ.real
 
 
 def grad_norm_sq(F: TorusField) -> float:

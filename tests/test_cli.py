@@ -54,6 +54,15 @@ def test_spectral_exclusion_json(capsys):
     assert lo <= 0.0 and hi >= 1.5
 
 
+@pytest.mark.parametrize("m", ["11", "20"])
+def test_spectral_exclusion_case3_large_m_gives_a_verdict(m, capsys):
+    # the potential used to overflow to inf / inf here, ending in a traceback
+    code, out, err = run(["spectral", "exclusion", "--case", "case3", "--m", m], capsys)
+    assert code == 0 and "Traceback" not in err
+    rep = json.loads(out)
+    assert rep["m"] == int(m) and rep["mu_min"] >= 2 + (int(m) + 1) ** 2 - 5e-3
+
+
 def test_spectral_ode_csv(tmp_path, capsys):
     out = tmp_path / "ode.csv"
     code, stdout, _ = run(["spectral", "ode", "--lambda", "1.0", "--k", "1.0",
@@ -171,21 +180,24 @@ def test_flow_config_usage_errors(override, tmp_path, capsys):
 
 def test_flow_run_identical_across_blas_threads(tmp_path):
     # the derivatives run inside OpenBLAS; its thread count must not change
-    # a byte of the outputs (N = 32 is above OpenBLAS's threading threshold)
+    # a byte of the outputs (N = 32 is above OpenBLAS's threading threshold).
+    # abelian data takes the sigma3-coefficient path with its own reductions
     root = Path(__file__).resolve().parents[1]
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"N": 32, "dt": 0.03, "steps": 4, "seed": 5,
-                               "init": {"kind": "random", "amplitude": 0.01}}))
-    outputs = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=str(root / "src"))
-        out = tmp_path / f"threads{threads}"
-        proc = subprocess.run([sys.executable, "-m", "kwlab.cli", "flow", "run",
-                               "--config", str(cfg), "--out", str(out)],
-                              env=env, capture_output=True, text=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        outputs.append([(out / name).read_bytes() for name in ("trace.csv", "summary.json")])
-    assert outputs[0] == outputs[1]
+    for init in ("random", "abelian"):
+        cfg = tmp_path / f"{init}.json"
+        cfg.write_text(json.dumps({"N": 32, "dt": 0.03, "steps": 4, "seed": 5,
+                                   "init": {"kind": init, "amplitude": 0.01}}))
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=str(root / "src"))
+            out = tmp_path / f"{init}-threads{threads}"
+            proc = subprocess.run([sys.executable, "-m", "kwlab.cli", "flow", "run",
+                                   "--config", str(cfg), "--out", str(out)],
+                                  env=env, capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append([(out / name).read_bytes()
+                            for name in ("trace.csv", "summary.json")])
+        assert outputs[0] == outputs[1], init
 
 
 def test_flow_cfl_rejection(tmp_path, capsys):

@@ -283,27 +283,25 @@ def test_trace_csv():
 
 
 def test_k1_reuse_call_counts_and_trace(monkeypatch):
-    # each recorded state's gradient is the next step's k1: 1 + 4n evaluations
+    # each recorded state's curvature is the next step's k1: 1 + 4n evaluations
     import kwlab.flow
 
     F = random_field(np.random.default_rng(21), 8, amplitude=0.05)
     cfg = FlowConfig(dt=0.05 * F.h, steps=6)
-    counts = {}
-    for name in ("b_field", "curl_cov", "star_wedge"):
-        orig = getattr(torus, name)
+    calls = []
+    exact = torus.curvature
 
-        def counted(*args, _name=name, _orig=orig, **kwargs):
-            counts[_name] = counts.get(_name, 0) + 1
-            return _orig(*args, **kwargs)
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return exact(*args, **kwargs)
 
-        monkeypatch.setattr(torus, name, counted)
-    # run_flow calls b_field by its own module name; gradient and
-    # cs_functional look all three up in torus
-    monkeypatch.setattr(kwlab.flow, "b_field", torus.b_field)
+    # run_flow calls curvature by the name it imports into kwlab.flow;
+    # gradient and cs_functional look it up in torus
+    monkeypatch.setattr(torus, "curvature", counted)
+    monkeypatch.setattr(kwlab.flow, "curvature", counted)
     tr = run_flow(F, cfg)
     monkeypatch.undo()
-    assert counts == {name: 1 + 4 * cfg.steps
-                      for name in ("b_field", "curl_cov", "star_wedge")}
+    assert len(calls) == 1 + 4 * cfg.steps
     # the same trace from an RK4 that evaluates k1 afresh at every step
     for n in range(cfg.steps + 1):
         A, a = _final_state(F, FlowConfig(dt=cfg.dt, steps=n))

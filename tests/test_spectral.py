@@ -90,6 +90,10 @@ def test_rayleigh_potential_monotonicity():
     ("case2", 1, 2.0),
     ("case3", 1, 6.0 - 5e-3),
     ("case3", 2, 11.0 - 5e-3),
+    # 2 + (m + 1)^2; the direct cosh/sinh quotients overflow from m = 11 on
+    ("case3", 11, 146.0 - 5e-3),
+    ("case3", 14, 227.0 - 5e-3),
+    ("case3", 20, 443.0 - 5e-3),
 ])
 def test_exclusions(case, m, floor):
     rep = sp.exclusion_report(case, m)
@@ -97,6 +101,31 @@ def test_exclusions(case, m, floor):
     lo, hi = rep["excluded_interval"]
     assert lo <= 0.0 <= 1.5 <= hi
     assert lo <= 0.5 <= hi  # the half-integer degree is always excluded
+
+
+def _sl_meshes():
+    # every mesh rayleigh_min can use: SL_MESH and four doublings
+    for k in range(5):
+        n = sp.SL_MESH * 2 ** k
+        yield sp.THETA_MIN + (sp.THETA_MAX - sp.THETA_MIN) / n * np.arange(1, n + 1)
+
+
+@pytest.mark.parametrize("m", range(1, 11))
+def test_case_potentials_match_direct_formulas(m):
+    # the direct cosh/sinh quotients are finite on the mesh up to m = 10;
+    # the overflow-free ratios must agree with them there
+    n = m + 1
+    direct = {
+        "case2": lambda th: 2.0 * n ** 2 * np.cosh(th) ** 2 / np.sinh(n * th) ** 2,
+        "case3": lambda th: (n ** 2 * (np.cosh(n * th) ** 2 + np.cosh(th) ** 2)
+                             / np.sinh(n * th) ** 2),
+    }
+    for case, ref in direct.items():
+        w = sp.case_potential(case, m)
+        for th in _sl_meshes():
+            want = ref(th)
+            assert np.all(np.isfinite(want))
+            assert np.max(np.abs(w(th) - want) / want) <= 1e-13, case
 
 
 def test_exclusion_errors():

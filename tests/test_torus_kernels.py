@@ -3,7 +3,8 @@
 The references are the direct definitions: the commutator through
 np.cross, the fd4 stencil through four np.roll copies, the spectral
 derivative through np.fft, and the field operators as sums over every entry
-of the Levi-Civita symbol.
+of the Levi-Civita symbol.  The curvature of Z = A + i a is held against
+the real kernels b_field, curl_cov and star_wedge, which those sums check.
 """
 
 import math
@@ -11,10 +12,11 @@ import math
 import numpy as np
 import pytest
 
+from kwlab import torus
 from kwlab.algebra import EPS
 from kwlab.torus import (
-    TorusField, b_field, comm, cs_functional, curl_cov, diff_matrix, div_cov, gradient,
-    random_field, star_wedge,
+    TorusField, b_field, comm, cs_functional, curl_cov, curvature, diff_matrix, div_cov,
+    dot, gradient, random_field, star_wedge,
 )
 
 
@@ -219,8 +221,40 @@ def test_sigma3_coefficient_field_is_the_sigma3_slice(field):
     assert np.array_equal(curl_cov(line, line.a), curl_cov(full, full.a)[:, 2:])
     assert np.array_equal(star_wedge(line.a), star_wedge(full.a)[:, 2:])
     assert np.array_equal(div_cov(line, line.a), div_cov(full, full.a)[2:])
+    assert np.array_equal(curvature(line), curvature(full)[:, 2:])
     for g_line, g_full in zip(gradient(line), gradient(full)):
         assert np.array_equal(g_line, g_full[:, 2:])
     assert cs_functional(line) == cs_functional(full)
     with pytest.raises(ValueError, match="shape"):
         TorusField(full.N, A=full.A, a=line.a)
+
+
+def _curvature_errors(F):
+    """Relative errors of Re F_Z against B - star(a wedge a) and of Im F_Z
+    against curl_A a."""
+    FZ = curvature(F)
+    return (_relerr(FZ.real, b_field(F) - star_wedge(F.a)),
+            _relerr(FZ.imag, curl_cov(F, F.a)))
+
+
+def test_curvature_matches_real_kernels(field):
+    re_err, im_err = _curvature_errors(field)
+    assert re_err <= 1e-13 and im_err <= 1e-13
+
+
+def test_conjugated_bracket_is_caught(field, monkeypatch):
+    # [conj Z_i, Z_j] in place of [Z_i, Z_j]; conj leaves the real kernels'
+    # brackets alone, so only the curvature goes wrong, and far off
+    exact = torus.comm
+    monkeypatch.setattr(torus, "comm", lambda u, v: exact(np.conj(u), v))
+    assert min(_curvature_errors(field)) > 1e-2
+
+
+def test_cs_functional_matches_the_b_field_formula(field):
+    # int <a, Re F_Z> + 2 int <[a1, a2], a3> against the defining
+    # int ( sum_k <a_k, B_k> - <[a_1, a_2], a_3> )
+    F = field
+    B = b_field(F)
+    want = F.integrate(sum(dot(F.a[k], B[k]) for k in range(3))
+                       - dot(comm(F.a[0], F.a[1]), F.a[2]))
+    assert abs(cs_functional(F) - want) <= 1e-13 * abs(want)
