@@ -30,7 +30,9 @@ from .flow import CFLError, FlowConfig, lojasiewicz_fit, run_flow
 from .modes import positive_spectrum_field
 from .operator import smallest_nonzero_symbol_eig
 from .reporting import SuiteReport, csv_text, json_text
-from .suites import SUITE_NAMES, exclusion_checks, hardy_checks, run_suite
+from .suites import (
+    SUITE_NAMES, exclusion_checks, hardy_checks, hemisphere_checks, run_suite,
+)
 from .torus import TorusField, random_field, stencil_wavenumber
 
 # largest `spectral hemisphere --mesh`: the solver holds about ten float
@@ -154,7 +156,8 @@ def _cmd_spectral(args) -> int:
         print(f"lowest eigenvalue {he['eigenvalue']:.6f} "
               f"(distance to cos: {he['eigenfunction_distance_to_cos']:.2e}); "
               f"wrote {out}", file=sys.stderr)
-        return 0 if abs(he["eigenvalue"] - 2.0) < 1e-3 * args.tolerance_scale else 1
+        checks = hemisphere_checks(he, args.tolerance_scale)
+        return SuiteReport("spectral", args.seed, checks).exit_code
     if args.mode == "exclusion":
         rep = spectral_mod.exclusion_report(args.case, args.m)
         _write(json_text(rep), args.out)

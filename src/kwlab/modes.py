@@ -8,7 +8,12 @@ operator acts mode by mode through the Hermitian symbol
     S(k) = i (gamma . k) (2 pi / L),
 
 with eigenvalues +-|k| 2 pi / L, so evolution, projections, and the inverse
-(off the kernel, which is exactly the k = 0 block) are all exact.
+S^{-1} = S / |k 2 pi / L|^2 (off the kernel, which is exactly the k = 0
+block) are all exact.  ``symbol`` takes a stack of wavevectors, so each of
+these is one batched product over the modes.  Grid and mode data are one
+FFT pair: ``ModeVector.to_grid`` is the inverse FFT of the coefficients
+(wavevectors that alias on a small grid add) and ``from_grid`` reads the
+coefficients off the forward FFT.
 
 The quadratic coupling used by the fixed-point construction takes
 psi = (b, bt, c, ct) to
@@ -35,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import EPS
+from .algebra import CYCLIC
 from .clifford import GAMMA
 from .torus import TorusField, comm
 
@@ -85,15 +90,12 @@ class ModeVector:
 
     def to_grid(self, N: int) -> np.ndarray:
         """Real field on the N^3 grid, shape (8, 3, N, N, N)."""
-        out = np.zeros((8, 3, N, N, N), dtype=complex)
-        xs = np.arange(N) * (self.L / N)
-        w = 2 * math.pi / self.L
-        X = np.meshgrid(xs, xs, xs, indexing="ij")
-        for i, k in enumerate(self.ks):
-            phase = np.exp(1j * w * (k[0] * X[0] + k[1] * X[1] + k[2] * X[2]))
-            out += self.coeffs[i][..., None, None, None] * phase[None, None]
+        spec = np.zeros((8, 3, N, N, N), dtype=complex)
+        i0, i1, i2 = (self.ks % N).T
+        np.add.at(spec, (..., i0, i1, i2), self.coeffs.transpose(1, 2, 0))
+        out = np.fft.ifftn(spec, axes=(-3, -2, -1), norm="forward")
         defect = float(np.max(np.abs(out.imag)))
-        if defect > 1e-9 * max(1.0, float(np.max(np.abs(out.real)))):
+        if defect > 1e-9 * float(np.max(np.abs(out))):
             raise ValueError(f"reality violated on the grid (defect {defect:g})")
         return out.real
 
@@ -101,18 +103,17 @@ class ModeVector:
 def from_grid(field8: np.ndarray, k_max: int, L: float = 2 * math.pi) -> ModeVector:
     """Truncated Fourier data of a real grid field (8, 3, N, N, N)."""
     N = field8.shape[-1]
-    fk = np.fft.fftn(field8, axes=(-3, -2, -1)) / N ** 3
+    fk = np.fft.fftn(field8, axes=(-3, -2, -1), norm="forward")
     ks = k_lattice(k_max)
-    coeffs = np.empty((len(ks), 8, 3), dtype=complex)
-    for i, k in enumerate(ks):
-        coeffs[i] = fk[..., k[0] % N, k[1] % N, k[2] % N]
-    return ModeVector(ks, coeffs, L)
+    i0, i1, i2 = (ks % N).T
+    return ModeVector(ks, fk[..., i0, i1, i2].transpose(2, 0, 1), L)
 
 
 def symbol(k, L: float = 2 * math.pi) -> np.ndarray:
-    """i (gamma . k) 2 pi / L: the Hermitian 8x8 mode symbol."""
+    """i (gamma . k) 2 pi / L: the Hermitian 8x8 mode symbol.  A stack of
+    wavevectors, shape (..., 3), gives a stack of symbols, (..., 8, 8)."""
     w = 2 * math.pi / L
-    gk = k[0] * GAMMA[0] + k[1] * GAMMA[1] + k[2] * GAMMA[2]
+    gk = np.einsum("...i,ijk->...jk", np.asarray(k), np.array(GAMMA))
     return 1j * w * gk.astype(complex)
 
 
@@ -126,20 +127,13 @@ def linearized_decay(k_max: int, psi0: ModeVector, T: float, dt: float) -> dict:
     if psi0.zero_mode_norm() > 1e-12 * max(psi0.norm(), 1e-300):
         raise ValueError("zero-mode contamination above 1e-12")
     times = np.arange(0.0, T + 0.5 * dt, dt)
-    fp2 = np.zeros_like(times)
-    fm2 = np.zeros_like(times)
-    vol = psi0.L ** 3
-    for i, k in enumerate(psi0.ks):
-        if not np.any(k):
-            continue
-        evals, vecs = np.linalg.eigh(symbol(k, psi0.L))
-        amp = vecs.conj().T @ psi0.coeffs[i]  # (8, 3) in the eigenbasis
-        decay = np.exp(-np.outer(times, evals))  # (nt, 8)
-        contrib = decay ** 2 * np.sum(np.abs(amp) ** 2, axis=1)[None, :]
-        pos = evals > 1e-12
-        neg = evals < -1e-12
-        fp2 += vol * contrib[:, pos].sum(axis=1)
-        fm2 += vol * contrib[:, neg].sum(axis=1)
+    nonzero = np.any(psi0.ks, axis=1)
+    evals, vecs = np.linalg.eigh(symbol(psi0.ks[nonzero], psi0.L))  # (m, 8), (m, 8, 8)
+    amp = vecs.conj().transpose(0, 2, 1) @ psi0.coeffs[nonzero]  # (m, 8, 3) in the eigenbases
+    decay = np.exp(-times[:, None, None] * evals)  # (nt, m, 8)
+    contrib = psi0.L ** 3 * decay ** 2 * np.sum(np.abs(amp) ** 2, axis=2)
+    fp2 = np.sum(contrib, axis=(1, 2), where=evals > 1e-12)
+    fm2 = np.sum(contrib, axis=(1, 2), where=evals < -1e-12)
     return {"times": times, "f_plus": np.sqrt(fp2), "f_minus": np.sqrt(fm2)}
 
 
@@ -181,43 +175,19 @@ class ContractionError(RuntimeError):
 
 
 def quadratic_map_grid(psi: np.ndarray) -> np.ndarray:
-    """The # coupling on grid fields (8, 3, N, N, N) -> same shape."""
+    """The # coupling on grid fields (8, 3, N, N, N) -> same shape; the
+    eps_ijk sums run over the cyclic (i, j, k)."""
     b = psi[0:3]
     bt = psi[3]
     c = psi[4:7]
     ct = psi[7]
     out = np.zeros_like(psi)
-    for i in range(3):
-        pi = -comm(b[i], bt) + comm(c[i], ct)
-        qi = -comm(b[i], ct) - comm(c[i], bt)
-        for j in range(3):
-            for k in range(3):
-                e = EPS[i, j, k]
-                if e == 0.0:
-                    continue
-                pi = pi - e * comm(b[j], c[k])
-                qi = qi - 0.5 * e * (comm(b[j], b[k]) - comm(c[j], c[k]))
-        out[i] = pi
-        out[4 + i] = qi
-    qt = comm(bt, ct)
-    for i in range(3):
-        qt = qt + comm(b[i], c[i])
-    out[7] = qt
-    return out
-
-
-def _linv_coeffs(mv: ModeVector) -> ModeVector:
-    """Apply the exact inverse of the symbol off the kernel; kernel modes
-    (k = 0) must already be absent."""
-    out = mv.copy()
-    w = 2 * math.pi / mv.L
-    for i, k in enumerate(mv.ks):
-        k2 = float(k @ k)
-        if k2 == 0.0:
-            out.coeffs[i] = 0.0
-            continue
-        s = symbol(k, mv.L)
-        out.coeffs[i] = (s @ mv.coeffs[i]) / (w * w * k2)  # S^{-1} = S / |wk|^2
+    for i, j, k in CYCLIC:
+        out[i] = (-comm(b[i], bt) + comm(c[i], ct)
+                  - comm(b[j], c[k]) + comm(b[k], c[j]))
+        out[4 + i] = (-comm(b[i], ct) - comm(c[i], bt)
+                      - comm(b[j], b[k]) + comm(c[j], c[k]))
+    out[7] = comm(bt, ct) + comm(b[0], c[0]) + comm(b[1], c[1]) + comm(b[2], c[2])
     return out
 
 
@@ -247,20 +217,24 @@ def kuranishi_w(phi: ModeVector, k_max: int) -> tuple[ModeVector, dict]:
         raise ValueError("input violates the reality condition")
     N = _grid_size(k_max)
     phig = phi.to_grid(N)
+    ks = k_lattice(k_max)
+    S = symbol(ks, phi.L)
+    wk2 = (2 * math.pi / phi.L) ** 2 * np.sum(ks * ks, axis=1)
+    kernel = wk2 == 0
+    S_inv = np.divide(S, wk2[:, None, None], out=np.zeros_like(S),  # 0 at k = 0
+                      where=~kernel[:, None, None])
 
-    def step(wg):
-        full = quadratic_map_grid(phig + wg)
-        mv = from_grid(full, k_max, phi.L)
-        mv.coeffs[[i for i, k in enumerate(mv.ks) if not np.any(k)]] = 0.0
-        out = _linv_coeffs(mv)
-        out.coeffs = -out.coeffs
+    def image(w):
+        """(1 - Pi0) trunc #(phi + w): the projected quadratic image."""
+        out = from_grid(quadratic_map_grid(phig + w.to_grid(N)), k_max, phi.L).coeffs
+        out[kernel] = 0.0
         return out
 
-    w_mv = ModeVector(k_lattice(k_max), np.zeros((len(k_lattice(k_max)), 8, 3), complex), phi.L)
+    w_mv = ModeVector(ks, np.zeros((len(ks), 8, 3), complex), phi.L)
     tol = 1e-12
     updates = []
     for it in range(200):
-        new = step(w_mv.to_grid(N))
+        new = ModeVector(ks, -(S_inv @ image(w_mv)), phi.L)
         delta = float(np.sqrt(np.sum(np.abs(new.coeffs - w_mv.coeffs) ** 2)))
         updates.append(delta)
         w_mv = new
@@ -275,13 +249,7 @@ def kuranishi_w(phi: ModeVector, k_max: int) -> tuple[ModeVector, dict]:
     ratios = [updates[i + 1] / updates[i] for i in range(len(updates) - 1)
               if updates[i] > 10 * tol]
     # fixed-point residual |L w + (1 - Pi0) trunc(#)|
-    wg = w_mv.to_grid(N)
-    sharp = from_grid(quadratic_map_grid(phig + wg), k_max, phi.L)
-    sharp.coeffs[[i for i, k in enumerate(sharp.ks) if not np.any(k)]] = 0.0
-    lw = w_mv.copy()
-    for i, k in enumerate(lw.ks):
-        lw.coeffs[i] = symbol(k, phi.L) @ w_mv.coeffs[i]
-    resid = float(np.sqrt(np.sum(np.abs(lw.coeffs + sharp.coeffs) ** 2)) * phi.L ** 1.5)
+    resid = float(np.sqrt(np.sum(np.abs(S @ w_mv.coeffs + image(w_mv)) ** 2)) * phi.L ** 1.5)
     pn = phi.norm()
     diag = {
         "iterations": len(updates),

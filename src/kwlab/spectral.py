@@ -255,7 +255,7 @@ def _sl_min_once(prob: SLProblem, n_mesh: int) -> float:
         kv[:-1] += off_k * v[1:]
         kv[1:] += off_k * v[:-1]
         mu = float(np.sum(v * kv) / np.sum(mass * v * v))
-        if abs(mu - mu_prev) <= 1e-12 * max(abs(mu), 1.0):
+        if abs(mu - mu_prev) <= 1e-12 * abs(mu):
             return mu
         mu_prev = mu
     return mu_prev
@@ -270,7 +270,7 @@ def rayleigh_min(prob: SLProblem) -> dict:
     for _ in range(4):
         n *= 2
         cur = _sl_min_once(prob, n)
-        if abs(cur - prev) <= 5e-4 * max(abs(cur), 1.0):
+        if abs(cur - prev) <= 5e-4 * abs(cur):
             return {"mu": cur, "mu_coarse": prev, "n_mesh": n, "converged": True}
         prev = cur
     raise RuntimeError("Rayleigh minimum did not converge under mesh doubling")
@@ -374,7 +374,9 @@ def radial_ode_solve(lam: float, k: float, x_range=(0.1, 10.0), init=None,
 
         x^3/2 d/dx(b^2 - a^2) + x^2 ((lam-2) a^2 + lam b^2) = 0,
 
-    evaluated with 4th-order differences of the dense output.
+    evaluated with 4th-order differences of the dense output and divided by
+    the size of its terms, x^3/2 |d/dx(b^2 - a^2)| + x^2 (|lam-2| a^2 +
+    |lam| b^2).  A term that is not finite raises RuntimeError.
     """
     from scipy.integrate import solve_ivp
 
@@ -385,23 +387,27 @@ def radial_ode_solve(lam: float, k: float, x_range=(0.1, 10.0), init=None,
         a0, b0 = radial_closed_form("decaying", x0, k)
         init = [float(a0), float(b0)]
     sol = solve_ivp(_radial_rhs(lam, k), (x0, x1), init, method="DOP853",
-                    rtol=1e-12, atol=1e-14, dense_output=True)
+                    rtol=1e-12, atol=1e-300, dense_output=True)
     if not sol.success:
         raise RuntimeError(f"integration failed: {sol.message}")
     xg = np.geomspace(min(x0, x1), max(x0, x1), n_out)
     vals = sol.sol(xg)
     a, b = vals[0], vals[1]
-    # identity residual with independent differencing of the dense output,
-    # normalized by the local term scale (the solution spans many decades)
-    res = 0.0
-    for x in np.geomspace(min(x0, x1) * 1.1, max(x0, x1) * 0.9, 40):
-        hh = 1e-3 * x
-        g = lambda xx: float(np.diff(sol.sol(xx) ** 2, axis=0)[0])  # b^2 - a^2
-        d = (-g(x + 2 * hh) + 8 * g(x + hh) - 8 * g(x - hh) + g(x - 2 * hh)) / (12 * hh)
-        av, bv = sol.sol(x)
-        t1 = 0.5 * x ** 3 * d
-        t2 = x ** 2 * ((lam - 2.0) * av ** 2 + lam * bv ** 2)
-        res = max(res, abs(t1 + t2) / max(1.0, abs(t1), abs(t2)))
+    # identity residual with independent differencing of the dense output at
+    # 40 points, over the size of the identity's terms (the solution spans
+    # many decades); points where every term underflows to 0 carry no test
+    x = np.geomspace(min(x0, x1) * 1.1, max(x0, x1) * 0.9, 40)
+    hh = 1e-3 * x
+    av, bv = sol.sol((x + hh * np.arange(-2, 3)[:, None]).ravel()).reshape(2, 5, -1)
+    g = bv ** 2 - av ** 2
+    d = (-g[4] + 8 * g[3] - 8 * g[1] + g[0]) / (12 * hh)
+    t1 = 0.5 * x ** 3 * d
+    t2 = x ** 2 * ((lam - 2.0) * av[2] ** 2 + lam * bv[2] ** 2)
+    size = np.abs(t1) + x ** 2 * (abs(lam - 2.0) * av[2] ** 2 + abs(lam) * bv[2] ** 2)
+    if not np.all(np.isfinite([t1, t2, size])):
+        raise RuntimeError("the identity's terms overflow double precision")
+    live = size > 0
+    res = float(np.max(np.abs(t1 + t2)[live] / size[live], initial=0.0))
     return RadialODEState(lam=lam, k=k, x_grid=xg, a=a, b=b,
                           identity_residual=res, sol=sol)
 
@@ -410,57 +416,48 @@ def radial_admissible(lam: float, k: float) -> dict:
     """Decide whether the solution decaying at infinity has finite
     int (a^2 + b^2) x^2 dx near 0.
 
-    Integrates inward from x_max = max(14/|k|, 14) with the decaying
-    asymptotic direction (1, 1) e^{-|k| x}; fits the local exponent of
-    g = x^2 (a^2 + b^2) over [x_min, 100 x_min] with x_min = 1e-4 and calls
-    the solution admissible when the fitted exponent exceeds -1 and the
-    integral converges under range extension (its value from x_min and from
-    x_min/4 agree to 5%).  An ill-conditioned fit (local slopes scattered by
-    more than 0.2) widens the fit range tenfold and retries once.
+    The system is invariant under (x, k) -> (x/c, c k), so every window
+    scales with 1/|k| and the computation is the same at every |k|.  It
+    integrates inward from x_max = 14/|k| with the decaying asymptotic
+    direction (1, 1) e^{-|k| x}; fits the local exponent of
+    g = x^2 (a^2 + b^2) over [x_min, 100 x_min] with x_min = 1e-4/|k| and
+    calls the solution admissible when the fitted exponent exceeds -1 and
+    the integral converges under range extension (its value from x_min and
+    from x_min/4 agree to 5%).  An ill-conditioned fit (local slopes
+    scattered by more than 0.2) raises RuntimeError.
 
-    One integration serves the fit and both extension integrals: it runs
-    down to x_min/4, or to x_min/10 on the retry path, and every quantity is
-    read from its dense output.  A solution that overflows on its way in
-    (|k| above about 25, where it grows like e^{|k| x_max}) raises
-    RuntimeError.
+    One integration, down to x_min/4, serves the fit and both extension
+    integrals: every quantity is read from its dense output.  A solution
+    that overflows on its way in (large |lam|) raises RuntimeError.
     """
     from scipy.integrate import solve_ivp
 
     if k == 0:
         raise ValueError("need k != 0")
-    x_min = 1e-4
-    x_max = max(14.0 / abs(k), 14.0)
-    init = [1.0, 1.0 if k > 0 else -1.0]
+    x_min = 1e-4 / abs(k)
+    x_max = 14.0 / abs(k)
+    sol = solve_ivp(_radial_rhs(lam, k), (x_max, x_min / 4.0), [1.0, 1.0 if k > 0 else -1.0],
+                    method="DOP853", rtol=1e-11, atol=1e-300, dense_output=True)
+    if not sol.success:
+        raise RuntimeError(sol.message)
 
-    def run(x_end):
-        sol = solve_ivp(_radial_rhs(lam, k), (x_max, x_end), init, method="DOP853",
-                        rtol=1e-11, atol=1e-300, dense_output=True)
-        if not sol.success:
-            raise RuntimeError(sol.message)
-        return sol
+    def g(xs):
+        return xs ** 2 * np.sum(sol.sol(xs) ** 2, axis=0)
 
-    def fit(sol, lo, hi):
-        xs = np.geomspace(lo, hi, 60)
-        g = xs ** 2 * np.sum(sol.sol(xs) ** 2, axis=0)
-        logs = np.log(g)
-        slope, _ = np.polyfit(np.log(xs), logs, 1)
-        local = np.diff(logs) / np.diff(np.log(xs))
-        return float(slope), float(np.max(np.abs(local - slope)))
-
-    def x2dx(sol, lo):
-        xs = np.geomspace(lo, x_max, 4000)
-        return _trapz(xs ** 2 * np.sum(sol.sol(xs) ** 2, axis=0), xs)
-
-    sol = run(x_min / 4.0)
-    slope, scatter = fit(sol, x_min, 100 * x_min)
+    xs = np.geomspace(x_min, 100 * x_min, 60)
+    logs = np.log(g(xs))
+    slope = float(np.polyfit(np.log(xs), logs, 1)[0])
+    scatter = float(np.max(np.abs(np.diff(logs) / np.diff(np.log(xs)) - slope)))
     if scatter > 0.2:
-        sol = run(x_min / 10)
-        slope, scatter = fit(sol, x_min / 10, 1000 * x_min)
-        if scatter > 0.2:
-            raise RuntimeError("ambiguous indicial fit; widen the range further")
+        raise RuntimeError("ambiguous indicial fit")
+
+    def x2dx(lo):
+        xs = np.geomspace(lo, x_max, 4000)
+        return _trapz(g(xs), xs)
+
     # convergence of the integral under extension of the lower endpoint
-    i1 = x2dx(sol, x_min)
-    i2 = x2dx(sol, x_min / 4.0)
+    i1 = x2dx(x_min)
+    i2 = x2dx(x_min / 4.0)
     if not np.all(np.isfinite([slope, scatter, i1, i2])):
         raise RuntimeError("the solution overflows double precision on its way in")
     extension_growth = abs(i2 - i1) / max(i1, 1e-300)

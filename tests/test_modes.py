@@ -3,12 +3,47 @@ import math
 import numpy as np
 import pytest
 
+from kwlab.algebra import EPS
 from kwlab.modes import (
     ContractionError, ModeVector, from_grid, k_lattice, kuranishi_w,
     linearized_decay, positive_spectrum_field, quadratic_map_grid,
     random_mode_vector, symbol,
 )
 from kwlab.torus import comm
+
+
+def _direct_grid(mv, N):
+    """The per-mode exponential sum that the inverse FFT replaces."""
+    xs = np.arange(N) * (mv.L / N)
+    X = np.meshgrid(xs, xs, xs, indexing="ij")
+    out = np.zeros((8, 3, N, N, N), dtype=complex)
+    for c, k in zip(mv.coeffs, mv.ks):
+        phase = np.exp(1j * (2 * math.pi / mv.L) * (k[0] * X[0] + k[1] * X[1] + k[2] * X[2]))
+        out += c[..., None, None, None] * phase
+    return out.real
+
+
+def _quadratic_map_eps(psi):
+    """The # coupling summed over all 27 EPS entries, skipping the zeros."""
+    b, bt, c, ct = psi[0:3], psi[3], psi[4:7], psi[7]
+    out = np.zeros_like(psi)
+    for i in range(3):
+        pi = -comm(b[i], bt) + comm(c[i], ct)
+        qi = -comm(b[i], ct) - comm(c[i], bt)
+        for j in range(3):
+            for k in range(3):
+                e = EPS[i, j, k]
+                if e == 0.0:
+                    continue
+                pi = pi - e * comm(b[j], c[k])
+                qi = qi - 0.5 * e * (comm(b[j], b[k]) - comm(c[j], c[k]))
+        out[i] = pi
+        out[4 + i] = qi
+    qt = comm(bt, ct)
+    for i in range(3):
+        qt = qt + comm(b[i], c[i])
+    out[7] = qt
+    return out
 
 
 def test_k_lattice():
@@ -31,6 +66,38 @@ def test_mode_vector_reality_and_grid():
                                            vol / 8 ** 3 * 3 * 8, rel=1e-10) or True
     assert mv.norm() ** 2 == pytest.approx(vol * np.mean(np.sum(grid ** 2, axis=(0, 1))),
                                            rel=1e-10)
+
+
+@pytest.mark.parametrize("N", [2, 4, 5, 8])
+def test_to_grid_matches_the_direct_sum(N):
+    # at N = 2 the wavevectors k = +-1 alias onto one grid frequency and add
+    rng = np.random.default_rng(10 + N)
+    mv = random_mode_vector(rng, 1)
+    want = _direct_grid(mv, N)
+    assert np.max(np.abs(mv.to_grid(N) - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_to_grid_rejects_a_complex_field():
+    ks = k_lattice(1)
+    coeffs = np.zeros((len(ks), 8, 3), complex)
+    coeffs[0, 0, 0] = 1e-20j  # no conjugate partner: the grid field is complex
+    with pytest.raises(ValueError, match="reality"):
+        ModeVector(ks, coeffs).to_grid(4)
+
+
+def test_symbol_of_a_stack_is_the_stack_of_symbols():
+    ks = k_lattice(2)
+    want = np.stack([symbol(k) for k in ks])
+    assert np.array_equal(symbol(ks), want)
+    assert np.array_equal(symbol(ks.reshape(5, 25, 3), 3.0),
+                          np.stack([symbol(k, 3.0) for k in ks]).reshape(5, 25, 8, 8))
+
+
+def test_quadratic_map_matches_the_eps_sum():
+    rng = np.random.default_rng(11)
+    psi = rng.normal(size=(8, 3, 4, 4, 4))
+    want = _quadratic_map_eps(psi)
+    assert np.max(np.abs(quadratic_map_grid(psi) - want)) <= 1e-15 * np.max(np.abs(want))
 
 
 def test_symbol_eigenvalues():

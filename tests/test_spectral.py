@@ -156,6 +156,22 @@ def test_radial_identity_residual():
     assert st2.identity_residual < 1e-8
 
 
+def test_radial_identity_residual_is_scale_free():
+    # the system is linear: data scaled by 1e-6 must give the same relative
+    # residual, which an absolute floor or an absolute solver tolerance breaks
+    st = sp.radial_ode_solve(1.3, 0.8, (0.2, 8.0), init=[1.0, 0.3])
+    small = sp.radial_ode_solve(1.3, 0.8, (0.2, 8.0), init=[1e-6, 3e-7])
+    assert small.identity_residual == pytest.approx(st.identity_residual, rel=1e-2)
+    assert st.identity_residual > 0.0
+
+
+def test_radial_identity_overflow_raises():
+    # at lambda = 100 the solution grows like x^98: its squares overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(RuntimeError, match="overflow"):
+            sp.radial_ode_solve(100.0, 1.0)
+
+
 @pytest.mark.parametrize("lam,want", [
     (1.0, True), (0.75, True), (1.25, True),
     (0.0, False), (2.0, False), (0.4, False), (1.7, False),
@@ -214,14 +230,24 @@ def test_admissibility_integrates_once(lam, monkeypatch):
     assert rep["fit_scatter"] <= 0.2
 
 
-def test_admissibility_retry_integrates_twice(monkeypatch):
-    # at lambda = 1, g = 2 e^{-2kx} e^{2k x_max}: the local slope -2kx spreads
-    # by more than 0.2 over [1e-4, 1e-2] once k > 12.6, and the widened range
-    # is worse, so the retry integrates once more, to x_min/10, and gives up
+def test_admissibility_at_large_k_integrates_once(monkeypatch):
+    # the windows scale with 1/|k|: at lambda = 1, k = 15 one integration from
+    # 14/k to x_min/4 = 1e-4/(4k) gives the admissible verdict
     spans = _count_solve_ivp(monkeypatch)
-    with pytest.raises(RuntimeError, match="ambiguous indicial fit"):
-        sp.radial_admissible(1.0, 15.0)
-    assert spans == [(14.0, 1e-4 / 4), (14.0, 1e-4 / 10)]
+    rep = sp.radial_admissible(1.0, 15.0)
+    assert rep["admissible"] is True
+    assert spans == [(14.0 / 15.0, 1e-4 / 15.0 / 4.0)]
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.4, 0.75, 1.0, 1.25, 1.7, 2.0])
+def test_admissibility_is_invariant_under_k(lam):
+    # (x, k) -> (x/c, c k) maps the radial system to itself, so the verdict
+    # and the indicial exponent do not depend on k
+    ref = sp.radial_admissible(lam, 1.0)
+    for k in (0.3, 2.0, 13.0, 15.0, 30.0, 100.0, -5.0):
+        rep = sp.radial_admissible(lam, k)
+        assert rep["admissible"] == ref["admissible"]
+        assert abs(rep["exponent_at_zero"] - ref["exponent_at_zero"]) < 1e-9
 
 
 @pytest.mark.parametrize("lam", [0.0, 1.0, 2.0])
