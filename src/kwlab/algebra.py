@@ -57,8 +57,11 @@ def basis_sigma(i: int) -> np.ndarray:
 
 
 def inner(u: np.ndarray, v: np.ndarray) -> complex:
-    """Trace pairing -1/2 trace(u v); real and >= 0 on su(2) diagonal."""
-    return -0.5 * np.trace(u @ v)
+    """Trace pairing -1/2 trace(u v); real and >= 0 on su(2) diagonal.
+
+    Batched over the leading axes of (..., 2, 2) arrays (a scalar for 2x2).
+    """
+    return -0.5 * np.trace(u @ v, axis1=-2, axis2=-1)
 
 
 def herm_inner(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -121,8 +124,9 @@ def su2_to_coeffs(u: np.ndarray) -> np.ndarray:
 
 
 def coeffs_to_su2(v) -> np.ndarray:
-    v = np.asarray(v)
-    return v[0] * SIGMA[0] + v[1] * SIGMA[1] + v[2] * SIGMA[2]
+    """sum_a v_a sigma_a for coefficients on the last axis: (..., 3) -> (..., 2, 2)."""
+    v = np.asarray(v)[..., None, None]
+    return v[..., 0, :, :] * SIGMA[0] + v[..., 1, :, :] * SIGMA[1] + v[..., 2, :, :] * SIGMA[2]
 
 
 @dataclass
@@ -133,6 +137,9 @@ class LDecomp:
     realization above, [i/2 sigma_3, sigma_1 - i sigma_2] = +(sigma_1 - i sigma_2),
     so L^+ = C (sigma_1 - i sigma_2) and L^- = C (sigma_1 + i sigma_2).
     (The same subspaces are the -i / +i eigenspaces of ad(1/2 sigma_3).)
+
+    For a stack of elements, plus and minus are (..., 2, 2) and zero has the
+    leading shape (...).
     """
 
     plus: np.ndarray
@@ -140,7 +147,8 @@ class LDecomp:
     minus: np.ndarray
 
     def reconstruct(self) -> np.ndarray:
-        return self.plus + self.zero * SIGMA[2] + self.minus
+        """plus + zero sigma_3 + minus, of the shape of plus."""
+        return self.plus + np.multiply.outer(self.zero, SIGMA[2]) + self.minus
 
 
 def l_decompose(v: np.ndarray) -> LDecomp:
@@ -148,14 +156,15 @@ def l_decompose(v: np.ndarray) -> LDecomp:
 
     With v = [[a, b], [c, -a]]: the sigma_3 coefficient is -i a, the L^-
     part is proportional to the upper-triangular generator and the L^+
-    part to the lower-triangular one.
+    part to the lower-triangular one.  Batched over the leading axes of
+    (..., 2, 2) arrays.
     """
-    a = v[0, 0]
-    b = v[0, 1]
-    c = v[1, 0]
+    a = v[..., 0, 0]
+    b = v[..., 0, 1]
+    c = v[..., 1, 0]
     zero = -1j * a
-    plus = (-1j * c / 2.0) * E_PLUS
-    minus = (-1j * b / 2.0) * E_MINUS
+    plus = np.multiply.outer(-1j * c / 2.0, E_PLUS)
+    minus = np.multiply.outer(-1j * b / 2.0, E_MINUS)
     return LDecomp(plus=plus, zero=zero, minus=minus)
 
 

@@ -34,6 +34,10 @@ from .torus import (
 CFL_FACTOR = 0.2
 # the largest per-step decrease of cs that still counts as monotone
 MONOTONE_TOL = 1e-10
+# the largest |residual| of lojasiewicz_fit's line that still fits one law:
+# the Nahm-pole flow (N = 6, dt = 0.05 h) reads 5e-6 to 5e-4 over 99 to 300
+# steps and 1.5 at 400, once its tail has left the Nahm sector
+FIT_SCATTER_TOL = 1e-2
 
 
 class CFLError(ValueError):
@@ -238,12 +242,16 @@ def lojasiewicz_fit(trace: FlowTrace) -> dict:
     slope s = 1 - 1/theta, so mu = 1 - 1/(2 (1 - s)): 1/2 for an exponential
     approach, 1/3 on the Nahm pole.  Neither cs_inf nor the time origin
     enters, so the fit is invariant under time shifts and under rescaling
-    g.  "rate" is the median of r over the tail.  Fewer than 8 tail points
-    with finite r > 0 give status "no_decay"; a diverged run is reported as
-    such, unfitted.
+    g.  "rate" is the median of r over the tail.  "scatter" is the largest
+    |residual| of the line; above FIT_SCATTER_TOL the tail does not follow
+    one power law (it has left the sector the law describes) and the status
+    is "scattered", with the fitted numbers reported as they came out.
+    Fewer than 8 tail points with finite r > 0 give status "no_decay"; a
+    diverged run is reported as such, unfitted.
     """
+    unfitted = {"mu_estimate": None, "rate": None, "scatter": None}
     if trace.meta.get("status") == "diverged":
-        return {"status": "diverged", "mu_estimate": None, "rate": None}
+        return {"status": "diverged", **unfitted}
     n = len(trace.times)
     if n < 16:
         raise ValueError("trace too short to fit")
@@ -254,10 +262,14 @@ def lojasiewicz_fit(trace: FlowTrace) -> dict:
     lg, r = lg[n // 2:-1], r[n // 2 - 1:]
     ok = np.isfinite(lg) & np.isfinite(r) & (r > 0)
     if np.count_nonzero(ok) < 8:
-        return {"status": "no_decay", "mu_estimate": None, "rate": None}
+        return {"status": "no_decay", **unfitted}
     x = lg[ok] - lg[ok].mean()
-    s = x @ np.log(r[ok]) / (x @ x)  # the least-squares slope
+    lr = np.log(r[ok])
+    s = x @ lr / (x @ x)  # the least-squares slope
+    scatter = float(np.max(np.abs(lr - lr.mean() - s * x)))
     # the median by hand: the first np.median call imports numpy.ma, 1.5 MB of RSS
     rs = np.sort(r[ok])
-    return {"status": "ok", "mu_estimate": float(1.0 - 0.5 / (1.0 - s)),
-            "rate": float(0.5 * (rs[(len(rs) - 1) // 2] + rs[len(rs) // 2]))}
+    return {"status": "ok" if scatter <= FIT_SCATTER_TOL else "scattered",
+            "mu_estimate": float(1.0 - 0.5 / (1.0 - s)),
+            "rate": float(0.5 * (rs[(len(rs) - 1) // 2] + rs[len(rs) // 2])),
+            "scatter": scatter}

@@ -5,8 +5,8 @@ A field value is an array of shape (..., 8, 3): eight slots ordered
 su(2) value (real; complex only in the complexified picture of
 ``spatial_identification``).  The commutator is the coefficient formula
 [u, v] = -2 u x v, the Hermitian product 1/2 trace(u^dag v) is
-sum_a conj(u_a) v_a, and the 8x8 Clifford matrices act on the slot axis by
-a matrix product.  The operator acts as
+sum_a conj(u_a) v_a, and the 8x8 Clifford matrices, each a signed
+permutation, act on the slot axis row by row.  The operator acts as
 
     D psi = grad_t psi + gamma_i grad_i psi + rho_i [a_i, psi]
 
@@ -39,8 +39,27 @@ from .algebra import CYCLIC, coeff_norm
 from .clifford import GAMMA, RHO, ad_matrix, q_endo, u_endo, y_auto_8
 from .modes import k_lattice, symbol
 
+# the generators as float matrices, whose products the permutation tables reproduce
 _GAMMA = tuple(g.astype(float) for g in GAMMA)
 _RHO = tuple(r.astype(float) for r in RHO)
+
+
+def _signed_permutation(m) -> tuple[tuple[int, int, int], ...]:
+    """(row, source row, sign) of each row of an integer matrix with exactly
+    one nonzero entry per row, +-1, so that (m g)[row] = sign * g[source]
+    exactly; any other matrix raises ValueError."""
+    rows = []
+    for r, row in enumerate(np.asarray(m)):
+        nz = np.flatnonzero(row)
+        if len(nz) != 1 or abs(row[nz[0]]) != 1:
+            raise ValueError(f"row {r} of a Clifford generator is not a signed unit row: {row}")
+        rows.append((r, int(nz[0]), int(row[nz[0]])))
+    return tuple(rows)
+
+
+# gamma_i and rho_i as signed row permutations of the slot axis
+_GAMMA_ROWS = tuple(_signed_permutation(g) for g in GAMMA)
+_RHO_ROWS = tuple(_signed_permutation(r) for r in RHO)
 
 # The 8x8 symbolic table of the operator: 'dt' means grad_t, ('d', k) means
 # grad_k, ('a', k) means [a_k, .]; the integer is the sign.
@@ -318,17 +337,31 @@ def _assemble_matrix(val, grads, a):
     return out
 
 
+def _add_permuted(out, rows, g) -> None:
+    """out += M g on the slot axis, in place, for M given as its signed
+    permutation table: one exact add or subtract per row."""
+    for r, src, sign in rows:
+        (np.add if sign > 0 else np.subtract)(out[..., r, :], g[..., src, :], out=out[..., r, :])
+
+
 def _assemble_clifford(val, grads, a, dt_sign: float = 1.0, skip_gamma3: bool = False):
-    """The gamma/rho contraction: 8x8 matrices times the (..., 8, 3) values;
-    the rho terms are skipped where the Higgs field vanishes identically."""
+    """The gamma/rho contraction on the (..., 8, 3) values.
+
+    gamma_i and rho_i are exact signed permutations of the slot axis
+    (``_GAMMA_ROWS`` and ``_RHO_ROWS``, derived from ``clifford.GAMMA`` and
+    ``clifford.RHO``), so each term is added row by row, in the order
+    dt_sign grad_t + gamma_1 grad_1 + gamma_2 grad_2 + gamma_3 grad_3, then
+    the rho terms; the result equals the 8x8 matrix products bit for bit.
+    The rho terms are skipped where the Higgs field vanishes identically.
+    """
     out = dt_sign * grads[..., 0, :, :]
     for i in range(3):
         if skip_gamma3 and i == 2:
             continue
-        out = out + _GAMMA[i] @ grads[..., 1 + i, :, :]
+        _add_permuted(out, _GAMMA_ROWS[i], grads[..., 1 + i, :, :])
     if np.any(a):
         for i in range(3):
-            out = out + _RHO[i] @ comm(a[..., i, None, :], val)
+            _add_permuted(out, _RHO_ROWS[i], comm(a[..., i, None, :], val))
     return out
 
 

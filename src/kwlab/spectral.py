@@ -83,8 +83,9 @@ def hardy_cone_ratio(a: float = 1.0, s: float = 1.0) -> float:
     r = np.linspace(1e-6, 8.0 * s, 600)
     T, R = np.meshgrid(t, r, indexing="ij")
     X2 = T * T + R * R
-    psi = T ** a * np.exp(-X2 / (2 * s * s))
-    dpsi_dt = (a * T ** (a - 1) - T ** (a + 1) / s ** 2) * np.exp(-X2 / (2 * s * s))
+    psi = np.exp(-X2 / (2 * s * s))  # the Gaussian factor, made psi in place below
+    dpsi_dt = (a * T ** (a - 1) - T ** (a + 1) / s ** 2) * psi
+    psi *= T ** a
     dpsi_dr = -R / s ** 2 * psi
     w = R  # 2 pi cancels in the ratio
     num = np.trapezoid(np.trapezoid(psi * psi / X2 * w, r, axis=1), t)
@@ -427,8 +428,8 @@ def radial_admissible(lam: float, k: float) -> dict:
     scattered by more than 0.2) raises RuntimeError.
 
     One integration, down to x_min/4, serves the fit and both extension
-    integrals: every quantity is read from its dense output.  A solution
-    that overflows on its way in (large |lam|) raises RuntimeError.
+    integrals: every quantity is read from one call of its dense output.  A
+    solution that overflows on its way in (large |lam|) raises RuntimeError.
     """
     from scipy.integrate import solve_ivp
 
@@ -441,23 +442,21 @@ def radial_admissible(lam: float, k: float) -> dict:
     if not sol.success:
         raise RuntimeError(sol.message)
 
-    def g(xs):
-        return xs ** 2 * np.sum(sol.sol(xs) ** 2, axis=0)
-
+    # the fit points and both integration grids, read in one dense-output call
     xs = np.geomspace(x_min, 100 * x_min, 60)
-    logs = np.log(g(xs))
+    grid1 = np.geomspace(x_min, x_max, 4000)
+    grid2 = np.geomspace(x_min / 4.0, x_max, 4000)
+    x_all = np.concatenate([xs, grid1, grid2])
+    g_fit, g1, g2 = np.split(x_all ** 2 * np.sum(sol.sol(x_all) ** 2, axis=0),
+                             [len(xs), len(xs) + len(grid1)])
+    logs = np.log(g_fit)
     slope = float(np.polyfit(np.log(xs), logs, 1)[0])
     scatter = float(np.max(np.abs(np.diff(logs) / np.diff(np.log(xs)) - slope)))
     if scatter > 0.2:
         raise RuntimeError("ambiguous indicial fit")
-
-    def x2dx(lo):
-        xs = np.geomspace(lo, x_max, 4000)
-        return _trapz(g(xs), xs)
-
     # convergence of the integral under extension of the lower endpoint
-    i1 = x2dx(x_min)
-    i2 = x2dx(x_min / 4.0)
+    i1 = _trapz(g1, grid1)
+    i2 = _trapz(g2, grid2)
     if not np.all(np.isfinite([slope, scatter, i1, i2])):
         raise RuntimeError("the solution overflows double precision on its way in")
     extension_growth = abs(i2 - i1) / max(i1, 1e-300)

@@ -48,22 +48,17 @@ def algebra_suite(seed: int, tol_scale: float = 1.0) -> list[CheckResult]:
     out.append(CheckResult.from_bound(
         "bracket_value", "[sigma1, sigma2] = -2 sigma3",
         float(np.max(np.abs(algebra.bracket(s1, s2) + 2 * s3))), 1e-14 * tol_scale))
-    worst_rec = 0.0
-    worst_inner = 0.0
-    worst_eig = 0.0
-    for _ in range(1000):
-        v = algebra.random_sl2c(rng)
-        d = algebra.l_decompose(v)
-        worst_rec = max(worst_rec, float(np.max(np.abs(d.reconstruct() - v))))
-        worst_eig = max(
-            worst_eig,
-            float(np.max(np.abs(algebra.ad_half_isigma3(d.plus) - d.plus))),
-            float(np.max(np.abs(algebra.ad_half_isigma3(d.minus) + d.minus))),
-        )
-        u = algebra.random_su2(rng)
-        worst_inner = max(worst_inner, abs(algebra.inner(u, u).imag))
-        if algebra.inner(u, u).real < -1e-15:
-            worst_inner = math.inf
+    # 1000 samples in one draw, in the order of per-sample draws: the real and
+    # imaginary parts of an sl(2,C) element, then an su(2) element
+    draws = rng.normal(size=(1000, 9))
+    v = algebra.coeffs_to_su2(draws[:, 0:3] + 1j * draws[:, 3:6])
+    u = algebra.coeffs_to_su2(draws[:, 6:9])
+    d = algebra.l_decompose(v)
+    worst_rec = float(np.max(np.abs(d.reconstruct() - v)))
+    worst_eig = max(float(np.max(np.abs(algebra.ad_half_isigma3(d.plus) - d.plus))),
+                    float(np.max(np.abs(algebra.ad_half_isigma3(d.minus) + d.minus))))
+    uu = algebra.inner(u, u)
+    worst_inner = math.inf if np.any(uu.real < -1e-15) else float(np.max(np.abs(uu.imag)))
     out.append(CheckResult.from_bound(
         "l_decompose_reconstruct", "v = v_plus + v_0 sigma3 + v_minus",
         worst_rec, 1e-12 * tol_scale))
@@ -100,8 +95,7 @@ def coeff_kernels_check(rng: np.random.Generator, tol_scale: float) -> CheckResu
     su2 = rng.normal(size=(2, 32, 3))
     sl2c = rng.normal(size=(2, 32, 3)) + 1j * rng.normal(size=(2, 32, 3))
 
-    def mats(c):
-        return np.array([algebra.coeffs_to_su2(ci) for ci in c])
+    mats = algebra.coeffs_to_su2
 
     def rel(got, want):
         return float(np.max(np.abs(got - want))) / float(np.max(np.abs(want)))

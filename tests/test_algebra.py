@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -112,3 +114,71 @@ def test_coeff_bracket_and_norm_match_matrices(ur, ui, vr, vi):
     assert batch.dtype == float and batch.shape == (4, 3)
     assert np.max(np.abs(batch - al.coeff_bracket(np.array(ur), np.array(vr)))) == 0.0
     assert al.coeff_norm(u) == pytest.approx(float(al.norm(al.coeffs_to_su2(u))), rel=1e-12)
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_batched_oracle_equals_stacked_scalar_calls(complex_):
+    rng = np.random.default_rng(4)
+    c = rng.normal(size=(5, 7, 3)) + (1j * rng.normal(size=(5, 7, 3)) if complex_ else 0)
+    m = al.coeffs_to_su2(c)
+    assert m.shape == (5, 7, 2, 2)
+    assert np.array_equal(m, np.array([[al.coeffs_to_su2(x) for x in row] for row in c]))
+    d = al.l_decompose(m)
+    scalar = [[al.l_decompose(x) for x in row] for row in m]
+    for part in ("plus", "zero", "minus"):
+        assert np.array_equal(getattr(d, part),
+                              np.array([[getattr(s, part) for s in row] for row in scalar]))
+    assert np.array_equal(d.reconstruct(),
+                          np.array([[s.reconstruct() for s in row] for row in scalar]))
+    w = al.coeffs_to_su2(c[::-1])
+    assert np.array_equal(al.inner(m, w),
+                          np.array([[al.inner(x, y) for x, y in zip(r, q)] for r, q in zip(m, w)]))
+    # one element keeps the scalar shapes
+    assert al.l_decompose(m[0, 0]).reconstruct().shape == (2, 2)
+    assert np.ndim(al.inner(m[0, 0], w[0, 0])) == 0
+
+
+def _algebra_metrics_per_sample(seed):
+    """The algebra suite's sampled metrics as a loop over its 1000 samples,
+    one 2x2 element at a time; the kernel check draws after them, so it
+    reads the stream where the loop left it."""
+    from kwlab.suites import coeff_kernels_check
+
+    rng = np.random.default_rng(seed)
+    worst_rec = worst_inner = worst_eig = 0.0
+    for _ in range(1000):
+        v = al.random_sl2c(rng)
+        d = al.l_decompose(v)
+        worst_rec = max(worst_rec, float(np.max(np.abs(d.reconstruct() - v))))
+        worst_eig = max(
+            worst_eig,
+            float(np.max(np.abs(al.ad_half_isigma3(d.plus) - d.plus))),
+            float(np.max(np.abs(al.ad_half_isigma3(d.minus) + d.minus))),
+        )
+        u = al.random_su2(rng)
+        worst_inner = max(worst_inner, abs(al.inner(u, u).imag))
+        if al.inner(u, u).real < -1e-15:
+            worst_inner = math.inf
+    u = al.random_sl2c(rng)
+    v = al.random_sl2c(rng)
+    pu = al.l_decompose(u).plus
+    pv = al.l_decompose(v).plus
+    return {
+        "l_decompose_reconstruct": worst_rec,
+        "l_eigenspaces": worst_eig,
+        "su2_inner_real_positive": worst_inner,
+        "lplus_isotropic": max(abs(al.inner(pu, pv)),
+                               float(np.max(np.abs(al.bracket(pu, pv))))),
+        "star_involution": max(float(np.max(np.abs(al.star(al.star(u)) - u))),
+                               float(np.max(np.abs(al.l_decompose(al.star(pu)).plus)))),
+        "coeff_kernels_match_matrices": coeff_kernels_check(rng, 1.0).metric,
+    }
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_algebra_suite_batch_equals_per_sample_loop(seed):
+    from kwlab.suites import algebra_suite
+
+    got = {c.check_id: c.metric for c in algebra_suite(seed)}
+    for check, want in _algebra_metrics_per_sample(seed).items():
+        assert got[check] == want, check

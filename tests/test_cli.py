@@ -132,7 +132,7 @@ def test_flow_run_outputs(tmp_path, capsys):
     assert summary["monotone"] is True
     assert summary["energy_identity_max_relerr"] < 1e-3
     fit = summary["lojasiewicz_fit"]
-    assert sorted(fit) == ["mu_estimate", "rate", "status"] and fit["status"] == "ok"
+    assert sorted(fit) == ["mu_estimate", "rate", "scatter", "status"] and fit["status"] == "ok"
     assert fit["mu_estimate"] == pytest.approx(0.5, abs=1e-9)
     assert summary["linear_gap"] == 1.0
     # the fd4 flow decays at twice the stencil's k~ (1.97643 at N = 8), not at 2

@@ -247,7 +247,7 @@ def test_lojasiewicz_power_model():
 def test_lojasiewicz_stationary_declined():
     t = np.linspace(0, 5, 100)
     assert lojasiewicz_fit(_fake_trace(t, 0 * t, 0 * t)) == {
-        "status": "no_decay", "mu_estimate": None, "rate": None}
+        "status": "no_decay", "mu_estimate": None, "rate": None, "scatter": None}
 
 
 @pytest.mark.parametrize("t0", [0.5, 1.0, 4.0])
@@ -439,3 +439,30 @@ def test_flow_status_contract(N, amplitude, seed, cfl, steps):
         assert finite[:-1].all() and not finite[-1]
         assert lojasiewicz_fit(tr)["status"] == "diverged"
     json.dumps(tr.summary(), allow_nan=False)
+
+
+def test_lojasiewicz_fit_refuses_the_nahm_flow_off_its_sector():
+    # the Nahm-pole flow is fitted with mu = 1/3 up to 200 steps; by 400 steps
+    # its tail has left the sector (mu reads 0.21) and the line scatters
+    F = _nahm_field(-0.5)
+    tr = run_flow(F, FlowConfig(dt=0.05 * F.h, steps=400))
+    assert tr.meta["status"] == "completed"
+    fits = {}
+    for steps in (99, 200, 400):
+        head = FlowTrace(**{col: getattr(tr, col)[:steps + 1] for col in TRACE_COLUMNS},
+                         meta=tr.meta)
+        fits[steps] = lojasiewicz_fit(head)
+        # mu from the regression as it stood before the scatter bound
+        n, t = steps + 1, head.times
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lg = np.log(head.grad_norm_sq)
+            r = (lg[:-2] - lg[2:]) / (t[2:] - t[:-2])
+        lg, r = lg[n // 2:-1], r[n // 2 - 1:]
+        ok = np.isfinite(lg) & np.isfinite(r) & (r > 0)
+        x = lg[ok] - lg[ok].mean()
+        assert fits[steps]["mu_estimate"] == 1.0 - 0.5 / (1.0 - x @ np.log(r[ok]) / (x @ x))
+    for steps in (99, 200):
+        assert fits[steps]["status"] == "ok" and fits[steps]["scatter"] < 1e-5
+        assert fits[steps]["mu_estimate"] == pytest.approx(1 / 3, abs=1e-4)
+    assert fits[400]["status"] == "scattered" and fits[400]["scatter"] > 1.0
+    assert abs(fits[400]["mu_estimate"] - 1 / 3) > 0.1

@@ -489,3 +489,30 @@ def test_zero_background_skips_bracket_terms(monkeypatch):
     for i in range(3):
         want = want + op._RHO[i] @ op.comm(zero[..., i, None, :], val)
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("dt_sign,skip_gamma3", [(1.0, False), (-1.0, False), (0.0, False),
+                                                 (1.0, True)])
+@pytest.mark.parametrize("higgs", [False, True])
+def test_clifford_permutations_equal_matrix_products(dt_sign, skip_gamma3, higgs):
+    # the signed-permutation contraction against the 8x8 matrix products, in
+    # the same order, on random values, gradients and Higgs fields
+    rng = np.random.default_rng(5)
+    val = rng.normal(size=(4, 6, 8, 3))
+    grads = rng.normal(size=(4, 6, 4, 8, 3))
+    a = rng.normal(size=(4, 6, 3, 3)) if higgs else np.zeros((4, 6, 3, 3))
+    got = op._assemble_clifford(val, grads, a, dt_sign=dt_sign, skip_gamma3=skip_gamma3)
+    want = dt_sign * grads[..., 0, :, :]
+    for i in range(2 if skip_gamma3 else 3):
+        want = want + op._GAMMA[i] @ grads[..., 1 + i, :, :]
+    if higgs:
+        for i in range(3):
+            want = want + op._RHO[i] @ op.comm(a[..., i, None, :], val)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("row", [[0, 1, 1, 0], [0, 0, 0, 0], [0, 2, 0, 0], [0, 0.5, 0, 0]])
+def test_signed_permutation_refuses_other_rows(row):
+    m = np.array([[0, 0, 0, 1], [0, 0, -1, 0], [1, 0, 0, 0], row])
+    with pytest.raises(ValueError, match="row 3"):
+        op._signed_permutation(m)

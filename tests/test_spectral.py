@@ -274,3 +274,36 @@ def test_shared_integration_matches_separate_runs(lam):
     assert rep["exponent_at_zero"] == pytest.approx(slope, rel=1e-8)
     assert rep["x2dx_integral"] == pytest.approx(i1, rel=1e-8)
     assert rep["extension_growth"] == pytest.approx(abs(i2 - i1) / i1, rel=1e-8)
+
+
+def _radial_admissible_per_grid(lam, k):
+    """radial_admissible reading the fit points and each integration grid
+    with its own dense-output call."""
+    from scipy.integrate import solve_ivp
+
+    x_min, x_max = 1e-4 / abs(k), 14.0 / abs(k)
+    sol = solve_ivp(sp._radial_rhs(lam, k), (x_max, x_min / 4.0), [1.0, 1.0 if k > 0 else -1.0],
+                    method="DOP853", rtol=1e-11, atol=1e-300, dense_output=True)
+
+    def g(xs):
+        return xs ** 2 * np.sum(sol.sol(xs) ** 2, axis=0)
+
+    def x2dx(lo):
+        xs = np.geomspace(lo, x_max, 4000)
+        return sp._trapz(g(xs), xs)
+
+    xs = np.geomspace(x_min, 100 * x_min, 60)
+    logs = np.log(g(xs))
+    slope = float(np.polyfit(np.log(xs), logs, 1)[0])
+    scatter = float(np.max(np.abs(np.diff(logs) / np.diff(np.log(xs)) - slope)))
+    i1, i2 = x2dx(x_min), x2dx(x_min / 4.0)
+    growth = abs(i2 - i1) / max(i1, 1e-300)
+    return {"lambda": lam, "k": k, "admissible": bool(slope > -1.0 + 0.05 and growth < 0.05),
+            "exponent_at_zero": slope, "fit_scatter": scatter, "extension_growth": growth,
+            "x2dx_integral": i1}
+
+
+@pytest.mark.parametrize("k", [1.0, -5.0, 13.0])
+@pytest.mark.parametrize("lam", [0.0, 0.75, 1.0, 1.25, 2.0])
+def test_one_dense_output_read_equals_one_per_grid(lam, k):
+    assert sp.radial_admissible(lam, k) == _radial_admissible_per_grid(lam, k)

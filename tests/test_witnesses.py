@@ -89,6 +89,12 @@ def mu_off_by_a_hundredth(mp):
     plant(mp, fit, off)
 
 
+def clifford_table_sign_slip(mp):
+    # gamma_1's first row with the wrong sign, in the contraction's table only
+    (r, src, sign), *rest = op._GAMMA_ROWS[0]
+    plant(mp, op._GAMMA_ROWS, (((r, src, -sign), *rest),) + op._GAMMA_ROWS[1:])
+
+
 BG = ModelBackground(1)
 P0 = np.array([1.0, 0.7, 0.4, 0.3])
 SEC = op.random_section(np.random.default_rng(0), center=P0[:3], spread=0.25)
@@ -121,6 +127,9 @@ WITNESSES = {
                          lambda: op.x_matrix24(BG, P0)),
     "symbol": (symbol_off_by_a_millionth, ("operator", {"points": 20}), {"symbol_spectrum"},
                lambda: modes.linearized_decay(1, PLANE_WAVE, T=10.0, dt=1.0)["f_plus"]),
+    "clifford_table": (clifford_table_sign_slip, ("operator", {"points": 20}),
+                       {"three_depictions"},
+                       lambda: op.apply_D(BG, SEC, P0, 1e-5, depiction="clifford")),
     "decay_law": (mu_off_by_a_hundredth, ("flow-smoke", {}),
                   {"linear_regime_rate", "decay_fit_oracle", "nahm_decay_exponent"},
                   lambda: flow.lojasiewicz_fit(EXP_TRACE)["mu_estimate"]),
