@@ -173,10 +173,6 @@ def ad_half_isigma3(v: np.ndarray) -> np.ndarray:
     return bracket(0.5j * SIGMA[2], v)
 
 
-def random_su2(rng: np.random.Generator) -> np.ndarray:
-    return coeffs_to_su2(rng.normal(size=3))
-
-
 def random_sl2c(rng: np.random.Generator) -> np.ndarray:
     re = rng.normal(size=3)
     im = rng.normal(size=3)

@@ -22,6 +22,7 @@ import numpy as np
 
 from .algebra import coeff_bracket
 from .model import ModelSolution, evaluate
+from .operator import TorusTrigSection
 
 
 def _batch(P):
@@ -123,9 +124,7 @@ class ModelBackground:
         t = P[..., 0]
         r = np.hypot(P[..., 1], P[..., 2])
         h = 1e-3 * np.minimum(t, r)
-        out = np.zeros(P.shape[:-1] + (2, 2, 3))
-        A = self.A_at(P)
-        a0 = self.a_at(P)
+        da = np.empty(P.shape[:-1] + (2, 2, 3))
         for i in range(2):
             shifts = []
             for step in (2.0, 1.0, -1.0, -2.0):
@@ -133,10 +132,11 @@ class ModelBackground:
                 Q[..., 1 + i] = Q[..., 1 + i] + step * h
                 shifts.append(self.a_at(Q))
             f2, f1, fm1, fm2 = shifts
-            da = (-f2 + 8.0 * f1 - 8.0 * fm1 + fm2) / (12.0 * h)[..., None, None]
-            for j in range(2):
-                out[..., i, j, :] = da[..., j, :] + coeff_bracket(A[..., i, :], a0[..., j, :])
-        return out
+            da[..., i, :, :] = ((-f2 + 8.0 * f1 - 8.0 * fm1 + fm2)
+                                / (12.0 * h)[..., None, None])[..., :2, :]
+        # grad_i a_j = d_i a_j + [A_i, a_j]
+        A, a = self.A_at(P), self.a_at(P)
+        return da + coeff_bracket(A[..., :2, None, :], a[..., None, :2, :])
 
 
 class TorusTrigBackground:
@@ -145,63 +145,42 @@ class TorusTrigBackground:
     Built from a list of terms (slot, comp, k, phase, coeffs) where slot is
     'A' or 'a', comp in {0,1,2}, k an integer 3-vector, and coeffs a real
     3-vector of sigma coefficients; each term contributes
-    coeffs . sigma * cos(k.x + phase) to that component.  Exact spatial
-    derivatives are available, so curvature data is analytic.
+    coeffs . sigma * cos(k.x + phase) to that component.  The terms form one
+    TorusTrigSection (A in slots 0-2, a in 4-6, no t-envelope), so A, a and
+    their exact spatial derivatives are slices of its value and derivatives.
     """
 
     def __init__(self, terms):
-        self.terms = list(terms)
+        stacked = []
+        for (slot, comp, k, phase, coeffs) in terms:
+            amp = np.zeros((8, 3))
+            amp[comp + (0 if slot == "A" else 4)] = coeffs
+            stacked.append((amp, k, phase))
+        self._fields = TorusTrigSection(stacked)
 
     def domain_check(self, P) -> None:
         _batch(P)
 
-    def _sum(self, P, slot: str, deriv: int | None = None):
-        P = _batch(P)
-        out = np.zeros(P.shape[:-1] + (3, 3))
-        for (sl, comp, k, phase, coeffs) in self.terms:
-            if sl != slot:
-                continue
-            k = np.asarray(k, dtype=float)
-            arg = P[..., 1] * k[0] + P[..., 2] * k[1] + P[..., 3] * k[2] + phase
-            val = np.cos(arg)
-            if deriv is not None:
-                val = -np.sin(arg) * k[deriv]
-            out[..., comp, :] += val[..., None] * np.asarray(coeffs, dtype=float)
-        return out
-
     def A_at(self, P):
-        return self._sum(P, "A")
+        return self._fields.value(_batch(P))[..., 0:3, :]
 
     def a_at(self, P):
-        return self._sum(P, "a")
-
-    def dA_at(self, P, i: int):
-        """Plain derivative d A / d x_{i+1}, exact."""
-        return self._sum(P, "A", deriv=i)
-
-    def da_at(self, P, i: int):
-        return self._sum(P, "a", deriv=i)
+        return self._fields.value(_batch(P))[..., 4:7, :]
 
     def curvature_at(self, P):
         # E_i = [grad_t, grad_i] = 0 (time independent);
         # B3 = d1 A2 - d2 A1 + [A1, A2]
         A = self.A_at(P)
-        d1A = self.dA_at(P, 0)
-        d2A = self.dA_at(P, 1)
-        b3 = d1A[..., 1, :] - d2A[..., 0, :] + coeff_bracket(A[..., 0, :], A[..., 1, :])
+        b3 = (self._fields.deriv(P, 1)[..., 1, :] - self._fields.deriv(P, 2)[..., 0, :]
+              + coeff_bracket(A[..., 0, :], A[..., 1, :]))
         z = np.zeros_like(b3)
         return z, z.copy(), b3
 
     def dcov_a_at(self, P):
-        P = _batch(P)
-        A = self.A_at(P)
-        a0 = self.a_at(P)
-        out = np.zeros(P.shape[:-1] + (2, 2, 3))
-        for i in range(2):
-            da = self.da_at(P, i)
-            for j in range(2):
-                out[..., i, j, :] = da[..., j, :] + coeff_bracket(A[..., i, :], a0[..., j, :])
-        return out
+        da = np.stack([self._fields.deriv(P, 1 + i)[..., 4:6, :] for i in range(2)], axis=-3)
+        # grad_i a_j = d_i a_j + [A_i, a_j]
+        A, a = self.A_at(P), self.a_at(P)
+        return da + coeff_bracket(A[..., :2, None, :], a[..., None, :2, :])
 
 
 def make_background(kind: str):

@@ -93,18 +93,6 @@ _I8 = np.eye(8, dtype=np.int64)
 _I3 = np.eye(3)
 
 
-def load_clifford() -> dict[str, np.ndarray]:
-    """The six generators, as exact integer matrices."""
-    return {
-        "gamma1": GAMMA[0].copy(),
-        "gamma2": GAMMA[1].copy(),
-        "gamma3": GAMMA[2].copy(),
-        "rho1": RHO[0].copy(),
-        "rho2": RHO[1].copy(),
-        "rho3": RHO[2].copy(),
-    }
-
-
 def relation_checks() -> list[tuple[str, int]]:
     """Every defining relation as (name, residual) in integer arithmetic: the
     largest |entry| of the relation's defect, 0 exactly when it holds."""

@@ -348,7 +348,9 @@ def case4_solution(ms: ModelSolution, p_degree: int, point: FieldPoint, h: float
     for sigma_minus, plus the homogeneity exponent of |sigma_minus| along a ray.
 
     The equations are grad_t sigma + 2 alpha sigma = 0 and
-    (grad_1 + i grad_2) sigma = 0; the expected ray exponent is p_degree + 1.
+    (grad_1 + i grad_2) sigma = 0; each residual is divided by the sum of the
+    norms of its two terms, so it means the same at any scale of the fields.
+    The expected ray exponent is p_degree + 1.
     The stencil and the ray samples are each evaluated in one batch.
     """
     if ms.m < 1:
@@ -360,8 +362,9 @@ def case4_solution(ms: ModelSolution, p_degree: int, point: FieldPoint, h: float
     dt, d1, d2 = _grad(sig, step)
     g1 = d1 + coeff_bracket(ev.A1[0], sig[0])
     g2 = d2 + coeff_bracket(ev.A2[0], sig[0])
-    res_t = coeff_norm(dt + 2.0 * ev.alpha[0] * sig[0])
-    res_z = coeff_norm(g1 + 1j * g2)
+    alpha_sig = 2.0 * ev.alpha[0] * sig[0]
+    res_t = coeff_norm(dt + alpha_sig) / (coeff_norm(dt) + coeff_norm(alpha_sig))
+    res_z = coeff_norm(g1 + 1j * g2) / (coeff_norm(g1) + coeff_norm(g2))
 
     # exponent of |sigma_minus| ~ x^(p+1) along the ray through `point`
     lams = np.geomspace(0.5, 2.0, 9)

@@ -104,18 +104,9 @@ def _pair(u, v):
     return np.sum((u.conj() * v).real, axis=(-2, -1))
 
 
-def spinor_norm(v) -> np.ndarray:
-    return np.sqrt(np.sum(coeff_norm(v) ** 2, axis=-1))
-
-
 def spinor_max(v) -> float:
     """The largest Hermitian norm of a slot."""
     return float(np.max(coeff_norm(v)))
-
-
-def random_spinor_coeffs(rng: np.random.Generator) -> np.ndarray:
-    """A random constant spinor value, shape (8, 3)."""
-    return rng.normal(size=(8, 3))
 
 
 class FuncSection:
@@ -386,13 +377,6 @@ def apply_D_dagger(bg, sec, P, h: float | None = 1e-5):
     return _assemble_clifford(val, grads, bg.a_at(P), dt_sign=-1.0)
 
 
-def apply_spatial(bg, sec, P, h: float | None = 1e-5):
-    """D minus its grad_t term (the symmetric spatial part)."""
-    bg.domain_check(P)
-    val, grads = covariant_grads(bg, sec, P, h)
-    return _assemble_clifford(val, grads, bg.a_at(P), dt_sign=0.0)
-
-
 def apply_Xi(bg, sec, P, h: float | None = 1e-5):
     """D minus its gamma3 grad_3 term (acts within x3-invariant sections)."""
     bg.domain_check(P)
@@ -620,18 +604,14 @@ def lattice_L_spectrum(k_max: int, L: float = 2 * math.pi) -> list[dict]:
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    out = []
-    for k in k_lattice(k_max):
-        ev = np.linalg.eigvalsh(symbol(k, L))
-        out.append({"k": tuple(int(c) for c in k), "eigenvalues": np.repeat(np.sort(ev), 3)})
-    return out
+    ks = k_lattice(k_max)
+    ev = np.repeat(np.linalg.eigvalsh(symbol(ks, L)), 3, axis=-1)
+    return [{"k": tuple(int(c) for c in k), "eigenvalues": e} for k, e in zip(ks, ev)]
 
 
 def smallest_nonzero_symbol_eig(k_max: int, L: float = 2 * math.pi) -> float:
-    vals = []
-    for entry in lattice_L_spectrum(k_max, L):
-        vals.extend(abs(v) for v in entry["eigenvalues"] if abs(v) > 1e-12)
-    return min(vals)
+    ev = np.abs([e["eigenvalues"] for e in lattice_L_spectrum(k_max, L)])
+    return float(ev[ev > 1e-12].min())
 
 
 # ---------------------------------------------------------------------------

@@ -392,12 +392,3 @@ def random_field(rng: np.random.Generator, N: int, L: float = 2 * math.pi,
                 slot[comp] += cf[:, None, None, None] * np.cos(arg)[None]
     return F
 
-
-def abelian_field(N: int, amplitude: float = 0.1) -> TorusField:
-    """A = 0, a = amplitude sigma3 sin(x1) dx2 on the torus of side 2 pi:
-    abelian, so cs vanishes."""
-    F = TorusField(N)
-    xs = np.arange(N) * (2 * math.pi / N)
-    X1 = np.meshgrid(xs, xs, xs, indexing="ij")[0]
-    F.a[1, 2] = amplitude * np.sin(X1)
-    return F

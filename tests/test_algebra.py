@@ -94,7 +94,7 @@ def test_star_involution_and_swap():
     rng = np.random.default_rng(0)
     v = al.random_sl2c(rng)
     assert np.max(np.abs(al.star(al.star(v)) - v)) < 1e-14
-    u = al.random_su2(rng)
+    u = al.coeffs_to_su2(rng.normal(size=3))
     assert np.max(np.abs(al.star(u) - u)) < 1e-14
     p = al.l_decompose(v).plus
     sp = al.star(p)
@@ -155,7 +155,7 @@ def _algebra_metrics_per_sample(seed):
             float(np.max(np.abs(al.ad_half_isigma3(d.plus) - d.plus))),
             float(np.max(np.abs(al.ad_half_isigma3(d.minus) + d.minus))),
         )
-        u = al.random_su2(rng)
+        u = al.coeffs_to_su2(rng.normal(size=3))
         worst_inner = max(worst_inner, abs(al.inner(u, u).imag))
         if al.inner(u, u).real < -1e-15:
             worst_inner = math.inf

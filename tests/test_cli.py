@@ -39,6 +39,14 @@ def test_deterministic_reports(tmp_path, capsys):
     assert o1.read_bytes() == o2.read_bytes()
 
 
+@pytest.mark.parametrize("m", ["1", "3", "5", "7"])
+def test_model_suite_passes_at_larger_m(m, capsys):
+    # the decoupled-sector residuals are relative to their terms, so the
+    # finite-difference error no longer grows with the fields past m = 3
+    code, out, _ = run(["model", "--m", m], capsys)
+    assert code == 0 and json.loads(out)["n_fail"] == 0
+
+
 def test_unknown_suite_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["nonsense"])

@@ -22,15 +22,6 @@ def test_relation_residual_is_the_integer_defect(monkeypatch):
         cl.assert_relations()
 
 
-def test_load_clifford_matrices():
-    mats = cl.load_clifford()
-    assert set(mats) == {"gamma1", "gamma2", "gamma3", "rho1", "rho2", "rho3"}
-    g1 = mats["gamma1"]
-    assert np.array_equal(g1 @ g1, -np.eye(8, dtype=np.int64))
-    assert np.array_equal(g1 @ mats["rho2"] + mats["rho2"] @ g1, np.zeros((8, 8), dtype=np.int64))
-    assert int(np.trace(mats["rho3"])) == 0
-
-
 def test_q_spectrum_and_structure():
     q = cl.q_endo()
     assert np.max(np.abs(q + q.T)) == 0.0

@@ -131,7 +131,9 @@ def test_quadratic_map_matches_flow_gradient():
     assert np.max(np.abs(total[7] - div_cov(F, c))) < 1e-12
 
 
-def test_energy_identity_refines_at_second_order():
+def test_energy_identity_refines_at_fourth_order():
+    # the identity columns take 5-point centred differences in time, so
+    # halving dt over the same horizon divides both errors by 16
     from kwlab.flow import FlowConfig, run_flow
     from kwlab.modes import positive_spectrum_field
 
@@ -139,8 +141,10 @@ def test_energy_identity_refines_at_second_order():
     F = positive_spectrum_field(rng, 12, amplitude=0.05, abelian=True,
                                 modes=[(1, 0, 0), (0, 1, 0)])
     dt = 0.05 * F.h
-    e = {}
-    for refine in (1, 2):
-        tr = run_flow(F.copy(), FlowConfig(dt=dt / refine, steps=60 * refine))
-        e[refine] = tr.summary()["energy_identity_max_relerr"]
-    assert e[1] / e[2] == pytest.approx(4.0, rel=0.3)
+    e, tf = {}, {}
+    for refine in (1, 2, 4):
+        s = run_flow(F.copy(), FlowConfig(dt=dt / refine, steps=60 * refine)).summary()
+        e[refine], tf[refine] = s["energy_identity_max_relerr"], s["two_forms_max_relerr"]
+    for err in (e, tf):
+        assert err[1] / err[2] == pytest.approx(16.0, rel=0.1)
+        assert err[2] / err[4] == pytest.approx(16.0, rel=0.1)

@@ -10,9 +10,18 @@ from kwlab import suites, torus
 from kwlab.flow import CFLError, FlowConfig, FlowTrace, lojasiewicz_fit, run_flow
 from kwlab.suites import gauge_invariance_check, richardson_gradient_check
 from kwlab.torus import (
-    TorusField, abelian_field, cs_functional, div_cov, dot, gauge_transform,
+    TorusField, cs_functional, div_cov, dot, gauge_transform,
     gradient, gradient_check, grad_norm_sq, random_field,
 )
+
+
+def abelian_field(N, amplitude):
+    """A = 0, a = amplitude sigma3 sin(x1) dx2 on the torus of side 2 pi:
+    abelian, so cs vanishes."""
+    F = TorusField(N)
+    xs = np.arange(N) * (2 * math.pi / N)
+    F.a[1, 2] = amplitude * np.sin(xs)[:, None, None]
+    return F
 
 
 def test_zero_field_stationary():
@@ -140,13 +149,16 @@ def test_gauge_flow_equivariance():
 
 
 def _final_state(F0, cfg):
-    from kwlab.flow import _rhs
+    # classical RK4 on the real form (A, a), one gradient per stage
+    def rhs(F, A, a):
+        return gradient(TorusField(F.N, F.L, A, a, F.scheme))
+
     A, a = F0.A.copy(), F0.a.copy()
     for _ in range(cfg.steps):
-        k1A, k1a = _rhs(F0, A, a)
-        k2A, k2a = _rhs(F0, A + 0.5 * cfg.dt * k1A, a + 0.5 * cfg.dt * k1a)
-        k3A, k3a = _rhs(F0, A + 0.5 * cfg.dt * k2A, a + 0.5 * cfg.dt * k2a)
-        k4A, k4a = _rhs(F0, A + cfg.dt * k3A, a + cfg.dt * k3a)
+        k1A, k1a = rhs(F0, A, a)
+        k2A, k2a = rhs(F0, A + 0.5 * cfg.dt * k1A, a + 0.5 * cfg.dt * k1a)
+        k3A, k3a = rhs(F0, A + 0.5 * cfg.dt * k2A, a + 0.5 * cfg.dt * k2a)
+        k4A, k4a = rhs(F0, A + cfg.dt * k3A, a + cfg.dt * k3a)
         A = A + cfg.dt / 6 * (k1A + 2 * k2A + 2 * k3A + k4A)
         a = a + cfg.dt / 6 * (k1a + 2 * k2a + 2 * k3a + k4a)
     return A, a

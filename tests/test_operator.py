@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from kwlab import operator as op
-from kwlab.algebra import SIGMA, bracket, coeff_norm, coeffs_to_su2, norm, su2_to_coeffs
+from kwlab.algebra import (
+    SIGMA, bracket, coeff_bracket, coeff_norm, coeffs_to_su2, norm, su2_to_coeffs,
+)
 from kwlab.backgrounds import (
     ModelBackground, NahmBackground, TorusTrigBackground, TrivialBackground,
     make_background,
@@ -23,6 +25,12 @@ def random_points(rng, center, n=40):
         center[2] + rng.uniform(-0.2, 0.2, n),
         rng.uniform(0, 2 * math.pi, n),
     ])
+
+
+def _spatial(bg, sec, P, h):
+    """D minus its grad_t term (the symmetric spatial part) at P."""
+    val, grads = op.covariant_grads(bg, sec, P, h)
+    return op._assemble_clifford(val, grads, bg.a_at(P), dt_sign=0.0)
 
 
 def _to_mat(c):
@@ -74,8 +82,6 @@ def test_spinor_norms_match_trace(complex_):
     v, _ = _coeff_pair(np.random.default_rng(4), (5, 8, 3), (3,), complex_)
     want = norm(_to_mat(v))  # sqrt(1/2 trace(u^dag u)) per slot
     np.testing.assert_allclose(coeff_norm(v), want, rtol=1e-14)
-    np.testing.assert_allclose(op.spinor_norm(v), np.sqrt(np.sum(want ** 2, axis=-1)),
-                               rtol=1e-14)
     assert op.spinor_max(v) == pytest.approx(float(np.max(want)), rel=1e-14)
 
 
@@ -116,7 +122,7 @@ def test_three_depictions_agree(bg, center):
 
 
 def test_constant_section_trivial_background():
-    val = op.random_spinor_coeffs(RNG)
+    val = RNG.normal(size=(8, 3))
     sec = op.FuncSection(lambda P: np.broadcast_to(val, P.shape[:-1] + (8, 3)).copy())
     out = op.apply_D(TrivialBackground(), sec, np.array([1.0, 0.2, 0.3, 0.4]), 1e-5)
     assert op.spinor_max(out) == 0.0
@@ -144,7 +150,7 @@ def test_d_plus_ddagger_kills_time_derivative():
     sec = op.random_section(rng, center=(1.0, 0.0, 0.0), spread=0.3)
     p = np.array([1.1, 0.1, -0.3, 0.2])
     total = op.apply_D(bg, sec, p, 1e-5, depiction="clifford") + op.apply_D_dagger(bg, sec, p, 1e-5)
-    spatial = op.apply_spatial(bg, sec, p, 1e-5)
+    spatial = _spatial(bg, sec, p, 1e-5)
     assert op.spinor_max(total - 2 * spatial) < 1e-12
 
 
@@ -160,6 +166,40 @@ def test_duality_quadrature():
     assert op.duality_gap(bgt, psi, eta, t_range=(0.0, 4.0), nt=40, nx=8) < 1e-6
     # finite-difference derivative route stays within quadrature tolerance
     assert op.duality_gap(bgt, psi, eta, t_range=(0.0, 4.0), nt=40, nx=8, h=1e-5) < 1e-6
+
+
+def _per_term_fields(terms, P, i=None):
+    """A and a of TorusTrigBackground terms summed term by term, or with
+    i = 0, 1, 2 their plain derivatives along x_{i+1}."""
+    out = {"A": np.zeros(P.shape[:-1] + (3, 3)), "a": np.zeros(P.shape[:-1] + (3, 3))}
+    for slot, comp, k, phase, coeffs in terms:
+        arg = P[..., 1] * k[0] + P[..., 2] * k[1] + P[..., 3] * k[2] + phase
+        w = np.cos(arg) if i is None else -np.sin(arg) * k[i]
+        out[slot][..., comp, :] += w[..., None] * np.asarray(coeffs, float)
+    return out["A"], out["a"]
+
+
+def test_torus_background_equals_its_per_term_sum():
+    # on dyadic points and phases with integer k every argument k.x + phase
+    # is exact in any order of summation, so the stacked section has to give
+    # the per-term sums bit for bit
+    rng = np.random.default_rng(8)
+    terms = [(slot, int(rng.integers(3)), tuple(int(c) for c in rng.integers(-2, 3, 3)),
+              rng.integers(0, 50) / 8, tuple(rng.normal(size=3))) for slot in "AaAaAa"]
+    P = rng.integers(0, 64, size=(6, 7, 4)) / 8
+    bg = TorusTrigBackground(terms)
+    A, a = _per_term_fields(terms, P)
+    (dA1, da1), (dA2, da2) = _per_term_fields(terms, P, 0), _per_term_fields(terms, P, 1)
+    assert np.array_equal(bg.A_at(P), A) and np.array_equal(bg.a_at(P), a)
+    e1, e2, b3 = bg.curvature_at(P)
+    assert not np.any(e1) and not np.any(e2)
+    assert np.array_equal(b3, dA1[..., 1, :] - dA2[..., 0, :]
+                          + coeff_bracket(A[..., 0, :], A[..., 1, :]))
+    dcov = bg.dcov_a_at(P)
+    for i, da in enumerate((da1, da2)):
+        for j in range(2):
+            assert np.array_equal(dcov[..., i, j, :],
+                                  da[..., j, :] + coeff_bracket(A[..., i, :], a[..., j, :]))
 
 
 def _flipped_gamma_adjoint(bg, sec, P, h=1e-5):
@@ -342,6 +382,19 @@ def test_lattice_spectrum():
         op.lattice_L_spectrum(0)
 
 
+@pytest.mark.parametrize("k_max,L", [(1, 2 * math.pi), (2, 2 * math.pi), (2, 5.0)],
+                         ids=["k1", "k2", "k2-L5"])
+def test_batched_lattice_spectrum_equals_per_mode_eigvalsh(k_max, L):
+    from kwlab.modes import k_lattice, symbol
+
+    spec = op.lattice_L_spectrum(k_max, L)
+    want = [np.repeat(np.linalg.eigvalsh(symbol(k, L)), 3) for k in k_lattice(k_max)]
+    assert [e["k"] for e in spec] == [tuple(int(c) for c in k) for k in k_lattice(k_max)]
+    assert all(np.array_equal(e["eigenvalues"], w) for e, w in zip(spec, want))
+    nonzero = np.abs(np.concatenate(want))
+    assert op.smallest_nonzero_symbol_eig(k_max, L) == nonzero[nonzero > 1e-12].min()
+
+
 def test_spatial_identification():
     rng = np.random.default_rng(51)
     P = np.column_stack([np.ones(25), rng.uniform(0, 2 * math.pi, (25, 3))])
@@ -363,7 +416,7 @@ def test_closed_constant_form_coclosed():
     amp[0, 2] = 1.0   # b1 = sigma3
     amp[5, 0] = 0.5   # c2 = sigma1/2
     sec = op.TorusTrigSection([(amp, (0, 0, 0), 0.0)])
-    out = op.apply_spatial(TrivialBackground(), sec, np.array([1.0, 0.1, 0.2, 0.3]), None)
+    out = _spatial(TrivialBackground(), sec, np.array([1.0, 0.1, 0.2, 0.3]), None)
     assert np.max(np.abs(out[3])) == 0.0 and np.max(np.abs(out[7])) == 0.0
 
 

@@ -1,5 +1,5 @@
-"""Witnesses: a planted defect in each constant object and each coefficient
-kernel fails the suite check that validates it.
+"""Witnesses: a planted defect in each constant object, each coefficient
+kernel and the flow's step fails the suite check that validates it.
 
 Theta, U, Q and ad each have one definition, used both by the check and by
 the code that needs it, so a defect in the definition also changes what that
@@ -89,6 +89,12 @@ def mu_off_by_a_hundredth(mp):
     plant(mp, fit, off)
 
 
+def step_length_off_by_a_percent(mp):
+    # each RK4 stage moves 1.01 times as far as the clock advances
+    adv = flow._advance
+    plant(mp, adv, lambda Z, FZ, h, out: adv(Z, FZ, 1.01 * h, out))
+
+
 def clifford_table_sign_slip(mp):
     # gamma_1's first row with the wrong sign, in the contraction's table only
     (r, src, sign), *rest = op._GAMMA_ROWS[0]
@@ -106,6 +112,7 @@ EXP_TRACE = flow.FlowTrace(TS, 1 - np.exp(-3 * TS), 3 * np.exp(-3 * TS), *[0 * T
 PLANE_WAVE = modes.ModeVector(modes.k_lattice(1), np.zeros((27, 8, 3), complex))
 PLANE_WAVE.coeffs[[tuple(k) for k in PLANE_WAVE.ks].index((1, 0, 0))] = 1.0
 T, Z = np.array([0.4, 1.0, 2.5]), np.array([0.3 + 0.2j, -1.0 + 0.5j, 2.0 - 1.0j])
+FLOW_DATA = torus.random_field(np.random.default_rng(2), 8, amplitude=0.05)
 
 # (defect, suite and its options, checks that must fail, output of the code
 # that uses the object)
@@ -130,6 +137,9 @@ WITNESSES = {
     "clifford_table": (clifford_table_sign_slip, ("operator", {"points": 20}),
                        {"three_depictions"},
                        lambda: op.apply_D(BG, SEC, P0, 1e-5, depiction="clifford")),
+    "flow_step": (step_length_off_by_a_percent, ("flow-smoke", {}),
+                  {"energy_identity", "two_rate_forms"},
+                  lambda: flow.run_flow(FLOW_DATA, flow.FlowConfig(0.05 * FLOW_DATA.h, 5)).cs),
     "decay_law": (mu_off_by_a_hundredth, ("flow-smoke", {}),
                   {"linear_regime_rate", "decay_fit_oracle", "nahm_decay_exponent"},
                   lambda: flow.lojasiewicz_fit(EXP_TRACE)["mu_estimate"]),
