@@ -1,6 +1,6 @@
 """kwlab: one entry point for every verification suite and the flow runner.
 
-    kwlab <suite> [--seed S] [--out PATH] [--tolerance-scale F] [...]
+    kwlab <suite> [--seed S] [--out PATH] [--table] [...]
     kwlab verify <suite> [...]            (alias)
     kwlab spectral {hardy|hemisphere|exclusion|ode} [...]
     kwlab flow run --config cfg.json [--out DIR]
@@ -8,9 +8,10 @@
 Suites: algebra, clifford, model, operator, spectral, flow-smoke, all;
 `verify <suite>` is the same command as `<suite>`.  Reports are strict JSON
 on stdout (or --out); identical invocations produce byte-identical reports
-(timings go to stderr).  Exit codes: 0 = every check passes, 1 = at least
-one check fails (or a flow diverges), 2 = usage error, including an output
-path that cannot be written.
+(timings go to stderr).  `flow run` writes its trace and a summary.json
+that holds the flow's checks.  Exit codes: 0 = every check passes, 1 = at
+least one check fails (or a flow diverges), 2 = usage error, including an
+output path that cannot be written.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .modes import positive_spectrum_field
 from .operator import smallest_nonzero_symbol_eig
 from .reporting import SuiteReport, csv_text, json_text
 from .suites import (
-    SUITE_NAMES, exclusion_checks, hardy_checks, hemisphere_checks, run_suite,
+    SUITE_NAMES, exclusion_checks, flow_checks, hardy_checks, hemisphere_checks, run_suite,
 )
 from .torus import TorusField, random_field, stencil_wavenumber
 
@@ -68,13 +69,6 @@ def _finite_float(text: str) -> float:
         raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"must be finite, got {value}")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    value = _finite_float(text)
-    if value <= 0.0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
     return value
 
 
@@ -130,7 +124,7 @@ def _write(text: str, out: str | None) -> None:
 
 def _cmd_suite(args) -> int:
     kwargs = {flag[2:]: getattr(args, flag[2:]) for flag in SUITE_OPTIONS.get(args.suite, ())}
-    rep = run_suite(args.suite, seed=args.seed, tol_scale=args.tolerance_scale, **kwargs)
+    rep = run_suite(args.suite, seed=args.seed, **kwargs)
     _write(rep.to_json(), args.out)
     if args.table or rep.suite == "clifford":
         print(rep.table(), file=sys.stderr)
@@ -143,7 +137,7 @@ def _cmd_spectral(args) -> int:
     if args.mode == "hardy":
         payload = spectral_mod.hardy_suite()
         _write(json_text(payload), args.out)
-        checks = hardy_checks(payload, args.tolerance_scale)
+        checks = hardy_checks(payload)
         return SuiteReport("spectral", args.seed, checks).exit_code
     if args.mode == "hemisphere":
         he = spectral_mod.hemisphere_eig0(args.mesh)
@@ -156,12 +150,12 @@ def _cmd_spectral(args) -> int:
         print(f"lowest eigenvalue {he['eigenvalue']:.6f} "
               f"(distance to cos: {he['eigenfunction_distance_to_cos']:.2e}); "
               f"wrote {out}", file=sys.stderr)
-        checks = hemisphere_checks(he, args.tolerance_scale)
+        checks = hemisphere_checks(he)
         return SuiteReport("spectral", args.seed, checks).exit_code
     if args.mode == "exclusion":
         rep = spectral_mod.exclusion_report(args.case, args.m)
         _write(json_text(rep), args.out)
-        checks = exclusion_checks(rep, args.tolerance_scale)
+        checks = exclusion_checks(rep)
         return SuiteReport("spectral", args.seed, checks).exit_code
     # ode: the solutions grow like x^(+-lambda) and e^(+-k x); beyond what
     # double precision can follow the integrator overflows and gives up,
@@ -275,12 +269,18 @@ def _cmd_flow(args) -> int:
     # |grad cs|^2 of the lowest mode decays at twice the stencil's k~, not 2 pi / L
     summary["predicted_linear_deficit_rate"] = 2.0 * stencil_wavenumber(F0.scheme, cfg["N"],
                                                                         cfg["L"])
+    checks = flow_checks(trace)
+    summary["checks"] = [c.to_dict() for c in checks]
     _write(json_text(summary), f"{outdir}/summary.json")
     print(f"wrote {outdir}/trace.csv and {outdir}/summary.json", file=sys.stderr)
+    for c in checks:
+        if c.status == "fail":
+            print(f"check {c.check_id} failed: {c.metric:.3e} > {c.tolerance:.1e}",
+                  file=sys.stderr)
     if trace.meta["status"] == "diverged":
         print(f"flow diverged at step {trace.meta['blowup_step']}", file=sys.stderr)
         return 1
-    return 0
+    return SuiteReport("flow", cfg["seed"], checks).exit_code
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -292,8 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"run the {name} suite")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", type=str, default=None)
-        p.add_argument("--tolerance-scale", dest="tolerance_scale", type=_positive_float,
-                       default=1.0)
         p.add_argument("--table", action="store_true", help="also print a human table")
         for flag, spec in SUITE_OPTIONS.get(name, {}).items():
             p.add_argument(flag, **spec)

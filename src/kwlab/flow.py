@@ -8,8 +8,9 @@ The flow is d/dt (A, a) = (curl_A a, B_A - star(a wedge a)); along it
 so cs is non-decreasing, and the two right-hand sides -- one built from the
 spatial fields, one from the actual time derivatives -- must agree.  Both are
 monitored along every run, together with the constraint scalar d_A * a
-(watched, never projected) and sup |a|; the identity errors and the
-monotone test are relative to the size of what they compare.
+(watched, never projected) and sup |a|; the identity errors are relative to
+the size of what they compare.  The verdicts on a trace (cs monotone, both
+identities within their bound) are suites.flow_checks.
 
 The state is the complex connection Z = A + i a.  Its curvature F_Z holds
 the whole gradient (torus.curvature: Re F_Z = B - star(a wedge a),
@@ -31,9 +32,6 @@ from .reporting import csv_text, finite_or_none
 from .torus import TorusField, complex_connection, cs_functional, curvature, div_cov, dot
 
 CFL_FACTOR = 0.2
-# the largest per-step decrease of cs, relative to max |cs| over the run,
-# that still counts as monotone
-MONOTONE_TOL = 1e-12
 # the largest |residual| of lojasiewicz_fit's line that still fits one law:
 # the Nahm-pole flow (N = 6, dt = 0.05 h) reads 5e-6 to 5e-4 over 99 to 300
 # steps and 1.5 at 400, once its tail has left the Nahm sector
@@ -64,8 +62,6 @@ class FlowTrace:
     sup_a: np.ndarray
     energy_identity_relerr: np.ndarray
     two_forms_relerr: np.ndarray
-    monotone: bool = True
-    worst_decrease: float = 0.0
     meta: dict = field(default_factory=dict)
 
     def summary(self) -> dict:
@@ -75,8 +71,6 @@ class FlowTrace:
             "steps": int(len(self.times) - 1),
             "cs_initial": finite_or_none(self.cs[0]),
             "cs_final": finite_or_none(self.cs[-1]),
-            "monotone": bool(self.monotone),
-            "worst_decrease": finite_or_none(self.worst_decrease),
             "energy_identity_max_relerr": finite_or_none(np.max(self.energy_identity_relerr)),
             "two_forms_max_relerr": finite_or_none(np.max(self.two_forms_relerr)),
             "constraint_drift_max": finite_or_none(np.max(self.constraint_drift)),
@@ -122,8 +116,7 @@ def run_flow(F0: TorusField, config: FlowConfig) -> FlowTrace:
     difference of cs with rate = int(|curl_A a|^2 + |da/dt|^2) (da/dt from a
     ring of the last five a states), the two-forms column rate with
     |grad|^2, each relative to the sum of the two, so at any amplitude; the
-    first and last two steps carry zeros.  The run is monotone when no step
-    lowers cs by more than MONOTONE_TOL max |cs| and cs stays finite.
+    first and last two steps carry zeros.
 
     The run carries Z = A + i a and evaluates torus.curvature once per RK4
     stage.  Recording a state evaluates the curvature there, which is the k1
@@ -222,15 +215,11 @@ def run_flow(F0: TorusField, config: FlowConfig) -> FlowTrace:
         meta.update(status="diverged", blowup_step=last)
     keep = slice(0, last + 1)
 
-    trace = FlowTrace(
+    return FlowTrace(
         times=times[keep], cs=cs[keep], grad_norm_sq=gns[keep],
         constraint_drift=drift[keep], sup_a=sup_a[keep],
         energy_identity_relerr=ei[keep], two_forms_relerr=tf[keep], meta=meta,
     )
-    trace.worst_decrease = float(-np.diff(trace.cs).min(initial=0.0))
-    trace.monotone = bool(
-        trace.worst_decrease <= MONOTONE_TOL * np.max(np.abs(trace.cs)) < math.inf)
-    return trace
 
 
 def lojasiewicz_fit(trace: FlowTrace) -> dict:

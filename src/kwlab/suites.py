@@ -3,8 +3,8 @@
 Each suite function returns a list of CheckResult, each a bound on a number
 that the domain modules measured; every verdict is made here, once, and the
 command line reads the same ones.  All randomness comes from the seed, so
-identical invocations give identical reports.  Nonzero tolerances are the
-module defaults times the global tolerance scale.
+identical invocations give identical reports.  Each bound is fixed here, or
+in the domain module that measures the number, and no option scales it.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 from . import algebra, clifford, model, spectral
 from . import operator as op
 from .backgrounds import TrivialBackground, make_background
-from .flow import MONOTONE_TOL, FlowConfig, FlowTrace, lojasiewicz_fit, run_flow
+from .flow import FlowConfig, FlowTrace, lojasiewicz_fit, run_flow
 from .modes import (
     ModeVector, k_lattice, kuranishi_w, linearized_decay, positive_spectrum_field,
     random_mode_vector, symbol,
@@ -29,25 +29,33 @@ from .torus import (
 
 SUITE_NAMES = ("algebra", "clifford", "model", "operator", "spectral", "flow-smoke")
 
+# the largest per-step decrease of cs, relative to max |cs| over the run,
+# that still counts as monotone
+MONOTONE_TOL = 1e-12
+# the two rate identities along a flow, each relative to the sum of the terms
+# it compares: flow-smoke's flow reads 1.2e-7 and 9.7e-9, and a 1% error in
+# the step length 2.5e-5 and 5.0e-3
+FLOW_IDENTITY_TOL = 1e-5
 
-def algebra_suite(seed: int, tol_scale: float = 1.0) -> list[CheckResult]:
+
+def algebra_suite(seed: int) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
     out = []
     s1, s2, s3 = (algebra.basis_sigma(i) for i in (1, 2, 3))
     out.append(CheckResult.from_bound(
         "product_table", "sigma_i sigma_j = -delta_ij - eps_ijk sigma_k",
         max(np.max(np.abs(s1 @ s2 + s3)), np.max(np.abs(s1 @ s1 + np.eye(2)))),
-        1e-14 * tol_scale))
+        1e-14))
     out.append(CheckResult.from_bound(
         "orthonormal_basis", "<sigma_i, sigma_j> = delta_ij",
         max(abs(algebra.inner(s1, s1) - 1), abs(algebra.inner(s1, s2))),
-        1e-14 * tol_scale))
+        1e-14))
     out.append(CheckResult.from_bound(
         "null_square", "<(sigma1 - i sigma2)^2> = 0",
-        abs(algebra.inner(algebra.E_PLUS, algebra.E_PLUS)), 1e-14 * tol_scale))
+        abs(algebra.inner(algebra.E_PLUS, algebra.E_PLUS)), 1e-14))
     out.append(CheckResult.from_bound(
         "bracket_value", "[sigma1, sigma2] = -2 sigma3",
-        float(np.max(np.abs(algebra.bracket(s1, s2) + 2 * s3))), 1e-14 * tol_scale))
+        float(np.max(np.abs(algebra.bracket(s1, s2) + 2 * s3))), 1e-14))
     # 1000 samples in one draw, in the order of per-sample draws: the real and
     # imaginary parts of an sl(2,C) element, then an su(2) element
     draws = rng.normal(size=(1000, 9))
@@ -61,12 +69,12 @@ def algebra_suite(seed: int, tol_scale: float = 1.0) -> list[CheckResult]:
     worst_inner = math.inf if np.any(uu.real < -1e-15) else float(np.max(np.abs(uu.imag)))
     out.append(CheckResult.from_bound(
         "l_decompose_reconstruct", "v = v_plus + v_0 sigma3 + v_minus",
-        worst_rec, 1e-12 * tol_scale))
+        worst_rec, 1e-12))
     out.append(CheckResult.from_bound(
-        "l_eigenspaces", "[i/2 sigma3, v_pm] = +- v_pm", worst_eig, 1e-12 * tol_scale))
+        "l_eigenspaces", "[i/2 sigma3, v_pm] = +- v_pm", worst_eig, 1e-12))
     out.append(CheckResult.from_bound(
         "su2_inner_real_positive", "<u, u> real and >= 0 on su(2)",
-        worst_inner, 1e-13 * tol_scale))
+        worst_inner, 1e-13))
     u = algebra.random_sl2c(rng)
     v = algebra.random_sl2c(rng)
     pu = algebra.l_decompose(u).plus
@@ -74,17 +82,17 @@ def algebra_suite(seed: int, tol_scale: float = 1.0) -> list[CheckResult]:
     out.append(CheckResult.from_bound(
         "lplus_isotropic", "trace pairing and bracket vanish on L+ x L+",
         max(abs(algebra.inner(pu, pv)), float(np.max(np.abs(algebra.bracket(pu, pv))))),
-        1e-12 * tol_scale))
+        1e-12))
     out.append(CheckResult.from_bound(
         "star_involution", "star(star(v)) = v; star swaps L+ and L-",
         max(float(np.max(np.abs(algebra.star(algebra.star(u)) - u))),
             float(np.max(np.abs(algebra.l_decompose(algebra.star(pu)).plus)))),
-        1e-12 * tol_scale))
-    out.append(coeff_kernels_check(rng, tol_scale))
+        1e-12))
+    out.append(coeff_kernels_check(rng))
     return out
 
 
-def coeff_kernels_check(rng: np.random.Generator, tol_scale: float) -> CheckResult:
+def coeff_kernels_check(rng: np.random.Generator) -> CheckResult:
     """The coefficient kernels the lab runs against the 2x2 realization.
 
     algebra.coeff_bracket, operator.comm and torus.comm (coefficients on
@@ -112,10 +120,10 @@ def coeff_kernels_check(rng: np.random.Generator, tol_scale: float) -> CheckResu
     return CheckResult.from_bound(
         "coeff_kernels_match_matrices",
         "coefficient bracket and norm kernels equal the 2x2 bracket and norm",
-        err, 1e-14 * tol_scale, location=f"worst: {worst}")
+        err, 1e-14, location=f"worst: {worst}")
 
 
-def clifford_suite(seed: int, tol_scale: float = 1.0) -> list[CheckResult]:
+def clifford_suite(seed: int) -> list[CheckResult]:
     out = []
     for name, residual in clifford.relation_checks():
         out.append(CheckResult.from_bound(name.replace(" ", "_"), name, residual, 0.0))
@@ -124,15 +132,15 @@ def clifford_suite(seed: int, tol_scale: float = 1.0) -> list[CheckResult]:
     want = sorted([-3.0] * 4 + [-1.0] * 8 + [1.0] * 8 + [3.0] * 4)
     out.append(CheckResult.from_bound(
         "q_spectrum", "eigenvalues of rho1 rho2 - [sigma3,.] are +-3i, +-i",
-        float(np.max(np.abs(np.array(ev) - want))), 1e-10 * tol_scale))
+        float(np.max(np.abs(np.array(ev) - want))), 1e-10))
     L = clifford.l_endo()
     out.append(CheckResult.from_bound(
         "l_square", "L^2 = 1 and L symmetric",
         max(float(np.max(np.abs(L @ L - np.eye(24)))), float(np.max(np.abs(L - L.T)))),
-        1e-13 * tol_scale))
+        1e-13))
     out.append(CheckResult.from_bound(
         "ql_commute", "[Q, L] = 0", float(np.max(np.abs(q @ L - L @ q))),
-        1e-13 * tol_scale))
+        1e-13))
     y8 = clifford.y_auto_8()
     ymap = np.zeros((8, 8))
     for i in range(3):
@@ -151,7 +159,7 @@ def clifford_suite(seed: int, tol_scale: float = 1.0) -> list[CheckResult]:
         "u_orthogonal", "U^T U = 1; U(1,0,0) = 1",
         max(float(np.max(np.abs(u.T @ u - np.eye(8)))),
             float(np.max(np.abs(clifford.u_endo(1, 0, 0) - np.eye(8))))),
-        1e-13 * tol_scale))
+        1e-13))
     for t in (1.0, 2.0):
         evs, mult = clifford.nahm_pole_spectrum(t)
         want_set = sorted([-2 / t, -1 / t, 1 / t, 2 / t])
@@ -161,7 +169,7 @@ def clifford_suite(seed: int, tol_scale: float = 1.0) -> list[CheckResult]:
         out.append(CheckResult.from_bound(
             f"pole_endo_eigenvalues_t{t:g}",
             "eigenvalues of rho_i [a_i, .] at the pole are +-1/t, +-2/t",
-            max(err, dev), 1e-10 * tol_scale,
+            max(err, dev), 1e-10,
             location=f"multiplicities {mult}"))
     # the spectra above are invariant under ad -> -ad; the 2x2 bracket pins the sign
     e, sigma = np.eye(3), algebra.SIGMA
@@ -171,11 +179,11 @@ def clifford_suite(seed: int, tol_scale: float = 1.0) -> list[CheckResult]:
         for a in range(3) for b in range(3))
     out.append(CheckResult.from_bound(
         "ad_matches_bracket", "ad(sigma_a) sigma_b = [sigma_a, sigma_b] on coefficients",
-        ad_err, 1e-15 * tol_scale))
+        ad_err, 1e-15))
     return out
 
 
-def model_suite(seed: int, tol_scale: float = 1.0, m: int = 1, samples: int = 200) -> list[CheckResult]:
+def model_suite(seed: int, m: int = 1, samples: int = 200) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
     ms = model.ModelSolution(m)
     out = []
@@ -183,12 +191,12 @@ def model_suite(seed: int, tol_scale: float = 1.0, m: int = 1, samples: int = 20
     out.append(CheckResult.from_bound(
         "theta_pythagoras", "x = sqrt(t^2 + |z|^2); sinh Theta = t/|z|",
         max(abs(float(f["x"]) - 5.0), abs(math.sinh(float(f["theta"])) - 0.75)),
-        1e-14 * tol_scale))
+        1e-14))
     pts = model.sample_points(rng, max(10, samples // 10))
     worst = max(model.verify_reduced_eqs(ms, pts, 1e-4).values())
     out.append(CheckResult.from_bound(
         "reduced_equations", "first-order relations among alpha, phi, E, B",
-        worst, 1e-6 * tol_scale))
+        worst, 1e-6))
     p0 = model.FieldPoint(1.0, 0.7 + 0.2j)
     r1 = model.verify_reduced_eqs(ms, [p0], 1e-4)
     r2 = model.verify_reduced_eqs(ms, [p0], 5e-5)
@@ -196,12 +204,12 @@ def model_suite(seed: int, tol_scale: float = 1.0, m: int = 1, samples: int = 20
     ratio = max(ratios) if ratios else math.inf  # nothing measured fails
     out.append(CheckResult.from_bound(
         "reduced_equations_order", "residuals shrink at 2nd order",
-        abs(ratio - 4.0), 0.5 * tol_scale))
+        abs(ratio - 4.0), 0.5))
     rep = model.verify_properties(ms, model.sample_points(rng, samples))
     out.append(CheckResult.from_bound(
         "alpha_range", "2 t alpha in [-(m+1), -1], alpha < 0",
         max(rep["alpha_scaled_max"] + 1.0, -(m + 1) - rep["alpha_scaled_min"]),
-        1e-12 * tol_scale,
+        1e-12,
         location=f"range [{rep['alpha_scaled_min']:.6f}, {rep['alpha_scaled_max']:.6f}]"))
     out.append(CheckResult.from_bound(
         "alpha_t_monotone", "d alpha / dt > 0", -rep["dalpha_dt_min"], 0.0))
@@ -210,28 +218,28 @@ def model_suite(seed: int, tol_scale: float = 1.0, m: int = 1, samples: int = 20
                   else rep["phi_bound_max"] - (1.0 - 1e-10))
     out.append(CheckResult.from_bound(
         "phi_bound", "|phi| sqrt(2) t <= 1, equality only at m = 0", phi_defect,
-        1e-10 * tol_scale if m == 0 else 0.0, location=f"max {rep['phi_bound_max']:.6f}"))
+        1e-10 if m == 0 else 0.0, location=f"max {rep['phi_bound_max']:.6f}"))
     out.append(CheckResult.from_bound(
         "scaling_equivariance", "fields fixed by (t, z) -> (lambda t, lambda z)",
-        rep["scaling_equivariance_err"], 1e-12 * tol_scale))
+        rep["scaling_equivariance_err"], 1e-12))
     # x^3/t |B3| tends to (m+1)/2 as Theta -> inf and x^3/t |E| to m(m+2)/3
     # as Theta -> 0, the larger of the two for m >= 1; at m = 0 both vanish
     out.append(CheckResult.from_bound(
         "curvature_decay", "|B3|, |E1|, |E2| <= m(m+2)/3 t / x^3",
-        rep["curvature_x3_over_t_sup"], m * (m + 2) / 3 + 1e-9 * tol_scale))
+        rep["curvature_x3_over_t_sup"], m * (m + 2) / 3 + 1e-9))
     if m >= 1:
         c4 = model.case4_solution(ms, m, p0, 1e-4)
         out.append(CheckResult.from_bound(
             "decoupled_sector_solution",
             "holomorphic-pairing section solves its two first-order equations",
-            max(c4["res_t"], c4["res_dbar"]), 1e-7 * tol_scale))
+            max(c4["res_t"], c4["res_dbar"]), 1e-7))
         out.append(CheckResult.from_bound(
             "decoupled_sector_exponent", "|section| ~ x^(p+1) along rays",
-            abs(c4["ray_exponent"] - (m + 1)), 1e-3 * tol_scale))
+            abs(c4["ray_exponent"] - (m + 1)), 1e-3))
     return out
 
 
-def operator_suite(seed: int, tol_scale: float = 1.0, background: str = "model:1",
+def operator_suite(seed: int, background: str = "model:1",
                    points: int = 200) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
     out = []
@@ -251,34 +259,35 @@ def operator_suite(seed: int, tol_scale: float = 1.0, background: str = "model:1
                op.spinor_max(outs["clifford"] - outs["matrix"])) / scale
     out.append(CheckResult.from_bound(
         "three_depictions", "slot formulas = 8x8 table = clifford contraction",
-        diff, 1e-9 * tol_scale, location=f"{points} points on {background}"))
+        diff, 1e-9, location=f"{points} points on {background}"))
     p0 = np.array([center[0], center[1], center[2], 0.3])
     out.append(CheckResult.from_bound(
         "y_intertwine", "D Y = -Y D^dag",
-        op.y_intertwine(bg, sec, p0, 1e-5), 1e-8 * tol_scale))
+        op.y_intertwine(bg, sec, p0, 1e-5), 1e-8))
     if not isinstance(bg, TrivialBackground):
         b1 = op.bochner_check(bg, sec, p0, 1e-3)
         b2 = op.bochner_check(bg, sec, p0, 5e-4)
         out.append(CheckResult.from_bound(
             "weitzenbock_remainder", "D^dag D - grad^dag grad - commutator = X",
-            b1["residual"] / max(b1["scale"], 1e-30), 1e-4 * tol_scale))
+            b1["residual"] / max(b1["scale"], 1e-30), 1e-4))
+        # reads at most 6.1e-5 over seeds 0-999 on model:1, nahm and model:2;
+        # a first-order slip of 5e-5 h f'' in the differences reads 5e-2
         out.append(CheckResult.from_bound(
             "weitzenbock_order", "remainder comparison is 2nd order",
-            abs(b1["residual"] / max(b2["residual"], 1e-300) - 4.0), 1.0 * tol_scale))
-        block_tol = 1e-3 * tol_scale
-        rep = op.bochner_block_report(bg, p0, tol=block_tol)
+            abs(b1["residual"] / max(b2["residual"], 1e-300) - 4.0), 1e-3))
+        rep = op.bochner_block_report(bg, p0)
         flagged = rep["flagged_blocks"]
         worst = max(flagged, key=lambda b: b["relative_diff"]) if flagged else None
         out.append(CheckResult.from_bound(
             "weitzenbock_blocks", "blockwise extraction vs assembled remainder",
-            rep["worst_block_diff"], block_tol,
+            rep["worst_block_diff"], op.BLOCK_TOL,
             location=f"block {worst['block']}, {len(flagged)} flagged" if flagged else None))
     X24 = op.x_matrix24(bg, p0)
     zero_rows = max(float(np.max(np.abs(X24[6:9, :]))), float(np.max(np.abs(X24[21:24, :]))),
                     float(np.max(np.abs(X24[:, 6:9]))), float(np.max(np.abs(X24[:, 21:24]))))
     out.append(CheckResult.from_bound(
         "remainder_structure", "X symmetric; rows/cols 3 and 8 vanish",
-        max(float(np.max(np.abs(X24 - X24.T))), zero_rows), 1e-10 * tol_scale))
+        max(float(np.max(np.abs(X24 - X24.T))), zero_rows), 1e-10))
     if not isinstance(bg, TrivialBackground):
         blobs = [(rng.normal(size=(8, 3)),
                   np.asarray(center) + rng.uniform(-0.15, 0.15, 3),
@@ -293,20 +302,20 @@ def operator_suite(seed: int, tol_scale: float = 1.0, background: str = "model:1
         o2 = op.omega_apply(bg, xi, p2, lam * 1e-5)
         out.append(CheckResult.from_bound(
             "omega_scale_invariance", "Omega commutes with the rescaling action",
-            op.spinor_max(o1 - o2), 1e-8 * tol_scale))
+            op.spinor_max(o1 - o2), 1e-8))
         qxi = op.FuncSection(lambda Q: op.apply_q_endo(xi.value(Q)))
         c1 = op.apply_q_endo(op.omega_apply(bg, xi, p0, 1e-5))
         c2 = op.omega_apply(bg, qxi, p0, 1e-5)
         out.append(CheckResult.from_bound(
             "omega_q_commute", "[Q, Omega] = 0", op.spinor_max(c1 - c2),
-            1e-8 * tol_scale))
+            1e-8))
     # flat-torus checks (exact derivatives)
     tsec = op.random_torus_section(rng, k_max=2, n_terms=3)
     Pt = np.column_stack([np.ones(32), rng.uniform(0, 2 * math.pi, (32, 3))])
     out.append(CheckResult.from_bound(
         "spatial_identification",
         "spatial part = complexified (star d, d, d^dag) complex",
-        op.spatial_identification(TrivialBackground(), tsec, Pt), 1e-9 * tol_scale))
+        op.spatial_identification(TrivialBackground(), tsec, Pt), 1e-9))
     psi = op.random_torus_section(rng, k_max=1, n_terms=3, t_center=2.0, t_width=0.35)
     # xi on psi's wavevectors, with fresh amplitudes and phases and a shifted,
     # wider t-envelope: a wrong adjoint then leaves a gap far above round-off
@@ -316,11 +325,11 @@ def operator_suite(seed: int, tol_scale: float = 1.0, background: str = "model:1
     out.append(CheckResult.from_bound(
         "adjoint_duality", "int <D psi, xi> = int <psi, D^dag xi>",
         op.duality_gap(TrivialBackground(), psi, xi, t_range=(0.0, 4.0), nt=40, nx=8),
-        1e-6 * tol_scale))
+        1e-6))
     pg = op.pythagoras_gap(TrivialBackground(), psi, t_range=(0.0, 4.0), nt=40, nx=8)
     out.append(CheckResult.from_bound(
         "norm_split", "|D psi|^2 integrates to |grad_t psi|^2 + |L psi|^2",
-        pg["rel_gap"], 1e-9 * tol_scale))
+        pg["rel_gap"], 1e-9))
     spec = {tuple(e["k"]): e["eigenvalues"] for e in op.lattice_L_spectrum(1)}
     # inf when a nonzero k has other than 12 positive eigenvalues
     spec_err = max(float(np.max(np.abs(np.abs(spec[k]) - math.hypot(*k))))
@@ -328,31 +337,31 @@ def operator_suite(seed: int, tol_scale: float = 1.0, background: str = "model:1
                    for k in ((0, 0, 0), (1, 0, 0), (1, 1, 0)))
     out.append(CheckResult.from_bound(
         "symbol_spectrum", "mode symbol eigenvalues are +-|k| with multiplicity 12",
-        spec_err, 1e-12 * tol_scale))
+        spec_err, 1e-12))
     return out
 
 
-def hardy_checks(hs: dict, tol_scale: float) -> list[CheckResult]:
+def hardy_checks(hs: dict) -> list[CheckResult]:
     """The verdicts on spectral.hardy_suite's ratios: each supremum within
     its constant, and the near-extremal sweep reaching 3.5 of the 4."""
     sweep = hs["halfline"]["sweep_reaches"]
     return [
         CheckResult.from_bound(
             "hardy_halfline", "int f^2/t^2 <= 4 int f'^2",
-            hs["halfline"]["ratio_sup"], hs["halfline"]["constant"] + 1e-9 * tol_scale),
+            hs["halfline"]["ratio_sup"], hs["halfline"]["constant"] + 1e-9),
         CheckResult.from_bound(
             "hardy_halfline_sharp", "near-extremal family exceeds 3.5",
             3.5 - sweep, 0.0, location=f"sweep max {sweep:.4f}"),
         CheckResult.from_bound(
             "hardy_cone", "int psi^2/x^2 <= 4/9 of the gradient energy",
-            hs["cone"]["ratio_sup"], hs["cone"]["constant"] + 1e-9 * tol_scale),
+            hs["cone"]["ratio_sup"], hs["cone"]["constant"] + 1e-9),
         CheckResult.from_bound(
             "hardy_profile", "weighted profile inequality with constant 4",
-            hs["profile"]["ratio_sup"], hs["profile"]["constant"] + 1e-9 * tol_scale),
+            hs["profile"]["ratio_sup"], hs["profile"]["constant"] + 1e-9),
     ]
 
 
-def hemisphere_checks(he: dict, tol_scale: float) -> list[CheckResult]:
+def hemisphere_checks(he: dict) -> list[CheckResult]:
     """The verdicts on a spectral.hemisphere_eig0 result: the eigenvalues 2
     and 12 and the ground eigenfunction cos(theta).  The errors fall as h^2
     (the ground one is 2.6e-7 at 2000 cells), so the bounds hold from about
@@ -360,17 +369,17 @@ def hemisphere_checks(he: dict, tol_scale: float) -> list[CheckResult]:
     return [
         CheckResult.from_bound(
             "hemisphere_ground", "lowest polar Dirichlet eigenvalue is 2",
-            abs(he["eigenvalue"] - 2.0), 1e-6 * tol_scale),
+            abs(he["eigenvalue"] - 2.0), 1e-6),
         CheckResult.from_bound(
             "hemisphere_second", "second polar eigenvalue is 12 (Legendre P_3)",
-            abs(he["second_eigenvalue"] - 12.0), 5e-5 * tol_scale),
+            abs(he["second_eigenvalue"] - 12.0), 5e-5),
         CheckResult.from_bound(
             "hemisphere_eigenfunction", "ground eigenfunction is cos(theta)",
-            he["eigenfunction_distance_to_cos"], 1e-2 * tol_scale),
+            he["eigenfunction_distance_to_cos"], 1e-2),
     ]
 
 
-def exclusion_checks(rep: dict, tol_scale: float) -> list[CheckResult]:
+def exclusion_checks(rep: dict) -> list[CheckResult]:
     """The verdicts on a spectral.exclusion_report: its excluded interval
     covers [0, 3/2], and for case 3 its minimum is at least 2 + (m+1)^2."""
     lo, hi = rep["excluded_interval"]
@@ -381,35 +390,35 @@ def exclusion_checks(rep: dict, tol_scale: float) -> list[CheckResult]:
     if rep["case"] == "case3":
         out.append(CheckResult.from_bound(
             "exclusion_case3_bound", "case-3 minimum exceeds 2 + (m+1)^2",
-            2 + (rep["m"] + 1) ** 2 - rep["mu_min"], 5e-3 * tol_scale,
+            2 + (rep["m"] + 1) ** 2 - rep["mu_min"], 5e-3,
             location=f"mu_min = {rep['mu_min']:.4f}"))
     return out
 
 
-def spectral_suite(seed: int, tol_scale: float = 1.0) -> list[CheckResult]:
-    out = hardy_checks(spectral.hardy_suite(), tol_scale)
-    out += hemisphere_checks(spectral.hemisphere_eig0(2000), tol_scale)
+def spectral_suite(seed: int) -> list[CheckResult]:
+    out = hardy_checks(spectral.hardy_suite())
+    out += hemisphere_checks(spectral.hemisphere_eig0(2000))
     r0 = spectral.rayleigh_min(spectral.SLProblem())
     out.append(CheckResult.from_bound(
         "rayleigh_zero_potential", "flat-coordinate Rayleigh minimum is 2",
-        abs(r0["mu"] - 2.0), 5e-3 * tol_scale))
+        abs(r0["mu"] - 2.0), 5e-3))
     r1 = spectral.rayleigh_min(spectral.SLProblem(angular_mode=1))
     out.append(CheckResult.from_bound(
         "rayleigh_angular_mode", "angular mode raises the minimum above 2",
         2.0 - r1["mu"], 0.0, location=f"mu = {r1['mu']:.4f}"))
     for case in ("b3ct", "case2", "case3"):
-        out += exclusion_checks(spectral.exclusion_report(case, 1), tol_scale)
+        out += exclusion_checks(spectral.exclusion_report(case, 1))
     st = spectral.radial_ode_solve(1.0, 1.0, (0.1, 10.0))
     aa, bb = spectral.radial_closed_form("decaying", st.x_grid, 1.0)
     err = max(float(np.max(np.abs(st.a - aa) / np.abs(aa))),
               float(np.max(np.abs(st.b - bb) / np.abs(bb))))
     out.append(CheckResult.from_bound(
         "radial_closed_form", "decaying solution (1/x) e^{-kx} (1,1) reproduced",
-        err, 1e-8 * tol_scale))
+        err, 1e-8))
     st2 = spectral.radial_ode_solve(1.3, 0.8, (0.2, 8.0), init=[1.0, 0.3])
     out.append(CheckResult.from_bound(
         "radial_identity", "x^3/2 (b^2-a^2)' + x^2((lam-2)a^2 + lam b^2) = 0",
-        st2.identity_residual, 1e-8 * tol_scale))
+        st2.identity_residual, 1e-8))
     verdicts = {lam: spectral.radial_admissible(lam, 1.0)["admissible"]
                 for lam in (0.0, 1.0, 2.0)}
     out.append(CheckResult.from_bound(
@@ -419,7 +428,7 @@ def spectral_suite(seed: int, tol_scale: float = 1.0) -> list[CheckResult]:
     return out
 
 
-def richardson_gradient_check(F: TorusField, direction, tol_scale: float = 1.0) -> CheckResult:
+def richardson_gradient_check(F: TorusField, direction) -> CheckResult:
     """cs's directional derivative along direction against <grad cs, direction>.
 
     The difference quotient is Richardson-extrapolated, (4 fd(s/2) - fd(s))/3
@@ -432,10 +441,10 @@ def richardson_gradient_check(F: TorusField, direction, tol_scale: float = 1.0) 
     err = abs(4.0 * diff[s / 2] - diff[s]) / 3.0 / max(abs(gc["exact"]), 1e-14)
     return CheckResult.from_bound(
         "gradient_check", "directional derivative of cs matches the gradient",
-        err, 1e-6 * tol_scale)
+        err, 1e-6)
 
 
-def gauge_invariance_check(F: TorusField, tol_scale: float = 1.0) -> CheckResult:
+def gauge_invariance_check(F: TorusField) -> CheckResult:
     """cs before and after a fixed smooth gauge transformation of F.
 
     The drift is divided by the size of the terms cs sums,
@@ -454,7 +463,28 @@ def gauge_invariance_check(F: TorusField, tol_scale: float = 1.0) -> CheckResult
     drift = abs(cs_functional(gauge_transform(F, phi)) - cs_functional(F))
     return CheckResult.from_bound(
         "gauge_invariance", "cs is invariant under gauge transformations",
-        drift / terms, 1e-12 * tol_scale)
+        drift / terms, 1e-12)
+
+
+def flow_checks(trace: FlowTrace) -> list[CheckResult]:
+    """The verdicts on a flow trace: cs non-decreasing and both rate
+    identities.  A trace that stops at a non-finite cs (a diverged run)
+    reads an infinite decrease against a bound set by its finite part."""
+    cs = trace.cs
+    finite = np.isfinite(cs)
+    worst = float(-np.diff(cs).min(initial=0.0)) if finite.all() else math.inf
+    return [
+        CheckResult.from_bound(
+            "monotone_cs", "cs is non-decreasing along the flow",
+            worst, MONOTONE_TOL * float(np.max(np.abs(cs[finite]), initial=0.0)),
+            location=f"worst decrease {worst:.2e}"),
+        CheckResult.from_bound(
+            "energy_identity", "d cs/dt = int(|E|^2 + |da/dt|^2)",
+            np.max(trace.energy_identity_relerr), FLOW_IDENTITY_TOL),
+        CheckResult.from_bound(
+            "two_rate_forms", "the two expressions for d cs/dt agree",
+            np.max(trace.two_forms_relerr), FLOW_IDENTITY_TOL),
+    ]
 
 
 def _oracle_trace(t, cs, g) -> FlowTrace:
@@ -472,14 +502,14 @@ def _decay_law_error(fit: dict, mu: float, rate: float | None = None) -> float:
     return err if rate is None else max(err, abs(fit["rate"] - rate) / rate)
 
 
-def flow_smoke_suite(seed: int, tol_scale: float = 1.0) -> list[CheckResult]:
+def flow_smoke_suite(seed: int) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
     out = []
     F0 = TorusField(8)
     tr0 = run_flow(F0, FlowConfig(dt=0.01, steps=10))
     out.append(CheckResult.from_bound(
         "zero_fixed_point", "the flat point is stationary",
-        float(np.max(np.abs(tr0.cs))), 1e-14 * tol_scale))
+        float(np.max(np.abs(tr0.cs))), 1e-14))
     try:
         run_flow(F0, FlowConfig(dt=1.0, steps=1))
         unguarded = 1.0
@@ -488,28 +518,18 @@ def flow_smoke_suite(seed: int, tol_scale: float = 1.0) -> list[CheckResult]:
     out.append(CheckResult.from_bound("cfl_guard", "plumbing", unguarded, 0.0))
     F = random_field(rng, 12, amplitude=5e-2)
     d = (random_field(rng, 12, amplitude=1.0).A, random_field(rng, 12, amplitude=1.0).a)
-    out.append(richardson_gradient_check(F, d, tol_scale))
+    out.append(richardson_gradient_check(F, d))
     F.scheme = "spectral"
-    out.append(gauge_invariance_check(F, tol_scale))
+    out.append(gauge_invariance_check(F))
     F.scheme = "fd4"
     Fd = positive_spectrum_field(rng, 12, amplitude=0.05, abelian=True,
                                  modes=[(1, 0, 0), (0, 1, 0), (0, 0, 1)])
     tr = run_flow(Fd, FlowConfig(dt=0.05 * Fd.h, steps=160))
-    s = tr.summary()
-    out.append(CheckResult.from_bound(
-        "monotone_cs", "cs is non-decreasing along the flow",
-        tr.worst_decrease, MONOTONE_TOL * float(np.max(np.abs(tr.cs))) * tol_scale,
-        location=f"worst decrease {s['worst_decrease']:.2e}"))
-    out.append(CheckResult.from_bound(
-        "energy_identity", "d cs/dt = int(|E|^2 + |da/dt|^2)",
-        s["energy_identity_max_relerr"], 1e-5 * tol_scale))
-    out.append(CheckResult.from_bound(
-        "two_rate_forms", "the two expressions for d cs/dt agree",
-        s["two_forms_max_relerr"], 1e-5 * tol_scale))
+    out += flow_checks(tr)
     out.append(CheckResult.from_bound(
         "linear_regime_rate", "deficit decays exponentially (mu = 1/2) at twice the gap",
         _decay_law_error(lojasiewicz_fit(tr), 0.5, 2 * stencil_wavenumber(Fd.scheme, Fd.N, Fd.L)),
-        1e-6 * tol_scale))
+        1e-6))
     t = np.linspace(0, 6, 400)
     f = -0.5 / (1 + t)  # the Nahm pole at t0 = 1 on the torus of side 2 pi
     L3 = (2 * math.pi) ** 3
@@ -518,7 +538,7 @@ def flow_smoke_suite(seed: int, tol_scale: float = 1.0) -> list[CheckResult]:
     out.append(CheckResult.from_bound(
         "decay_fit_oracle", "closed-form exponential and Nahm-pole traces are fit",
         max(_decay_law_error(exp_fit, 0.5, 3.0), _decay_law_error(nahm_fit, 1 / 3)),
-        1e-4 * tol_scale))
+        1e-4))
     Fn = TorusField(6)
     for i in range(3):
         Fn.a[i, i] = -0.5  # a_i = f sigma_i with f = -1/(2 (1 + t)) and cs = 2 f^3 L^3
@@ -527,7 +547,7 @@ def flow_smoke_suite(seed: int, tol_scale: float = 1.0) -> list[CheckResult]:
     cs_err = float(np.max(np.abs(trn.cs / (2 * f ** 3 * Fn.L ** 3) - 1)))
     out.append(CheckResult.from_bound(
         "nahm_decay_exponent", "the Nahm-pole flow decays with Lojasiewicz exponent 1/3",
-        _decay_law_error(lojasiewicz_fit(trn), 1 / 3), 1e-4 * tol_scale,
+        _decay_law_error(lojasiewicz_fit(trn), 1 / 3), 1e-4,
         location=f"cs relative error {cs_err:.1e} against 2 f^3 L^3"))
     ks = k_lattice(1)
     idx = {tuple(k): i for i, k in enumerate(ks)}
@@ -541,13 +561,13 @@ def flow_smoke_suite(seed: int, tol_scale: float = 1.0) -> list[CheckResult]:
     err = float(np.max(np.abs(dec["f_plus"] - dec["f_plus"][0] * np.exp(-dec["times"]))))
     out.append(CheckResult.from_bound(
         "single_mode_decay", "pure positive mode decays exactly as e^{-t}",
-        err, 1e-8 * tol_scale))
+        err, 1e-8))
     phi = random_mode_vector(rng, 1, scale=0.01, slots=[0, 1, 2, 4, 5, 6])
     _, diag = kuranishi_w(phi, 1)
     # kuranishi_w raises when an update ratio reaches 1
     out.append(CheckResult.from_bound(
         "contraction_fixed_point", "quadratic fixed-point iteration contracts",
-        diag["fixed_point_residual"], 1e-10 * tol_scale,
+        diag["fixed_point_residual"], 1e-10,
         location=f"ratio {diag['max_ratio']:.3f}"))
     return out
 
@@ -562,17 +582,17 @@ SUITES = {
 }
 
 
-def run_suite(name: str, seed: int = 0, tol_scale: float = 1.0, **kwargs) -> SuiteReport:
+def run_suite(name: str, seed: int = 0, **kwargs) -> SuiteReport:
     """The named suite's report ('all': every suite, ids prefixed with the
     suite name); an unknown name raises KeyError."""
     if name == "all":
         checks = []
         for sub in SUITE_NAMES:
-            sub_checks = SUITES[sub](seed, tol_scale)
+            sub_checks = SUITES[sub](seed)
             for c in sub_checks:
                 c.check_id = f"{sub}.{c.check_id}"
             checks.extend(sub_checks)
         return SuiteReport(suite="all", seed=seed, checks=checks)
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}")
-    return SuiteReport(suite=name, seed=seed, checks=SUITES[name](seed, tol_scale, **kwargs))
+    return SuiteReport(suite=name, seed=seed, checks=SUITES[name](seed, **kwargs))

@@ -19,6 +19,7 @@ from kwlab.modes import (
     ModeVector, k_lattice, kuranishi_w, linearized_decay,
     positive_spectrum_field, random_mode_vector, symbol,
 )
+from kwlab.suites import flow_checks
 from kwlab.torus import gradient_check, random_field
 
 
@@ -238,11 +239,12 @@ def test_13_flow_run():
     dt = 0.05 * F0.h
     tr = run_flow(F0, FlowConfig(dt=dt, steps=2000))
     s = tr.summary()
-    ok = (s["monotone"] and s["energy_identity_max_relerr"] < 1e-3
+    mono = {c.check_id: c for c in flow_checks(tr)}["monotone_cs"]
+    ok = (mono.status == "pass" and s["energy_identity_max_relerr"] < 1e-3
           and s["two_forms_max_relerr"] < 1e-3)
     report(13, "2000-step flow: monotone cs and both rate identities",
            ok,
-           f"monotone {s['monotone']} (worst decrease {s['worst_decrease']:.1e}), "
+           f"monotone_cs {mono.status} (worst decrease {mono.metric:.1e}), "
            f"energy identity {s['energy_identity_max_relerr']:.1e} (tol 1e-3), "
            f"two forms {s['two_forms_max_relerr']:.1e} (tol 1e-3); "
            f"{time.perf_counter() - t0:.1f}s")

@@ -171,7 +171,7 @@ def _algebra_metrics_per_sample(seed):
                                float(np.max(np.abs(al.bracket(pu, pv))))),
         "star_involution": max(float(np.max(np.abs(al.star(al.star(u)) - u))),
                                float(np.max(np.abs(al.l_decompose(al.star(pu)).plus)))),
-        "coeff_kernels_match_matrices": coeff_kernels_check(rng, 1.0).metric,
+        "coeff_kernels_match_matrices": coeff_kernels_check(rng).metric,
     }
 
 

@@ -8,11 +8,16 @@ from hypothesis import given, settings, strategies as st
 
 from kwlab import suites, torus
 from kwlab.flow import CFLError, FlowConfig, FlowTrace, lojasiewicz_fit, run_flow
-from kwlab.suites import gauge_invariance_check, richardson_gradient_check
+from kwlab.suites import flow_checks, gauge_invariance_check, richardson_gradient_check
 from kwlab.torus import (
     TorusField, cs_functional, div_cov, dot, gauge_transform,
     gradient, gradient_check, grad_norm_sq, random_field,
 )
+
+
+def monotone(trace):
+    """Whether the trace passes flow_checks' monotone_cs."""
+    return {c.check_id: c for c in flow_checks(trace)}["monotone_cs"].status == "pass"
 
 
 def abelian_field(N, amplitude):
@@ -28,7 +33,7 @@ def test_zero_field_stationary():
     tr = run_flow(TorusField(8), FlowConfig(dt=0.01, steps=10))
     assert np.max(np.abs(tr.cs)) == 0.0
     assert np.max(tr.grad_norm_sq) == 0.0
-    assert tr.monotone
+    assert all(c.status == "pass" for c in flow_checks(tr))
 
 
 def test_cfl_guard():
@@ -169,7 +174,7 @@ def test_short_generic_flow_monitors():
     F = random_field(rng, 12, amplitude=1e-5)
     tr = run_flow(F, FlowConfig(dt=0.05 * F.h, steps=60))
     s = tr.summary()
-    assert s["monotone"]
+    assert monotone(tr)
     assert s["energy_identity_max_relerr"] < 1e-6
     assert s["two_forms_max_relerr"] < 1e-6
     # the constraint is monitored, not enforced: it stays near its initial
@@ -184,7 +189,7 @@ def test_abelian_decaying_flow():
                                 modes=[(1, 0, 0), (0, 1, 0), (0, 0, 1)])
     tr = run_flow(F, FlowConfig(dt=0.05 * F.h, steps=160))
     s = tr.summary()
-    assert s["monotone"]
+    assert monotone(tr)
     assert s["cs_initial"] < 0 < -s["cs_final"] * 0 + 1  # cs rises toward 0
     assert tr.cs[-1] > tr.cs[0]
     assert s["energy_identity_max_relerr"] < 1e-3
@@ -431,7 +436,7 @@ def test_diverged_flow_stops_and_says_so():
     assert lojasiewicz_fit(tr)["status"] == "diverged"
     s = tr.summary()
     assert s["status"] == "diverged" and s["blowup_step"] == step
-    assert s["cs_final"] is None and not s["monotone"]
+    assert s["cs_final"] is None and not monotone(tr)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)

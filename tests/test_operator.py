@@ -202,27 +202,39 @@ def test_torus_background_equals_its_per_term_sum():
                                   da[..., j, :] + coeff_bracket(A[..., i, :], a[..., j, :]))
 
 
-def _flipped_gamma_adjoint(bg, sec, P, h=1e-5):
-    """-grad_t - gamma_i grad_i + rho_i [a_i, .]: a wrong adjoint."""
-    val, grads = op.covariant_grads(bg, sec, P, h)
-    grads[..., 1:, :, :] *= -1.0
-    return op._assemble_clifford(val, grads, bg.a_at(P), dt_sign=-1.0)
+_ASSEMBLE = op._assemble_clifford
 
 
-def _d_for_d_dagger(bg, sec, P, h=1e-5):
-    return op.apply_D(bg, sec, P, h, "clifford")
+def _flipped_gamma_adjoint(val, grads, a, dt_sign=1.0, skip_gamma3=False):
+    """D^dag assembled as -grad_t - gamma_i grad_i + rho_i [a_i, .]: a wrong adjoint."""
+    if dt_sign == -1.0:
+        grads = grads.copy()
+        grads[..., 1:, :, :] *= -1.0
+    return _ASSEMBLE(val, grads, a, dt_sign, skip_gamma3)
+
+
+def _d_for_d_dagger(val, grads, a, dt_sign=1.0, skip_gamma3=False):
+    """D^dag assembled as D."""
+    return _ASSEMBLE(val, grads, a, 1.0 if dt_sign == -1.0 else dt_sign, skip_gamma3)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_adjoint_duality_check_catches_wrong_adjoint(seed, monkeypatch):
+    # the wrong adjoint is planted in the assembly that apply_D_dagger and
+    # duality_gap both run, so it changes the operator the lab applies
     def duality():
         report = operator_suite(seed, background="trivial", points=8)
         return next(c for c in report if c.check_id == "adjoint_duality")
 
     good = duality()
     assert good.status == "pass" and good.metric < 1e-10
+    bg, p = TrivialBackground(), np.array([1.3, 0.2, 0.4, 0.6])
+    sec = op.random_torus_section(np.random.default_rng(seed), k_max=1, n_terms=3,
+                                  t_center=1.0, t_width=0.5)
+    right = op.apply_D_dagger(bg, sec, p)
     for wrong_adjoint in (_d_for_d_dagger, _flipped_gamma_adjoint):
-        monkeypatch.setattr(op, "apply_D_dagger", wrong_adjoint)
+        monkeypatch.setattr(op, "_assemble_clifford", wrong_adjoint)
+        assert not np.allclose(op.apply_D_dagger(bg, sec, p), right)
         bad = duality()
         assert bad.status == "fail" and bad.metric > 1e2 * bad.tolerance
 
@@ -241,19 +253,24 @@ def test_every_check_is_a_finite_bound(tmp_path, seed):
 
 
 def test_status_agrees_with_tolerance_at_small_scale(monkeypatch):
-    # a check's status must follow its reported metric and tolerance at any
-    # --tolerance-scale, including the blockwise Weitzenbock comparison
+    # a check's status must follow its reported metric and tolerance when
+    # checks fail too, including the blockwise Weitzenbock comparison: a 1%
+    # error in every assembled remainder block flags all the nonzero ones
     reports = []
     block_report = op.bochner_block_report
+    x_blocks = op.x_blocks
 
     def recorded(*args, **kwargs):
         reports.append(block_report(*args, **kwargs))
         return reports[-1]
 
     monkeypatch.setattr(op, "bochner_block_report", recorded)
-    report = run_suite("operator", seed=1, tol_scale=1e-6)
+    monkeypatch.setattr(op, "x_blocks", lambda bg, P: 1.01 * x_blocks(bg, P))
+    report = run_suite("operator", seed=1)
     for c in report.checks:
         assert (c.status == "pass") == (c.metric <= c.tolerance), c.check_id
+    failed = {c.check_id for c in report.checks if c.status == "fail"}
+    assert {"weitzenbock_remainder", "weitzenbock_blocks"} <= failed
     # most blocks are flagged here, which fails the check; the location names
     # the worst one and a count, not every flagged block
     blocks = next(c for c in report.checks if c.check_id == "weitzenbock_blocks")

@@ -95,6 +95,31 @@ def step_length_off_by_a_percent(mp):
     plant(mp, adv, lambda Z, FZ, h, out: adv(Z, FZ, 1.01 * h, out))
 
 
+def flow_run_backwards(mp):
+    # each RK4 stage steps against the flow, so cs falls
+    adv = flow._advance
+    plant(mp, adv, lambda Z, FZ, h, out: adv(Z, FZ, -h, out))
+
+
+def differences_lean_forward(mp):
+    # the differenced gradients move 1e-4 of the way to a forward difference,
+    # a first-order error of 5e-5 h f'' (the remainder check still reads 8e-7)
+    cg = op.covariant_grads
+
+    def leaning(bg, sec, P, h):
+        val, grads = cg(bg, sec, P, h)
+        if h is not None:
+            for mu in range(4):
+                Q = np.array(P, dtype=float)
+                Q[..., mu] += h
+                ahead = sec.value(Q)
+                Q[..., mu] -= 2 * h
+                grads[..., mu, :, :] += 1e-4 * (ahead - 2 * val + sec.value(Q)) / (2 * h)
+        return val, grads
+
+    plant(mp, cg, leaning)
+
+
 def clifford_table_sign_slip(mp):
     # gamma_1's first row with the wrong sign, in the contraction's table only
     (r, src, sign), *rest = op._GAMMA_ROWS[0]
@@ -117,9 +142,10 @@ FLOW_DATA = torus.random_field(np.random.default_rng(2), 8, amplitude=0.05)
 # (defect, suite and its options, checks that must fail, output of the code
 # that uses the object)
 WITNESSES = {
-    "theta": (theta_upside_down, ("model", {}), {"theta_pythagoras"},
+    "theta": (theta_upside_down, ("model", {}),
+              {"theta_pythagoras", "reduced_equations", "decoupled_sector_solution"},
               lambda: model.fields(model.ModelSolution(1), T, Z)["alpha"]),
-    "curvature": (e_factor_too_large, ("model", {}), {"curvature_decay"},
+    "curvature": (e_factor_too_large, ("model", {}), {"curvature_decay", "reduced_equations"},
                   lambda: model.evaluate(model.ModelSolution(1), T, Z).E1),
     "U": (u_off_normalization, ("clifford", {}), {"u_orthogonal"},
           lambda: op.omega_apply(BG, SEC, P0, 1e-5)),
@@ -134,9 +160,18 @@ WITNESSES = {
                          lambda: op.x_matrix24(BG, P0)),
     "symbol": (symbol_off_by_a_millionth, ("operator", {"points": 20}), {"symbol_spectrum"},
                lambda: modes.linearized_decay(1, PLANE_WAVE, T=10.0, dt=1.0)["f_plus"]),
+    "symbol_modes": (symbol_off_by_a_millionth, ("flow-smoke", {}),
+                     {"single_mode_decay", "contraction_fixed_point"},
+                     lambda: modes.linearized_decay(1, PLANE_WAVE, T=10.0, dt=1.0)["f_plus"]),
     "clifford_table": (clifford_table_sign_slip, ("operator", {"points": 20}),
-                       {"three_depictions"},
+                       {"three_depictions", "y_intertwine", "spatial_identification",
+                        "weitzenbock_remainder"},
                        lambda: op.apply_D(BG, SEC, P0, 1e-5, depiction="clifford")),
+    "difference_order": (differences_lean_forward, ("operator", {"points": 20}),
+                         {"weitzenbock_order"},
+                         lambda: op.bochner_check(BG, SEC, P0, 1e-3)["residual"]),
+    "flow_direction": (flow_run_backwards, ("flow-smoke", {}), {"monotone_cs"},
+                       lambda: flow.run_flow(FLOW_DATA, flow.FlowConfig(0.05 * FLOW_DATA.h, 5)).cs),
     "flow_step": (step_length_off_by_a_percent, ("flow-smoke", {}),
                   {"energy_identity", "two_rate_forms"},
                   lambda: flow.run_flow(FLOW_DATA, flow.FlowConfig(0.05 * FLOW_DATA.h, 5)).cs),
@@ -154,6 +189,14 @@ def test_defect_fails_its_check_and_changes_its_user(monkeypatch, name):
     defect(monkeypatch)
     assert checks <= failing(suite, **kwargs)
     assert not np.allclose(user(), before, rtol=1e-6, atol=0)
+
+
+def test_first_order_slip_is_caught_only_by_the_tight_order_bound(monkeypatch):
+    # the slip reads between weitzenbock_order's bound and the 1.0 it had
+    differences_lean_forward(monkeypatch)
+    check = {c.check_id: c for c in run_suite("operator", seed=0, points=20).checks}[
+        "weitzenbock_order"]
+    assert check.tolerance == 1e-3 < check.metric < 1.0
 
 
 def test_non_finite_metric_is_null_in_a_strict_report(monkeypatch, capsys):
