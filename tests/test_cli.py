@@ -315,10 +315,13 @@ def test_spectral_hardy_exit_follows_its_checks(monkeypatch, capsys, name, value
     assert run(["spectral", "hardy"], capsys)[0] == 1
 
 
-def test_tolerance_scale_is_not_an_option(capsys):
-    # every bound is fixed; no option loosens them all at once
+@pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+def test_tolerance_scale_must_be_positive_and_finite(value, capsys):
+    # every bound is fixed and no option scales them: such a scale, which
+    # would fail (or, inf, pass) every bound whatever the numbers, is a usage
+    # error like any other
     with pytest.raises(SystemExit) as exc:
-        main(["algebra", "--tolerance-scale", "2"])
+        main(["algebra", "--tolerance-scale", value])
     assert exc.value.code == 2
     out = capsys.readouterr()
     errors = [line for line in out.err.splitlines() if "error:" in line]
