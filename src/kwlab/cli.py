@@ -163,7 +163,7 @@ def _cmd_spectral(args) -> int:
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             st = spectral_mod.radial_ode_solve(args.lam, args.k)
-            adm = spectral_mod.radial_admissible(args.lam, args.k)
+            [adm] = spectral_mod.radial_admissible([args.lam], args.k)
     except RuntimeError as exc:
         print(f"error: no radial solution at --lambda {args.lam:g} --k {args.k:g}: {exc}",
               file=sys.stderr)

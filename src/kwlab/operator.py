@@ -680,13 +680,19 @@ def pythagoras_gap(bg, psi, t_range=(0.5, 3.5), nt=40, nx=8) -> dict:
     spatial part); returns both sides and the relative gap.
     """
     P, wt, vol_x = _box_grid(t_range, nt, nx)
-    val, grads = covariant_grads(bg, psi, P, None)
-    a = bg.a_at(P)
-    dpsi = _assemble_clifford(val, grads, a)
-    lpsi = _assemble_clifford(val, grads, a, dt_sign=0.0)
-    tpsi = grads[..., 0, :, :]
-    lhs = _box_integral(_pair(dpsi, dpsi), wt, vol_x)
-    rhs = _box_integral(_pair(tpsi, tpsi), wt, vol_x) + _box_integral(_pair(lpsi, lpsi), wt, vol_x)
+    # |D psi|^2, |grad_t psi|^2 and |L psi|^2 at every node, one t-slice at a
+    # time as in duality_gap, so that the gradients of the whole box are
+    # never held at once
+    pairs = np.empty((3,) + P.shape[:-1])
+    for i, Q in enumerate(P):
+        val, grads = covariant_grads(bg, psi, Q, None)
+        a = bg.a_at(Q)
+        dpsi = _assemble_clifford(val, grads, a)
+        lpsi = _assemble_clifford(val, grads, a, dt_sign=0.0)
+        tpsi = grads[..., 0, :, :]
+        pairs[:, i] = _pair(dpsi, dpsi), _pair(tpsi, tpsi), _pair(lpsi, lpsi)
+    lhs, tpsi_sq, lpsi_sq = (_box_integral(f, wt, vol_x) for f in pairs)
+    rhs = tpsi_sq + lpsi_sq
     return {"lhs": lhs, "rhs": rhs, "rel_gap": abs(lhs - rhs) / max(abs(lhs), 1e-30)}
 
 

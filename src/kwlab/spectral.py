@@ -76,20 +76,29 @@ def hardy_cone_ratio(a: float = 1.0, s: float = 1.0) -> float:
     """int psi^2/x^2 over int |grad psi|^2 for psi = t^a exp(-x^2/(2 s^2))
     on the half-space t > 0 (x3-invariant); the constant is 4/9.
 
-    2D quadrature in (t, r) with the measure 2 pi r dr dt, on 600 x 600
-    nodes up to 8 s.
+    2D trapezoid quadrature in (t, r) with the measure 2 pi r dr dt, on the
+    same 600 nodes up to 8 s along each axis.  psi = t^a e^{-t^2/2s^2} .
+    e^{-r^2/2s^2} and both its gradient terms are products of 1D factors, so
+    the energy is a sum of products of 1D trapezoids; the one factor that does
+    not separate is 1/x^2 = 1/(t^2 + r^2), and the mass is one weighted
+    product u . K . v with K = 1/(t_i^2 + r_j^2), the only 2D array.
     """
-    t = np.linspace(1e-6, 8.0 * s, 600)
-    r = np.linspace(1e-6, 8.0 * s, 600)
-    T, R = np.meshgrid(t, r, indexing="ij")
-    X2 = T * T + R * R
-    psi = np.exp(-X2 / (2 * s * s))  # the Gaussian factor, made psi in place below
-    dpsi_dt = (a * T ** (a - 1) - T ** (a + 1) / s ** 2) * psi
-    psi *= T ** a
-    dpsi_dr = -R / s ** 2 * psi
-    w = R  # 2 pi cancels in the ratio
-    num = np.trapezoid(np.trapezoid(psi * psi / X2 * w, r, axis=1), t)
-    den = np.trapezoid(np.trapezoid((dpsi_dt ** 2 + dpsi_dr ** 2) * w, r, axis=1), t)
+    x = np.linspace(1e-6, 8.0 * s, 600)  # the t nodes and the r nodes
+    dx = np.diff(x)
+    w = np.zeros_like(x)
+    w[:-1] += dx / 2
+    w[1:] += dx / 2
+    gauss = np.exp(-x * x / (2 * s * s))
+    # the t factors of psi^2 and (d psi/dt)^2, and the r factors of psi^2 and
+    # (d psi/dr)^2 with the measure r dr (2 pi cancels in the ratio)
+    mass_t = w * (x ** a * gauss) ** 2
+    grad_t = w * ((a * x ** (a - 1) - x ** (a + 1) / s ** 2) * gauss) ** 2
+    mass_r = w * x * gauss * gauss
+    grad_r = w * x * (x / s ** 2 * gauss) ** 2
+    kernel = np.add.outer(x * x, x * x)
+    np.divide(1.0, kernel, out=kernel)  # K = 1/x^2, in place
+    num = mass_t @ kernel @ mass_r
+    den = grad_t.sum() * mass_r.sum() + mass_t.sum() * grad_r.sum()
     return float(num / den)
 
 
@@ -344,9 +353,10 @@ class RadialODEState:
     sol: object = field(default=None, repr=False)
 
 
-def _radial_rhs(lam: float, k: float):
+def _radial_rhs(lam, k: float):
     # sign convention: chosen so that at lambda = 1 the decaying closed form
-    # is (a, b) = (1/x) e^{-kx} (1, 1) and the growing one (1/x) e^{kx} (1, -1)
+    # is (a, b) = (1/x) e^{-kx} (1, 1) and the growing one (1/x) e^{kx} (1, -1);
+    # lam may be an array, with a and b the matching rows of y
     def rhs(x, y):
         a, b = y
         return [(lam - 2.0) / x * a - k * b, -lam / x * b - k * a]
@@ -413,31 +423,42 @@ def radial_ode_solve(lam: float, k: float, x_range=(0.1, 10.0), init=None,
                           identity_residual=res, sol=sol)
 
 
-def radial_admissible(lam: float, k: float) -> dict:
-    """Decide whether the solution decaying at infinity has finite
-    int (a^2 + b^2) x^2 dx near 0.
+def radial_admissible(lams, k: float) -> list[dict]:
+    """For each lambda in lams, decide whether the solution decaying at
+    infinity has finite int (a^2 + b^2) x^2 dx near 0; one report per lambda,
+    in order.
 
-    The system is invariant under (x, k) -> (x/c, c k), so every window
-    scales with 1/|k| and the computation is the same at every |k|.  It
-    integrates inward from x_max = 14/|k| with the decaying asymptotic
-    direction (1, 1) e^{-|k| x}; fits the local exponent of
+    The system is invariant under (x, k) -> (x/c, c k), which in s = ln x is
+    the shift s -> s - ln c, so the computation is the same at every |k|.  It
+    integrates inward in s from ln(x_max), x_max = 14/|k|, with the decaying
+    asymptotic direction (1, 1) e^{-|k| x}; fits the local exponent of
     g = x^2 (a^2 + b^2) over [x_min, 100 x_min] with x_min = 1e-4/|k| and
     calls the solution admissible when the fitted exponent exceeds -1 and
     the integral converges under range extension (its value from x_min and
     from x_min/4 agree to 5%).  An ill-conditioned fit (local slopes
     scattered by more than 0.2) raises RuntimeError.
 
-    One integration, down to x_min/4, serves the fit and both extension
-    integrals: every quantity is read from one call of its dense output.  A
-    solution that overflows on its way in (large |lam|) raises RuntimeError.
+    One integration, down to ln(x_min/4), serves every lambda, the fit and
+    both extension integrals: the systems of all lambdas are stacked, with
+    dy/ds = x _radial_rhs(x, y), and every quantity is read from one call of
+    its dense output.  A solution that overflows on its way in (large
+    |lam|) raises RuntimeError.
     """
     from scipy.integrate import solve_ivp
 
     if k == 0:
         raise ValueError("need k != 0")
+    lam = np.asarray(lams, dtype=float)
     x_min = 1e-4 / abs(k)
     x_max = 14.0 / abs(k)
-    sol = solve_ivp(_radial_rhs(lam, k), (x_max, x_min / 4.0), [1.0, 1.0 if k > 0 else -1.0],
+    rhs = _radial_rhs(lam, k)
+
+    def rhs_ln(s, y):
+        x = math.exp(s)
+        return x * np.concatenate(rhs(x, y.reshape(2, -1)))
+
+    y0 = np.concatenate([np.ones(lam.size), np.full(lam.size, 1.0 if k > 0 else -1.0)])
+    sol = solve_ivp(rhs_ln, (math.log(x_max), math.log(x_min / 4.0)), y0,
                     method="DOP853", rtol=1e-11, atol=1e-300, dense_output=True)
     if not sol.success:
         raise RuntimeError(sol.message)
@@ -447,26 +468,30 @@ def radial_admissible(lam: float, k: float) -> dict:
     grid1 = np.geomspace(x_min, x_max, 4000)
     grid2 = np.geomspace(x_min / 4.0, x_max, 4000)
     x_all = np.concatenate([xs, grid1, grid2])
-    g_fit, g1, g2 = np.split(x_all ** 2 * np.sum(sol.sol(x_all) ** 2, axis=0),
-                             [len(xs), len(xs) + len(grid1)])
-    logs = np.log(g_fit)
-    slope = float(np.polyfit(np.log(xs), logs, 1)[0])
-    scatter = float(np.max(np.abs(np.diff(logs) / np.diff(np.log(xs)) - slope)))
-    if scatter > 0.2:
-        raise RuntimeError("ambiguous indicial fit")
-    # convergence of the integral under extension of the lower endpoint
-    i1 = _trapz(g1, grid1)
-    i2 = _trapz(g2, grid2)
-    if not np.all(np.isfinite([slope, scatter, i1, i2])):
-        raise RuntimeError("the solution overflows double precision on its way in")
-    extension_growth = abs(i2 - i1) / max(i1, 1e-300)
-    admissible = slope > -1.0 + 0.05 and extension_growth < 0.05
-    return {
-        "lambda": lam,
-        "k": k,
-        "admissible": bool(admissible),
-        "exponent_at_zero": slope,
-        "fit_scatter": scatter,
-        "extension_growth": extension_growth,
-        "x2dx_integral": i1,
-    }
+    g_all = x_all ** 2 * np.sum(sol.sol(np.log(x_all)).reshape(2, lam.size, -1) ** 2, axis=0)
+    log_xs = np.log(xs)
+    out = []
+    for lam_i, g in zip(lams, g_all):
+        g_fit, g1, g2 = np.split(g, [len(xs), len(xs) + len(grid1)])
+        logs = np.log(g_fit)
+        slope = float(np.polyfit(log_xs, logs, 1)[0])
+        scatter = float(np.max(np.abs(np.diff(logs) / np.diff(log_xs) - slope)))
+        if scatter > 0.2:
+            raise RuntimeError("ambiguous indicial fit")
+        # convergence of the integral under extension of the lower endpoint
+        i1 = _trapz(g1, grid1)
+        i2 = _trapz(g2, grid2)
+        if not np.all(np.isfinite([slope, scatter, i1, i2])):
+            raise RuntimeError("the solution overflows double precision on its way in")
+        extension_growth = abs(i2 - i1) / max(i1, 1e-300)
+        admissible = slope > -1.0 + 0.05 and extension_growth < 0.05
+        out.append({
+            "lambda": lam_i,
+            "k": k,
+            "admissible": bool(admissible),
+            "exponent_at_zero": slope,
+            "fit_scatter": scatter,
+            "extension_growth": extension_growth,
+            "x2dx_integral": i1,
+        })
+    return out

@@ -419,8 +419,8 @@ def spectral_suite(seed: int) -> list[CheckResult]:
     out.append(CheckResult.from_bound(
         "radial_identity", "x^3/2 (b^2-a^2)' + x^2((lam-2)a^2 + lam b^2) = 0",
         st2.identity_residual, 1e-8))
-    verdicts = {lam: spectral.radial_admissible(lam, 1.0)["admissible"]
-                for lam in (0.0, 1.0, 2.0)}
+    verdicts = {rep["lambda"]: rep["admissible"]
+                for rep in spectral.radial_admissible((0.0, 1.0, 2.0), 1.0)}
     out.append(CheckResult.from_bound(
         "radial_admissibility", "integrable window is 1/2 < lambda < 3/2",
         sum(verdicts[lam] != (lam == 1.0) for lam in verdicts), 0.0,

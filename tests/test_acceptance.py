@@ -219,8 +219,8 @@ def test_12_radial_ode():
     aa, bb = sp.radial_closed_form("decaying", st.x_grid, 1.0)
     err = max(float(np.max(np.abs(st.a - aa) / np.abs(aa))),
               float(np.max(np.abs(st.b - bb) / np.abs(bb))))
-    verdicts = {lam: sp.radial_admissible(lam, 1.0)["admissible"]
-                for lam in (0.0, 1.0, 2.0)}
+    verdicts = {rep["lambda"]: rep["admissible"]
+                for rep in sp.radial_admissible((0.0, 1.0, 2.0), 1.0)}
     ok = err < 1e-8 and verdicts[1.0] and not verdicts[0.0] and not verdicts[2.0]
     report(12, "radial system closed forms and integrability window",
            ok,

@@ -315,6 +315,31 @@ def test_spectral_hardy_exit_follows_its_checks(monkeypatch, capsys, name, value
     assert run(["spectral", "hardy"], capsys)[0] == 1
 
 
+def test_spectral_radial_defect_fails_verify(monkeypatch, capsys):
+    # (lambda - 1) for (lambda - 2) in the a-equation of the radial system
+    # moves the integrable window: the solution at lambda = 0 then decays
+    # into x = 0 and is called admissible
+    from kwlab import spectral
+
+    def shifted_rhs(lam, k):
+        def rhs(x, y):
+            a, b = y
+            return [(lam - 1.0) / x * a - k * b, -lam / x * b - k * a]
+
+        return rhs
+
+    assert run(["verify", "spectral"], capsys)[0] == 0
+    monkeypatch.setattr(spectral, "_radial_rhs", shifted_rhs)
+    code, out, _ = run(["verify", "spectral"], capsys)
+    checks = {c["check_id"]: c for c in json.loads(out)["checks"]}
+    assert code == 1
+    assert {i for i, c in checks.items() if c["status"] == "fail"} == {
+        "radial_closed_form", "radial_identity", "radial_admissibility"}
+    assert checks["radial_admissibility"]["metric"] == 1.0
+    assert checks["radial_admissibility"]["worst_location"] == (
+        "{0.0: True, 1.0: True, 2.0: False}")
+
+
 @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
 def test_tolerance_scale_must_be_positive_and_finite(value, capsys):
     # every bound is fixed and no option scales them: such a scale, which

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,28 @@ def test_hardy_cone_and_profile():
     assert abs(sp.hardy_cone_ratio(1.0, 0.5) - sp.hardy_cone_ratio(1.0, 2.0)) < 1e-3
     assert sp.hardy_profile_ratio(1.0) <= 4.0
     assert sp.hardy_profile_ratio(3.0) <= 4.0
+
+
+def _hardy_cone_ratio_nested(a, s):
+    """hardy_cone_ratio as nested trapezoids over the full 600 x 600 grid."""
+    t = np.linspace(1e-6, 8.0 * s, 600)
+    r = np.linspace(1e-6, 8.0 * s, 600)
+    T, R = np.meshgrid(t, r, indexing="ij")
+    X2 = T * T + R * R
+    gauss = np.exp(-X2 / (2 * s * s))
+    psi = T ** a * gauss
+    dpsi_dt = (a * T ** (a - 1) - T ** (a + 1) / s ** 2) * gauss
+    dpsi_dr = -R / s ** 2 * psi
+    num = np.trapezoid(np.trapezoid(psi * psi / X2 * R, r, axis=1), t)
+    den = np.trapezoid(np.trapezoid((dpsi_dt ** 2 + dpsi_dr ** 2) * R, r, axis=1), t)
+    return float(num / den)
+
+
+@pytest.mark.parametrize("a,s", [(a, s) for a in (1.0, 2.0) for s in (0.7, 1.0, 1.6)]
+                         + [(1.0, 0.5), (1.0, 2.0)])
+def test_separable_cone_ratio_equals_nested_trapezoids(a, s):
+    assert sp.hardy_cone_ratio(a, s) == pytest.approx(_hardy_cone_ratio_nested(a, s),
+                                                      rel=1e-13, abs=0)
 
 
 def test_hemisphere_ground_state():
@@ -177,7 +201,7 @@ def test_radial_identity_overflow_raises():
     (0.0, False), (2.0, False), (0.4, False), (1.7, False),
 ])
 def test_admissibility_window(lam, want):
-    rep = sp.radial_admissible(lam, 1.0)
+    [rep] = sp.radial_admissible([lam], 1.0)
     assert rep["admissible"] == want
 
 
@@ -202,7 +226,7 @@ def test_radial_errors():
     with pytest.raises(ValueError):
         sp.radial_ode_solve(1.0, 0.0)
     with pytest.raises(ValueError):
-        sp.radial_admissible(1.0, 0.0)
+        sp.radial_admissible([1.0], 0.0)
 
 
 def _count_solve_ivp(monkeypatch):
@@ -222,30 +246,48 @@ def _count_solve_ivp(monkeypatch):
 
 @pytest.mark.parametrize("lam", [0.0, 1.0, 2.0])
 def test_admissibility_integrates_once(lam, monkeypatch):
-    # a well-conditioned fit: one integration to x_min/4 serves the fit and
-    # both extension integrals
+    # a well-conditioned fit: one integration in ln x down to ln(x_min/4)
+    # serves the fit and both extension integrals
     spans = _count_solve_ivp(monkeypatch)
-    rep = sp.radial_admissible(lam, 1.0)
-    assert spans == [(14.0, 1e-4 / 4)]
+    [rep] = sp.radial_admissible([lam], 1.0)
+    assert spans == [(math.log(14.0), math.log(1e-4 / 4))]
     assert rep["fit_scatter"] <= 0.2
 
 
 def test_admissibility_at_large_k_integrates_once(monkeypatch):
-    # the windows scale with 1/|k|: at lambda = 1, k = 15 one integration from
-    # 14/k to x_min/4 = 1e-4/(4k) gives the admissible verdict
+    # a k-rescaling is a shift in ln x: at lambda = 1, k = 15 one integration
+    # from ln(14/k) to ln(x_min/4) = ln(1e-4/(4k)) gives the admissible verdict
     spans = _count_solve_ivp(monkeypatch)
-    rep = sp.radial_admissible(1.0, 15.0)
+    [rep] = sp.radial_admissible([1.0], 15.0)
     assert rep["admissible"] is True
-    assert spans == [(14.0 / 15.0, 1e-4 / 15.0 / 4.0)]
+    assert spans == [(math.log(14.0 / 15.0), math.log(1e-4 / 15.0 / 4.0))]
+
+
+def test_admissibility_integrates_every_lambda_at_once(monkeypatch):
+    # the lambdas share one integration and come back in the order given
+    spans = _count_solve_ivp(monkeypatch)
+    reps = sp.radial_admissible((2.0, 0.0, 1.0), 1.0)
+    assert len(spans) == 1
+    assert [r["lambda"] for r in reps] == [2.0, 0.0, 1.0]
+    assert [r["admissible"] for r in reps] == [False, False, True]
+
+
+def test_spectral_suite_makes_three_radial_solves(monkeypatch):
+    # two radial_ode_solve runs and one admissibility solve for lambda = 0, 1, 2
+    from kwlab.suites import spectral_suite
+
+    spans = _count_solve_ivp(monkeypatch)
+    spectral_suite(0)
+    assert spans == [(0.1, 10.0), (0.2, 8.0), (math.log(14.0), math.log(1e-4 / 4))]
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.4, 0.75, 1.0, 1.25, 1.7, 2.0])
 def test_admissibility_is_invariant_under_k(lam):
     # (x, k) -> (x/c, c k) maps the radial system to itself, so the verdict
     # and the indicial exponent do not depend on k
-    ref = sp.radial_admissible(lam, 1.0)
+    [ref] = sp.radial_admissible([lam], 1.0)
     for k in (0.3, 2.0, 13.0, 15.0, 30.0, 100.0, -5.0):
-        rep = sp.radial_admissible(lam, k)
+        [rep] = sp.radial_admissible([lam], k)
         assert rep["admissible"] == ref["admissible"]
         assert abs(rep["exponent_at_zero"] - ref["exponent_at_zero"]) < 1e-9
 
@@ -253,7 +295,8 @@ def test_admissibility_is_invariant_under_k(lam):
 @pytest.mark.parametrize("lam", [0.0, 1.0, 2.0])
 def test_shared_integration_matches_separate_runs(lam):
     # the algorithm before the shared integration: the fit and the x_min
-    # integral from a run to x_min, the extended integral from a second run
+    # integral from a run in x to x_min, the extended integral from a second
+    # run; the shared run in ln x of all three lambdas agrees with it
     from scipy.integrate import solve_ivp
 
     x_min, x_max = 1e-4, 14.0
@@ -270,7 +313,7 @@ def test_shared_integration_matches_separate_runs(lam):
     xs = np.geomspace(x_min, 100 * x_min, 60)
     slope = np.polyfit(np.log(xs), np.log(xs ** 2 * np.sum(sol.sol(xs) ** 2, axis=0)), 1)[0]
     i1, i2 = x2dx(sol, x_min), x2dx(run(x_min / 4), x_min / 4)
-    rep = sp.radial_admissible(lam, 1.0)
+    rep = dict(zip((0.0, 1.0, 2.0), sp.radial_admissible((0.0, 1.0, 2.0), 1.0)))[lam]
     assert rep["exponent_at_zero"] == pytest.approx(slope, rel=1e-8)
     assert rep["x2dx_integral"] == pytest.approx(i1, rel=1e-8)
     assert rep["extension_growth"] == pytest.approx(abs(i2 - i1) / i1, rel=1e-8)
@@ -282,11 +325,17 @@ def _radial_admissible_per_grid(lam, k):
     from scipy.integrate import solve_ivp
 
     x_min, x_max = 1e-4 / abs(k), 14.0 / abs(k)
-    sol = solve_ivp(sp._radial_rhs(lam, k), (x_max, x_min / 4.0), [1.0, 1.0 if k > 0 else -1.0],
+    rhs = sp._radial_rhs(np.array([lam]), k)
+
+    def rhs_ln(s, y):
+        x = math.exp(s)
+        return x * np.concatenate(rhs(x, y.reshape(2, -1)))
+
+    sol = solve_ivp(rhs_ln, (math.log(x_max), math.log(x_min / 4.0)), [1.0, 1.0 if k > 0 else -1.0],
                     method="DOP853", rtol=1e-11, atol=1e-300, dense_output=True)
 
     def g(xs):
-        return xs ** 2 * np.sum(sol.sol(xs) ** 2, axis=0)
+        return xs ** 2 * np.sum(sol.sol(np.log(xs)) ** 2, axis=0)
 
     def x2dx(lo):
         xs = np.geomspace(lo, x_max, 4000)
@@ -306,4 +355,4 @@ def _radial_admissible_per_grid(lam, k):
 @pytest.mark.parametrize("k", [1.0, -5.0, 13.0])
 @pytest.mark.parametrize("lam", [0.0, 0.75, 1.0, 1.25, 2.0])
 def test_one_dense_output_read_equals_one_per_grid(lam, k):
-    assert sp.radial_admissible(lam, k) == _radial_admissible_per_grid(lam, k)
+    assert sp.radial_admissible([lam], k) == [_radial_admissible_per_grid(lam, k)]

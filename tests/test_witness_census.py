@@ -18,6 +18,7 @@ ORACLE = "exact identity of the 2x2 oracle the kernels are checked against; read
 TABLE = "integer relation of the fixed gamma/rho tables at tolerance 0; a wrong entry reads >= 1"
 RELATIONS = "test_clifford::test_relation_residual_is_the_integer_defect"
 HARDY = "test_cli::test_spectral_hardy_exit_follows_its_checks"
+RADIAL = "test_cli::test_spectral_radial_defect_fails_verify"
 UNPLANTED = "no defect planted yet; reads "
 
 
@@ -93,9 +94,9 @@ CENSUS = {
         ("test", "test_cli::test_spectral_exclusion_reports_uncovered"),
     "spectral.exclusion_case3": ("reason", UNPLANTED + "an excluded interval 0.82 past 3/2"),
     "spectral.exclusion_case3_bound": ("reason", UNPLANTED + "mu_min 1.7 above 2 + (m+1)^2"),
-    "spectral.radial_closed_form": ("reason", UNPLANTED + "1.2e-12 against 1e-8"),
-    "spectral.radial_identity": ("reason", UNPLANTED + "4.5e-11 against 1e-8 at lambda = 1.3"),
-    "spectral.radial_admissibility": ("reason", UNPLANTED + "0 wrong verdicts of 3"),
+    "spectral.radial_closed_form": ("test", RADIAL),
+    "spectral.radial_identity": ("test", RADIAL),
+    "spectral.radial_admissibility": ("test", RADIAL),
     "flow-smoke.zero_fixed_point": ("reason", UNPLANTED + "0.0 against 1e-14"),
     "flow-smoke.cfl_guard": ("reason", "plumbing: the guard raising is the check itself"),
     "flow-smoke.gradient_check":
