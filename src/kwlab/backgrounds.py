@@ -147,7 +147,7 @@ class TorusTrigBackground:
     3-vector of sigma coefficients; each term contributes
     coeffs . sigma * cos(k.x + phase) to that component.  The terms form one
     TorusTrigSection (A in slots 0-2, a in 4-6, no t-envelope), so A, a and
-    their exact spatial derivatives are slices of its value and derivatives.
+    their exact spatial derivatives are slices of its value and grads.
     """
 
     def __init__(self, terms):
@@ -171,13 +171,13 @@ class TorusTrigBackground:
         # E_i = [grad_t, grad_i] = 0 (time independent);
         # B3 = d1 A2 - d2 A1 + [A1, A2]
         A = self.A_at(P)
-        b3 = (self._fields.deriv(P, 1)[..., 1, :] - self._fields.deriv(P, 2)[..., 0, :]
-              + coeff_bracket(A[..., 0, :], A[..., 1, :]))
+        d = self._fields.grads(P)
+        b3 = d[..., 1, 1, :] - d[..., 2, 0, :] + coeff_bracket(A[..., 0, :], A[..., 1, :])
         z = np.zeros_like(b3)
         return z, z.copy(), b3
 
     def dcov_a_at(self, P):
-        da = np.stack([self._fields.deriv(P, 1 + i)[..., 4:6, :] for i in range(2)], axis=-3)
+        da = self._fields.grads(P)[..., 1:3, 4:6, :]
         # grad_i a_j = d_i a_j + [A_i, a_j]
         A, a = self.A_at(P), self.a_at(P)
         return da + coeff_bracket(A[..., :2, None, :], a[..., None, :2, :])

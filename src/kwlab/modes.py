@@ -85,9 +85,6 @@ class ModeVector:
         """L2 norm over the torus (Parseval)."""
         return float(math.sqrt(self.L ** 3 * np.sum(np.abs(self.coeffs) ** 2)))
 
-    def copy(self) -> "ModeVector":
-        return ModeVector(self.ks.copy(), self.coeffs.copy(), self.L)
-
     def to_grid(self, N: int) -> np.ndarray:
         """Real field on the N^3 grid, shape (8, 3, N, N, N)."""
         spec = np.zeros((8, 3, N, N, N), dtype=complex)

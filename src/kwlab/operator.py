@@ -6,7 +6,8 @@ su(2) value (real; complex only in the complexified picture of
 ``spatial_identification``).  The commutator is the coefficient formula
 [u, v] = -2 u x v, the Hermitian product 1/2 trace(u^dag v) is
 sum_a conj(u_a) v_a, and the 8x8 Clifford matrices, each a signed
-permutation, act on the slot axis row by row.  The operator acts as
+permutation, act on the slot axis as one signed gather each.  The operator
+acts as
 
     D psi = grad_t psi + gamma_i grad_i psi + rho_i [a_i, psi]
 
@@ -39,27 +40,24 @@ from .algebra import CYCLIC, coeff_norm
 from .clifford import GAMMA, RHO, ad_matrix, q_endo, u_endo, y_auto_8
 from .modes import k_lattice, symbol
 
-# the generators as float matrices, whose products the permutation tables reproduce
-_GAMMA = tuple(g.astype(float) for g in GAMMA)
-_RHO = tuple(r.astype(float) for r in RHO)
-
-
-def _signed_permutation(m) -> tuple[tuple[int, int, int], ...]:
-    """(row, source row, sign) of each row of an integer matrix with exactly
-    one nonzero entry per row, +-1, so that (m g)[row] = sign * g[source]
-    exactly; any other matrix raises ValueError."""
-    rows = []
+def _signed_permutation(m) -> tuple[np.ndarray, np.ndarray]:
+    """(sources, signs) of an integer matrix with exactly one nonzero entry
+    per row, +-1, so that m g = signs * g[sources] exactly on the slot axis;
+    signs has shape (rows, 1) to broadcast over the sigma coefficients.  Any
+    other matrix raises ValueError."""
+    sources, signs = [], []
     for r, row in enumerate(np.asarray(m)):
         nz = np.flatnonzero(row)
         if len(nz) != 1 or abs(row[nz[0]]) != 1:
             raise ValueError(f"row {r} of a Clifford generator is not a signed unit row: {row}")
-        rows.append((r, int(nz[0]), int(row[nz[0]])))
-    return tuple(rows)
+        sources.append(nz[0])
+        signs.append(float(row[nz[0]]))
+    return np.array(sources), np.array(signs)[:, None]
 
 
-# gamma_i and rho_i as signed row permutations of the slot axis
-_GAMMA_ROWS = tuple(_signed_permutation(g) for g in GAMMA)
-_RHO_ROWS = tuple(_signed_permutation(r) for r in RHO)
+# gamma_i and rho_i as signed permutations of the slot axis
+_GAMMA_PERMS = tuple(_signed_permutation(g) for g in GAMMA)
+_RHO_PERMS = tuple(_signed_permutation(r) for r in RHO)
 
 # The 8x8 symbolic table of the operator: 'dt' means grad_t, ('d', k) means
 # grad_k, ('a', k) means [a_k, .]; the integer is the sign.
@@ -110,23 +108,16 @@ def spinor_max(v) -> float:
 
 
 class FuncSection:
-    """A section given by a batched callable P (...,4) -> (...,8,3)."""
+    """A section given only by its values, a batched callable P (...,4) ->
+    (...,8,3); its derivatives are taken by differences."""
 
-    def __init__(self, value, deriv=None):
+    grads = None
+
+    def __init__(self, value):
         self._value = value
-        self._deriv = deriv
 
     def value(self, P):
         return self._value(np.asarray(P, dtype=float))
-
-    @property
-    def has_exact_derivs(self):
-        return self._deriv is not None
-
-    def deriv(self, P, mu: int):
-        if self._deriv is None:
-            raise ValueError("section has no exact derivatives")
-        return self._deriv(np.asarray(P, dtype=float), mu)
 
 
 def _superpose(w, amps):
@@ -140,13 +131,14 @@ def _superpose(w, amps):
     return np.einsum("...j,jc->...c", w, amps).reshape(w.shape[:-1] + (8, 3))
 
 
-class GaussTrigSection(FuncSection):
+class GaussTrigSection:
     """Smooth test fields: sums of Gaussian blobs in (t, x1, x2) times a
     circle harmonic in x3 (the circle of length 2 pi), with exact derivatives.
 
     blobs: list of (amp (8,3) real, center (3,), width, n_x3, phase).  The
-    blobs are stacked along a terms axis, so the value and each derivative
-    are one weighted superposition of the amplitudes.
+    blobs are stacked along a terms axis, so the value, and the four
+    derivatives together, are each one weighted superposition of the
+    amplitudes.
     """
 
     def __init__(self, blobs):
@@ -156,24 +148,25 @@ class GaussTrigSection(FuncSection):
         self._widths = np.asarray(s, float)
         self._n = np.asarray(n, float)
         self._phases = np.asarray(ph, float)
-        super().__init__(self._val, self._der)
 
     def _envelopes(self, P):
         """Per-blob offsets (..., terms, 3), Gaussians and x3 angles (..., terms)."""
+        P = np.asarray(P, dtype=float)
         d = P[..., None, :3] - self._centers
         g = np.exp(-np.sum(d * d, axis=-1) / (2 * self._widths * self._widths))
         return d, g, self._n * P[..., 3, None] + self._phases
 
-    def _val(self, P):
+    def value(self, P):
         _, g, angle = self._envelopes(P)
         return _superpose(g * np.cos(angle), self._amps)
 
-    def _der(self, P, mu):
+    def grads(self, P):
+        """grad_mu psi for mu = t, 1, 2, 3, shape (..., 4, 8, 3)."""
         d, g, angle = self._envelopes(P)
-        if mu < 3:
-            w = -d[..., mu] / (self._widths * self._widths) * g * np.cos(angle)
-        else:
-            w = -g * np.sin(angle) * self._n
+        w = np.empty(g.shape[:-1] + (4,) + g.shape[-1:])
+        w[..., :3, :] = (-np.swapaxes(d, -1, -2) / (self._widths * self._widths)
+                         * g[..., None, :] * np.cos(angle)[..., None, :])
+        w[..., 3, :] = -g * np.sin(angle) * self._n
         return _superpose(w, self._amps)
 
 
@@ -190,14 +183,14 @@ def random_section(rng: np.random.Generator, center=(1.0, 0.0, 0.0),
     return GaussTrigSection(blobs)
 
 
-class TorusTrigSection(FuncSection):
+class TorusTrigSection:
     """Periodic test fields on the torus of side 2 pi, optionally with a
     Gaussian factor in t; exact derivatives.
 
     terms: list of (amp (8,3) real, k (3,) int, phase); value is
     sum amp cos(k.x + phase) times the t-envelope.  The terms are stacked
-    along a terms axis, so the value and each derivative are one weighted
-    superposition of the amplitudes.
+    along a terms axis, so the value, and the four derivatives together, are
+    each one weighted superposition of the amplitudes.
     """
 
     def __init__(self, terms, t_center=None, t_width: float = 0.5):
@@ -210,7 +203,6 @@ class TorusTrigSection(FuncSection):
         self._phases = np.array([ph for _, _, ph in self.terms])
         self.t_center = t_center
         self.t_width = t_width
-        super().__init__(self._val, self._der)
 
     def _env(self, P):
         """The t-envelope and its t-derivative, (..., 1) for the terms axis."""
@@ -223,16 +215,19 @@ class TorusTrigSection(FuncSection):
     def _arg(self, P):
         return np.einsum("...i,ji->...j", P[..., 1:], self._ks) + self._phases
 
-    def _val(self, P):
+    def value(self, P):
+        P = np.asarray(P, dtype=float)
         g, _ = self._env(P)
         return _superpose(g * np.cos(self._arg(P)), self._amps)
 
-    def _der(self, P, mu):
+    def grads(self, P):
+        """grad_mu psi for mu = t, 1, 2, 3, shape (..., 4, 8, 3)."""
+        P = np.asarray(P, dtype=float)
         g, dg = self._env(P)
-        if mu == 0:
-            w = dg * np.cos(self._arg(P))
-        else:
-            w = -g * np.sin(self._arg(P)) * self._ks[:, mu - 1]
+        arg = self._arg(P)
+        w = np.empty(arg.shape[:-1] + (4,) + arg.shape[-1:])
+        w[..., 0, :] = dg * np.cos(arg)
+        w[..., 1:, :] = (-g * np.sin(arg))[..., None, :] * self._ks.T
         return _superpose(w, self._amps)
 
 
@@ -249,20 +244,16 @@ def random_torus_section(rng: np.random.Generator, k_max: int = 2, n_terms: int 
 def covariant_grads(bg, sec, P, h: float | None):
     """(value, grads) with grads[..., mu, 8, 3] = grad_mu psi for mu = t,1,2,3.
 
-    Exact derivatives are used when h is None and the section provides them;
-    otherwise second-order centered differences at step h.  The connection
-    commutator [A_mu, psi] is added for the three spatial directions (and
-    skipped where the connection vanishes identically, as it only adds zeros).
+    The section's exact derivatives are used when h is None; otherwise
+    second-order centered differences at step h.  The connection commutator
+    is then added to the spatial derivatives (``_add_connection``).
     """
     P = np.asarray(P, dtype=float)
     val = sec.value(P)
-    grads = np.empty(P.shape[:-1] + (4,) + val.shape[len(P.shape[:-1]):],
-                     dtype=np.result_type(val, 1.0))
     if h is None:
-        if not getattr(sec, "has_exact_derivs", False):
+        if sec.grads is None:
             raise ValueError("need a step h for a section without exact derivatives")
-        for mu in range(4):
-            grads[..., mu, :, :] = sec.deriv(P, mu)
+        grads = sec.grads(P)
     else:
         shifted = []
         for mu in range(4):
@@ -271,13 +262,19 @@ def covariant_grads(bg, sec, P, h: float | None):
                 Q[..., mu] += s * h
                 shifted.append(Q)
         stack = sec.value(np.stack(shifted))
-        for mu in range(4):
-            grads[..., mu, :, :] = (stack[2 * mu] - stack[2 * mu + 1]) / (2 * h)
-    A = bg.A_at(P)
+        grads = np.stack([(stack[2 * mu] - stack[2 * mu + 1]) / (2 * h) for mu in range(4)],
+                         axis=-3)
+    return val, _add_connection(bg.A_at(P), val, grads)
+
+
+def _add_connection(A, val, grads):
+    """Add the connection commutator [A_i, psi] to the three spatial
+    derivatives in grads, in place (skipped where the connection vanishes
+    identically, as it only adds zeros); returns grads."""
     if np.any(A):
         for i in range(3):
             grads[..., 1 + i, :, :] += comm(A[..., i, None, :], val)
-    return val, grads
+    return grads
 
 
 def _assemble_components(val, grads, a):
@@ -328,31 +325,27 @@ def _assemble_matrix(val, grads, a):
     return out
 
 
-def _add_permuted(out, rows, g) -> None:
-    """out += M g on the slot axis, in place, for M given as its signed
-    permutation table: one exact add or subtract per row."""
-    for r, src, sign in rows:
-        (np.add if sign > 0 else np.subtract)(out[..., r, :], g[..., src, :], out=out[..., r, :])
-
-
 def _assemble_clifford(val, grads, a, dt_sign: float = 1.0, skip_gamma3: bool = False):
     """The gamma/rho contraction on the (..., 8, 3) values.
 
     gamma_i and rho_i are exact signed permutations of the slot axis
-    (``_GAMMA_ROWS`` and ``_RHO_ROWS``, derived from ``clifford.GAMMA`` and
-    ``clifford.RHO``), so each term is added row by row, in the order
-    dt_sign grad_t + gamma_1 grad_1 + gamma_2 grad_2 + gamma_3 grad_3, then
-    the rho terms; the result equals the 8x8 matrix products bit for bit.
-    The rho terms are skipped where the Higgs field vanishes identically.
+    (``_GAMMA_PERMS`` and ``_RHO_PERMS``, derived from ``clifford.GAMMA`` and
+    ``clifford.RHO``), so each term is one signed gather of the slots, added
+    in the order dt_sign grad_t + gamma_1 grad_1 + gamma_2 grad_2 +
+    gamma_3 grad_3, then the rho terms; the result equals the 8x8 matrix
+    products bit for bit.  The rho terms are skipped where the Higgs field
+    vanishes identically.
     """
     out = dt_sign * grads[..., 0, :, :]
     for i in range(3):
         if skip_gamma3 and i == 2:
             continue
-        _add_permuted(out, _GAMMA_ROWS[i], grads[..., 1 + i, :, :])
+        sources, signs = _GAMMA_PERMS[i]
+        out += signs * grads[..., 1 + i, sources, :]
     if np.any(a):
         for i in range(3):
-            _add_permuted(out, _RHO_ROWS[i], comm(a[..., i, None, :], val))
+            sources, signs = _RHO_PERMS[i]
+            out += signs * comm(a[..., i, None, :], val)[..., sources, :]
     return out
 
 
@@ -709,22 +702,17 @@ def spatial_identification(bg, sec, P) -> float:
     comparison is free of differencing error.
     """
     P = np.asarray(P, dtype=float)
-    if not getattr(sec, "has_exact_derivs", False):
+    if sec.grads is None:
         raise ValueError("spatial identification wants exact derivatives")
-    val, grads = covariant_grads(bg, sec, P, None)
+    val, d = sec.value(P), sec.grads(P)
     a = bg.a_at(P)
     A = bg.A_at(P)
-    out = _assemble_clifford(val, grads, a, dt_sign=0.0)
-    # complexified data
+    out = _assemble_clifford(val, _add_connection(A, val, d.copy()), a, dt_sign=0.0)
+    # complexified data and their plain spatial derivatives (mu, comp, coeff)
     eta = val[..., 0:3, :] + 1j * val[..., 4:7, :]
     v = val[..., 7, :] + 1j * val[..., 3, :]
-    # plain spatial derivatives of eta and v (strip the connection addition)
-    d_eta = np.empty(P.shape[:-1] + (3, 3, 3), dtype=complex)  # (mu, comp, coeff)
-    d_v = np.empty(P.shape[:-1] + (3, 3), dtype=complex)
-    for mu in range(3):
-        db = sec.deriv(P, 1 + mu)
-        d_eta[..., mu, :, :] = db[..., 0:3, :] + 1j * db[..., 4:7, :]
-        d_v[..., mu, :] = db[..., 7, :] + 1j * db[..., 3, :]
+    d_eta = d[..., 1:, 0:3, :] + 1j * d[..., 1:, 4:7, :]
+    d_v = d[..., 1:, 7, :] + 1j * d[..., 1:, 3, :]
     Cp = A + 1j * a  # connection C
     Cm = A - 1j * a  # connection C*
     # star d_C eta: (d_C eta)_{ij} = grad_i eta_j - grad_j eta_i

@@ -300,8 +300,7 @@ def test_16_contraction_fixed_point():
     phi = random_mode_vector(rng, 1, scale=0.02, slots=[0, 1, 2, 4, 5, 6])
     norms, pnorms, worst_ratio = [], [], 0.0
     for s in [2.0 ** -j for j in range(1, 7)]:
-        p = phi.copy()
-        p.coeffs = p.coeffs * s
+        p = ModeVector(phi.ks, phi.coeffs * s, phi.L)
         _, diag = kuranishi_w(p, 1)
         worst_ratio = max(worst_ratio, diag["max_ratio"])
         norms.append(diag["w_norm"])

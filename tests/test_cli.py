@@ -83,6 +83,15 @@ def test_spectral_ode_csv(tmp_path, capsys):
     assert rep["admissible"] is True
 
 
+def test_spectral_ode_identity_residual_reads_off_lambda_one(tmp_path, capsys):
+    # at lambda = 1 the default data keep a = b bit for bit, so the residual
+    # reads exactly 0.0 there; away from it the identity is a live check
+    code, stdout, _ = run(["spectral", "ode", "--lambda", "1.3", "--k", "1",
+                           "--out", str(tmp_path / "ode.csv")], capsys)
+    assert code == 0
+    assert 0.0 < json.loads(stdout)["identity_residual"] <= 1e-8
+
+
 @pytest.mark.parametrize("argv", [["--lambda", "1e9"], ["--lambda", "100"]])
 def test_spectral_ode_out_of_range(argv, tmp_path, capsys):
     # the integrator gives up on such data, or the solution's squares

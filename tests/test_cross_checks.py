@@ -16,7 +16,7 @@ from kwlab import operator as op
 from kwlab import spectral as sp
 from kwlab.backgrounds import ModelBackground
 from kwlab.clifford import GAMMA
-from kwlab.modes import from_grid, k_lattice, quadratic_map_grid, symbol
+from kwlab.modes import ModeVector, from_grid, k_lattice, quadratic_map_grid, symbol
 from kwlab.torus import TorusField, div_cov, dot, gradient, random_field
 
 
@@ -100,7 +100,7 @@ def test_case_potentials_match_model_fields(m):
 
 def _apply_symbol_grid(psi_grid, k_max, N):
     mv = from_grid(psi_grid, k_max)
-    out = mv.copy()
+    out = ModeVector(mv.ks, mv.coeffs.copy(), mv.L)
     for i, k in enumerate(mv.ks):
         out.coeffs[i] = symbol(k) @ mv.coeffs[i]
     return out.to_grid(N)

@@ -194,8 +194,7 @@ def test_kuranishi_quadratic_scaling():
     phi = random_mode_vector(rng, 1, scale=0.02, slots=[0, 1, 2, 4, 5, 6])
     norms, pnorms = [], []
     for s in [2.0 ** -j for j in range(1, 7)]:
-        p = phi.copy()
-        p.coeffs = p.coeffs * s
+        p = ModeVector(phi.ks, phi.coeffs * s, phi.L)
         w, diag = kuranishi_w(p, 1)
         assert diag["max_ratio"] < 1.0
         assert diag["fixed_point_residual"] < 1e-10

@@ -1,7 +1,7 @@
-"""Every top-level function and class of the package, and every public
-method, is referenced somewhere in the package or the benchmark outside its
-own definition.  References from the tests do not count: a definition that
-only tests call is not part of what the lab runs.
+"""Every top-level function, class and assigned name of the package, and
+every public method, is referenced somewhere in the package or the
+benchmark outside its own definition.  References from the tests do not
+count: a definition that only tests call is not part of what the lab runs.
 
 A reference is a Name, an Attribute, an import alias or a string constant;
 string constants cover the benchmark tracer, which names what it wraps.
@@ -30,14 +30,20 @@ def _references(tree):
 
 
 def _definitions(tree):
-    """Top-level functions and classes, and the public methods of the classes."""
+    """(qualified name, name, node) of the top-level functions, classes and
+    assigned names, and of the public methods of the classes."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            yield node.name, node
+            yield node.name, node.name, node
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and not name.id.startswith("__"):
+                        yield name.id, name.id, node
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
-                    yield f"{node.name}.{item.name}", item
+                    yield f"{node.name}.{item.name}", item.name, item
 
 
 def test_no_orphans():
@@ -49,8 +55,8 @@ def test_no_orphans():
             refs.setdefault(name, []).append((path, line))
     orphans = []
     for path in sorted((ROOT / "src/kwlab").glob("*.py")):
-        for qualname, node in _definitions(trees[path]):
-            uses = refs.get(node.name, [])
+        for qualname, name, node in _definitions(trees[path]):
+            uses = refs.get(name, [])
             if not any(p != path or not node.lineno <= line <= node.end_lineno
                        for p, line in uses):
                 orphans.append(f"{path.stem}.{qualname}")

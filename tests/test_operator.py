@@ -13,9 +13,13 @@ from kwlab.backgrounds import (
     make_background,
 )
 from kwlab.cli import main
+from kwlab.clifford import GAMMA, RHO
 from kwlab.suites import operator_suite, run_suite
 
 RNG = np.random.default_rng(0)
+# the generators as float matrices, whose products the signed gathers reproduce
+GAMMA_F = tuple(g.astype(float) for g in GAMMA)
+RHO_F = tuple(r.astype(float) for r in RHO)
 
 
 def random_points(rng, center, n=40):
@@ -527,10 +531,13 @@ def test_trig_sections_match_per_term_sums(kind):
     val, ders = reference(P)
     assert sec.value(P).shape == (3, 20, 8, 3)
     assert np.max(np.abs(sec.value(P) - val)) <= 1e-13
+    grads = sec.grads(P)
+    assert grads.shape == (3, 20, 4, 8, 3)
     for mu in range(4):
-        assert np.max(np.abs(sec.deriv(P, mu) - ders[mu])) <= 1e-13
+        assert np.max(np.abs(grads[..., mu, :, :] - ders[mu])) <= 1e-13
     # a single point keeps its shape
     assert sec.value(P[0, 0]).shape == (8, 3)
+    assert sec.grads(P[0, 0]).shape == (4, 8, 3)
 
 
 def test_zero_background_skips_bracket_terms(monkeypatch):
@@ -550,14 +557,14 @@ def test_zero_background_skips_bracket_terms(monkeypatch):
     monkeypatch.undo()
     assert calls == []
     # the contraction with every bracket term added, as zeros
-    val, zero = sec.value(P), np.zeros(P.shape[:-1] + (3, 3))
-    grads = [sec.deriv(P, 0)] + [sec.deriv(P, 1 + i) + op.comm(zero[..., i, None, :], val)
+    val, zero, d = sec.value(P), np.zeros(P.shape[:-1] + (3, 3)), sec.grads(P)
+    grads = [d[..., 0, :, :]] + [d[..., 1 + i, :, :] + op.comm(zero[..., i, None, :], val)
                                  for i in range(3)]
     want = grads[0]
     for i in range(3):
-        want = want + op._GAMMA[i] @ grads[1 + i]
+        want = want + GAMMA_F[i] @ grads[1 + i]
     for i in range(3):
-        want = want + op._RHO[i] @ op.comm(zero[..., i, None, :], val)
+        want = want + RHO_F[i] @ op.comm(zero[..., i, None, :], val)
     assert np.array_equal(got, want)
 
 
@@ -574,10 +581,10 @@ def test_clifford_permutations_equal_matrix_products(dt_sign, skip_gamma3, higgs
     got = op._assemble_clifford(val, grads, a, dt_sign=dt_sign, skip_gamma3=skip_gamma3)
     want = dt_sign * grads[..., 0, :, :]
     for i in range(2 if skip_gamma3 else 3):
-        want = want + op._GAMMA[i] @ grads[..., 1 + i, :, :]
+        want = want + GAMMA_F[i] @ grads[..., 1 + i, :, :]
     if higgs:
         for i in range(3):
-            want = want + op._RHO[i] @ op.comm(a[..., i, None, :], val)
+            want = want + RHO_F[i] @ op.comm(a[..., i, None, :], val)
     assert np.array_equal(got, want)
 
 

@@ -73,7 +73,7 @@ CENSUS = {
     "operator.weitzenbock_blocks": ("witness", "ad_sign"),
     "operator.remainder_structure": ("reason", UNPLANTED + "0.0 against 1e-10"),
     "operator.omega_scale_invariance": ("reason", UNPLANTED + "0.0 against 1e-8"),
-    "operator.omega_q_commute": ("witness", "ad_sign"),
+    "operator.omega_q_commute": ("witness", "rho_table"),
     "operator.spatial_identification": ("witness", "clifford_table"),
     "operator.adjoint_duality":
         ("test", "test_operator::test_adjoint_duality_check_catches_wrong_adjoint"),

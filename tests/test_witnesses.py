@@ -120,10 +120,22 @@ def differences_lean_forward(mp):
     plant(mp, cg, leaning)
 
 
+def first_sign_flipped(perms):
+    """A generator table whose first generator has its first row's sign flipped."""
+    (sources, signs), *rest = perms
+    flipped = signs.copy()
+    flipped[0] *= -1
+    return ((sources, flipped), *rest)
+
+
 def clifford_table_sign_slip(mp):
     # gamma_1's first row with the wrong sign, in the contraction's table only
-    (r, src, sign), *rest = op._GAMMA_ROWS[0]
-    plant(mp, op._GAMMA_ROWS, (((r, src, -sign), *rest),) + op._GAMMA_ROWS[1:])
+    plant(mp, op._GAMMA_PERMS, first_sign_flipped(op._GAMMA_PERMS))
+
+
+def rho_table_sign_slip(mp):
+    # rho_1's first row with the wrong sign, in the contraction's table only
+    plant(mp, op._RHO_PERMS, first_sign_flipped(op._RHO_PERMS))
 
 
 BG = ModelBackground(1)
@@ -165,8 +177,12 @@ WITNESSES = {
                      lambda: modes.linearized_decay(1, PLANE_WAVE, T=10.0, dt=1.0)["f_plus"]),
     "clifford_table": (clifford_table_sign_slip, ("operator", {"points": 20}),
                        {"three_depictions", "y_intertwine", "spatial_identification",
-                        "weitzenbock_remainder"},
+                        "weitzenbock_remainder", "adjoint_duality"},
                        lambda: op.apply_D(BG, SEC, P0, 1e-5, depiction="clifford")),
+    "rho_table": (rho_table_sign_slip, ("operator", {"points": 20}),
+                  {"three_depictions", "y_intertwine", "weitzenbock_remainder",
+                   "weitzenbock_blocks", "omega_q_commute"},
+                  lambda: op.apply_D(BG, SEC, P0, 1e-5, depiction="clifford")),
     "difference_order": (differences_lean_forward, ("operator", {"points": 20}),
                          {"weitzenbock_order"},
                          lambda: op.bochner_check(BG, SEC, P0, 1e-3)["residual"]),
