@@ -17,6 +17,7 @@ output path that cannot be written.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -283,7 +284,10 @@ def _cmd_flow(args) -> int:
     return SuiteReport("flow", cfg["seed"], checks).exit_code
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built once per process: parse_args keeps
+    no state between calls, each returns a fresh namespace."""
     parser = argparse.ArgumentParser(prog="kwlab", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -223,11 +223,26 @@ class TorusTrigSection:
     def grads(self, P):
         """grad_mu psi for mu = t, 1, 2, 3, shape (..., 4, 8, 3)."""
         P = np.asarray(P, dtype=float)
-        g, dg = self._env(P)
         arg = self._arg(P)
-        w = np.empty(arg.shape[:-1] + (4,) + arg.shape[-1:])
-        w[..., 0, :] = dg * np.cos(arg)
-        w[..., 1:, :] = (-g * np.sin(arg))[..., None, :] * self._ks.T
+        return self._grads(*self._env(P), np.cos(arg), np.sin(arg))
+
+    def box_slices(self, P):
+        """(value(P[i]), grads(P[i])) for each t-slice P[i] of a box whose
+        slices share one x grid, as ``_box_grid``'s do: the phases are
+        evaluated once, on P[0], and the envelope slice by slice, so each
+        pair equals the two calls bit for bit."""
+        arg = self._arg(P[0])
+        cos, sin = np.cos(arg), np.sin(arg)
+        for Q in P:
+            g, dg = self._env(Q)
+            yield _superpose(g * cos, self._amps), self._grads(g, dg, cos, sin)
+
+    def _grads(self, g, dg, cos, sin):
+        """grads from the envelope g, its t-derivative dg and the phases'
+        cos and sin."""
+        w = np.empty(cos.shape[:-1] + (4,) + cos.shape[-1:])
+        w[..., 0, :] = dg * cos
+        w[..., 1:, :] = (-g * sin)[..., None, :] * self._ks.T
         return _superpose(w, self._amps)
 
 
@@ -330,22 +345,21 @@ def _assemble_clifford(val, grads, a, dt_sign: float = 1.0, skip_gamma3: bool = 
 
     gamma_i and rho_i are exact signed permutations of the slot axis
     (``_GAMMA_PERMS`` and ``_RHO_PERMS``, derived from ``clifford.GAMMA`` and
-    ``clifford.RHO``), so each term is one signed gather of the slots, added
-    in the order dt_sign grad_t + gamma_1 grad_1 + gamma_2 grad_2 +
+    ``clifford.RHO``), so each term is one signed gather of the slots,
+    ``np.take`` along the slot axis, then ``*= signs``, then ``+=``, added in
+    the order dt_sign grad_t + gamma_1 grad_1 + gamma_2 grad_2 +
     gamma_3 grad_3, then the rho terms; the result equals the 8x8 matrix
     products bit for bit.  The rho terms are skipped where the Higgs field
     vanishes identically.
     """
     out = dt_sign * grads[..., 0, :, :]
-    for i in range(3):
-        if skip_gamma3 and i == 2:
-            continue
-        sources, signs = _GAMMA_PERMS[i]
-        out += signs * grads[..., 1 + i, sources, :]
+    terms = [(grads[..., 1 + i, :, :], _GAMMA_PERMS[i]) for i in range(2 if skip_gamma3 else 3)]
     if np.any(a):
-        for i in range(3):
-            sources, signs = _RHO_PERMS[i]
-            out += signs * comm(a[..., i, None, :], val)[..., sources, :]
+        terms += [(comm(a[..., i, None, :], val), _RHO_PERMS[i]) for i in range(3)]
+    for g, (sources, signs) in terms:
+        term = np.take(g, sources, axis=-2)
+        term *= signs
+        out += term
     return out
 
 
@@ -635,58 +649,77 @@ def _box_integral(f, wt, vol_x) -> float:
     return float(np.sum(np.einsum("t...,t->t...", f, wt)) * vol_x)
 
 
-def duality_gap(bg, psi, xi, t_range=(0.5, 3.5), nt=40, nx=8,
-                h: float | None = None) -> float:
-    """| int <D psi, xi> - int <psi, D^dag xi> | over a periodic box, relative
-    to its Cauchy-Schwarz bound sqrt(int |D psi|^2 int |xi|^2).
+def _box_slices(bg, sec, P, h):
+    """covariant_grads(bg, sec, Q, h) for each t-slice Q of a ``_box_grid``
+    box.  A TorusTrigSection with exact derivatives gives its values and
+    gradients through ``box_slices``, which evaluates its phases once for the
+    whole box; the differenced route and any other section take
+    covariant_grads slice by slice."""
+    if h is None and isinstance(sec, TorusTrigSection):
+        for Q, (val, grads) in zip(P, sec.box_slices(P)):
+            yield val, _add_connection(bg.A_at(Q), val, grads)
+    else:
+        for Q in P:
+            yield covariant_grads(bg, sec, Q, h)
 
-    psi and xi should decay at both t endpoints (Gaussian t-envelopes well
-    inside the range); trapezoid in t, exact trapezoid in the periodic
-    directions.  The check only has teeth when int <D psi, xi> is not small
-    against that bound for a wrong adjoint: give xi the wavevectors of psi
-    and a different t-envelope, so the grad_t terms do not integrate to zero.
+
+def box_quadrature(bg, psi, xi, t_range=(0.5, 3.5), nt=40, nx=8,
+                   h: float | None = None) -> dict:
+    """Both quadrature checks of the split D = grad_t + L, D^dag = -grad_t + L,
+    from one pass over a periodic box: {"duality_gap": float, "pythagoras":
+    {"lhs", "rhs", "rel_gap"}}, as ``duality_gap(bg, psi, xi, ...)`` and
+    ``pythagoras_gap(bg, psi, ...)`` return them.
+
+    One t-slice at a time, psi and xi are evaluated once each, D psi, L psi
+    (dt_sign 0) and D^dag xi are assembled by ``_assemble_clifford``, and the
+    six pair densities that the two checks read are stored: <D psi, xi>,
+    <psi, D^dag xi>, |D psi|^2, |xi|^2, |grad_t psi|^2 and |L psi|^2.  Each
+    is integrated once at the end (trapezoid in t, exact trapezoid in the
+    periodic directions).  The gradients of the whole box (16 MB at nt = 40,
+    nx = 8) are never held.
     """
     P, wt, vol_x = _box_grid(t_range, nt, nx)
     bg.domain_check(P)
-    # <D psi, xi>, <psi, D^dag xi>, |D psi|^2 and |xi|^2 at every node.  D psi
-    # and D^dag xi are assembled as apply_D and apply_D_dagger assemble them,
-    # from the values and gradients that covariant_grads evaluates once; one
-    # t-slice at a time, so that the gradients of the whole box (16 MB at
-    # nt = 40, nx = 8) are never held twice
-    pairs = np.empty((4,) + P.shape[:-1])
-    for i, Q in enumerate(P):
+    pairs = np.empty((6,) + P.shape[:-1])
+    slices = zip(P, _box_slices(bg, psi, P, h), _box_slices(bg, xi, P, h))
+    for i, (Q, (psival, grads), (xival, xigrads)) in enumerate(slices):
         a = bg.a_at(Q)
-        psival, grads = covariant_grads(bg, psi, Q, h)
         dpsi = _assemble_clifford(psival, grads, a)
-        xival, grads = covariant_grads(bg, xi, Q, h)
-        ddagxi = _assemble_clifford(xival, grads, a, dt_sign=-1.0)
-        pairs[:, i] = (_pair(dpsi, xival), _pair(psival, ddagxi),
-                       _pair(dpsi, dpsi), _pair(xival, xival))
-    i1, i2, dpsi_sq, xi_sq = (_box_integral(f, wt, vol_x) for f in pairs)
+        lpsi = _assemble_clifford(psival, grads, a, dt_sign=0.0)
+        ddagxi = _assemble_clifford(xival, xigrads, a, dt_sign=-1.0)
+        tpsi = grads[..., 0, :, :]
+        pairs[:, i] = (_pair(dpsi, xival), _pair(psival, ddagxi), _pair(dpsi, dpsi),
+                       _pair(xival, xival), _pair(tpsi, tpsi), _pair(lpsi, lpsi))
+    i1, i2, dpsi_sq, xi_sq, tpsi_sq, lpsi_sq = (_box_integral(f, wt, vol_x) for f in pairs)
     scale = math.sqrt(dpsi_sq * xi_sq)
-    return abs(i1 - i2) / scale if scale > 0 else abs(i1 - i2)
+    rhs = tpsi_sq + lpsi_sq
+    return {"duality_gap": abs(i1 - i2) / scale if scale > 0 else abs(i1 - i2),
+            "pythagoras": {"lhs": dpsi_sq, "rhs": rhs,
+                           "rel_gap": abs(dpsi_sq - rhs) / max(abs(dpsi_sq), 1e-30)}}
+
+
+def duality_gap(bg, psi, xi, t_range=(0.5, 3.5), nt=40, nx=8,
+                h: float | None = None) -> float:
+    """| int <D psi, xi> - int <psi, D^dag xi> | over a periodic box, relative
+    to its Cauchy-Schwarz bound sqrt(int |D psi|^2 int |xi|^2), read from
+    ``box_quadrature``'s one pass.
+
+    psi and xi should decay at both t endpoints (Gaussian t-envelopes well
+    inside the range).  The check only has teeth when int <D psi, xi> is not
+    small against that bound for a wrong adjoint: give xi the wavevectors of
+    psi and a different t-envelope, so the grad_t terms do not integrate to
+    zero.
+    """
+    return box_quadrature(bg, psi, xi, t_range, nt, nx, h)["duality_gap"]
 
 
 def pythagoras_gap(bg, psi, t_range=(0.5, 3.5), nt=40, nx=8) -> dict:
     """For t-independent backgrounds: int |D psi|^2 against
     int |grad_t psi|^2 + int |L psi|^2 (cross term drops by symmetry of the
-    spatial part); returns both sides and the relative gap.
+    spatial part); returns both sides and the relative gap, read from
+    ``box_quadrature``'s one pass with psi in xi's place.
     """
-    P, wt, vol_x = _box_grid(t_range, nt, nx)
-    # |D psi|^2, |grad_t psi|^2 and |L psi|^2 at every node, one t-slice at a
-    # time as in duality_gap, so that the gradients of the whole box are
-    # never held at once
-    pairs = np.empty((3,) + P.shape[:-1])
-    for i, Q in enumerate(P):
-        val, grads = covariant_grads(bg, psi, Q, None)
-        a = bg.a_at(Q)
-        dpsi = _assemble_clifford(val, grads, a)
-        lpsi = _assemble_clifford(val, grads, a, dt_sign=0.0)
-        tpsi = grads[..., 0, :, :]
-        pairs[:, i] = _pair(dpsi, dpsi), _pair(tpsi, tpsi), _pair(lpsi, lpsi)
-    lhs, tpsi_sq, lpsi_sq = (_box_integral(f, wt, vol_x) for f in pairs)
-    rhs = tpsi_sq + lpsi_sq
-    return {"lhs": lhs, "rhs": rhs, "rel_gap": abs(lhs - rhs) / max(abs(lhs), 1e-30)}
+    return box_quadrature(bg, psi, psi, t_range, nt, nx)["pythagoras"]
 
 
 # ---------------------------------------------------------------------------

@@ -198,13 +198,17 @@ def model_suite(seed: int, m: int = 1, samples: int = 200) -> list[CheckResult]:
         "reduced_equations", "first-order relations among alpha, phi, E, B",
         worst, 1e-6))
     p0 = model.FieldPoint(1.0, 0.7 + 0.2j)
-    r1 = model.verify_reduced_eqs(ms, [p0], 1e-4)
-    r2 = model.verify_reduced_eqs(ms, [p0], 5e-5)
-    ratios = [r1[k] / r2[k] for k in r1 if r2[k] > 1e-14]
-    ratio = max(ratios) if ratios else math.inf  # nothing measured fails
+    # the worst |r(h)/r(h/2) - 4| over the residuals, so that one residual
+    # slipping to first order (ratio 2) fails however the others read; at
+    # this pair truncation dominates round-off for every odd m from 1 to 17
+    # (at most 3.7e-4), while at (1e-4, 5e-5) round-off competes (m = 9
+    # reads 0.546 there)
+    r1 = model.verify_reduced_eqs(ms, [p0], 1e-3)
+    r2 = model.verify_reduced_eqs(ms, [p0], 5e-4)
+    order_err = max((abs(r1[k] / r2[k] - 4.0) for k in r1 if r2[k] > 1e-14),
+                    default=math.inf)  # nothing measured fails
     out.append(CheckResult.from_bound(
-        "reduced_equations_order", "residuals shrink at 2nd order",
-        abs(ratio - 4.0), 0.5))
+        "reduced_equations_order", "residuals shrink at 2nd order", order_err, 0.5))
     rep = model.verify_properties(ms, model.sample_points(rng, samples))
     out.append(CheckResult.from_bound(
         "alpha_range", "2 t alpha in [-(m+1), -1], alpha < 0",
@@ -322,14 +326,12 @@ def operator_suite(seed: int, background: str = "model:1",
     xi = op.TorusTrigSection(
         [(rng.normal(size=(8, 3)), k, rng.uniform(0, 2 * math.pi)) for _, k, _ in psi.terms],
         t_center=1.8, t_width=0.45)
+    quad = op.box_quadrature(TrivialBackground(), psi, xi, t_range=(0.0, 4.0), nt=40, nx=8)
     out.append(CheckResult.from_bound(
-        "adjoint_duality", "int <D psi, xi> = int <psi, D^dag xi>",
-        op.duality_gap(TrivialBackground(), psi, xi, t_range=(0.0, 4.0), nt=40, nx=8),
-        1e-6))
-    pg = op.pythagoras_gap(TrivialBackground(), psi, t_range=(0.0, 4.0), nt=40, nx=8)
+        "adjoint_duality", "int <D psi, xi> = int <psi, D^dag xi>", quad["duality_gap"], 1e-6))
     out.append(CheckResult.from_bound(
         "norm_split", "|D psi|^2 integrates to |grad_t psi|^2 + |L psi|^2",
-        pg["rel_gap"], 1e-9))
+        quad["pythagoras"]["rel_gap"], 1e-9))
     spec = {tuple(e["k"]): e["eigenvalues"] for e in op.lattice_L_spectrum(1)}
     # inf when a nonzero k has other than 12 positive eigenvalues
     spec_err = max(float(np.max(np.abs(np.abs(spec[k]) - math.hypot(*k))))

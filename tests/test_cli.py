@@ -40,12 +40,22 @@ def test_deterministic_reports(tmp_path, capsys):
     assert o1.read_bytes() == o2.read_bytes()
 
 
-@pytest.mark.parametrize("m", ["1", "3", "5", "7"])
+@pytest.mark.parametrize("m", ["1", "3", "5", "7", "9"])
 def test_model_suite_passes_at_larger_m(m, capsys):
     # the decoupled-sector residuals are relative to their terms, so the
-    # finite-difference error no longer grows with the fields past m = 3
+    # finite-difference error no longer grows with the fields past m = 3;
+    # reduced_equations_order reads 1.2e-4 at m = 9
     code, out, _ = run(["model", "--m", m], capsys)
     assert code == 0 and json.loads(out)["n_fail"] == 0
+
+
+def test_consecutive_calls_share_no_parser_state(capsys):
+    # the parser is built once per process, and each call parses afresh:
+    # neither a flag nor an option value carries over to the next call
+    code, out, err = run(["algebra", "--table", "--seed", "5"], capsys)
+    assert code == 0 and json.loads(out)["seed"] == 5 and "PASS" in err
+    code, out, err = run(["algebra"], capsys)
+    assert code == 0 and json.loads(out)["seed"] == 0 and "PASS" not in err
 
 
 def test_unknown_suite_usage_error(capsys):

@@ -89,6 +89,20 @@ def test_reduced_equations_richardson():
             assert abs(r1[k] / r2[k] - 4.0) < 0.5
 
 
+@pytest.mark.parametrize("m", range(1, 18, 2))
+def test_reduced_equations_truncation_dominates(m):
+    # every residual falls 4x per halving along (1e-3, 5e-4, 2.5e-4), so at
+    # the model suite's pair (1e-3, 5e-4) truncation, not round-off, sets
+    # the residuals (the worst |ratio - 4| here is 3.2e-3)
+    ms = model.ModelSolution(m)
+    p = model.FieldPoint(1.0, 0.7 + 0.2j)
+    res = [model.verify_reduced_eqs(ms, [p], h) for h in (1e-3, 5e-4, 2.5e-4)]
+    for coarse, fine in zip(res, res[1:]):
+        for k in coarse:
+            if fine[k] > 1e-14:
+                assert abs(coarse[k] / fine[k] - 4.0) < 1e-2, (m, k)
+
+
 def test_b3_negative_control():
     # deleting the |phi|^2 term must leave an O(1) residual
     ms = model.ModelSolution(1)

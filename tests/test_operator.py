@@ -158,18 +158,123 @@ def test_d_plus_ddagger_kills_time_derivative():
     assert op.spinor_max(total - 2 * spatial) < 1e-12
 
 
+# a torus-trig background with live A and a terms
+DUALITY_TERMS = [
+    ("A", 0, (0, 1, 0), 0.3, (0.0, 0.0, 0.2)),
+    ("a", 2, (1, 0, 0), 0.0, (0.0, 0.0, 0.3)),
+    ("a", 0, (0, 0, 1), 1.1, (0.1, 0.0, 0.0)),
+]
+
+
 def test_duality_quadrature():
     rng = np.random.default_rng(12)
-    bgt = TorusTrigBackground([
-        ("A", 0, (0, 1, 0), 0.3, (0.0, 0.0, 0.2)),
-        ("a", 2, (1, 0, 0), 0.0, (0.0, 0.0, 0.3)),
-        ("a", 0, (0, 0, 1), 1.1, (0.1, 0.0, 0.0)),
-    ])
+    bgt = TorusTrigBackground(DUALITY_TERMS)
     psi = op.random_torus_section(rng, k_max=1, n_terms=3, t_center=2.0, t_width=0.35)
     eta = op.random_torus_section(rng, k_max=1, n_terms=3, t_center=2.0, t_width=0.35)
     assert op.duality_gap(bgt, psi, eta, t_range=(0.0, 4.0), nt=40, nx=8) < 1e-6
     # finite-difference derivative route stays within quadrature tolerance
     assert op.duality_gap(bgt, psi, eta, t_range=(0.0, 4.0), nt=40, nx=8, h=1e-5) < 1e-6
+
+
+def _two_slice_loops(bg, psi, xi, t_range, nt, nx, h):
+    """box_quadrature's two results from the form it replaces: one slice loop
+    per check, each taking covariant_grads and _assemble_clifford per slice."""
+    P, wt, vol_x = op._box_grid(t_range, nt, nx)
+    dual = np.empty((4,) + P.shape[:-1])
+    for i, Q in enumerate(P):
+        a = bg.a_at(Q)
+        psival, grads = op.covariant_grads(bg, psi, Q, h)
+        dpsi = op._assemble_clifford(psival, grads, a)
+        xival, grads = op.covariant_grads(bg, xi, Q, h)
+        ddagxi = op._assemble_clifford(xival, grads, a, dt_sign=-1.0)
+        dual[:, i] = (op._pair(dpsi, xival), op._pair(psival, ddagxi),
+                      op._pair(dpsi, dpsi), op._pair(xival, xival))
+    pyth = np.empty((3,) + P.shape[:-1])
+    for i, Q in enumerate(P):
+        val, grads = op.covariant_grads(bg, psi, Q, h)
+        a = bg.a_at(Q)
+        dpsi = op._assemble_clifford(val, grads, a)
+        lpsi = op._assemble_clifford(val, grads, a, dt_sign=0.0)
+        tpsi = grads[..., 0, :, :]
+        pyth[:, i] = op._pair(dpsi, dpsi), op._pair(tpsi, tpsi), op._pair(lpsi, lpsi)
+    i1, i2, dpsi_sq, xi_sq = (op._box_integral(f, wt, vol_x) for f in dual)
+    lhs, tpsi_sq, lpsi_sq = (op._box_integral(f, wt, vol_x) for f in pyth)
+    rhs = tpsi_sq + lpsi_sq
+    return {"duality_gap": abs(i1 - i2) / math.sqrt(dpsi_sq * xi_sq),
+            "pythagoras": {"lhs": lhs, "rhs": rhs, "rel_gap": abs(lhs - rhs) / abs(lhs)}}
+
+
+def _suite_box(monkeypatch):
+    """Run the operator suite on the trivial background, counting calls;
+    returns the suite's checks, its box_quadrature calls as (args, kwargs,
+    _assemble_clifford calls made inside), and the TorusTrigSection of each
+    _arg call."""
+    boxes, phases, assembled = [], [], []
+    box, assemble, arg = op.box_quadrature, op._assemble_clifford, op.TorusTrigSection._arg
+
+    def recorded(*args, **kwargs):
+        before = len(assembled)
+        out = box(*args, **kwargs)
+        boxes.append((args, kwargs, len(assembled) - before))
+        return out
+
+    def counted(*args, **kwargs):
+        assembled.append(1)
+        return assemble(*args, **kwargs)
+
+    def counted_arg(self, P):
+        phases.append(self)
+        return arg(self, P)
+
+    monkeypatch.setattr(op, "box_quadrature", recorded)
+    monkeypatch.setattr(op, "_assemble_clifford", counted)
+    monkeypatch.setattr(op.TorusTrigSection, "_arg", counted_arg)
+    checks = operator_suite(0, background="trivial", points=8)
+    monkeypatch.undo()
+    return checks, boxes, phases
+
+
+@pytest.mark.parametrize("data", ["suite", "torus-trig", "torus-trig-differenced"])
+def test_box_pass_equals_two_slice_loops(monkeypatch, data):
+    # one pass gives both checks the floats of one slice loop each
+    if data == "suite":
+        _, [((bg, psi, xi), kwargs, _)], _ = _suite_box(monkeypatch)
+        box = dict(kwargs, h=None)
+    else:
+        rng = np.random.default_rng(12)
+        bg = TorusTrigBackground(DUALITY_TERMS)
+        psi = op.random_torus_section(rng, k_max=1, n_terms=3, t_center=2.0, t_width=0.35)
+        xi = op.random_torus_section(rng, k_max=1, n_terms=3, t_center=2.0, t_width=0.35)
+        box = dict(t_range=(0.0, 4.0), nt=40, nx=8,
+                   h=1e-5 if data == "torus-trig-differenced" else None)
+    want = _two_slice_loops(bg, psi, xi, **box)
+    assert op.box_quadrature(bg, psi, xi, **box) == want
+    assert op.duality_gap(bg, psi, xi, **box) == want["duality_gap"]
+    if box["h"] is None:
+        pythagoras = op.pythagoras_gap(bg, psi, box["t_range"], box["nt"], box["nx"])
+        assert pythagoras == want["pythagoras"]
+
+
+@pytest.mark.parametrize("t_center", [None, 2.0])
+def test_torus_box_slices_equal_value_and_grads(t_center):
+    # the phases of one shared x grid, the envelope of each slice: bit for bit
+    # the section's own value and grads on that slice
+    sec = op.random_torus_section(np.random.default_rng(4), k_max=2, n_terms=4,
+                                  t_center=t_center, t_width=0.35)
+    P, _, _ = op._box_grid((0.0, 4.0), 7, 6)
+    slices = list(sec.box_slices(P))
+    assert len(slices) == 7
+    for Q, (val, grads) in zip(P, slices):
+        assert np.array_equal(val, sec.value(Q)) and np.array_equal(grads, sec.grads(Q))
+
+
+def test_box_pass_call_counts(monkeypatch):
+    # in one operator suite run the box evaluates each section's phases once
+    # and makes three contractions per t-slice: D psi, L psi and D^dag xi
+    checks, [((_, psi, xi), kwargs, n_assembled)], phases = _suite_box(monkeypatch)
+    assert all(c.status == "pass" for c in checks)
+    assert sum(s is psi for s in phases) == 1 and sum(s is xi for s in phases) == 1
+    assert n_assembled == 3 * kwargs["nt"]
 
 
 def _per_term_fields(terms, P, i=None):

@@ -58,7 +58,7 @@ CENSUS = {
     "clifford.ad_matches_bracket": ("witness", "ad_sign_clifford"),
     "model.theta_pythagoras": ("witness", "theta"),
     "model.reduced_equations": ("witness", "curvature"),
-    "model.reduced_equations_order": ("reason", UNPLANTED + "0.015 against 0.5 at m = 1"),
+    "model.reduced_equations_order": ("witness", "t_difference"),
     "model.alpha_range": ("reason", UNPLANTED + "1.3e-3 inside the range at seed 0"),
     "model.alpha_t_monotone": ("reason", UNPLANTED + "d alpha/dt >= 0.055 at seed 0"),
     "model.phi_bound": ("reason", UNPLANTED + "6.4e-4 inside the bound at seed 0"),

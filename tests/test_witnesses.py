@@ -120,6 +120,23 @@ def differences_lean_forward(mp):
     plant(mp, cg, leaning)
 
 
+def t_difference_leans_forward(mp, lean=1e-4):
+    # the model's t-difference moves `lean` of the way to a forward
+    # difference, a first-order error of lean/2 h f'' in dt_phi and B3, while
+    # dbar_phi, E1 and E2 stay second order.  At 1e-4 the residuals stay
+    # below reduced_equations' 1e-6 (8.3e-10 at seed 0), and only the ratios
+    # show the slip: dt_phi and B3 read 4.73 and 5.08 at (1e-3, 5e-4)
+    grad = model._grad
+
+    def leaning(f, h):
+        dt, d1, d2 = grad(f, h)
+        h = np.asarray(h)
+        step = h.reshape(h.shape + (1,) * (f.ndim - 1 - h.ndim))
+        return dt + lean * (f[1] - 2 * f[0] + f[2]) / (2 * step), d1, d2
+
+    plant(mp, grad, leaning)
+
+
 def first_sign_flipped(perms):
     """A generator table whose first generator has its first row's sign flipped."""
     (sources, signs), *rest = perms
@@ -148,6 +165,8 @@ EXP_TRACE = flow.FlowTrace(TS, 1 - np.exp(-3 * TS), 3 * np.exp(-3 * TS), *[0 * T
 # one plane wave at k = (1, 0, 0), every slot filled
 PLANE_WAVE = modes.ModeVector(modes.k_lattice(1), np.zeros((27, 8, 3), complex))
 PLANE_WAVE.coeffs[[tuple(k) for k in PLANE_WAVE.ks].index((1, 0, 0))] = 1.0
+# the model suite's point for reduced_equations_order
+P_ORDER = model.FieldPoint(1.0, 0.7 + 0.2j)
 T, Z = np.array([0.4, 1.0, 2.5]), np.array([0.3 + 0.2j, -1.0 + 0.5j, 2.0 - 1.0j])
 FLOW_DATA = torus.random_field(np.random.default_rng(2), 8, amplitude=0.05)
 
@@ -159,6 +178,9 @@ WITNESSES = {
               lambda: model.fields(model.ModelSolution(1), T, Z)["alpha"]),
     "curvature": (e_factor_too_large, ("model", {}), {"curvature_decay", "reduced_equations"},
                   lambda: model.evaluate(model.ModelSolution(1), T, Z).E1),
+    "t_difference": (t_difference_leans_forward, ("model", {}), {"reduced_equations_order"},
+                     lambda: model.verify_reduced_eqs(model.ModelSolution(1), [P_ORDER],
+                                                      1e-3)["dt_phi"]),
     "U": (u_off_normalization, ("clifford", {}), {"u_orthogonal"},
           lambda: op.omega_apply(BG, SEC, P0, 1e-5)),
     "Q": (q_wrong_generator, ("clifford", {}), {"ql_commute"},
@@ -213,6 +235,20 @@ def test_first_order_slip_is_caught_only_by_the_tight_order_bound(monkeypatch):
     check = {c.check_id: c for c in run_suite("operator", seed=0, points=20).checks}[
         "weitzenbock_order"]
     assert check.tolerance == 1e-3 < check.metric < 1.0
+
+
+def test_first_order_residual_hides_under_the_largest_ratio(monkeypatch):
+    # at a lean of 1e-2 the slipped residuals fall 2x per halving (1.92 and
+    # 1.94), but the largest ratio still reads 4, so |max ratio - 4|, the
+    # order metric before max |ratio - 4|, passed them
+    t_difference_leans_forward(monkeypatch, lean=1e-2)
+    ms = model.ModelSolution(1)
+    r1, r2 = (model.verify_reduced_eqs(ms, [P_ORDER], h) for h in (1e-3, 5e-4))
+    ratios = [r1[k] / r2[k] for k in r1]
+    assert abs(max(ratios) - 4.0) < 1e-3 and min(ratios) < 2.1
+    check = {c.check_id: c for c in run_suite("model", seed=0).checks}[
+        "reduced_equations_order"]
+    assert check.metric == max(abs(r - 4.0) for r in ratios) > 1.5
 
 
 def test_non_finite_metric_is_null_in_a_strict_report(monkeypatch, capsys):
