@@ -223,26 +223,11 @@ class TorusTrigSection:
     def grads(self, P):
         """grad_mu psi for mu = t, 1, 2, 3, shape (..., 4, 8, 3)."""
         P = np.asarray(P, dtype=float)
+        g, dg = self._env(P)
         arg = self._arg(P)
-        return self._grads(*self._env(P), np.cos(arg), np.sin(arg))
-
-    def box_slices(self, P):
-        """(value(P[i]), grads(P[i])) for each t-slice P[i] of a box whose
-        slices share one x grid, as ``_box_grid``'s do: the phases are
-        evaluated once, on P[0], and the envelope slice by slice, so each
-        pair equals the two calls bit for bit."""
-        arg = self._arg(P[0])
-        cos, sin = np.cos(arg), np.sin(arg)
-        for Q in P:
-            g, dg = self._env(Q)
-            yield _superpose(g * cos, self._amps), self._grads(g, dg, cos, sin)
-
-    def _grads(self, g, dg, cos, sin):
-        """grads from the envelope g, its t-derivative dg and the phases'
-        cos and sin."""
-        w = np.empty(cos.shape[:-1] + (4,) + cos.shape[-1:])
-        w[..., 0, :] = dg * cos
-        w[..., 1:, :] = (-g * sin)[..., None, :] * self._ks.T
+        w = np.empty(arg.shape[:-1] + (4,) + arg.shape[-1:])
+        w[..., 0, :] = dg * np.cos(arg)
+        w[..., 1:, :] = (-g * np.sin(arg))[..., None, :] * self._ks.T
         return _superpose(w, self._amps)
 
 
@@ -649,20 +634,6 @@ def _box_integral(f, wt, vol_x) -> float:
     return float(np.sum(np.einsum("t...,t->t...", f, wt)) * vol_x)
 
 
-def _box_slices(bg, sec, P, h):
-    """covariant_grads(bg, sec, Q, h) for each t-slice Q of a ``_box_grid``
-    box.  A TorusTrigSection with exact derivatives gives its values and
-    gradients through ``box_slices``, which evaluates its phases once for the
-    whole box; the differenced route and any other section take
-    covariant_grads slice by slice."""
-    if h is None and isinstance(sec, TorusTrigSection):
-        for Q, (val, grads) in zip(P, sec.box_slices(P)):
-            yield val, _add_connection(bg.A_at(Q), val, grads)
-    else:
-        for Q in P:
-            yield covariant_grads(bg, sec, Q, h)
-
-
 def box_quadrature(bg, psi, xi, t_range=(0.5, 3.5), nt=40, nx=8,
                    h: float | None = None) -> dict:
     """Both quadrature checks of the split D = grad_t + L, D^dag = -grad_t + L,
@@ -681,9 +652,10 @@ def box_quadrature(bg, psi, xi, t_range=(0.5, 3.5), nt=40, nx=8,
     P, wt, vol_x = _box_grid(t_range, nt, nx)
     bg.domain_check(P)
     pairs = np.empty((6,) + P.shape[:-1])
-    slices = zip(P, _box_slices(bg, psi, P, h), _box_slices(bg, xi, P, h))
-    for i, (Q, (psival, grads), (xival, xigrads)) in enumerate(slices):
+    for i, Q in enumerate(P):
         a = bg.a_at(Q)
+        psival, grads = covariant_grads(bg, psi, Q, h)
+        xival, xigrads = covariant_grads(bg, xi, Q, h)
         dpsi = _assemble_clifford(psival, grads, a)
         lpsi = _assemble_clifford(psival, grads, a, dt_sign=0.0)
         ddagxi = _assemble_clifford(xival, xigrads, a, dt_sign=-1.0)
@@ -702,7 +674,8 @@ def duality_gap(bg, psi, xi, t_range=(0.5, 3.5), nt=40, nx=8,
                 h: float | None = None) -> float:
     """| int <D psi, xi> - int <psi, D^dag xi> | over a periodic box, relative
     to its Cauchy-Schwarz bound sqrt(int |D psi|^2 int |xi|^2), read from
-    ``box_quadrature``'s one pass.
+    ``box_quadrature``'s one pass.  operator_suite calls box_quadrature; this
+    name is kept for tests and for the benchmark's span tracer.
 
     psi and xi should decay at both t endpoints (Gaussian t-envelopes well
     inside the range).  The check only has teeth when int <D psi, xi> is not
@@ -717,7 +690,10 @@ def pythagoras_gap(bg, psi, t_range=(0.5, 3.5), nt=40, nx=8) -> dict:
     """For t-independent backgrounds: int |D psi|^2 against
     int |grad_t psi|^2 + int |L psi|^2 (cross term drops by symmetry of the
     spatial part); returns both sides and the relative gap, read from
-    ``box_quadrature``'s one pass with psi in xi's place.
+    ``box_quadrature``'s one pass with psi in xi's place.  operator_suite calls
+    box_quadrature; this name is kept for tests and for the benchmark's span
+    tracer.  The whole pass runs, so it also checks the background's domain
+    and assembles a D^dag psi that it does not read.
     """
     return box_quadrature(bg, psi, psi, t_range, nt, nx)["pythagoras"]
 

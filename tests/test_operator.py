@@ -206,11 +206,10 @@ def _two_slice_loops(bg, psi, xi, t_range, nt, nx, h):
 
 def _suite_box(monkeypatch):
     """Run the operator suite on the trivial background, counting calls;
-    returns the suite's checks, its box_quadrature calls as (args, kwargs,
-    _assemble_clifford calls made inside), and the TorusTrigSection of each
-    _arg call."""
-    boxes, phases, assembled = [], [], []
-    box, assemble, arg = op.box_quadrature, op._assemble_clifford, op.TorusTrigSection._arg
+    returns the suite's checks and its box_quadrature calls as (args, kwargs,
+    _assemble_clifford calls made inside)."""
+    boxes, assembled = [], []
+    box, assemble = op.box_quadrature, op._assemble_clifford
 
     def recorded(*args, **kwargs):
         before = len(assembled)
@@ -222,23 +221,18 @@ def _suite_box(monkeypatch):
         assembled.append(1)
         return assemble(*args, **kwargs)
 
-    def counted_arg(self, P):
-        phases.append(self)
-        return arg(self, P)
-
     monkeypatch.setattr(op, "box_quadrature", recorded)
     monkeypatch.setattr(op, "_assemble_clifford", counted)
-    monkeypatch.setattr(op.TorusTrigSection, "_arg", counted_arg)
     checks = operator_suite(0, background="trivial", points=8)
     monkeypatch.undo()
-    return checks, boxes, phases
+    return checks, boxes
 
 
 @pytest.mark.parametrize("data", ["suite", "torus-trig", "torus-trig-differenced"])
 def test_box_pass_equals_two_slice_loops(monkeypatch, data):
     # one pass gives both checks the floats of one slice loop each
     if data == "suite":
-        _, [((bg, psi, xi), kwargs, _)], _ = _suite_box(monkeypatch)
+        _, [((bg, psi, xi), kwargs, _)] = _suite_box(monkeypatch)
         box = dict(kwargs, h=None)
     else:
         rng = np.random.default_rng(12)
@@ -255,25 +249,11 @@ def test_box_pass_equals_two_slice_loops(monkeypatch, data):
         assert pythagoras == want["pythagoras"]
 
 
-@pytest.mark.parametrize("t_center", [None, 2.0])
-def test_torus_box_slices_equal_value_and_grads(t_center):
-    # the phases of one shared x grid, the envelope of each slice: bit for bit
-    # the section's own value and grads on that slice
-    sec = op.random_torus_section(np.random.default_rng(4), k_max=2, n_terms=4,
-                                  t_center=t_center, t_width=0.35)
-    P, _, _ = op._box_grid((0.0, 4.0), 7, 6)
-    slices = list(sec.box_slices(P))
-    assert len(slices) == 7
-    for Q, (val, grads) in zip(P, slices):
-        assert np.array_equal(val, sec.value(Q)) and np.array_equal(grads, sec.grads(Q))
-
-
 def test_box_pass_call_counts(monkeypatch):
-    # in one operator suite run the box evaluates each section's phases once
-    # and makes three contractions per t-slice: D psi, L psi and D^dag xi
-    checks, [((_, psi, xi), kwargs, n_assembled)], phases = _suite_box(monkeypatch)
+    # in one operator suite run the box makes three contractions per t-slice:
+    # D psi, L psi and D^dag xi
+    checks, [(_, kwargs, n_assembled)] = _suite_box(monkeypatch)
     assert all(c.status == "pass" for c in checks)
-    assert sum(s is psi for s in phases) == 1 and sum(s is xi for s in phases) == 1
     assert n_assembled == 3 * kwargs["nt"]
 
 
