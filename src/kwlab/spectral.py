@@ -340,10 +340,25 @@ def exclusion_report(case: str, m: int = 1) -> dict:
 
 # ---------------------------------------------------------------------------
 # The radial ODE system of the mode-by-mode analysis
+#
+# In (f, g) = x (a, b) the radial system on the Fourier mode k is the 2x2
+# block of the operator at the Nahm pole with p = 1 - lambda,
+#
+#     f' = -p f/x - k g,    g' = p g/x - k f,
+#
+# integrated in s = ln x, where d/ds = x d/dx.  Its solution decaying at
+# infinity is x^{1/2} (K_{p+1/2}, sgn k K_{p-1/2})(|k| x).
+
+# the relative tolerance of every radial integration: the inward run's
+# deviation from the Bessel-K pair at lambda = 0, 1, 2 reads 3.0e-9 at 1e-11
+# and 3.0e-10 at 1e-12, against the 1e-9 the closed-form tests allow
+_RADIAL_RTOL = 1e-12
 
 
 @dataclass
 class RadialODEState:
+    """A radial solution sampled as (a, b) on x_grid; sol is the
+    integration of (f, g) in s = ln x, with its dense output."""
     lam: float
     k: float
     x_grid: np.ndarray
@@ -353,35 +368,60 @@ class RadialODEState:
     sol: object = field(default=None, repr=False)
 
 
-def _radial_rhs(lam, k: float):
-    # sign convention: chosen so that at lambda = 1 the decaying closed form
-    # is (a, b) = (1/x) e^{-kx} (1, 1) and the growing one (1/x) e^{kx} (1, -1);
-    # lam may be an array, with a and b the matching rows of y
-    def rhs(x, y):
-        a, b = y
-        return [(lam - 2.0) / x * a - k * b, -lam / x * b - k * a]
+def _block_rhs(p: np.ndarray, k: float):
+    # d(f, g)/ds = (-p f - k x g, p g - k x f) for every p at once; y holds
+    # the f of each p, then the g of each p, and swap exchanges the halves
+    diag = np.concatenate([-p, p])
+    swap = np.roll(np.arange(2 * p.size), p.size)
+
+    def rhs(s, y):
+        return diag * y - k * math.exp(s) * y[swap]
 
     return rhs
 
 
-def radial_closed_form(kind: str, x, k: float = 1.0):
-    """The two lambda = 1 solutions: 'decaying' (1/x)e^{-kx}(1,1) and
-    'growing' (1/x)e^{kx}(1,-1)."""
+def _block_solve(p: np.ndarray, k: float, x_span, y0):
+    """The one radial integrator: the blocks of every p in the array p,
+    stacked, from x_span[0] to x_span[1] in s = ln x, starting from
+    y0 = (f of each p, g of each p).  The result's dense output is in s."""
+    from scipy.integrate import solve_ivp
+
+    sol = solve_ivp(_block_rhs(p, k), (math.log(x_span[0]), math.log(x_span[1])), y0,
+                    method="DOP853", rtol=_RADIAL_RTOL, atol=1e-300, dense_output=True)
+    if not sol.success:
+        raise RuntimeError(f"integration failed: {sol.message}")
+    return sol
+
+
+def radial_closed_form(kind: str, x, lam, k: float = 1.0):
+    """The Bessel solutions (a, b) of the radial system; x and lam broadcast.
+
+    'decaying' is c x^{-1/2} (K_{3/2-lam}, sgn k K_{1/2-lam})(|k| x), the
+    solution that decays at infinity; 'growing' is the I pair
+    c x^{-1/2} (I_{3/2-lam}, -sgn k I_{1/2-lam})(|k| x), which grows at
+    infinity and is admissible at 0 for lam < 3/2.  c = (2|k|/pi)^{1/2}
+    makes the lambda = 1 decaying pair (1/x) e^{-|k| x} (1, sgn k).
+    """
+    from scipy.special import iv, kv
+
+    bessel = {"decaying": (kv, 1.0), "growing": (iv, -1.0)}
+    if kind not in bessel:
+        raise ValueError(kind)
+    fn, sign = bessel[kind]
     x = np.asarray(x, dtype=float)
-    if kind == "decaying":
-        return np.exp(-k * x) / x, np.exp(-k * x) / x
-    if kind == "growing":
-        return np.exp(k * x) / x, -np.exp(k * x) / x
-    raise ValueError(kind)
+    lam = np.asarray(lam, dtype=float)
+    z = abs(k) * x
+    c = np.sqrt(2.0 * abs(k) / math.pi / x)
+    return c * fn(1.5 - lam, z), sign * math.copysign(1.0, k) * c * fn(0.5 - lam, z)
 
 
 def radial_ode_solve(lam: float, k: float, x_range=(0.1, 10.0), init=None,
                      n_out: int = 400) -> RadialODEState:
-    """Integrate the 2x2 first-order system from x_range[0] to x_range[1].
+    """Integrate the radial system from x_range[0] to x_range[1].
 
-    init defaults to the decaying closed form at the left endpoint (for any
-    lambda it is simply used as given).  The returned state carries the
-    residual of the conservation identity
+    init is (a, b) at the left endpoint; it defaults to the lambda = 1
+    decaying pair (1/x) e^{-|k| x} (1, sgn k) there, for every lambda.  The
+    returned state carries the residual of the conservation identity
 
         x^3/2 d/dx(b^2 - a^2) + x^2 ((lam-2) a^2 + lam b^2) = 0,
 
@@ -389,27 +429,24 @@ def radial_ode_solve(lam: float, k: float, x_range=(0.1, 10.0), init=None,
     the size of its terms, x^3/2 |d/dx(b^2 - a^2)| + x^2 (|lam-2| a^2 +
     |lam| b^2).  A term that is not finite raises RuntimeError.
     """
-    from scipy.integrate import solve_ivp
-
     if k == 0:
         raise ValueError("need k != 0")
     x0, x1 = x_range
     if init is None:
-        a0, b0 = radial_closed_form("decaying", x0, k)
-        init = [float(a0), float(b0)]
-    sol = solve_ivp(_radial_rhs(lam, k), (x0, x1), init, method="DOP853",
-                    rtol=1e-12, atol=1e-300, dense_output=True)
-    if not sol.success:
-        raise RuntimeError(f"integration failed: {sol.message}")
+        init = radial_closed_form("decaying", x0, 1.0, k)
+    sol = _block_solve(np.array([1.0 - lam]), k, x_range, x0 * np.asarray(init, dtype=float))
+
+    def ab(x):
+        return sol.sol(np.log(x)) / x
+
     xg = np.geomspace(min(x0, x1), max(x0, x1), n_out)
-    vals = sol.sol(xg)
-    a, b = vals[0], vals[1]
+    a, b = ab(xg)
     # identity residual with independent differencing of the dense output at
     # 40 points, over the size of the identity's terms (the solution spans
     # many decades); points where every term underflows to 0 carry no test
     x = np.geomspace(min(x0, x1) * 1.1, max(x0, x1) * 0.9, 40)
     hh = 1e-3 * x
-    av, bv = sol.sol((x + hh * np.arange(-2, 3)[:, None]).ravel()).reshape(2, 5, -1)
+    av, bv = ab((x + hh * np.arange(-2, 3)[:, None]).ravel()).reshape(2, 5, -1)
     g = bv ** 2 - av ** 2
     d = (-g[4] + 8 * g[3] - 8 * g[1] + g[0]) / (12 * hh)
     t1 = 0.5 * x ** 3 * d
@@ -430,48 +467,42 @@ def radial_admissible(lams, k: float) -> list[dict]:
 
     The system is invariant under (x, k) -> (x/c, c k), which in s = ln x is
     the shift s -> s - ln c, so the computation is the same at every |k|.  It
-    integrates inward in s from ln(x_max), x_max = 14/|k|, with the decaying
-    asymptotic direction (1, 1) e^{-|k| x}; fits the local exponent of
-    g = x^2 (a^2 + b^2) over [x_min, 100 x_min] with x_min = 1e-4/|k| and
-    calls the solution admissible when the fitted exponent exceeds -1 and
-    the integral converges under range extension (its value from x_min and
-    from x_min/4 agree to 5%).  An ill-conditioned fit (local slopes
-    scattered by more than 0.2) raises RuntimeError.
+    integrates inward from x_max = 14/|k|, starting on the decaying Bessel-K
+    pair (radial_closed_form); fits the local exponent of
+    g = x^2 (a^2 + b^2) = f^2 + g^2 over [x_min, 100 x_min] with
+    x_min = 1e-4/|k| and calls the solution admissible when the fitted
+    exponent exceeds -1 and the integral converges under range extension
+    (its value from x_min and from x_min/4 agree to 5%).  An ill-conditioned
+    fit (local slopes scattered by more than 0.2) raises RuntimeError.
+    "closed_form_error" is the largest relative deviation of (a, b) from
+    the K pair over [x_min, x_max].
 
-    One integration, down to ln(x_min/4), serves every lambda, the fit and
-    both extension integrals: the systems of all lambdas are stacked, with
-    dy/ds = x _radial_rhs(x, y), and every quantity is read from one call of
-    its dense output.  A solution that overflows on its way in (large
-    |lam|) raises RuntimeError.
+    One integration, down to x_min/4, serves every lambda: the blocks of
+    all lambdas are stacked, and the fit, both extension integrals and the
+    closed-form deviation are read from one call of its dense output.  A
+    solution that overflows on its way in (large |lam|) raises RuntimeError.
     """
-    from scipy.integrate import solve_ivp
-
     if k == 0:
         raise ValueError("need k != 0")
     lam = np.asarray(lams, dtype=float)
     x_min = 1e-4 / abs(k)
     x_max = 14.0 / abs(k)
-    rhs = _radial_rhs(lam, k)
-
-    def rhs_ln(s, y):
-        x = math.exp(s)
-        return x * np.concatenate(rhs(x, y.reshape(2, -1)))
-
-    y0 = np.concatenate([np.ones(lam.size), np.full(lam.size, 1.0 if k > 0 else -1.0)])
-    sol = solve_ivp(rhs_ln, (math.log(x_max), math.log(x_min / 4.0)), y0,
-                    method="DOP853", rtol=1e-11, atol=1e-300, dense_output=True)
-    if not sol.success:
-        raise RuntimeError(sol.message)
+    y0 = x_max * np.concatenate(radial_closed_form("decaying", x_max, lam, k))
+    sol = _block_solve(1.0 - lam, k, (x_max, x_min / 4.0), y0)
 
     # the fit points and both integration grids, read in one dense-output call
     xs = np.geomspace(x_min, 100 * x_min, 60)
     grid1 = np.geomspace(x_min, x_max, 4000)
     grid2 = np.geomspace(x_min / 4.0, x_max, 4000)
     x_all = np.concatenate([xs, grid1, grid2])
-    g_all = x_all ** 2 * np.sum(sol.sol(np.log(x_all)).reshape(2, lam.size, -1) ** 2, axis=0)
+    fg = sol.sol(np.log(x_all)).reshape(2, lam.size, -1)
+    g_all = np.sum(fg ** 2, axis=0)
+    ab1 = fg[:, :, len(xs):len(xs) + len(grid1)] / grid1
+    exact = np.array(radial_closed_form("decaying", grid1, lam[:, None], k))
+    closed_form_error = np.max(np.abs(ab1 - exact) / np.abs(exact), axis=(0, 2))
     log_xs = np.log(xs)
     out = []
-    for lam_i, g in zip(lams, g_all):
+    for lam_i, g, error in zip(lams, g_all, closed_form_error):
         g_fit, g1, g2 = np.split(g, [len(xs), len(xs) + len(grid1)])
         logs = np.log(g_fit)
         slope = float(np.polyfit(log_xs, logs, 1)[0])
@@ -493,5 +524,6 @@ def radial_admissible(lams, k: float) -> list[dict]:
             "fit_scatter": scatter,
             "extension_growth": extension_growth,
             "x2dx_integral": i1,
+            "closed_form_error": float(error),
         })
     return out

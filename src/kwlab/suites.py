@@ -406,27 +406,29 @@ def spectral_suite(seed: int) -> list[CheckResult]:
         abs(r0["mu"] - 2.0), 5e-3))
     r1 = spectral.rayleigh_min(spectral.SLProblem(angular_mode=1))
     out.append(CheckResult.from_bound(
-        "rayleigh_angular_mode", "angular mode raises the minimum above 2",
-        2.0 - r1["mu"], 0.0, location=f"mu = {r1['mu']:.4f}"))
+        "rayleigh_angular_mode", "angular mode 1 minimum is 6 (P_2^1)",
+        abs(r1["mu"] - 6.0), 5e-3, location=f"mu = {r1['mu']:.4f}"))
     for case in ("b3ct", "case2", "case3"):
         out += exclusion_checks(spectral.exclusion_report(case, 1))
-    st = spectral.radial_ode_solve(1.0, 1.0, (0.1, 10.0))
-    aa, bb = spectral.radial_closed_form("decaying", st.x_grid, 1.0)
-    err = max(float(np.max(np.abs(st.a - aa) / np.abs(aa))),
-              float(np.max(np.abs(st.b - bb) / np.abs(bb))))
+    reps = spectral.radial_admissible((0.0, 1.0, 2.0), 1.0)
     out.append(CheckResult.from_bound(
-        "radial_closed_form", "decaying solution (1/x) e^{-kx} (1,1) reproduced",
-        err, 1e-8))
-    st2 = spectral.radial_ode_solve(1.3, 0.8, (0.2, 8.0), init=[1.0, 0.3])
+        "radial_closed_form", "inward run stays on the decaying Bessel-K pair, lambda = 0, 1, 2",
+        max(rep["closed_form_error"] for rep in reps), 1e-8))
+    st = spectral.radial_ode_solve(1.3, 0.8, (0.2, 8.0), init=[1.0, 0.3])
     out.append(CheckResult.from_bound(
         "radial_identity", "x^3/2 (b^2-a^2)' + x^2((lam-2)a^2 + lam b^2) = 0",
-        st2.identity_residual, 1e-8))
-    verdicts = {rep["lambda"]: rep["admissible"]
-                for rep in spectral.radial_admissible((0.0, 1.0, 2.0), 1.0)}
+        st.identity_residual, 1e-8))
+    # the K pair's exponent at 0, from K_nu(z) ~ z^{-|nu|} at nu = 3/2 - lam
+    # and 1/2 - lam; a verdict off the window 1/2 < lam < 3/2 reads inf
+    verdicts = {rep["lambda"]: rep["admissible"] for rep in reps}
+    exponent_error = max(
+        abs(rep["exponent_at_zero"] - 1.0 + 2.0 * max(abs(1.5 - lam), abs(0.5 - lam)))
+        if rep["admissible"] == (0.5 < lam < 1.5) else math.inf
+        for lam, rep in zip(verdicts, reps))
     out.append(CheckResult.from_bound(
-        "radial_admissibility", "integrable window is 1/2 < lambda < 3/2",
-        sum(verdicts[lam] != (lam == 1.0) for lam in verdicts), 0.0,
-        location=str(verdicts)))
+        "radial_admissibility",
+        "exponent at 0 is 1 - 2 max(|3/2 - lam|, |1/2 - lam|); integrable window 1/2 < lam < 3/2",
+        exponent_error, 1e-2, location=str(verdicts)))
     return out
 
 

@@ -335,26 +335,33 @@ def test_spectral_hardy_exit_follows_its_checks(monkeypatch, capsys, name, value
 
 
 def test_spectral_radial_defect_fails_verify(monkeypatch, capsys):
-    # (lambda - 1) for (lambda - 2) in the a-equation of the radial system
+    # an extra +f/x in f' of the radial block, which is (lambda - 1) for
+    # (lambda - 2) in the a-equation of the system in (a, b) = (f, g)/x,
     # moves the integrable window: the solution at lambda = 0 then decays
     # into x = 0 and is called admissible
     from kwlab import spectral
 
-    def shifted_rhs(lam, k):
-        def rhs(x, y):
-            a, b = y
-            return [(lam - 1.0) / x * a - k * b, -lam / x * b - k * a]
+    block_rhs = spectral._block_rhs
 
-        return rhs
+    def shifted_rhs(p, k):
+        rhs = block_rhs(p, k)
+
+        def shifted(s, y):
+            out = rhs(s, y)
+            out[:p.size] += y[:p.size]  # d/ds = x d/dx, so +f in df/ds
+            return out
+
+        return shifted
 
     assert run(["verify", "spectral"], capsys)[0] == 0
-    monkeypatch.setattr(spectral, "_radial_rhs", shifted_rhs)
+    monkeypatch.setattr(spectral, "_block_rhs", shifted_rhs)
     code, out, _ = run(["verify", "spectral"], capsys)
     checks = {c["check_id"]: c for c in json.loads(out)["checks"]}
     assert code == 1
     assert {i for i, c in checks.items() if c["status"] == "fail"} == {
         "radial_closed_form", "radial_identity", "radial_admissibility"}
-    assert checks["radial_admissibility"]["metric"] == 1.0
+    # a verdict off the window reads inf, which the strict report writes as null
+    assert checks["radial_admissibility"]["metric"] is None
     assert checks["radial_admissibility"]["worst_location"] == (
         "{0.0: True, 1.0: True, 2.0: False}")
 

@@ -95,9 +95,22 @@ def test_rayleigh_zero_potential():
 
 
 def test_rayleigh_angular_mode():
+    # one unit of angular momentum vanishing at the equator: P_2^1, mu = 6
     mu0 = sp.rayleigh_min(sp.SLProblem())["mu"]
     mu1 = sp.rayleigh_min(sp.SLProblem(angular_mode=1))["mu"]
     assert mu1 > mu0 + 0.5
+    assert abs(mu1 - 6.0) < 5e-3
+
+
+def test_rayleigh_angular_mode_order():
+    # mu(h) = 6 + C h^2 + d, with d ~ 8e-6 from the truncation of the Theta
+    # range, which no mesh removes: the differences of successive meshes
+    # fall 4x per doubling, and the extrapolated limit is 6 to within d
+    mus = [sp._sl_min_once(sp.SLProblem(angular_mode=1), n) for n in (1000, 2000, 4000, 8000)]
+    steps = np.diff(mus)
+    for coarse, fine in zip(steps, steps[1:]):
+        assert abs(coarse / fine - 4.0) < 0.05
+    assert abs((4 * mus[-1] - mus[-2]) / 3 - 6.0) < 2e-5
 
 
 def test_rayleigh_potential_monotonicity():
@@ -171,6 +184,21 @@ def test_radial_closed_forms():
     # independence of the two solutions
     det = aa[0] * gb[0] - bb[0] * ga[0]
     assert abs(det) > 10.0
+
+
+@pytest.mark.parametrize("k", [-1.0, -5.0])
+def test_decaying_closed_form_decays_for_negative_k(k):
+    # (1/x) e^{-|k| x} (1, sgn k) at lambda = 1, and it decays at every lambda
+    x = np.geomspace(0.1, 10.0, 50)
+    a, b = sp.radial_closed_form("decaying", x, 1.0, k)
+    assert np.allclose(a, np.exp(-abs(k) * x) / x, rtol=1e-13, atol=0)
+    assert np.allclose(b, -a, rtol=1e-13, atol=0)
+    for lam in (0.0, 0.4, 1.7, 2.0):
+        a, b = sp.radial_closed_form("decaying", x, lam, k)
+        assert np.all(np.diff(a) < 0) and np.all(np.diff(-b) < 0) and a[-1] < 1e-3 * a[0]
+    # the default start of radial_ode_solve is that pair, so its run decays
+    st = sp.radial_ode_solve(1.0, k)
+    assert st.a[-1] < 1e-3 * st.a[0] and np.array_equal(st.b, -st.a)
 
 
 def test_radial_identity_residual():
@@ -272,13 +300,14 @@ def test_admissibility_integrates_every_lambda_at_once(monkeypatch):
     assert [r["admissible"] for r in reps] == [False, False, True]
 
 
-def test_spectral_suite_makes_three_radial_solves(monkeypatch):
-    # two radial_ode_solve runs and one admissibility solve for lambda = 0, 1, 2
+def test_spectral_suite_makes_two_radial_solves(monkeypatch):
+    # one admissibility solve for lambda = 0, 1, 2, which also gives the
+    # closed-form row, and one radial_ode_solve run for the identity; both in ln x
     from kwlab.suites import spectral_suite
 
     spans = _count_solve_ivp(monkeypatch)
     spectral_suite(0)
-    assert spans == [(0.1, 10.0), (0.2, 8.0), (math.log(14.0), math.log(1e-4 / 4))]
+    assert spans == [(math.log(14.0), math.log(1e-4 / 4)), (math.log(0.2), math.log(8.0))]
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.4, 0.75, 1.0, 1.25, 1.7, 2.0])
@@ -292,18 +321,30 @@ def test_admissibility_is_invariant_under_k(lam):
         assert abs(rep["exponent_at_zero"] - ref["exponent_at_zero"]) < 1e-9
 
 
+def _ab_rhs(lam, k):
+    """The radial system in (a, b) and x, the form the block in (f, g) = x (a, b)
+    and s = ln x is checked against."""
+    def rhs(x, y):
+        a, b = y
+        return [(lam - 2.0) / x * a - k * b, -lam / x * b - k * a]
+
+    return rhs
+
+
 @pytest.mark.parametrize("lam", [0.0, 1.0, 2.0])
 def test_shared_integration_matches_separate_runs(lam):
     # the algorithm before the shared integration: the fit and the x_min
-    # integral from a run in x to x_min, the extended integral from a second
-    # run; the shared run in ln x of all three lambdas agrees with it
+    # integral from a run of the (a, b) system in x to x_min, the extended
+    # integral from a second run, both from the K pair at x_max; the shared
+    # run in ln x of all three lambdas agrees with it
     from scipy.integrate import solve_ivp
 
     x_min, x_max = 1e-4, 14.0
+    start = [float(v) for v in sp.radial_closed_form("decaying", x_max, lam, 1.0)]
 
     def run(x_end):
-        return solve_ivp(sp._radial_rhs(lam, 1.0), (x_max, x_end), [1.0, 1.0],
-                         method="DOP853", rtol=1e-11, atol=1e-300, dense_output=True)
+        return solve_ivp(_ab_rhs(lam, 1.0), (x_max, x_end), start,
+                         method="DOP853", rtol=1e-12, atol=1e-300, dense_output=True)
 
     def x2dx(sol, lo):
         xs = np.geomspace(lo, x_max, 4000)
@@ -320,22 +361,18 @@ def test_shared_integration_matches_separate_runs(lam):
 
 
 def _radial_admissible_per_grid(lam, k):
-    """radial_admissible reading the fit points and each integration grid
-    with its own dense-output call."""
+    """radial_admissible reading the fit points, each integration grid and
+    the closed-form grid with its own dense-output call."""
     from scipy.integrate import solve_ivp
 
     x_min, x_max = 1e-4 / abs(k), 14.0 / abs(k)
-    rhs = sp._radial_rhs(np.array([lam]), k)
-
-    def rhs_ln(s, y):
-        x = math.exp(s)
-        return x * np.concatenate(rhs(x, y.reshape(2, -1)))
-
-    sol = solve_ivp(rhs_ln, (math.log(x_max), math.log(x_min / 4.0)), [1.0, 1.0 if k > 0 else -1.0],
-                    method="DOP853", rtol=1e-11, atol=1e-300, dense_output=True)
+    p = np.array([1.0 - lam])
+    y0 = x_max * np.concatenate(sp.radial_closed_form("decaying", x_max, np.array([lam]), k))
+    sol = solve_ivp(sp._block_rhs(p, k), (math.log(x_max), math.log(x_min / 4.0)), y0,
+                    method="DOP853", rtol=sp._RADIAL_RTOL, atol=1e-300, dense_output=True)
 
     def g(xs):
-        return xs ** 2 * np.sum(sol.sol(np.log(xs)) ** 2, axis=0)
+        return np.sum(sol.sol(np.log(xs)) ** 2, axis=0)
 
     def x2dx(lo):
         xs = np.geomspace(lo, x_max, 4000)
@@ -347,12 +384,36 @@ def _radial_admissible_per_grid(lam, k):
     scatter = float(np.max(np.abs(np.diff(logs) / np.diff(np.log(xs)) - slope)))
     i1, i2 = x2dx(x_min), x2dx(x_min / 4.0)
     growth = abs(i2 - i1) / max(i1, 1e-300)
+    grid = np.geomspace(x_min, x_max, 4000)
+    ab = sol.sol(np.log(grid)) / grid
+    exact = sp.radial_closed_form("decaying", grid, lam, k)
+    error = max(float(np.max(np.abs(ab[j] - exact[j]) / np.abs(exact[j]))) for j in (0, 1))
     return {"lambda": lam, "k": k, "admissible": bool(slope > -1.0 + 0.05 and growth < 0.05),
             "exponent_at_zero": slope, "fit_scatter": scatter, "extension_growth": growth,
-            "x2dx_integral": i1}
+            "x2dx_integral": i1, "closed_form_error": error}
 
 
 @pytest.mark.parametrize("k", [1.0, -5.0, 13.0])
 @pytest.mark.parametrize("lam", [0.0, 0.75, 1.0, 1.25, 2.0])
 def test_one_dense_output_read_equals_one_per_grid(lam, k):
     assert sp.radial_admissible([lam], k) == [_radial_admissible_per_grid(lam, k)]
+
+
+@pytest.mark.parametrize("k", [-5.0, 13.0])
+def test_inward_run_matches_bessel_k(k):
+    # off the half-integer orders the K pair is no elementary function: the
+    # inward run from the pair at x_max follows it over [x_min, x_max], and
+    # the pair is x^{-1/2} (K_{3/2-lam}, sgn k K_{1/2-lam})(|k| x) up to one
+    # constant factor
+    from scipy.special import kv
+
+    lams = (0.4, 0.75, 1.7)
+    for rep in sp.radial_admissible(lams, k):
+        assert rep["closed_form_error"] <= 1e-9
+    x = np.geomspace(1e-4 / abs(k), 14.0 / abs(k), 50)
+    for lam in lams:
+        a, b = sp.radial_closed_form("decaying", x, lam, k)
+        ratio_a = a * np.sqrt(x) / kv(1.5 - lam, abs(k) * x)
+        ratio_b = b * np.sqrt(x) / kv(0.5 - lam, abs(k) * x)
+        assert np.allclose(ratio_a, ratio_a[0], rtol=1e-14, atol=0)
+        assert np.allclose(ratio_b, math.copysign(ratio_a[0], k), rtol=1e-14, atol=0)

@@ -88,7 +88,7 @@ CENSUS = {
     "spectral.hemisphere_second": ("reason", UNPLANTED + "7.7e-6 against 5e-5, falling as h^2"),
     "spectral.hemisphere_eigenfunction": ("reason", UNPLANTED + "1.4e-12 against 1e-2"),
     "spectral.rayleigh_zero_potential": ("reason", UNPLANTED + "4.5e-6 against 5e-3"),
-    "spectral.rayleigh_angular_mode": ("reason", UNPLANTED + "mu = 6.0 against mu >= 2"),
+    "spectral.rayleigh_angular_mode": ("witness", "angular_term"),
     "spectral.exclusion_b3ct": ("reason", UNPLANTED + "an excluded interval 0.5 past 3/2"),
     "spectral.exclusion_case2":
         ("test", "test_cli::test_spectral_exclusion_reports_uncovered"),

@@ -7,14 +7,16 @@ code computes.  A defect is planted by replacing the one definition wherever
 a kwlab module holds it, as a wrong line in its body would.
 """
 
+import dataclasses
 import json
+import math
 import sys
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from kwlab import algebra, clifford, flow, model, modes, torus
+from kwlab import algebra, clifford, flow, model, modes, spectral, torus
 from kwlab import operator as op
 from kwlab.backgrounds import ModelBackground
 from kwlab.cli import main
@@ -137,6 +139,19 @@ def t_difference_leans_forward(mp, lean=1e-4):
     plant(mp, grad, leaning)
 
 
+def angular_term_doubled(mp):
+    # 2 n^2 in place of n^2 in the Sturm-Liouville stiffness: the angular
+    # order becomes sqrt(2) n, and the minimum (nu + 1)(nu + 2) at nu = sqrt(2)
+    # reads 8.24 in place of 6; n = 0 is untouched
+    once = spectral._sl_min_once
+
+    def doubled(prob, n_mesh):
+        return once(dataclasses.replace(prob, angular_mode=math.sqrt(2) * prob.angular_mode),
+                    n_mesh)
+
+    plant(mp, once, doubled)
+
+
 def first_sign_flipped(perms):
     """A generator table whose first generator has its first row's sign flipped."""
     (sources, signs), *rest = perms
@@ -213,6 +228,8 @@ WITNESSES = {
     "flow_step": (step_length_off_by_a_percent, ("flow-smoke", {}),
                   {"energy_identity", "two_rate_forms"},
                   lambda: flow.run_flow(FLOW_DATA, flow.FlowConfig(0.05 * FLOW_DATA.h, 5)).cs),
+    "angular_term": (angular_term_doubled, ("spectral", {}), {"rayleigh_angular_mode"},
+                     lambda: spectral.rayleigh_min(spectral.SLProblem(angular_mode=1))["mu"]),
     "decay_law": (mu_off_by_a_hundredth, ("flow-smoke", {}),
                   {"linear_regime_rate", "decay_fit_oracle", "nahm_decay_exponent"},
                   lambda: flow.lojasiewicz_fit(EXP_TRACE)["mu_estimate"]),
