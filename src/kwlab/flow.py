@@ -15,7 +15,12 @@ identities within their bound) are suites.flow_checks.
 The state is the complex connection Z = A + i a.  Its curvature F_Z holds
 the whole gradient (torus.curvature: Re F_Z = B - star(a wedge a),
 Im F_Z = curl_A a), so the flow is dZ/dt = i conj(F_Z), one curvature per
-RK4 stage, and each recorded state's monitors reduce that same F_Z.
+RK4 stage, and each recorded state's monitors reduce that same F_Z.  Each
+monitor density (<a, Re F_Z>, |F_Z|^2, |d_A * a|^2, |a|^2 and the ring's
+|da/dt|^2) is one np.einsum pass over the form and coefficient axes, with no
+full-size temporary.  At each point it sums over form and then coefficient,
+in the order np.sum of the product adds them; TorusField.integrate then
+sums it over the grid.
 
 Integrator: classical RK4 at fixed dt with the stability bound dt <= 0.2 h
 asserted up front (h = grid spacing); no adaptivity, for reproducibility.
@@ -29,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .reporting import csv_text, finite_or_none
-from .torus import TorusField, complex_connection, cs_functional, curvature, div_cov, dot
+from .torus import FORM_COEFF, TorusField, complex_connection, cs_functional, curvature, div_cov
 
 CFL_FACTOR = 0.2
 # the largest |residual| of lojasiewicz_fit's line that still fits one law:
@@ -163,12 +168,13 @@ def run_flow(F0: TorusField, config: FlowConfig) -> FlowTrace:
         times[i] = i * dt
         cs[i] = cs_functional(work, FZ)
         # |Re F_Z|^2 and |Im F_Z|^2 side by side, summed over form and coefficient
-        sq = np.sum(np.square(FZ.view(float)), axis=(0, 1))
+        fz = FZ.view(float)
+        sq = np.einsum(FORM_COEFF, fz, fz)
         e_curl[i] = work.integrate(sq[..., 1::2])
         gns[i] = e_curl[i] + work.integrate(sq[..., ::2])
         dva = div_cov(work, a)
-        drift[i] = math.sqrt(work.integrate(dot(dva, dva)))
-        sup_a[i] = float(np.sqrt(np.sum(a * a, axis=(0, 1)).max()))
+        drift[i] = math.sqrt(work.integrate(np.einsum("c...,c...->...", dva, dva)))
+        sup_a[i] = float(np.sqrt(np.einsum(FORM_COEFF, a, a).max()))
         if i >= 4:
             # step n = i - 2: f' = ((f[n-2] - f[n+2]) / 8 + f[n+1] - f[n-1]) 2 / (3 dt),
             # the bracket for a formed in place in the slot of state n - 2, which
@@ -180,7 +186,10 @@ def run_flow(F0: TorusField, config: FlowConfig) -> FlowTrace:
             d += ring[(n + 1) % 5]
             d -= ring[(n - 1) % 5]
             scale = 2.0 / (3.0 * dt)
-            rate = e_curl[n] + scale ** 2 * work.integrate(dot(d, d).sum(axis=0))
+            # over form for each coefficient, then over coefficient: not
+            # FORM_COEFF's rounding order, but the one this rate is defined by
+            dd = np.einsum("fc...,fc...->c...", d, d).sum(axis=0)
+            rate = e_curl[n] + scale ** 2 * work.integrate(dd)
             dcs = ((cs[n - 2] - cs[n + 2]) / 8.0 + cs[n + 1] - cs[n - 1]) * scale
             ei[n] = _rel_gap(dcs, rate)
             tf[n] = _rel_gap(rate, gns[n])

@@ -24,6 +24,7 @@ the excluded lambda interval for each reduced sector.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -353,6 +354,7 @@ def exclusion_report(case: str, m: int = 1) -> dict:
 # deviation from the Bessel-K pair at lambda = 0, 1, 2 reads 3.0e-9 at 1e-11
 # and 3.0e-10 at 1e-12, against the 1e-9 the closed-form tests allow
 _RADIAL_RTOL = 1e-12
+_SQRT_MAX = math.sqrt(sys.float_info.max)  # the largest |x| whose square is finite
 
 
 @dataclass
@@ -383,11 +385,23 @@ def _block_rhs(p: np.ndarray, k: float):
 def _block_solve(p: np.ndarray, k: float, x_span, y0):
     """The one radial integrator: the blocks of every p in the array p,
     stacked, from x_span[0] to x_span[1] in s = ln x, starting from
-    y0 = (f of each p, g of each p).  The result's dense output is in s."""
+    y0 = (f of each p, g of each p).  The result's dense output is in s.
+
+    Every caller squares the state, so the integration stops, and raises
+    RuntimeError, at the first step where some |f| or |g| passes
+    sqrt(max double), beyond which its square overflows."""
     from scipy.integrate import solve_ivp
 
+    def leaves_range(s, y):
+        return _SQRT_MAX - np.max(np.abs(y))
+
+    leaves_range.terminal, leaves_range.direction = True, -1
     sol = solve_ivp(_block_rhs(p, k), (math.log(x_span[0]), math.log(x_span[1])), y0,
-                    method="DOP853", rtol=_RADIAL_RTOL, atol=1e-300, dense_output=True)
+                    method="DOP853", rtol=_RADIAL_RTOL, atol=1e-300, dense_output=True,
+                    events=leaves_range)
+    if sol.status == 1:
+        raise RuntimeError("the solution's squares overflow double precision "
+                           f"from x = {math.exp(sol.t_events[0][0]):.3g} on")
     if not sol.success:
         raise RuntimeError(f"integration failed: {sol.message}")
     return sol

@@ -483,3 +483,49 @@ def test_lojasiewicz_fit_refuses_the_nahm_flow_off_its_sector():
         assert fits[steps]["mu_estimate"] == pytest.approx(1 / 3, abs=1e-4)
     assert fits[400]["status"] == "scattered" and fits[400]["scatter"] > 1.0
     assert abs(fits[400]["mu_estimate"] - 1 / 3) > 0.1
+
+
+def _summed_monitors(calls):
+    """np.einsum as the monitors' densities were formed before it: a
+    full-size product, then np.sum over form and coefficient, or over form
+    alone where the coefficient axis is kept; each call's subscripts are
+    appended to calls."""
+    axes = {torus.FORM_COEFF: (0, 1), "c...,c...->...": 0, "fc...,fc...->c...": 0}
+
+    def einsum(spec, u, v):
+        calls.append(spec)
+        return np.sum(u * v, axis=axes[spec])
+
+    return einsum
+
+
+@pytest.mark.parametrize("data", ["test_13", "nonabelian"])
+def test_trace_is_the_six_product_step_with_summed_monitors(monkeypatch, data):
+    # the step's curvature and one-pass monitors against the six-product
+    # curvature and product-then-sum monitors: every column bit for bit
+    import kwlab.flow
+    from kwlab.modes import positive_spectrum_field
+    from test_torus_kernels import curvature_six_products
+
+    if data == "test_13":
+        F = positive_spectrum_field(np.random.default_rng(13), 16, 1e-92, abelian=True)
+        steps = 40
+    else:
+        F = random_field(np.random.default_rng(23), 8, amplitude=0.05)
+        steps = 20
+    cfg = FlowConfig(dt=0.05 * F.h, steps=steps)
+    tr = run_flow(F, cfg)
+    calls = []
+    monkeypatch.setattr(kwlab.flow, "curvature", curvature_six_products)
+    monkeypatch.setattr(torus, "curvature", curvature_six_products)
+    monkeypatch.setattr(np, "einsum", _summed_monitors(calls))
+    ref = run_flow(F, cfg)
+    assert tr.meta["abelian"] == (data == "test_13")
+    for col in TRACE_COLUMNS:
+        assert np.array_equal(getattr(tr, col), getattr(ref, col)), col
+    # one pass per density and record: <a, Re F_Z>, |F_Z|^2, |d_A * a|^2 and
+    # |a|^2; from the fifth record on, the ring's |da/dt|^2, over form for
+    # each coefficient, whose coefficients are summed after it
+    once = [torus.FORM_COEFF, torus.FORM_COEFF, "c...,c...->...", torus.FORM_COEFF]
+    assert calls == [spec for i in range(steps + 1)
+                     for spec in once + ["fc...,fc...->c..."] * (i >= 4)]

@@ -224,6 +224,27 @@ def test_radial_identity_overflow_raises():
             sp.radial_ode_solve(100.0, 1.0)
 
 
+def test_radial_solve_stops_where_the_squares_overflow(monkeypatch):
+    # at lambda = 100 the state grows like x^99 from x = 0.1 and its squares
+    # pass double range near x = 3.6: the integration stops there, after
+    # about 29,200 evaluations, where running on to x = 10 took 37,499
+    import scipy.integrate
+
+    runs = []
+    exact = scipy.integrate.solve_ivp
+
+    def recorded(*args, **kwargs):
+        runs.append(exact(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(scipy.integrate, "solve_ivp", recorded)
+    with pytest.raises(RuntimeError, match="overflow double precision from x = 3.61"):
+        sp.radial_ode_solve(100.0, 1.0)
+    [sol] = runs
+    assert sol.status == 1 and sol.nfev < 30_000
+    assert np.max(np.abs(sol.y[:, -1])) == pytest.approx(math.sqrt(np.finfo(float).max))
+
+
 @pytest.mark.parametrize("lam,want", [
     (1.0, True), (0.75, True), (1.25, True),
     (0.0, False), (2.0, False), (0.4, False), (1.7, False),

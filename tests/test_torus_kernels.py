@@ -4,7 +4,10 @@ The references are the direct definitions: the commutator through
 np.cross, the fd4 stencil through four np.roll copies, the spectral
 derivative through np.fft, and the field operators as sums over every entry
 of the Levi-Civita symbol.  The curvature of Z = A + i a is held against
-the real kernels b_field, curl_cov and star_wedge, which those sums check.
+the real kernels b_field, curl_cov and star_wedge, which those sums check,
+and bit for bit against curvature_six_products, the loop of one
+derivative per form component and axis that its slot-stacked derivatives
+replace.
 """
 
 import math
@@ -13,10 +16,10 @@ import numpy as np
 import pytest
 
 from kwlab import torus
-from kwlab.algebra import EPS
+from kwlab.algebra import CYCLIC, EPS
 from kwlab.torus import (
-    TorusField, b_field, comm, cs_functional, curl_cov, curvature, diff_matrix, div_cov,
-    dot, gradient, random_field, star_wedge,
+    TorusField, b_field, comm, complex_connection, cs_functional, curl_cov, curvature,
+    diff_matrix, div_cov, dot, gradient, random_field, star_wedge,
 )
 
 
@@ -246,7 +249,7 @@ def test_conjugated_bracket_is_caught(field, monkeypatch):
     # [conj Z_i, Z_j] in place of [Z_i, Z_j]; conj leaves the real kernels'
     # brackets alone, so only the curvature goes wrong, and far off
     exact = torus.comm
-    monkeypatch.setattr(torus, "comm", lambda u, v: exact(np.conj(u), v))
+    monkeypatch.setattr(torus, "comm", lambda u, v, out=None: exact(np.conj(u), v, out))
     assert min(_curvature_errors(field)) > 1e-2
 
 
@@ -258,3 +261,107 @@ def test_cs_functional_matches_the_b_field_formula(field):
     want = F.integrate(sum(dot(F.a[k], B[k]) for k in range(3))
                        - dot(comm(F.a[0], F.a[1]), F.a[2]))
     assert abs(cs_functional(F) - want) <= 1e-13 * abs(want)
+
+
+def curvature_six_products(F, Z=None, out=None):
+    """F_Z as six TorusField.deriv calls, each of one form component with
+    every coefficient, and a comm per cyclic (k, i, j): the same arithmetic
+    as curvature, in the order it adds the terms; curvature's signature."""
+    if Z is None:
+        Z = complex_connection(F)
+    if out is None:
+        out = np.empty_like(Z)
+    for k, i, j in CYCLIC:
+        F.deriv(Z[j], i, out=out[k])
+        out[k] -= F.deriv(Z[i], j)
+        zz = comm(Z[i], Z[j])
+        if isinstance(zz, np.ndarray):  # 0.0 on the sigma3 line
+            out[k] += zz
+    return out
+
+
+def _field_on(N, scheme, sigma3):
+    F = random_field(np.random.default_rng(N), N, amplitude=0.3)
+    F.scheme = scheme
+    if sigma3:
+        F = TorusField(N, F.L, F.A[:, 2:].copy(), F.a[:, 2:].copy(), scheme)
+    return F
+
+
+@pytest.mark.parametrize("sigma3", [True, False])
+@pytest.mark.parametrize("scheme", ["fd4", "spectral"])
+@pytest.mark.parametrize("N", [7, 12])
+def test_curvature_is_the_six_product_loop(N, scheme, sigma3):
+    F = _field_on(N, scheme, sigma3)
+    assert np.array_equal(curvature(F), curvature_six_products(F))
+
+
+def _count_deriv(monkeypatch):
+    calls = []
+    exact = TorusField.deriv
+
+    def counted(self, f, i, out=None):
+        calls.append(i)
+        return exact(self, f, i, out)
+
+    monkeypatch.setattr(TorusField, "deriv", counted)
+    return calls
+
+
+@pytest.mark.parametrize("sigma3", [True, False])
+def test_curvature_makes_three_derivative_products_per_coefficient(monkeypatch, sigma3):
+    F = _field_on(8, "fd4", sigma3)
+    calls = _count_deriv(monkeypatch)
+    curvature(F)
+    assert calls == [0, 1, 2] * F.A.shape[1]
+
+
+def swap_x2_scratch_slots(monkeypatch):
+    """Plant a wrong slot map in curvature: its x2 call writes the x2
+    derivatives of Z[0] and Z[2] into each other's scratch slots.  Only
+    curvature passes deriv a pair of slots to write, so the real kernels
+    and the six-product loop are untouched."""
+    exact = TorusField.deriv
+
+    def swapped(self, f, i, out=None):
+        if i == 1 and out is not None and len(out) == 2:
+            out = out[::-1]
+        return exact(self, f, i, out)
+
+    monkeypatch.setattr(TorusField, "deriv", swapped)
+
+
+@pytest.mark.parametrize("sigma3", [True, False])
+def test_swapped_scratch_slots_are_caught(monkeypatch, sigma3):
+    F = _field_on(8, "fd4", sigma3)
+    want = curvature_six_products(F)
+    swap_x2_scratch_slots(monkeypatch)
+    # both comparisons fail: the six-product loop and the real kernels
+    assert _relerr(curvature(F), want) > 1e-2
+    assert min(_curvature_errors(F)) > 1e-2
+
+
+@pytest.mark.parametrize("complex_", [True, False])
+@pytest.mark.parametrize("c", [1, 3])
+def test_deriv_of_stacked_slots_is_the_per_slot_deriv(complex_, c):
+    # the operands curvature passes, two form components at the strides of
+    # a (3, c, N, N, N) field, written where curvature writes them: the x1
+    # pair into slots 2 and 1 of the result (a negative slot stride), the
+    # others into its scratch
+    N = 8
+    rng = np.random.default_rng(9)
+    F = TorusField(N)
+    Z = rng.normal(size=(3, c, N, N, N))
+    if complex_:
+        Z = Z + 1j * rng.normal(size=Z.shape)
+    for s in range(c):
+        out = np.full_like(Z, np.nan)
+        d = np.full((4, N, N, N), np.nan, Z.dtype)
+        for i, (pick, dest) in enumerate(((slice(1, 3), out[2:0:-1, s]),
+                                          (slice(None, None, 2), d[0:2]),
+                                          (slice(0, 2), d[2:4]))):
+            f = Z[pick, s]
+            assert F.deriv(f, i, out=dest) is dest
+            want = [F.deriv(Z[m, s], i) for m in range(3)[pick]]
+            assert np.array_equal(dest, np.stack(want)), (s, i)
+            assert np.array_equal(F.deriv(f, i), dest), (s, i)
