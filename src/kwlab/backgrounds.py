@@ -13,7 +13,8 @@ and, where the zeroth-order curvature data is needed,
 
 Four kinds: trivial (A = a = 0 anywhere), the pole background
 a_i = -sigma_i/(2t), the integer-m model family, and trigonometric
-time-independent data on a flat 3-torus.
+time-independent data on a flat 3-torus (one periodic operator.TrigSection,
+whose jet gives the curvature data exactly).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from .algebra import coeff_bracket
 from .model import ModelSolution, evaluate
-from .operator import TorusTrigSection
+from .operator import TrigSection
 
 
 def _batch(P):
@@ -146,8 +147,8 @@ class TorusTrigBackground:
     'A' or 'a', comp in {0,1,2}, k an integer 3-vector, and coeffs a real
     3-vector of sigma coefficients; each term contributes
     coeffs . sigma * cos(k.x + phase) to that component.  The terms form one
-    TorusTrigSection (A in slots 0-2, a in 4-6, no t-envelope), so A, a and
-    their exact spatial derivatives are slices of its value and grads.
+    periodic TrigSection (A in slots 0-2, a in 4-6), so A, a and their exact
+    spatial derivatives are slices of its value or of one jet.
     """
 
     def __init__(self, terms):
@@ -155,8 +156,8 @@ class TorusTrigBackground:
         for (slot, comp, k, phase, coeffs) in terms:
             amp = np.zeros((8, 3))
             amp[comp + (0 if slot == "A" else 4)] = coeffs
-            stacked.append((amp, k, phase))
-        self._fields = TorusTrigSection(stacked)
+            stacked.append((amp, k, phase, (), 1.0))
+        self._fields = TrigSection(stacked, envelope=0)
 
     def domain_check(self, P) -> None:
         _batch(P)
@@ -170,17 +171,15 @@ class TorusTrigBackground:
     def curvature_at(self, P):
         # E_i = [grad_t, grad_i] = 0 (time independent);
         # B3 = d1 A2 - d2 A1 + [A1, A2]
-        A = self.A_at(P)
-        d = self._fields.grads(P)
-        b3 = d[..., 1, 1, :] - d[..., 2, 0, :] + coeff_bracket(A[..., 0, :], A[..., 1, :])
+        f, d = self._fields.jet(_batch(P))
+        b3 = d[..., 1, 1, :] - d[..., 2, 0, :] + coeff_bracket(f[..., 0, :], f[..., 1, :])
         z = np.zeros_like(b3)
         return z, z.copy(), b3
 
     def dcov_a_at(self, P):
-        da = self._fields.grads(P)[..., 1:3, 4:6, :]
         # grad_i a_j = d_i a_j + [A_i, a_j]
-        A, a = self.A_at(P), self.a_at(P)
-        return da + coeff_bracket(A[..., :2, None, :], a[..., None, :2, :])
+        f, d = self._fields.jet(_batch(P))
+        return d[..., 1:3, 4:6, :] + coeff_bracket(f[..., :2, None, :], f[..., None, 4:6, :])
 
 
 def make_background(kind: str):

@@ -294,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name in SUITE_NAMES + ("all",):
         p = sub.add_parser(name, help=f"run the {name} suite")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_int_in_range(0), default=0)
         p.add_argument("--out", type=str, default=None)
         p.add_argument("--table", action="store_true", help="also print a human table")
         for flag, spec in SUITE_OPTIONS.get(name, {}).items():

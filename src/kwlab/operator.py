@@ -28,6 +28,11 @@ sections, the automorphism Y with D Y = -Y D^dag, the flat-torus symbol
 spectrum of the spatial part, and quadrature checks (adjoint duality, the
 Pythagoras split of |D psi|^2, and the identification of the spatial part
 with the complexified exterior-derivative complex).
+
+Sections are given by values (``FuncSection``, differenced at a step h) or
+are the exact test fields ``TrigSection``, sums of amplitude x Gaussian x
+cos(k.x + phase), whose ``jet`` gives the value and its four derivatives
+from one evaluation.
 """
 
 from __future__ import annotations
@@ -111,7 +116,7 @@ class FuncSection:
     """A section given only by its values, a batched callable P (...,4) ->
     (...,8,3); its derivatives are taken by differences."""
 
-    grads = None
+    jet = None
 
     def __init__(self, value):
         self._value = value
@@ -131,130 +136,103 @@ def _superpose(w, amps):
     return np.einsum("...j,jc->...c", w, amps).reshape(w.shape[:-1] + (8, 3))
 
 
-class GaussTrigSection:
-    """Smooth test fields: sums of Gaussian blobs in (t, x1, x2) times a
-    circle harmonic in x3 (the circle of length 2 pi), with exact derivatives.
+class TrigSection:
+    """Smooth test fields with exact derivatives: sums over terms of
 
-    blobs: list of (amp (8,3) real, center (3,), width, n_x3, phase).  The
-    blobs are stacked along a terms axis, so the value, and the four
-    derivatives together, are each one weighted superposition of the
-    amplitudes.
+        amp exp(-|P - center|_E^2 / (2 width^2)) cos(k.x + phase),
+
+    where x = (x1, x2, x3) and |.|_E measures the first `envelope`
+    coordinates of P = (t, x1, x2, x3): 3 gives Gaussian blobs in
+    (t, x1, x2), 1 a Gaussian t-envelope, 0 a periodic field on the torus of
+    side 2 pi (integer k; center () and width unused).
+
+    terms: list of (amp (8,3) real, k (3,), phase, center (envelope,), width);
+    each term has its own envelope.  The terms are stacked along a terms
+    axis: ``value`` and ``jet`` evaluate the envelopes and phases once, and
+    the value, and the four derivatives together, are each one weighted
+    superposition of the amplitudes.
     """
 
-    def __init__(self, blobs):
-        amp, c, s, n, ph = zip(*blobs)
-        self._amps = np.reshape(np.asarray(amp, float), (-1, 24))
-        self._centers = np.asarray(c, float)
-        self._widths = np.asarray(s, float)
-        self._n = np.asarray(n, float)
-        self._phases = np.asarray(ph, float)
+    def __init__(self, terms, envelope: int):
+        self.terms = [(np.asarray(a, float), np.asarray(k, float), float(ph),
+                       np.asarray(c, float), float(w)) for a, k, ph, c, w in terms]
+        amps, ks, phases, centers, widths = zip(*self.terms)
+        self._amps = np.reshape(amps, (-1, 24))
+        self._ks = np.reshape(ks, (-1, 3))
+        self._phases = np.array(phases)
+        self._centers = np.reshape(centers, (len(centers), envelope))
+        self._widths = np.array(widths)
+        self.envelope = envelope
 
-    def _envelopes(self, P):
-        """Per-blob offsets (..., terms, 3), Gaussians and x3 angles (..., terms)."""
+    def _terms_at(self, P):
+        """Per-term envelope offsets (..., terms, envelope), Gaussians and
+        phases k.x + phase (..., terms)."""
         P = np.asarray(P, dtype=float)
-        d = P[..., None, :3] - self._centers
+        d = P[..., None, :self.envelope] - self._centers
         g = np.exp(-np.sum(d * d, axis=-1) / (2 * self._widths * self._widths))
-        return d, g, self._n * P[..., 3, None] + self._phases
+        return d, g, np.einsum("...i,ji->...j", P[..., 1:], self._ks) + self._phases
 
     def value(self, P):
-        _, g, angle = self._envelopes(P)
-        return _superpose(g * np.cos(angle), self._amps)
+        _, g, arg = self._terms_at(P)
+        return _superpose(g * np.cos(arg), self._amps)
 
-    def grads(self, P):
-        """grad_mu psi for mu = t, 1, 2, 3, shape (..., 4, 8, 3)."""
-        d, g, angle = self._envelopes(P)
+    def jet(self, P):
+        """(value, grads) with grads[..., mu, 8, 3] = grad_mu psi for
+        mu = t, 1, 2, 3, from one evaluation of the envelopes and phases."""
+        d, g, arg = self._terms_at(P)
+        cos = np.cos(arg)
+        e = self.envelope
         w = np.empty(g.shape[:-1] + (4,) + g.shape[-1:])
-        w[..., :3, :] = (-np.swapaxes(d, -1, -2) / (self._widths * self._widths)
-                         * g[..., None, :] * np.cos(angle)[..., None, :])
-        w[..., 3, :] = -g * np.sin(angle) * self._n
-        return _superpose(w, self._amps)
+        w[..., :e, :] = (-np.swapaxes(d, -1, -2) / (self._widths * self._widths)
+                         * g[..., None, :] * cos[..., None, :])
+        w[..., e:, :] = 0.0
+        # the spatial rows add the trig derivative, onto the envelope's
+        w[..., 1:, :] += (-g * np.sin(arg))[..., None, :] * self._ks.T
+        return _superpose(g * cos, self._amps), _superpose(w, self._amps)
 
 
 def random_section(rng: np.random.Generator, center=(1.0, 0.0, 0.0),
-                   spread=0.8) -> GaussTrigSection:
-    blobs = []
+                   spread=0.8) -> TrigSection:
+    """Three Gaussian blobs in (t, x1, x2) around center, each times a
+    circle harmonic cos(n x3 + phase) with n in {0, 1, 2}."""
+    terms = []
     for _ in range(3):
         amp = rng.normal(size=(8, 3))
         c = np.asarray(center, float) + rng.uniform(-spread, spread, size=3)
         s = rng.uniform(0.6, 1.4)
         n = int(rng.integers(0, 3))
-        ph = rng.uniform(0, 2 * math.pi)
-        blobs.append((amp, c, s, n, ph))
-    return GaussTrigSection(blobs)
-
-
-class TorusTrigSection:
-    """Periodic test fields on the torus of side 2 pi, optionally with a
-    Gaussian factor in t; exact derivatives.
-
-    terms: list of (amp (8,3) real, k (3,) int, phase); value is
-    sum amp cos(k.x + phase) times the t-envelope.  The terms are stacked
-    along a terms axis, so the value, and the four derivatives together, are
-    each one weighted superposition of the amplitudes.
-    """
-
-    def __init__(self, terms, t_center=None, t_width: float = 0.5):
-        self.terms = [
-            (np.asarray(a, float), np.asarray(k, float), float(ph))
-            for (a, k, ph) in terms
-        ]
-        self._amps = np.reshape([a for a, _, _ in self.terms], (-1, 24))
-        self._ks = np.reshape([k for _, k, _ in self.terms], (-1, 3))
-        self._phases = np.array([ph for _, _, ph in self.terms])
-        self.t_center = t_center
-        self.t_width = t_width
-
-    def _env(self, P):
-        """The t-envelope and its t-derivative, (..., 1) for the terms axis."""
-        if self.t_center is None:
-            return np.ones(P.shape[:-1] + (1,)), np.zeros(P.shape[:-1] + (1,))
-        u = (P[..., 0, None] - self.t_center) / self.t_width
-        g = np.exp(-0.5 * u * u)
-        return g, -u / self.t_width * g
-
-    def _arg(self, P):
-        return np.einsum("...i,ji->...j", P[..., 1:], self._ks) + self._phases
-
-    def value(self, P):
-        P = np.asarray(P, dtype=float)
-        g, _ = self._env(P)
-        return _superpose(g * np.cos(self._arg(P)), self._amps)
-
-    def grads(self, P):
-        """grad_mu psi for mu = t, 1, 2, 3, shape (..., 4, 8, 3)."""
-        P = np.asarray(P, dtype=float)
-        g, dg = self._env(P)
-        arg = self._arg(P)
-        w = np.empty(arg.shape[:-1] + (4,) + arg.shape[-1:])
-        w[..., 0, :] = dg * np.cos(arg)
-        w[..., 1:, :] = (-g * np.sin(arg))[..., None, :] * self._ks.T
-        return _superpose(w, self._amps)
+        terms.append((amp, (0, 0, n), rng.uniform(0, 2 * math.pi), c, s))
+    return TrigSection(terms, envelope=3)
 
 
 def random_torus_section(rng: np.random.Generator, k_max: int = 2, n_terms: int = 4,
-                         t_center=None, t_width=0.5) -> TorusTrigSection:
+                         t_center=None, t_width=0.5) -> TrigSection:
+    """Periodic terms with integer |k|_inf <= k_max, all under one Gaussian
+    t-envelope (t_center, t_width), or none when t_center is None."""
+    center = () if t_center is None else (t_center,)
     terms = []
     for _ in range(n_terms):
         amp = rng.normal(size=(8, 3))
         k = rng.integers(-k_max, k_max + 1, size=3)
-        terms.append((amp, k, rng.uniform(0, 2 * math.pi)))
-    return TorusTrigSection(terms, t_center=t_center, t_width=t_width)
+        terms.append((amp, k, rng.uniform(0, 2 * math.pi), center, t_width))
+    return TrigSection(terms, envelope=len(center))
 
 
 def covariant_grads(bg, sec, P, h: float | None):
     """(value, grads) with grads[..., mu, 8, 3] = grad_mu psi for mu = t,1,2,3.
 
-    The section's exact derivatives are used when h is None; otherwise
+    The section's jet (value and exact derivatives from one evaluation) is
+    used when h is None; otherwise the values and
     second-order centered differences at step h.  The connection commutator
     is then added to the spatial derivatives (``_add_connection``).
     """
     P = np.asarray(P, dtype=float)
-    val = sec.value(P)
     if h is None:
-        if sec.grads is None:
+        if sec.jet is None:
             raise ValueError("need a step h for a section without exact derivatives")
-        grads = sec.grads(P)
+        val, grads = sec.jet(P)
     else:
+        val = sec.value(P)
         shifted = []
         for mu in range(4):
             for s in (1.0, -1.0):
@@ -711,9 +689,9 @@ def spatial_identification(bg, sec, P) -> float:
     comparison is free of differencing error.
     """
     P = np.asarray(P, dtype=float)
-    if sec.grads is None:
+    if sec.jet is None:
         raise ValueError("spatial identification wants exact derivatives")
-    val, d = sec.value(P), sec.grads(P)
+    val, d = sec.jet(P)
     a = bg.a_at(P)
     A = bg.A_at(P)
     out = _assemble_clifford(val, _add_connection(A, val, d.copy()), a, dt_sign=0.0)

@@ -387,10 +387,18 @@ def _block_solve(p: np.ndarray, k: float, x_span, y0):
     stacked, from x_span[0] to x_span[1] in s = ln x, starting from
     y0 = (f of each p, g of each p).  The result's dense output is in s.
 
-    Every caller squares the state, so the integration stops, and raises
-    RuntimeError, at the first step where some |f| or |g| passes
-    sqrt(max double), beyond which its square overflows."""
+    Every caller squares the state, so RuntimeError is raised for a start
+    state that is not finite, passes sqrt(max double) (beyond which its
+    square overflows) or underflowed to all zeros, and at the first step
+    where some |f| or |g| passes sqrt(max double), where the integration
+    stops."""
     from scipy.integrate import solve_ivp
+
+    y0 = np.asarray(y0, dtype=float)
+    if not np.all(np.abs(y0) <= _SQRT_MAX):
+        raise RuntimeError("the start state's squares overflow double precision")
+    if not np.any(y0):
+        raise RuntimeError("the start state underflows to zero")
 
     def leaves_range(s, y):
         return _SQRT_MAX - np.max(np.abs(y))

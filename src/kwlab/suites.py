@@ -293,10 +293,9 @@ def operator_suite(seed: int, background: str = "model:1",
         "remainder_structure", "X symmetric; rows/cols 3 and 8 vanish",
         max(float(np.max(np.abs(X24 - X24.T))), zero_rows), 1e-10))
     if not isinstance(bg, TrivialBackground):
-        blobs = [(rng.normal(size=(8, 3)),
-                  np.asarray(center) + rng.uniform(-0.15, 0.15, 3),
-                  rng.uniform(0.5, 0.9), 0, 0.0) for _ in range(2)]
-        xi = op.GaussTrigSection(blobs)
+        xi = op.TrigSection([(rng.normal(size=(8, 3)), (0, 0, 0), 0.0,
+                              np.asarray(center) + rng.uniform(-0.15, 0.15, 3),
+                              rng.uniform(0.5, 0.9)) for _ in range(2)], envelope=3)
         lam = 2.0
         pull = op.FuncSection(lambda Q: xi.value(
             np.concatenate([Q[..., :3] * lam, Q[..., 3:]], axis=-1)))
@@ -323,9 +322,8 @@ def operator_suite(seed: int, background: str = "model:1",
     psi = op.random_torus_section(rng, k_max=1, n_terms=3, t_center=2.0, t_width=0.35)
     # xi on psi's wavevectors, with fresh amplitudes and phases and a shifted,
     # wider t-envelope: a wrong adjoint then leaves a gap far above round-off
-    xi = op.TorusTrigSection(
-        [(rng.normal(size=(8, 3)), k, rng.uniform(0, 2 * math.pi)) for _, k, _ in psi.terms],
-        t_center=1.8, t_width=0.45)
+    xi = op.TrigSection([(rng.normal(size=(8, 3)), k, rng.uniform(0, 2 * math.pi), (1.8,), 0.45)
+                         for _, k, *_ in psi.terms], envelope=1)
     quad = op.box_quadrature(TrivialBackground(), psi, xi, t_range=(0.0, 4.0), nt=40, nx=8)
     out.append(CheckResult.from_bound(
         "adjoint_duality", "int <D psi, xi> = int <psi, D^dag xi>", quad["duality_gap"], 1e-6))

@@ -336,11 +336,6 @@ def gradient(F: TorusField) -> tuple[np.ndarray, np.ndarray]:
     return FZ.imag, FZ.real
 
 
-def grad_norm_sq(F: TorusField) -> float:
-    gA, ga = gradient(F)
-    return F.integrate(dot(gA, gA).sum(axis=0) + dot(ga, ga).sum(axis=0))
-
-
 def l2_inner(F: TorusField, u1, v1, u2, v2) -> float:
     """The field-space inner product int (<u1, u2> + <v1, v2>)."""
     return F.integrate(dot(u1, u2).sum(axis=0) + dot(v1, v2).sum(axis=0))

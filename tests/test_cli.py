@@ -102,15 +102,18 @@ def test_spectral_ode_identity_residual_reads_off_lambda_one(tmp_path, capsys):
     assert 0.0 < json.loads(stdout)["identity_residual"] <= 1e-8
 
 
-@pytest.mark.parametrize("argv", [["--lambda", "1e9"], ["--lambda", "100"]])
-def test_spectral_ode_out_of_range(argv, tmp_path, capsys):
-    # the integrator gives up on such data, or the solution's squares
-    # overflow: one error line, exit 2, no CSV
+@pytest.mark.parametrize("argv", [["--lambda", "1e9"], ["--lambda", "100"],
+                                  ["--k", "1e160"], ["--k", "1e-200"]])
+def test_spectral_ode_out_of_range(argv, tmp_path, capsys, recwarn):
+    # the integrator gives up on such data, the solution's squares overflow,
+    # or the start state over- or underflows: one error line, exit 2, no CSV
+    # and no warning (pytest records warnings instead of printing them)
     out = tmp_path / "ode.csv"
     code, stdout, err = run(["spectral", "ode", *argv, "--out", str(out)], capsys)
     assert code == 2
     assert len([line for line in err.splitlines() if "error:" in line]) == 1
     assert "Traceback" not in err and "Warning" not in err and stdout == ""
+    assert [str(w.message) for w in recwarn] == []
     assert not out.exists()
 
 
@@ -440,6 +443,9 @@ def test_key_error_inside_a_check_is_not_a_usage_error(monkeypatch):
     ["spectral", "ode", "--lambda", "nan"],
     ["spectral", "ode", "--lambda", "inf"],
     ["spectral", "hemisphere", "--mesh", "100000000"],
+    ["algebra", "--seed", "-1"],
+    ["all", "--seed", "-1"],
+    ["spectral", "hardy", "--seed", "-1"],
 ])
 def test_suite_argument_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -11,8 +11,14 @@ from kwlab.flow import CFLError, FlowConfig, FlowTrace, lojasiewicz_fit, run_flo
 from kwlab.suites import flow_checks, gauge_invariance_check, richardson_gradient_check
 from kwlab.torus import (
     TorusField, cs_functional, div_cov, dot, gauge_transform,
-    gradient, gradient_check, grad_norm_sq, random_field,
+    gradient, gradient_check, l2_inner, random_field,
 )
+
+
+def grad_norm_sq(F):
+    """|grad cs|^2, the gradient's norm in the field-space inner product."""
+    gA, ga = gradient(F)
+    return l2_inner(F, gA, ga, gA, ga)
 
 
 def monotone(trace):

@@ -433,10 +433,9 @@ def test_x_structure():
 
 
 def _x3_invariant_section(rng, center):
-    blobs = [(rng.normal(size=(8, 3)),
-              np.asarray(center) + rng.uniform(-0.15, 0.15, 3),
-              rng.uniform(0.5, 0.9), 0, 0.0) for _ in range(3)]
-    return op.GaussTrigSection(blobs)
+    return op.TrigSection([(rng.normal(size=(8, 3)), (0, 0, 0), 0.0,
+                            np.asarray(center) + rng.uniform(-0.15, 0.15, 3),
+                            rng.uniform(0.5, 0.9)) for _ in range(3)], envelope=3)
 
 
 def test_omega_scale_invariance_and_q():
@@ -521,7 +520,7 @@ def test_closed_constant_form_coclosed():
     amp = np.zeros((8, 3))
     amp[0, 2] = 1.0   # b1 = sigma3
     amp[5, 0] = 0.5   # c2 = sigma1/2
-    sec = op.TorusTrigSection([(amp, (0, 0, 0), 0.0)])
+    sec = op.TrigSection([(amp, (0, 0, 0), 0.0, (), 1.0)], envelope=0)
     out = _spatial(TrivialBackground(), sec, np.array([1.0, 0.1, 0.2, 0.3]), None)
     assert np.max(np.abs(out[3])) == 0.0 and np.max(np.abs(out[7])) == 0.0
 
@@ -565,8 +564,44 @@ def test_block_report_makes_one_bochner_check_call(monkeypatch):
     assert rep["flagged_blocks"] == []
 
 
+class _GaussTrigOracle:
+    """The blob formulas, the reference for blob-type TrigSections bit for
+    bit: sums of Gaussians in (t, x1, x2) times cos(n x3 + phase), blobs
+    (amp, center, width, n, phase)."""
+
+    def __init__(self, blobs):
+        amp, c, s, n, ph = zip(*blobs)
+        self._amps = np.reshape(np.asarray(amp, float), (-1, 24))
+        self._centers = np.asarray(c, float)
+        self._widths = np.asarray(s, float)
+        self._n = np.asarray(n, float)
+        self._phases = np.asarray(ph, float)
+
+    def _envelopes(self, P):
+        d = P[..., None, :3] - self._centers
+        g = np.exp(-np.sum(d * d, axis=-1) / (2 * self._widths * self._widths))
+        return d, g, self._n * P[..., 3, None] + self._phases
+
+    def value(self, P):
+        _, g, angle = self._envelopes(P)
+        return op._superpose(g * np.cos(angle), self._amps)
+
+    def grads(self, P):
+        d, g, angle = self._envelopes(P)
+        w = np.empty(g.shape[:-1] + (4,) + g.shape[-1:])
+        w[..., :3, :] = (-np.swapaxes(d, -1, -2) / (self._widths * self._widths)
+                         * g[..., None, :] * np.cos(angle)[..., None, :])
+        w[..., 3, :] = -g * np.sin(angle) * self._n
+        return op._superpose(w, self._amps)
+
+
+def _blob_terms(blobs):
+    """The blobs (amp, center, width, n, phase) as TrigSection terms."""
+    return [(amp, (0, 0, n), ph, c, s) for amp, c, s, n, ph in blobs]
+
+
 def _gauss_per_blob(blobs, P):
-    """GaussTrigSection's value and four derivatives summed blob by blob."""
+    """The blob section's value and four derivatives summed blob by blob."""
     val, ders = 0.0, [0.0] * 4
     for amp, c, s, n, ph in blobs:
         d = P[..., :3] - c
@@ -580,16 +615,18 @@ def _gauss_per_blob(blobs, P):
     return val, ders
 
 
-def _torus_per_term(terms, t_center, t_width, P):
-    """TorusTrigSection's value and four derivatives summed term by term."""
-    if t_center is None:
-        g, dg = np.ones(P.shape[:-1]), np.zeros(P.shape[:-1])
-    else:
-        u = (P[..., 0] - t_center) / t_width
-        g = np.exp(-0.5 * u * u)
-        dg = -u / t_width * g
+def _torus_per_term(terms, P):
+    """A periodic section's value and four derivatives summed term by term;
+    terms (amp, k, phase, t_center, t_width), with t_center None for no
+    t-envelope."""
     val, ders = 0.0, [0.0] * 4
-    for amp, k, ph in terms:
+    for amp, k, ph, t_center, t_width in terms:
+        if t_center is None:
+            g, dg = np.ones(P.shape[:-1]), np.zeros(P.shape[:-1])
+        else:
+            u = (P[..., 0] - t_center) / t_width
+            g = np.exp(-0.5 * u * u)
+            dg = -u / t_width * g
         arg = np.einsum("...i,i->...", P[..., 1:], k) + ph
         val = val + (g * np.cos(arg))[..., None, None] * amp
         for mu in range(4):
@@ -598,31 +635,68 @@ def _torus_per_term(terms, t_center, t_width, P):
     return val, ders
 
 
-@pytest.mark.parametrize("kind", ["gauss", "torus", "torus-t-envelope"])
+def _random_blobs(rng):
+    return [(rng.normal(size=(8, 3)), rng.uniform(0.5, 1.5, 3), rng.uniform(0.6, 1.4),
+             int(rng.integers(0, 3)), rng.uniform(0, 2 * math.pi)) for _ in range(3)]
+
+
+@pytest.mark.parametrize("kind", ["gauss", "torus", "torus-t-envelope", "torus-two-t-envelopes"])
 def test_trig_sections_match_per_term_sums(kind):
     rng = np.random.default_rng(5)
     if kind == "gauss":
-        blobs = [(rng.normal(size=(8, 3)), rng.uniform(0.5, 1.5, 3), rng.uniform(0.6, 1.4),
-                  int(rng.integers(0, 3)), rng.uniform(0, 2 * math.pi)) for _ in range(3)]
-        sec = op.GaussTrigSection(blobs)
+        blobs = _random_blobs(rng)
+        sec = op.TrigSection(_blob_terms(blobs), envelope=3)
         reference = lambda P: _gauss_per_blob(blobs, P)
     else:
+        envelopes = {"torus": [(None, 0.5)] * 3, "torus-t-envelope": [(2.0, 0.35)] * 3,
+                     "torus-two-t-envelopes": [(2.0, 0.35), (1.8, 0.45), (2.0, 0.35)]}[kind]
         terms = [(rng.normal(size=(8, 3)), rng.integers(-2, 3, size=3).astype(float),
-                  rng.uniform(0, 2 * math.pi)) for _ in range(3)]
-        t_center, t_width = (None, 0.5) if kind == "torus" else (2.0, 0.35)
-        sec = op.TorusTrigSection(terms, t_center=t_center, t_width=t_width)
-        reference = lambda P: _torus_per_term(terms, t_center, t_width, P)
+                  rng.uniform(0, 2 * math.pi)) + env for env in envelopes]
+        envelope = 0 if kind == "torus" else 1
+        sec = op.TrigSection([(amp, k, ph, (c,)[:envelope], w) for amp, k, ph, c, w in terms],
+                             envelope=envelope)
+        reference = lambda P: _torus_per_term(terms, P)
     P = random_points(rng, (1.0, 0.7, 0.4), n=60).reshape(3, 20, 4)
     val, ders = reference(P)
     assert sec.value(P).shape == (3, 20, 8, 3)
     assert np.max(np.abs(sec.value(P) - val)) <= 1e-13
-    grads = sec.grads(P)
+    jet_val, grads = sec.jet(P)
+    assert np.array_equal(jet_val, sec.value(P))
     assert grads.shape == (3, 20, 4, 8, 3)
     for mu in range(4):
         assert np.max(np.abs(grads[..., mu, :, :] - ders[mu])) <= 1e-13
     # a single point keeps its shape
     assert sec.value(P[0, 0]).shape == (8, 3)
-    assert sec.grads(P[0, 0]).shape == (4, 8, 3)
+    assert [a.shape for a in sec.jet(P[0, 0])] == [(8, 3), (4, 8, 3)]
+    if kind == "gauss":
+        # blob terms keep the blob formulas, so the checks they feed read
+        # the same floats
+        oracle = _GaussTrigOracle(blobs)
+        assert np.array_equal(jet_val, oracle.value(P)) and np.array_equal(grads, oracle.grads(P))
+
+
+def test_one_evaluation_per_jet_consumer(monkeypatch):
+    # covariant_grads with exact derivatives reads one jet; x_blocks on the
+    # torus background reads curvature_at's jet, dcov_a_at's jet and a_at's
+    # value
+    calls = []
+    terms_at = op.TrigSection._terms_at
+
+    def counted(self, P):
+        calls.append(1)
+        return terms_at(self, P)
+
+    monkeypatch.setattr(op.TrigSection, "_terms_at", counted)
+    rng = np.random.default_rng(4)
+    P = random_points(rng, (1.0, 0.0, 0.0))
+    op.covariant_grads(TrivialBackground(), op.random_section(rng), P, None)
+    assert len(calls) == 1
+    op.x_blocks(TorusTrigBackground(DUALITY_TERMS), P)
+    assert len(calls) == 1 + 3
+    # the box pass reads one jet of psi and one of xi per t-slice
+    psi = op.random_torus_section(rng, k_max=1, n_terms=2, t_center=2.0, t_width=0.35)
+    op.box_quadrature(TrivialBackground(), psi, psi, t_range=(0.0, 4.0), nt=5, nx=4)
+    assert len(calls) == 1 + 3 + 2 * 5
 
 
 def test_zero_background_skips_bracket_terms(monkeypatch):
@@ -642,7 +716,7 @@ def test_zero_background_skips_bracket_terms(monkeypatch):
     monkeypatch.undo()
     assert calls == []
     # the contraction with every bracket term added, as zeros
-    val, zero, d = sec.value(P), np.zeros(P.shape[:-1] + (3, 3)), sec.grads(P)
+    (val, d), zero = sec.jet(P), np.zeros(P.shape[:-1] + (3, 3))
     grads = [d[..., 0, :, :]] + [d[..., 1 + i, :, :] + op.comm(zero[..., i, None, :], val)
                                  for i in range(3)]
     want = grads[0]
