@@ -24,23 +24,77 @@ sums it over the grid.
 
 Integrator: classical RK4 at fixed dt with the stability bound dt <= 0.2 h
 asserted up front (h = grid spacing); no adaptivity, for reproducibility.
+Its working arrays (Z, the three RK4 arrays and the ring) start on cache
+lines (torus.cache_aligned), so a step's speed does not depend on where
+the heap puts them.
+
+Slabs.  On a grid of at least SLAB_SPLIT_MIN_POINTS = 28^3 points, in a
+process allowed two or more CPUs (os.sched_getaffinity), each RK4 stage
+runs as two x1 slabs, rows [0, N/2) and [N/2, N): this thread takes the
+first, and one worker thread (a daemon, made when a run first splits) the
+second.  Otherwise the run is one slab: each step is the plain RK4 step
+on the whole grid, on this thread, with no stage machinery.  A slab's
+work is pointwise or a product whose output rows are its own:
+torus.curvature with rows (the x1 derivative is D's slab rows times every
+row, x2 and x3 stay in the slab, the brackets are pointwise) and the stage
+updates (_advance, k *= 2, ksum += k) on row views.  numpy releases the GIL
+in its ufunc loops and BLAS calls, so the slabs run at once.  A barrier
+ends each stage, since the next curvature's x1 derivative reads every row;
+a curvature and the update after it are separate stages, since the update
+overwrites the stage point that the other slab's x1 derivative reads.  The
+last update writes the new state into k's rows instead, so it shares the
+k4 stage, and the next k1 shares its stage with the first update: six
+stages a step.  The slabs share one curvature scratch, taken by this
+thread for each curvature stage, as its rows.  The monitors of a recorded
+state stay on this thread.  Every value is formed by the same operations
+in either layout, so the trace is the one-slab trace bit for bit.
+
+Every BLAS product stays small enough that OpenBLAS runs it on the calling
+thread (torus.SERIAL_GEMM_MNK); a larger one wakes OpenBLAS's own worker,
+which then spins on the core the other slab needs.  At N = 32 on
+nonabelian data one curvature takes 2.9 ms on one slab and 1.5 ms on two,
+but 2.7 ms on two with each x1 product whole, (16, 32) by (32, 2048)
+(medians of 200 calls).  The crossover is measured, in ms per step, one
+slab against two (2-vCPU Xeon VM, OpenBLAS capped at 2 threads, medians of
+7 interleaved runs):
+
+    N   abelian        nonabelian
+    12  0.20 -> 0.78
+    16  0.37 -> 0.93   1.70 -> 3.52
+    20                 3.56 -> 4.15
+    24  1.33 -> 1.49   7.02 -> 6.10
+    26  1.93 -> 1.86   9.50 -> 7.28
+    28  2.50 -> 2.22   12.8 -> 8.74
+    32  4.16 -> 3.06   20.7 -> 12.9
+
+On small grids the handover costs more than the halved stage saves (numpy
+keeps the GIL for short loops); abelian data, one coefficient, gains
+later than nonabelian data, and from 28^3 both gain.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .reporting import csv_text, finite_or_none
-from .torus import FORM_COEFF, TorusField, complex_connection, cs_functional, curvature, div_cov
+from .torus import (
+    FORM_COEFF, TorusField, cache_aligned, complex_connection, cs_functional, curvature, div_cov,
+)
 
 CFL_FACTOR = 0.2
 # the largest |residual| of lojasiewicz_fit's line that still fits one law:
 # the Nahm-pole flow (N = 6, dt = 0.05 h) reads 5e-6 to 5e-4 over 99 to 300
 # steps and 1.5 at 400, once its tail has left the Nahm sector
 FIT_SCATTER_TOL = 1e-2
+# grid points (N^3) from which a run splits each RK4 stage into two x1 slabs
+SLAB_SPLIT_MIN_POINTS = 28 ** 3
+
+_slab_worker = None  # the _SlabWorker of the second slab, made when a run first splits
 
 
 class CFLError(ValueError):
@@ -114,6 +168,84 @@ def _advance(Z, FZ, h, out):
     return out
 
 
+class _SlabWorker:
+    """One daemon thread that runs task(rows, *args) for run_flow's second
+    slab: start hands it a task, wait blocks until the task is done and
+    raises what it raised."""
+
+    def __init__(self):
+        self._job = None
+        self._go, self._done = threading.Semaphore(0), threading.Semaphore(0)
+        threading.Thread(target=self._serve, name="kwlab-slab", daemon=True).start()
+
+    def _serve(self):
+        while True:
+            self._go.acquire()
+            self._job = self._run(*self._job)  # drops the job, and its scratch
+            self._done.release()
+
+    @staticmethod
+    def _run(task, rows, args):
+        """None once task(rows, *args) is done, or what it raised."""
+        try:
+            # numpy's error state is per thread, and this one starts from
+            # the default, which warns: take run_flow's
+            with np.errstate(over="ignore", invalid="ignore"):
+                task(rows, *args)
+        except BaseException as exc:
+            return exc
+        return None
+
+    def start(self, task, rows, args):
+        self._job = task, rows, args
+        self._go.release()
+
+    def wait(self):
+        self._done.acquire()
+        if self._job is not None:
+            raise self._job
+
+
+def _forget_slab_worker():
+    global _slab_worker, _slab_lock
+    _slab_worker, _slab_lock = None, threading.Lock()
+
+
+_slab_lock = threading.Lock()  # one split stage at a time, whichever run it serves
+if hasattr(os, "register_at_fork"):
+    # a forked child has no worker thread, and may hold a copy of the lock
+    # taken: it starts afresh
+    os.register_at_fork(after_in_child=_forget_slab_worker)
+
+
+def _slabs(N: int) -> tuple[slice, slice] | None:
+    """The two x1 slabs of a run on the N^3 grid, rows [0, N/2) and
+    [N/2, N); None, one slab, below SLAB_SPLIT_MIN_POINTS or with fewer than
+    two CPUs to run on."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    if N ** 3 < SLAB_SPLIT_MIN_POINTS or cpus < 2:
+        return None
+    return slice(0, N // 2), slice(N // 2, N)
+
+
+def _on_slabs(slabs, task, *args):
+    """task(rows, *args) for both slabs, the second on the slab worker
+    (made on first use) while this thread runs the first; returns once both
+    are done."""
+    global _slab_worker
+    with _slab_lock:
+        if _slab_worker is None:
+            _slab_worker = _SlabWorker()
+        _slab_worker.start(task, slabs[1], args)
+        try:
+            task(slabs[0], *args)
+        finally:
+            _slab_worker.wait()
+
+
 def run_flow(F0: TorusField, config: FlowConfig) -> FlowTrace:
     """Integrate the ascending flow; returns the monitored trace.
 
@@ -124,11 +256,12 @@ def run_flow(F0: TorusField, config: FlowConfig) -> FlowTrace:
     first and last two steps carry zeros.
 
     The run carries Z = A + i a and evaluates torus.curvature once per RK4
-    stage.  Recording a state evaluates the curvature there, which is the k1
-    stage of the next RK4 step; that step takes it from the record instead
-    of evaluating it again.  The run stops at the first recorded state whose
-    cs or gradient norm is not finite: meta["status"] is then "diverged" and
-    meta["blowup_step"] that step (the trace ends with it), else "completed".
+    stage, on each slab (see the module docstring).  The curvature at a
+    recorded state is both what its monitors reduce and the k1 of the next
+    RK4 step, evaluated once for the two.  The run stops at the first
+    recorded state whose cs or gradient norm is not finite: meta["status"]
+    is then "diverged" and meta["blowup_step"] that step (the trace ends
+    with it), else "completed".
 
     When the sigma1 and sigma2 coefficients of A and a are all zero
     (meta["abelian"] is True) the run integrates the sigma3 coefficient alone
@@ -157,14 +290,13 @@ def run_flow(F0: TorusField, config: FlowConfig) -> FlowTrace:
     e_curl = np.zeros(n_rec)   # int |curl_A a|^2
     ei = np.zeros(n_rec)
     tf = np.zeros(n_rec)
-    ring = np.empty((5,) + Z.shape)  # the a of state i is in ring[i % 5]
+    ring = cache_aligned((5,) + Z.shape, float)  # the a of state i is in ring[i % 5]
 
     def record(i, FZ):
-        """Monitor state i; its curvature, the next step's k1, goes to FZ."""
+        """Monitor state i, whose curvature is FZ (the next step's k1)."""
         a = ring[i % 5]
         np.copyto(a, Z.imag)
         work = TorusField(F.N, F.L, Z.real, a, F.scheme)
-        curvature(work, Z, FZ)
         times[i] = i * dt
         cs[i] = cs_functional(work, FZ)
         # |Re F_Z|^2 and |Im F_Z|^2 side by side, summed over form and coefficient
@@ -197,17 +329,16 @@ def run_flow(F0: TorusField, config: FlowConfig) -> FlowTrace:
     def finite(i):
         return math.isfinite(cs[i]) and math.isfinite(gns[i])
 
-    meta = {"N": F0.N, "L": F0.L, "dt": dt, "scheme": F0.scheme, "abelian": abelian,
-            "status": "completed"}
-    # a diverging run overflows on its way to the state that stops it; the
-    # status below reports that instead of numpy's warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        # RK4 in three arrays, reused at every step: ksum starts as k1, the
-        # record's curvature, and sums k1 + 2 k2 + 2 k3 + k4 in that order
-        ksum, k, stage = (np.empty_like(Z) for _ in range(3))
-        record(0, ksum)
-        last = 0
-        while last < config.steps and finite(last):
+    # RK4 in three arrays, reused at every step: ksum starts as k1, the
+    # record's curvature, and sums k1 + 2 k2 + 2 k3 + k4 in that order
+    ksum, k, stage = (cache_aligned(Z.shape, Z.dtype) for _ in range(3))
+    slabs = _slabs(F.N)
+    if slabs is None:
+        def at_state():  # the curvature at Z: the record's, and k1
+            curvature(F, Z, ksum)
+
+        def step():
+            nonlocal Z, k, ksum, stage
             curvature(F, _advance(Z, ksum, 0.5 * dt, stage), k)  # k2
             _advance(Z, k, 0.5 * dt, stage)
             k *= 2
@@ -218,7 +349,60 @@ def run_flow(F0: TorusField, config: FlowConfig) -> FlowTrace:
             ksum += k
             ksum += curvature(F, stage, k)  # k4
             Z, stage = _advance(Z, ksum, dt / 6.0, stage), Z
+    else:
+        # the same step as stages on the x1 rows r of every array, each done
+        # on both slabs before the next starts; the slabs share curvature's
+        # scratch, taken here for each curvature stage
+        def scratch():
+            return np.empty((4,) + Z.shape[2:], Z.dtype)
+
+        def k1(r, d):  # the curvature at Z, then the first stage point
+            curvature(F, Z, ksum, r, d)
+            _advance(Z[:, :, r], ksum[:, :, r], 0.5 * dt, stage[:, :, r])
+
+        def k23(r, d):
+            curvature(F, stage, k, r, d)
+
+        def step_to(h):
+            def add(r):  # the stage point Z + h k, and 2 k into the sum
+                kr, sr = k[:, :, r], ksum[:, :, r]
+                _advance(Z[:, :, r], kr, h, stage[:, :, r])
+                kr *= 2
+                sr += kr
+            return add
+
+        half_step, full_step = step_to(0.5 * dt), step_to(dt)
+
+        def k4(r, d):  # k4, then the new state, into k's rows (k is free again)
+            curvature(F, stage, k, r, d)
+            kr, sr = k[:, :, r], ksum[:, :, r]
+            sr += kr
+            _advance(Z[:, :, r], sr, dt / 6.0, kr)
+
+        def at_state():
+            _on_slabs(slabs, k1, scratch())
+
+        def step():
+            nonlocal Z, k
+            _on_slabs(slabs, k23, scratch())  # k2
+            _on_slabs(slabs, half_step)
+            _on_slabs(slabs, k23, scratch())  # k3
+            _on_slabs(slabs, full_step)
+            _on_slabs(slabs, k4, scratch())
+            Z, k = k, Z
+
+    meta = {"N": F0.N, "L": F0.L, "dt": dt, "scheme": F0.scheme, "abelian": abelian,
+            "status": "completed"}
+    # a diverging run overflows on its way to the state that stops it; the
+    # status below reports that instead of numpy's warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        at_state()
+        record(0, ksum)
+        last = 0
+        while last < config.steps and finite(last):
+            step()
             last += 1
+            at_state()
             record(last, ksum)
     if not finite(last):
         meta.update(status="diverged", blowup_step=last)

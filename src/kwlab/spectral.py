@@ -437,10 +437,13 @@ def radial_closed_form(kind: str, x, lam, k: float = 1.0):
     return c * fn(1.5 - lam, z), sign * math.copysign(1.0, k) * c * fn(0.5 - lam, z)
 
 
-def radial_ode_solve(lam: float, k: float, x_range=(0.1, 10.0), init=None,
+def radial_ode_solve(lam: float, k: float, x_range=None, init=None,
                      n_out: int = 400) -> RadialODEState:
     """Integrate the radial system from x_range[0] to x_range[1].
 
+    x_range defaults to (0.1/|k|, 10/|k|): the system is invariant under
+    (x, k) -> (x/c, c k) (see radial_admissible), so at every |k| that window
+    spans the same part of the solution, from x|k| = 0.1 to 10.
     init is (a, b) at the left endpoint; it defaults to the lambda = 1
     decaying pair (1/x) e^{-|k| x} (1, sgn k) there, for every lambda.  The
     returned state carries the residual of the conservation identity
@@ -453,10 +456,10 @@ def radial_ode_solve(lam: float, k: float, x_range=(0.1, 10.0), init=None,
     """
     if k == 0:
         raise ValueError("need k != 0")
-    x0, x1 = x_range
+    x0, x1 = (0.1 / abs(k), 10.0 / abs(k)) if x_range is None else x_range
     if init is None:
         init = radial_closed_form("decaying", x0, 1.0, k)
-    sol = _block_solve(np.array([1.0 - lam]), k, x_range, x0 * np.asarray(init, dtype=float))
+    sol = _block_solve(np.array([1.0 - lam]), k, (x0, x1), x0 * np.asarray(init, dtype=float))
 
     def ab(x):
         return sol.sol(np.log(x)) / x

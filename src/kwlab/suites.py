@@ -24,7 +24,7 @@ from .modes import (
 from .reporting import CheckResult, SuiteReport
 from .torus import (
     TorusField, b_field, comm, cs_functional, dot, gauge_transform, gradient_check,
-    random_field, stencil_wavenumber,
+    random_field, stencil_symbol, stencil_wavenumber,
 )
 
 SUITE_NAMES = ("algebra", "clifford", "model", "operator", "spectral", "flow-smoke")
@@ -446,6 +446,43 @@ def richardson_gradient_check(F: TorusField, direction) -> CheckResult:
         err, 1e-6)
 
 
+def stencil_symbol_check(N: int = 12, L: float = 2 * math.pi) -> CheckResult:
+    """TorusField.deriv against the closed-form symbol of each scheme.
+
+    sin(m w x_i) and cos(m w x_i), w = 2 pi / L, at every wavenumber
+    1 <= m < N/2, are differentiated along each axis i, as a real pair
+    (sin, cos) and as the complex e^{i m w x_i}, over the whole grid and as
+    two x1 slabs, under fd4 and spectral differences.  Each result must be
+    the symbol s_m (torus.stencil_symbol) times the derivative's mode,
+    (s_m cos, -s_m sin) and i s_m e^{i m w x_i}; the metric is the largest
+    error relative to |s_m|.  Every rate check reads the same closed form
+    through stencil_wavenumber, so a wrong matrix shows here.
+    """
+    m = np.arange(1, (N + 1) // 2)
+    theta = 2 * math.pi / N * np.arange(N)
+    halves = (slice(0, N // 2), slice(N // 2, N))
+    worst = 0.0
+    for scheme in ("fd4", "spectral"):
+        F = TorusField(N, L, scheme=scheme)
+        sym = stencil_symbol(scheme, N, L, m)[:, None, None, None]
+        for i in range(3):
+            axis = [1, 1, 1]
+            axis[i] = N
+            mx = np.broadcast_to((m[:, None] * theta).reshape((len(m), *axis)),
+                                 (len(m), N, N, N))
+            sin, cos = np.sin(mx), np.cos(mx)
+            for f, want in ((np.stack([sin, cos]), sym * np.stack([cos, -sin])),
+                            (cos + 1j * sin, sym * (1j * cos - sin))):
+                slabs = np.empty_like(f)
+                for rows in halves:
+                    F.deriv(f, i, out=slabs[..., rows, :, :], rows=rows)
+                for got in (F.deriv(f, i), slabs):
+                    worst = max(worst, float(np.max(np.abs(got - want) / np.abs(sym))))
+    return CheckResult.from_bound(
+        "stencil_symbol", "deriv of every sub-Nyquist mode is its closed-form symbol",
+        worst, 1e-12)
+
+
 def gauge_invariance_check(F: TorusField) -> CheckResult:
     """cs before and after a fixed smooth gauge transformation of F.
 
@@ -518,6 +555,7 @@ def flow_smoke_suite(seed: int) -> list[CheckResult]:
     except ValueError:
         unguarded = 0.0
     out.append(CheckResult.from_bound("cfl_guard", "plumbing", unguarded, 0.0))
+    out.append(stencil_symbol_check())
     F = random_field(rng, 12, amplitude=5e-2)
     d = (random_field(rng, 12, amplitude=1.0).A, random_field(rng, 12, amplitude=1.0).a)
     out.append(richardson_gradient_check(F, d))

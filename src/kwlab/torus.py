@@ -17,11 +17,22 @@ has a zero factor.
 
 Every derivative takes one path, TorusField.deriv: the field, one slot or
 several stacked on its leading axes, is contracted along the grid axis with
-a cached, read-only (N, N) periodic differentiation matrix D, one real BLAS
-matmul per call (diff_matrix; deriv_matrices is deriv's one cached lookup).
-A complex field is contracted on its float view, where the real and
-imaginary parts of each value sit side by side: along x1 and x2 with D,
-along x3 with the pair matrix kron(D, I_2).  The scheme picks the matrix:
+a cached, read-only (N, N) periodic differentiation matrix D, one real
+matrix product per call (diff_matrix; deriv_matrices is deriv's one cached
+lookup).  A complex field is contracted on its float view, where the real
+and imaginary parts of each value sit side by side: along x1 and x2 with D,
+along x3 with the pair matrix kron(D, I_2).  deriv can also give the
+derivative at a slab of x1 rows alone (its rows argument): along x1 that
+is D's slab rows times every row of the field, along x2 and x3 the slab's
+own rows, so two slabs computed at once (flow.run_flow's two threads) read
+the field and write disjoint rows.  The product goes in blocks of at most
+SERIAL_GEMM_MNK = 2^18 multiply-adds (serial_matmul), bit for bit the
+whole product, because OpenBLAS runs such a gemm on the calling thread: a
+larger one wakes OpenBLAS's own worker, which keeps spinning on the second
+core after the product, where the flow's second slab runs.  Up to N = 19
+every product is whole, and up to N = 32 along x2 and x3; at N = 32 a
+complex field's x1 product, (32, 32) by (32, 2048), is 8 blocks, and a
+slab's 4.  The scheme picks the matrix:
 
     fd4       the circulant of the 4th-order centered stencil
               (f_{n-2} - 8 f_{n-1} + 8 f_{n+1} - f_{n+2}) / (12 h), the default;
@@ -130,24 +141,90 @@ def diff_matrix(scheme: str, N: int, L: float) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=64)
-def deriv_matrices(scheme: str, N: int, L: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(D, D.T, kron(D, I_2).T) for D = diff_matrix(scheme, N, L), the one
-    cached lookup of TorusField.deriv: D multiplies from the left along x1
-    and x2; along x3 a real field is multiplied from the right by D.T, and
-    the float view of a complex field, whose last axis interleaves the real
-    and imaginary parts, by the pair matrix kron(D, I_2).T.  All read-only;
-    both transposes are C-contiguous, as the Fortran order of D and of the
-    pair matrix makes them."""
+def deriv_matrices(scheme: str, N: int, L: float):
+    """(D, D.T, kron(D, I_2).T, matmul) for D = diff_matrix(scheme, N, L),
+    the one cached lookup of TorusField.deriv: D multiplies from the left
+    along x1 and x2; along x3 a real field is multiplied from the right by
+    D.T, and the float view of a complex field, whose last axis interleaves
+    the real and imaginary parts, by the pair matrix kron(D, I_2).T.  All
+    read-only; both transposes are C-contiguous, as the Fortran order of D
+    and of the pair matrix makes them.  matmul makes the products:
+    np.matmul while none on the grid exceeds SERIAL_GEMM_MNK (the largest,
+    x1 on a complex field, has N N 2N^2 multiply-adds: so up to N = 19),
+    serial_matmul above."""
     D = diff_matrix(scheme, N, L)
     P = np.asfortranarray(np.kron(D, np.eye(2)))
     P.flags.writeable = False
-    return D, D.T, P.T
+    return D, D.T, P.T, np.matmul if 2 * N ** 4 <= SERIAL_GEMM_MNK else serial_matmul
 
 
 def stencil_wavenumber(scheme: str, N: int, L: float) -> float:
-    """k~, the scheme's derivative of sin(2 pi x / L) at x = 0: 2 pi / L for
-    'spectral', 0.99757510 for 'fd4' at N = 12, L = 2 pi."""
-    return float(diff_matrix(scheme, N, L)[0] @ np.sin(2 * math.pi / N * np.arange(N)))
+    """k~, the scheme's derivative of sin(2 pi x / L) at x = 0, in closed
+    form: (8 sin kh - sin 2kh) / (6 h) with k = 2 pi / L for 'fd4'
+    (0.99757510 at N = 12, L = 2 pi), and 2 pi / L itself for 'spectral'."""
+    return stencil_symbol(scheme, N, L, 1)
+
+
+def stencil_symbol(scheme: str, N: int, L: float, m) -> np.ndarray | float:
+    """The real symbol of diff_matrix(scheme, N, L) at the integer
+    wavenumbers m (|m| < N / 2), in closed form: D maps sin(m w x) to
+    s cos(m w x) and cos(m w x) to -s sin(m w x), w = 2 pi / L, with
+
+        fd4       s = (8 sin(m w h) - sin(2 m w h)) / (6 h),
+        spectral  s = m w (exact below Nyquist).
+
+    Computed from the grid angle 2 pi m / N, so without reading D."""
+    h = L / N
+    theta = 2.0 * math.pi / N * np.asarray(m, dtype=float)
+    if scheme == "fd4":
+        s = (8.0 * np.sin(theta) - np.sin(2.0 * theta)) / (6.0 * h)
+    elif scheme == "spectral":
+        s = theta / h
+    else:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    return float(s) if s.ndim == 0 else s
+
+
+# OpenBLAS runs a gemm on the calling thread alone when m n k is at most
+# SMP_THRESHOLD_MIN x GEMM_MULTITHREAD_THRESHOLD = 65536 x 4, its defaults;
+# above that it may wake its own workers, which then spin on the other core
+SERIAL_GEMM_MNK = 1 << 18
+
+
+def gemm_blocks(fixed: int, size: int) -> int:
+    """The fewest blocks, a divisor of size, into which to cut one dimension
+    of a gemm whose other two multiply to fixed, so that each block's
+    m n k = fixed size / blocks is within SERIAL_GEMM_MNK."""
+    nb = -(-fixed * size // SERIAL_GEMM_MNK)
+    while size % nb:
+        nb += 1
+    return nb
+
+
+def serial_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """np.matmul(a, b, out) for stacks of real matrices, as gemm calls that
+    OpenBLAS runs on the calling thread: a product of more than
+    SERIAL_GEMM_MNK multiply-adds goes in blocks of b's columns, or of a's
+    rows when b is one matrix shared by the stack (gemm_blocks).  Each
+    block is a slice of the whole product, so the result is the same bit
+    for bit.  At N = 32 the x1 product of a complex field, (32, 32) by
+    (32, 2048), goes in 8 blocks, and half its rows (a slab of
+    flow.run_flow) in 4; the x2 and x3 products stay whole up to N = 32."""
+    m, k = a.shape[-2:]
+    n = b.shape[-1]
+    if m * k * n <= SERIAL_GEMM_MNK:
+        return np.matmul(a, b, out=out)
+    if out is None:
+        out = np.empty(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (m, n))
+    if b.ndim == 2:  # blocks of a's rows
+        nb = gemm_blocks(k * n, m)
+        np.matmul(a.reshape(a.shape[:-2] + (nb, -1, k)), b,
+                  out=out.reshape(out.shape[:-2] + (nb, -1, n), copy=False))
+    else:  # blocks of b's columns
+        nb = gemm_blocks(m * k, n)
+        np.matmul(a, b.reshape(b.shape[:-1] + (nb, -1)).swapaxes(-3, -2),
+                  out=out.reshape(out.shape[:-1] + (nb, -1), copy=False).swapaxes(-3, -2))
+    return out
 
 
 @dataclass
@@ -179,9 +256,10 @@ class TorusField:
     def copy(self) -> "TorusField":
         return TorusField(self.N, self.L, self.A.copy(), self.a.copy(), self.scheme)
 
-    def deriv(self, f: np.ndarray, i: int, out: np.ndarray | None = None) -> np.ndarray:
+    def deriv(self, f: np.ndarray, i: int, out: np.ndarray | None = None,
+              rows: slice | None = None) -> np.ndarray:
         """d f / d x_{i+1} on the last three axes (periodic): f contracted
-        with diff_matrix(scheme, N, L) along that axis, one real matmul,
+        with diff_matrix(scheme, N, L) along that axis, one real product,
         written to out (f's shape and dtype) when given.
 
         f may stack several slots on its leading axes, at any strides, such
@@ -192,8 +270,19 @@ class TorusField:
         make a copy.  A complex f is differentiated on its float view,
         where the real and imaginary parts of each value sit side by side;
         along x3 that view takes the pair matrix kron(D, I_2) in place of D.
+
+        rows, a slice of the x1 axis, gives the derivative at those x1 rows
+        alone: out (or the result) then has the shape of f[..., rows, :, :].
+        Along x1 f still supplies every row, and D's rows `rows` multiply
+        it; along x2 and x3 only f[..., rows, :, :] is read.
+
+        The product is serial_matmul's, in blocks small enough that OpenBLAS
+        runs each on the calling thread; up to N = 19, where no product
+        of the grid is that large, it is np.matmul's (deriv_matrices).
         """
-        D, DT, PT = deriv_matrices(self.scheme, self.N, self.L)
+        D, DT, PT, matmul = deriv_matrices(self.scheme, self.N, self.L)
+        if rows is not None and i:
+            f = f[..., rows, :, :]
         pairs = f.dtype.kind == "c"
         v, o, MT = f, out, DT
         if pairs:
@@ -201,14 +290,16 @@ class TorusField:
             o = None if out is None else out.view(float)
             MT = PT
         if i == 2:
-            o = np.matmul(v, MT, out=o)
+            o = matmul(v, MT, out=o)
         elif i == 1:
-            o = np.matmul(D, v, out=o)
-        else:  # x1: D times each (x1, x2 x3) matrix
-            rows = v.shape[:-3] + (self.N, -1)
-            o = np.matmul(D, v.reshape(rows),
-                          out=None if o is None else o.reshape(rows, copy=False))
-            o = o.reshape(v.shape)
+            o = matmul(D, v, out=o)
+        else:  # x1: D (or its rows) times each (x1, x2 x3) matrix
+            if rows is not None:
+                D = D[rows]
+            o = matmul(D, v.reshape(v.shape[:-3] + (self.N, -1)),
+                       out=None if o is None else o.reshape(o.shape[:-3] + (len(D), -1),
+                                                            copy=False))
+            o = o.reshape(v.shape[:-3] + (len(D),) + v.shape[-2:])
         if out is not None:
             return out
         return o.view(complex) if pairs else o
@@ -260,21 +351,41 @@ def div_cov(F: TorusField, u: np.ndarray) -> np.ndarray:
     return acc
 
 
+def cache_aligned(shape: tuple, dtype) -> np.ndarray:
+    """An uninitialised C-contiguous array whose data starts on a 64-byte
+    (cache line) boundary; numpy's allocator guarantees 16 bytes.  The
+    flow's working arrays are made so, for its elementwise passes run
+    measurably slower where a field straddles cache lines: a 200-step run
+    on flow_n16_abelian's data took 4-8% longer with the heap's placement,
+    which shifts with any change to the sources, than with these."""
+    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+    buf = np.empty(nbytes + 64, np.uint8)
+    start = -buf.ctypes.data % 64
+    return buf[start:start + nbytes].view(dtype).reshape(shape)
+
+
 def complex_connection(F: TorusField) -> np.ndarray:
-    """Z = A + i a, a new C-contiguous complex array of F's field shape."""
-    Z = np.empty(F.A.shape, complex)
+    """Z = A + i a, a new C-contiguous, cache-aligned complex array of F's
+    field shape."""
+    Z = cache_aligned(F.A.shape, complex)
     Z.real, Z.imag = F.A, F.a
     return Z
 
 
 def curvature(F: TorusField, Z: np.ndarray | None = None,
-              out: np.ndarray | None = None) -> np.ndarray:
+              out: np.ndarray | None = None, rows: slice | None = None,
+              scratch: np.ndarray | None = None) -> np.ndarray:
     """F_Z = dZ + Z wedge Z of the complex connection Z = A + i a:
     (F_Z)_k = d_i Z_j - d_j Z_i + [Z_i, Z_j] over the cyclic (k, i, j).
 
     Re F_Z = B - star(a wedge a) and Im F_Z = curl_A a.  Z is F's unless
     given, as a complex array of F's field shape on F's grid; the result is
-    written to out (C-contiguous, Z's shape) when given.
+    written to out (C-contiguous, Z's shape) when given.  With rows, a
+    slice of the x1 axis, only out[:, :, rows] is computed and written: Z is
+    read at every x1 row by the x1 derivatives and at those rows elsewhere,
+    so two calls on disjoint rows may run at once (flow.run_flow's slabs).
+    scratch, four complex slots of the grid's shape (4, N, N, N), is used
+    at those rows, so such calls may share one; a new one when None.
 
     The derivatives go one sigma coefficient s at a time, one
     TorusField.deriv call per axis, each differentiating the two form
@@ -299,17 +410,21 @@ def curvature(F: TorusField, Z: np.ndarray | None = None,
         Z = complex_connection(F)
     if out is None:
         out = np.empty_like(Z)
-    d = np.empty((4,) + Z.shape[2:], Z.dtype)
+    z, o = (Z, out) if rows is None else (Z[:, :, rows], out[:, :, rows])
+    if scratch is None:
+        d = np.empty((4,) + z.shape[2:], Z.dtype)
+    else:
+        d = scratch if rows is None else scratch[:, rows]
     for s in range(Z.shape[1]):
-        F.deriv(Z[1:3, s], 0, out=out[2:0:-1, s])
-        F.deriv(Z[::2, s], 1, out=d[0:2])  # d_1 Z_0, d_1 Z_2
-        F.deriv(Z[0:2, s], 2, out=d[2:4])  # d_2 Z_0, d_2 Z_1
-        out[2, s] -= d[0]
-        np.subtract(d[2], out[1, s], out=out[1, s])
-        np.subtract(d[1], d[3], out=out[0, s])
+        F.deriv(Z[1:3, s], 0, out=o[2:0:-1, s], rows=rows)
+        F.deriv(z[::2, s], 1, out=d[0:2])  # d_1 Z_0, d_1 Z_2
+        F.deriv(z[0:2, s], 2, out=d[2:4])  # d_2 Z_0, d_2 Z_1
+        o[2, s] -= d[0]
+        np.subtract(d[2], o[1, s], out=o[1, s])
+        np.subtract(d[1], d[3], out=o[0, s])
     if Z.shape[1] > 1:
         for k, i, j in CYCLIC:
-            out[k] += comm(Z[i], Z[j], d[:3])
+            o[k] += comm(z[i], z[j], d[:3])
     return out
 
 

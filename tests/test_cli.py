@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from kwlab.cli import main
@@ -128,6 +129,20 @@ def test_spectral_ode_large_k_gives_a_verdict(k, tmp_path, capsys):
     rep = json.loads(stdout)
     assert rep["admissible"] is True and rep["k"] == float(k)
     assert out.read_text().startswith("x,a,b")
+
+
+def test_spectral_ode_window_follows_k(tmp_path, capsys):
+    # the default window is (0.1/|k|, 10/|k|): at k = 1000 the CSV holds the
+    # decaying pair (1/x) e^{-|k| x} (1, 1) down to x = 0.01, where a window
+    # fixed at (0.1, 10) held sign-changing integration noise near 1e-300
+    out = tmp_path / "ode.csv"
+    code, stdout, _ = run(["spectral", "ode", "--lambda", "1", "--k", "1000",
+                           "--out", str(out)], capsys)
+    assert code == 0 and json.loads(stdout)["admissible"] is True
+    x, a, b = np.loadtxt(out, delimiter=",", skiprows=1).T
+    assert x[0] == pytest.approx(1e-4) and x[-1] == pytest.approx(1e-2)
+    assert np.all(a > 0) and np.array_equal(a, b)
+    assert np.allclose(a, np.exp(-1000 * x) / x, rtol=1e-6, atol=0)
 
 
 def test_spectral_hemisphere_csv(tmp_path, capsys):
@@ -266,7 +281,10 @@ def test_flow_config_usage_errors(override, tmp_path, capsys):
 
 def test_flow_run_identical_across_blas_threads(tmp_path):
     # the derivatives run inside OpenBLAS; its thread count must not change
-    # a byte of the outputs (N = 32 is above OpenBLAS's threading threshold).
+    # a byte of the outputs.  At N = 32 each product is cut into blocks below
+    # OpenBLAS's threading threshold (torus.SERIAL_GEMM_MNK), and the run
+    # splits its RK4 stages into two x1 slabs on two threads; a product that
+    # reached the threshold again would be run on OpenBLAS's own threads.
     # abelian data takes the sigma3-coefficient path with its own reductions
     root = Path(__file__).resolve().parents[1]
     for init in ("random", "abelian"):
@@ -284,6 +302,15 @@ def test_flow_run_identical_across_blas_threads(tmp_path):
             outputs.append([(out / name).read_bytes()
                             for name in ("trace.csv", "summary.json")])
         assert outputs[0] == outputs[1], init
+
+
+def test_python_dash_m_kwlab_runs_the_command_line(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-m", "kwlab", "verify", "algebra"], env=env,
+                          cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["suite"] == "algebra"
 
 
 def test_flow_cfl_rejection(tmp_path, capsys):

@@ -1,9 +1,13 @@
-"""Start-up cost: scipy loads only when a spectral solver runs.
+"""Start-up cost: scipy loads only when a spectral solver runs, and
+concurrent.futures not at all.
 
 Importing scipy.integrate takes most of a cold `import kwlab.cli`, and only
 the spectral solvers use it, so every other command must leave scipy
+unloaded.  concurrent.futures costs about 6 ms to import; the one thread
+kwlab starts (the second slab of a flow at N^3 >= flow.SLAB_SPLIT_MIN_POINTS)
+is a plain threading.Thread, so the import and a small flow leave it
 unloaded.  Each stage runs in one fresh interpreter, in order, and reports
-the scipy modules loaded after it.
+the modules of both kinds loaded after it.
 """
 
 import json
@@ -22,19 +26,25 @@ def scipy_modules():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
 
-loaded = {}
+def futures_modules():
+    return sorted(m for m in sys.modules if m.startswith("concurrent"))
+
+
+loaded, futures = {}, {}
 import kwlab.cli
 
 loaded["import"] = scipy_modules()
+futures["import"] = futures_modules()
 codes = {"algebra": kwlab.cli.main(["verify", "algebra", "--seed", "1",
                                     "--out", out + "/algebra.json"])}
 loaded["verify algebra"] = scipy_modules()
 codes["flow"] = kwlab.cli.main(["flow", "run", "--config", cfg, "--out", out + "/flow"])
 loaded["flow run"] = scipy_modules()
+futures["flow run"] = futures_modules()
 codes["spectral"] = kwlab.cli.main(["verify", "spectral", "--seed", "1",
                                     "--out", out + "/spectral.json"])
 loaded["verify spectral"] = scipy_modules()
-print(json.dumps({"loaded": loaded, "codes": codes}))
+print(json.dumps({"loaded": loaded, "futures": futures, "codes": codes}))
 """
 
 
@@ -53,5 +63,6 @@ def test_scipy_loads_only_for_the_spectral_solvers(tmp_path):
     for stage in ("import", "verify algebra", "flow run"):
         assert loaded[stage] == [], f"{stage} loaded {loaded[stage]}"
     assert "scipy.integrate" in loaded["verify spectral"]
+    assert result["futures"] == {"import": [], "flow run": []}
     assert (tmp_path / "flow" / "summary.json").is_file()
     assert json.loads((tmp_path / "spectral.json").read_text())["n_fail"] == 0

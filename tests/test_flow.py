@@ -1,6 +1,10 @@
 import functools
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -535,3 +539,182 @@ def test_trace_is_the_six_product_step_with_summed_monitors(monkeypatch, data):
     once = [torus.FORM_COEFF, torus.FORM_COEFF, "c...,c...->...", torus.FORM_COEFF]
     assert calls == [spec for i in range(steps + 1)
                      for spec in once + ["fc...,fc...->c..."] * (i >= 4)]
+
+
+def _slab_runs(monkeypatch, F, cfg):
+    """run_flow as two x1 slabs and as one, each forced through the
+    crossover (and two CPUs to split onto, whatever the machine has); also
+    the rows of every curvature call of the split run."""
+    import kwlab.flow
+
+    rows = []
+    exact = torus.curvature
+
+    def logged(F, Z=None, out=None, slab=None, scratch=None):
+        rows.append(slab)
+        return exact(F, Z, out, slab, scratch)
+
+    monkeypatch.setattr(kwlab.flow.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(kwlab.flow, "curvature", logged)
+    monkeypatch.setattr(kwlab.flow, "SLAB_SPLIT_MIN_POINTS", 0)
+    split = run_flow(F, cfg)
+    split_rows = rows[:]
+    monkeypatch.setattr(kwlab.flow, "SLAB_SPLIT_MIN_POINTS", F.N ** 3 + 1)
+    rows.clear()
+    whole = run_flow(F, cfg)
+    assert rows == [None] * len(rows)
+    return split, whole, split_rows
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", ["n32_random", "n32_abelian", "diverging"])
+def test_two_slab_run_is_the_one_slab_run(monkeypatch, case):
+    # each slab runs curvature and the stage updates on its own x1 rows, with
+    # a barrier after each stage: the trace is the one-slab trace bit for
+    # bit, and the worker thread's error state hides the diverging run's
+    # overflow as the main thread's does (warnings are errors here)
+    if case == "diverging":  # test_flow_run_diverged's config
+        F = random_field(np.random.default_rng(0), 8, amplitude=0.5)
+        cfg = FlowConfig(dt=0.02, steps=400)
+    elif case == "n32_random":
+        F = random_field(np.random.default_rng(5), 32, amplitude=0.01)
+        cfg = FlowConfig(dt=0.05 * F.h, steps=6)
+    else:
+        F = _sigma3_field(32)
+        cfg = FlowConfig(dt=0.05 * F.h, steps=6)
+    split, whole, rows = _slab_runs(monkeypatch, F, cfg)
+    n = F.N
+    halves = [slice(0, n // 2), slice(n // 2, n)]
+    assert sorted(rows, key=lambda r: r.start) == [h for h in halves
+                                                  for _ in range(1 + 4 * (len(split.times) - 1))]
+    for col in TRACE_COLUMNS:
+        assert np.array_equal(getattr(split, col), getattr(whole, col), equal_nan=True), col
+    assert split.meta == whole.meta
+    if case == "diverging":
+        assert split.meta["status"] == "diverged" and 0 < split.meta["blowup_step"] < 400
+    else:
+        assert split.meta["status"] == "completed"
+
+
+def test_two_slab_run_steps_through_the_module_advance(monkeypatch):
+    # the slabs call flow._advance by its module name, on row views, so the
+    # flow_direction witness (every stage steps against the flow) reverses
+    # the split run as it does the one-slab run
+    from test_witnesses import flow_run_backwards
+
+    F = random_field(np.random.default_rng(2), 8, amplitude=0.05)
+    cfg = FlowConfig(dt=0.05 * F.h, steps=5)
+    split, _, _ = _slab_runs(monkeypatch, F, cfg)
+    flow_run_backwards(monkeypatch)
+    back, back_whole, _ = _slab_runs(monkeypatch, F, cfg)
+    assert monotone(split) and not monotone(back)
+    assert np.array_equal(back.cs, back_whole.cs)
+
+
+FORKED_SPLIT_RUN = r"""
+import os, signal
+import numpy as np
+from kwlab import flow
+from kwlab.torus import random_field
+
+os.sched_getaffinity = lambda pid: {0, 1}
+flow.SLAB_SPLIT_MIN_POINTS = 0
+F = random_field(np.random.default_rng(0), 8, amplitude=0.05)
+cfg = flow.FlowConfig(dt=0.05 * F.h, steps=3)
+cs = flow.run_flow(F, cfg).cs
+pid = os.fork()
+if pid == 0:
+    signal.alarm(30)  # a child left waiting on the parent's worker thread dies here
+    os._exit(0 if np.array_equal(flow.run_flow(F, cfg).cs, cs) else 3)
+print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_runs_a_split_flow(tmp_path):
+    # the fork copies the slab worker's executor but not its thread; the
+    # child must make a worker of its own rather than wait on that one
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-c", FORKED_SPLIT_RUN], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0"]
+
+
+def test_two_slab_run_raises_what_its_worker_raised(monkeypatch):
+    # an error in the worker's slab reaches the caller of run_flow, after
+    # both slabs have stopped, and the worker serves the next run
+    import kwlab.flow
+
+    F = random_field(np.random.default_rng(2), 8, amplitude=0.05)
+    cfg = FlowConfig(dt=0.05 * F.h, steps=3)
+    split, _, _ = _slab_runs(monkeypatch, F, cfg)
+    monkeypatch.setattr(kwlab.flow, "SLAB_SPLIT_MIN_POINTS", 0)
+    exact = torus.curvature
+
+    def upper_fails(F, Z=None, out=None, rows=None, scratch=None):
+        if rows is not None and rows.start:
+            raise FloatingPointError("planted")
+        return exact(F, Z, out, rows, scratch)
+
+    monkeypatch.setattr(kwlab.flow, "curvature", upper_fails)
+    with pytest.raises(FloatingPointError, match="planted"):
+        run_flow(F, cfg)
+    monkeypatch.setattr(kwlab.flow, "curvature", exact)
+    assert np.array_equal(run_flow(F, cfg).cs, split.cs)
+
+
+def test_two_slab_products_stay_below_the_blas_threading_threshold(monkeypatch):
+    # every gemm of a split N = 32 run, the slabs' derivatives and the
+    # record's div_cov alike, is small enough that OpenBLAS runs it on the
+    # calling thread
+    from types import SimpleNamespace
+
+    import kwlab.flow
+
+    sizes = []
+
+    def matmul(a, b, out=None):
+        sizes.append(a.shape[-2] * a.shape[-1] * b.shape[-1])
+        return np.matmul(a, b, out=out)
+
+    monkeypatch.setattr(torus, "np", SimpleNamespace(**{**vars(np), "matmul": matmul}))
+    monkeypatch.setattr(kwlab.flow.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    F = random_field(np.random.default_rng(5), 32, amplitude=0.01)
+    run_flow(F, FlowConfig(dt=0.05 * F.h, steps=2))
+    assert sizes and max(sizes) <= torus.SERIAL_GEMM_MNK
+    assert max(sizes) == torus.SERIAL_GEMM_MNK  # the slab's x1 blocks, (16, 32) by (32, 512)
+
+
+def test_two_slab_runs_agree_under_fast_thread_switching(monkeypatch):
+    # the slabs share every array and meet at a barrier after each stage, and
+    # concurrent runs share the one worker; with three runs at once on their
+    # own threads and the interpreter switching threads every microsecond, a
+    # stage that read rows the other slab had not finished, or had
+    # overwritten, or a worker taking two runs' stages at once, would change
+    # a trace.  Bounded: short runs at N = 8, each thread joined with a timeout
+    import threading
+
+    import kwlab.flow
+
+    F = random_field(np.random.default_rng(9), 8, amplitude=0.3)
+    cfg = FlowConfig(dt=0.05 * F.h, steps=8)
+    _, whole, _ = _slab_runs(monkeypatch, F, cfg)
+    monkeypatch.setattr(kwlab.flow, "SLAB_SPLIT_MIN_POINTS", 0)
+    traces = []
+    threads = [threading.Thread(target=lambda: traces.append(run_flow(F, cfg)), daemon=True)
+               for _ in range(3)]
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and len(traces) == 3
+    for split in traces:
+        for col in TRACE_COLUMNS:
+            assert np.array_equal(getattr(split, col), getattr(whole, col)), col

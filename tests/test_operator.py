@@ -335,7 +335,7 @@ def test_every_check_is_a_finite_bound(tmp_path, seed):
     out = tmp_path / "all.json"
     assert main(["all", "--seed", str(seed), "--out", str(out)]) == 0
     checks = json.loads(out.read_text())["checks"]
-    assert len(checks) == 120
+    assert len(checks) == 121
     for c in checks:
         assert c["metric"] is not None and c["tolerance"] is not None, c["check_id"]
         assert (c["status"] == "pass") == (c["metric"] <= c["tolerance"]), c["check_id"]

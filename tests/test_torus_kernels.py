@@ -263,10 +263,13 @@ def test_cs_functional_matches_the_b_field_formula(field):
     assert abs(cs_functional(F) - want) <= 1e-13 * abs(want)
 
 
-def curvature_six_products(F, Z=None, out=None):
+def curvature_six_products(F, Z=None, out=None, rows=None, scratch=None):
     """F_Z as six TorusField.deriv calls, each of one form component with
     every coefficient, and a comm per cyclic (k, i, j): the same arithmetic
-    as curvature, in the order it adds the terms; curvature's signature."""
+    as curvature, in the order it adds the terms; curvature's signature.
+    Every row at once: rows, curvature's x1 slab, must be None, and the
+    scratch it would share between slabs goes unused."""
+    assert rows is None
     if Z is None:
         Z = complex_connection(F)
     if out is None:
@@ -300,9 +303,9 @@ def _count_deriv(monkeypatch):
     calls = []
     exact = TorusField.deriv
 
-    def counted(self, f, i, out=None):
+    def counted(self, f, i, out=None, rows=None):
         calls.append(i)
-        return exact(self, f, i, out)
+        return exact(self, f, i, out, rows)
 
     monkeypatch.setattr(TorusField, "deriv", counted)
     return calls
@@ -323,10 +326,10 @@ def swap_x2_scratch_slots(monkeypatch):
     and the six-product loop are untouched."""
     exact = TorusField.deriv
 
-    def swapped(self, f, i, out=None):
+    def swapped(self, f, i, out=None, rows=None):
         if i == 1 and out is not None and len(out) == 2:
             out = out[::-1]
-        return exact(self, f, i, out)
+        return exact(self, f, i, out, rows)
 
     monkeypatch.setattr(TorusField, "deriv", swapped)
 
@@ -365,3 +368,28 @@ def test_deriv_of_stacked_slots_is_the_per_slot_deriv(complex_, c):
             want = [F.deriv(Z[m, s], i) for m in range(3)[pick]]
             assert np.array_equal(dest, np.stack(want)), (s, i)
             assert np.array_equal(F.deriv(f, i), dest), (s, i)
+
+
+@pytest.mark.parametrize("N", [24, 32])
+@pytest.mark.parametrize("complex_", [True, False])
+def test_blocked_products_are_the_whole_product(N, complex_):
+    # above SERIAL_GEMM_MNK deriv cuts its products into blocks; each block
+    # is a slice of the whole product, so every axis, whole or at a slab of
+    # x1 rows, equals one np.matmul bit for bit
+    rng = np.random.default_rng(4)
+    F = TorusField(N)
+    f = rng.normal(size=(2, N, N, N))
+    if complex_:
+        f = f + 1j * rng.normal(size=f.shape)
+    D = diff_matrix("fd4", N, F.L)
+    v = f.view(float) if complex_ else f
+    pair = np.kron(D, np.eye(2)) if complex_ else D
+    whole = [np.matmul(D, v.reshape(2, N, -1)).reshape(v.shape),
+             np.matmul(D, v), np.matmul(v, np.asfortranarray(pair).T)]
+    for i, ref in enumerate(whole):
+        ref = ref.view(complex) if complex_ else ref
+        assert np.array_equal(F.deriv(f, i), ref), i
+        out = np.empty_like(f)
+        for rows in (slice(0, N // 2), slice(N // 2, N)):
+            F.deriv(f, i, out=out[:, rows], rows=rows)
+        assert np.array_equal(out, ref), i

@@ -99,6 +99,7 @@ CENSUS = {
     "spectral.radial_admissibility": ("test", RADIAL),
     "flow-smoke.zero_fixed_point": ("reason", UNPLANTED + "0.0 against 1e-14"),
     "flow-smoke.cfl_guard": ("reason", "plumbing: the guard raising is the check itself"),
+    "flow-smoke.stencil_symbol": ("witness", "stencil"),
     "flow-smoke.gradient_check":
         ("test", "test_flow::test_flow_smoke_gradient_check_catches_wrong_gradient"),
     "flow-smoke.gauge_invariance":
