@@ -30,7 +30,6 @@ from . import spectral as spectral_mod
 from .backgrounds import make_background
 from .flow import CFLError, FlowConfig, lojasiewicz_fit, run_flow
 from .modes import positive_spectrum_field
-from .operator import smallest_nonzero_symbol_eig
 from .reporting import SuiteReport, csv_text, json_text
 from .suites import (
     SUITE_NAMES, exclusion_checks, flow_checks, hardy_checks, hemisphere_checks, run_suite,
@@ -266,7 +265,8 @@ def _cmd_flow(args) -> int:
         summary["lojasiewicz_fit"] = lojasiewicz_fit(trace)
     except ValueError as exc:
         summary["lojasiewicz_fit"] = {"status": str(exc)}
-    summary["linear_gap"] = smallest_nonzero_symbol_eig(1, cfg["L"])
+    # the smallest nonzero |eigenvalue| of the mode symbol, |k| 2 pi / L at |k| = 1
+    summary["linear_gap"] = 2 * math.pi / cfg["L"]
     # |grad cs|^2 of the lowest mode decays at twice the stencil's k~, not 2 pi / L
     summary["predicted_linear_deficit_rate"] = 2.0 * stencil_wavenumber(F0.scheme, cfg["N"],
                                                                         cfg["L"])

@@ -19,6 +19,11 @@ and ad(xi) (a real 3x3 matrix in the sigma-coefficient basis) acts on the
 su(2) values.  Every endomorphism here is built on sigma coefficients, and
 ``ad_matrix`` and ``u_endo`` are batched, so the operator applies these same
 definitions at its points.
+
+The one such object that depends on a wavevector is ``fiber_symbol``, the
+24x24 matrix M(k; A0, a0) = sum_i gamma_i (x) (i w k_i + ad A0_i) +
+sum_i rho_i (x) ad a0_i, w = 2 pi / L, by which D's spatial part acts on the
+mode exp(i k.x) at a constant background (A0, a0) on the flat torus.
 """
 
 from __future__ import annotations
@@ -186,21 +191,34 @@ def u_endo(t, z1, z2) -> np.ndarray:
     return (t * np.eye(8) + z1 * GAMMA[0] + z2 * GAMMA[1]) / x
 
 
-def higgs_commutator_endo(a) -> np.ndarray:
-    """sum_i rho_i [a_i, .] as a 24x24 matrix; row i of the (3, 3) array a
-    holds the sigma coefficients of a_i."""
-    ads = ad_matrix(a)
-    out = np.zeros((24, 24))
-    for i in range(3):
-        out += np.kron(RHO[i].astype(float), ads[i])
-    return out
+def symbol(k, L: float = 2 * np.pi) -> np.ndarray:
+    """i (gamma . k) 2 pi / L: the Hermitian 8x8 mode symbol.  A stack of
+    wavevectors, shape (..., 3), gives a stack of symbols, (..., 8, 8)."""
+    w = 2 * np.pi / L
+    gk = np.einsum("...i,ijk->...jk", np.asarray(k), np.array(GAMMA))
+    return 1j * w * gk.astype(complex)
+
+
+def fiber_symbol(k, A0=None, a0=None, L: float = 2 * np.pi) -> np.ndarray:
+    """M(k; A0, a0) (module docstring), Hermitian for real k, A0 and a0; row
+    i of each (3, 3) array holds the sigma coefficients of its i-th
+    component, None standing for zero.  k of shape (..., 3) gives
+    (..., 24, 24).  Index 3 s + c is slot s, sigma coefficient c, as an
+    (8, 3) spinor value flattens."""
+    s8 = symbol(k, L)
+    m = s8[..., :, None, :, None] * _I3[:, None, :]  # kron(symbol, I3), unflattened
+    for mats, x in ((GAMMA, A0), (RHO, a0)):
+        if x is not None:
+            m = m + np.einsum("iab,icd->acbd", np.array(mats), ad_matrix(x))
+    return m.reshape(s8.shape[:-2] + (24, 24))
 
 
 def nahm_pole_endo(t: float) -> np.ndarray:
-    """rho_i [a_i, .] at the Nahm pole a_i = -sigma_i/(2t); symmetric 24x24."""
+    """rho_i [a_i, .] at the Nahm pole a_i = -sigma_i/(2t): the fiber symbol
+    at k = 0; symmetric 24x24."""
     if t <= 0:
         raise ValueError(f"need t > 0, got {t}")
-    return higgs_commutator_endo(-_I3 / (2.0 * t))
+    return fiber_symbol(np.zeros(3), a0=-_I3 / (2.0 * t)).real
 
 
 def nahm_pole_spectrum(t: float) -> tuple[np.ndarray, dict[float, int]]:

@@ -9,11 +9,11 @@ operator acts mode by mode through the Hermitian symbol
 
 with eigenvalues +-|k| 2 pi / L, so evolution, projections, and the inverse
 S^{-1} = S / |k 2 pi / L|^2 (off the kernel, which is exactly the k = 0
-block) are all exact.  ``symbol`` takes a stack of wavevectors, so each of
-these is one batched product over the modes.  Grid and mode data are one
-FFT pair: ``ModeVector.to_grid`` is the inverse FFT of the coefficients
-(wavevectors that alias on a small grid add) and ``from_grid`` reads the
-coefficients off the forward FFT.
+block) are all exact.  ``clifford.symbol`` takes a stack of wavevectors, so
+each of these is one batched product over the modes.  Grid and mode data
+are one FFT pair: ``ModeVector.to_grid`` is the inverse FFT of the
+coefficients (wavevectors that alias on a small grid add) and
+``from_grid`` reads the coefficients off the forward FFT.
 
 The quadratic coupling used by the fixed-point construction takes
 psi = (b, bt, c, ct) to
@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import CYCLIC
-from .clifford import GAMMA
+from .clifford import symbol
 from .torus import TorusField, comm
 
 
@@ -104,14 +104,6 @@ def from_grid(field8: np.ndarray, k_max: int, L: float = 2 * math.pi) -> ModeVec
     ks = k_lattice(k_max)
     i0, i1, i2 = (ks % N).T
     return ModeVector(ks, fk[..., i0, i1, i2].transpose(2, 0, 1), L)
-
-
-def symbol(k, L: float = 2 * math.pi) -> np.ndarray:
-    """i (gamma . k) 2 pi / L: the Hermitian 8x8 mode symbol.  A stack of
-    wavevectors, shape (..., 3), gives a stack of symbols, (..., 8, 8)."""
-    w = 2 * math.pi / L
-    gk = np.einsum("...i,ijk->...jk", np.asarray(k), np.array(GAMMA))
-    return 1j * w * gk.astype(complex)
 
 
 def linearized_decay(k_max: int, psi0: ModeVector, T: float, dt: float) -> dict:

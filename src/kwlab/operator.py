@@ -24,10 +24,10 @@ The formal L2 adjoint is D^dag = -grad_t + gamma_i grad_i + rho_i [a_i, .].
 Also here: the Weitzenbock remainder X of D^dag D (an 8x8 grid of su(2)
 entries of shape (..., 8, 8, 3) acting by commutator, rows/columns 3 and 8
 identically zero), the radial factorization operator Omega on x3-invariant
-sections, the automorphism Y with D Y = -Y D^dag, the flat-torus symbol
-spectrum of the spatial part, and quadrature checks (adjoint duality, the
-Pythagoras split of |D psi|^2, and the identification of the spatial part
-with the complexified exterior-derivative complex).
+sections, the automorphism Y with D Y = -Y D^dag, and quadrature checks
+(adjoint duality, the Pythagoras split of |D psi|^2, and the identification
+of the spatial part with the complexified exterior-derivative complex).
+The spatial part's symbol at a constant background is ``clifford.fiber_symbol``.
 
 Sections are given by values (``FuncSection``, differenced at a step h) or
 are the exact test fields ``TrigSection``, sums of amplitude x Gaussian x
@@ -43,7 +43,7 @@ import numpy as np
 
 from .algebra import CYCLIC, coeff_norm
 from .clifford import GAMMA, RHO, ad_matrix, q_endo, u_endo, y_auto_8
-from .modes import k_lattice, symbol
+
 
 def _signed_permutation(m) -> tuple[np.ndarray, np.ndarray]:
     """(sources, signs) of an integer matrix with exactly one nonzero entry
@@ -563,30 +563,6 @@ def y_intertwine(bg, sec, p, h: float) -> float:
     lhs = apply_D(bg, ysec, p, h, depiction="clifford")
     rhs = y_apply(apply_D_dagger(bg, sec, p, h))
     return spinor_max(lhs + rhs)
-
-
-# ---------------------------------------------------------------------------
-# Flat-torus symbol spectrum of the spatial part
-
-
-def lattice_L_spectrum(k_max: int, L: float = 2 * math.pi) -> list[dict]:
-    """Eigenvalues of the spatial-part symbol per Fourier mode |k|_inf <= k_max.
-
-    At the trivial background the symbol of gamma_i grad_i on the mode
-    exp(i k.x) is i (gamma . k) (2 pi / L), Hermitian with eigenvalues
-    +-|k| (2 pi / L); each value carries multiplicity 12 on the 24-dim
-    fiber (4 from the component index times 3 su(2) directions).
-    """
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
-    ks = k_lattice(k_max)
-    ev = np.repeat(np.linalg.eigvalsh(symbol(ks, L)), 3, axis=-1)
-    return [{"k": tuple(int(c) for c in k), "eigenvalues": e} for k, e in zip(ks, ev)]
-
-
-def smallest_nonzero_symbol_eig(k_max: int, L: float = 2 * math.pi) -> float:
-    ev = np.abs([e["eigenvalues"] for e in lattice_L_spectrum(k_max, L)])
-    return float(ev[ev > 1e-12].min())
 
 
 # ---------------------------------------------------------------------------

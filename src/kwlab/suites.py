@@ -15,7 +15,7 @@ import numpy as np
 
 from . import algebra, clifford, model, spectral
 from . import operator as op
-from .backgrounds import TrivialBackground, make_background
+from .backgrounds import TorusTrigBackground, TrivialBackground, make_background
 from .flow import FlowConfig, FlowTrace, lojasiewicz_fit, run_flow
 from .modes import (
     ModeVector, k_lattice, kuranishi_w, linearized_decay, positive_spectrum_field,
@@ -180,7 +180,35 @@ def clifford_suite(seed: int) -> list[CheckResult]:
     out.append(CheckResult.from_bound(
         "ad_matches_bracket", "ad(sigma_a) sigma_b = [sigma_a, sigma_b] on coefficients",
         ad_err, 1e-15))
+    out.append(flat_connection_kernel_check())
     return out
+
+
+def flat_connection_kernel_check() -> CheckResult:
+    """The fiber symbol's kernel at the flat connection A0 = theta sigma3 dx1.
+
+    Its sigma+- parts see k1 shifted by +-2 theta, so the eigenvalues are
+    +-|k| and +-|k +- 2 theta e1|.  Over |k|_inf <= 1 the kernel is
+    24-dimensional at theta = 1/2 (2 theta in Z: gauge equivalent to A0 = 0)
+    and 8-dimensional at theta = 0.1, where the smallest nonzero |eigenvalue|
+    is 2 theta = 0.2.  The metric adds the two count errors, integers, to
+    the eigenvalue's error, so a count off by one fails; eigenvalues below
+    1e-9 count as zero.
+    """
+    ks = k_lattice(1)
+    dims, gaps = {}, {}
+    for theta in (0.5, 0.1):
+        A0 = np.zeros((3, 3))
+        A0[0, 2] = theta
+        ev = np.abs(np.linalg.eigvalsh(clifford.fiber_symbol(ks, A0=A0)))
+        dims[theta] = int(np.sum(ev < 1e-9))
+        gaps[theta] = float(np.min(ev[ev >= 1e-9]))
+    return CheckResult.from_bound(
+        "flat_connection_kernel",
+        "at A0 = theta sigma3 dx1 the symbol kernel is 24-dim at theta = 1/2, 8-dim at 0.1, "
+        "with gap 2 theta",
+        abs(dims[0.5] - 24) + abs(dims[0.1] - 8) + abs(gaps[0.1] - 0.2), 1e-12,
+        location=f"kernel dims {dims[0.5]} and {dims[0.1]}, gap {gaps[0.1]:.6g} at theta = 0.1")
 
 
 def model_suite(seed: int, m: int = 1, samples: int = 200) -> list[CheckResult]:
@@ -330,15 +358,46 @@ def operator_suite(seed: int, background: str = "model:1",
     out.append(CheckResult.from_bound(
         "norm_split", "|D psi|^2 integrates to |grad_t psi|^2 + |L psi|^2",
         quad["pythagoras"]["rel_gap"], 1e-9))
-    spec = {tuple(e["k"]): e["eigenvalues"] for e in op.lattice_L_spectrum(1)}
+    ks = ((0, 0, 0), (1, 0, 0), (1, 1, 0))
+    spec = dict(zip(ks, np.linalg.eigvalsh(clifford.fiber_symbol(np.array(ks)))))
     # inf when a nonzero k has other than 12 positive eigenvalues
     spec_err = max(float(np.max(np.abs(np.abs(spec[k]) - math.hypot(*k))))
                    if not any(k) or np.sum(spec[k] > 0) == 12 else math.inf
-                   for k in ((0, 0, 0), (1, 0, 0), (1, 1, 0)))
+                   for k in ks)
     out.append(CheckResult.from_bound(
         "symbol_spectrum", "mode symbol eigenvalues are +-|k| with multiplicity 12",
         spec_err, 1e-12))
+    out.append(mode_symbol_check(rng))
     return out
+
+
+def mode_symbol_check(rng: np.random.Generator) -> CheckResult:
+    """apply_D on a plane wave at a constant background against the fiber
+    symbol.
+
+    The section amp cos(k.x + phase), k = (2, 0, -1), is periodic and
+    t-independent, and the background is the TorusTrigBackground of k = 0
+    terms with both A0 and a0 nonzero, one fixed draw whatever the seed, so
+    D psi is Re[M amp exp(i(k.x + phase))] with M = clifford.fiber_symbol(k,
+    A0, a0) exactly.  The metric is the largest error at the points relative
+    to the largest |D psi| at 16 points.
+    """
+    points = 16
+    A0, a0 = 0.3 * np.random.default_rng(2020).normal(size=(2, 3, 3))
+    bg = TorusTrigBackground([(slot, i, (0, 0, 0), 0.0, x[i])
+                              for slot, x in (("A", A0), ("a", a0)) for i in range(3)])
+    k = np.array([2, 0, -1])
+    amp, phase = rng.normal(size=(8, 3)), rng.uniform(0, 2 * math.pi)
+    sec = op.TrigSection([(amp, k, phase, (), 1.0)], envelope=0)
+    P = np.column_stack([np.ones(points), rng.uniform(0, 2 * math.pi, (points, 3))])
+    wave = np.exp(1j * (P[:, 1:] @ k + phase))
+    mamp = clifford.fiber_symbol(k, A0, a0) @ amp.reshape(24)
+    want = (wave[:, None] * mamp).real.reshape(points, 8, 3)
+    got = op.apply_D(bg, sec, P, None, depiction="clifford")
+    return CheckResult.from_bound(
+        "mode_symbol", "D on a plane wave at a constant background is the fiber symbol",
+        op.spinor_max(got - want) / op.spinor_max(want), 1e-12,
+        location=f"{points} points, k = (2, 0, -1)")
 
 
 def hardy_checks(hs: dict) -> list[CheckResult]:

@@ -186,6 +186,19 @@ def test_flow_run_outputs(tmp_path, capsys):
     assert summary["predicted_linear_deficit_rate"] == pytest.approx(fit["rate"], rel=1e-6)
 
 
+@pytest.mark.parametrize("L,dt", [(4 * math.pi, 0.05), (1e14, 1e12)], ids=["4pi", "1e14"])
+def test_flow_run_linear_gap_is_two_pi_over_L(L, dt, tmp_path, capsys):
+    # the symbol's gap |k| 2 pi / L at |k| = 1, in closed form at any L
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"N": 6, "L": L, "dt": dt, "steps": 2}))
+    code, _, err = run(["flow", "run", "--config", str(cfg), "--out", str(tmp_path)], capsys)
+    assert code == 0 and "Traceback" not in err
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["linear_gap"] == 2 * math.pi / L
+    if L == 4 * math.pi:
+        assert summary["linear_gap"] == 0.5
+
+
 # the flow that the verification sweep runs through `flow run`
 SWEEP_FLOW = {"N": 12, "dt": 0.05 * 2 * math.pi / 12, "steps": 160, "seed": 1,
               "init": {"kind": "abelian", "amplitude": 0.05}}

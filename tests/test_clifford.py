@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from kwlab import clifford as cl
+from kwlab.algebra import coeff_bracket
+from kwlab.modes import k_lattice
 
 
 def test_all_relations_exact():
@@ -89,3 +93,71 @@ def test_nahm_pole_spectrum(t):
 def test_nahm_pole_domain():
     with pytest.raises(ValueError):
         cl.nahm_pole_endo(-1.0)
+
+
+def _background(seed):
+    rng = np.random.default_rng(seed)
+    return 0.3 * rng.normal(size=(3, 3)), 0.3 * rng.normal(size=(3, 3))
+
+
+def test_fiber_symbol_trivial_background_spectrum():
+    # +-|k| with multiplicity 12 each on the 24-dim fiber, 0 at k = 0
+    ks = k_lattice(2)
+    ev = np.linalg.eigvalsh(cl.fiber_symbol(ks))
+    norms = np.linalg.norm(ks, axis=1)
+    assert np.max(np.abs(ev[norms == 0])) == 0.0
+    nonzero = norms > 0
+    assert np.max(np.abs(np.abs(ev[nonzero]) - norms[nonzero, None])) < 1e-14
+    assert np.all(np.sum(ev[nonzero] > 0, axis=1) == 12)
+    assert np.all(np.sum(ev[nonzero] < 0, axis=1) == 12)
+    # the gap, the smallest nonzero |eigenvalue|, is 2 pi / L at |k| = 1
+    ev5 = np.abs(np.linalg.eigvalsh(cl.fiber_symbol(ks[nonzero], L=5.0)))
+    assert ev5.min() == pytest.approx(2 * math.pi / 5.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("k_max,L", [(1, 2 * math.pi), (2, 2 * math.pi), (2, 5.0)],
+                         ids=["k1", "k2", "k2-L5"])
+def test_batched_fiber_symbol_equals_per_mode(k_max, L):
+    ks = k_lattice(k_max)
+    A0, a0 = _background(k_max)
+    for bg in ({}, {"A0": A0}, {"A0": A0, "a0": a0}):
+        batch = cl.fiber_symbol(ks, L=L, **bg)
+        assert batch.shape == (len(ks), 24, 24)
+        assert np.array_equal(batch, np.stack([cl.fiber_symbol(k, L=L, **bg) for k in ks]))
+        assert np.array_equal(cl.fiber_symbol(ks[:24].reshape(4, 6, 3), L=L, **bg),
+                              batch[:24].reshape(4, 6, 24, 24))
+    # at the trivial background it is the 8x8 mode symbol times 1 on su(2)
+    want = np.stack([np.kron(cl.symbol(k, L), np.eye(3)) for k in ks])
+    assert np.array_equal(cl.fiber_symbol(ks, L=L), want)
+
+
+def test_fiber_symbol_is_hermitian():
+    A0, a0 = _background(5)
+    ks = np.random.default_rng(6).normal(size=(10, 3))
+    m = cl.fiber_symbol(ks, A0, a0, L=3.0)
+    assert np.array_equal(m, m.conj().swapaxes(-1, -2))
+
+
+def test_fiber_symbol_acts_as_the_operator_formula():
+    # sum_i gamma_i (i w k_i psi + [A0_i, psi]) + sum_i rho_i [a0_i, psi] on
+    # an (8, 3) spinor value, through the 2x2-free coefficient bracket
+    A0, a0 = _background(7)
+    k, L = np.array([0.3, 1.7, -0.4]), 4.0
+    psi = np.random.default_rng(8).normal(size=(8, 3))
+    w = 2 * math.pi / L
+    gamma, rho = np.array(cl.GAMMA), np.array(cl.RHO)
+    want = sum(gamma[i] @ (1j * w * k[i] * psi + coeff_bracket(A0[i], psi))
+               + rho[i] @ coeff_bracket(a0[i], psi) for i in range(3))
+    got = (cl.fiber_symbol(k, A0, a0, L) @ psi.reshape(24)).reshape(8, 3)
+    assert np.max(np.abs(got - want)) < 1e-14
+
+
+@pytest.mark.parametrize("k", [(1, 0, 0), (1, 2, -1), (0.3, 1.7, -0.4)])
+def test_pole_symbol_anticommutes_with_the_spatial_symbol(k):
+    # D = d_t + S + P/t on the mode k at the Nahm pole: S P + P S = 0 and
+    # S^2 = |k|^2, so S maps each eigenspace E_p of P onto E_{-p}
+    S = cl.fiber_symbol(np.array(k, dtype=float))
+    P = cl.fiber_symbol(np.zeros(3), a0=-np.eye(3) / 2)
+    assert np.array_equal(P, cl.nahm_pole_endo(1.0))
+    assert np.max(np.abs(S @ P + P @ S)) == 0.0
+    assert np.max(np.abs(S @ S - np.dot(k, k) * np.eye(24))) <= 1e-14

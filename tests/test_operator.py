@@ -335,7 +335,7 @@ def test_every_check_is_a_finite_bound(tmp_path, seed):
     out = tmp_path / "all.json"
     assert main(["all", "--seed", str(seed), "--out", str(out)]) == 0
     checks = json.loads(out.read_text())["checks"]
-    assert len(checks) == 121
+    assert len(checks) == 123
     for c in checks:
         assert c["metric"] is not None and c["tolerance"] is not None, c["check_id"]
         assert (c["status"] == "pass") == (c["metric"] <= c["tolerance"]), c["check_id"]
@@ -471,33 +471,6 @@ def test_y_intertwine(kind):
     assert op.y_intertwine(bg, sec, p, 1e-5) < 1e-9
     val = sec.value(p)
     assert op.spinor_max(op.y_apply(op.y_apply(val)) + val) < 1e-14
-
-
-def test_lattice_spectrum():
-    spec = {tuple(e["k"]): e["eigenvalues"] for e in op.lattice_L_spectrum(2)}
-    assert np.allclose(spec[(0, 0, 0)], 0.0)
-    e100 = spec[(1, 0, 0)]
-    assert len(e100) == 24
-    assert int(np.sum(np.isclose(e100, 1.0))) == 12
-    assert int(np.sum(np.isclose(e100, -1.0))) == 12
-    assert np.allclose(np.abs(spec[(1, 1, 0)]), math.sqrt(2))
-    assert np.allclose(np.abs(spec[(2, 1, 0)]), math.sqrt(5))
-    assert op.smallest_nonzero_symbol_eig(2) == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        op.lattice_L_spectrum(0)
-
-
-@pytest.mark.parametrize("k_max,L", [(1, 2 * math.pi), (2, 2 * math.pi), (2, 5.0)],
-                         ids=["k1", "k2", "k2-L5"])
-def test_batched_lattice_spectrum_equals_per_mode_eigvalsh(k_max, L):
-    from kwlab.modes import k_lattice, symbol
-
-    spec = op.lattice_L_spectrum(k_max, L)
-    want = [np.repeat(np.linalg.eigvalsh(symbol(k, L)), 3) for k in k_lattice(k_max)]
-    assert [e["k"] for e in spec] == [tuple(int(c) for c in k) for k in k_lattice(k_max)]
-    assert all(np.array_equal(e["eigenvalues"], w) for e, w in zip(spec, want))
-    nonzero = np.abs(np.concatenate(want))
-    assert op.smallest_nonzero_symbol_eig(k_max, L) == nonzero[nonzero > 1e-12].min()
 
 
 def test_spatial_identification():

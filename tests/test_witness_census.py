@@ -56,6 +56,7 @@ CENSUS = {
     "clifford.pole_endo_eigenvalues_t1": ("witness", "ad_scale"),
     "clifford.pole_endo_eigenvalues_t2": ("witness", "ad_scale"),
     "clifford.ad_matches_bracket": ("witness", "ad_sign_clifford"),
+    "clifford.flat_connection_kernel": ("witness", "ad_scale"),
     "model.theta_pythagoras": ("witness", "theta"),
     "model.reduced_equations": ("witness", "curvature"),
     "model.reduced_equations_order": ("witness", "t_difference"),
@@ -79,6 +80,7 @@ CENSUS = {
         ("test", "test_operator::test_adjoint_duality_check_catches_wrong_adjoint"),
     "operator.norm_split": ("reason", UNPLANTED + "0.0 against 1e-9"),
     "operator.symbol_spectrum": ("witness", "symbol"),
+    "operator.mode_symbol": ("witness", "connection_sign"),
     "spectral.hardy_halfline": ("reason", UNPLANTED + "3.92 against its constant 4"),
     "spectral.hardy_halfline_sharp": ("test", HARDY),
     "spectral.hardy_cone": ("test", HARDY),

@@ -162,6 +162,12 @@ def angular_term_doubled(mp):
     plant(mp, once, doubled)
 
 
+def connection_sign_slip(mp):
+    # [A_i, psi] enters the covariant derivatives with the wrong sign
+    add = op._add_connection
+    plant(mp, add, lambda A, val, grads: add(-A, val, grads))
+
+
 def first_sign_flipped(perms):
     """A generator table whose first generator has its first row's sign flipped."""
     (sources, signs), *rest = perms
@@ -211,13 +217,16 @@ WITNESSES = {
     "Q": (q_wrong_generator, ("clifford", {}), {"ql_commute"},
           lambda: op.apply_q_endo(V)),
     "ad_scale": (ad_without_factor_two, ("clifford", {}),
-                 {"pole_endo_eigenvalues_t1", "pole_endo_eigenvalues_t2", "q_spectrum"},
+                 {"pole_endo_eigenvalues_t1", "pole_endo_eigenvalues_t2", "q_spectrum",
+                  "flat_connection_kernel"},
                  lambda: op.x_matrix24(BG, P0)),
     "ad_sign": (ad_sign_slip, ("operator", {"points": 20}),
-                {"weitzenbock_blocks", "omega_q_commute"}, lambda: op.x_matrix24(BG, P0)),
+                {"weitzenbock_blocks", "omega_q_commute", "mode_symbol"},
+                lambda: op.x_matrix24(BG, P0)),
     "ad_sign_clifford": (ad_sign_slip, ("clifford", {}), {"ad_matches_bracket"},
                          lambda: op.x_matrix24(BG, P0)),
-    "symbol": (symbol_off_by_a_millionth, ("operator", {"points": 20}), {"symbol_spectrum"},
+    "symbol": (symbol_off_by_a_millionth, ("operator", {"points": 20}),
+               {"symbol_spectrum", "mode_symbol"},
                lambda: modes.linearized_decay(1, PLANE_WAVE, T=10.0, dt=1.0)["f_plus"]),
     "symbol_modes": (symbol_off_by_a_millionth, ("flow-smoke", {}),
                      {"single_mode_decay", "contraction_fixed_point"},
@@ -228,8 +237,11 @@ WITNESSES = {
                        lambda: op.apply_D(BG, SEC, P0, 1e-5, depiction="clifford")),
     "rho_table": (rho_table_sign_slip, ("operator", {"points": 20}),
                   {"three_depictions", "y_intertwine", "weitzenbock_remainder",
-                   "weitzenbock_blocks", "omega_q_commute"},
+                   "weitzenbock_blocks", "omega_q_commute", "mode_symbol"},
                   lambda: op.apply_D(BG, SEC, P0, 1e-5, depiction="clifford")),
+    "connection_sign": (connection_sign_slip, ("operator", {"points": 20}),
+                        {"mode_symbol", "weitzenbock_remainder", "weitzenbock_blocks"},
+                        lambda: op.apply_D(BG, SEC, P0, 1e-5, depiction="clifford")),
     "difference_order": (differences_lean_forward, ("operator", {"points": 20}),
                          {"weitzenbock_order"},
                          lambda: op.bochner_check(BG, SEC, P0, 1e-3)["residual"]),
