@@ -7,13 +7,14 @@ operator acts mode by mode through the Hermitian symbol
 
     S(k) = i (gamma . k) (2 pi / L),
 
-with eigenvalues +-|k| 2 pi / L, so evolution, projections, and the inverse
-S^{-1} = S / |k 2 pi / L|^2 (off the kernel, which is exactly the k = 0
-block) are all exact.  ``clifford.symbol`` takes a stack of wavevectors, so
-each of these is one batched product over the modes.  Grid and mode data
-are one FFT pair: ``ModeVector.to_grid`` is the inverse FFT of the
-coefficients (wavevectors that alias on a small grid add) and
-``from_grid`` reads the coefficients off the forward FFT.
+with S^2 = lambda^2 I, lambda = |k| 2 pi / L, so evolution, the projectors
+P+- of ``decaying_sector`` (-S decays exactly on the range of P+) and the
+inverse S / lambda^2 (off the kernel, exactly the k = 0 block) are all exact.
+``clifford.symbol`` takes a stack of wavevectors, so each of these is one
+batched product over the modes.  Grid and mode data are one FFT pair:
+``ModeVector.to_grid`` is the inverse FFT of the coefficients (wavevectors
+that alias on a small grid add) and ``from_grid`` reads the coefficients off
+the forward FFT.
 
 The quadratic coupling used by the fixed-point construction takes
 psi = (b, bt, c, ct) to
@@ -42,7 +43,10 @@ import numpy as np
 
 from .algebra import CYCLIC
 from .clifford import symbol
-from .torus import TorusField, comm
+from .torus import TorusField, comm, stencil_symbol
+
+# the (A, a) slots: the flow's fields, without the scalar slots 3 and 7
+AA_SLOTS = (0, 1, 2, 4, 5, 6)
 
 
 def k_lattice(k_max: int) -> np.ndarray:
@@ -69,10 +73,8 @@ class ModeVector:
         worst = 0.0
         for i, k in enumerate(self.ks):
             j = self._index.get(tuple(-k))
-            if j is None:
-                worst = max(worst, float(np.max(np.abs(self.coeffs[i]))))
-            else:
-                worst = max(worst, float(np.max(np.abs(self.coeffs[j] - self.coeffs[i].conj()))))
+            mirror = 0.0 if j is None else self.coeffs[j]  # a missing -k reads as zero
+            worst = max(worst, float(np.max(np.abs(mirror - self.coeffs[i].conj()))))
         return worst
 
     def zero_mode_norm(self) -> float:
@@ -106,24 +108,42 @@ def from_grid(field8: np.ndarray, k_max: int, L: float = 2 * math.pi) -> ModeVec
     return ModeVector(ks, fk[..., i0, i1, i2].transpose(2, 0, 1), L)
 
 
+def decaying_sector(k, L: float = 2 * math.pi, slots=slice(None)):
+    """(rate, P_plus, P_minus) at real wavevectors k (..., 3), zero at k = 0:
+    the +- eigenspace projectors of S = symbol(k, L) on ``slots`` (default
+    all 8), P+- = (S^2 +- lambda S) / (2 lambda^2), exact there since S^2 =
+    lambda^2 I on all 8 slots and S has spectrum {-lambda, 0, lambda} on the
+    (A, a) slots.  S is scaled by its largest entry first, so no lambda^2 of
+    the raw symbol (which underflows at large L) is formed, and lambda is
+    read from S's entries, not from w |k|."""
+    S = symbol(np.asarray(k, dtype=float), L)
+    scale = np.max(np.abs(S), axis=(-2, -1))
+    S = np.divide(S, scale[..., None, None], out=np.zeros_like(S),
+                  where=scale[..., None, None] > 0)
+    mu = np.linalg.norm(S[..., 0, :], axis=-1)  # (S^2)_00 on all 8 slots
+    S = S[..., slots, :][..., slots]
+    S2 = S @ S
+    m = np.where(mu > 0, mu, 1.0)[..., None, None]  # S = 0 at k = 0
+    return mu * scale, (S2 + m * S) / (2 * m * m), (S2 - m * S) / (2 * m * m)
+
+
 def linearized_decay(k_max: int, psi0: ModeVector, T: float, dt: float) -> dict:
     """Evolve d psi/dt = -(spatial operator) psi exactly in mode space.
 
     Returns times and the norms f_plus, f_minus of the projections onto the
-    positive/negative symbol eigenspaces.  psi0 must be free of zero-mode
+    positive/negative symbol eigenspaces, f+-(t)^2 = L^3 sum_k
+    e^{-+2 lambda_k t} |P+-(k) c_k|^2.  psi0 must be free of zero-mode
     content (tolerance 1e-12 relative).
     """
     if psi0.zero_mode_norm() > 1e-12 * max(psi0.norm(), 1e-300):
         raise ValueError("zero-mode contamination above 1e-12")
     times = np.arange(0.0, T + 0.5 * dt, dt)
-    nonzero = np.any(psi0.ks, axis=1)
-    evals, vecs = np.linalg.eigh(symbol(psi0.ks[nonzero], psi0.L))  # (m, 8), (m, 8, 8)
-    amp = vecs.conj().transpose(0, 2, 1) @ psi0.coeffs[nonzero]  # (m, 8, 3) in the eigenbases
-    decay = np.exp(-times[:, None, None] * evals)  # (nt, m, 8)
-    contrib = psi0.L ** 3 * decay ** 2 * np.sum(np.abs(amp) ** 2, axis=2)
-    fp2 = np.sum(contrib, axis=(1, 2), where=evals > 1e-12)
-    fm2 = np.sum(contrib, axis=(1, 2), where=evals < -1e-12)
-    return {"times": times, "f_plus": np.sqrt(fp2), "f_minus": np.sqrt(fm2)}
+    rate, p_plus, p_minus = decaying_sector(psi0.ks, psi0.L)
+    norms = [psi0.L ** 3 * np.sum(np.abs(p @ psi0.coeffs) ** 2, axis=(1, 2))
+             for p in (p_plus, p_minus)]
+    growth = np.outer(times, rate)  # (nt, modes)
+    return {"times": times, "f_plus": np.sqrt(np.exp(-2 * growth) @ norms[0]),
+            "f_minus": np.sqrt(np.exp(2 * growth) @ norms[1])}
 
 
 def random_mode_vector(rng: np.random.Generator, k_max: int, scale: float = 1.0,
@@ -142,9 +162,7 @@ def random_mode_vector(rng: np.random.Generator, k_max: int, scale: float = 1.0,
                     coeffs[i, s] = rng.normal(scale=scale, size=3)
             continue
         c = rng.normal(scale=scale, size=(8, 3)) + 1j * rng.normal(scale=scale, size=(8, 3))
-        mask = np.zeros(8, dtype=bool)
-        mask[list(slots)] = True
-        c[~mask] = 0.0
+        c[np.setdiff1d(np.arange(8), list(slots))] = 0.0
         coeffs[i] = c
         coeffs[index[tuple(-k)]] = c.conj()
     return ModeVector(ks, coeffs)
@@ -182,9 +200,7 @@ def quadratic_map_grid(psi: np.ndarray) -> np.ndarray:
 
 def _grid_size(k_max: int) -> int:
     n = 3 * k_max + 1  # dealiasing: quadratic images stay clean up to k_max
-    while n % 2:
-        n += 1
-    return n
+    return n + n % 2  # even
 
 
 def kuranishi_w(phi: ModeVector, k_max: int) -> tuple[ModeVector, dict]:
@@ -262,47 +278,34 @@ def positive_spectrum_field(rng: np.random.Generator, N: int, amplitude: float,
     """A TorusField whose (A, a) data lies in the decaying (positive) part of
     the linearized flow spectrum.
 
-    The flow's linearization at the flat point is -symbol(k, L) restricted to
-    the (A, a) slots (0, 1, 2, 4, 5, 6), so each filled wavevector k carries
-    random su(2) amplitudes on the two eigenvectors of that 6x6 block with
-    eigenvalue +|k| 2 pi / L (the other four have 0 and -|k| 2 pi / L); the
-    flow from it contracts to the flat point at that rate per mode.
+    The flow's linearization at the flat point is -S on the (A, a) slots,
+    S the mode symbol at the stencil's wavevector k~ (``torus.stencil_symbol``
+    of each component), so each filled k carries the P+ projection
+    (``decaying_sector``) of random su(2) data on the A slots; P+ of A data
+    alone spans the two-dimensional decaying sector.  The flow contracts it
+    at the rate |k~| per mode, but only in exact arithmetic: round-off seeds
+    the growing modes of the saddle, which a long run amplifies past the data
+    at any amplitude.  With abelian=True all values are proportional to
+    sigma3, and the flow is exactly linear.
 
-    The flat point is a saddle: the linearization has symmetric +- spectrum,
-    so generic data blows up in finite time under the ascending flow, and
-    even tangent-to-stable data feeds growing modes at second order through
-    the quadratic terms.  With abelian=True all values are proportional to
-    sigma3; every commutator then vanishes identically and the flow is
-    exactly linear.  The data decays only in exact arithmetic: round-off
-    seeds the growing modes, which the flow amplifies by e^{rate_max T}
-    (about 1e101 over 2000 steps at N = 16), so a long run leaves the
-    decaying sector at any amplitude; the linear flow scales round-off with
-    the data, so a small amplitude does not help.
-
-    modes lists the wavevectors to fill; by default every nonzero k with
-    |k|_inf <= 1.
+    modes lists the nonzero wavevectors to fill (k = 0 raises ValueError);
+    by default every nonzero k with |k|_inf <= 1.
     """
     w = 2 * math.pi / L
-    if modes is None:
-        ks = [k for k in k_lattice(1) if np.any(k)]
-    else:
-        ks = [np.asarray(k, dtype=int) for k in modes]
+    ks = [k for k in k_lattice(1) if np.any(k)] if modes is None else modes
+    ks = np.array(ks, dtype=int).reshape(-1, 3)
+    if not np.all(np.any(ks, axis=1)):
+        raise ValueError("k = 0 has no decaying sector")
     F = TorusField(N, L)
+    _, p_plus, _ = decaying_sector(stencil_symbol(F.scheme, N, L, ks) / w, L, AA_SLOTS)
     xs = np.arange(N) * (L / N)
     X = np.meshgrid(xs, xs, xs, indexing="ij")
-    slots = [0, 1, 2, 4, 5, 6]
-    for k in ks:
+    for k, p in zip(ks, p_plus):
         if tuple(k) < tuple(-k):
             continue  # one representative per pair; real part doubles it
-        # eigh sorts the block's spectrum: -|k| w twice, 0 twice, +|k| w twice
-        _, vecs = np.linalg.eigh(symbol(k, L)[np.ix_(slots, slots)])
-
-        def su2_coef():
-            if abelian:
-                return np.array([0.0, 0.0, 1.0]) * (rng.normal() + 1j * rng.normal())
-            return rng.normal(size=3) + 1j * rng.normal(size=3)
-
-        coeff = sum(su2_coef()[None, :] * v[:, None] for v in vecs[:, 4:].T)  # (6, 3)
+        shape = (3, 1) if abelian else (3, 3)  # A slots x sigma coefficients
+        data = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        coeff = p[:, :3] @ (data * ([0.0, 0.0, 1.0] if abelian else 1.0))  # (6, 3)
         phase = np.exp(1j * w * (k[0] * X[0] + k[1] * X[1] + k[2] * X[2]))
         for field, part in ((F.A, coeff[:3]), (F.a, coeff[3:])):
             field += amplitude * np.real(part[:, :, None, None, None] * phase)

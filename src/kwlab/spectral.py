@@ -30,6 +30,8 @@ from typing import Callable
 
 import numpy as np
 
+from . import model
+
 # scipy is imported inside the solvers that use it, so that importing kwlab
 # (and every command that runs no spectral solve) loads numpy alone
 
@@ -288,25 +290,26 @@ def rayleigh_min(prob: SLProblem) -> dict:
 
 
 def case_potential(case: str, m: int = 1) -> Callable | None:
-    """Round-measure potentials of the three decoupled sectors.
+    """Round-measure potentials of the three decoupled sectors, read from
+    ``model.profile_factors`` on the unit hemisphere, where t = tanh Theta:
+    W = 8 |phi|^2 ('case2') and 4 (|phi|^2 + alpha^2) ('case3').
 
     'b3ct' keeps W = 0: that sector only needs the kinetic lower bound 2
     (its matrix potential is nonnegative), so the commutator term is
     deliberately dropped as a lower-bound substitution.
     """
-    n = m + 1
-
-    def cosh_over_sinh_n(th):
-        # cosh(th) / sinh(n th), with no factor that overflows at large n th
-        return (np.exp((1 - n) * th) + np.exp(-(1 + n) * th)) / -np.expm1(-2 * n * th)
-
     if case == "b3ct":
         return None
-    if case == "case2":  # 2 n^2 cosh^2(th) / sinh^2(n th)
-        return lambda th: 2.0 * n ** 2 * cosh_over_sinh_n(th) ** 2
-    if case == "case3":  # n^2 (cosh^2(n th) + cosh^2(th)) / sinh^2(n th)
-        return lambda th: n ** 2 * (1.0 / np.tanh(n * th) ** 2 + cosh_over_sinh_n(th) ** 2)
-    raise ValueError(f"unknown case {case!r}")
+    if case not in ("case2", "case3"):
+        raise ValueError(f"unknown case {case!r}")
+
+    def potential(th):
+        pf = model.profile_factors(m, th)
+        phi2, alpha2 = ((pf[f] / (2.0 * np.tanh(th))) ** 2
+                        for f in ("phi_factor", "alpha_factor"))
+        return 8.0 * phi2 if case == "case2" else 4.0 * (phi2 + alpha2)
+
+    return potential
 
 
 def exclusion_report(case: str, m: int = 1) -> dict:

@@ -18,8 +18,8 @@ from . import operator as op
 from .backgrounds import TorusTrigBackground, TrivialBackground, make_background
 from .flow import FlowConfig, FlowTrace, lojasiewicz_fit, run_flow
 from .modes import (
-    ModeVector, k_lattice, kuranishi_w, linearized_decay, positive_spectrum_field,
-    random_mode_vector, symbol,
+    AA_SLOTS, ModeVector, decaying_sector, k_lattice, kuranishi_w, linearized_decay,
+    positive_spectrum_field, random_mode_vector,
 )
 from .reporting import CheckResult, SuiteReport
 from .torus import (
@@ -648,20 +648,14 @@ def flow_smoke_suite(seed: int) -> list[CheckResult]:
         "nahm_decay_exponent", "the Nahm-pole flow decays with Lojasiewicz exponent 1/3",
         _decay_law_error(lojasiewicz_fit(trn), 1 / 3), 1e-4,
         location=f"cs relative error {cs_err:.1e} against 2 f^3 L^3"))
-    ks = k_lattice(1)
-    idx = {tuple(k): i for i, k in enumerate(ks)}
-    coeffs = np.zeros((len(ks), 8, 3), complex)
-    evals, vecs = np.linalg.eigh(symbol(np.array([1, 0, 0])))
-    vplus = vecs[:, int(np.argmax(evals))]
-    amp = rng.normal(size=3) + 1j * rng.normal(size=3)
-    coeffs[idx[(1, 0, 0)]] = vplus[:, None] * amp[None, :]
-    coeffs[idx[(-1, 0, 0)]] = coeffs[idx[(1, 0, 0)]].conj()
-    dec = linearized_decay(1, ModeVector(ks, coeffs), T=3.0, dt=0.05)
+    _, p_plus, _ = decaying_sector([1, 0, 0])
+    c = p_plus @ np.ones((8, 3))  # every slot 1, projected
+    dec = linearized_decay(1, ModeVector([(1, 0, 0), (-1, 0, 0)], [c, c.conj()]), T=3.0, dt=0.05)
     err = float(np.max(np.abs(dec["f_plus"] - dec["f_plus"][0] * np.exp(-dec["times"]))))
     out.append(CheckResult.from_bound(
         "single_mode_decay", "pure positive mode decays exactly as e^{-t}",
         err, 1e-8))
-    phi = random_mode_vector(rng, 1, scale=0.01, slots=[0, 1, 2, 4, 5, 6])
+    phi = random_mode_vector(rng, 1, scale=0.01, slots=AA_SLOTS)
     _, diag = kuranishi_w(phi, 1)
     # kuranishi_w raises when an update ratio reaches 1
     out.append(CheckResult.from_bound(

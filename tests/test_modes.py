@@ -5,11 +5,11 @@ import pytest
 
 from kwlab.algebra import EPS
 from kwlab.modes import (
-    ContractionError, ModeVector, from_grid, k_lattice, kuranishi_w,
-    linearized_decay, positive_spectrum_field, quadratic_map_grid,
+    AA_SLOTS, ContractionError, ModeVector, decaying_sector, from_grid, k_lattice,
+    kuranishi_w, linearized_decay, positive_spectrum_field, quadratic_map_grid,
     random_mode_vector, symbol,
 )
-from kwlab.torus import comm
+from kwlab.torus import comm, stencil_symbol
 
 
 def _direct_grid(mv, N):
@@ -153,6 +153,72 @@ def test_linearized_decay_pure_negative_grows():
     out = linearized_decay(1, ModeVector(ks, coeffs), T=2.0, dt=0.1)
     fm = out["f_minus"]
     assert np.max(np.abs(fm - fm[0] * np.exp(out["times"]))) < 1e-8
+
+
+# k_lattice(2), a generic k, and fd4's k~ at k = (1, 2, 0) and (1, -1, 1), N = 12:
+# the second is parallel to its k, the first is not
+SECTOR_KS = np.concatenate([
+    k_lattice(2)[np.any(k_lattice(2), axis=1)],
+    [(0.3, 1.7, -0.4)],
+    stencil_symbol("fd4", 12, 2 * math.pi, np.array([(1, 2, 0), (1, -1, 1)])),
+])
+
+
+def _eigh_projectors(S):
+    """The +- eigenspace projectors of a stack of Hermitian S, from eigh."""
+    ev, V = np.linalg.eigh(S)
+    cut = 1e-9 * np.max(np.abs(ev), axis=-1, keepdims=True)
+    out = []
+    for sign in (1, -1):
+        Vs = V * (sign * ev > cut)[..., None, :]
+        out.append(Vs @ Vs.conj().transpose(0, 2, 1))
+    return out
+
+
+@pytest.mark.parametrize("L", [2 * math.pi, 1e14, 1e200])
+@pytest.mark.parametrize("slots", [slice(None), AA_SLOTS])
+def test_decaying_sector_matches_eigh_projectors(L, slots):
+    rate, p_plus, p_minus = decaying_sector(SECTOR_KS, L, slots)
+    S = symbol(SECTOR_KS, L)[:, slots][:, :, slots]
+    for p, want in zip((p_plus, p_minus), _eigh_projectors(S)):
+        assert np.max(np.abs(p - want)) <= 1e-14
+    lam = 2 * math.pi / L * np.linalg.norm(SECTOR_KS, axis=1)
+    assert np.max(np.abs(rate - lam) / lam) <= 1e-14
+    # idempotent, mutually orthogonal, and eigenvectors of S at +-lambda
+    for p, sign in ((p_plus, 1), (p_minus, -1)):
+        assert np.max(np.abs(p @ p - p)) <= 1e-14
+        assert np.max(np.abs(S / rate[:, None, None] @ p - sign * p)) <= 1e-14
+    assert np.max(np.abs(p_plus @ p_minus)) <= 1e-14
+    # rank 4 of 8 on all slots, 2 of 6 on the (A, a) slots
+    rank = {8: 4, 6: 2}[S.shape[-1]]
+    assert np.allclose(np.trace(p_plus, axis1=1, axis2=2), rank, atol=1e-14, rtol=0)
+
+
+@pytest.mark.parametrize("slots", [slice(None), AA_SLOTS])
+def test_decaying_sector_is_zero_at_k_zero(slots):
+    rate, p_plus, p_minus = decaying_sector(np.zeros((2, 3)), slots=slots)
+    assert np.all(rate == 0.0)
+    assert np.all(p_plus == 0.0) and np.all(p_minus == 0.0)
+
+
+def test_linearized_decay_at_large_torus_side():
+    # one plane wave at k = +-e1, every slot 1: S has zero diagonal, so the
+    # norm splits evenly between the sectors, whatever the rate (6.3e-14
+    # at L = 1e14, under the absolute eigenvalue cut of an eigh split)
+    ks = np.array([(1, 0, 0), (-1, 0, 0)])
+    mv = ModeVector(ks, np.ones((2, 8, 3), complex), L=1e14)
+    out = linearized_decay(1, mv, T=1.0, dt=0.5)
+    want = mv.norm() / math.sqrt(2)
+    for f in (out["f_plus"][0], out["f_minus"][0]):
+        assert abs(f - want) <= 1e-14 * want
+
+
+def test_positive_spectrum_field_rejects_k_zero():
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError):
+        positive_spectrum_field(rng, 8, 1.0, modes=[(0, 0, 0)])
+    with pytest.raises(ValueError):
+        positive_spectrum_field(rng, 8, 1.0, modes=[(1, 0, 0), (0, 0, 0)])
 
 
 def test_quadratic_map_structure():
