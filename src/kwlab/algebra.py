@@ -5,8 +5,8 @@ Basis: sigma_i = i * (i-th Pauli matrix), so that
     sigma_i^2 = -1,   sigma_1 sigma_2 = -sigma_3   (cyclic).
 
 Note the minus sign in the product rule; it is deliberate and the whole
-package depends on it.  The product table is asserted on import so a wrong
-realization fails immediately.
+package depends on it.  The algebra suite's ``product_table`` row checks all
+six products, so a wrong realization fails that row in a full report.
 
 Inner product on su(2): <u, v> = -1/2 trace(u v), which makes
 {sigma_1, sigma_2, sigma_3} orthonormal.  On sl(2,C) the same bilinear
@@ -36,13 +36,7 @@ _PAULI = (
 #: sigma_i = i * Pauli_i, anti-Hermitian, traceless, sigma1 sigma2 = -sigma3
 SIGMA = tuple(1j * p for p in _PAULI)
 
-IDENTITY2 = np.eye(2, dtype=complex)
-
-CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))  # the (k, i, j) with EPS[k, i, j] = 1
-EPS = np.zeros((3, 3, 3))
-for _i, _j, _k in CYCLIC:
-    EPS[_i, _j, _k] = 1.0
-    EPS[_j, _i, _k] = -1.0
+CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))  # the (k, i, j) with eps_kij = 1
 
 # Raising/lowering combinations: E_PLUS spans L^+, E_MINUS spans L^-.
 E_PLUS = SIGMA[0] - 1j * SIGMA[1]
@@ -178,24 +172,3 @@ def random_sl2c(rng: np.random.Generator) -> np.ndarray:
     im = rng.normal(size=3)
     return coeffs_to_su2(re + 1j * im)
 
-
-def _assert_product_table() -> None:
-    """Fail fast if the realized basis violates the product conventions."""
-    s1, s2, s3 = SIGMA
-    checks = [
-        (s1 @ s1, -IDENTITY2),
-        (s2 @ s2, -IDENTITY2),
-        (s3 @ s3, -IDENTITY2),
-        (s1 @ s2, -s3),
-        (s2 @ s3, -s1),
-        (s3 @ s1, -s2),
-    ]
-    for got, want in checks:
-        if np.max(np.abs(got - want)) > 1e-14:
-            raise AssertionError("sigma basis violates its product table")
-    # phi = sigma1 - i sigma2 must be the +1 eigenvector of ad(i/2 sigma3)
-    if np.max(np.abs(ad_half_isigma3(E_PLUS) - E_PLUS)) > 1e-14:
-        raise AssertionError("L^+ eigenvector convention broken")
-
-
-_assert_product_table()

@@ -101,6 +101,24 @@ SUITE_OPTIONS = {
     },
 }
 
+# each spectral solver mode's own options, in the same form; they parse to
+# None and take their default in _cmd_spectral, so that one given to
+# another mode, or to the suite, is a usage error rather than ignored
+SPECTRAL_MODE_OPTIONS = {
+    "exclusion": {
+        "--case": dict(type=str, default="b3ct", choices=["b3ct", "case2", "case3"]),
+        "--m": dict(type=_int_in_range(1), default=1,
+                    help="pole index of case2/case3 (b3ct ignores it)"),
+    },
+    "hemisphere": {
+        "--mesh": dict(type=_int_in_range(100, MAX_MESH), default=2000),
+    },
+    "ode": {
+        "--lambda": dict(dest="lam", type=_finite_float, default=1.0),
+        "--k": dict(type=_nonzero_float, default=1.0),
+    },
+}
+
 
 class Unwritable(Exception):
     """Unwritable(path, OSError): an output path that cannot be written,
@@ -132,6 +150,16 @@ def _cmd_suite(args) -> int:
 
 
 def _cmd_spectral(args) -> int:
+    for mode, options in SPECTRAL_MODE_OPTIONS.items():
+        for flag, spec in options.items():
+            dest = spec.get("dest", flag[2:])
+            if getattr(args, dest) is None:
+                setattr(args, dest, spec["default"])
+            elif args.mode != mode:
+                given = f"spectral {args.mode}" if args.mode else "the spectral suite"
+                print(f"error: {flag} is an option of spectral {mode}, not of {given}",
+                      file=sys.stderr)
+                return 2
     if args.mode is None:
         return _cmd_suite(args)
     if args.mode == "hardy":
@@ -304,13 +332,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.choices["spectral"]
     sp.add_argument("mode", nargs="?", default=None, help="run this solver instead",
                     choices=["hardy", "hemisphere", "exclusion", "ode"])
-    sp.add_argument("--case", type=str, default="b3ct",
-                    choices=["b3ct", "case2", "case3"])
-    sp.add_argument("--m", type=_int_in_range(1), default=1,
-                    help="pole index of case2/case3 (b3ct ignores it)")
-    sp.add_argument("--mesh", type=_int_in_range(100, MAX_MESH), default=2000)
-    sp.add_argument("--lambda", dest="lam", type=_finite_float, default=1.0)
-    sp.add_argument("--k", type=_nonzero_float, default=1.0)
+    for mode, options in SPECTRAL_MODE_OPTIONS.items():
+        for flag, spec in options.items():
+            help_text = f"{mode} only, default {spec['default']}"
+            if "help" in spec:
+                help_text += f"; {spec['help']}"
+            sp.add_argument(flag, **{**spec, "default": None, "help": help_text})
     sp.set_defaults(func=_cmd_spectral)
 
     fp = sub.add_parser("flow", help="run the gradient flow from a JSON config")

@@ -135,12 +135,6 @@ def relation_checks() -> list[tuple[str, int]]:
     return out
 
 
-def assert_relations() -> None:
-    bad = [name for name, residual in relation_checks() if residual != 0]
-    if bad:
-        raise AssertionError(f"Clifford relations violated: {bad}")
-
-
 def ad_matrix(x) -> np.ndarray:
     """The 3x3 matrix of ad(x) = [x, .] = -2 x cross . on sigma coefficients,
     batched: (..., 3) -> (..., 3, 3); antisymmetric for real x."""
@@ -244,6 +238,3 @@ def antisymmetric_spectrum(m: np.ndarray) -> list[float]:
     if np.max(np.abs(evals.real)) > 1e-10:
         raise ValueError("matrix is not antisymmetric enough: real eigenvalue parts")
     return sorted(float(v) for v in evals.imag)
-
-
-assert_relations()

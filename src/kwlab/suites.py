@@ -44,7 +44,9 @@ def algebra_suite(seed: int) -> list[CheckResult]:
     s1, s2, s3 = (algebra.basis_sigma(i) for i in (1, 2, 3))
     out.append(CheckResult.from_bound(
         "product_table", "sigma_i sigma_j = -delta_ij - eps_ijk sigma_k",
-        max(np.max(np.abs(s1 @ s2 + s3)), np.max(np.abs(s1 @ s1 + np.eye(2)))),
+        max(np.max(np.abs(a @ b - want)) for a, b, want in (
+            (s1, s1, -np.eye(2)), (s2, s2, -np.eye(2)), (s3, s3, -np.eye(2)),
+            (s1, s2, -s3), (s2, s3, -s1), (s3, s1, -s2))),
         1e-14))
     out.append(CheckResult.from_bound(
         "orthonormal_basis", "<sigma_i, sigma_j> = delta_ij",
@@ -260,7 +262,9 @@ def model_suite(seed: int, m: int = 1, samples: int = 200) -> list[CheckResult]:
         "curvature_decay", "|B3|, |E1|, |E2| <= m(m+2)/3 t / x^3",
         rep["curvature_x3_over_t_sup"], m * (m + 2) / 3 + 1e-9))
     if m >= 1:
-        c4 = model.case4_solution(ms, m, p0, 1e-4)
+        # res_t is O(h^2) truncation growing as (m + 1)^2: a step shrinking
+        # as 1/(m + 1) holds it near 1e-9 at every m (1e-4 at m = 1)
+        c4 = model.case4_solution(ms, m, p0, 2e-4 / (m + 1))
         out.append(CheckResult.from_bound(
             "decoupled_sector_solution",
             "holomorphic-pairing section solves its two first-order equations",

@@ -496,6 +496,30 @@ def test_suite_argument_usage_errors(argv, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, flag, mode", [
+    (["spectral", "--mesh", "100", "--case", "case3", "--lambda", "7"], "--case", None),
+    (["spectral", "--m", "3"], "--m", None),
+    (["spectral", "--k", "2"], "--k", None),
+    (["verify", "spectral", "--mesh", "300"], "--mesh", None),
+    (["spectral", "exclusion", "--mesh", "100", "--lambda", "3"], "--mesh", "exclusion"),
+    (["spectral", "exclusion", "--k", "2"], "--k", "exclusion"),
+    (["spectral", "hemisphere", "--case", "case2"], "--case", "hemisphere"),
+    (["spectral", "hemisphere", "--lambda", "2"], "--lambda", "hemisphere"),
+    (["spectral", "ode", "--m", "2"], "--m", "ode"),
+    (["spectral", "ode", "--mesh", "200"], "--mesh", "ode"),
+    (["spectral", "hardy", "--lambda", "2"], "--lambda", "hardy"),
+])
+def test_spectral_option_outside_its_mode_is_a_usage_error(argv, flag, mode, tmp_path,
+                                                           capsys):
+    # an option the chosen mode does not read used to be ignored, exit 0
+    out = tmp_path / "out"
+    code, stdout, err = run(argv + ["--out", str(out)], capsys)
+    assert code == 2 and stdout == "" and not out.exists()
+    [line] = [line for line in err.splitlines() if "error:" in line]
+    assert flag in line and (f"spectral {mode}" if mode else "spectral suite") in line
+    assert "Traceback" not in err
+
+
 def test_benchmark_tracer_installs():
     # the benchmark's tracer looks up every traced kwlab name without a fallback
     root = Path(__file__).resolve().parents[1]

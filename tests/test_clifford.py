@@ -22,8 +22,6 @@ def test_relation_residual_is_the_integer_defect(monkeypatch):
     assert residuals["gamma1 one nonzero entry per row, entries in {-1,0,1}"] == 1
     assert residuals["gamma1 gamma1 anticommutator"] > 0
     assert residuals["gamma2 gamma3 anticommutator"] == 0
-    with pytest.raises(AssertionError, match="gamma1 antisymmetric"):
-        cl.assert_relations()
 
 
 def test_q_spectrum_and_structure():

@@ -3,13 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from kwlab.algebra import EPS
 from kwlab.modes import (
     AA_SLOTS, ContractionError, ModeVector, decaying_sector, from_grid, k_lattice,
     kuranishi_w, linearized_decay, positive_spectrum_field, quadratic_map_grid,
     random_mode_vector, symbol,
 )
 from kwlab.torus import comm, stencil_symbol
+
+# the Levi-Civita symbol: eps_ijk = (i - j)(j - k)(k - i) / 2 on {0, 1, 2}
+EPS = np.fromfunction(lambda i, j, k: (i - j) * (j - k) * (k - i) / 2, (3, 3, 3))
 
 
 def _direct_grid(mv, N):

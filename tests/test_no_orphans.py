@@ -4,7 +4,9 @@ benchmark outside its own definition.  References from the tests do not
 count: a definition that only tests call is not part of what the lab runs.
 
 A reference is a Name, an Attribute, an import alias or a string constant;
-string constants cover the benchmark tracer, which names what it wraps.
+string constants cover the benchmark tracer, which names what it wraps.  A
+store into a subscript of a name (``x[i] = ...``) fills the name without
+reading it, so it is no reference to that name.
 """
 
 import ast
@@ -14,11 +16,23 @@ ROOT = Path(__file__).resolve().parent.parent
 SCANNED = ("src/kwlab", "perfbench")
 
 
+def _subscript_stores(tree):
+    """The Name nodes that a subscript store writes into, as in x[i][j] = v."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+            while isinstance(node, ast.Subscript):
+                node = node.value
+            if isinstance(node, ast.Name):
+                yield node
+
+
 def _references(tree):
     """(name, line) of every reference in a module."""
+    stores = set(map(id, _subscript_stores(tree)))
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.id, node.lineno
+            if id(node) not in stores:
+                yield node.id, node.lineno
         elif isinstance(node, ast.Attribute):
             yield node.attr, node.lineno
         elif isinstance(node, ast.alias):

@@ -16,11 +16,14 @@ import numpy as np
 import pytest
 
 from kwlab import torus
-from kwlab.algebra import CYCLIC, EPS
+from kwlab.algebra import CYCLIC
 from kwlab.torus import (
     TorusField, b_field, comm, complex_connection, cs_functional, curl_cov, curvature,
     diff_matrix, div_cov, dot, gradient, random_field, star_wedge,
 )
+
+# the Levi-Civita symbol: eps_ijk = (i - j)(j - k)(k - i) / 2 on {0, 1, 2}
+EPS = np.fromfunction(lambda i, j, k: (i - j) * (j - k) * (k - i) / 2, (3, 3, 3))
 
 
 def _ref_comm(u, v):
