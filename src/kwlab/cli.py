@@ -108,7 +108,7 @@ SPECTRAL_MODE_OPTIONS = {
     "exclusion": {
         "--case": dict(type=str, default="b3ct", choices=["b3ct", "case2", "case3"]),
         "--m": dict(type=_int_in_range(1), default=1,
-                    help="pole index of case2/case3 (b3ct ignores it)"),
+                    help="pole index of case2/case3 (b3ct has none)"),
     },
     "hemisphere": {
         "--mesh": dict(type=_int_in_range(100, MAX_MESH), default=2000),
@@ -150,6 +150,10 @@ def _cmd_suite(args) -> int:
 
 
 def _cmd_spectral(args) -> int:
+    if args.mode == "exclusion" and args.m is not None and args.case in (None, "b3ct"):
+        print("error: --m is the pole index of case2 and case3; b3ct has none",
+              file=sys.stderr)
+        return 2
     for mode, options in SPECTRAL_MODE_OPTIONS.items():
         for flag, spec in options.items():
             dest = spec.get("dest", flag[2:])

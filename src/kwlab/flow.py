@@ -15,12 +15,11 @@ identities within their bound) are suites.flow_checks.
 The state is the complex connection Z = A + i a.  Its curvature F_Z holds
 the whole gradient (torus.curvature: Re F_Z = B - star(a wedge a),
 Im F_Z = curl_A a), so the flow is dZ/dt = i conj(F_Z), one curvature per
-RK4 stage, and each recorded state's monitors reduce that same F_Z.  Each
-monitor density (<a, Re F_Z>, |F_Z|^2, |d_A * a|^2, |a|^2 and the ring's
-|da/dt|^2) is one np.einsum pass over the form and coefficient axes, with no
-full-size temporary.  At each point it sums over form and then coefficient,
-in the order np.sum of the product adds them; TorusField.integrate then
-sums it over the grid.
+RK4 stage, and each recorded state's monitors reduce that same F_Z:
+monitor_densities forms their pointwise densities in the storage of the RK4
+array k, free from the end of a step until the next step's k2, and the grid
+sums (TorusField.integrate, and the max of |a|^2) are then taken on the
+whole density arrays.
 
 Integrator: classical RK4 at fixed dt with the stability bound dt <= 0.2 h
 asserted up front (h = grid spacing); no adaptivity, for reproducibility.
@@ -28,26 +27,34 @@ Its working arrays (Z, the three RK4 arrays and the ring) start on cache
 lines (torus.cache_aligned), so a step's speed does not depend on where
 the heap puts them.
 
-Slabs.  On a grid of at least SLAB_SPLIT_MIN_POINTS = 28^3 points, in a
+Slabs.  On a grid of at least SLAB_SPLIT_MIN_POINTS = 27^3 points, in a
 process allowed two or more CPUs (os.sched_getaffinity), each RK4 stage
 runs as two x1 slabs, rows [0, N/2) and [N/2, N): this thread takes the
 first, and one worker thread (a daemon, made when a run first splits) the
 second.  Otherwise the run is one slab: each step is the plain RK4 step
-on the whole grid, on this thread, with no stage machinery.  A slab's
-work is pointwise or a product whose output rows are its own:
-torus.curvature with rows (the x1 derivative is D's slab rows times every
-row, x2 and x3 stay in the slab, the brackets are pointwise) and the stage
-updates (_advance, k *= 2, ksum += k) on row views.  numpy releases the GIL
-in its ufunc loops and BLAS calls, so the slabs run at once.  A barrier
-ends each stage, since the next curvature's x1 derivative reads every row;
-a curvature and the update after it are separate stages, since the update
-overwrites the stage point that the other slab's x1 derivative reads.  The
-last update writes the new state into k's rows instead, so it shares the
-k4 stage, and the next k1 shares its stage with the first update: six
-stages a step.  The slabs share one curvature scratch, taken by this
-thread for each curvature stage, as its rows.  The monitors of a recorded
-state stay on this thread.  Every value is formed by the same operations
-in either layout, so the trace is the one-slab trace bit for bit.
+on the whole grid, on this thread, with no stage machinery and one
+curvature scratch for the run, and monitor_densities runs once on the whole
+grid.  A slab's work is pointwise or a product whose output rows are its
+own: torus.curvature with rows (the x1 derivative is D's slab rows times
+every row, x2 and x3 stay in the slab, the brackets are pointwise), the
+monitor densities at its rows, and the stage updates (_advance, k *= 2,
+ksum += k) on row views.  numpy releases the GIL in its ufunc loops and
+BLAS calls, so the slabs run at once.  A barrier ends each stage, since the
+next curvature's x1 derivative reads every row; a curvature and the update
+after it are separate stages, since the update overwrites the stage point
+that the other slab's x1 derivative reads.  The last update writes the new
+state into k's rows instead, and its a into the ring's rows, so it shares
+the k4 stage; the next k1 shares its stage with the state's densities
+(div_cov's x1 derivative reads every row of that a) and the first update:
+six stages a step.  The slabs share one curvature scratch, taken by this
+thread for each curvature stage, as its rows; in the k1 stage they also
+hold the densities' temporaries.  The grid sums stay on this thread, after
+the k1 barrier, since a pairwise sum depends on the array it runs over.
+Every value is formed by the same operations in either layout, so the
+trace is the one-slab trace bit for bit.  At N = 32 on nonabelian data the
+monitors on this thread alone took 3.0 of 12.0 ms a step; on the slabs the
+densities add 1.7 ms to the k1 stage and the sums take 0.09 ms, of 10.7 ms
+(in process, means over 8 interleaved 50-step runs of each).
 
 Every BLAS product stays small enough that OpenBLAS runs it on the calling
 thread (torus.SERIAL_GEMM_MNK); a larger one wakes OpenBLAS's own worker,
@@ -59,17 +66,20 @@ slab against two (2-vCPU Xeon VM, OpenBLAS capped at 2 threads, medians of
 7 interleaved runs):
 
     N   abelian        nonabelian
-    12  0.20 -> 0.78
-    16  0.37 -> 0.93   1.70 -> 3.52
-    20                 3.56 -> 4.15
-    24  1.33 -> 1.49   7.02 -> 6.10
-    26  1.93 -> 1.86   9.50 -> 7.28
-    28  2.50 -> 2.22   12.8 -> 8.74
-    32  4.16 -> 3.06   20.7 -> 12.9
+    12  0.18 -> 0.83   0.77 -> 2.67
+    16  0.33 -> 0.97   1.59 -> 3.57
+    20  0.67 -> 1.12   3.42 -> 3.97
+    24  1.28 -> 1.41   6.68 -> 5.66
+    26  1.81 -> 1.66   9.13 -> 6.52
+    27  2.17 -> 1.90   10.7 -> 7.51
+    28  2.38 -> 1.89   12.1 -> 7.72
+    32  3.85 -> 2.62   19.3 -> 11.1
 
 On small grids the handover costs more than the halved stage saves (numpy
-keeps the GIL for short loops); abelian data, one coefficient, gains
-later than nonabelian data, and from 28^3 both gain.
+keeps the GIL for short loops); abelian data, one coefficient, gains later
+than nonabelian data.  At 26^3 it gained in three of four such rounds and
+lost in one (1.83 -> 1.89); at 27^3 it gained in all three, so from 27^3
+both split.
 """
 
 from __future__ import annotations
@@ -83,7 +93,8 @@ import numpy as np
 
 from .reporting import csv_text, finite_or_none
 from .torus import (
-    FORM_COEFF, TorusField, cache_aligned, complex_connection, cs_functional, curvature, div_cov,
+    FORM_COEFF, TorusField, cache_aligned, complex_connection, cs_densities, cs_functional,
+    curvature, div_cov,
 )
 
 CFL_FACTOR = 0.2
@@ -92,7 +103,7 @@ CFL_FACTOR = 0.2
 # steps and 1.5 at 400, once its tail has left the Nahm sector
 FIT_SCATTER_TOL = 1e-2
 # grid points (N^3) from which a run splits each RK4 stage into two x1 slabs
-SLAB_SPLIT_MIN_POINTS = 28 ** 3
+SLAB_SPLIT_MIN_POINTS = 27 ** 3
 
 _slab_worker = None  # the _SlabWorker of the second slab, made when a run first splits
 
@@ -246,6 +257,66 @@ def _on_slabs(slabs, task, *args):
             _slab_worker.wait()
 
 
+def _density_views(buf):
+    """The monitor densities (|F_Z|^2, |d_A * a|^2, |a|^2, |da/dt|^2,
+    cs_densities) as C-contiguous arrays in the real (N, N, N) planes of
+    buf, a complex array of the field's shape: |F_Z|^2, Re and Im side by
+    side, takes the first two as one (N, N, 2N) array, the cs densities the
+    last one or two."""
+    N = buf.shape[-1]
+    p = buf.view(float).reshape(-1, N, N, N)
+    return p[:2].reshape(N, N, 2 * N), p[2], p[3], p[4], p[5:6 + (buf.shape[1] > 1)]
+
+
+def _scratch_planes(scratch, rows):
+    """A real (2, 4, n, N, N) array in the storage of curvature's scratch at
+    its x1 rows `rows` (all N when None): [0, :c] and [1, :c] are two
+    temporaries of a c-coefficient field there."""
+    s = scratch if rows is None else scratch[:, rows]
+    return s.view(float).reshape((4, 2) + s.shape[1:], copy=False).swapaxes(0, 1)
+
+
+def monitor_densities(F, Z, FZ, ring, i, dens, tmp, rows=None):
+    """The pointwise monitor densities of state i into dens (_density_views):
+    Z is the state, FZ its curvature, ring[i % 5] its a; from i = 4 on also
+    |da/dt|^2 at state i - 2, from the ring's 5-point difference formed in
+    place in the slot of state i - 4, which the next state's a overwrites.
+    tmp (_scratch_planes) holds the temporaries.  Each density is one
+    np.einsum pass, summing at each point over form and then coefficient in
+    the order np.sum of the product adds them, or as cs_densities and
+    div_cov form it.
+
+    With rows, a slice of the x1 axis, only those rows are formed, the
+    whole grid's bit for bit: div_cov's x1 derivative reads every row of a,
+    all else these rows alone, so calls on disjoint rows may run at once.
+    """
+    f_sq, div_sq, a_sq, rate_sq, cs_dens = dens
+    a = ring[i % 5]
+    state = TorusField(F.N, F.L, Z.real, a, F.scheme)
+    fz = FZ.view(float)
+    if rows is not None:
+        f_sq, div_sq, a_sq, rate_sq, cs_dens, fz, a = (
+            x[..., rows, :, :] for x in (f_sq, div_sq, a_sq, rate_sq, cs_dens, fz, a))
+    c = Z.shape[1]
+    cs_densities(state, FZ, rows, out=cs_dens)
+    np.einsum(FORM_COEFF, fz, fz, out=f_sq)
+    dva = div_cov(state, state.a, rows, out=tmp[0, :c])
+    np.einsum("c...,c...->...", dva, dva, out=div_sq)
+    np.einsum(FORM_COEFF, a, a, out=a_sq)
+    if i >= 4:
+        # the bracket (f[n-2] - f[n+2]) / 8 + f[n+1] - f[n-1] at n = i - 2
+        d, a_next, a_prev = ring[(i - 4) % 5], ring[(i - 1) % 5], ring[(i - 3) % 5]
+        if rows is not None:
+            d, a_next, a_prev = (x[..., rows, :, :] for x in (d, a_next, a_prev))
+        d -= a
+        d /= 8.0
+        d += a_next
+        d -= a_prev
+        # over form for each coefficient, then over coefficient: not
+        # FORM_COEFF's rounding order, but the one this rate is defined by
+        np.einsum("fc...,fc...->c...", d, d, out=tmp[1, :c]).sum(axis=0, out=rate_sq)
+
+
 def run_flow(F0: TorusField, config: FlowConfig) -> FlowTrace:
     """Integrate the ascending flow; returns the monitored trace.
 
@@ -291,37 +362,22 @@ def run_flow(F0: TorusField, config: FlowConfig) -> FlowTrace:
     ei = np.zeros(n_rec)
     tf = np.zeros(n_rec)
     ring = cache_aligned((5,) + Z.shape, float)  # the a of state i is in ring[i % 5]
+    np.copyto(ring[0], Z.imag)
 
-    def record(i, FZ):
-        """Monitor state i, whose curvature is FZ (the next step's k1)."""
-        a = ring[i % 5]
-        np.copyto(a, Z.imag)
-        work = TorusField(F.N, F.L, Z.real, a, F.scheme)
+    def record(i, dens):
+        """The grid sums of state i's monitors, from its densities dens."""
+        f_sq, div_sq, a_sq, rate_sq, cs_dens = dens
         times[i] = i * dt
-        cs[i] = cs_functional(work, FZ)
-        # |Re F_Z|^2 and |Im F_Z|^2 side by side, summed over form and coefficient
-        fz = FZ.view(float)
-        sq = np.einsum(FORM_COEFF, fz, fz)
-        e_curl[i] = work.integrate(sq[..., 1::2])
-        gns[i] = e_curl[i] + work.integrate(sq[..., ::2])
-        dva = div_cov(work, a)
-        drift[i] = math.sqrt(work.integrate(np.einsum("c...,c...->...", dva, dva)))
-        sup_a[i] = float(np.sqrt(np.einsum(FORM_COEFF, a, a).max()))
+        cs[i] = cs_functional(F, densities=cs_dens)
+        e_curl[i] = F.integrate(f_sq[..., 1::2])
+        gns[i] = e_curl[i] + F.integrate(f_sq[..., ::2])
+        drift[i] = math.sqrt(F.integrate(div_sq))
+        sup_a[i] = math.sqrt(a_sq.max())
         if i >= 4:
-            # step n = i - 2: f' = ((f[n-2] - f[n+2]) / 8 + f[n+1] - f[n-1]) 2 / (3 dt),
-            # the bracket for a formed in place in the slot of state n - 2, which
-            # no later identity reads and the next record overwrites
+            # step n = i - 2: f' = ((f[n-2] - f[n+2]) / 8 + f[n+1] - f[n-1]) 2 / (3 dt)
             n = i - 2
-            d = ring[(n - 2) % 5]
-            d -= a
-            d /= 8.0
-            d += ring[(n + 1) % 5]
-            d -= ring[(n - 1) % 5]
             scale = 2.0 / (3.0 * dt)
-            # over form for each coefficient, then over coefficient: not
-            # FORM_COEFF's rounding order, but the one this rate is defined by
-            dd = np.einsum("fc...,fc...->c...", d, d).sum(axis=0)
-            rate = e_curl[n] + scale ** 2 * work.integrate(dd)
+            rate = e_curl[n] + scale ** 2 * F.integrate(rate_sq)
             dcs = ((cs[n - 2] - cs[n + 2]) / 8.0 + cs[n + 1] - cs[n - 1]) * scale
             ei[n] = _rel_gap(dcs, rate)
             tf[n] = _rel_gap(rate, gns[n])
@@ -330,34 +386,45 @@ def run_flow(F0: TorusField, config: FlowConfig) -> FlowTrace:
         return math.isfinite(cs[i]) and math.isfinite(gns[i])
 
     # RK4 in three arrays, reused at every step: ksum starts as k1, the
-    # record's curvature, and sums k1 + 2 k2 + 2 k3 + k4 in that order
+    # curvature at the state, and sums k1 + 2 k2 + 2 k3 + k4 in that order;
+    # k holds the state's monitor densities from k1 until k2 overwrites them
     ksum, k, stage = (cache_aligned(Z.shape, Z.dtype) for _ in range(3))
     slabs = _slabs(F.N)
     if slabs is None:
-        def at_state():  # the curvature at Z: the record's, and k1
-            curvature(F, Z, ksum)
+        # one curvature scratch for the run, which also holds the densities'
+        # temporaries
+        d = np.empty((4,) + Z.shape[2:], Z.dtype)
+        dens, tmp = _density_views(k), _scratch_planes(d, None)
 
-        def step():
+        def at_state(i):  # k1 at state i, and its monitor densities
+            curvature(F, Z, ksum, None, d)
+            monitor_densities(F, Z, ksum, ring, i, dens, tmp)
+            return dens
+
+        def step(i):  # to state i
             nonlocal Z, k, ksum, stage
-            curvature(F, _advance(Z, ksum, 0.5 * dt, stage), k)  # k2
+            curvature(F, _advance(Z, ksum, 0.5 * dt, stage), k, None, d)  # k2
             _advance(Z, k, 0.5 * dt, stage)
             k *= 2
             ksum += k
-            curvature(F, stage, k)  # k3
+            curvature(F, stage, k, None, d)  # k3
             _advance(Z, k, dt, stage)
             k *= 2
             ksum += k
-            ksum += curvature(F, stage, k)  # k4
+            ksum += curvature(F, stage, k, None, d)  # k4
             Z, stage = _advance(Z, ksum, dt / 6.0, stage), Z
+            np.copyto(ring[i % 5], Z.imag)
     else:
         # the same step as stages on the x1 rows r of every array, each done
         # on both slabs before the next starts; the slabs share curvature's
-        # scratch, taken here for each curvature stage
+        # scratch, taken here for each curvature stage, and in the k1 stage
+        # the densities' temporaries take its rows after the curvature
         def scratch():
             return np.empty((4,) + Z.shape[2:], Z.dtype)
 
-        def k1(r, d):  # the curvature at Z, then the first stage point
+        def k1(r, d, i, dens):  # k1 at state i, its densities, then the first stage point
             curvature(F, Z, ksum, r, d)
+            monitor_densities(F, Z, ksum, ring, i, dens, _scratch_planes(d, r), r)
             _advance(Z[:, :, r], ksum[:, :, r], 0.5 * dt, stage[:, :, r])
 
         def k23(r, d):
@@ -373,22 +440,25 @@ def run_flow(F0: TorusField, config: FlowConfig) -> FlowTrace:
 
         half_step, full_step = step_to(0.5 * dt), step_to(dt)
 
-        def k4(r, d):  # k4, then the new state, into k's rows (k is free again)
+        def k4(r, d, i):  # k4, then state i into k's rows (k is free again), its a into the ring
             curvature(F, stage, k, r, d)
             kr, sr = k[:, :, r], ksum[:, :, r]
             sr += kr
             _advance(Z[:, :, r], sr, dt / 6.0, kr)
+            np.copyto(ring[i % 5][:, :, r], kr.imag)
 
-        def at_state():
-            _on_slabs(slabs, k1, scratch())
+        def at_state(i):
+            dens = _density_views(k)
+            _on_slabs(slabs, k1, scratch(), i, dens)
+            return dens
 
-        def step():
+        def step(i):
             nonlocal Z, k
             _on_slabs(slabs, k23, scratch())  # k2
             _on_slabs(slabs, half_step)
             _on_slabs(slabs, k23, scratch())  # k3
             _on_slabs(slabs, full_step)
-            _on_slabs(slabs, k4, scratch())
+            _on_slabs(slabs, k4, scratch(), i)
             Z, k = k, Z
 
     meta = {"N": F0.N, "L": F0.L, "dt": dt, "scheme": F0.scheme, "abelian": abelian,
@@ -396,14 +466,12 @@ def run_flow(F0: TorusField, config: FlowConfig) -> FlowTrace:
     # a diverging run overflows on its way to the state that stops it; the
     # status below reports that instead of numpy's warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        at_state()
-        record(0, ksum)
+        record(0, at_state(0))
         last = 0
         while last < config.steps and finite(last):
-            step()
             last += 1
-            at_state()
-            record(last, ksum)
+            step(last)
+            record(last, at_state(last))
     if not finite(last):
         meta.update(status="diverged", blowup_step=last)
     keep = slice(0, last + 1)

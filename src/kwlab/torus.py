@@ -339,15 +339,21 @@ def star_wedge(u: np.ndarray) -> np.ndarray:
     return out
 
 
-def div_cov(F: TorusField, u: np.ndarray) -> np.ndarray:
-    """sum_i (d_i u_i + [A_i, u_i]); the constraint scalar for u = a."""
-    acc = F.deriv(u[0], 0)
+def div_cov(F: TorusField, u: np.ndarray, rows: slice | None = None,
+            out: np.ndarray | None = None) -> np.ndarray:
+    """sum_i (d_i u_i + [A_i, u_i]); the constraint scalar for u = a.
+
+    rows and out as in curvature: with rows, a slice of the x1 axis, only
+    those rows, read from u and A there except by the x1 derivative, which
+    reads every row of u[0]; each value is the whole grid's bit for bit.
+    out (each coefficient slot C-contiguous) takes the result when given."""
+    acc = F.deriv(u[0], 0, out=out, rows=rows)
+    A, v = (F.A, u) if rows is None else (F.A[..., rows, :, :], u[..., rows, :, :])
     for i in range(3):
         if i:
-            acc += F.deriv(u[i], i)
-        Au = comm(F.A[i], u[i])
-        if isinstance(Au, np.ndarray):  # 0.0 on the sigma3 line
-            acc += Au
+            acc += F.deriv(u[i], i, rows=rows)
+        if u.shape[1] > 1:  # the bracket is zero on the sigma3 line
+            acc += comm(A[i], v[i])
     return acc
 
 
@@ -428,20 +434,39 @@ def curvature(F: TorusField, Z: np.ndarray | None = None,
     return out
 
 
-def cs_functional(F: TorusField, FZ: np.ndarray | None = None) -> float:
-    """int <a, Re F_Z> + 2 int <[a_1, a_2], a_3>; FZ = curvature(F) unless
-    given.
+def cs_densities(F: TorusField, FZ: np.ndarray, rows: slice | None = None,
+                 out=(None, None)) -> list:
+    """The densities whose integrals make cs, [<a, Re F_Z>, <[a_1, a_2], a_3>],
+    or [<a, Re F_Z>] on the sigma3 line, where the triple product is zero;
+    FZ is the curvature of F.  Both are pointwise (one np.einsum pass, and
+    as dot forms it), so rows, a slice of the x1 axis, gives the whole
+    grid's values at those rows bit for bit.  Written to out[0] and out[1]
+    (None: new arrays).
+    """
+    a, fz = F.a, FZ.real
+    if rows is not None:
+        a, fz = a[..., rows, :, :], fz[..., rows, :, :]
+    dens = [np.einsum(FORM_COEFF, a, fz, out=out[0])]
+    a12 = comm(a[0], a[1])
+    if isinstance(a12, np.ndarray):  # 0.0 on the sigma3 line
+        a12 *= a[2]
+        dens.append(np.sum(a12, axis=0, out=out[1]))
+    return dens
+
+
+def cs_functional(F: TorusField, FZ: np.ndarray | None = None, densities=None) -> float:
+    """int <a, Re F_Z> + 2 int <[a_1, a_2], a_3>, from cs_densities of the
+    whole grid when given, else of FZ, which is curvature(F) unless given.
 
     <a, Re F_Z> = <a, B> - sum_k <a_k, [a_i, a_j]> and each of the three
     cyclic terms is the triple product <[a_1, a_2], a_3>, so this is
     int ( sum_k <a_k, B_k> - <[a_1, a_2], a_3> ).
     """
-    if FZ is None:
-        FZ = curvature(F)
-    cs = F.integrate(np.einsum(FORM_COEFF, F.a, FZ.real))
-    a12 = comm(F.a[0], F.a[1])
-    if isinstance(a12, np.ndarray):  # 0.0 on the sigma3 line
-        cs += 2.0 * F.integrate(dot(a12, F.a[2]))
+    if densities is None:
+        densities = cs_densities(F, curvature(F) if FZ is None else FZ)
+    cs = F.integrate(densities[0])
+    if len(densities) > 1:
+        cs += 2.0 * F.integrate(densities[1])
     return cs
 
 

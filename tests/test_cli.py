@@ -520,6 +520,23 @@ def test_spectral_option_outside_its_mode_is_a_usage_error(argv, flag, mode, tmp
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["spectral", "exclusion", "--case", "b3ct", "--m", "5"],
+    ["spectral", "exclusion", "--m", "1"],  # b3ct is the default case
+])
+def test_spectral_exclusion_b3ct_rejects_a_pole_index(argv, tmp_path, capsys):
+    # b3ct has no pole index: an explicit --m used to be ignored, exit 0, and
+    # written into the report as if it had been used
+    out = tmp_path / "out"
+    code, stdout, err = run(argv + ["--out", str(out)], capsys)
+    assert code == 2 and stdout == "" and not out.exists()
+    [line] = [line for line in err.splitlines() if "error:" in line]
+    assert "--m" in line and "b3ct" in line
+    assert "Traceback" not in err
+    code, _, _ = run(["spectral", "exclusion", "--out", str(out)], capsys)
+    assert code == 0 and json.loads(out.read_text())["m"] == 1
+
+
 def test_benchmark_tracer_installs():
     # the benchmark's tracer looks up every traced kwlab name without a fallback
     root = Path(__file__).resolve().parents[1]

@@ -498,13 +498,13 @@ def test_lojasiewicz_fit_refuses_the_nahm_flow_off_its_sector():
 def _summed_monitors(calls):
     """np.einsum as the monitors' densities were formed before it: a
     full-size product, then np.sum over form and coefficient, or over form
-    alone where the coefficient axis is kept; each call's subscripts are
-    appended to calls."""
+    alone where the coefficient axis is kept, written to out when given;
+    each call's subscripts are appended to calls."""
     axes = {torus.FORM_COEFF: (0, 1), "c...,c...->...": 0, "fc...,fc...->c...": 0}
 
-    def einsum(spec, u, v):
+    def einsum(spec, u, v, out=None):
         calls.append(spec)
-        return np.sum(u * v, axis=axes[spec])
+        return np.sum(u * v, axis=axes[spec], out=out)
 
     return einsum
 
@@ -544,25 +544,38 @@ def test_trace_is_the_six_product_step_with_summed_monitors(monkeypatch, data):
 def _slab_runs(monkeypatch, F, cfg):
     """run_flow as two x1 slabs and as one, each forced through the
     crossover (and two CPUs to split onto, whatever the machine has); also
-    the rows of every curvature call of the split run."""
+    the rows of every curvature call of the split run.  The rows of every
+    monitor_densities call are checked here: each recorded state's
+    densities are formed on both slabs of the split run, and once, on the
+    whole grid, by the one-slab run."""
     import kwlab.flow
 
-    rows = []
-    exact = torus.curvature
+    rows, density_rows = [], []
+    exact, exact_densities = torus.curvature, kwlab.flow.monitor_densities
 
     def logged(F, Z=None, out=None, slab=None, scratch=None):
         rows.append(slab)
         return exact(F, Z, out, slab, scratch)
 
+    def logged_densities(F, Z, FZ, ring, i, dens, tmp, slab=None):
+        density_rows.append(slab)
+        return exact_densities(F, Z, FZ, ring, i, dens, tmp, slab)
+
     monkeypatch.setattr(kwlab.flow.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(kwlab.flow, "curvature", logged)
+    monkeypatch.setattr(kwlab.flow, "monitor_densities", logged_densities)
     monkeypatch.setattr(kwlab.flow, "SLAB_SPLIT_MIN_POINTS", 0)
     split = run_flow(F, cfg)
     split_rows = rows[:]
+    n = F.N
+    assert sorted(density_rows, key=lambda r: r.start) == [
+        h for h in (slice(0, n // 2), slice(n // 2, n)) for _ in split.times]
     monkeypatch.setattr(kwlab.flow, "SLAB_SPLIT_MIN_POINTS", F.N ** 3 + 1)
     rows.clear()
+    density_rows.clear()
     whole = run_flow(F, cfg)
     assert rows == [None] * len(rows)
+    assert density_rows == [None] * len(whole.times)
     return split, whole, split_rows
 
 

@@ -416,3 +416,21 @@ def test_blocked_products_are_the_whole_product(N, complex_):
         for rows in (slice(0, N // 2), slice(N // 2, N)):
             F.deriv(f, i, out=out[:, rows], rows=rows)
         assert np.array_equal(out, ref), i
+
+
+@pytest.mark.parametrize("c", [1, 3])
+@pytest.mark.parametrize("scheme", ["fd4", "spectral"])
+def test_div_cov_at_slab_rows_is_the_whole_grid_rows(scheme, c):
+    # flow.run_flow's slabs form |d_A * a|^2 from div_cov at their own x1
+    # rows; at N = 32, where the x1 product goes in blocks, each slab written
+    # to out holds its rows of the whole grid's div_cov byte for byte, with A
+    # read from a complex connection's real part as the flow reads it
+    G = random_field(np.random.default_rng(6), 32, amplitude=0.3)
+    Z = complex_connection(TorusField(32, G.L, G.A[:, 3 - c:], G.a[:, 3 - c:]))
+    F = TorusField(32, G.L, Z.real, np.ascontiguousarray(Z.imag), scheme)
+    whole = div_cov(F, F.a)
+    out = np.full_like(whole, np.nan)
+    for rows in (slice(0, 16), slice(16, 32)):
+        slab = out[:, rows]
+        assert div_cov(F, F.a, rows=rows, out=slab) is slab
+    assert out.tobytes() == whole.tobytes()
