@@ -293,10 +293,7 @@ def _cmd_flow(args) -> int:
     _write(trace.to_csv(), f"{outdir}/trace.csv")
     summary = trace.summary()
     summary["config"] = cfg
-    try:
-        summary["lojasiewicz_fit"] = lojasiewicz_fit(trace)
-    except ValueError as exc:
-        summary["lojasiewicz_fit"] = {"status": str(exc)}
+    summary["lojasiewicz_fit"] = lojasiewicz_fit(trace)
     # the smallest nonzero |eigenvalue| of the mode symbol, |k| 2 pi / L at |k| = 1
     summary["linear_gap"] = 2 * math.pi / cfg["L"]
     # |grad cs|^2 of the lowest mode decays at twice the stencil's k~, not 2 pi / L

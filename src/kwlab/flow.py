@@ -23,38 +23,40 @@ whole density arrays.
 
 Integrator: classical RK4 at fixed dt with the stability bound dt <= 0.2 h
 asserted up front (h = grid spacing); no adaptivity, for reproducibility.
-Its working arrays (Z, the three RK4 arrays and the ring) start on cache
-lines (torus.cache_aligned), so a step's speed does not depend on where
-the heap puts them.
+Its working arrays (Z, the three RK4 arrays, the ring and the curvature
+scratch) start on cache lines (torus.cache_aligned), so a step's speed
+does not depend on where the heap puts them.
 
-Slabs.  On a grid of at least SLAB_SPLIT_MIN_POINTS = 27^3 points, in a
-process allowed two or more CPUs (os.sched_getaffinity), each RK4 stage
-runs as two x1 slabs, rows [0, N/2) and [N/2, N): this thread takes the
-first, and one worker thread (a daemon, made when a run first splits) the
-second.  Otherwise the run is one slab: each step is the plain RK4 step
-on the whole grid, on this thread, with no stage machinery and one
-curvature scratch for the run, and monitor_densities runs once on the whole
-grid.  A slab's work is pointwise or a product whose output rows are its
-own: torus.curvature with rows (the x1 derivative is D's slab rows times
-every row, x2 and x3 stay in the slab, the brackets are pointwise), the
-monitor densities at its rows, and the stage updates (_advance, k *= 2,
-ksum += k) on row views.  numpy releases the GIL in its ufunc loops and
-BLAS calls, so the slabs run at once.  A barrier ends each stage, since the
-next curvature's x1 derivative reads every row; a curvature and the update
-after it are separate stages, since the update overwrites the stage point
-that the other slab's x1 derivative reads.  The last update writes the new
-state into k's rows instead, and its a into the ring's rows, so it shares
-the k4 stage; the next k1 shares its stage with the state's densities
-(div_cov's x1 derivative reads every row of that a) and the first update:
-six stages a step.  The slabs share one curvature scratch, taken by this
-thread for each curvature stage, as its rows; in the k1 stage they also
-hold the densities' temporaries.  The grid sums stay on this thread, after
-the k1 barrier, since a pairwise sum depends on the array it runs over.
-Every value is formed by the same operations in either layout, so the
-trace is the one-slab trace bit for bit.  At N = 32 on nonabelian data the
-monitors on this thread alone took 3.0 of 12.0 ms a step; on the slabs the
-densities add 1.7 ms to the k1 stage and the sums take 0.09 ms, of 10.7 ms
-(in process, means over 8 interleaved 50-step runs of each).
+Stages and slabs.  Every run takes one RK4 step, in six stages: k1 at the
+state with its monitor densities and the first stage point; k2; the next
+stage point, with 2 k2 into the sum; k3; the last stage point; k4 and the
+new state.  Each stage runs on the x1 rows of every slab before the next
+starts.  On a grid of at least SLAB_SPLIT_MIN_POINTS = 27^3 points, in a
+process allowed two or more CPUs (os.sched_getaffinity), there are two
+slabs, rows [0, N/2) and [N/2, N): this thread takes the first, and one
+worker thread (a daemon, made when a run first splits) the second.
+Otherwise there is one slab, every row, run on this thread.  A slab's work
+is pointwise or a product whose output rows are its own: torus.curvature
+with rows (the x1 derivative is D's slab rows times every row, x2 and x3
+stay in the slab, the brackets are pointwise), the monitor densities at
+its rows, and the stage updates (_advance, k *= 2, ksum += k) on row views.
+numpy releases the GIL in its ufunc loops and BLAS calls, so two slabs run
+at once.  A stage ends when every slab is done, since the next curvature's
+x1 derivative reads every row; a curvature and the update after it are
+separate stages, since the update overwrites the stage point that the
+other slab's x1 derivative reads.  The last update writes the new state
+into k's rows instead, and its a into the ring's rows, so it shares the k4
+stage; the next k1 shares its stage with the state's densities (div_cov's
+x1 derivative reads every row of that a) and the first update.  The slabs
+share one curvature scratch for the run, as its rows; in the k1 stage they
+also hold the densities' temporaries.  The grid sums stay on this thread,
+after the k1 stage, since a pairwise sum depends on the array it runs over.
+Every value is formed by the same operations on either number of slabs, so
+a split run's trace is the one-slab trace bit for bit.  At N = 32 on
+nonabelian data the monitors on this thread alone took 3.0 of 12.0 ms a
+step; on the slabs the densities add 1.7 ms to the k1 stage and the sums
+take 0.09 ms, of 10.7 ms (in process, means over 8 interleaved 50-step runs
+of each).
 
 Every BLAS product stays small enough that OpenBLAS runs it on the calling
 thread (torus.SERIAL_GEMM_MNK); a larger one wakes OpenBLAS's own worker,
@@ -192,7 +194,7 @@ class _SlabWorker:
     def _serve(self):
         while True:
             self._go.acquire()
-            self._job = self._run(*self._job)  # drops the job, and its scratch
+            self._job = self._run(*self._job)  # drops the job, and the arrays it holds
             self._done.release()
 
     @staticmethod
@@ -229,24 +231,27 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_slab_worker)
 
 
-def _slabs(N: int) -> tuple[slice, slice] | None:
-    """The two x1 slabs of a run on the N^3 grid, rows [0, N/2) and
-    [N/2, N); None, one slab, below SLAB_SPLIT_MIN_POINTS or with fewer than
-    two CPUs to run on."""
+def _slabs(N: int) -> tuple[slice | None, ...]:
+    """The x1 slabs of a run on the N^3 grid as row selections: rows
+    [0, N/2) and [N/2, N), or below SLAB_SPLIT_MIN_POINTS or with fewer than
+    two CPUs to run on (None,), one slab of every row."""
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
     if N ** 3 < SLAB_SPLIT_MIN_POINTS or cpus < 2:
-        return None
+        return (None,)
     return slice(0, N // 2), slice(N // 2, N)
 
 
 def _on_slabs(slabs, task, *args):
-    """task(rows, *args) for both slabs, the second on the slab worker
-    (made on first use) while this thread runs the first; returns once both
-    are done."""
+    """task(rows, *args) for each slab, the first on this thread; of two,
+    the second on the slab worker (made on first use) meanwhile.  Returns
+    once every slab is done."""
     global _slab_worker
+    if len(slabs) == 1:
+        task(slabs[0], *args)
+        return
     with _slab_lock:
         if _slab_worker is None:
             _slab_worker = _SlabWorker()
@@ -255,6 +260,15 @@ def _on_slabs(slabs, task, *args):
             task(slabs[0], *args)
         finally:
             _slab_worker.wait()
+
+
+def _at(rows, *arrays):
+    """Each array at the x1 rows `rows` (a view; the array itself when rows
+    is None).  The x1 axis is the third from last of every array here: a
+    field's, curvature's scratch's and each monitor density's."""
+    if rows is None:
+        return arrays
+    return tuple(x[..., rows, :, :] for x in arrays)
 
 
 def _density_views(buf):
@@ -272,7 +286,7 @@ def _scratch_planes(scratch, rows):
     """A real (2, 4, n, N, N) array in the storage of curvature's scratch at
     its x1 rows `rows` (all N when None): [0, :c] and [1, :c] are two
     temporaries of a c-coefficient field there."""
-    s = scratch if rows is None else scratch[:, rows]
+    (s,) = _at(rows, scratch)
     return s.view(float).reshape((4, 2) + s.shape[1:], copy=False).swapaxes(0, 1)
 
 
@@ -291,12 +305,9 @@ def monitor_densities(F, Z, FZ, ring, i, dens, tmp, rows=None):
     all else these rows alone, so calls on disjoint rows may run at once.
     """
     f_sq, div_sq, a_sq, rate_sq, cs_dens = dens
-    a = ring[i % 5]
-    state = TorusField(F.N, F.L, Z.real, a, F.scheme)
-    fz = FZ.view(float)
-    if rows is not None:
-        f_sq, div_sq, a_sq, rate_sq, cs_dens, fz, a = (
-            x[..., rows, :, :] for x in (f_sq, div_sq, a_sq, rate_sq, cs_dens, fz, a))
+    state = TorusField(F.N, F.L, Z.real, ring[i % 5], F.scheme)
+    f_sq, div_sq, a_sq, rate_sq, cs_dens, fz, a = _at(
+        rows, f_sq, div_sq, a_sq, rate_sq, cs_dens, FZ.view(float), state.a)
     c = Z.shape[1]
     cs_densities(state, FZ, rows, out=cs_dens)
     np.einsum(FORM_COEFF, fz, fz, out=f_sq)
@@ -305,9 +316,7 @@ def monitor_densities(F, Z, FZ, ring, i, dens, tmp, rows=None):
     np.einsum(FORM_COEFF, a, a, out=a_sq)
     if i >= 4:
         # the bracket (f[n-2] - f[n+2]) / 8 + f[n+1] - f[n-1] at n = i - 2
-        d, a_next, a_prev = ring[(i - 4) % 5], ring[(i - 1) % 5], ring[(i - 3) % 5]
-        if rows is not None:
-            d, a_next, a_prev = (x[..., rows, :, :] for x in (d, a_next, a_prev))
+        d, a_next, a_prev = _at(rows, ring[(i - 4) % 5], ring[(i - 1) % 5], ring[(i - 3) % 5])
         d -= a
         d /= 8.0
         d += a_next
@@ -343,6 +352,8 @@ def run_flow(F0: TorusField, config: FlowConfig) -> FlowTrace:
     exact zeros from them.
     """
     dt = config.dt
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt = {dt!r} is not finite and > 0")
     bound = CFL_FACTOR * F0.h
     if dt > bound:
         raise CFLError(dt, bound)
@@ -387,79 +398,53 @@ def run_flow(F0: TorusField, config: FlowConfig) -> FlowTrace:
 
     # RK4 in three arrays, reused at every step: ksum starts as k1, the
     # curvature at the state, and sums k1 + 2 k2 + 2 k3 + k4 in that order;
-    # k holds the state's monitor densities from k1 until k2 overwrites them
+    # k holds the state's monitor densities from k1 until k2 overwrites them.
+    # Each stage below runs on the x1 rows r of every slab, with curvature's
+    # one scratch d for the run, whose rows the densities' temporaries also
+    # take in the k1 stage after the curvature
     ksum, k, stage = (cache_aligned(Z.shape, Z.dtype) for _ in range(3))
+    d = cache_aligned((4,) + Z.shape[2:], Z.dtype)
     slabs = _slabs(F.N)
-    if slabs is None:
-        # one curvature scratch for the run, which also holds the densities'
-        # temporaries
-        d = np.empty((4,) + Z.shape[2:], Z.dtype)
-        dens, tmp = _density_views(k), _scratch_planes(d, None)
 
-        def at_state(i):  # k1 at state i, and its monitor densities
-            curvature(F, Z, ksum, None, d)
-            monitor_densities(F, Z, ksum, ring, i, dens, tmp)
-            return dens
+    def k1(r, i, dens):  # k1 at state i, its densities, then the first stage point
+        curvature(F, Z, ksum, r, d)
+        monitor_densities(F, Z, ksum, ring, i, dens, _scratch_planes(d, r), r)
+        z, sr, st = _at(r, Z, ksum, stage)
+        _advance(z, sr, 0.5 * dt, st)
 
-        def step(i):  # to state i
-            nonlocal Z, k, ksum, stage
-            curvature(F, _advance(Z, ksum, 0.5 * dt, stage), k, None, d)  # k2
-            _advance(Z, k, 0.5 * dt, stage)
-            k *= 2
-            ksum += k
-            curvature(F, stage, k, None, d)  # k3
-            _advance(Z, k, dt, stage)
-            k *= 2
-            ksum += k
-            ksum += curvature(F, stage, k, None, d)  # k4
-            Z, stage = _advance(Z, ksum, dt / 6.0, stage), Z
-            np.copyto(ring[i % 5], Z.imag)
-    else:
-        # the same step as stages on the x1 rows r of every array, each done
-        # on both slabs before the next starts; the slabs share curvature's
-        # scratch, taken here for each curvature stage, and in the k1 stage
-        # the densities' temporaries take its rows after the curvature
-        def scratch():
-            return np.empty((4,) + Z.shape[2:], Z.dtype)
+    def k23(r):
+        curvature(F, stage, k, r, d)
 
-        def k1(r, d, i, dens):  # k1 at state i, its densities, then the first stage point
-            curvature(F, Z, ksum, r, d)
-            monitor_densities(F, Z, ksum, ring, i, dens, _scratch_planes(d, r), r)
-            _advance(Z[:, :, r], ksum[:, :, r], 0.5 * dt, stage[:, :, r])
-
-        def k23(r, d):
-            curvature(F, stage, k, r, d)
-
-        def step_to(h):
-            def add(r):  # the stage point Z + h k, and 2 k into the sum
-                kr, sr = k[:, :, r], ksum[:, :, r]
-                _advance(Z[:, :, r], kr, h, stage[:, :, r])
-                kr *= 2
-                sr += kr
-            return add
-
-        half_step, full_step = step_to(0.5 * dt), step_to(dt)
-
-        def k4(r, d, i):  # k4, then state i into k's rows (k is free again), its a into the ring
-            curvature(F, stage, k, r, d)
-            kr, sr = k[:, :, r], ksum[:, :, r]
+    def step_to(h):
+        def add(r):  # the stage point Z + h k, and 2 k into the sum
+            z, kr, sr, st = _at(r, Z, k, ksum, stage)
+            _advance(z, kr, h, st)
+            kr *= 2
             sr += kr
-            _advance(Z[:, :, r], sr, dt / 6.0, kr)
-            np.copyto(ring[i % 5][:, :, r], kr.imag)
+        return add
 
-        def at_state(i):
-            dens = _density_views(k)
-            _on_slabs(slabs, k1, scratch(), i, dens)
-            return dens
+    half_step, full_step = step_to(0.5 * dt), step_to(dt)
 
-        def step(i):
-            nonlocal Z, k
-            _on_slabs(slabs, k23, scratch())  # k2
-            _on_slabs(slabs, half_step)
-            _on_slabs(slabs, k23, scratch())  # k3
-            _on_slabs(slabs, full_step)
-            _on_slabs(slabs, k4, scratch(), i)
-            Z, k = k, Z
+    def k4(r, i):  # k4, then state i into k's rows (k is free again), its a into the ring
+        curvature(F, stage, k, r, d)
+        z, kr, sr, ar = _at(r, Z, k, ksum, ring[i % 5])
+        sr += kr
+        _advance(z, sr, dt / 6.0, kr)
+        np.copyto(ar, kr.imag)
+
+    def at_state(i):  # k1 at state i, and its monitor densities
+        dens = _density_views(k)
+        _on_slabs(slabs, k1, i, dens)
+        return dens
+
+    def step(i):  # to state i
+        nonlocal Z, k
+        _on_slabs(slabs, k23)  # k2
+        _on_slabs(slabs, half_step)
+        _on_slabs(slabs, k23)  # k3
+        _on_slabs(slabs, full_step)
+        _on_slabs(slabs, k4, i)
+        Z, k = k, Z
 
     meta = {"N": F0.N, "L": F0.L, "dt": dt, "scheme": F0.scheme, "abelian": abelian,
             "status": "completed"}
@@ -498,15 +483,16 @@ def lojasiewicz_fit(trace: FlowTrace) -> dict:
     |residual| of the line; above FIT_SCATTER_TOL the tail does not follow
     one power law (it has left the sector the law describes) and the status
     is "scattered", with the fitted numbers reported as they came out.
-    Fewer than 8 tail points with finite r > 0 give status "no_decay"; a
-    diverged run is reported as such, unfitted.
+    Fewer than 8 tail points with finite r > 0 give status "no_decay", a
+    trace of fewer than 16 records "too_short", and a diverged run is
+    reported as such; none of the three is fitted.
     """
     unfitted = {"mu_estimate": None, "rate": None, "scatter": None}
     if trace.meta.get("status") == "diverged":
         return {"status": "diverged", **unfitted}
     n = len(trace.times)
     if n < 16:
-        raise ValueError("trace too short to fit")
+        return {"status": "too_short", **unfitted}
     t = trace.times
     with np.errstate(divide="ignore", invalid="ignore"):
         lg = np.log(trace.grad_norm_sq)

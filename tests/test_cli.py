@@ -244,6 +244,22 @@ def test_flow_zero_config(tmp_path, capsys):
     assert summary["cs_initial"] == 0.0 and summary["cs_final"] == 0.0
 
 
+def test_flow_run_too_short_to_fit(tmp_path, capsys):
+    # a run of fewer than 15 steps has too few records for the fit, and
+    # says so in the fit's own shape
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "N": 8, "dt": 0.02, "steps": 10, "seed": 2,
+        "init": {"kind": "abelian", "amplitude": 0.05},
+    }))
+    code, _, _ = run(["flow", "run", "--config", str(cfg), "--out", str(tmp_path)], capsys)
+    assert code == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["steps"] == 10
+    assert summary["lojasiewicz_fit"] == {
+        "status": "too_short", "mu_estimate": None, "rate": None, "scatter": None}
+
+
 def test_flow_schema_errors(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"N": 8, "steps": 10,

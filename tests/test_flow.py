@@ -52,6 +52,15 @@ def test_cfl_guard():
     assert exc.value.suggested_dt < 0.2 * TorusField(8).h
 
 
+@pytest.mark.parametrize("dt", [math.nan, -0.01, 0.0], ids=["nan", "negative", "zero"])
+def test_run_flow_rejects_a_dt_that_is_not_finite_and_positive(dt):
+    # unchecked, nan runs to a "diverged" step 1, -0.01 runs the descending
+    # flow to "completed", and 0 divides by zero in the energy identity
+    with pytest.raises(ValueError, match="not finite and > 0") as exc:
+        run_flow(TorusField(8), FlowConfig(dt=dt, steps=3))
+    assert not isinstance(exc.value, CFLError)
+
+
 def test_cs_abelian_vanishes():
     F = abelian_field(16, amplitude=0.3)
     assert abs(cs_functional(F)) < 1e-14
@@ -275,6 +284,15 @@ def test_lojasiewicz_stationary_declined():
     t = np.linspace(0, 5, 100)
     assert lojasiewicz_fit(_fake_trace(t, 0 * t, 0 * t)) == {
         "status": "no_decay", "mu_estimate": None, "rate": None, "scatter": None}
+
+
+def test_lojasiewicz_too_short_declined():
+    # the line is fitted over the second half of at least 16 records
+    t = np.linspace(0, 1, 16)
+    fits = [lojasiewicz_fit(_fake_trace(t[:n], 1 - np.exp(-3 * t[:n]), 3 * np.exp(-3 * t[:n])))
+            for n in (15, 16)]
+    assert fits[0] == {"status": "too_short", "mu_estimate": None, "rate": None, "scatter": None}
+    assert fits[1]["status"] != "too_short"
 
 
 @pytest.mark.parametrize("t0", [0.5, 1.0, 4.0])
@@ -547,15 +565,22 @@ def _slab_runs(monkeypatch, F, cfg):
     the rows of every curvature call of the split run.  The rows of every
     monitor_densities call are checked here: each recorded state's
     densities are formed on both slabs of the split run, and once, on the
-    whole grid, by the one-slab run."""
+    whole grid, by the one-slab run.  So is curvature's scratch: each run
+    hands every call the same array."""
     import kwlab.flow
 
-    rows, density_rows = [], []
+    rows, density_rows, scratches = [], [], []
     exact, exact_densities = torus.curvature, kwlab.flow.monitor_densities
 
     def logged(F, Z=None, out=None, slab=None, scratch=None):
         rows.append(slab)
+        scratches.append(scratch)
         return exact(F, Z, out, slab, scratch)
+
+    def one_scratch():
+        shared = scratches[0] is not None and all(s is scratches[0] for s in scratches)
+        scratches.clear()
+        return shared
 
     def logged_densities(F, Z, FZ, ring, i, dens, tmp, slab=None):
         density_rows.append(slab)
@@ -570,12 +595,14 @@ def _slab_runs(monkeypatch, F, cfg):
     n = F.N
     assert sorted(density_rows, key=lambda r: r.start) == [
         h for h in (slice(0, n // 2), slice(n // 2, n)) for _ in split.times]
+    assert one_scratch()
     monkeypatch.setattr(kwlab.flow, "SLAB_SPLIT_MIN_POINTS", F.N ** 3 + 1)
     rows.clear()
     density_rows.clear()
     whole = run_flow(F, cfg)
     assert rows == [None] * len(rows)
     assert density_rows == [None] * len(whole.times)
+    assert one_scratch()
     return split, whole, split_rows
 
 
