@@ -135,9 +135,10 @@ class ModelBackground:
             f2, f1, fm1, fm2 = shifts
             da[..., i, :, :] = ((-f2 + 8.0 * f1 - 8.0 * fm1 + fm2)
                                 / (12.0 * h)[..., None, None])[..., :2, :]
-        # grad_i a_j = d_i a_j + [A_i, a_j]
-        A, a = self.A_at(P), self.a_at(P)
-        return da + coeff_bracket(A[..., :2, None, :], a[..., None, :2, :])
+        # grad_i a_j = d_i a_j + [A_i, a_j], with A and a from one evaluation
+        ev = self._eval(P)
+        A, a = np.stack([ev.A1, ev.A2], axis=-2), np.stack([ev.a1, ev.a2], axis=-2)
+        return da + coeff_bracket(A[..., :, None, :], a[..., None, :, :])
 
 
 class TorusTrigBackground:

@@ -39,6 +39,10 @@ from .torus import TorusField, random_field, stencil_wavenumber
 # largest `spectral hemisphere --mesh`: the solver holds about ten float
 # arrays of the mesh size; 10^6 cells peak near 200 MB and take ~2 s
 MAX_MESH = 10 ** 6
+# largest `model --m`: along case4_solution's ray |sigma_minus| ~ x^(m+1)
+# reaches 1e154 at m = 240, where its squared norm overflows and
+# decoupled_sector_exponent reads NaN; every m up to 239 passes at seeds 0-2
+MAX_MODEL_M = 239
 # largest `flow run` grid N: a 3-step random flow peaks near 0.5 GB at N = 64,
 # and memory grows 8x per doubling of N
 MAX_FLOW_N = 64
@@ -91,7 +95,7 @@ def _background_kind(text: str) -> str:
 # is the keyword the suite function takes
 SUITE_OPTIONS = {
     "model": {
-        "--m": dict(type=_int_in_range(0), default=1),
+        "--m": dict(type=_int_in_range(0, MAX_MODEL_M), default=1),
         "--samples": dict(type=_int_in_range(1), default=200),
     },
     "operator": {
@@ -231,6 +235,15 @@ def _require(ok: bool, name: str, what: str, value) -> None:
         raise ValueError(f"config field '{name}' must be {what}, got {value!r}")
 
 
+def _finite_power(x: float, n: int) -> bool:
+    """Whether x ** n is a finite double; Python raises OverflowError where
+    the power overflows."""
+    try:
+        return math.isfinite(x ** n)
+    except OverflowError:
+        return False
+
+
 def _load_flow_config(path: str) -> dict:
     with open(path) as fh:
         cfg = json.load(fh)
@@ -255,6 +268,12 @@ def _load_flow_config(path: str) -> dict:
     for key in ("L", "dt"):
         _require(math.isfinite(merged[key]) and merged[key] > 0, key, "finite and > 0",
                  merged[key])
+    # the flow integrates over the box volume L^3 and scales its rate
+    # monitor by (2 / (3 dt))^2
+    _require(_finite_power(merged["L"], 3), "L", "small enough that L^3 is a finite double",
+             merged["L"])
+    _require(_finite_power(2.0 / (3.0 * merged["dt"]), 2), "dt",
+             "large enough that (2 / (3 dt))^2 is a finite double", merged["dt"])
     _require(1 <= merged["steps"] <= MAX_FLOW_STEPS, "steps",
              f"between 1 and {MAX_FLOW_STEPS}", merged["steps"])
     _require(merged["seed"] >= 0, "seed", ">= 0", merged["seed"])

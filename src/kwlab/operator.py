@@ -233,16 +233,24 @@ def covariant_grads(bg, sec, P, h: float | None):
         val, grads = sec.jet(P)
     else:
         val = sec.value(P)
-        shifted = []
-        for mu in range(4):
-            for s in (1.0, -1.0):
-                Q = P.copy()
-                Q[..., mu] += s * h
-                shifted.append(Q)
-        stack = sec.value(np.stack(shifted))
-        grads = np.stack([(stack[2 * mu] - stack[2 * mu + 1]) / (2 * h) for mu in range(4)],
-                         axis=-3)
+        grads = _centred(sec.value(_neighbours(P, h)), h)
     return val, _add_connection(bg.A_at(P), val, grads)
+
+
+def _neighbours(P, h: float):
+    """The eight points P + h e_mu, P - h e_mu for mu = t, 1, 2, 3, stacked in
+    that order on a new leading axis, as ``_centred`` reads them."""
+    Q = np.repeat(P[None], 8, axis=0)
+    for mu in range(4):
+        Q[2 * mu, ..., mu] += h
+        Q[2 * mu + 1, ..., mu] -= h
+    return Q
+
+
+def _centred(stack, h: float):
+    """Centred differences of values at ``_neighbours``, direction on axis -3."""
+    return np.stack([(stack[2 * mu] - stack[2 * mu + 1]) / (2 * h) for mu in range(4)],
+                    axis=-3)
 
 
 def _add_connection(A, val, grads):
@@ -479,36 +487,27 @@ def bochner_block_report(bg, p) -> dict:
     return {"flagged_blocks": flagged, "worst_block_diff": float(np.max(rel))}
 
 
-def laplacian_cov(bg, sec, P, h: float):
-    """sum_mu grad_mu grad_mu psi by nested centered differences."""
-    def first(mu):
-        def f(Q):
-            _, g = covariant_grads(bg, sec, Q, h)
-            return g[..., mu, :, :]
-        return FuncSection(f)
-
-    P = np.asarray(P, dtype=float)
-    out = 0.0
-    for mu in range(4):
-        _, g2 = covariant_grads(bg, first(mu), P, h)
-        out = out + g2[..., mu, :, :]
-    return out
-
-
 def bochner_check(bg, sec, p, h: float) -> dict:
     """Compare D^dag D - (grad^dag grad + sum_i [a_i, [., a_i]]) with the
     assembled remainder at a point; returns the residual and both sides.
+
+    One stencil pass: psi's covariant gradients at p and at its eight
+    neighbours p +- h e_mu give D psi at all nine points, hence D^dag D psi,
+    and the covariant Hessian, whose trace is -grad^dag grad psi.
     """
     p = np.asarray(p, dtype=float)
-    inner_D = FuncSection(lambda Q: apply_D(bg, sec, Q, h, depiction="clifford"))
-    ddag_d = apply_D_dagger(bg, inner_D, p, h)
-    lap = laplacian_cov(bg, sec, p, h)
-    val = sec.value(p)
-    a = bg.a_at(p)
-    commterm = 0.0
-    for i in range(3):
-        ai = a[..., i, None, :]
-        commterm = commterm + comm(ai, comm(val, ai))
+    q = _neighbours(p, h)
+    bg.domain_check(p)
+    bg.domain_check(q)
+    val, grads = covariant_grads(bg, sec, p, h)
+    qval, qgrads = covariant_grads(bg, sec, q, h)
+    A, a = bg.A_at(p), bg.a_at(p)
+    dpsi = _assemble_clifford(val, grads, a)
+    ddpsi = _add_connection(A, dpsi, _centred(_assemble_clifford(qval, qgrads, bg.a_at(q)), h))
+    ddag_d = _assemble_clifford(dpsi, ddpsi, a, dt_sign=-1.0)
+    hess = _add_connection(A[..., None, :, :], grads, _centred(qgrads, h))
+    lap = sum(hess[..., mu, mu, :, :] for mu in range(4))
+    commterm = sum(comm(a[..., i, None, :], comm(val, a[..., i, None, :])) for i in range(3))
     remainder = ddag_d + lap - commterm
     xpsi = apply_x(x_blocks(bg, p), val)
     resid = spinor_max(remainder - xpsi)

@@ -223,7 +223,9 @@ def model_suite(seed: int, m: int = 1, samples: int = 200) -> list[CheckResult]:
         max(abs(float(f["x"]) - 5.0), abs(math.sinh(float(f["theta"])) - 0.75)),
         1e-14))
     pts = model.sample_points(rng, max(10, samples // 10))
-    worst = max(model.verify_reduced_eqs(ms, pts, 1e-4).values())
+    # the residuals' O(h^2) truncation grows with m: a relative step shrinking
+    # as 1/(m + 1) from 1e-4 at m <= 1 holds them below 5e-7 up to m = 239
+    worst = max(model.verify_reduced_eqs(ms, pts, 2e-4 / max(m + 1, 2)).values())
     out.append(CheckResult.from_bound(
         "reduced_equations", "first-order relations among alpha, phi, E, B",
         worst, 1e-6))

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kwlab.cli import main
+from kwlab.cli import MAX_MODEL_M, main
 
 
 def run(argv, capsys):
@@ -47,6 +47,15 @@ def test_model_suite_passes_at_larger_m(m, capsys):
     # finite-difference error no longer grows with the fields past m = 3;
     # reduced_equations_order reads 1.2e-4 at m = 9
     code, out, _ = run(["model", "--m", m], capsys)
+    assert code == 0 and json.loads(out)["n_fail"] == 0
+
+
+@pytest.mark.parametrize("seed", ["0", "1", "2"])
+def test_model_suite_passes_at_largest_m(seed, capsys):
+    # the largest m the command line takes: reduced_equations' relative step
+    # shrinks as 1/(m + 1), so its truncation stays below 5e-7 here, and at
+    # the next m the ray norm of decoupled_sector_exponent overflows
+    code, out, _ = run(["model", "--m", str(MAX_MODEL_M), "--seed", seed], capsys)
     assert code == 0 and json.loads(out)["n_fail"] == 0
 
 
@@ -280,6 +289,8 @@ def test_flow_schema_errors(tmp_path, capsys):
     {"N": True},
     {"L": 0},
     {"L": float("inf")},
+    {"L": 1e300},  # L^3 overflows in the box volume
+    {"dt": 1e-300},  # (2 / (3 dt))^2 overflows in the rate monitor
     {"dt": float("nan")},
     {"dt": -0.01},
     {"dt": 0},
@@ -502,6 +513,7 @@ def test_key_error_inside_a_check_is_not_a_usage_error(monkeypatch):
     ["algebra", "--seed", "-1"],
     ["all", "--seed", "-1"],
     ["spectral", "hardy", "--seed", "-1"],
+    ["model", "--m", "240"],  # above MAX_MODEL_M
 ])
 def test_suite_argument_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from kwlab import backgrounds
 from kwlab import operator as op
 from kwlab.algebra import (
     SIGMA, bracket, coeff_bracket, coeff_norm, coeffs_to_su2, norm, su2_to_coeffs,
@@ -537,6 +538,77 @@ def test_block_report_makes_one_bochner_check_call(monkeypatch):
     assert rep["flagged_blocks"] == []
 
 
+def _nested_bochner_remainder(bg, sec, p, h):
+    """bochner_check's remainder by nested composition: D^dag of a section
+    whose values are D psi, and sum_mu grad_mu grad_mu psi as grad_mu of the
+    section whose values are grad_mu psi, one per mu."""
+    inner_D = op.FuncSection(lambda Q: op.apply_D(bg, sec, Q, h, depiction="clifford"))
+    ddag_d = op.apply_D_dagger(bg, inner_D, p, h)
+    lap = 0.0
+    for mu in range(4):
+        first = op.FuncSection(
+            lambda Q, mu=mu: op.covariant_grads(bg, sec, Q, h)[1][..., mu, :, :])
+        lap = lap + op.covariant_grads(bg, first, p, h)[1][..., mu, :, :]
+    val, a = sec.value(p), bg.a_at(p)
+    commterm = 0.0
+    for i in range(3):
+        ai = a[..., i, None, :]
+        commterm = commterm + op.comm(ai, op.comm(val, ai))
+    return ddag_d + lap - commterm
+
+
+def _basis_section():
+    return op.FuncSection(lambda Q: np.broadcast_to(op._BASIS24, Q.shape[:-1] + (8, 3)))
+
+
+# the torus background carries a live connection A, so the Laplacian's
+# connection terms are read; trivial and nahm have A = 0
+BOCHNER_BACKGROUNDS = [
+    ("trivial", TrivialBackground(), (1.0, 0.1, -0.2)),
+    ("nahm", NahmBackground(), (1.0, 0.1, -0.2)),
+    ("model:1", ModelBackground(1), (1.0, 0.7, 0.2)),
+    ("model:3", ModelBackground(3), (0.8, -0.5, 0.6)),
+    ("torus", TorusTrigBackground(DUALITY_TERMS), (1.0, 0.4, 2.1)),
+]
+
+
+@pytest.mark.parametrize("name,bg,center", BOCHNER_BACKGROUNDS,
+                         ids=[b[0] for b in BOCHNER_BACKGROUNDS])
+def test_bochner_one_pass_matches_nested_composition(name, bg, center):
+    assert name != "torus" or np.any(bg.A_at(np.array([*center, 0.4])))
+    rng = np.random.default_rng(21)
+    sec = op.random_section(rng, center=center, spread=0.3)
+    p = np.array([center[0], center[1], center[2], 0.4])
+    for h in (1e-3, 5e-4):
+        got = op.bochner_check(bg, sec, p, h)["remainder"]
+        assert np.array_equal(got, _nested_bochner_remainder(bg, sec, p, h))
+    # remainder_matrix24's batch: the point repeated 24 times, basis spinor j
+    # at the j-th copy
+    P = np.broadcast_to(p, (24, 4))
+    got = op.bochner_check(bg, _basis_section(), P, 5e-4)["remainder"]
+    assert np.array_equal(got, _nested_bochner_remainder(bg, _basis_section(), P, 5e-4))
+
+
+@pytest.mark.parametrize("shape", [(4,), (24, 4)])
+def test_bochner_check_reads_one_stencil(monkeypatch, shape):
+    # psi's gradients at p and at its eight neighbours: two covariant_grads
+    # calls and 9 + 8 x 9 = 81 section values per query point
+    grads_calls, points = [], []
+    covariant_grads = op.covariant_grads
+
+    def counted(*args, **kwargs):
+        grads_calls.append(1)
+        return covariant_grads(*args, **kwargs)
+
+    sec = op.random_section(np.random.default_rng(6), center=(1.0, 0.7, 0.2))
+    traced = op.FuncSection(lambda Q: points.append(Q[..., 0].size) or sec.value(Q))
+    monkeypatch.setattr(op, "covariant_grads", counted)
+    P = np.broadcast_to(np.array([1.0, 0.7, 0.2, 0.4]), shape)
+    op.bochner_check(ModelBackground(1), traced, P, 1e-3)
+    assert len(grads_calls) == 2
+    assert sum(points) == 81 * P[..., 0].size
+
+
 class _GaussTrigOracle:
     """The blob formulas, the reference for blob-type TrigSections bit for
     bit: sums of Gaussians in (t, x1, x2) times cos(n x3 + phase), blobs
@@ -670,6 +742,22 @@ def test_one_evaluation_per_jet_consumer(monkeypatch):
     psi = op.random_torus_section(rng, k_max=1, n_terms=2, t_center=2.0, t_width=0.35)
     op.box_quadrature(TrivialBackground(), psi, psi, t_range=(0.0, 4.0), nt=5, nx=4)
     assert len(calls) == 1 + 3 + 2 * 5
+
+
+def test_model_x_blocks_evaluations(monkeypatch):
+    # x_blocks on a model background: one evaluation each for curvature_at
+    # and a_at, and dcov_a_at's four shifts per direction plus one at P for
+    # both A and a
+    calls = []
+    evaluate = backgrounds.evaluate
+
+    def counted(*args):
+        calls.append(1)
+        return evaluate(*args)
+
+    monkeypatch.setattr(backgrounds, "evaluate", counted)
+    op.x_blocks(ModelBackground(1), np.array([1.0, 0.7, 0.4, 0.3]))
+    assert len(calls) == 11
 
 
 def test_zero_background_skips_bracket_terms(monkeypatch):
