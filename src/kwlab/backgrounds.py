@@ -11,6 +11,13 @@ and, where the zeroth-order curvature data is needed,
     curvature_at(P) -> (E1, E2, B3), each (..., 3)   (all other components zero)
     dcov_a_at(P)    -> (..., 2, 2, 3)  grad_i a_j for i, j in {1, 2}
 
+together with domain_check(P), which raises ValueError at any point outside
+the background's domain (t <= 0 at the pole, the axis disk of the model).
+The field methods do not check it themselves (the pole's a_at aside): the
+operator does, once per read, in ``operator.covariant_grads`` and in the
+three entries that read the background without it, ``x_blocks``,
+``spatial_identification`` and ``omega_apply``.
+
 Four kinds: trivial (A = a = 0 anywhere), the pole background
 a_i = -sigma_i/(2t), the integer-m model family, and trigonometric
 time-independent data on a flat 3-torus (one periodic operator.TrigSection,

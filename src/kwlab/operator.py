@@ -221,12 +221,15 @@ def random_torus_section(rng: np.random.Generator, k_max: int = 2, n_terms: int 
 def covariant_grads(bg, sec, P, h: float | None):
     """(value, grads) with grads[..., mu, 8, 3] = grad_mu psi for mu = t,1,2,3.
 
-    The section's jet (value and exact derivatives from one evaluation) is
-    used when h is None; otherwise the values and
-    second-order centered differences at step h.  The connection commutator
-    is then added to the spatial derivatives (``_add_connection``).
+    The operator's one read of a section: the background's ``domain_check``
+    refuses P before the section is evaluated.  The section's jet (value and
+    exact derivatives from one evaluation) is used when h is None; otherwise
+    the values and second-order centered differences at step h.  The
+    connection commutator is then added to the spatial derivatives
+    (``_add_connection``).
     """
     P = np.asarray(P, dtype=float)
+    bg.domain_check(P)
     if h is None:
         if sec.jet is None:
             raise ValueError("need a step h for a section without exact derivatives")
@@ -334,32 +337,23 @@ def _assemble_clifford(val, grads, a, dt_sign: float = 1.0, skip_gamma3: bool = 
     return out
 
 
+# the three depictions of D, each assembling D psi from one covariant jet
+DEPICTIONS = {"components": _assemble_components, "matrix": _assemble_matrix,
+              "clifford": _assemble_clifford}
+
+
 def apply_D(bg, sec, P, h: float | None = 1e-5, depiction: str = "matrix"):
     """D psi at P in the chosen depiction; the three agree pointwise."""
-    bg.domain_check(P)
+    if depiction not in DEPICTIONS:
+        raise ValueError(f"unknown depiction {depiction!r}")
     val, grads = covariant_grads(bg, sec, P, h)
-    a = bg.a_at(P)
-    if depiction == "components":
-        return _assemble_components(val, grads, a)
-    if depiction == "matrix":
-        return _assemble_matrix(val, grads, a)
-    if depiction == "clifford":
-        return _assemble_clifford(val, grads, a)
-    raise ValueError(f"unknown depiction {depiction!r}")
+    return DEPICTIONS[depiction](val, grads, bg.a_at(P))
 
 
 def apply_D_dagger(bg, sec, P, h: float | None = 1e-5):
     """The formal L2 adjoint: -grad_t + gamma_i grad_i + rho_i [a_i, .]."""
-    bg.domain_check(P)
     val, grads = covariant_grads(bg, sec, P, h)
     return _assemble_clifford(val, grads, bg.a_at(P), dt_sign=-1.0)
-
-
-def apply_Xi(bg, sec, P, h: float | None = 1e-5):
-    """D minus its gamma3 grad_3 term (acts within x3-invariant sections)."""
-    bg.domain_check(P)
-    val, grads = covariant_grads(bg, sec, P, h)
-    return _assemble_clifford(val, grads, bg.a_at(P), skip_gamma3=True)
 
 
 # ---------------------------------------------------------------------------
@@ -374,6 +368,7 @@ def x_blocks(bg, P) -> np.ndarray:
     Valid for x3-invariant flat backgrounds.
     """
     P = np.asarray(P, dtype=float)
+    bg.domain_check(P)
     e1, e2, b3 = bg.curvature_at(P)
     dca = bg.dcov_a_at(P)
     a = bg.a_at(P)
@@ -497,8 +492,6 @@ def bochner_check(bg, sec, p, h: float) -> dict:
     """
     p = np.asarray(p, dtype=float)
     q = _neighbours(p, h)
-    bg.domain_check(p)
-    bg.domain_check(q)
     val, grads = covariant_grads(bg, sec, p, h)
     qval, qgrads = covariant_grads(bg, sec, q, h)
     A, a = bg.A_at(p), bg.a_at(p)
@@ -519,29 +512,32 @@ def bochner_check(bg, sec, p, h: float) -> dict:
 # Radial factorization and the algebraic automorphism
 
 
-def u_inv_section(sec) -> FuncSection:
-    """The section q -> U(q)^{-1} psi(q); U = (t + z1 g1 + z2 g2)/x."""
-
-    def value(P):
-        P = np.asarray(P, dtype=float)
-        uinv = np.swapaxes(u_endo(P[..., 0], P[..., 1], P[..., 2]), -1, -2)  # orthogonal
-        return uinv @ sec.value(P)
-
-    return FuncSection(value)
-
-
 def omega_apply(bg, sec, p, h: float) -> np.ndarray:
-    """Omega xi = x (Xi(U^{-1} xi) - grad_x xi) at p, for x3-invariant xi.
+    """Omega xi = x (Xi(U^{-1} xi) - grad_x xi) at p, for x3-invariant xi,
+    where U = (t + z1 gamma_1 + z2 gamma_2)/x and Xi is D without its
+    gamma_3 grad_3 term (it acts within x3-invariant sections).
+
+    One stencil: xi is read at p and at its eight neighbours p +- h e_mu,
+    U^{-1} = U^T is applied at all nine points, and both covariant gradients
+    are centred differences of those values.  As it reads xi without
+    ``covariant_grads``, it makes the background's ``domain_check`` itself.
 
     Omega commutes with both grad_x and multiplication by x, so it is
     invariant under the coordinate rescaling (t, z) -> (lambda t, lambda z).
     """
     p = np.asarray(p, dtype=float)
+    bg.domain_check(p)
+    q = _neighbours(p, h)
+    val, qval = sec.value(p), sec.value(q)
+    uval, uqval = (np.swapaxes(u_endo(Q[..., 0], Q[..., 1], Q[..., 2]), -1, -2) @ v
+                   for Q, v in ((p, val), (q, qval)))
+    A, a = bg.A_at(p), bg.a_at(p)
+    xi_u = _assemble_clifford(uval, _add_connection(A, uval, _centred(uqval, h)), a,
+                              skip_gamma3=True)
+    g = _add_connection(A, val, _centred(qval, h))
     x = math.sqrt(p[0] ** 2 + p[1] ** 2 + p[2] ** 2)
-    term1 = apply_Xi(bg, u_inv_section(sec), p, h)
-    _, g = covariant_grads(bg, sec, p, h)
     nabla_x = (p[0] * g[0] + p[1] * g[1] + p[2] * g[2]) / x
-    return x * (term1 - nabla_x)
+    return x * (xi_u - nabla_x)
 
 
 def apply_q_endo(val):
@@ -603,12 +599,11 @@ def box_quadrature(bg, psi, xi, t_range=(0.5, 3.5), nt=40, nx=8,
     nx = 8) are never held.
     """
     P, wt, vol_x = _box_grid(t_range, nt, nx)
-    bg.domain_check(P)
     pairs = np.empty((6,) + P.shape[:-1])
     for i, Q in enumerate(P):
-        a = bg.a_at(Q)
         psival, grads = covariant_grads(bg, psi, Q, h)
         xival, xigrads = covariant_grads(bg, xi, Q, h)
+        a = bg.a_at(Q)
         dpsi = _assemble_clifford(psival, grads, a)
         lpsi = _assemble_clifford(psival, grads, a, dt_sign=0.0)
         ddagxi = _assemble_clifford(xival, xigrads, a, dt_sign=-1.0)
@@ -664,6 +659,7 @@ def spatial_identification(bg, sec, P) -> float:
     comparison is free of differencing error.
     """
     P = np.asarray(P, dtype=float)
+    bg.domain_check(P)
     if sec.jet is None:
         raise ValueError("spatial identification wants exact derivatives")
     val, d = sec.jet(P)

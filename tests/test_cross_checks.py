@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+from test_operator import apply_xi
 
 from kwlab import model
 from kwlab import operator as op
@@ -48,7 +49,7 @@ def test_case4_section_in_xi_kernel(m, p_deg):
     bg = ModelBackground(m)
     sec = case4_spinor_section(ms, p_deg)
     for pt in (np.array([1.0, 0.7, 0.2, 0.0]), np.array([0.8, -0.4, 0.5, 0.0])):
-        out = op.apply_Xi(bg, sec, pt, 1e-5)
+        out = apply_xi(bg, sec, pt, 1e-5)
         scale = op.spinor_max(sec.value(pt)) + 1e-30
         assert op.spinor_max(out) / scale < 1e-7
 

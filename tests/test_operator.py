@@ -14,7 +14,7 @@ from kwlab.backgrounds import (
     make_background,
 )
 from kwlab.cli import main
-from kwlab.clifford import GAMMA, RHO
+from kwlab.clifford import GAMMA, RHO, u_endo
 from kwlab.suites import operator_suite, run_suite
 
 RNG = np.random.default_rng(0)
@@ -433,6 +433,13 @@ def test_x_structure():
         assert op.spinor_max(op.apply_x(Xb, v)) == 0.0
 
 
+def apply_xi(bg, sec, P, h):
+    """Xi, D minus its gamma3 grad_3 term (it acts within x3-invariant
+    sections), from the operator's one covariant jet."""
+    val, grads = op.covariant_grads(bg, sec, P, h)
+    return op._assemble_clifford(val, grads, bg.a_at(P), skip_gamma3=True)
+
+
 def _x3_invariant_section(rng, center):
     return op.TrigSection([(rng.normal(size=(8, 3)), (0, 0, 0), 0.0,
                             np.asarray(center) + rng.uniform(-0.15, 0.15, 3),
@@ -453,8 +460,8 @@ def test_omega_scale_invariance_and_q():
     o2 = op.omega_apply(bg, xi, p2, lam * 1e-5)
     assert op.spinor_max(o1 - o2) < 1e-8
     # Xi is homogeneous of weight -1 under the same pullback
-    x1 = op.apply_Xi(bg, pull, p, 1e-5)
-    x2 = op.apply_Xi(bg, xi, p2, lam * 1e-5)
+    x1 = apply_xi(bg, pull, p, 1e-5)
+    x2 = apply_xi(bg, xi, p2, lam * 1e-5)
     assert op.spinor_max(x1 - lam * x2) < 1e-8
     qxi = op.FuncSection(lambda Q: op.apply_q_endo(xi.value(Q)))
     c1 = op.apply_q_endo(op.omega_apply(bg, xi, p, 1e-5))
@@ -506,6 +513,47 @@ def test_domain_guards():
         op.apply_D(bg, sec, np.array([-1.0, 0.5, 0.5, 0.0]), 1e-5)
     with pytest.raises(ValueError):
         op.apply_D(bg, sec, np.array([1.0, 0.0, 0.0, 0.0]), 1e-5)
+    # the remainder reads the background without a section and differences
+    # it at the step 1e-3 r, so on the axis disk it must refuse the points
+    # apply_D refuses: unguarded it reads NaN at r = 0 and differences at
+    # 1e-12 at r = 1e-9
+    for p in ([1.0, 0.0, 0.0, 0.3], [1.0, 1e-9, 0.0, 0.3]):
+        for read in (op.apply_D, lambda bg, sec, p: op.x_blocks(bg, p),
+                     lambda bg, sec, p: op.x_matrix24(bg, p)):
+            with pytest.raises(ValueError, match="axis disk"):
+                read(bg, sec, np.array(p))
+
+
+def test_three_depictions_read_one_jet(monkeypatch):
+    # the suite's three depictions assemble one covariant jet of its points
+    reads = []
+    grads = op.covariant_grads
+    monkeypatch.setattr(op, "covariant_grads",
+                        lambda bg, sec, P, h: reads.append(np.shape(P)) or grads(bg, sec, P, h))
+    checks = {c.check_id: c for c in operator_suite(1, points=50)}
+    assert checks["three_depictions"].status == "pass"
+    assert reads.count((50, 4)) == 1
+
+
+@pytest.mark.parametrize("kind", ["nahm", "model:1"])
+def test_omega_reads_its_section_at_one_stencil(kind):
+    # xi at p and at its eight neighbours, once each; the result is the
+    # composition it replaced, Xi of the section U^{-1} xi minus grad_x xi
+    bg = make_background(kind)
+    xi = _x3_invariant_section(np.random.default_rng(3), (0.9, 0.55, 0.35))
+    p, h = np.array([0.9, 0.55, 0.35, 0.2]), 1e-5
+    reads = []
+    counted = op.FuncSection(lambda Q: reads.append(Q.shape[:-1]) or xi.value(Q))
+    got = op.omega_apply(bg, counted, p, h)
+    assert reads == [(), (8,)]
+
+    def u_inv_xi(Q):
+        return np.swapaxes(u_endo(Q[..., 0], Q[..., 1], Q[..., 2]), -1, -2) @ xi.value(Q)
+
+    _, g = op.covariant_grads(bg, xi, p, h)
+    x = math.sqrt(p[0] ** 2 + p[1] ** 2 + p[2] ** 2)
+    nabla_x = (p[0] * g[0] + p[1] * g[1] + p[2] * g[2]) / x
+    assert np.array_equal(got, x * (apply_xi(bg, op.FuncSection(u_inv_xi), p, h) - nabla_x))
 
 
 @pytest.mark.parametrize("kind", ["model:1", "model:2"])

@@ -331,6 +331,18 @@ def test_spectral_suite_makes_two_radial_solves(monkeypatch):
     assert spans == [(math.log(14.0), math.log(1e-4 / 4)), (math.log(0.2), math.log(8.0))]
 
 
+def test_spectral_suite_solves_each_sturm_liouville_problem_once(monkeypatch):
+    # b3ct keeps W = 0, so its exclusion report's minimum is the
+    # zero-potential row's: the suite makes four solves, not five
+    from kwlab.suites import spectral_suite
+
+    solve, problems = sp.rayleigh_min, []
+    monkeypatch.setattr(sp, "rayleigh_min", lambda prob: problems.append(prob) or solve(prob))
+    rows = {c.check_id: c for c in spectral_suite(0)}
+    assert len(problems) == 4 and sp.case_potential("b3ct") is None
+    assert rows["rayleigh_zero_potential"].metric == abs(solve(sp.SLProblem())["mu"] - 2.0)
+
+
 @pytest.mark.parametrize("lam", [0.0, 0.4, 0.75, 1.0, 1.25, 1.7, 2.0])
 def test_admissibility_is_invariant_under_k(lam):
     # (x, k) -> (x/c, c k) maps the radial system to itself, so the verdict

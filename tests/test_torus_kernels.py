@@ -393,12 +393,13 @@ def test_deriv_of_stacked_slots_is_the_per_slot_deriv(complex_, c):
             assert np.array_equal(F.deriv(f, i), dest), (s, i)
 
 
-@pytest.mark.parametrize("N", [24, 32])
+@pytest.mark.parametrize("N", [24, 32, 48])
 @pytest.mark.parametrize("complex_", [True, False])
 def test_blocked_products_are_the_whole_product(N, complex_):
     # above SERIAL_GEMM_MNK deriv cuts its products into blocks; each block
     # is a slice of the whole product, so every axis, whole or at a slab of
-    # x1 rows, equals one np.matmul bit for bit
+    # x1 rows, equals one np.matmul bit for bit.  At N = 48 the complex x3
+    # product, (48, 96) by one (96, 96) matrix, goes in blocks of a's rows
     rng = np.random.default_rng(4)
     F = TorusField(N)
     f = rng.normal(size=(2, N, N, N))

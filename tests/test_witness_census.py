@@ -79,8 +79,8 @@ CENSUS = {
     "operator.weitzenbock_remainder": ("witness", "clifford_table"),
     "operator.weitzenbock_order": ("witness", "difference_order"),
     "operator.weitzenbock_blocks": ("witness", "ad_sign"),
-    "operator.remainder_structure": ("reason", UNPLANTED + "0.0 against 1e-10"),
-    "operator.omega_scale_invariance": ("reason", UNPLANTED + "0.0 against 1e-8"),
+    "operator.remainder_structure": ("witness", "x21_sign"),
+    "operator.omega_scale_invariance": ("witness", "omega_x_factor"),
     "operator.omega_q_commute": ("witness", "rho_table"),
     "operator.spatial_identification": ("witness", "clifford_table"),
     "operator.adjoint_duality":

@@ -168,6 +168,28 @@ def connection_sign_slip(mp):
     plant(mp, add, lambda A, val, grads: add(-A, val, grads))
 
 
+def omega_without_x(mp):
+    # Omega without its leading factor x: Xi(U^{-1} xi) - grad_x xi has weight
+    # -1 under (t, z) -> (lambda t, lambda z), so the rescaling moves it;
+    # Q still commutes with it
+    omega = op.omega_apply
+    plant(mp, omega, lambda bg, sec, p, h: omega(bg, sec, p, h) / np.linalg.norm(p[:3]))
+
+
+def x21_sign_flipped(mp):
+    # X_21 = 2 B3 with the wrong sign, so X is no longer symmetric.  The
+    # operator suite runs on model:1; on nahm, where B3 = 0, the plant
+    # changes nothing and cannot show
+    xb = op.x_blocks
+
+    def flipped(bg, P):
+        X = xb(bg, P)
+        X[..., 1, 0, :] *= -1
+        return X
+
+    plant(mp, xb, flipped)
+
+
 def first_sign_flipped(perms):
     """A generator table whose first generator has its first row's sign flipped."""
     (sources, signs), *rest = perms
@@ -242,6 +264,12 @@ WITNESSES = {
     "connection_sign": (connection_sign_slip, ("operator", {"points": 20}),
                         {"mode_symbol", "weitzenbock_remainder", "weitzenbock_blocks"},
                         lambda: op.apply_D(BG, SEC, P0, 1e-5, depiction="clifford")),
+    "omega_x_factor": (omega_without_x, ("operator", {"points": 20}),
+                       {"omega_scale_invariance"}, lambda: op.omega_apply(BG, SEC, P0, 1e-5)),
+    "x21_sign": (x21_sign_flipped, ("operator", {"points": 20}),
+                 {"remainder_structure", "weitzenbock_remainder", "weitzenbock_order",
+                  "weitzenbock_blocks"},
+                 lambda: op.x_matrix24(BG, P0)),
     "difference_order": (differences_lean_forward, ("operator", {"points": 20}),
                          {"weitzenbock_order"},
                          lambda: op.bochner_check(BG, SEC, P0, 1e-3)["residual"]),
