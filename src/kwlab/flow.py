@@ -16,16 +16,16 @@ The state is the complex connection Z = A + i a.  Its curvature F_Z holds
 the whole gradient (torus.curvature: Re F_Z = B - star(a wedge a),
 Im F_Z = curl_A a), so the flow is dZ/dt = i conj(F_Z), one curvature per
 RK4 stage, and each recorded state's monitors reduce that same F_Z:
-monitor_densities forms their pointwise densities in the storage of the RK4
-array k, free from the end of a step until the next step's k2, and the grid
+bind_monitor_densities forms their pointwise densities in the storage of the
+RK4 array k, free from the end of a step until the next step's k2, and the grid
 sums (TorusField.integrate, and the max of |a|^2) are then taken on the
 whole density arrays.
 
 Integrator: classical RK4 at fixed dt with the stability bound dt <= 0.2 h
 asserted up front (h = grid spacing); no adaptivity, for reproducibility.
-Its working arrays (Z, the three RK4 arrays, the ring and the curvature
-scratch) start on cache lines (torus.cache_aligned), so a step's speed
-does not depend on where the heap puts them.
+Its working arrays (the state and k, the RK4 sum and stage point, the ring
+and the curvature scratch) start on cache lines (torus.cache_aligned), so
+a step's speed does not depend on where the heap puts them.
 
 Stages and slabs.  Every run takes one RK4 step, in six stages: k1 at the
 state with its monitor densities and the first stage point; k2; the next
@@ -36,8 +36,8 @@ process allowed two or more CPUs (os.sched_getaffinity), there are two
 slabs, rows [0, N/2) and [N/2, N): this thread takes the first, and one
 worker thread (a daemon, made when a run first splits) the second.
 Otherwise there is one slab, every row, run on this thread.  A slab's work
-is pointwise or a product whose output rows are its own: torus.curvature
-with rows (the x1 derivative is D's slab rows times every row, x2 and x3
+is pointwise or a product whose output rows are its own: the curvature at
+its rows (the x1 derivative is D's slab rows times every row, x2 and x3
 stay in the slab, the brackets are pointwise), the monitor densities at
 its rows, and the stage updates (_advance, k *= 2, ksum += k) on row views.
 numpy releases the GIL in its ufunc loops and BLAS calls, so two slabs run
@@ -52,11 +52,23 @@ share one curvature scratch for the run, as its rows; in the k1 stage they
 also hold the densities' temporaries.  The grid sums stay on this thread,
 after the k1 stage, since a pairwise sum depends on the array it runs over.
 Every value is formed by the same operations on either number of slabs, so
-a split run's trace is the one-slab trace bit for bit.  At N = 32 on
-nonabelian data the monitors on this thread alone took 3.0 of 12.0 ms a
-step; on the slabs the densities add 1.7 ms to the k1 stage and the sums
-take 0.09 ms, of 10.7 ms (in process, means over 8 interleaved 50-step runs
-of each).
+a split run's trace is the one-slab trace bit for bit.
+
+Bound once.  A run's arrays never change, only their contents: state i is
+in W[i % 2] and the other array is the k of its step (the arrays swap
+roles at each step), and state i's a is in ring slot i % 5.  So run_flow
+binds each stage's work once per run, as lists of bound calls (the
+binders of torus, and bind_monitor_densities), one list per slab: the
+curvatures, the _advance updates, k *= 2 and ksum += k, for both roles of
+W; the monitor densities for each state i < 14, whose lists differ only in
+i % 2, i % 5 and, below 4, in having no rate yet, so a state i >= 14 runs
+state 4 + (i - 4) % 10's; and the views the record's grid sums read.
+_advance, comm, np and the derivative matrices are looked up as the run
+binds, so a defect planted before a run is what it runs.  A step then runs
+the six prebound stages and the record.  On sigma3 data one curvature,
+six numpy calls, took 53.2 us through torus.curvature and 43.5 us as the
+same six calls prebound at N = 16, and 16.1 against 7.5 us at N = 6 (best
+of 7 x 2000 calls, 2-vCPU Xeon VM, numpy 2.4.6).
 
 Every BLAS product stays small enough that OpenBLAS runs it on the calling
 thread (torus.SERIAL_GEMM_MNK); a larger one wakes OpenBLAS's own worker,
@@ -65,7 +77,7 @@ nonabelian data one curvature takes 2.9 ms on one slab and 1.5 ms on two,
 but 2.7 ms on two with each x1 product whole, (16, 32) by (32, 2048)
 (medians of 200 calls).  The crossover is measured, in ms per step, one
 slab against two (2-vCPU Xeon VM, OpenBLAS capped at 2 threads, medians of
-7 interleaved runs):
+7 interleaved runs, before the run bound its stages once):
 
     N   abelian        nonabelian
     12  0.18 -> 0.83   0.77 -> 2.67
@@ -90,13 +102,14 @@ import math
 import os
 import threading
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .reporting import csv_text, finite_or_none
 from .torus import (
-    FORM_COEFF, TorusField, cache_aligned, complex_connection, cs_densities, cs_functional,
-    curvature, div_cov,
+    FORM_COEFF, TorusField, bind_cs_densities, bind_curvature, bind_div_cov, cache_aligned,
+    complex_connection, cs_functional, run_calls,
 )
 
 CFL_FACTOR = 0.2
@@ -106,6 +119,12 @@ CFL_FACTOR = 0.2
 FIT_SCATTER_TOL = 1e-2
 # grid points (N^3) from which a run splits each RK4 stage into two x1 slabs
 SLAB_SPLIT_MIN_POINTS = 27 ** 3
+
+# the states whose stage lists a run binds: from state 4 on (the first with
+# a rate) the lists of state i depend on i only through i % 2, which of the
+# two state arrays holds it, and i % 5, its ring slot, so state i >= 14
+# runs the lists of state 4 + (i - 4) % 10
+_BOUND_STATES = 14
 
 _slab_worker = None  # the _SlabWorker of the second slab, made when a run first splits
 
@@ -182,9 +201,9 @@ def _advance(Z, FZ, h, out):
 
 
 class _SlabWorker:
-    """One daemon thread that runs task(rows, *args) for run_flow's second
-    slab: start hands it a task, wait blocks until the task is done and
-    raises what it raised."""
+    """One daemon thread that runs the bound calls of run_flow's second
+    slab: start hands it a stage's list, wait blocks until the list has
+    run and raises what it raised."""
 
     def __init__(self):
         self._job = None
@@ -194,23 +213,23 @@ class _SlabWorker:
     def _serve(self):
         while True:
             self._go.acquire()
-            self._job = self._run(*self._job)  # drops the job, and the arrays it holds
+            self._job = self._run(self._job)  # drops the job, and the arrays it holds
             self._done.release()
 
     @staticmethod
-    def _run(task, rows, args):
-        """None once task(rows, *args) is done, or what it raised."""
+    def _run(calls):
+        """None once the calls have run, or what they raised."""
         try:
             # numpy's error state is per thread, and this one starts from
             # the default, which warns: take run_flow's
             with np.errstate(over="ignore", invalid="ignore"):
-                task(rows, *args)
+                run_calls(calls)
         except BaseException as exc:
             return exc
         return None
 
-    def start(self, task, rows, args):
-        self._job = task, rows, args
+    def start(self, calls):
+        self._job = calls
         self._go.release()
 
     def wait(self):
@@ -244,20 +263,20 @@ def _slabs(N: int) -> tuple[slice | None, ...]:
     return slice(0, N // 2), slice(N // 2, N)
 
 
-def _on_slabs(slabs, task, *args):
-    """task(rows, *args) for each slab, the first on this thread; of two,
-    the second on the slab worker (made on first use) meanwhile.  Returns
-    once every slab is done."""
+def _on_slabs(stage):
+    """Run a stage, one list of bound calls per slab: the first on this
+    thread; of two, the second on the slab worker (made on first use)
+    meanwhile.  Returns once every slab is done."""
     global _slab_worker
-    if len(slabs) == 1:
-        task(slabs[0], *args)
+    if len(stage) == 1:
+        run_calls(stage[0])
         return
     with _slab_lock:
         if _slab_worker is None:
             _slab_worker = _SlabWorker()
-        _slab_worker.start(task, slabs[1], args)
+        _slab_worker.start(stage[1])
         try:
-            task(slabs[0], *args)
+            run_calls(stage[0])
         finally:
             _slab_worker.wait()
 
@@ -290,40 +309,43 @@ def _scratch_planes(scratch, rows):
     return s.view(float).reshape((4, 2) + s.shape[1:], copy=False).swapaxes(0, 1)
 
 
-def monitor_densities(F, Z, FZ, ring, i, dens, tmp, rows=None):
-    """The pointwise monitor densities of state i into dens (_density_views):
-    Z is the state, FZ its curvature, ring[i % 5] its a; from i = 4 on also
-    |da/dt|^2 at state i - 2, from the ring's 5-point difference formed in
-    place in the slot of state i - 4, which the next state's a overwrites.
-    tmp (_scratch_planes) holds the temporaries.  Each density is one
-    np.einsum pass, summing at each point over form and then coefficient in
-    the order np.sum of the product adds them, or as cs_densities and
-    div_cov form it.
+def bind_monitor_densities(F, Z, FZ, ring, i, dens, tmp, rows=None):
+    """The pointwise monitor densities of state i into dens (_density_views),
+    as bound calls: Z is the state, FZ its curvature, ring[i % 5] its a;
+    from i = 4 on also |da/dt|^2 at state i - 2, from the ring's 5-point
+    difference formed in place in the slot of state i - 4, which the next
+    state's a overwrites.  tmp (_scratch_planes) holds the temporaries.
+    Each density is one np.einsum pass, summing at each point over form and
+    then coefficient in the order np.sum of the product adds them, or as
+    cs_densities and div_cov form it.
 
     With rows, a slice of the x1 axis, only those rows are formed, the
     whole grid's bit for bit: div_cov's x1 derivative reads every row of a,
-    all else these rows alone, so calls on disjoint rows may run at once.
+    all else these rows alone, so lists bound for disjoint rows may run at
+    once.
     """
     f_sq, div_sq, a_sq, rate_sq, cs_dens = dens
     state = TorusField(F.N, F.L, Z.real, ring[i % 5], F.scheme)
     f_sq, div_sq, a_sq, rate_sq, cs_dens, fz, a = _at(
         rows, f_sq, div_sq, a_sq, rate_sq, cs_dens, FZ.view(float), state.a)
     c = Z.shape[1]
-    cs_densities(state, FZ, rows, out=cs_dens)
-    np.einsum(FORM_COEFF, fz, fz, out=f_sq)
-    dva = div_cov(state, state.a, rows, out=tmp[0, :c])
-    np.einsum("c...,c...->...", dva, dva, out=div_sq)
-    np.einsum(FORM_COEFF, a, a, out=a_sq)
+    dva = tmp[0, :c]
+    calls = bind_cs_densities(state, FZ, cs_dens, tmp[1, :3], rows)
+    calls.append(partial(np.einsum, FORM_COEFF, fz, fz, out=f_sq))
+    calls += bind_div_cov(state, state.a, dva, tmp[1, :c], rows)
+    calls += [partial(np.einsum, "c...,c...->...", dva, dva, out=div_sq),
+              partial(np.einsum, FORM_COEFF, a, a, out=a_sq)]
     if i >= 4:
         # the bracket (f[n-2] - f[n+2]) / 8 + f[n+1] - f[n-1] at n = i - 2
         d, a_next, a_prev = _at(rows, ring[(i - 4) % 5], ring[(i - 1) % 5], ring[(i - 3) % 5])
-        d -= a
-        d /= 8.0
-        d += a_next
-        d -= a_prev
         # over form for each coefficient, then over coefficient: not
         # FORM_COEFF's rounding order, but the one this rate is defined by
-        np.einsum("fc...,fc...->c...", d, d, out=tmp[1, :c]).sum(axis=0, out=rate_sq)
+        # (np.add.reduce(x, 0, None, out) is x.sum(axis=0, out=out))
+        calls += [partial(np.subtract, d, a, d), partial(np.true_divide, d, 8.0, d),
+                  partial(np.add, d, a_next, d), partial(np.subtract, d, a_prev, d),
+                  partial(np.einsum, "fc...,fc...->c...", d, d, out=tmp[1, :c]),
+                  partial(np.add.reduce, tmp[1, :c], 0, None, rate_sq)]
+    return calls
 
 
 def run_flow(F0: TorusField, config: FlowConfig) -> FlowTrace:
@@ -335,13 +357,14 @@ def run_flow(F0: TorusField, config: FlowConfig) -> FlowTrace:
     |grad|^2, each relative to the sum of the two, so at any amplitude; the
     first and last two steps carry zeros.
 
-    The run carries Z = A + i a and evaluates torus.curvature once per RK4
-    stage, on each slab (see the module docstring).  The curvature at a
-    recorded state is both what its monitors reduce and the k1 of the next
-    RK4 step, evaluated once for the two.  The run stops at the first
-    recorded state whose cs or gradient norm is not finite: meta["status"]
-    is then "diverged" and meta["blowup_step"] that step (the trace ends
-    with it), else "completed".
+    The run carries Z = A + i a and evaluates one curvature per RK4 stage
+    (torus.bind_curvature's calls, bound once per run), on each slab (see
+    the module docstring).  The curvature at a recorded state is both what
+    its monitors reduce and the k1 of the next RK4 step, evaluated once for
+    the two.  The run stops at the first recorded state whose cs or
+    gradient norm is not finite: meta["status"] is then "diverged" and
+    meta["blowup_step"] that step (the trace ends with it), else
+    "completed".
 
     When the sigma1 and sigma2 coefficients of A and a are all zero
     (meta["abelian"] is True) the run integrates the sigma3 coefficient alone
@@ -362,7 +385,6 @@ def run_flow(F0: TorusField, config: FlowConfig) -> FlowTrace:
     F = F0
     if abelian:
         F = TorusField(F0.N, F0.L, A[:, -1:], a[:, -1:], F0.scheme)
-    Z = complex_connection(F)
     n_rec = config.steps + 1
     times = np.zeros(n_rec)
     cs = np.zeros(n_rec)
@@ -372,16 +394,63 @@ def run_flow(F0: TorusField, config: FlowConfig) -> FlowTrace:
     e_curl = np.zeros(n_rec)   # int |curl_A a|^2
     ei = np.zeros(n_rec)
     tf = np.zeros(n_rec)
+
+    # RK4 in four arrays.  State i is in W[i % 2]; the other one is the k
+    # of its step, which holds the state's monitor densities from k1 until
+    # k2 overwrites them, and takes the next state at k4.  ksum starts as
+    # k1, the curvature at the state, and sums k1 + 2 k2 + 2 k3 + k4 in
+    # that order.  The curvatures share one scratch d for the run, whose
+    # rows the densities' temporaries also take in the k1 stage.
+    Z = complex_connection(F)
+    W = Z, cache_aligned(Z.shape, Z.dtype)
+    ksum, stage = (cache_aligned(Z.shape, Z.dtype) for _ in range(2))
+    d = cache_aligned((4,) + Z.shape[2:], Z.dtype)
     ring = cache_aligned((5,) + Z.shape, float)  # the a of state i is in ring[i % 5]
     np.copyto(ring[0], Z.imag)
+    dens = [_density_views(W[1 - p]) for p in (0, 1)]  # those of a state in W[p]
+    advance = _advance  # looked up now: a planted defect may have replaced it
 
-    def record(i, dens):
-        """The grid sums of state i's monitors, from its densities dens."""
-        f_sq, div_sq, a_sq, rate_sq, cs_dens = dens
+    def slab_stages(r):
+        """The stages of slab r that lead to each state i < _BOUND_STATES,
+        as lists of bound calls: to state 0 its k1 stage (its curvature,
+        its monitor densities and the first stage point); to a later state
+        the five stages of the step to it (k2; the next stage point, with
+        2 k2 into the sum; k3; the last stage point; k4, with the new state
+        into k's rows and its a into the ring's), then its k1 stage."""
+        (ring_r,) = _at(r, ring)
+        step_to = []  # [which of W holds the state stepped from][ring slot of the new one]
+        for z, k in (W, W[::-1]):
+            zr, kr, sr, st = _at(r, z, k, ksum, stage)
+            k23 = bind_curvature(F, stage, k, r, d)
+            half, full = ([partial(advance, zr, kr, h, st), partial(np.multiply, kr, 2, kr),
+                           partial(np.add, sr, kr, sr)] for h in (0.5 * dt, dt))
+            k4 = k23 + [partial(np.add, sr, kr, sr), partial(advance, zr, sr, dt / 6.0, kr)]
+            step_to.append([(k23, half, k23, full, k4 + [partial(np.copyto, a, kr.imag)])
+                            for a in ring_r])
+        stages = []
+        for i in range(_BOUND_STATES):
+            z = W[i % 2]
+            zr, sr, st = _at(r, z, ksum, stage)
+            k1 = (bind_curvature(F, z, ksum, r, d)
+                  + bind_monitor_densities(F, z, ksum, ring, i, dens[i % 2],
+                                           _scratch_planes(d, r), r)
+                  + [partial(advance, zr, sr, 0.5 * dt, st)])
+            stages.append((step_to[1 - i % 2][i % 5] if i else ()) + (k1,))
+        return stages
+
+    # to_state[i]: the stages that lead to state i, each one list per slab
+    to_state = [tuple(zip(*per_slab))
+                for per_slab in zip(*(slab_stages(r) for r in _slabs(F.N)))]
+    sums = [(f_sq[..., 1::2], f_sq[..., ::2], div_sq, a_sq, rate_sq, cs_dens)
+            for f_sq, div_sq, a_sq, rate_sq, cs_dens in dens]
+
+    def record(i):
+        """The grid sums of state i's monitors, from its densities."""
+        f_curl, f_rest, div_sq, a_sq, rate_sq, cs_dens = sums[i % 2]
         times[i] = i * dt
         cs[i] = cs_functional(F, densities=cs_dens)
-        e_curl[i] = F.integrate(f_sq[..., 1::2])
-        gns[i] = e_curl[i] + F.integrate(f_sq[..., ::2])
+        e_curl[i] = F.integrate(f_curl)
+        gns[i] = e_curl[i] + F.integrate(f_rest)
         drift[i] = math.sqrt(F.integrate(div_sq))
         sup_a[i] = math.sqrt(a_sq.max())
         if i >= 4:
@@ -396,67 +465,21 @@ def run_flow(F0: TorusField, config: FlowConfig) -> FlowTrace:
     def finite(i):
         return math.isfinite(cs[i]) and math.isfinite(gns[i])
 
-    # RK4 in three arrays, reused at every step: ksum starts as k1, the
-    # curvature at the state, and sums k1 + 2 k2 + 2 k3 + k4 in that order;
-    # k holds the state's monitor densities from k1 until k2 overwrites them.
-    # Each stage below runs on the x1 rows r of every slab, with curvature's
-    # one scratch d for the run, whose rows the densities' temporaries also
-    # take in the k1 stage after the curvature
-    ksum, k, stage = (cache_aligned(Z.shape, Z.dtype) for _ in range(3))
-    d = cache_aligned((4,) + Z.shape[2:], Z.dtype)
-    slabs = _slabs(F.N)
-
-    def k1(r, i, dens):  # k1 at state i, its densities, then the first stage point
-        curvature(F, Z, ksum, r, d)
-        monitor_densities(F, Z, ksum, ring, i, dens, _scratch_planes(d, r), r)
-        z, sr, st = _at(r, Z, ksum, stage)
-        _advance(z, sr, 0.5 * dt, st)
-
-    def k23(r):
-        curvature(F, stage, k, r, d)
-
-    def step_to(h):
-        def add(r):  # the stage point Z + h k, and 2 k into the sum
-            z, kr, sr, st = _at(r, Z, k, ksum, stage)
-            _advance(z, kr, h, st)
-            kr *= 2
-            sr += kr
-        return add
-
-    half_step, full_step = step_to(0.5 * dt), step_to(dt)
-
-    def k4(r, i):  # k4, then state i into k's rows (k is free again), its a into the ring
-        curvature(F, stage, k, r, d)
-        z, kr, sr, ar = _at(r, Z, k, ksum, ring[i % 5])
-        sr += kr
-        _advance(z, sr, dt / 6.0, kr)
-        np.copyto(ar, kr.imag)
-
-    def at_state(i):  # k1 at state i, and its monitor densities
-        dens = _density_views(k)
-        _on_slabs(slabs, k1, i, dens)
-        return dens
-
-    def step(i):  # to state i
-        nonlocal Z, k
-        _on_slabs(slabs, k23)  # k2
-        _on_slabs(slabs, half_step)
-        _on_slabs(slabs, k23)  # k3
-        _on_slabs(slabs, full_step)
-        _on_slabs(slabs, k4, i)
-        Z, k = k, Z
+    def reach(i):  # run the stages to state i, and record it
+        for stage in to_state[i if i < _BOUND_STATES else 4 + (i - 4) % 10]:
+            _on_slabs(stage)
+        record(i)
 
     meta = {"N": F0.N, "L": F0.L, "dt": dt, "scheme": F0.scheme, "abelian": abelian,
             "status": "completed"}
     # a diverging run overflows on its way to the state that stops it; the
     # status below reports that instead of numpy's warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        record(0, at_state(0))
         last = 0
+        reach(0)
         while last < config.steps and finite(last):
             last += 1
-            step(last)
-            record(last, at_state(last))
+            reach(last)
     if not finite(last):
         meta.update(status="diverged", blowup_step=last)
     keep = slice(0, last + 1)

@@ -53,7 +53,8 @@ class CheckResult:
 
     @classmethod
     def from_bound(cls, check_id, ref, metric, tolerance, location=None):
-        return cls(check_id, ref, float(metric), float(tolerance), location)
+        # + 0.0 turns a metric of -0.0 into 0.0, so no report reads "-0.0"
+        return cls(check_id, ref, float(metric) + 0.0, float(tolerance), location)
 
     def to_dict(self):
         return {

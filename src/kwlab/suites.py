@@ -580,7 +580,8 @@ def flow_checks(trace: FlowTrace) -> list[CheckResult]:
     reads an infinite decrease against a bound set by its finite part."""
     cs = trace.cs
     finite = np.isfinite(cs)
-    worst = float(-np.diff(cs).min(initial=0.0)) if finite.all() else math.inf
+    # + 0.0: a trace with no decrease reads 0.0, not -0.0
+    worst = float(-np.diff(cs).min(initial=0.0)) + 0.0 if finite.all() else math.inf
     return [
         CheckResult.from_bound(
             "monotone_cs", "cs is non-decreasing along the flow",

@@ -15,24 +15,37 @@ the sigma3 slices of the same kernels on the embedded three-coefficient
 field, bit for bit: every product in the bracket of two sigma3-valued fields
 has a zero factor.
 
-Every derivative takes one path, TorusField.deriv: the field, one slot or
-several stacked on its leading axes, is contracted along the grid axis with
-a cached, read-only (N, N) periodic differentiation matrix D, one real
-matrix product per call (diff_matrix; deriv_matrices is deriv's one cached
-lookup).  A complex field is contracted on its float view, where the real
-and imaginary parts of each value sit side by side: along x1 and x2 with D,
-along x3 with the pair matrix kron(D, I_2).  deriv can also give the
-derivative at a slab of x1 rows alone (its rows argument): along x1 that
-is D's slab rows times every row of the field, along x2 and x3 the slab's
-own rows, so two slabs computed at once (flow.run_flow's two threads) read
-the field and write disjoint rows.  The product goes in blocks of at most
-SERIAL_GEMM_MNK = 2^18 multiply-adds (serial_matmul), bit for bit the
-whole product, because OpenBLAS runs such a gemm on the calling thread: a
-larger one wakes OpenBLAS's own worker, which keeps spinning on the second
-core after the product, where the flow's second slab runs.  Up to N = 19
-every product is whole, and up to N = 32 along x2 and x3; at N = 32 a
-complex field's x1 product, (32, 32) by (32, 2048), is 8 blocks, and a
-slab's 4.  The scheme picks the matrix:
+Every derivative takes one path, TorusField.bind_deriv, the one binder of
+a derivative: the field, one slot or several stacked on its leading axes,
+is contracted along the grid axis with a cached, read-only (N, N)
+periodic differentiation matrix D, one real matrix product per call
+(diff_matrix; deriv_matrices is the binder's one cached lookup).
+TorusField.deriv binds that product and runs it.  A complex field is
+contracted on its float view, where the real and imaginary parts of each
+value sit side by side: along x1 and x2 with D, along x3 with the pair
+matrix kron(D, I_2).  The derivative can also be taken at a slab of x1
+rows alone (the rows argument): along x1 that is D's slab rows times
+every row of the field, along x2 and x3 the slab's own rows, so two slabs
+computed at once (flow.run_flow's two threads) read the field and write
+disjoint rows.  The product goes in blocks of at most SERIAL_GEMM_MNK =
+2^18 multiply-adds (bind_matmul), bit for bit the whole product, because
+OpenBLAS runs such a gemm on the calling thread: a larger one wakes
+OpenBLAS's own worker, which keeps spinning on the second core after the
+product, where the flow's second slab runs.  Up to N = 19 every product
+is whole, and up to N = 32 along x2 and x3; at N = 32 a complex field's
+x1 product, (32, 32) by (32, 2048), is 8 blocks, and a slab's 4.
+
+Binders.  bind_deriv, bind_curvature, bind_cs_densities and bind_div_cov
+return their function's work on fixed arrays as a list of bound calls
+(functools.partial objects: a ufunc, matmul, einsum or comm, its operand
+views and its out), which run_calls runs in order; deriv, curvature,
+cs_densities and div_cov allocate what they were not given, bind, and
+run, so each formula is written once.  A list reads its arrays' values
+when it runs, not when it is bound, so flow.run_flow binds each stage of
+a run once and runs the same lists at every step.  A binder looks comm,
+np and deriv_matrices up in this module when it is called, so what
+replaces them before a run (a planted defect, a tracer) is what the run
+calls.  The scheme picks the matrix:
 
     fd4       the circulant of the 4th-order centered stencil
               (f_{n-2} - 8 f_{n-1} + 8 f_{n+1} - f_{n+2}) / (12 h), the default;
@@ -54,10 +67,10 @@ The gradient is one curvature.  For the complex connection Z = A + i a
 
     Re F_Z = B - star(a wedge a),    Im F_Z = curl_A a,
 
-so curvature computes the gradient with three deriv calls per sigma
-coefficient, each differentiating the two form components its axis needs,
-and three complex brackets (none on the sigma3 line), and gradient returns
-(Im F_Z, Re F_Z).  Since
+so curvature computes the gradient with three derivative products per
+sigma coefficient, each differentiating the two form components its axis
+needs, and three complex brackets (none on the sigma3 line), and gradient
+returns (Im F_Z, Re F_Z).  Since
 <a, star(a wedge a)> sums three copies of the triple product
 <[a_1, a_2], a_3> (it is cyclic), cs = int ( <a, Re F_Z> + 2 <[a_1, a_2], a_3> ),
 which is how cs_functional evaluates it.  b_field, curl_cov and star_wedge
@@ -76,10 +89,17 @@ import numpy as np
 from .algebra import CYCLIC
 
 
+def run_calls(calls):
+    """Run a binder's bound calls, in order."""
+    for call in calls:
+        call()
+
+
 def comm(u, v, out=None):
     """[u, v] on sigma coefficients: -2 (u x v) along axis 0, by components,
     written to out (an array of the broadcast shape and result type) when
-    given.
+    given, and returned.  The binders bind it with out and read the bracket
+    from out.
 
     Accepts (3,) vectors, complex coefficients and broadcastable shapes.
     When the coefficient axis has length 1 (the sigma3 coefficient of an
@@ -142,20 +162,17 @@ def diff_matrix(scheme: str, N: int, L: float) -> np.ndarray:
 
 @functools.lru_cache(maxsize=64)
 def deriv_matrices(scheme: str, N: int, L: float):
-    """(D, D.T, kron(D, I_2).T, matmul) for D = diff_matrix(scheme, N, L),
-    the one cached lookup of TorusField.deriv: D multiplies from the left
+    """(D, D.T, kron(D, I_2).T) for D = diff_matrix(scheme, N, L), the one
+    cached lookup of TorusField.bind_deriv: D multiplies from the left
     along x1 and x2; along x3 a real field is multiplied from the right by
     D.T, and the float view of a complex field, whose last axis interleaves
     the real and imaginary parts, by the pair matrix kron(D, I_2).T.  All
     read-only; both transposes are C-contiguous, as the Fortran order of D
-    and of the pair matrix makes them.  matmul makes the products:
-    np.matmul while none on the grid exceeds SERIAL_GEMM_MNK (the largest,
-    x1 on a complex field, has N N 2N^2 multiply-adds: so up to N = 19),
-    serial_matmul above."""
+    and of the pair matrix makes them."""
     D = diff_matrix(scheme, N, L)
     P = np.asfortranarray(np.kron(D, np.eye(2)))
     P.flags.writeable = False
-    return D, D.T, P.T, np.matmul if 2 * N ** 4 <= SERIAL_GEMM_MNK else serial_matmul
+    return D, D.T, P.T
 
 
 def stencil_wavenumber(scheme: str, N: int, L: float) -> float:
@@ -201,30 +218,28 @@ def gemm_blocks(fixed: int, size: int) -> int:
     return nb
 
 
-def serial_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """np.matmul(a, b, out) for stacks of real matrices, as gemm calls that
-    OpenBLAS runs on the calling thread: a product of more than
+def bind_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> functools.partial:
+    """np.matmul(a, b, out) for stacks of real matrices, bound as one gemm
+    call that OpenBLAS runs on the calling thread: a product of more than
     SERIAL_GEMM_MNK multiply-adds goes in blocks of b's columns, or of a's
-    rows when b is one matrix shared by the stack (gemm_blocks).  Each
-    block is a slice of the whole product, so the result is the same bit
-    for bit.  At N = 32 the x1 product of a complex field, (32, 32) by
-    (32, 2048), goes in 8 blocks, and half its rows (a slab of
-    flow.run_flow) in 4; the x2 and x3 products stay whole up to N = 32."""
+    rows when b is one matrix shared by the stack (gemm_blocks), as one
+    np.matmul over block views.  Each block is a slice of the whole
+    product, so the result is the same bit for bit.  At N = 32 the x1
+    product of a complex field, (32, 32) by (32, 2048), goes in 8 blocks,
+    and half its rows (a slab of flow.run_flow) in 4; the x2 and x3
+    products stay whole up to N = 32, and every product up to N = 19."""
     m, k = a.shape[-2:]
     n = b.shape[-1]
     if m * k * n <= SERIAL_GEMM_MNK:
-        return np.matmul(a, b, out=out)
-    if out is None:
-        out = np.empty(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (m, n))
+        return functools.partial(np.matmul, a, b, out)
     if b.ndim == 2:  # blocks of a's rows
         nb = gemm_blocks(k * n, m)
-        np.matmul(a.reshape(a.shape[:-2] + (nb, -1, k)), b,
-                  out=out.reshape(out.shape[:-2] + (nb, -1, n), copy=False))
-    else:  # blocks of b's columns
-        nb = gemm_blocks(m * k, n)
-        np.matmul(a, b.reshape(b.shape[:-1] + (nb, -1)).swapaxes(-3, -2),
-                  out=out.reshape(out.shape[:-1] + (nb, -1), copy=False).swapaxes(-3, -2))
-    return out
+        return functools.partial(np.matmul, a.reshape(a.shape[:-2] + (nb, -1, k), copy=False),
+                                 b, out.reshape(out.shape[:-2] + (nb, -1, n), copy=False))
+    nb = gemm_blocks(m * k, n)  # blocks of b's columns
+    return functools.partial(
+        np.matmul, a, b.reshape(b.shape[:-1] + (nb, -1), copy=False).swapaxes(-3, -2),
+        out.reshape(out.shape[:-1] + (nb, -1), copy=False).swapaxes(-3, -2))
 
 
 @dataclass
@@ -258,51 +273,61 @@ class TorusField:
 
     def deriv(self, f: np.ndarray, i: int, out: np.ndarray | None = None,
               rows: slice | None = None) -> np.ndarray:
-        """d f / d x_{i+1} on the last three axes (periodic): f contracted
-        with diff_matrix(scheme, N, L) along that axis, one real product,
-        written to out (f's shape and dtype) when given.
+        """d f / d x_{i+1} on the last three axes (periodic): bind_deriv's
+        product, run once, written to out when given, else to a new array.
+
+        f may be any array whose last three axes are the grid; where
+        bind_deriv cannot read it through a view (a complex f whose last
+        axis is strided, or along x1 one whose grid is not one block of
+        memory) it reads a C-contiguous copy made here.
+        """
+        if out is None:
+            shape = f.shape if rows is None else f[..., rows, :, :].shape
+            out = np.empty(shape, np.result_type(f, float))
+        try:
+            calls = self.bind_deriv(f, i, out, rows)
+        except ValueError:  # no view of f makes the product's operand
+            calls = self.bind_deriv(np.ascontiguousarray(f), i, out, rows)
+        run_calls(calls)
+        return out
+
+    def bind_deriv(self, f: np.ndarray, i: int, out: np.ndarray,
+                   rows: slice | None = None) -> list:
+        """d f / d x_{i+1} of f into out as bound calls: f contracted with
+        diff_matrix(scheme, N, L) along that axis, one real product
+        (bind_matmul's, in blocks small enough that OpenBLAS runs each on
+        the calling thread).
 
         f may stack several slots on its leading axes, at any strides, such
         as curvature's Z[1:3, s]; so may out, such as curvature's
         out[2:0:-1, s] (a negative slot stride), as long as each of its
-        slots is C-contiguous over the grid: along x1 the product is written
-        through a reshaped view of out, which reshape(copy=False) refuses to
-        make a copy.  A complex f is differentiated on its float view,
-        where the real and imaginary parts of each value sit side by side;
-        along x3 that view takes the pair matrix kron(D, I_2) in place of D.
+        slots is C-contiguous over the grid: along x1 the product reads f
+        and writes out through reshaped views, which reshape(copy=False)
+        refuses to make copies (ValueError).  A complex f is differentiated
+        on its float view, where the real and imaginary parts of each value
+        sit side by side, which needs a contiguous last axis; along x3 that
+        view takes the pair matrix kron(D, I_2) in place of D.
 
         rows, a slice of the x1 axis, gives the derivative at those x1 rows
-        alone: out (or the result) then has the shape of f[..., rows, :, :].
-        Along x1 f still supplies every row, and D's rows `rows` multiply
-        it; along x2 and x3 only f[..., rows, :, :] is read.
-
-        The product is serial_matmul's, in blocks small enough that OpenBLAS
-        runs each on the calling thread; up to N = 19, where no product
-        of the grid is that large, it is np.matmul's (deriv_matrices).
+        alone: out then has the shape of f[..., rows, :, :].  Along x1 f
+        still supplies every row, and D's rows `rows` multiply it; along x2
+        and x3 only f[..., rows, :, :] is read.
         """
-        D, DT, PT, matmul = deriv_matrices(self.scheme, self.N, self.L)
+        D, DT, PT = deriv_matrices(self.scheme, self.N, self.L)
         if rows is not None and i:
             f = f[..., rows, :, :]
-        pairs = f.dtype.kind == "c"
         v, o, MT = f, out, DT
-        if pairs:
-            v = (f if f.strides[-1] == f.itemsize else np.ascontiguousarray(f)).view(float)
-            o = None if out is None else out.view(float)
-            MT = PT
+        if f.dtype.kind == "c":
+            v, o, MT = f.view(float), out.view(float), PT
         if i == 2:
-            o = matmul(v, MT, out=o)
-        elif i == 1:
-            o = matmul(D, v, out=o)
-        else:  # x1: D (or its rows) times each (x1, x2 x3) matrix
-            if rows is not None:
-                D = D[rows]
-            o = matmul(D, v.reshape(v.shape[:-3] + (self.N, -1)),
-                       out=None if o is None else o.reshape(o.shape[:-3] + (len(D), -1),
-                                                            copy=False))
-            o = o.reshape(v.shape[:-3] + (len(D),) + v.shape[-2:])
-        if out is not None:
-            return out
-        return o.view(complex) if pairs else o
+            return [bind_matmul(v, MT, o)]
+        if i == 1:
+            return [bind_matmul(D, v, o)]
+        # x1: D (or its rows) times each (x1, x2 x3) matrix
+        if rows is not None:
+            D = D[rows]
+        return [bind_matmul(D, v.reshape(v.shape[:-3] + (self.N, -1), copy=False),
+                            o.reshape(o.shape[:-3] + (len(D), -1), copy=False))]
 
     def integrate(self, density: np.ndarray) -> float:
         """Trapezoid = mean * volume on the periodic grid (the mean as
@@ -346,15 +371,29 @@ def div_cov(F: TorusField, u: np.ndarray, rows: slice | None = None,
     rows and out as in curvature: with rows, a slice of the x1 axis, only
     those rows, read from u and A there except by the x1 derivative, which
     reads every row of u[0]; each value is the whole grid's bit for bit.
-    out (each coefficient slot C-contiguous) takes the result when given."""
-    acc = F.deriv(u[0], 0, out=out, rows=rows)
+    out (each coefficient slot C-contiguous) takes the result when given.
+    bind_div_cov's calls, run once."""
+    if out is None:
+        shape = u[0].shape if rows is None else u[0][..., rows, :, :].shape
+        out = np.empty(shape, np.result_type(u, float))
+    run_calls(bind_div_cov(F, u, out, np.empty_like(out), rows))
+    return out
+
+
+def bind_div_cov(F: TorusField, u: np.ndarray, out: np.ndarray, tmp: np.ndarray,
+                 rows: slice | None = None) -> list:
+    """div_cov of u into out as bound calls: the x1 derivative lands in
+    out, each other term in tmp (an array of out's shape), added from
+    there in the order d_0 u_0 + [A_0, u_0] + d_1 u_1 + ... ."""
+    calls = F.bind_deriv(u[0], 0, out, rows)
     A, v = (F.A, u) if rows is None else (F.A[..., rows, :, :], u[..., rows, :, :])
+    add = functools.partial(np.add, out, tmp, out)
     for i in range(3):
         if i:
-            acc += F.deriv(u[i], i, rows=rows)
+            calls += F.bind_deriv(u[i], i, tmp, rows) + [add]
         if u.shape[1] > 1:  # the bracket is zero on the sigma3 line
-            acc += comm(A[i], v[i])
-    return acc
+            calls += [functools.partial(comm, A[i], v[i], tmp), add]
+    return calls
 
 
 def cache_aligned(shape: tuple, dtype) -> np.ndarray:
@@ -392,10 +431,11 @@ def curvature(F: TorusField, Z: np.ndarray | None = None,
     so two calls on disjoint rows may run at once (flow.run_flow's slabs).
     scratch, four complex slots of the grid's shape (4, N, N, N), is used
     at those rows, so such calls may share one; a new one when None.
+    bind_curvature's calls, run once.
 
     The derivatives go one sigma coefficient s at a time, one
-    TorusField.deriv call per axis, each differentiating the two form
-    components that axis needs: Z[1:3, s] along x1, Z[::2, s] along x2,
+    TorusField.bind_deriv product per axis, each differentiating the two
+    form components that axis needs: Z[1:3, s] along x1, Z[::2, s] along x2,
     Z[0:2, s] along x3.  With d_i the derivative along grid axis i, the x1
     pair (d_0 Z_1, d_0 Z_2), the first term of component 2 and the second
     of component 1, is written straight into the result's slots 2 and 1,
@@ -416,22 +456,31 @@ def curvature(F: TorusField, Z: np.ndarray | None = None,
         Z = complex_connection(F)
     if out is None:
         out = np.empty_like(Z)
-    z, o = (Z, out) if rows is None else (Z[:, :, rows], out[:, :, rows])
     if scratch is None:
-        d = np.empty((4,) + z.shape[2:], Z.dtype)
-    else:
-        d = scratch if rows is None else scratch[:, rows]
+        scratch = np.empty((4,) + Z.shape[2:], Z.dtype)
+    run_calls(bind_curvature(F, Z, out, rows, scratch))
+    return out
+
+
+def bind_curvature(F: TorusField, Z: np.ndarray, out: np.ndarray, rows: slice | None,
+                   scratch: np.ndarray) -> list:
+    """curvature of Z into out, at the x1 rows `rows` (all when None), with
+    the scratch of four grid slots, as bound calls."""
+    z, o = (Z, out) if rows is None else (Z[:, :, rows], out[:, :, rows])
+    d = scratch if rows is None else scratch[:, rows]
+    calls = []
     for s in range(Z.shape[1]):
-        F.deriv(Z[1:3, s], 0, out=o[2:0:-1, s], rows=rows)
-        F.deriv(z[::2, s], 1, out=d[0:2])  # d_1 Z_0, d_1 Z_2
-        F.deriv(z[0:2, s], 2, out=d[2:4])  # d_2 Z_0, d_2 Z_1
-        o[2, s] -= d[0]
-        np.subtract(d[2], o[1, s], out=o[1, s])
-        np.subtract(d[1], d[3], out=o[0, s])
+        calls += F.bind_deriv(Z[1:3, s], 0, o[2:0:-1, s], rows)
+        calls += F.bind_deriv(z[::2, s], 1, d[0:2])  # d_1 Z_0, d_1 Z_2
+        calls += F.bind_deriv(z[0:2, s], 2, d[2:4])  # d_2 Z_0, d_2 Z_1
+        calls += [functools.partial(np.subtract, o[2, s], d[0], o[2, s]),
+                  functools.partial(np.subtract, d[2], o[1, s], o[1, s]),
+                  functools.partial(np.subtract, d[1], d[3], o[0, s])]
     if Z.shape[1] > 1:
         for k, i, j in CYCLIC:
-            o[k] += comm(z[i], z[j], d[:3])
-    return out
+            calls += [functools.partial(comm, z[i], z[j], d[:3]),
+                      functools.partial(np.add, o[k], d[:3], o[k])]
+    return calls
 
 
 def cs_densities(F: TorusField, FZ: np.ndarray, rows: slice | None = None,
@@ -441,17 +490,30 @@ def cs_densities(F: TorusField, FZ: np.ndarray, rows: slice | None = None,
     FZ is the curvature of F.  Both are pointwise (one np.einsum pass, and
     as dot forms it), so rows, a slice of the x1 axis, gives the whole
     grid's values at those rows bit for bit.  Written to out[0] and out[1]
-    (None: new arrays).
+    (None: new arrays).  bind_cs_densities' calls, run once.
     """
+    shape = F.a.shape[2:] if rows is None else F.a[..., rows, :, :].shape[2:]
+    dens = [np.empty(shape) if o is None else o for o in out[:1 + (F.a.shape[1] > 1)]]
+    tmp = np.empty((3,) + shape) if len(dens) > 1 else None
+    run_calls(bind_cs_densities(F, FZ, dens, tmp, rows))
+    return dens
+
+
+def bind_cs_densities(F: TorusField, FZ: np.ndarray, out, tmp: np.ndarray,
+                      rows: slice | None = None) -> list:
+    """cs_densities into out[0] and, off the sigma3 line, out[1] as bound
+    calls; the bracket [a_1, a_2] and its product with a_3 are formed in
+    tmp, three coefficient slots of the grid at those rows."""
     a, fz = F.a, FZ.real
     if rows is not None:
         a, fz = a[..., rows, :, :], fz[..., rows, :, :]
-    dens = [np.einsum(FORM_COEFF, a, fz, out=out[0])]
-    a12 = comm(a[0], a[1])
-    if isinstance(a12, np.ndarray):  # 0.0 on the sigma3 line
-        a12 *= a[2]
-        dens.append(np.sum(a12, axis=0, out=out[1]))
-    return dens
+    calls = [functools.partial(np.einsum, FORM_COEFF, a, fz, out=out[0])]
+    if a.shape[1] > 1:  # the triple product is zero on the sigma3 line
+        # np.add.reduce(tmp, 0, None, out) is np.sum(tmp, axis=0, out=out)
+        calls += [functools.partial(comm, a[0], a[1], tmp),
+                  functools.partial(np.multiply, tmp, a[2], tmp),
+                  functools.partial(np.add.reduce, tmp, 0, None, out[1])]
+    return calls
 
 
 def cs_functional(F: TorusField, FZ: np.ndarray | None = None, densities=None) -> float:

@@ -228,6 +228,21 @@ def test_flow_run_passes_its_checks_on_the_sweep_config(tmp_path, capsys):
     assert all(c["status"] == "pass" for c in checks.values())
 
 
+def test_no_metric_reads_negative_zero(tmp_path, capsys):
+    # a metric or worst decrease of exactly zero is reported as 0.0: the
+    # monotone_cs row of a trace whose cs never falls read -0.0, in `kwlab
+    # all` (flow-smoke.monotone_cs, at every seed) and in `flow run`
+    report = tmp_path / "all.json"
+    run(["all", "--seed", "1", "--out", str(report)], capsys)
+    rows = json.loads(report.read_text())["checks"]
+    _, _, flow_rows = _flow_run(tmp_path, capsys)
+    rows += list(flow_rows.values())
+    zeros = [c for c in rows if c["metric"] == 0.0]
+    assert {c["check_id"] for c in zeros} >= {"flow-smoke.monotone_cs", "monotone_cs"}
+    assert [c["check_id"] for c in zeros if math.copysign(1.0, c["metric"]) < 0] == []
+    assert not [c for c in rows if "-0.00e+00" in (c["worst_location"] or "")]
+
+
 def test_flow_run_exits_1_on_a_failing_check(monkeypatch, tmp_path, capsys):
     # each RK4 stage moves 1.01 times as far as the clock advances: the run
     # completes, and both rate identities fail their 1e-5

@@ -327,23 +327,29 @@ def test_trace_csv():
     assert len(lines) == 7
 
 
-def test_k1_reuse_call_counts_and_trace(monkeypatch):
-    # each recorded state's curvature is the next step's k1: 1 + 4n evaluations
+def _logging_binder(monkeypatch, name, entry):
+    """Replace kwlab.flow's binder `name` by one whose every list ends in a
+    call that appends entry(*args of the bind) to the returned log, so the
+    log gains one entry each time run_flow runs what it bound."""
     import kwlab.flow
 
+    log = []
+    exact = getattr(kwlab.flow, name)
+
+    def logged(*args):
+        return exact(*args) + [functools.partial(log.append, entry(*args))]
+
+    monkeypatch.setattr(kwlab.flow, name, logged)
+    return log
+
+
+def test_k1_reuse_call_counts_and_trace(monkeypatch):
+    # each recorded state's curvature is the next step's k1: 1 + 4n evaluations
     F = random_field(np.random.default_rng(21), 8, amplitude=0.05)
     cfg = FlowConfig(dt=0.05 * F.h, steps=6)
-    calls = []
-    exact = torus.curvature
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return exact(*args, **kwargs)
-
-    # run_flow calls curvature by the name it imports into kwlab.flow;
-    # gradient and cs_functional look it up in torus
-    monkeypatch.setattr(torus, "curvature", counted)
-    monkeypatch.setattr(kwlab.flow, "curvature", counted)
+    # run_flow binds each curvature through the binder it imports into
+    # kwlab.flow, and runs the bound list once per evaluation
+    calls = _logging_binder(monkeypatch, "bind_curvature", lambda *args: 1)
     tr = run_flow(F, cfg)
     monkeypatch.undo()
     assert len(calls) == 1 + 4 * cfg.steps
@@ -356,6 +362,34 @@ def test_k1_reuse_call_counts_and_trace(monkeypatch):
         assert tr.sup_a[n] == pytest.approx(
             float(np.sqrt(np.sum(a * a, axis=(0, 1)).max())), rel=1e-12)
     assert tr.meta["status"] == "completed" and "blowup_step" not in tr.meta
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["one_slab", "two_slabs"])
+def test_run_binds_its_work_once(monkeypatch, split):
+    # every derivative product of a run is bound before its first step, so
+    # the lookups of the derivative matrices, one per bound product, do not
+    # grow with the number of steps
+    import kwlab.flow
+
+    lookups = []
+    exact = torus.deriv_matrices
+
+    def counted(*args):
+        lookups.append(args)
+        return exact(*args)
+
+    monkeypatch.setattr(torus, "deriv_matrices", counted)
+    if split:
+        monkeypatch.setattr(kwlab.flow.os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        monkeypatch.setattr(kwlab.flow, "SLAB_SPLIT_MIN_POINTS", 0)
+    F = random_field(np.random.default_rng(21), 8, amplitude=1e-3)
+    counts = []
+    for steps in (5, 50):
+        lookups.clear()
+        assert len(run_flow(F, FlowConfig(dt=0.05 * F.h, steps=steps)).times) == steps + 1
+        counts.append(len(lookups))
+    assert counts[0] == counts[1] > 0
 
 
 TRACE_COLUMNS = ("times", "cs", "grad_norm_sq", "constraint_drift", "sup_a",
@@ -544,8 +578,10 @@ def test_trace_is_the_six_product_step_with_summed_monitors(monkeypatch, data):
     cfg = FlowConfig(dt=0.05 * F.h, steps=steps)
     tr = run_flow(F, cfg)
     calls = []
-    monkeypatch.setattr(kwlab.flow, "curvature", curvature_six_products)
-    monkeypatch.setattr(torus, "curvature", curvature_six_products)
+    # run_flow binds its curvatures through kwlab.flow's binder, and binds
+    # np.einsum as it finds it when the run starts
+    monkeypatch.setattr(kwlab.flow, "bind_curvature", lambda F, Z, out, rows, scratch: [
+        functools.partial(curvature_six_products, F, Z, out, rows, scratch)])
     monkeypatch.setattr(np, "einsum", _summed_monitors(calls))
     ref = run_flow(F, cfg)
     assert tr.meta["abelian"] == (data == "test_13")
@@ -562,33 +598,29 @@ def test_trace_is_the_six_product_step_with_summed_monitors(monkeypatch, data):
 def _slab_runs(monkeypatch, F, cfg):
     """run_flow as two x1 slabs and as one, each forced through the
     crossover (and two CPUs to split onto, whatever the machine has); also
-    the rows of every curvature call of the split run.  The rows of every
-    monitor_densities call are checked here: each recorded state's
-    densities are formed on both slabs of the split run, and once, on the
-    whole grid, by the one-slab run.  So is curvature's scratch: each run
-    hands every call the same array."""
+    the rows of every curvature evaluation of the split run.  The rows of
+    every monitor density evaluation are checked here: each recorded
+    state's densities are formed on both slabs of the split run, and once,
+    on the whole grid, by the one-slab run.  So is curvature's scratch:
+    each run binds every curvature with the same array.  The rows are
+    logged as the bound lists run, the scratch as they are bound."""
     import kwlab.flow
 
-    rows, density_rows, scratches = [], [], []
-    exact, exact_densities = torus.curvature, kwlab.flow.monitor_densities
+    scratches = []
 
-    def logged(F, Z=None, out=None, slab=None, scratch=None):
-        rows.append(slab)
+    def scratch_and_rows(F, Z, out, slab, scratch):
         scratches.append(scratch)
-        return exact(F, Z, out, slab, scratch)
+        return slab
 
     def one_scratch():
         shared = scratches[0] is not None and all(s is scratches[0] for s in scratches)
         scratches.clear()
         return shared
 
-    def logged_densities(F, Z, FZ, ring, i, dens, tmp, slab=None):
-        density_rows.append(slab)
-        return exact_densities(F, Z, FZ, ring, i, dens, tmp, slab)
-
+    rows = _logging_binder(monkeypatch, "bind_curvature", scratch_and_rows)
+    density_rows = _logging_binder(monkeypatch, "bind_monitor_densities",
+                                   lambda F, Z, FZ, ring, i, dens, tmp, slab: slab)
     monkeypatch.setattr(kwlab.flow.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(kwlab.flow, "curvature", logged)
-    monkeypatch.setattr(kwlab.flow, "monitor_densities", logged_densities)
     monkeypatch.setattr(kwlab.flow, "SLAB_SPLIT_MIN_POINTS", 0)
     split = run_flow(F, cfg)
     split_rows = rows[:]
@@ -691,17 +723,18 @@ def test_two_slab_run_raises_what_its_worker_raised(monkeypatch):
     cfg = FlowConfig(dt=0.05 * F.h, steps=3)
     split, _, _ = _slab_runs(monkeypatch, F, cfg)
     monkeypatch.setattr(kwlab.flow, "SLAB_SPLIT_MIN_POINTS", 0)
-    exact = torus.curvature
+    exact = torus.bind_curvature
 
-    def upper_fails(F, Z=None, out=None, rows=None, scratch=None):
-        if rows is not None and rows.start:
-            raise FloatingPointError("planted")
-        return exact(F, Z, out, rows, scratch)
+    def planted():
+        raise FloatingPointError("planted")
 
-    monkeypatch.setattr(kwlab.flow, "curvature", upper_fails)
+    def upper_fails(F, Z, out, rows, scratch):
+        return exact(F, Z, out, rows, scratch) + [planted] * bool(rows.start)
+
+    monkeypatch.setattr(kwlab.flow, "bind_curvature", upper_fails)
     with pytest.raises(FloatingPointError, match="planted"):
         run_flow(F, cfg)
-    monkeypatch.setattr(kwlab.flow, "curvature", exact)
+    monkeypatch.setattr(kwlab.flow, "bind_curvature", exact)
     assert np.array_equal(run_flow(F, cfg).cs, split.cs)
 
 

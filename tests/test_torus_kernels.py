@@ -323,14 +323,16 @@ def test_curvature_is_the_six_product_loop(N, scheme, sigma3):
 
 
 def _count_deriv(monkeypatch):
+    # curvature binds each derivative product through TorusField.bind_deriv
+    # and runs it once: the axes of the binds are the axes of the products
     calls = []
-    exact = TorusField.deriv
+    exact = TorusField.bind_deriv
 
-    def counted(self, f, i, out=None, rows=None):
+    def counted(self, f, i, out, rows=None):
         calls.append(i)
         return exact(self, f, i, out, rows)
 
-    monkeypatch.setattr(TorusField, "deriv", counted)
+    monkeypatch.setattr(TorusField, "bind_deriv", counted)
     return calls
 
 
@@ -343,18 +345,18 @@ def test_curvature_makes_three_derivative_products_per_coefficient(monkeypatch, 
 
 
 def swap_x2_scratch_slots(monkeypatch):
-    """Plant a wrong slot map in curvature: its x2 call writes the x2
+    """Plant a wrong slot map in curvature: its x2 product writes the x2
     derivatives of Z[0] and Z[2] into each other's scratch slots.  Only
-    curvature passes deriv a pair of slots to write, so the real kernels
+    curvature binds a product into a pair of slots, so the real kernels
     and the six-product loop are untouched."""
-    exact = TorusField.deriv
+    exact = TorusField.bind_deriv
 
-    def swapped(self, f, i, out=None, rows=None):
-        if i == 1 and out is not None and len(out) == 2:
+    def swapped(self, f, i, out, rows=None):
+        if i == 1 and len(out) == 2:
             out = out[::-1]
         return exact(self, f, i, out, rows)
 
-    monkeypatch.setattr(TorusField, "deriv", swapped)
+    monkeypatch.setattr(TorusField, "bind_deriv", swapped)
 
 
 @pytest.mark.parametrize("sigma3", [True, False])
