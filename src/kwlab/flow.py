@@ -60,9 +60,10 @@ roles at each step), and state i's a is in ring slot i % 5.  So run_flow
 binds each stage's work once per run, as lists of bound calls (the
 binders of torus, and bind_monitor_densities), one list per slab: the
 curvatures, the _advance updates, k *= 2 and ksum += k, for both roles of
-W; the monitor densities for each state i < 14, whose lists differ only in
-i % 2, i % 5 and, below 4, in having no rate yet, so a state i >= 14 runs
-state 4 + (i - 4) % 10's; and the views the record's grid sums read.
+W; the monitor densities for ten classes of state, as the lists of state
+i depend on i only through i % 2 and i % 5, so state i runs class i % 10's
+(the ring starts zeroed, and a rate formed before state 4 is never
+recorded); and the views the record's grid sums read.
 _advance, comm, np and the derivative matrices are looked up as the run
 binds, so a defect planted before a run is what it runs.  A step then runs
 the six prebound stages and the record.  On sigma3 data one curvature,
@@ -119,12 +120,6 @@ CFL_FACTOR = 0.2
 FIT_SCATTER_TOL = 1e-2
 # grid points (N^3) from which a run splits each RK4 stage into two x1 slabs
 SLAB_SPLIT_MIN_POINTS = 27 ** 3
-
-# the states whose stage lists a run binds: from state 4 on (the first with
-# a rate) the lists of state i depend on i only through i % 2, which of the
-# two state arrays holds it, and i % 5, its ring slot, so state i >= 14
-# runs the lists of state 4 + (i - 4) % 10
-_BOUND_STATES = 14
 
 _slab_worker = None  # the _SlabWorker of the second slab, made when a run first splits
 
@@ -312,9 +307,10 @@ def _scratch_planes(scratch, rows):
 def bind_monitor_densities(F, Z, FZ, ring, i, dens, tmp, rows=None):
     """The pointwise monitor densities of state i into dens (_density_views),
     as bound calls: Z is the state, FZ its curvature, ring[i % 5] its a;
-    from i = 4 on also |da/dt|^2 at state i - 2, from the ring's 5-point
-    difference formed in place in the slot of state i - 4, which the next
-    state's a overwrites.  tmp (_scratch_planes) holds the temporaries.
+    also |da/dt|^2 at state i - 2, from the ring's 5-point difference formed
+    in place in the slot of state i - 4, which the next state's a
+    overwrites (below i = 4 the ring holds no such states yet, and the rate
+    formed is not read).  tmp (_scratch_planes) holds the temporaries.
     Each density is one np.einsum pass, summing at each point over form and
     then coefficient in the order np.sum of the product adds them, or as
     cs_densities and div_cov form it.
@@ -335,16 +331,16 @@ def bind_monitor_densities(F, Z, FZ, ring, i, dens, tmp, rows=None):
     calls += bind_div_cov(state, state.a, dva, tmp[1, :c], rows)
     calls += [partial(np.einsum, "c...,c...->...", dva, dva, out=div_sq),
               partial(np.einsum, FORM_COEFF, a, a, out=a_sq)]
-    if i >= 4:
-        # the bracket (f[n-2] - f[n+2]) / 8 + f[n+1] - f[n-1] at n = i - 2
-        d, a_next, a_prev = _at(rows, ring[(i - 4) % 5], ring[(i - 1) % 5], ring[(i - 3) % 5])
-        # over form for each coefficient, then over coefficient: not
-        # FORM_COEFF's rounding order, but the one this rate is defined by
-        # (np.add.reduce(x, 0, None, out) is x.sum(axis=0, out=out))
-        calls += [partial(np.subtract, d, a, d), partial(np.true_divide, d, 8.0, d),
-                  partial(np.add, d, a_next, d), partial(np.subtract, d, a_prev, d),
-                  partial(np.einsum, "fc...,fc...->c...", d, d, out=tmp[1, :c]),
-                  partial(np.add.reduce, tmp[1, :c], 0, None, rate_sq)]
+    # the bracket (f[n-2] - f[n+2]) / 8 + f[n+1] - f[n-1] at n = i - 2; the
+    # product with 0.125 is the quotient by 8 bit for bit (a power of two)
+    d, a_next, a_prev = _at(rows, ring[(i - 4) % 5], ring[(i - 1) % 5], ring[(i - 3) % 5])
+    # over form for each coefficient, then over coefficient: not
+    # FORM_COEFF's rounding order, but the one this rate is defined by
+    # (np.add.reduce(x, 0, None, out) is x.sum(axis=0, out=out))
+    calls += [partial(np.subtract, d, a, d), partial(np.multiply, d, 0.125, d),
+              partial(np.add, d, a_next, d), partial(np.subtract, d, a_prev, d),
+              partial(np.einsum, "fc...,fc...->c...", d, d, out=tmp[1, :c]),
+              partial(np.add.reduce, tmp[1, :c], 0, None, rate_sq)]
     return calls
 
 
@@ -406,17 +402,18 @@ def run_flow(F0: TorusField, config: FlowConfig) -> FlowTrace:
     ksum, stage = (cache_aligned(Z.shape, Z.dtype) for _ in range(2))
     d = cache_aligned((4,) + Z.shape[2:], Z.dtype)
     ring = cache_aligned((5,) + Z.shape, float)  # the a of state i is in ring[i % 5]
+    ring.fill(0.0)  # what the first four states' unread rates read
     np.copyto(ring[0], Z.imag)
     dens = [_density_views(W[1 - p]) for p in (0, 1)]  # those of a state in W[p]
     advance = _advance  # looked up now: a planted defect may have replaced it
 
     def slab_stages(r):
-        """The stages of slab r that lead to each state i < _BOUND_STATES,
-        as lists of bound calls: to state 0 its k1 stage (its curvature,
-        its monitor densities and the first stage point); to a later state
-        the five stages of the step to it (k2; the next stage point, with
-        2 k2 into the sum; k3; the last stage point; k4, with the new state
-        into k's rows and its a into the ring's), then its k1 stage."""
+        """The stages of slab r that lead to a state i > 0 of each class
+        i % 10, as lists of bound calls: the five stages of the step to it
+        (k2; the next stage point, with 2 k2 into the sum; k3; the last
+        stage point; k4, with the new state into k's rows and its a into
+        the ring's), then its k1 stage (its curvature, its monitor densities
+        and the first stage point), which alone leads to state 0."""
         (ring_r,) = _at(r, ring)
         step_to = []  # [which of W holds the state stepped from][ring slot of the new one]
         for z, k in (W, W[::-1]):
@@ -428,17 +425,18 @@ def run_flow(F0: TorusField, config: FlowConfig) -> FlowTrace:
             step_to.append([(k23, half, k23, full, k4 + [partial(np.copyto, a, kr.imag)])
                             for a in ring_r])
         stages = []
-        for i in range(_BOUND_STATES):
+        for i in range(10):
             z = W[i % 2]
             zr, sr, st = _at(r, z, ksum, stage)
             k1 = (bind_curvature(F, z, ksum, r, d)
                   + bind_monitor_densities(F, z, ksum, ring, i, dens[i % 2],
                                            _scratch_planes(d, r), r)
                   + [partial(advance, zr, sr, 0.5 * dt, st)])
-            stages.append((step_to[1 - i % 2][i % 5] if i else ()) + (k1,))
+            stages.append(step_to[1 - i % 2][i % 5] + (k1,))
         return stages
 
-    # to_state[i]: the stages that lead to state i, each one list per slab
+    # to_state[i % 10]: the stages that lead to state i > 0, each one list
+    # per slab; state 0 takes only the last
     to_state = [tuple(zip(*per_slab))
                 for per_slab in zip(*(slab_stages(r) for r in _slabs(F.N)))]
     sums = [(f_sq[..., 1::2], f_sq[..., ::2], div_sq, a_sq, rate_sq, cs_dens)
@@ -466,7 +464,8 @@ def run_flow(F0: TorusField, config: FlowConfig) -> FlowTrace:
         return math.isfinite(cs[i]) and math.isfinite(gns[i])
 
     def reach(i):  # run the stages to state i, and record it
-        for stage in to_state[i if i < _BOUND_STATES else 4 + (i - 4) % 10]:
+        stages = to_state[i % 10]
+        for stage in stages[-1:] if i == 0 else stages:
             _on_slabs(stage)
         record(i)
 

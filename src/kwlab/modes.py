@@ -181,20 +181,36 @@ class ContractionError(RuntimeError):
         )
 
 
+def _quadratic_terms() -> tuple[np.ndarray, np.ndarray]:
+    """The (u, v) slots of the 28 brackets [u, v] of the # coupling, term t
+    of output row r at 7 t + r: rows p_1, p_2, p_3, q_1, q_2, q_3, qt, each
+    with its four brackets in the order quadratic_map_grid adds them."""
+    rows = ([((i, 3), (4 + i, 7), (j, 4 + k), (k, 4 + j)) for i, j, k in CYCLIC]
+            + [((i, 7), (4 + i, 3), (j, k), (4 + j, 4 + k)) for i, j, k in CYCLIC]
+            + [((3, 7), (0, 4), (1, 5), (2, 6))])
+    pairs = np.array(rows).transpose(1, 0, 2).reshape(28, 2)
+    return pairs[:, 0], pairs[:, 1]
+
+
+_QUAD_U, _QUAD_V = _quadratic_terms()
+
+
 def quadratic_map_grid(psi: np.ndarray) -> np.ndarray:
     """The # coupling on grid fields (8, 3, N, N, N) -> same shape; the
-    eps_ijk sums run over the cyclic (i, j, k)."""
-    b = psi[0:3]
-    bt = psi[3]
-    c = psi[4:7]
-    ct = psi[7]
+    eps_ijk sums run over the cyclic (i, j, k).
+
+    The 28 brackets are one comm on the stacked operands, (3, 28, N, N, N),
+    then each output slot adds its four, left to right, as
+    -[b_i, bt] + [c_i, ct] - [b_j, c_k] + [b_k, c_j] (and likewise) does.
+    """
+    coeff_first = psi.swapaxes(0, 1)
+    t = comm(coeff_first[:, _QUAD_U], coeff_first[:, _QUAD_V])
+    t0, t1, t2, t3 = t.reshape((3, 4, 7) + psi.shape[2:]).swapaxes(0, 1)
     out = np.zeros_like(psi)
-    for i, j, k in CYCLIC:
-        out[i] = (-comm(b[i], bt) + comm(c[i], ct)
-                  - comm(b[j], c[k]) + comm(b[k], c[j]))
-        out[4 + i] = (-comm(b[i], ct) - comm(c[i], bt)
-                      - comm(b[j], b[k]) + comm(c[j], c[k]))
-    out[7] = comm(bt, ct) + comm(b[0], c[0]) + comm(b[1], c[1]) + comm(b[2], c[2])
+    o = out.swapaxes(0, 1)
+    o[:, 0:3] = -t0[:, 0:3] + t1[:, 0:3] - t2[:, 0:3] + t3[:, 0:3]
+    o[:, 4:7] = -t0[:, 3:6] - t1[:, 3:6] - t2[:, 3:6] + t3[:, 3:6]
+    o[:, 7] = t0[:, 6] + t1[:, 6] + t2[:, 6] + t3[:, 6]
     return out
 
 

@@ -326,15 +326,22 @@ def _assemble_clifford(val, grads, a, dt_sign: float = 1.0, skip_gamma3: bool = 
     products bit for bit.  The rho terms are skipped where the Higgs field
     vanishes identically.
     """
-    out = dt_sign * grads[..., 0, :, :]
+    return _clifford_sums(val, grads, a, (dt_sign,), skip_gamma3)[0]
+
+
+def _clifford_sums(val, grads, a, dt_signs, skip_gamma3: bool = False) -> list:
+    """``_assemble_clifford`` at each of dt_signs, from one set of signed
+    gathers: each gathered term is added to every sum in turn."""
+    outs = [dt_sign * grads[..., 0, :, :] for dt_sign in dt_signs]
     terms = [(grads[..., 1 + i, :, :], _GAMMA_PERMS[i]) for i in range(2 if skip_gamma3 else 3)]
     if np.any(a):
         terms += [(comm(a[..., i, None, :], val), _RHO_PERMS[i]) for i in range(3)]
     for g, (sources, signs) in terms:
         term = np.take(g, sources, axis=-2)
         term *= signs
-        out += term
-    return out
+        for out in outs:
+            out += term
+    return outs
 
 
 # the three depictions of D, each assembling D psi from one covariant jet
@@ -425,10 +432,9 @@ def apply_x(X, val):
     return np.sum(comm(X, val[..., None, :, :]), axis=-2)
 
 
-def x_matrix24(bg, p) -> np.ndarray:
-    """The remainder at a single point as a real 24x24 matrix (sigma basis):
-    block (r, s) is the ad matrix of X_rs."""
-    X = x_blocks(bg, np.asarray(p, float))
+def x_matrix24(X) -> np.ndarray:
+    """The remainder at a single point, its x_blocks grid X, as a real 24x24
+    matrix (sigma basis): block (r, s) is the ad matrix of X_rs."""
     return ad_matrix(X).transpose(0, 2, 1, 3).reshape(24, 24)
 
 
@@ -443,11 +449,12 @@ def remainder_matrix24(bg, p) -> np.ndarray:
 
     The 24 basis spinors ride one batch axis: the point is repeated 24
     times, and the constant section returns basis spinor j at the j-th copy
-    of every query, so one bochner_check call extracts every column.
+    of every query, so one bochner_remainder stencil pass extracts every
+    column, and no X is assembled.
     """
     P = np.broadcast_to(np.asarray(p, dtype=float), (24, 4))
     basis = FuncSection(lambda Q: np.broadcast_to(_BASIS24, Q.shape[:-1] + (8, 3)))
-    return bochner_check(bg, basis, P, 5e-4)["remainder"].reshape(24, 24).T
+    return bochner_remainder(bg, basis, P, 5e-4)[1].reshape(24, 24).T
 
 
 # the largest blockwise mismatch of the extracted and assembled remainders,
@@ -455,10 +462,10 @@ def remainder_matrix24(bg, p) -> np.ndarray:
 BLOCK_TOL = 1e-3
 
 
-def bochner_block_report(bg, p) -> dict:
+def bochner_block_report(bg, p, X) -> dict:
     """Diff the remainder extracted on the 24 basis spinors
-    (``remainder_matrix24``, one batched bochner_check call) blockwise against
-    the assembled grid (``x_matrix24``).
+    (``remainder_matrix24``, one batched stencil pass) blockwise against
+    the assembled grid X = x_blocks(bg, p) (as ``x_matrix24``).
 
     Any block whose mismatch exceeds BLOCK_TOL (relative to the largest block
     norm of either matrix, so the test keeps its meaning at any field scale)
@@ -467,7 +474,7 @@ def bochner_block_report(bg, p) -> dict:
     """
     p = np.asarray(p, dtype=float)
     m_true = remainder_matrix24(bg, p)
-    m_asm = x_matrix24(bg, p)
+    m_asm = x_matrix24(X)
 
     def blocks(m):
         return m.reshape(8, 3, 8, 3).transpose(0, 2, 1, 3)
@@ -482,13 +489,14 @@ def bochner_block_report(bg, p) -> dict:
     return {"flagged_blocks": flagged, "worst_block_diff": float(np.max(rel))}
 
 
-def bochner_check(bg, sec, p, h: float) -> dict:
-    """Compare D^dag D - (grad^dag grad + sum_i [a_i, [., a_i]]) with the
-    assembled remainder at a point; returns the residual and both sides.
+def bochner_remainder(bg, sec, p, h: float):
+    """(psi, remainder) at p: psi's value and
+    D^dag D psi - (grad^dag grad psi + sum_i [a_i, [psi, a_i]]), the
+    remainder that X assembles, from one stencil pass.
 
-    One stencil pass: psi's covariant gradients at p and at its eight
-    neighbours p +- h e_mu give D psi at all nine points, hence D^dag D psi,
-    and the covariant Hessian, whose trace is -grad^dag grad psi.
+    psi's covariant gradients at p and at its eight neighbours p +- h e_mu
+    give D psi at all nine points, hence D^dag D psi, and the covariant
+    Hessian, whose trace is -grad^dag grad psi.
     """
     p = np.asarray(p, dtype=float)
     q = _neighbours(p, h)
@@ -501,11 +509,27 @@ def bochner_check(bg, sec, p, h: float) -> dict:
     hess = _add_connection(A[..., None, :, :], grads, _centred(qgrads, h))
     lap = sum(hess[..., mu, mu, :, :] for mu in range(4))
     commterm = sum(comm(a[..., i, None, :], comm(val, a[..., i, None, :])) for i in range(3))
-    remainder = ddag_d + lap - commterm
-    xpsi = apply_x(x_blocks(bg, p), val)
+    return val, ddag_d + lap - commterm
+
+
+def bochner_compare(val, remainder, X) -> dict:
+    """bochner_check's dict for a ``bochner_remainder`` (val, remainder) and
+    the assembled grid X at its point."""
+    xpsi = apply_x(X, val)
     resid = spinor_max(remainder - xpsi)
     scale = max(spinor_max(xpsi), spinor_max(remainder), 1e-30)
     return {"residual": resid, "scale": scale, "remainder": remainder, "x_psi": xpsi}
+
+
+def bochner_check(bg, sec, p, h: float) -> dict:
+    """Compare D^dag D - (grad^dag grad + sum_i [a_i, [., a_i]]) with the
+    assembled remainder at a point; returns the residual and both sides.
+
+    The stencil pass of ``bochner_remainder`` against ``x_blocks(bg, p)``;
+    a caller that already holds X at p (the operator suite) composes
+    ``bochner_compare`` with ``bochner_remainder`` itself.
+    """
+    return bochner_compare(*bochner_remainder(bg, sec, p, h), x_blocks(bg, p))
 
 
 # ---------------------------------------------------------------------------
@@ -590,8 +614,9 @@ def box_quadrature(bg, psi, xi, t_range=(0.5, 3.5), nt=40, nx=8,
     {"lhs", "rhs", "rel_gap"}}, as ``duality_gap(bg, psi, xi, ...)`` and
     ``pythagoras_gap(bg, psi, ...)`` return them.
 
-    One t-slice at a time, psi and xi are evaluated once each, D psi, L psi
-    (dt_sign 0) and D^dag xi are assembled by ``_assemble_clifford``, and the
+    One t-slice at a time, psi and xi are evaluated once each, D psi and
+    L psi (dt_sign 0) are assembled from one set of psi's signed gathers
+    (``_clifford_sums``) and D^dag xi by ``_assemble_clifford``, and the
     six pair densities that the two checks read are stored: <D psi, xi>,
     <psi, D^dag xi>, |D psi|^2, |xi|^2, |grad_t psi|^2 and |L psi|^2.  Each
     is integrated once at the end (trapezoid in t, exact trapezoid in the
@@ -604,8 +629,7 @@ def box_quadrature(bg, psi, xi, t_range=(0.5, 3.5), nt=40, nx=8,
         psival, grads = covariant_grads(bg, psi, Q, h)
         xival, xigrads = covariant_grads(bg, xi, Q, h)
         a = bg.a_at(Q)
-        dpsi = _assemble_clifford(psival, grads, a)
-        lpsi = _assemble_clifford(psival, grads, a, dt_sign=0.0)
+        dpsi, lpsi = _clifford_sums(psival, grads, a, (1.0, 0.0))
         ddagxi = _assemble_clifford(xival, xigrads, a, dt_sign=-1.0)
         tpsi = grads[..., 0, :, :]
         pairs[:, i] = (_pair(dpsi, xival), _pair(psival, ddagxi), _pair(dpsi, dpsi),

@@ -244,7 +244,7 @@ def _sl_min_once(prob: SLProblem, n_mesh: int) -> float:
     K^{-1} M only ever factorizes the well-conditioned stiffness K, so the
     tiny mass entries are harmless.
     """
-    from scipy.linalg import solve_banded
+    from scipy.linalg.lapack import dgttrf, dgttrs
 
     hh = (THETA_MAX - THETA_MIN) / n_mesh
     th = THETA_MIN + hh * np.arange(1, n_mesh + 1)
@@ -255,14 +255,15 @@ def _sl_min_once(prob: SLProblem, n_mesh: int) -> float:
     diag_k += (prob.angular_mode ** 2 + wv * sech2) * hh
     off_k = np.full(n_mesh - 1, -1.0 / hh)
     mass = sech2 * hh
-    ab = np.zeros((3, n_mesh))
-    ab[0, 1:] = off_k
-    ab[1, :] = diag_k
-    ab[2, :-1] = off_k
+    # K = L U once (LAPACK's gttrf, partial pivoting); each step then only
+    # solves with the factors, the same floats as a fresh gtsv solve of K
+    dl, d, du, du2, ipiv, info = dgttrf(off_k, np.asarray_chkfinite(diag_k), off_k)
+    if info:
+        raise np.linalg.LinAlgError("singular stiffness matrix")
     v = np.tanh(th)
     mu_prev = np.inf
     for _ in range(400):
-        w = solve_banded((1, 1), ab, mass * v)
+        w = dgttrs(dl, d, du, du2, ipiv, mass * v)[0]
         v = w / np.sqrt(np.sum(mass * w * w))
         kv = diag_k * v
         kv[:-1] += off_k * v[1:]

@@ -303,9 +303,10 @@ def operator_suite(seed: int, background: str = "model:1",
     out.append(CheckResult.from_bound(
         "y_intertwine", "D Y = -Y D^dag",
         op.y_intertwine(bg, sec, p0, 1e-5), 1e-8))
+    X0 = op.x_blocks(bg, p0)  # the assembled remainder at p0, read by the rows below
     if not isinstance(bg, TrivialBackground):
-        b1 = op.bochner_check(bg, sec, p0, 1e-3)
-        b2 = op.bochner_check(bg, sec, p0, 5e-4)
+        b1, b2 = (op.bochner_compare(*op.bochner_remainder(bg, sec, p0, h), X0)
+                  for h in (1e-3, 5e-4))
         out.append(CheckResult.from_bound(
             "weitzenbock_remainder", "D^dag D - grad^dag grad - commutator = X",
             b1["residual"] / max(b1["scale"], 1e-30), 1e-4))
@@ -314,14 +315,14 @@ def operator_suite(seed: int, background: str = "model:1",
         out.append(CheckResult.from_bound(
             "weitzenbock_order", "remainder comparison is 2nd order",
             abs(b1["residual"] / max(b2["residual"], 1e-300) - 4.0), 1e-3))
-        rep = op.bochner_block_report(bg, p0)
+        rep = op.bochner_block_report(bg, p0, X0)
         flagged = rep["flagged_blocks"]
         worst = max(flagged, key=lambda b: b["relative_diff"]) if flagged else None
         out.append(CheckResult.from_bound(
             "weitzenbock_blocks", "blockwise extraction vs assembled remainder",
             rep["worst_block_diff"], op.BLOCK_TOL,
             location=f"block {worst['block']}, {len(flagged)} flagged" if flagged else None))
-    X24 = op.x_matrix24(bg, p0)
+    X24 = op.x_matrix24(X0)
     zero_rows = max(float(np.max(np.abs(X24[6:9, :]))), float(np.max(np.abs(X24[21:24, :]))),
                     float(np.max(np.abs(X24[:, 6:9]))), float(np.max(np.abs(X24[:, 21:24]))))
     out.append(CheckResult.from_bound(

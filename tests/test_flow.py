@@ -392,6 +392,31 @@ def test_run_binds_its_work_once(monkeypatch, split):
     assert counts[0] == counts[1] > 0
 
 
+@pytest.mark.parametrize("split", [False, True], ids=["one_slab", "two_slabs"])
+def test_run_binds_ten_monitor_classes(monkeypatch, split):
+    # the monitor lists of state i depend on i only through i % 2 and i % 5,
+    # so a run binds ten per slab, however short it is
+    import kwlab.flow
+
+    bound = []
+    exact = kwlab.flow.bind_monitor_densities
+
+    def counted(F, Z, FZ, ring, i, dens, tmp, rows=None):
+        bound.append((i, rows))
+        return exact(F, Z, FZ, ring, i, dens, tmp, rows)
+
+    monkeypatch.setattr(kwlab.flow, "bind_monitor_densities", counted)
+    if split:
+        monkeypatch.setattr(kwlab.flow.os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        monkeypatch.setattr(kwlab.flow, "SLAB_SPLIT_MIN_POINTS", 0)
+    F = random_field(np.random.default_rng(21), 8, amplitude=1e-3)
+    run_flow(F, FlowConfig(dt=0.05 * F.h, steps=1))
+    slabs = [None] if not split else [slice(0, 4), slice(4, 8)]
+    assert sorted(bound, key=lambda b: (b[0], b[1] and b[1].start)) == [
+        (i, r) for i in range(10) for r in slabs]
+
+
 TRACE_COLUMNS = ("times", "cs", "grad_norm_sq", "constraint_drift", "sup_a",
                  "energy_identity_relerr", "two_forms_relerr")
 
@@ -587,12 +612,13 @@ def test_trace_is_the_six_product_step_with_summed_monitors(monkeypatch, data):
     assert tr.meta["abelian"] == (data == "test_13")
     for col in TRACE_COLUMNS:
         assert np.array_equal(getattr(tr, col), getattr(ref, col)), col
-    # one pass per density and record: <a, Re F_Z>, |F_Z|^2, |d_A * a|^2 and
-    # |a|^2; from the fifth record on, the ring's |da/dt|^2, over form for
-    # each coefficient, whose coefficients are summed after it
-    once = [torus.FORM_COEFF, torus.FORM_COEFF, "c...,c...->...", torus.FORM_COEFF]
-    assert calls == [spec for i in range(steps + 1)
-                     for spec in once + ["fc...,fc...->c..."] * (i >= 4)]
+    # one pass per density and record: <a, Re F_Z>, |F_Z|^2, |d_A * a|^2,
+    # |a|^2 and the ring's |da/dt|^2, over form for each coefficient, whose
+    # coefficients are summed after it (before the fifth record the ring
+    # holds no rate, and the one formed is not read)
+    once = [torus.FORM_COEFF, torus.FORM_COEFF, "c...,c...->...", torus.FORM_COEFF,
+            "fc...,fc...->c..."]
+    assert calls == once * (steps + 1)
 
 
 def _slab_runs(monkeypatch, F, cfg):

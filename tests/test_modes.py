@@ -102,6 +102,39 @@ def test_quadratic_map_matches_the_eps_sum():
     assert np.max(np.abs(quadratic_map_grid(psi) - want)) <= 1e-15 * np.max(np.abs(want))
 
 
+def _quadratic_map_per_bracket(psi):
+    """quadratic_map_grid as one comm call per bracket, 28 in all, added
+    left to right in each slot."""
+    b, bt, c, ct = psi[0:3], psi[3], psi[4:7], psi[7]
+    out = np.zeros_like(psi)
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        out[i] = (-comm(b[i], bt) + comm(c[i], ct)
+                  - comm(b[j], c[k]) + comm(b[k], c[j]))
+        out[4 + i] = (-comm(b[i], ct) - comm(c[i], bt)
+                      - comm(b[j], b[k]) + comm(c[j], c[k]))
+    out[7] = comm(bt, ct) + comm(b[0], c[0]) + comm(b[1], c[1]) + comm(b[2], c[2])
+    return out
+
+
+@pytest.mark.parametrize("N", [4, 5])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_stacked_quadratic_map_is_the_per_bracket_sum(N, kind):
+    # one comm on the 28 stacked operand pairs gives each bracket's floats,
+    # and each slot adds them in the per-bracket order: bit for bit, signed
+    # zeros included (a zero slab makes exact-zero brackets)
+    rng = np.random.default_rng(N)
+    psi = rng.normal(size=(8, 3, N, N, N))
+    if kind == "complex":
+        psi = psi + 1j * rng.normal(size=psi.shape)
+    psi[:, :, 0] = 0.0
+    psi[:, :, 1] = -psi[:, :, 1] * 0.0
+    got, want = quadratic_map_grid(psi), _quadratic_map_per_bracket(psi)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got.real), np.signbit(want.real))
+    assert np.array_equal(np.signbit(got.imag), np.signbit(want.imag))
+
+
 def test_symbol_eigenvalues():
     s = symbol(np.array([1, 0, 0]))
     ev = np.linalg.eigvalsh(s)

@@ -94,7 +94,7 @@ def test_x_matrix24_matches_ad_matrix():
     bg = ModelBackground(2)
     p = np.array([0.8, 0.5, -0.6, 0.0])
     X = op.x_blocks(bg, p)
-    X24 = op.x_matrix24(bg, p)
+    X24 = op.x_matrix24(X)
     scale = np.max(np.abs(X24))
     for r in range(8):
         for s in range(8):
@@ -208,9 +208,9 @@ def _two_slice_loops(bg, psi, xi, t_range, nt, nx, h):
 def _suite_box(monkeypatch):
     """Run the operator suite on the trivial background, counting calls;
     returns the suite's checks and its box_quadrature calls as (args, kwargs,
-    _assemble_clifford calls made inside)."""
+    _clifford_sums calls made inside, each one set of signed gathers)."""
     boxes, assembled = [], []
-    box, assemble = op.box_quadrature, op._assemble_clifford
+    box, assemble = op.box_quadrature, op._clifford_sums
 
     def recorded(*args, **kwargs):
         before = len(assembled)
@@ -223,7 +223,7 @@ def _suite_box(monkeypatch):
         return assemble(*args, **kwargs)
 
     monkeypatch.setattr(op, "box_quadrature", recorded)
-    monkeypatch.setattr(op, "_assemble_clifford", counted)
+    monkeypatch.setattr(op, "_clifford_sums", counted)
     checks = operator_suite(0, background="trivial", points=8)
     monkeypatch.undo()
     return checks, boxes
@@ -251,11 +251,11 @@ def test_box_pass_equals_two_slice_loops(monkeypatch, data):
 
 
 def test_box_pass_call_counts(monkeypatch):
-    # in one operator suite run the box makes three contractions per t-slice:
-    # D psi, L psi and D^dag xi
+    # in one operator suite run the box makes two sets of signed gathers per
+    # t-slice: psi's, which give D psi and L psi, and xi's, for D^dag xi
     checks, [(_, kwargs, n_assembled)] = _suite_box(monkeypatch)
     assert all(c.status == "pass" for c in checks)
-    assert n_assembled == 3 * kwargs["nt"]
+    assert n_assembled == 2 * kwargs["nt"]
 
 
 def _per_term_fields(terms, P, i=None):
@@ -395,7 +395,8 @@ def test_bochner_remainder(bg, center, tol):
 
 
 def test_bochner_blocks_clean():
-    rep = op.bochner_block_report(ModelBackground(2), np.array([0.9, 0.6, -0.3, 0.0]))
+    bg, p = ModelBackground(2), np.array([0.9, 0.6, -0.3, 0.0])
+    rep = op.bochner_block_report(bg, p, op.x_blocks(bg, p))
     assert rep["flagged_blocks"] == []
     assert rep["worst_block_diff"] < 1e-3
 
@@ -405,7 +406,7 @@ def test_bochner_blocks_flag_small_scale_error(monkeypatch):
     # must be measured against the blocks themselves, not against 1
     bg = ModelBackground(1)
     p = np.array([100.0, 70.0, 40.0, 0.3])
-    clean = op.bochner_block_report(bg, p)
+    clean = op.bochner_block_report(bg, p, op.x_blocks(bg, p))
     assert clean["flagged_blocks"] == [] and clean["worst_block_diff"] < 1e-6
     x_blocks = op.x_blocks
 
@@ -415,16 +416,16 @@ def test_bochner_blocks_flag_small_scale_error(monkeypatch):
         return X
 
     monkeypatch.setattr(op, "x_blocks", corrupted)
-    rep = op.bochner_block_report(bg, p)
+    rep = op.bochner_block_report(bg, p, op.x_blocks(bg, p))
     assert [f["block"] for f in rep["flagged_blocks"]] == [(1, 4)]
 
 
 def test_x_structure():
     bg = ModelBackground(2)
     p = np.array([0.8, 0.5, -0.6, 0.0])
-    X24 = op.x_matrix24(bg, p)
-    assert np.max(np.abs(X24 - X24.T)) < 1e-10
     Xb = op.x_blocks(bg, p)
+    X24 = op.x_matrix24(Xb)
+    assert np.max(np.abs(X24 - X24.T)) < 1e-10
     assert np.max(np.abs(Xb[2])) == 0.0 and np.max(np.abs(Xb[7])) == 0.0
     assert np.max(np.abs(Xb[:, 2])) == 0.0 and np.max(np.abs(Xb[:, 7])) == 0.0
     for slot in (2, 7):
@@ -518,8 +519,7 @@ def test_domain_guards():
     # apply_D refuses: unguarded it reads NaN at r = 0 and differences at
     # 1e-12 at r = 1e-9
     for p in ([1.0, 0.0, 0.0, 0.3], [1.0, 1e-9, 0.0, 0.3]):
-        for read in (op.apply_D, lambda bg, sec, p: op.x_blocks(bg, p),
-                     lambda bg, sec, p: op.x_matrix24(bg, p)):
+        for read in (op.apply_D, lambda bg, sec, p: op.x_blocks(bg, p)):
             with pytest.raises(ValueError, match="axis disk"):
                 read(bg, sec, np.array(p))
 
@@ -572,18 +572,40 @@ def test_batched_remainder_matches_per_spinor_loop(kind):
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-def test_block_report_makes_one_bochner_check_call(monkeypatch):
+def _count_calls(monkeypatch, name, log):
+    """Replace op.<name> by a wrapper that logs its calls' point shapes."""
+    fn = getattr(op, name)
+
+    def counted(bg, *args, **kwargs):
+        log.append((name, np.shape(args[0] if name == "x_blocks" else args[1])))
+        return fn(bg, *args, **kwargs)
+
+    monkeypatch.setattr(op, name, counted)
+
+
+def test_block_report_makes_one_stencil_pass(monkeypatch):
+    # the 24 columns come from one batched stencil pass, which assembles no
+    # X: the report reads the X it is given
+    bg, p = ModelBackground(1), np.array([1.0, 0.7, 0.4, 0.3])
+    X = op.x_blocks(bg, p)
     calls = []
-    check = op.bochner_check
-
-    def counted(*args, **kwargs):
-        calls.append(np.shape(args[2]))
-        return check(*args, **kwargs)
-
-    monkeypatch.setattr(op, "bochner_check", counted)
-    rep = op.bochner_block_report(ModelBackground(1), np.array([1.0, 0.7, 0.4, 0.3]))
-    assert calls == [(24, 4)]
+    for name in ("bochner_remainder", "bochner_check", "x_blocks"):
+        _count_calls(monkeypatch, name, calls)
+    rep = op.bochner_block_report(bg, p, X)
+    assert calls == [("bochner_remainder", (24, 4))]
     assert rep["flagged_blocks"] == []
+
+
+def test_operator_suite_assembles_x_once(monkeypatch):
+    # every Weitzenbock row of the suite reads the one X assembled at p0:
+    # the two bochner comparisons, the block report and remainder_structure
+    calls = []
+    for name in ("bochner_remainder", "x_blocks"):
+        _count_calls(monkeypatch, name, calls)
+    checks = operator_suite(1)
+    assert all(c.status == "pass" for c in checks)
+    assert calls == [("x_blocks", (4,)), ("bochner_remainder", (4,)),
+                     ("bochner_remainder", (4,)), ("bochner_remainder", (24, 4))]
 
 
 def _nested_bochner_remainder(bg, sec, p, h):

@@ -102,6 +102,45 @@ def test_rayleigh_angular_mode():
     assert abs(mu1 - 6.0) < 5e-3
 
 
+def _sl_min_solve_banded(prob, n_mesh):
+    """_sl_min_once with a fresh banded solve of K at every step, as
+    scipy.linalg.solve_banded gives it."""
+    from scipy.linalg import solve_banded
+
+    hh = (sp.THETA_MAX - sp.THETA_MIN) / n_mesh
+    th = sp.THETA_MIN + hh * np.arange(1, n_mesh + 1)
+    sech2 = 1.0 / np.cosh(th) ** 2
+    diag_k = np.full(n_mesh, 2.0 / hh)
+    diag_k[-1] = 1.0 / hh
+    diag_k += (prob.angular_mode ** 2 + prob.w_values(th) * sech2) * hh
+    off_k = np.full(n_mesh - 1, -1.0 / hh)
+    mass = sech2 * hh
+    ab = np.zeros((3, n_mesh))
+    ab[0, 1:], ab[1], ab[2, :-1] = off_k, diag_k, off_k
+    v, mu_prev = np.tanh(th), np.inf
+    for _ in range(400):
+        w = solve_banded((1, 1), ab, mass * v)
+        v = w / np.sqrt(np.sum(mass * w * w))
+        kv = diag_k * v
+        kv[:-1] += off_k * v[1:]
+        kv[1:] += off_k * v[:-1]
+        mu = float(np.sum(v * kv) / np.sum(mass * v * v))
+        if abs(mu - mu_prev) <= 1e-12 * abs(mu):
+            return mu
+        mu_prev = mu
+    return mu_prev
+
+
+@pytest.mark.parametrize("case", ["b3ct", "case2", "case3"])
+@pytest.mark.parametrize("scale", [1, 2])
+def test_factored_stiffness_is_the_banded_solve(case, scale):
+    # K factored once and solved with its factors at every step gives the
+    # floats of a fresh banded solve per step
+    prob = sp.SLProblem(potential=sp.case_potential(case))
+    n = scale * sp.SL_MESH
+    assert sp._sl_min_once(prob, n) == _sl_min_solve_banded(prob, n)
+
+
 def test_rayleigh_angular_mode_order():
     # mu(h) = 6 + C h^2 + d, with d ~ 8e-6 from the truncation of the Theta
     # range, which no mesh removes: the differences of successive meshes

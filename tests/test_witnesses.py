@@ -241,12 +241,12 @@ WITNESSES = {
     "ad_scale": (ad_without_factor_two, ("clifford", {}),
                  {"pole_endo_eigenvalues_t1", "pole_endo_eigenvalues_t2", "q_spectrum",
                   "flat_connection_kernel"},
-                 lambda: op.x_matrix24(BG, P0)),
+                 lambda: op.x_matrix24(op.x_blocks(BG, P0))),
     "ad_sign": (ad_sign_slip, ("operator", {"points": 20}),
                 {"weitzenbock_blocks", "omega_q_commute", "mode_symbol"},
-                lambda: op.x_matrix24(BG, P0)),
+                lambda: op.x_matrix24(op.x_blocks(BG, P0))),
     "ad_sign_clifford": (ad_sign_slip, ("clifford", {}), {"ad_matches_bracket"},
-                         lambda: op.x_matrix24(BG, P0)),
+                         lambda: op.x_matrix24(op.x_blocks(BG, P0))),
     "symbol": (symbol_off_by_a_millionth, ("operator", {"points": 20}),
                {"symbol_spectrum", "mode_symbol"},
                lambda: modes.linearized_decay(1, PLANE_WAVE, T=10.0, dt=1.0)["f_plus"]),
@@ -269,7 +269,7 @@ WITNESSES = {
     "x21_sign": (x21_sign_flipped, ("operator", {"points": 20}),
                  {"remainder_structure", "weitzenbock_remainder", "weitzenbock_order",
                   "weitzenbock_blocks"},
-                 lambda: op.x_matrix24(BG, P0)),
+                 lambda: op.x_matrix24(op.x_blocks(BG, P0))),
     "difference_order": (differences_lean_forward, ("operator", {"points": 20}),
                          {"weitzenbock_order"},
                          lambda: op.bochner_check(BG, SEC, P0, 1e-3)["residual"]),
