@@ -5,10 +5,12 @@
                                       [--cmd "operator --background nahm --seed 5"]...
 
 Each tree's package is run from its own sources (PYTHONPATH=<tree>/src):
-``kwlab all --seed S`` for every seed, ``kwlab flow run`` on
-scripts/sample_flow_config.json (this script's copy, for both trees), and
-each extra ``--cmd`` given.  Their stdout, exit code and, for the flow run,
-trace.csv and summary.json must be identical.  The first difference of each
+``kwlab all --seed S`` for every seed, ``kwlab flow run`` on each of
+scripts/sample_flow_config.json (abelian, N = 16) and
+scripts/sample_flow_config_nonabelian.json (N = 28: live brackets, and two
+x1 slabs on a machine with two CPUs), this script's copies for both trees,
+and each extra ``--cmd`` given.  Their stdout, exit code and, for the flow
+runs, trace.csv and summary.json must be identical.  The first difference of each
 output is named: the check (or JSON field) whose entry differs in a JSON
 report, else the line of a text file, with its byte offset.  Exits 0 when
 every output is identical and 1 otherwise.
@@ -25,7 +27,8 @@ import sys
 import tempfile
 from pathlib import Path
 
-CONFIG = Path(__file__).resolve().parent / "sample_flow_config.json"
+CONFIGS = [Path(__file__).resolve().parent / name
+           for name in ("sample_flow_config.json", "sample_flow_config_nonabelian.json")]
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -118,7 +121,7 @@ def main(argv=None) -> int:
                         help="one more kwlab invocation to compare, as a quoted argument list")
     args = parser.parse_args(argv)
     runs = ([["all", "--seed", str(s)] for s in args.seeds]
-            + [["flow", "run", "--config", str(CONFIG), "--out", "flow"]]
+            + [["flow", "run", "--config", str(c), "--out", "flow"] for c in CONFIGS]
             + [shlex.split(c) for c in args.cmd])
     differing = 0
     for cmd in runs:

@@ -79,20 +79,32 @@ def bracket(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return u @ v - v @ u
 
 
-def coeff_bracket(u, v) -> np.ndarray:
-    """[u, v] on sigma coefficients along the last axis: -2 (u x v).
+# index expressions of the three sigma coefficients on the last axis and on axis 0
+_COMPONENTS = {-1: ((..., 0), (..., 1), (..., 2)), 0: ((0, ...), (1, ...), (2, ...))}
 
-    Batched and broadcast over the leading axes; complex coefficients give
-    the sl(2,C) bracket.
+
+def coeff_bracket(u, v, out=None, axis=-1):
+    """[u, v] = -2 (u x v) on sigma coefficients, by components: on the last
+    axis, or with axis=0 on the first (the torus's layout); batched and
+    broadcast over the other axes, sl(2,C) for complex coefficients.
+    Written to out (of the broadcast shape and result type) when given, and
+    returned.  On one coefficient each (the sigma3 line) the bracket is the
+    scalar 0.0; any other coefficient length than 3 raises ValueError.
     """
-    u = np.asarray(u)
-    v = np.asarray(v)
-    u0, u1, u2 = u[..., 0], u[..., 1], u[..., 2]
-    v0, v1, v2 = v[..., 0], v[..., 1], v[..., 2]
-    out = np.empty(np.broadcast_shapes(u.shape, v.shape), np.result_type(u, v))
-    out[..., 0] = u2 * v1 - u1 * v2
-    out[..., 1] = u0 * v2 - u2 * v0
-    out[..., 2] = u1 * v0 - u0 * v1
+    u, v = np.asarray(u), np.asarray(v)
+    if (lengths := (u.shape[axis], v.shape[axis])) != (3, 3):
+        if lengths == (1, 1):
+            return 0.0
+        raise ValueError(f"coefficient axis {axis} has lengths {lengths}, not 3")
+    i0, i1, i2 = _COMPONENTS[axis]
+    u0, u1, u2, v0, v1, v2 = u[i0], u[i1], u[i2], v[i0], v[i1], v[i2]
+    if out is None:
+        out = np.empty(np.broadcast_shapes(u.shape, v.shape), np.result_type(u, v))
+    # out[i], with its Ellipsis, is a view even for (3,) operands
+    for i, p, q, r, s in ((i0, u2, v1, u1, v2), (i1, u0, v2, u2, v0), (i2, u1, v0, u0, v1)):
+        o = out[i]
+        np.multiply(p, q, out=o)
+        o -= r * s
     out *= 2
     return out
 

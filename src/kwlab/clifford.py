@@ -30,6 +30,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .algebra import coeff_bracket
+
 _G1 = [
     [0, 0, 0, -1, 0, 0, 0, 0],
     [0, 0, 0, 0, 0, 0, 1, 0],
@@ -136,14 +138,10 @@ def relation_checks() -> list[tuple[str, int]]:
 
 
 def ad_matrix(x) -> np.ndarray:
-    """The 3x3 matrix of ad(x) = [x, .] = -2 x cross . on sigma coefficients,
-    batched: (..., 3) -> (..., 3, 3); antisymmetric for real x."""
-    x = np.asarray(x)
-    x0, x1, x2 = x[..., 0], x[..., 1], x[..., 2]
-    z = np.zeros_like(x0)
-    return 2 * np.stack([np.stack([z, x2, -x1], axis=-1),
-                         np.stack([-x2, z, x0], axis=-1),
-                         np.stack([x1, -x0, z], axis=-1)], axis=-2)
+    """The 3x3 matrix of ad(x) = [x, .] on sigma coefficients, column b the
+    bracket [x, sigma_b] (algebra.coeff_bracket), batched: (..., 3) ->
+    (..., 3, 3); antisymmetric for real x."""
+    return np.swapaxes(coeff_bracket(np.asarray(x)[..., None, :], np.eye(3)), -1, -2)
 
 
 def comp_action(m8: np.ndarray) -> np.ndarray:

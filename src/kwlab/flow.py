@@ -64,12 +64,10 @@ W; the monitor densities for ten classes of state, as the lists of state
 i depend on i only through i % 2 and i % 5, so state i runs class i % 10's
 (the ring starts zeroed, and a rate formed before state 4 is never
 recorded); and the views the record's grid sums read.
-_advance, comm, np and the derivative matrices are looked up as the run
-binds, so a defect planted before a run is what it runs.  A step then runs
-the six prebound stages and the record.  On sigma3 data one curvature,
-six numpy calls, took 53.2 us through torus.curvature and 43.5 us as the
-same six calls prebound at N = 16, and 16.1 against 7.5 us at N = 6 (best
-of 7 x 2000 calls, 2-vCPU Xeon VM, numpy 2.4.6).
+_advance, np, the derivative matrices and torus.comm (algebra.coeff_bracket)
+are looked up as the run binds, so a defect planted before a run is what it
+runs.  A step then runs the six prebound stages and the record (README.md,
+"Flow step cost", has the time this saves).
 
 Every BLAS product stays small enough that OpenBLAS runs it on the calling
 thread (torus.SERIAL_GEMM_MNK); a larger one wakes OpenBLAS's own worker,

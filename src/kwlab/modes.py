@@ -41,9 +41,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import CYCLIC
+from .algebra import CYCLIC, coeff_bracket as comm
 from .clifford import symbol
-from .torus import TorusField, comm, stencil_symbol
+from .torus import TorusField, stencil_symbol
 
 # the (A, a) slots: the flow's fields, without the scalar slots 3 and 7
 AA_SLOTS = (0, 1, 2, 4, 5, 6)
@@ -204,7 +204,7 @@ def quadratic_map_grid(psi: np.ndarray) -> np.ndarray:
     -[b_i, bt] + [c_i, ct] - [b_j, c_k] + [b_k, c_j] (and likewise) does.
     """
     coeff_first = psi.swapaxes(0, 1)
-    t = comm(coeff_first[:, _QUAD_U], coeff_first[:, _QUAD_V])
+    t = comm(coeff_first[:, _QUAD_U], coeff_first[:, _QUAD_V], axis=0)
     t0, t1, t2, t3 = t.reshape((3, 4, 7) + psi.shape[2:]).swapaxes(0, 1)
     out = np.zeros_like(psi)
     o = out.swapaxes(0, 1)

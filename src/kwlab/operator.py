@@ -4,7 +4,8 @@ A field value is an array of shape (..., 8, 3): eight slots ordered
 (b1, b2, b3, bt, c1, c2, c3, ct), each holding the sigma coefficients of an
 su(2) value (real; complex only in the complexified picture of
 ``spatial_identification``).  The commutator is the coefficient formula
-[u, v] = -2 u x v, the Hermitian product 1/2 trace(u^dag v) is
+[u, v] = -2 u x v, the one kernel algebra.coeff_bracket (held here as
+comm), the Hermitian product 1/2 trace(u^dag v) is
 sum_a conj(u_a) v_a, and the 8x8 Clifford matrices, each a signed
 permutation, act on the slot axis as one signed gather each.  The operator
 acts as
@@ -41,7 +42,7 @@ import math
 
 import numpy as np
 
-from .algebra import CYCLIC, coeff_norm
+from .algebra import CYCLIC, coeff_bracket as comm, coeff_norm
 from .clifford import GAMMA, RHO, ad_matrix, q_endo, u_endo, y_auto_8
 
 
@@ -79,26 +80,6 @@ OP_TABLE = [
     [_D(2, 1), _D(1, -1), None, _A(3, -1), _A(2, -1), _A(1, 1), _T, _D(3, -1)],
     [_A(1, -1), _A(2, -1), _A(3, -1), None, _D(1, 1), _D(2, 1), _D(3, 1), _T],
 ]
-
-
-def comm(u, v):
-    """[u, v] on sigma coefficients along the last axis, -2 (u x v), written
-    out by components; batched and broadcast over the leading axes.
-
-    The operator's own kernel (the model and backgrounds use
-    ``algebra.coeff_bracket``), so per-layer profiles keep the two apart.
-    """
-    u0, u1, u2 = u[..., 0], u[..., 1], u[..., 2]
-    v0, v1, v2 = v[..., 0], v[..., 1], v[..., 2]
-    out = np.empty(np.broadcast_shapes(u.shape, v.shape), np.result_type(u, v))
-    np.multiply(u2, v1, out=out[..., 0])
-    out[..., 0] -= u1 * v2
-    np.multiply(u0, v2, out=out[..., 1])
-    out[..., 1] -= u2 * v0
-    np.multiply(u1, v0, out=out[..., 2])
-    out[..., 2] -= u0 * v1
-    out *= 2
-    return out
 
 
 def _pair(u, v):
@@ -261,8 +242,7 @@ def _add_connection(A, val, grads):
     derivatives in grads, in place (skipped where the connection vanishes
     identically, as it only adds zeros); returns grads."""
     if np.any(A):
-        for i in range(3):
-            grads[..., 1 + i, :, :] += comm(A[..., i, None, :], val)
+        grads[..., 1:, :, :] += comm(A[..., :, None, :], val[..., None, :, :])
     return grads
 
 
@@ -698,17 +678,11 @@ def spatial_identification(bg, sec, P) -> float:
     Cp = A + 1j * a  # connection C
     Cm = A - 1j * a  # connection C*
     # star d_C eta: (d_C eta)_{ij} = grad_i eta_j - grad_j eta_i
-    grad_eta = np.empty_like(d_eta)
-    for mu in range(3):
-        for j in range(3):
-            grad_eta[..., mu, j, :] = d_eta[..., mu, j, :] + comm(Cp[..., mu, :], eta[..., j, :])
+    grad_eta = d_eta + comm(Cp[..., :, None, :], eta[..., None, :, :])  # (mu, j, coeff)
     star_d_eta = np.empty(P.shape[:-1] + (3, 3), dtype=complex)
     for k, i, j in CYCLIC:
         star_d_eta[..., k, :] = grad_eta[..., i, j, :] - grad_eta[..., j, i, :]
-    # d_{C*} v
-    d_cstar_v = np.empty(P.shape[:-1] + (3, 3), dtype=complex)
-    for mu in range(3):
-        d_cstar_v[..., mu, :] = d_v[..., mu, :] + comm(Cm[..., mu, :], v)
+    d_cstar_v = d_v + comm(Cm, v[..., None, :])
     # d_C^dag eta = -sum_i grad^{C*}_i eta_i
     ddag = 0.0
     for i in range(3):

@@ -23,7 +23,7 @@ from .modes import (
 )
 from .reporting import CheckResult, SuiteReport
 from .torus import (
-    TorusField, b_field, comm, cs_functional, dot, gauge_transform, gradient_check,
+    TorusField, b_field, cs_functional, dot, gauge_transform, gradient_check,
     random_field, stencil_symbol, stencil_wavenumber,
 )
 
@@ -97,10 +97,11 @@ def algebra_suite(seed: int) -> list[CheckResult]:
 def coeff_kernels_check(rng: np.random.Generator) -> CheckResult:
     """The coefficient kernels the lab runs against the 2x2 realization.
 
-    algebra.coeff_bracket, operator.comm and torus.comm (coefficients on
-    axis 0) against ``bracket``, and coeff_norm against ``norm``, on 32
-    random su(2) pairs and 32 random sl(2,C) pairs; each error is relative
-    to the largest entry of its oracle.
+    The one bracket kernel, algebra.coeff_bracket, with the coefficients on
+    the last axis and on axis 0 (the torus's layout), against ``bracket``,
+    and coeff_norm against ``norm``, on 32 random su(2) pairs and 32 random
+    sl(2,C) pairs; each error is relative to the largest entry of its
+    oracle.
     """
     su2 = rng.normal(size=(2, 32, 3))
     sl2c = rng.normal(size=(2, 32, 3)) + 1j * rng.normal(size=(2, 32, 3))
@@ -115,8 +116,7 @@ def coeff_kernels_check(rng: np.random.Generator) -> CheckResult:
         want = algebra.bracket(mats(u), mats(v))
         errs += [(rel(mats(got), want), name) for name, got in (
             ("algebra.coeff_bracket", algebra.coeff_bracket(u, v)),
-            ("operator.comm", op.comm(u, v)),
-            ("torus.comm", comm(u.T, v.T).T))]
+            ("algebra.coeff_bracket, axis 0", algebra.coeff_bracket(u.T, v.T, axis=0).T))]
         errs.append((rel(algebra.coeff_norm(u), algebra.norm(mats(u))), "algebra.coeff_norm"))
     err, worst = max(errs)
     return CheckResult.from_bound(
@@ -568,7 +568,7 @@ def gauge_invariance_check(F: TorusField) -> CheckResult:
     phi[2] = 0.01 * np.cos(X[1])
     B = b_field(F)
     terms = F.integrate(sum(np.abs(dot(F.a[k], B[k])) for k in range(3))
-                        + np.abs(dot(comm(F.a[0], F.a[1]), F.a[2])))
+                        + np.abs(dot(algebra.coeff_bracket(F.a[0], F.a[1], axis=0), F.a[2])))
     drift = abs(cs_functional(gauge_transform(F, phi)) - cs_functional(F))
     return CheckResult.from_bound(
         "gauge_invariance", "cs is invariant under gauge transformations",
@@ -610,6 +610,44 @@ def _decay_law_error(fit: dict, mu: float, rate: float | None = None) -> float:
         return math.inf
     err = abs(fit["mu_estimate"] - mu)
     return err if rate is None else max(err, abs(fit["rate"] - rate) / rate)
+
+
+def constant_field_check() -> CheckResult:
+    """run_flow from one fixed, spatially constant (A, a) against RK4 of the
+    complexified Nahm system it reduces to, dA_k/dt = [A_i, a_j] - [A_j, a_i]
+    and da_k/dt = [A_i, A_j] - [a_i, a_j] for cyclic (k, i, j), on 2x2
+    matrices with the oracle ``bracket``: the larger error of cs and of
+    |grad|^2, each relative to its largest value (inf for a run that does not
+    complete).  The draw completes at N = 5, the fd4 stencil's five points,
+    over 150 steps of 0.05 h, while the brackets carry cs from -3.9e-2 to 0.67.
+    """
+    y0 = np.random.default_rng(4).normal(scale=0.02, size=(2, 3, 3))
+    F = TorusField(5, 2 * math.pi, *(y0[..., None, None, None] * np.ones((5, 5, 5))))
+    dt, steps = 0.05 * F.h, 150
+    tr = run_flow(F, FlowConfig(dt, steps))
+    br, i, j = algebra.bracket, [1, 2, 0], [2, 0, 1]  # the cyclic (k, i, j), k = 0, 1, 2
+
+    def rhs(y):
+        A, a = y
+        return np.stack([br(A[i], a[j]) - br(A[j], a[i]), br(A[i], A[j]) - br(a[i], a[j])])
+
+    y, want = algebra.coeffs_to_su2(y0), []
+    for _ in range(steps + 1):
+        A, a = y
+        k1 = rhs(y)
+        cs = np.sum(algebra.inner(a, br(A[i], A[j]))) - algebra.inner(br(a[0], a[1]), a[2])
+        want.append(F.L ** 3 * np.real([cs, np.sum(algebra.herm_inner(k1, k1))]))
+        k2 = rhs(y + 0.5 * dt * k1)
+        k3 = rhs(y + 0.5 * dt * k2)
+        y = y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + rhs(y + dt * k3))
+    err = math.inf
+    if tr.meta["status"] == "completed":
+        err = max(float(np.max(np.abs(got - w)) / np.max(np.abs(w)))
+                  for got, w in zip((tr.cs, tr.grad_norm_sq), np.transpose(want)))
+    return CheckResult.from_bound(
+        "constant_field_oracle",
+        "on constant fields the flow is the complexified Nahm system: cs and |grad|^2",
+        err, 1e-10)
 
 
 def flow_smoke_suite(seed: int) -> list[CheckResult]:
@@ -660,6 +698,7 @@ def flow_smoke_suite(seed: int) -> list[CheckResult]:
         "nahm_decay_exponent", "the Nahm-pole flow decays with Lojasiewicz exponent 1/3",
         _decay_law_error(lojasiewicz_fit(trn), 1 / 3), 1e-4,
         location=f"cs relative error {cs_err:.1e} against 2 f^3 L^3"))
+    out.append(constant_field_check())
     _, p_plus, _ = decaying_sector([1, 0, 0])
     c = p_plus @ np.ones((8, 3))  # every slot 1, projected
     dec = linearized_decay(1, ModeVector([(1, 0, 0), (-1, 0, 0)], [c, c.conj()]), T=3.0, dt=0.05)

@@ -4,8 +4,9 @@ Fields store sigma-basis coefficients: a connection triple A and a Higgs
 triple a each have shape (3, 3, N, N, N) = (form component, sigma
 coefficient, grid).  Real coefficients make every stored value exactly
 traceless anti-Hermitian.  The commutator in this representation is
-[u, v] = -2 u x v (coefficient cross product) and <u, v> is the plain dot
-product of coefficients.
+[u, v] = -2 u x v (coefficient cross product), the one kernel
+algebra.coeff_bracket with the coefficients on axis 0 (held here as comm),
+and <u, v> is the plain dot product of coefficients.
 
 A field may instead have shape (3, 1, N, N, N), A and a alike: the
 coefficient of the abelian line span(sigma3).  Every kernel below runs on it
@@ -86,40 +87,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import CYCLIC
+from .algebra import CYCLIC, coeff_bracket as comm
 
 
 def run_calls(calls):
     """Run a binder's bound calls, in order."""
     for call in calls:
         call()
-
-
-def comm(u, v, out=None):
-    """[u, v] on sigma coefficients: -2 (u x v) along axis 0, by components,
-    written to out (an array of the broadcast shape and result type) when
-    given, and returned.  The binders bind it with out and read the bracket
-    from out.
-
-    Accepts (3,) vectors, complex coefficients and broadcastable shapes.
-    When the coefficient axis has length 1 (the sigma3 coefficient of an
-    abelian field) the bracket is zero and the result is the scalar 0.0.
-    """
-    u, v = np.asarray(u), np.asarray(v)
-    if len(u) == len(v) == 1:
-        return 0.0
-    u0, u1, u2 = u
-    v0, v1, v2 = v
-    if out is None:
-        out = np.empty(np.broadcast_shapes(u.shape, v.shape), np.result_type(u, v))
-    # out[k, ...] is a view even for (3,) input, where out[k] is a scalar
-    for k, (p, q, r, s) in enumerate(((u2, v1, u1, v2), (u0, v2, u2, v0),
-                                      (u1, v0, u0, v1))):
-        o = out[k, ...]
-        np.multiply(p, q, out=o)
-        o -= r * s
-    out *= 2
-    return out
 
 
 # np.einsum subscripts of the pointwise <u, v> of two (form, coefficient,
@@ -341,7 +315,7 @@ def b_field(F: TorusField) -> np.ndarray:
     out = np.empty_like(F.A)
     for k, i, j in CYCLIC:
         np.subtract(F.deriv(F.A[j], i), F.deriv(F.A[i], j), out=out[k])
-        out[k] += comm(F.A[i], F.A[j])
+        out[k] += comm(F.A[i], F.A[j], axis=0)
     return out
 
 
@@ -350,8 +324,8 @@ def curl_cov(F: TorusField, u: np.ndarray) -> np.ndarray:
     out = np.empty_like(u)
     for k, i, j in CYCLIC:
         np.subtract(F.deriv(u[j], i), F.deriv(u[i], j), out=out[k])
-        out[k] += comm(F.A[i], u[j])
-        out[k] -= comm(F.A[j], u[i])
+        out[k] += comm(F.A[i], u[j], axis=0)
+        out[k] -= comm(F.A[j], u[i], axis=0)
     return out
 
 
@@ -360,7 +334,7 @@ def star_wedge(u: np.ndarray) -> np.ndarray:
     (k, i, j)."""
     out = np.empty_like(u)
     for k, i, j in CYCLIC:
-        out[k] = comm(u[i], u[j])
+        out[k] = comm(u[i], u[j], axis=0)
     return out
 
 
@@ -392,7 +366,7 @@ def bind_div_cov(F: TorusField, u: np.ndarray, out: np.ndarray, tmp: np.ndarray,
         if i:
             calls += F.bind_deriv(u[i], i, tmp, rows) + [add]
         if u.shape[1] > 1:  # the bracket is zero on the sigma3 line
-            calls += [functools.partial(comm, A[i], v[i], tmp), add]
+            calls += [functools.partial(comm, A[i], v[i], tmp, axis=0), add]
     return calls
 
 
@@ -478,7 +452,7 @@ def bind_curvature(F: TorusField, Z: np.ndarray, out: np.ndarray, rows: slice | 
                   functools.partial(np.subtract, d[1], d[3], o[0, s])]
     if Z.shape[1] > 1:
         for k, i, j in CYCLIC:
-            calls += [functools.partial(comm, z[i], z[j], d[:3]),
+            calls += [functools.partial(comm, z[i], z[j], d[:3], axis=0),
                       functools.partial(np.add, o[k], d[:3], o[k])]
     return calls
 
@@ -510,7 +484,7 @@ def bind_cs_densities(F: TorusField, FZ: np.ndarray, out, tmp: np.ndarray,
     calls = [functools.partial(np.einsum, FORM_COEFF, a, fz, out=out[0])]
     if a.shape[1] > 1:  # the triple product is zero on the sigma3 line
         # np.add.reduce(tmp, 0, None, out) is np.sum(tmp, axis=0, out=out)
-        calls += [functools.partial(comm, a[0], a[1], tmp),
+        calls += [functools.partial(comm, a[0], a[1], tmp, axis=0),
                   functools.partial(np.multiply, tmp, a[2], tmp),
                   functools.partial(np.add.reduce, tmp, 0, None, out[1])]
     return calls
@@ -586,7 +560,7 @@ def _quat_mul(w1, v1, w2, v2):
     -(v1 x v2) = 1/2 [v1, v2].
     """
     w = w1 * w2 - np.sum(v1 * v2, axis=0)
-    v = w1[None] * v2 + w2[None] * v1 + 0.5 * comm(v1, v2)
+    v = w1[None] * v2 + w2[None] * v1 + 0.5 * comm(v1, v2, axis=0)
     return w, v
 
 

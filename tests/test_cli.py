@@ -580,12 +580,33 @@ def test_spectral_exclusion_b3ct_rejects_a_pole_index(argv, tmp_path, capsys):
     assert code == 0 and json.loads(out.read_text())["m"] == 1
 
 
+TRACED_RUNS = """
+import collections, json
+import numpy as np
+from spans import Tracer, install
+tracer = Tracer()
+install(tracer)
+from kwlab.flow import FlowConfig, run_flow
+from kwlab.suites import run_suite
+from kwlab.torus import random_field
+run_suite("algebra", seed=0)
+F = random_field(np.random.default_rng(0), 8, amplitude=0.05)
+run_flow(F, FlowConfig(dt=0.05 * F.h, steps=3))
+print(json.dumps(collections.Counter(span[0] for span in tracer.spans)))
+"""
+
+
 def test_benchmark_tracer_installs():
-    # the benchmark's tracer looks up every traced kwlab name without a fallback
+    # the benchmark's tracer looks up every traced kwlab name without a
+    # fallback, and its spans are recorded through the algebra suite and a
+    # nonabelian flow: torus.comm and operator.comm both name the one
+    # bracket kernel, so their wrappers nest and each counts every bracket
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([str(root / "src"), str(root / "perfbench")])
-    code = "from spans import Tracer, install; install(Tracer())"
-    proc = subprocess.run([sys.executable, "-c", code], cwd=root, env=env,
+    proc = subprocess.run([sys.executable, "-c", TRACED_RUNS], cwd=root, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    calls = json.loads(proc.stdout.splitlines()[-1])
+    assert calls["suites.algebra"] == 1 and calls["flow.run_flow"] == 1
+    assert calls["torus.comm"] == calls["operator.comm"] == calls["algebra.coeff_bracket"] > 0

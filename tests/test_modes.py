@@ -30,20 +30,20 @@ def _quadratic_map_eps(psi):
     b, bt, c, ct = psi[0:3], psi[3], psi[4:7], psi[7]
     out = np.zeros_like(psi)
     for i in range(3):
-        pi = -comm(b[i], bt) + comm(c[i], ct)
-        qi = -comm(b[i], ct) - comm(c[i], bt)
+        pi = -comm(b[i], bt, axis=0) + comm(c[i], ct, axis=0)
+        qi = -comm(b[i], ct, axis=0) - comm(c[i], bt, axis=0)
         for j in range(3):
             for k in range(3):
                 e = EPS[i, j, k]
                 if e == 0.0:
                     continue
-                pi = pi - e * comm(b[j], c[k])
-                qi = qi - 0.5 * e * (comm(b[j], b[k]) - comm(c[j], c[k]))
+                pi = pi - e * comm(b[j], c[k], axis=0)
+                qi = qi - 0.5 * e * (comm(b[j], b[k], axis=0) - comm(c[j], c[k], axis=0))
         out[i] = pi
         out[4 + i] = qi
-    qt = comm(bt, ct)
+    qt = comm(bt, ct, axis=0)
     for i in range(3):
-        qt = qt + comm(b[i], c[i])
+        qt = qt + comm(b[i], c[i], axis=0)
     out[7] = qt
     return out
 
@@ -108,11 +108,12 @@ def _quadratic_map_per_bracket(psi):
     b, bt, c, ct = psi[0:3], psi[3], psi[4:7], psi[7]
     out = np.zeros_like(psi)
     for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        out[i] = (-comm(b[i], bt) + comm(c[i], ct)
-                  - comm(b[j], c[k]) + comm(b[k], c[j]))
-        out[4 + i] = (-comm(b[i], ct) - comm(c[i], bt)
-                      - comm(b[j], b[k]) + comm(c[j], c[k]))
-    out[7] = comm(bt, ct) + comm(b[0], c[0]) + comm(b[1], c[1]) + comm(b[2], c[2])
+        out[i] = (-comm(b[i], bt, axis=0) + comm(c[i], ct, axis=0)
+                  - comm(b[j], c[k], axis=0) + comm(b[k], c[j], axis=0))
+        out[4 + i] = (-comm(b[i], ct, axis=0) - comm(c[i], bt, axis=0)
+                      - comm(b[j], b[k], axis=0) + comm(c[j], c[k], axis=0))
+    out[7] = (comm(bt, ct, axis=0) + comm(b[0], c[0], axis=0) + comm(b[1], c[1], axis=0)
+              + comm(b[2], c[2], axis=0))
     return out
 
 

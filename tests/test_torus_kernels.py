@@ -119,10 +119,30 @@ def test_comm_matches_cross(shape_u, shape_v, complex_):
     if complex_:
         u = u + 1j * rng.normal(size=shape_u)
         v = v + 1j * rng.normal(size=shape_v)
-    got = comm(u, v)
+    got = comm(u, v, axis=0)
     ref = _ref_comm(u, v)
     assert got.shape == ref.shape and got.dtype == ref.dtype
     np.testing.assert_allclose(got, ref, rtol=1e-14, atol=1e-15)
+
+
+def test_comm_without_axis_0_raises():
+    # torus-layout operands read on the last axis (length 4) are no sigma
+    # coefficients; one coefficient against three is no bracket either
+    u = np.random.default_rng(1).normal(size=(3, 4, 4, 4))
+    with pytest.raises(ValueError, match="coefficient axis"):
+        comm(u, u)
+    with pytest.raises(ValueError, match="coefficient axis"):
+        comm(u[:1], u, axis=0)
+    assert comm(u, u[::-1], axis=0).shape == u.shape
+
+
+@pytest.mark.parametrize("axis", [0, -1])
+def test_comm_writes_out_bit_for_bit(axis):
+    rng = np.random.default_rng(2)
+    u, v = rng.normal(size=(2, 3, 5, 3)) + 1j * rng.normal(size=(2, 3, 5, 3))
+    out = np.empty_like(u)
+    assert comm(u, v, out, axis=axis) is out
+    assert np.array_equal(out, comm(u, v, axis=axis))
 
 
 @pytest.mark.parametrize("ndim", [4, 5])
@@ -240,7 +260,7 @@ def test_sigma3_coefficient_field_is_the_sigma3_slice(field):
     full.A[:, :2] = 0.0
     full.a[:, :2] = 0.0
     line = TorusField(full.N, full.L, full.A[:, 2:].copy(), full.a[:, 2:].copy(), full.scheme)
-    assert comm(line.A[0], line.a[1]) == 0.0
+    assert comm(line.A[0], line.a[1], axis=0) == 0.0
     for i in range(3):
         assert np.array_equal(line.deriv(line.a, i), full.deriv(full.a, i)[:, 2:])
     assert np.array_equal(b_field(line), b_field(full)[:, 2:])
@@ -272,7 +292,8 @@ def test_conjugated_bracket_is_caught(field, monkeypatch):
     # [conj Z_i, Z_j] in place of [Z_i, Z_j]; conj leaves the real kernels'
     # brackets alone, so only the curvature goes wrong, and far off
     exact = torus.comm
-    monkeypatch.setattr(torus, "comm", lambda u, v, out=None: exact(np.conj(u), v, out))
+    monkeypatch.setattr(torus, "comm",
+                        lambda u, v, out=None, axis=-1: exact(np.conj(u), v, out, axis))
     assert min(_curvature_errors(field)) > 1e-2
 
 
@@ -282,7 +303,7 @@ def test_cs_functional_matches_the_b_field_formula(field):
     F = field
     B = b_field(F)
     want = F.integrate(sum(dot(F.a[k], B[k]) for k in range(3))
-                       - dot(comm(F.a[0], F.a[1]), F.a[2]))
+                       - dot(comm(F.a[0], F.a[1], axis=0), F.a[2]))
     assert abs(cs_functional(F) - want) <= 1e-13 * abs(want)
 
 
@@ -300,7 +321,7 @@ def curvature_six_products(F, Z=None, out=None, rows=None, scratch=None):
     for k, i, j in CYCLIC:
         F.deriv(Z[j], i, out=out[k])
         out[k] -= F.deriv(Z[i], j)
-        zz = comm(Z[i], Z[j])
+        zz = comm(Z[i], Z[j], axis=0)
         if isinstance(zz, np.ndarray):  # 0.0 on the sigma3 line
             out[k] += zz
     return out

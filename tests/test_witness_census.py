@@ -119,6 +119,7 @@ CENSUS = {
     "flow-smoke.linear_regime_rate": ("witness", "decay_law"),
     "flow-smoke.decay_fit_oracle": ("witness", "decay_law"),
     "flow-smoke.nahm_decay_exponent": ("witness", "decay_law"),
+    "flow-smoke.constant_field_oracle": ("witness", "bracket_order"),
     "flow-smoke.single_mode_decay": ("witness", "symbol_modes"),
     "flow-smoke.contraction_fixed_point": ("witness", "symbol_modes"),
 }

@@ -69,8 +69,8 @@ def ad_without_factor_two(mp):
 
 
 def ad_sign_slip(mp):
-    # a global sign leaves the pole and Q spectra as they are; the
-    # coefficient brackets, the operator's own brackets and Q disagree with it
+    # a global sign leaves the pole and Q spectra as they are; the bracket
+    # kernel the operator applies and Q disagree with it
     ad = clifford.ad_matrix
     plant(mp, ad, lambda x: -ad(x))
 
@@ -102,6 +102,18 @@ def flow_run_backwards(mp):
     # each RK4 stage steps against the flow, so cs falls
     adv = flow._advance
     plant(mp, adv, lambda Z, FZ, h, out: adv(Z, FZ, -h, out))
+
+
+def curvature_brackets_reversed(mp):
+    # [Z_j, Z_i] in place of [Z_i, Z_j]: bind_curvature's bound bracket
+    # calls with their operands swapped
+    bind = torus.bind_curvature
+
+    def reversed_order(F, Z, out, rows, scratch):
+        return [functools.partial(c.func, c.args[1], c.args[0], *c.args[2:], **c.keywords)
+                if c.func is torus.comm else c for c in bind(F, Z, out, rows, scratch)]
+
+    plant(mp, bind, reversed_order)
 
 
 def stencil_off_by_a_percent(mp):
@@ -278,6 +290,9 @@ WITNESSES = {
     "flow_step": (step_length_off_by_a_percent, ("flow-smoke", {}),
                   {"energy_identity", "two_rate_forms"},
                   lambda: flow.run_flow(FLOW_DATA, flow.FlowConfig(0.05 * FLOW_DATA.h, 5)).cs),
+    "bracket_order": (curvature_brackets_reversed, ("flow-smoke", {}),
+                      {"gradient_check", "gauge_invariance", "nahm_decay_exponent",
+                       "constant_field_oracle"}, lambda: torus.curvature(FLOW_DATA)),
     "stencil": (stencil_off_by_a_percent, ("flow-smoke", {}),
                 {"stencil_symbol", "linear_regime_rate"}, lambda: torus.curvature(FLOW_DATA)),
     "angular_term": (angular_term_doubled, ("spectral", {}), {"rayleigh_angular_mode"},
@@ -336,10 +351,11 @@ def test_non_finite_metric_is_null_in_a_strict_report(monkeypatch, capsys):
         assert checks[f"pole_endo_eigenvalues_t{t}"]["metric"] is None
 
 
+# the bracket slip swaps the operands, so it also writes [v, u] = -[u, v]
+# through out, where the flow's bound bracket calls read it
 KERNEL_SLIPS = {
-    "algebra.coeff_bracket": (algebra.coeff_bracket, lambda f: lambda u, v: -f(u, v)),
-    "operator.comm": (op.comm, lambda f: lambda u, v: -f(u, v)),
-    "torus.comm": (torus.comm, lambda f: lambda u, v: -f(u, v)),
+    "algebra.coeff_bracket": (algebra.coeff_bracket, lambda f: (
+        lambda u, v, out=None, axis=-1: f(v, u, out, axis))),
     "algebra.coeff_norm": (algebra.coeff_norm, lambda f: lambda u: 1.001 * f(u)),
 }
 
@@ -351,4 +367,16 @@ def test_kernel_slip_fails_kernel_check(monkeypatch, name):
     plant(monkeypatch, kernel, slip(kernel))
     check = {c.check_id: c for c in run_suite("algebra", seed=0).checks}[
         "coeff_kernels_match_matrices"]
-    assert check.status == "fail" and check.worst_location == f"worst: {name}"
+    # the bracket is checked with its coefficients on the last axis and on
+    # axis 0, which a slip fails alike
+    assert check.status == "fail"
+    assert check.worst_location in {f"worst: {name}", f"worst: {name}, axis 0"}
+
+
+def test_bracket_slip_leaves_the_flow_off_its_oracle(monkeypatch):
+    # the flow reads its brackets from out; under the slip its constant-field
+    # trajectory leaves the 2x2 oracle's
+    kernel, slip = KERNEL_SLIPS["algebra.coeff_bracket"]
+    assert "constant_field_oracle" not in failing("flow-smoke")
+    plant(monkeypatch, kernel, slip(kernel))
+    assert "constant_field_oracle" in failing("flow-smoke")
