@@ -2,18 +2,21 @@
 """Compare the reports of two kwlab source trees byte for byte.
 
     python scripts/compare_reports.py TREE_A TREE_B [--seeds 0-20,20200821]
-                                      [--cmd "operator --background nahm --seed 5"]...
+                                      [--cmd "model --m 3 --seed 7"]...
 
 Each tree's package is run from its own sources (PYTHONPATH=<tree>/src):
 ``kwlab all --seed S`` for every seed, ``kwlab flow run`` on each of
 scripts/sample_flow_config.json (abelian, N = 16) and
 scripts/sample_flow_config_nonabelian.json (N = 28: live brackets, and two
 x1 slabs on a machine with two CPUs), this script's copies for both trees,
-and each extra ``--cmd`` given.  Their stdout, exit code and, for the flow
-runs, trace.csv and summary.json must be identical.  The first difference of each
-output is named: the check (or JSON field) whose entry differs in a JSON
-report, else the line of a text file, with its byte offset.  Exits 0 when
-every output is identical and 1 otherwise.
+``kwlab operator --background B --seed S`` on every background kind
+(trivial, nahm, model:1, model:2 and model:3, at seeds 0 and 5; ``kwlab
+all`` reaches model:1 alone), and each extra ``--cmd`` given.  Their
+stdout, exit code and, for the flow runs, trace.csv and summary.json must
+be identical.  The first difference of each output is named: the check
+(or JSON field) whose entry differs in a JSON report, else the line of a
+text file, with its byte offset.  Exits 0 when every output is identical
+and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -29,6 +32,10 @@ from pathlib import Path
 
 CONFIGS = [Path(__file__).resolve().parent / name
            for name in ("sample_flow_config.json", "sample_flow_config_nonabelian.json")]
+# the operator suite on each background class; `kwlab all` runs it on model:1 only
+OPERATOR_RUNS = [["operator", "--background", bg, "--seed", seed]
+                 for bg in ("trivial", "nahm", "model:1", "model:2", "model:3")
+                 for seed in ("0", "5")]
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -122,6 +129,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     runs = ([["all", "--seed", str(s)] for s in args.seeds]
             + [["flow", "run", "--config", str(c), "--out", "flow"] for c in CONFIGS]
+            + OPERATOR_RUNS
             + [shlex.split(c) for c in args.cmd])
     differing = 0
     for cmd in runs:

@@ -43,6 +43,13 @@ MAX_MESH = 10 ** 6
 # reaches 1e154 at m = 240, where its squared norm overflows and
 # decoupled_sector_exponent reads NaN; every m up to 239 passes at seeds 0-2
 MAX_MODEL_M = 239
+# largest `model --samples`: peak RSS grows by about 1.2 KB and the run by
+# 15 us per sample (154 MB and 1.5 s at 10^5 samples on a 2-vCPU Xeon VM),
+# so the cap peaks near 270 MB
+MAX_MODEL_SAMPLES = 2 * 10 ** 5
+# largest `operator --points`: peak RSS grows by about 3.4 KB per point
+# (105 MB at 20,000 points on the same VM), so the cap peaks near 380 MB
+MAX_OPERATOR_POINTS = 10 ** 5
 # largest `flow run` grid N: a 3-step random flow peaks near 0.5 GB at N = 64,
 # and memory grows 8x per doubling of N
 MAX_FLOW_N = 64
@@ -96,12 +103,12 @@ def _background_kind(text: str) -> str:
 SUITE_OPTIONS = {
     "model": {
         "--m": dict(type=_int_in_range(0, MAX_MODEL_M), default=1),
-        "--samples": dict(type=_int_in_range(1), default=200),
+        "--samples": dict(type=_int_in_range(1, MAX_MODEL_SAMPLES), default=200),
     },
     "operator": {
         "--background": dict(type=_background_kind, default="model:1",
                              help="trivial | nahm | model:m"),
-        "--points": dict(type=_int_in_range(1), default=200),
+        "--points": dict(type=_int_in_range(1, MAX_OPERATOR_POINTS), default=200),
     },
 }
 

@@ -34,6 +34,12 @@ Sections are given by values (``FuncSection``, differenced at a step h) or
 are the exact test fields ``TrigSection``, sums of amplitude x Gaussian x
 cos(k.x + phase), whose ``jet`` gives the value and its four derivatives
 from one evaluation.
+
+A background (``backgrounds``) is read through its two guarded reads, each
+of which refuses a point outside its domain: ``fields`` (A, a), once per
+``covariant_grads`` (which returns them with the jet, so that its callers
+read no second copy) and once in each of ``omega_apply`` and
+``spatial_identification``, and ``x_fields``, once per ``x_blocks``.
 """
 
 from __future__ import annotations
@@ -200,17 +206,19 @@ def random_torus_section(rng: np.random.Generator, k_max: int = 2, n_terms: int 
 
 
 def covariant_grads(bg, sec, P, h: float | None):
-    """(value, grads) with grads[..., mu, 8, 3] = grad_mu psi for mu = t,1,2,3.
+    """(value, grads, A, a) with grads[..., mu, 8, 3] = grad_mu psi for
+    mu = t,1,2,3, and the background's (A, a) at P.
 
-    The operator's one read of a section: the background's ``domain_check``
-    refuses P before the section is evaluated.  The section's jet (value and
-    exact derivatives from one evaluation) is used when h is None; otherwise
-    the values and second-order centered differences at step h.  The
-    connection commutator is then added to the spatial derivatives
+    The operator's one read of a section and of the background:
+    ``bg.fields(P)`` comes first, so a point outside the background's domain
+    is refused before the section is evaluated.  The section's jet (value
+    and exact derivatives from one evaluation) is used when h is None;
+    otherwise the values and second-order centered differences at step h.
+    The connection commutator is then added to the spatial derivatives
     (``_add_connection``).
     """
     P = np.asarray(P, dtype=float)
-    bg.domain_check(P)
+    A, a = bg.fields(P)
     if h is None:
         if sec.jet is None:
             raise ValueError("need a step h for a section without exact derivatives")
@@ -218,7 +226,7 @@ def covariant_grads(bg, sec, P, h: float | None):
     else:
         val = sec.value(P)
         grads = _centred(sec.value(_neighbours(P, h)), h)
-    return val, _add_connection(bg.A_at(P), val, grads)
+    return val, _add_connection(A, val, grads), A, a
 
 
 def _neighbours(P, h: float):
@@ -329,18 +337,17 @@ DEPICTIONS = {"components": _assemble_components, "matrix": _assemble_matrix,
               "clifford": _assemble_clifford}
 
 
-def apply_D(bg, sec, P, h: float | None = 1e-5, depiction: str = "matrix"):
-    """D psi at P in the chosen depiction; the three agree pointwise."""
-    if depiction not in DEPICTIONS:
-        raise ValueError(f"unknown depiction {depiction!r}")
-    val, grads = covariant_grads(bg, sec, P, h)
-    return DEPICTIONS[depiction](val, grads, bg.a_at(P))
+def apply_D(bg, sec, P, h: float | None = 1e-5):
+    """D psi at P, the Clifford contraction; the suite's three_depictions
+    row assembles one covariant jet through all of ``DEPICTIONS``."""
+    val, grads, _, a = covariant_grads(bg, sec, P, h)
+    return _assemble_clifford(val, grads, a)
 
 
 def apply_D_dagger(bg, sec, P, h: float | None = 1e-5):
     """The formal L2 adjoint: -grad_t + gamma_i grad_i + rho_i [a_i, .]."""
-    val, grads = covariant_grads(bg, sec, P, h)
-    return _assemble_clifford(val, grads, bg.a_at(P), dt_sign=-1.0)
+    val, grads, _, a = covariant_grads(bg, sec, P, h)
+    return _assemble_clifford(val, grads, a, dt_sign=-1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -352,13 +359,10 @@ def x_blocks(bg, P) -> np.ndarray:
 
     Entry (r, s) acts on slot s by commutator and contributes to output
     slot r.  Rows/columns 3 and 8 (0-indexed 2 and 7) vanish identically.
-    Valid for x3-invariant flat backgrounds.
+    Valid for x3-invariant flat backgrounds.  Reads the background once,
+    through its guarded ``x_fields``.
     """
-    P = np.asarray(P, dtype=float)
-    bg.domain_check(P)
-    e1, e2, b3 = bg.curvature_at(P)
-    dca = bg.dcov_a_at(P)
-    a = bg.a_at(P)
+    a, e1, e2, b3, dca = bg.x_fields(P)
     c12 = comm(a[..., 0, :], a[..., 1, :])
     c23 = comm(a[..., 1, :], a[..., 2, :])
     c31 = comm(a[..., 2, :], a[..., 0, :])
@@ -373,7 +377,7 @@ def x_blocks(bg, P) -> np.ndarray:
     # basis spinors, the remainder confirms these and every other entry.
     S11 = A11 - A22
     S12 = A12 + A21
-    X = np.zeros(P.shape[:-1] + (8, 8, 3), dtype=np.result_type(e1, dca, a))
+    X = np.zeros(a.shape[:-2] + (8, 8, 3), dtype=np.result_type(e1, dca, a))
     X[..., 0, 1, :] = -2 * b3
     X[..., 0, 3, :] = 2 * e1
     X[..., 0, 4, :] = -S11
@@ -480,11 +484,10 @@ def bochner_remainder(bg, sec, p, h: float):
     """
     p = np.asarray(p, dtype=float)
     q = _neighbours(p, h)
-    val, grads = covariant_grads(bg, sec, p, h)
-    qval, qgrads = covariant_grads(bg, sec, q, h)
-    A, a = bg.A_at(p), bg.a_at(p)
+    val, grads, A, a = covariant_grads(bg, sec, p, h)
+    qval, qgrads, _, qa = covariant_grads(bg, sec, q, h)
     dpsi = _assemble_clifford(val, grads, a)
-    ddpsi = _add_connection(A, dpsi, _centred(_assemble_clifford(qval, qgrads, bg.a_at(q)), h))
+    ddpsi = _add_connection(A, dpsi, _centred(_assemble_clifford(qval, qgrads, qa), h))
     ddag_d = _assemble_clifford(dpsi, ddpsi, a, dt_sign=-1.0)
     hess = _add_connection(A[..., None, :, :], grads, _centred(qgrads, h))
     lap = sum(hess[..., mu, mu, :, :] for mu in range(4))
@@ -524,18 +527,18 @@ def omega_apply(bg, sec, p, h: float) -> np.ndarray:
     One stencil: xi is read at p and at its eight neighbours p +- h e_mu,
     U^{-1} = U^T is applied at all nine points, and both covariant gradients
     are centred differences of those values.  As it reads xi without
-    ``covariant_grads``, it makes the background's ``domain_check`` itself.
+    ``covariant_grads``, it reads the background's guarded ``fields`` at p
+    itself, before xi.
 
     Omega commutes with both grad_x and multiplication by x, so it is
     invariant under the coordinate rescaling (t, z) -> (lambda t, lambda z).
     """
     p = np.asarray(p, dtype=float)
-    bg.domain_check(p)
+    A, a = bg.fields(p)
     q = _neighbours(p, h)
     val, qval = sec.value(p), sec.value(q)
     uval, uqval = (np.swapaxes(u_endo(Q[..., 0], Q[..., 1], Q[..., 2]), -1, -2) @ v
                    for Q, v in ((p, val), (q, qval)))
-    A, a = bg.A_at(p), bg.a_at(p)
     xi_u = _assemble_clifford(uval, _add_connection(A, uval, _centred(uqval, h)), a,
                               skip_gamma3=True)
     g = _add_connection(A, val, _centred(qval, h))
@@ -559,7 +562,7 @@ def y_apply(val):
 def y_intertwine(bg, sec, p, h: float) -> float:
     """|D(Y psi) + Y(D^dag psi)| at p (should vanish identically)."""
     ysec = FuncSection(lambda Q: y_apply(sec.value(Q)))
-    lhs = apply_D(bg, ysec, p, h, depiction="clifford")
+    lhs = apply_D(bg, ysec, p, h)
     rhs = y_apply(apply_D_dagger(bg, sec, p, h))
     return spinor_max(lhs + rhs)
 
@@ -606,9 +609,8 @@ def box_quadrature(bg, psi, xi, t_range=(0.5, 3.5), nt=40, nx=8,
     P, wt, vol_x = _box_grid(t_range, nt, nx)
     pairs = np.empty((6,) + P.shape[:-1])
     for i, Q in enumerate(P):
-        psival, grads = covariant_grads(bg, psi, Q, h)
-        xival, xigrads = covariant_grads(bg, xi, Q, h)
-        a = bg.a_at(Q)
+        psival, grads, _, a = covariant_grads(bg, psi, Q, h)
+        xival, xigrads, _, _ = covariant_grads(bg, xi, Q, h)
         dpsi, lpsi = _clifford_sums(psival, grads, a, (1.0, 0.0))
         ddagxi = _assemble_clifford(xival, xigrads, a, dt_sign=-1.0)
         tpsi = grads[..., 0, :, :]
@@ -663,12 +665,10 @@ def spatial_identification(bg, sec, P) -> float:
     comparison is free of differencing error.
     """
     P = np.asarray(P, dtype=float)
-    bg.domain_check(P)
+    A, a = bg.fields(P)
     if sec.jet is None:
         raise ValueError("spatial identification wants exact derivatives")
     val, d = sec.jet(P)
-    a = bg.a_at(P)
-    A = bg.A_at(P)
     out = _assemble_clifford(val, _add_connection(A, val, d.copy()), a, dt_sign=0.0)
     # complexified data and their plain spatial derivatives (mu, comp, coeff)
     eta = val[..., 0:3, :] + 1j * val[..., 4:7, :]

@@ -290,8 +290,7 @@ def operator_suite(seed: int, background: str = "model:1",
         center[2] + rng.uniform(-0.2, 0.2, points),
         rng.uniform(0, 2 * math.pi, points),
     ])
-    val, grads = op.covariant_grads(bg, sec, P, 1e-5)
-    a = bg.a_at(P)
+    val, grads, _, a = op.covariant_grads(bg, sec, P, 1e-5)
     outs = {d: assemble(val, grads, a) for d, assemble in op.DEPICTIONS.items()}
     scale = max(op.spinor_max(outs["matrix"]), 1e-30)
     diff = max(op.spinor_max(outs["components"] - outs["matrix"]),
@@ -401,7 +400,7 @@ def mode_symbol_check(rng: np.random.Generator) -> CheckResult:
     wave = np.exp(1j * (P[:, 1:] @ k + phase))
     mamp = clifford.fiber_symbol(k, A0, a0) @ amp.reshape(24)
     want = (wave[:, None] * mamp).real.reshape(points, 8, 3)
-    got = op.apply_D(bg, sec, P, None, depiction="clifford")
+    got = op.apply_D(bg, sec, P, None)
     return CheckResult.from_bound(
         "mode_symbol", "D on a plane wave at a constant background is the fiber symbol",
         op.spinor_max(got - want) / op.spinor_max(want), 1e-12,

@@ -39,14 +39,14 @@ x1 product, (32, 32) by (32, 2048), is 8 blocks, and a slab's 4.
 Binders.  bind_deriv, bind_curvature, bind_cs_densities and bind_div_cov
 return their function's work on fixed arrays as a list of bound calls
 (functools.partial objects: a ufunc, matmul, einsum or comm, its operand
-views and its out), which run_calls runs in order; deriv, curvature,
-cs_densities and div_cov allocate what they were not given, bind, and
-run, so each formula is written once.  A list reads its arrays' values
-when it runs, not when it is bound, so flow.run_flow binds each stage of
-a run once and runs the same lists at every step.  A binder looks comm,
-np and deriv_matrices up in this module when it is called, so what
-replaces them before a run (a planted defect, a tracer) is what the run
-calls.  The scheme picks the matrix:
+views and its out), which run_calls runs in order; deriv allocates what
+it was not given, curvature, cs_densities and div_cov their results and
+work arrays, and each binds and runs, so each formula is written once.  A
+list reads its arrays' values when it runs, not when it is bound, so
+flow.run_flow binds each stage of a run once and runs the same lists at
+every step.  A binder looks comm, np and deriv_matrices up in this module
+when it is called, so what replaces them before a run (a planted defect,
+a tracer) is what the run calls.  The scheme picks the matrix:
 
     fd4       the circulant of the 4th-order centered stencil
               (f_{n-2} - 8 f_{n-1} + 8 f_{n+1} - f_{n+2}) / (12 h), the default;
@@ -338,19 +338,11 @@ def star_wedge(u: np.ndarray) -> np.ndarray:
     return out
 
 
-def div_cov(F: TorusField, u: np.ndarray, rows: slice | None = None,
-            out: np.ndarray | None = None) -> np.ndarray:
+def div_cov(F: TorusField, u: np.ndarray) -> np.ndarray:
     """sum_i (d_i u_i + [A_i, u_i]); the constraint scalar for u = a.
-
-    rows and out as in curvature: with rows, a slice of the x1 axis, only
-    those rows, read from u and A there except by the x1 derivative, which
-    reads every row of u[0]; each value is the whole grid's bit for bit.
-    out (each coefficient slot C-contiguous) takes the result when given.
     bind_div_cov's calls, run once."""
-    if out is None:
-        shape = u[0].shape if rows is None else u[0][..., rows, :, :].shape
-        out = np.empty(shape, np.result_type(u, float))
-    run_calls(bind_div_cov(F, u, out, np.empty_like(out), rows))
+    out = np.empty(u[0].shape, np.result_type(u, float))
+    run_calls(bind_div_cov(F, u, out, np.empty_like(out)))
     return out
 
 
@@ -358,7 +350,10 @@ def bind_div_cov(F: TorusField, u: np.ndarray, out: np.ndarray, tmp: np.ndarray,
                  rows: slice | None = None) -> list:
     """div_cov of u into out as bound calls: the x1 derivative lands in
     out, each other term in tmp (an array of out's shape), added from
-    there in the order d_0 u_0 + [A_0, u_0] + d_1 u_1 + ... ."""
+    there in the order d_0 u_0 + [A_0, u_0] + d_1 u_1 + ... .  With rows,
+    a slice of the x1 axis, only those rows (out and tmp have their
+    shape), read from u and A there except by the x1 derivative, which
+    reads every row of u[0]; each value is the whole grid's bit for bit."""
     calls = F.bind_deriv(u[0], 0, out, rows)
     A, v = (F.A, u) if rows is None else (F.A[..., rows, :, :], u[..., rows, :, :])
     add = functools.partial(np.add, out, tmp, out)
@@ -391,21 +386,12 @@ def complex_connection(F: TorusField) -> np.ndarray:
     return Z
 
 
-def curvature(F: TorusField, Z: np.ndarray | None = None,
-              out: np.ndarray | None = None, rows: slice | None = None,
-              scratch: np.ndarray | None = None) -> np.ndarray:
-    """F_Z = dZ + Z wedge Z of the complex connection Z = A + i a:
+def curvature(F: TorusField) -> np.ndarray:
+    """F_Z = dZ + Z wedge Z of F's complex connection Z = A + i a:
     (F_Z)_k = d_i Z_j - d_j Z_i + [Z_i, Z_j] over the cyclic (k, i, j).
 
-    Re F_Z = B - star(a wedge a) and Im F_Z = curl_A a.  Z is F's unless
-    given, as a complex array of F's field shape on F's grid; the result is
-    written to out (C-contiguous, Z's shape) when given.  With rows, a
-    slice of the x1 axis, only out[:, :, rows] is computed and written: Z is
-    read at every x1 row by the x1 derivatives and at those rows elsewhere,
-    so two calls on disjoint rows may run at once (flow.run_flow's slabs).
-    scratch, four complex slots of the grid's shape (4, N, N, N), is used
-    at those rows, so such calls may share one; a new one when None.
-    bind_curvature's calls, run once.
+    Re F_Z = B - star(a wedge a) and Im F_Z = curl_A a.  bind_curvature's
+    calls, run once.
 
     The derivatives go one sigma coefficient s at a time, one
     TorusField.bind_deriv product per axis, each differentiating the two
@@ -426,20 +412,21 @@ def curvature(F: TorusField, Z: np.ndarray | None = None,
     result; on the sigma3 line (one coefficient) the bracket of each pair
     is zero and they are skipped.
     """
-    if Z is None:
-        Z = complex_connection(F)
-    if out is None:
-        out = np.empty_like(Z)
-    if scratch is None:
-        scratch = np.empty((4,) + Z.shape[2:], Z.dtype)
-    run_calls(bind_curvature(F, Z, out, rows, scratch))
+    Z = complex_connection(F)
+    out = np.empty_like(Z)
+    run_calls(bind_curvature(F, Z, out, None, np.empty((4,) + Z.shape[2:], Z.dtype)))
     return out
 
 
 def bind_curvature(F: TorusField, Z: np.ndarray, out: np.ndarray, rows: slice | None,
                    scratch: np.ndarray) -> list:
-    """curvature of Z into out, at the x1 rows `rows` (all when None), with
-    the scratch of four grid slots, as bound calls."""
+    """curvature of Z, a complex array of F's field shape on F's grid, into
+    out (C-contiguous, Z's shape) as bound calls.  With rows, a slice of the
+    x1 axis, only out[:, :, rows] is computed and written: Z is read at
+    every x1 row by the x1 derivatives and at those rows elsewhere, so two
+    lists on disjoint rows may run at once (flow.run_flow's slabs).
+    scratch, four complex slots of the grid's shape (4, N, N, N), is used at
+    those rows, so such lists may share one."""
     z, o = (Z, out) if rows is None else (Z[:, :, rows], out[:, :, rows])
     d = scratch if rows is None else scratch[:, rows]
     calls = []
@@ -457,19 +444,15 @@ def bind_curvature(F: TorusField, Z: np.ndarray, out: np.ndarray, rows: slice | 
     return calls
 
 
-def cs_densities(F: TorusField, FZ: np.ndarray, rows: slice | None = None,
-                 out=(None, None)) -> list:
+def cs_densities(F: TorusField, FZ: np.ndarray) -> list:
     """The densities whose integrals make cs, [<a, Re F_Z>, <[a_1, a_2], a_3>],
     or [<a, Re F_Z>] on the sigma3 line, where the triple product is zero;
-    FZ is the curvature of F.  Both are pointwise (one np.einsum pass, and
-    as dot forms it), so rows, a slice of the x1 axis, gives the whole
-    grid's values at those rows bit for bit.  Written to out[0] and out[1]
-    (None: new arrays).  bind_cs_densities' calls, run once.
+    FZ is the curvature of F.  bind_cs_densities' calls, run once.
     """
-    shape = F.a.shape[2:] if rows is None else F.a[..., rows, :, :].shape[2:]
-    dens = [np.empty(shape) if o is None else o for o in out[:1 + (F.a.shape[1] > 1)]]
+    shape = F.a.shape[2:]
+    dens = [np.empty(shape) for _ in range(1 + (F.a.shape[1] > 1))]
     tmp = np.empty((3,) + shape) if len(dens) > 1 else None
-    run_calls(bind_cs_densities(F, FZ, dens, tmp, rows))
+    run_calls(bind_cs_densities(F, FZ, dens, tmp))
     return dens
 
 
@@ -477,7 +460,10 @@ def bind_cs_densities(F: TorusField, FZ: np.ndarray, out, tmp: np.ndarray,
                       rows: slice | None = None) -> list:
     """cs_densities into out[0] and, off the sigma3 line, out[1] as bound
     calls; the bracket [a_1, a_2] and its product with a_3 are formed in
-    tmp, three coefficient slots of the grid at those rows."""
+    tmp, three coefficient slots of the grid at those rows.  Both densities
+    are pointwise (one np.einsum pass, and as dot forms it), so rows, a
+    slice of the x1 axis, gives the whole grid's values at those rows bit
+    for bit."""
     a, fz = F.a, FZ.real
     if rows is not None:
         a, fz = a[..., rows, :, :], fz[..., rows, :, :]

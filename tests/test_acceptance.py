@@ -117,8 +117,8 @@ def test_06_three_depictions():
             center[2] + rng.uniform(-0.2, 0.2, n),
             rng.uniform(0, 2 * math.pi, n),
         ])
-        outs = [op.apply_D(bg, sec, P, 1e-5, depiction=d)
-                for d in ("components", "matrix", "clifford")]
+        val, grads, _, a = op.covariant_grads(bg, sec, P, 1e-5)
+        outs = [op.DEPICTIONS[d](val, grads, a) for d in ("components", "matrix", "clifford")]
         scale = max(op.spinor_max(outs[1]), 1e-30)
         worst = max(worst,
                     op.spinor_max(outs[0] - outs[1]) / scale,

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kwlab.cli import MAX_MODEL_M, main
+from kwlab.cli import MAX_MODEL_M, MAX_MODEL_SAMPLES, MAX_OPERATOR_POINTS, main
 
 
 def run(argv, capsys):
@@ -529,6 +529,8 @@ def test_key_error_inside_a_check_is_not_a_usage_error(monkeypatch):
     ["all", "--seed", "-1"],
     ["spectral", "hardy", "--seed", "-1"],
     ["model", "--m", "240"],  # above MAX_MODEL_M
+    ["model", "--samples", str(MAX_MODEL_SAMPLES + 1)],
+    ["operator", "--points", str(MAX_OPERATOR_POINTS + 1)],
 ])
 def test_suite_argument_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -1,32 +1,59 @@
-"""The operator reads a background's points through one guard: the
-background's ``domain_check`` is called in ``operator.covariant_grads``,
-the one read of a section, and only in the three entries that read the
-background without it.  No other package module calls it, so a new check
-goes through ``covariant_grads`` or names its own guard here.
+"""Every background read is guarded: each background has the two public
+reads ``fields`` and ``x_fields``, and each raises ValueError at a point
+outside the background's domain.  ``operator.covariant_grads``, the one
+read of a section, reads the background first, so such a point is refused
+before the section is evaluated.
 """
 
-import ast
-from pathlib import Path
+import numpy as np
+import pytest
 
-ROOT = Path(__file__).resolve().parent.parent
-GUARDED = {"covariant_grads", "x_blocks", "spatial_identification", "omega_apply"}
+from kwlab import operator as op
+from kwlab.backgrounds import (
+    ModelBackground, NahmBackground, TorusTrigBackground, TrivialBackground,
+)
+
+TORUS_TERMS = [("A", 0, (0, 1, 0), 0.3, (0.0, 0.0, 0.2)),
+               ("a", 2, (1, 0, 0), 0.0, (0.0, 0.0, 0.3))]
+BACKGROUNDS = {
+    "trivial": TrivialBackground(),
+    "nahm": NahmBackground(),
+    "model": ModelBackground(1),
+    "torus": TorusTrigBackground(TORUS_TERMS),
+}
+# points outside each domain, with the message each raises: a last axis
+# other than (t, x1, x2, x3) everywhere, t <= 0 for the pole and the model,
+# and the model's axis disk
+SHAPE = ([1.0, 0.5, 0.5], "shape")
+OUTSIDE = {
+    "trivial": [SHAPE],
+    "nahm": [SHAPE, ([0.0, 0.5, 0.5, 0.1], "t > 0"), ([[1.0, 0.5, 0.5, 0.1],
+                                                      [-1.0, 0.5, 0.5, 0.1]], "t > 0")],
+    "model": [SHAPE, ([-1.0, 0.5, 0.5, 0.1], "t > 0"), ([1.0, 0.0, 0.0, 0.1], "axis disk"),
+              ([[1.0, 0.5, 0.5, 0.1], [1.0, 1e-9, 0.0, 0.1]], "axis disk")],
+    "torus": [SHAPE],
+}
+CASES = [(name, P, msg) for name, pts in OUTSIDE.items() for P, msg in pts]
 
 
-def _guard_calls(path):
-    """(top-level definition, line) of every domain_check call in a module."""
-    calls = []
-    for top in ast.parse(path.read_text(), str(path)).body:
-        for node in ast.walk(top):
-            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "domain_check"):
-                calls.append((getattr(top, "name", None), node.lineno))
-    return calls
+def test_two_public_reads():
+    for bg in BACKGROUNDS.values():
+        public = {k for k in vars(type(bg)) if not k.startswith("_")}
+        assert public - {"axis_exclusion"} == {"fields", "x_fields"}, type(bg).__name__
 
 
-def test_domain_check_only_in_the_guarded_reads():
-    # backgrounds.py defines the guard, and the pole's a_at calls its own
-    for path in sorted((ROOT / "src/kwlab").glob("*.py")):
-        if path.name != "backgrounds.py":
-            calls = _guard_calls(path)
-            want = GUARDED if path.name == "operator.py" else set()
-            assert {name for name, _ in calls} == want and len(calls) == len(want), calls
+@pytest.mark.parametrize("read", ["fields", "x_fields"])
+@pytest.mark.parametrize("name,P,msg", CASES)
+def test_every_read_refuses_points_outside(name, P, msg, read):
+    with pytest.raises(ValueError, match=msg):
+        getattr(BACKGROUNDS[name], read)(np.array(P))
+
+
+@pytest.mark.parametrize("name,P,msg", CASES)
+def test_covariant_grads_refuses_before_the_section(name, P, msg):
+    reads = []
+    sec = op.FuncSection(lambda Q: reads.append(Q.shape) or np.zeros(Q.shape[:-1] + (8, 3)))
+    for h in (1e-5, None):
+        with pytest.raises(ValueError, match=msg):
+            op.covariant_grads(BACKGROUNDS[name], sec, np.array(P), h)
+    assert reads == []

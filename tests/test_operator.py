@@ -34,8 +34,8 @@ def random_points(rng, center, n=40):
 
 def _spatial(bg, sec, P, h):
     """D minus its grad_t term (the symmetric spatial part) at P."""
-    val, grads = op.covariant_grads(bg, sec, P, h)
-    return op._assemble_clifford(val, grads, bg.a_at(P), dt_sign=0.0)
+    val, grads, _, a = op.covariant_grads(bg, sec, P, h)
+    return op._assemble_clifford(val, grads, a, dt_sign=0.0)
 
 
 def _to_mat(c):
@@ -119,11 +119,14 @@ def test_three_depictions_agree(bg, center):
     rng = np.random.default_rng(5)
     sec = op.random_section(rng, center=center, spread=0.25)
     P = random_points(rng, center)
-    outs = [op.apply_D(bg, sec, P, 1e-5, depiction=d)
-            for d in ("components", "matrix", "clifford")]
+    # one covariant jet through every depiction, as the suite's row reads it;
+    # apply_D is the Clifford contraction of that jet
+    val, grads, _, a = op.covariant_grads(bg, sec, P, 1e-5)
+    outs = [op.DEPICTIONS[d](val, grads, a) for d in ("components", "matrix", "clifford")]
     scale = max(op.spinor_max(outs[1]), 1e-30)
     assert op.spinor_max(outs[0] - outs[1]) / scale < 1e-12
     assert op.spinor_max(outs[2] - outs[1]) / scale < 1e-12
+    assert np.array_equal(op.apply_D(bg, sec, P, 1e-5), outs[2])
 
 
 def test_constant_section_trivial_background():
@@ -154,7 +157,7 @@ def test_d_plus_ddagger_kills_time_derivative():
     bg = NahmBackground()
     sec = op.random_section(rng, center=(1.0, 0.0, 0.0), spread=0.3)
     p = np.array([1.1, 0.1, -0.3, 0.2])
-    total = op.apply_D(bg, sec, p, 1e-5, depiction="clifford") + op.apply_D_dagger(bg, sec, p, 1e-5)
+    total = op.apply_D(bg, sec, p, 1e-5) + op.apply_D_dagger(bg, sec, p, 1e-5)
     spatial = _spatial(bg, sec, p, 1e-5)
     assert op.spinor_max(total - 2 * spatial) < 1e-12
 
@@ -183,17 +186,15 @@ def _two_slice_loops(bg, psi, xi, t_range, nt, nx, h):
     P, wt, vol_x = op._box_grid(t_range, nt, nx)
     dual = np.empty((4,) + P.shape[:-1])
     for i, Q in enumerate(P):
-        a = bg.a_at(Q)
-        psival, grads = op.covariant_grads(bg, psi, Q, h)
+        psival, grads, _, a = op.covariant_grads(bg, psi, Q, h)
         dpsi = op._assemble_clifford(psival, grads, a)
-        xival, grads = op.covariant_grads(bg, xi, Q, h)
+        xival, grads, _, _ = op.covariant_grads(bg, xi, Q, h)
         ddagxi = op._assemble_clifford(xival, grads, a, dt_sign=-1.0)
         dual[:, i] = (op._pair(dpsi, xival), op._pair(psival, ddagxi),
                       op._pair(dpsi, dpsi), op._pair(xival, xival))
     pyth = np.empty((3,) + P.shape[:-1])
     for i, Q in enumerate(P):
-        val, grads = op.covariant_grads(bg, psi, Q, h)
-        a = bg.a_at(Q)
+        val, grads, _, a = op.covariant_grads(bg, psi, Q, h)
         dpsi = op._assemble_clifford(val, grads, a)
         lpsi = op._assemble_clifford(val, grads, a, dt_sign=0.0)
         tpsi = grads[..., 0, :, :]
@@ -280,12 +281,13 @@ def test_torus_background_equals_its_per_term_sum():
     bg = TorusTrigBackground(terms)
     A, a = _per_term_fields(terms, P)
     (dA1, da1), (dA2, da2) = _per_term_fields(terms, P, 0), _per_term_fields(terms, P, 1)
-    assert np.array_equal(bg.A_at(P), A) and np.array_equal(bg.a_at(P), a)
-    e1, e2, b3 = bg.curvature_at(P)
+    fA, fa = bg.fields(P)
+    assert np.array_equal(fA, A) and np.array_equal(fa, a)
+    xa, e1, e2, b3, dcov = bg.x_fields(P)
+    assert np.array_equal(xa, a)
     assert not np.any(e1) and not np.any(e2)
     assert np.array_equal(b3, dA1[..., 1, :] - dA2[..., 0, :]
                           + coeff_bracket(A[..., 0, :], A[..., 1, :]))
-    dcov = bg.dcov_a_at(P)
     for i, da in enumerate((da1, da2)):
         for j in range(2):
             assert np.array_equal(dcov[..., i, j, :],
@@ -437,8 +439,8 @@ def test_x_structure():
 def apply_xi(bg, sec, P, h):
     """Xi, D minus its gamma3 grad_3 term (it acts within x3-invariant
     sections), from the operator's one covariant jet."""
-    val, grads = op.covariant_grads(bg, sec, P, h)
-    return op._assemble_clifford(val, grads, bg.a_at(P), skip_gamma3=True)
+    val, grads, _, a = op.covariant_grads(bg, sec, P, h)
+    return op._assemble_clifford(val, grads, a, skip_gamma3=True)
 
 
 def _x3_invariant_section(rng, center):
@@ -550,7 +552,7 @@ def test_omega_reads_its_section_at_one_stencil(kind):
     def u_inv_xi(Q):
         return np.swapaxes(u_endo(Q[..., 0], Q[..., 1], Q[..., 2]), -1, -2) @ xi.value(Q)
 
-    _, g = op.covariant_grads(bg, xi, p, h)
+    _, g, _, _ = op.covariant_grads(bg, xi, p, h)
     x = math.sqrt(p[0] ** 2 + p[1] ** 2 + p[2] ** 2)
     nabla_x = (p[0] * g[0] + p[1] * g[1] + p[2] * g[2]) / x
     assert np.array_equal(got, x * (apply_xi(bg, op.FuncSection(u_inv_xi), p, h) - nabla_x))
@@ -612,14 +614,14 @@ def _nested_bochner_remainder(bg, sec, p, h):
     """bochner_check's remainder by nested composition: D^dag of a section
     whose values are D psi, and sum_mu grad_mu grad_mu psi as grad_mu of the
     section whose values are grad_mu psi, one per mu."""
-    inner_D = op.FuncSection(lambda Q: op.apply_D(bg, sec, Q, h, depiction="clifford"))
+    inner_D = op.FuncSection(lambda Q: op.apply_D(bg, sec, Q, h))
     ddag_d = op.apply_D_dagger(bg, inner_D, p, h)
     lap = 0.0
     for mu in range(4):
         first = op.FuncSection(
             lambda Q, mu=mu: op.covariant_grads(bg, sec, Q, h)[1][..., mu, :, :])
         lap = lap + op.covariant_grads(bg, first, p, h)[1][..., mu, :, :]
-    val, a = sec.value(p), bg.a_at(p)
+    val, a = sec.value(p), bg.fields(p)[1]
     commterm = 0.0
     for i in range(3):
         ai = a[..., i, None, :]
@@ -645,7 +647,7 @@ BOCHNER_BACKGROUNDS = [
 @pytest.mark.parametrize("name,bg,center", BOCHNER_BACKGROUNDS,
                          ids=[b[0] for b in BOCHNER_BACKGROUNDS])
 def test_bochner_one_pass_matches_nested_composition(name, bg, center):
-    assert name != "torus" or np.any(bg.A_at(np.array([*center, 0.4])))
+    assert name != "torus" or np.any(bg.fields(np.array([*center, 0.4]))[0])
     rng = np.random.default_rng(21)
     sec = op.random_section(rng, center=center, spread=0.3)
     p = np.array([center[0], center[1], center[2], 0.4])
@@ -791,9 +793,8 @@ def test_trig_sections_match_per_term_sums(kind):
 
 
 def test_one_evaluation_per_jet_consumer(monkeypatch):
-    # covariant_grads with exact derivatives reads one jet; x_blocks on the
-    # torus background reads curvature_at's jet, dcov_a_at's jet and a_at's
-    # value
+    # covariant_grads with exact derivatives reads one jet, and x_blocks on
+    # the torus background reads one, x_fields'
     calls = []
     terms_at = op.TrigSection._terms_at
 
@@ -807,17 +808,15 @@ def test_one_evaluation_per_jet_consumer(monkeypatch):
     op.covariant_grads(TrivialBackground(), op.random_section(rng), P, None)
     assert len(calls) == 1
     op.x_blocks(TorusTrigBackground(DUALITY_TERMS), P)
-    assert len(calls) == 1 + 3
+    assert len(calls) == 1 + 1
     # the box pass reads one jet of psi and one of xi per t-slice
     psi = op.random_torus_section(rng, k_max=1, n_terms=2, t_center=2.0, t_width=0.35)
     op.box_quadrature(TrivialBackground(), psi, psi, t_range=(0.0, 4.0), nt=5, nx=4)
-    assert len(calls) == 1 + 3 + 2 * 5
+    assert len(calls) == 1 + 1 + 2 * 5
 
 
-def test_model_x_blocks_evaluations(monkeypatch):
-    # x_blocks on a model background: one evaluation each for curvature_at
-    # and a_at, and dcov_a_at's four shifts per direction plus one at P for
-    # both A and a
+def _count_evaluations(monkeypatch):
+    """The list that gets one entry per model evaluation a background makes."""
     calls = []
     evaluate = backgrounds.evaluate
 
@@ -826,8 +825,24 @@ def test_model_x_blocks_evaluations(monkeypatch):
         return evaluate(*args)
 
     monkeypatch.setattr(backgrounds, "evaluate", counted)
+    return calls
+
+
+def test_model_x_blocks_evaluations(monkeypatch):
+    # x_blocks on a model background: x_fields evaluates once at P and once
+    # at its eight difference points, stacked
+    calls = _count_evaluations(monkeypatch)
     op.x_blocks(ModelBackground(1), np.array([1.0, 0.7, 0.4, 0.3]))
-    assert len(calls) == 11
+    assert len(calls) == 2
+
+
+def test_operator_suite_model_evaluations(monkeypatch):
+    # one fields read per covariant_grads and per omega_apply, one x_fields
+    # per x_blocks: three_depictions 1, y_intertwine 2, x_blocks 2, the two
+    # Weitzenbock stencils 2 x 2, the block report 2 and Omega 4
+    calls = _count_evaluations(monkeypatch)
+    assert run_suite("operator", 1).n_fail == 0
+    assert len(calls) == 15
 
 
 def test_zero_background_skips_bracket_terms(monkeypatch):
@@ -843,7 +858,7 @@ def test_zero_background_skips_bracket_terms(monkeypatch):
         return comm(u, v)
 
     monkeypatch.setattr(op, "comm", counted)
-    got = op.apply_D(TrivialBackground(), sec, P, None, depiction="clifford")
+    got = op.apply_D(TrivialBackground(), sec, P, None)
     monkeypatch.undo()
     assert calls == []
     # the contraction with every bracket term added, as zeros

@@ -310,9 +310,10 @@ def test_cs_functional_matches_the_b_field_formula(field):
 def curvature_six_products(F, Z=None, out=None, rows=None, scratch=None):
     """F_Z as six TorusField.deriv calls, each of one form component with
     every coefficient, and a comm per cyclic (k, i, j): the same arithmetic
-    as curvature, in the order it adds the terms; curvature's signature.
-    Every row at once: rows, curvature's x1 slab, must be None, and the
-    scratch it would share between slabs goes unused."""
+    as curvature, in the order it adds the terms; bind_curvature's
+    arguments, each optional.  Every row at once: rows, bind_curvature's x1
+    slab, must be None, and the scratch it would share between slabs goes
+    unused."""
     assert rows is None
     if Z is None:
         Z = complex_connection(F)
@@ -456,5 +457,5 @@ def test_div_cov_at_slab_rows_is_the_whole_grid_rows(scheme, c):
     out = np.full_like(whole, np.nan)
     for rows in (slice(0, 16), slice(16, 32)):
         slab = out[:, rows]
-        assert div_cov(F, F.a, rows=rows, out=slab) is slab
+        torus.run_calls(torus.bind_div_cov(F, F.a, slab, np.empty_like(slab), rows))
     assert out.tobytes() == whole.tobytes()

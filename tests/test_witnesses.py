@@ -131,7 +131,7 @@ def differences_lean_forward(mp):
     cg = op.covariant_grads
 
     def leaning(bg, sec, P, h):
-        val, grads = cg(bg, sec, P, h)
+        val, grads, A, a = cg(bg, sec, P, h)
         if h is not None:
             for mu in range(4):
                 Q = np.array(P, dtype=float)
@@ -139,7 +139,7 @@ def differences_lean_forward(mp):
                 ahead = sec.value(Q)
                 Q[..., mu] -= 2 * h
                 grads[..., mu, :, :] += 1e-4 * (ahead - 2 * val + sec.value(Q)) / (2 * h)
-        return val, grads
+        return val, grads, A, a
 
     plant(mp, cg, leaning)
 
@@ -268,14 +268,14 @@ WITNESSES = {
     "clifford_table": (clifford_table_sign_slip, ("operator", {"points": 20}),
                        {"three_depictions", "y_intertwine", "spatial_identification",
                         "weitzenbock_remainder", "adjoint_duality"},
-                       lambda: op.apply_D(BG, SEC, P0, 1e-5, depiction="clifford")),
+                       lambda: op.apply_D(BG, SEC, P0, 1e-5)),
     "rho_table": (rho_table_sign_slip, ("operator", {"points": 20}),
                   {"three_depictions", "y_intertwine", "weitzenbock_remainder",
                    "weitzenbock_blocks", "omega_q_commute", "mode_symbol"},
-                  lambda: op.apply_D(BG, SEC, P0, 1e-5, depiction="clifford")),
+                  lambda: op.apply_D(BG, SEC, P0, 1e-5)),
     "connection_sign": (connection_sign_slip, ("operator", {"points": 20}),
                         {"mode_symbol", "weitzenbock_remainder", "weitzenbock_blocks"},
-                        lambda: op.apply_D(BG, SEC, P0, 1e-5, depiction="clifford")),
+                        lambda: op.apply_D(BG, SEC, P0, 1e-5)),
     "omega_x_factor": (omega_without_x, ("operator", {"points": 20}),
                        {"omega_scale_invariance"}, lambda: op.omega_apply(BG, SEC, P0, 1e-5)),
     "x21_sign": (x21_sign_flipped, ("operator", {"points": 20}),
