@@ -11,12 +11,13 @@ scripts/sample_flow_config_nonabelian.json (N = 28: live brackets, and two
 x1 slabs on a machine with two CPUs), this script's copies for both trees,
 ``kwlab operator --background B --seed S`` on every background kind
 (trivial, nahm, model:1, model:2 and model:3, at seeds 0 and 5; ``kwlab
-all`` reaches model:1 alone), and each extra ``--cmd`` given.  Their
-stdout, exit code and, for the flow runs, trace.csv and summary.json must
-be identical.  The first difference of each output is named: the check
-(or JSON field) whose entry differs in a JSON report, else the line of a
-text file, with its byte offset.  Exits 0 when every output is identical
-and 1 otherwise.
+all`` reaches model:1 alone), ``kwlab model --m M --seed S`` at m = 0, 2
+and 3 and the same seeds (``kwlab all`` runs the model suite at m = 1),
+and each extra ``--cmd`` given.  Their stdout, exit code and, for the flow
+runs, trace.csv and summary.json must be identical.  The first difference
+of each output is named: the check (or JSON field) whose entry differs in
+a JSON report, else the line of a text file, with its byte offset.  Exits
+0 when every output is identical and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -36,6 +37,9 @@ CONFIGS = [Path(__file__).resolve().parent / name
 OPERATOR_RUNS = [["operator", "--background", bg, "--seed", seed]
                  for bg in ("trivial", "nahm", "model:1", "model:2", "model:3")
                  for seed in ("0", "5")]
+# the model suite at the m that `kwlab all` does not run (it runs m = 1)
+MODEL_RUNS = [["model", "--m", m, "--seed", seed]
+              for m in ("0", "2", "3") for seed in ("0", "5")]
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -129,7 +133,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     runs = ([["all", "--seed", str(s)] for s in args.seeds]
             + [["flow", "run", "--config", str(c), "--out", "flow"] for c in CONFIGS]
-            + OPERATOR_RUNS
+            + OPERATOR_RUNS + MODEL_RUNS
             + [shlex.split(c) for c in args.cmd])
     differing = 0
     for cmd in runs:

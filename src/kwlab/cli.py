@@ -29,7 +29,7 @@ import numpy as np
 from . import spectral as spectral_mod
 from .backgrounds import make_background
 from .flow import CFLError, FlowConfig, lojasiewicz_fit, run_flow
-from .modes import positive_spectrum_field
+from .modes import AXIS_MODES, positive_spectrum_field
 from .reporting import SuiteReport, csv_text, json_text
 from .suites import (
     SUITE_NAMES, exclusion_checks, flow_checks, hardy_checks, hemisphere_checks, run_suite,
@@ -305,7 +305,7 @@ def _cmd_flow(args) -> int:
     else:  # abelian: the exactly-linear decaying sector, safe for long runs;
         # axis modes only, so the trace decays at a single rate
         F0 = positive_spectrum_field(rng, cfg["N"], amp, L=cfg["L"], abelian=True,
-                                     modes=[(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+                                     modes=AXIS_MODES)
     try:
         trace = run_flow(F0, FlowConfig(dt=cfg["dt"], steps=cfg["steps"]))
     except CFLError as exc:

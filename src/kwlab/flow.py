@@ -35,7 +35,7 @@ starts.  On a grid of at least SLAB_SPLIT_MIN_POINTS = 27^3 points, in a
 process allowed two or more CPUs (os.sched_getaffinity), there are two
 slabs, rows [0, N/2) and [N/2, N): this thread takes the first, and one
 worker thread (a daemon, made when a run first splits) the second.
-Otherwise there is one slab, every row, run on this thread.  A slab's work
+Otherwise there is one slab, slice(None), on this thread.  A slab's work
 is pointwise or a product whose output rows are its own: the curvature at
 its rows (the x1 derivative is D's slab rows times every row, x2 and x3
 stay in the slab, the brackets are pointwise), the monitor densities at
@@ -243,16 +243,16 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_slab_worker)
 
 
-def _slabs(N: int) -> tuple[slice | None, ...]:
-    """The x1 slabs of a run on the N^3 grid as row selections: rows
-    [0, N/2) and [N/2, N), or below SLAB_SPLIT_MIN_POINTS or with fewer than
-    two CPUs to run on (None,), one slab of every row."""
+def _slabs(N: int) -> tuple[slice, ...]:
+    """The x1 slabs of a run on the N^3 grid as x1 slices: rows [0, N/2)
+    and [N/2, N), or below SLAB_SPLIT_MIN_POINTS or with fewer than two
+    CPUs to run on (slice(None),), one slab of every row."""
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
     if N ** 3 < SLAB_SPLIT_MIN_POINTS or cpus < 2:
-        return (None,)
+        return (slice(None),)
     return slice(0, N // 2), slice(N // 2, N)
 
 
@@ -275,11 +275,9 @@ def _on_slabs(stage):
 
 
 def _at(rows, *arrays):
-    """Each array at the x1 rows `rows` (a view; the array itself when rows
-    is None).  The x1 axis is the third from last of every array here: a
-    field's, curvature's scratch's and each monitor density's."""
-    if rows is None:
-        return arrays
+    """Each array at the x1 slice `rows`, a view (at slice(None) with the
+    array's strides).  The x1 axis is the third from last of every array
+    here: a field's, curvature's scratch's and each monitor density's."""
     return tuple(x[..., rows, :, :] for x in arrays)
 
 
@@ -296,13 +294,13 @@ def _density_views(buf):
 
 def _scratch_planes(scratch, rows):
     """A real (2, 4, n, N, N) array in the storage of curvature's scratch at
-    its x1 rows `rows` (all N when None): [0, :c] and [1, :c] are two
+    its x1 slice `rows` (all N at slice(None)): [0, :c] and [1, :c] are two
     temporaries of a c-coefficient field there."""
     (s,) = _at(rows, scratch)
     return s.view(float).reshape((4, 2) + s.shape[1:], copy=False).swapaxes(0, 1)
 
 
-def bind_monitor_densities(F, Z, FZ, ring, i, dens, tmp, rows=None):
+def bind_monitor_densities(F, Z, FZ, ring, i, dens, tmp, rows=slice(None)):
     """The pointwise monitor densities of state i into dens (_density_views),
     as bound calls: Z is the state, FZ its curvature, ring[i % 5] its a;
     also |da/dt|^2 at state i - 2, from the ring's 5-point difference formed
@@ -313,10 +311,10 @@ def bind_monitor_densities(F, Z, FZ, ring, i, dens, tmp, rows=None):
     then coefficient in the order np.sum of the product adds them, or as
     cs_densities and div_cov form it.
 
-    With rows, a slice of the x1 axis, only those rows are formed, the
-    whole grid's bit for bit: div_cov's x1 derivative reads every row of a,
-    all else these rows alone, so lists bound for disjoint rows may run at
-    once.
+    rows, a slice of the x1 axis (every row at slice(None)), picks the rows
+    formed, the whole grid's bit for bit: div_cov's x1 derivative reads
+    every row of a, all else these rows alone, so lists bound for disjoint
+    rows may run at once.
     """
     f_sq, div_sq, a_sq, rate_sq, cs_dens = dens
     state = TorusField(F.N, F.L, Z.real, ring[i % 5], F.scheme)

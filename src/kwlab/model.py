@@ -32,10 +32,11 @@ The reduced first-order equations tying these together are
 
 and ``verify_reduced_eqs`` checks all five by centered differences.
 
-Every evaluation takes arrays: ``fields`` (the scalar profile data) and
-``evaluate`` (the sigma coefficients built from it) accept (t, z) of any
-broadcastable shape, and the checks evaluate each stencil offset, rescaling
-and ray sample once over their whole sample set.
+A point is (t, z), the solutions being x3-invariant, and every function
+takes (t, z) arrays: ``fields`` (the scalar profile data) and ``evaluate``
+(the sigma coefficients built from it) of any broadcastable shape, and the
+checks a sample set as a float and a complex (n,) array (``sample_points``),
+evaluating each stencil offset, rescaling and ray sample once over it.
 """
 
 from __future__ import annotations
@@ -64,17 +65,6 @@ class ModelSolution:
     def __post_init__(self):
         if self.m < 0:
             raise ValueError(f"m must be a non-negative integer, got {self.m}")
-
-
-@dataclass(frozen=True)
-class FieldPoint:
-    t: float
-    z: complex
-    x3: float = 0.0
-
-    def __post_init__(self):
-        if self.t <= 0:
-            raise ValueError(f"need t > 0, got t={self.t}")
 
 
 def profile_factors(m: int, th: np.ndarray) -> dict[str, np.ndarray]:
@@ -211,12 +201,6 @@ def evaluate(ms: ModelSolution, t, z) -> ModelEval:
     )
 
 
-def _coords(samples) -> tuple[np.ndarray, np.ndarray]:
-    """(t, z) arrays of a sequence of FieldPoints."""
-    return (np.array([p.t for p in samples], dtype=float),
-            np.array([p.z for p in samples], dtype=complex))
-
-
 # Offsets of the centred-difference stencil in units of the step: the centre,
 # then t +- h, x1 +- h, x2 +- h.
 _STENCIL_T = np.array([0.0, 1.0, -1.0, 0.0, 0.0, 0.0, 0.0])
@@ -239,20 +223,20 @@ def _grad(f: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     return tuple((f[i] - f[i + 1]) / step for i in (1, 3, 5))
 
 
-def verify_reduced_eqs(ms: ModelSolution, samples, h: float) -> dict[str, float]:
-    """Worst residual norm of each of the five reduced equations over samples.
+def verify_reduced_eqs(ms: ModelSolution, t: np.ndarray, z: np.ndarray,
+                       h: float) -> dict[str, float]:
+    """Worst residual norm of each of the five reduced equations over the
+    sample points (t, z), a float and a complex (n,) array.
 
-    samples is a sequence of FieldPoints; every stencil offset is evaluated
-    once over the whole set.  h is the relative step factor: the stencil
-    step is h * min(t, |z|) at each point, so the differencing error stays
-    O(h^2) uniformly over the sample box instead of degrading near the axis
-    or the boundary.
+    Every stencil offset is evaluated once over the whole set.  h is the
+    relative step factor: the stencil step is h * min(t, |z|) at each point,
+    so the differencing error stays O(h^2) uniformly over the sample box
+    instead of degrading near the axis or the boundary.
 
     Keys: 'dt_phi' for grad_t phi - 2 alpha phi, 'dbar_phi' for
     (grad_1 + i grad_2) phi, 'E1', 'E2' for the curvature components against
     alpha-derivatives, 'B3' for B3 - (d alpha/dt - |phi|^2) sigma3.
     """
-    t, z = _coords(samples)
     step, ts, zs = _stencil(t, z, h)
     ev = evaluate(ms, ts, zs)
     phi, alpha = ev.phi[0], ev.alpha[0]
@@ -271,23 +255,26 @@ def verify_reduced_eqs(ms: ModelSolution, samples, h: float) -> dict[str, float]
     return {k: float(np.max(v)) for k, v in res.items()}
 
 
-def sample_points(rng: np.random.Generator, n: int) -> list[FieldPoint]:
-    """Random off-axis points: t in [0.1, 3], z uniform on the square
-    [-3, 3]^2 outside the disk |z| < SAMPLING_AXIS_EXCLUSION, and x3 on the
-    circle [0, 2 pi)."""
-    pts = []
-    while len(pts) < n:
+def sample_points(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n random off-axis points as (t, z), a float and a complex (n,) array:
+    t in [0.1, 3], z uniform on the square [-3, 3]^2 outside the disk
+    |z| < SAMPLING_AXIS_EXCLUSION.  Each candidate draws t, Re z and Im z,
+    and each accepted one an unread x3 on [0, 2 pi), which keeps every
+    seed's points those it has always drawn."""
+    ts, zs = [], []
+    while len(ts) < n:
         t = rng.uniform(0.1, 3.0)
-        zr = rng.uniform(-3.0, 3.0)
-        zi = rng.uniform(-3.0, 3.0)
-        if abs(complex(zr, zi)) < SAMPLING_AXIS_EXCLUSION:
+        z = complex(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0))
+        if abs(z) < SAMPLING_AXIS_EXCLUSION:
             continue
-        pts.append(FieldPoint(t=t, z=complex(zr, zi), x3=rng.uniform(0, 2 * math.pi)))
-    return pts
+        rng.uniform(0, 2 * math.pi)  # x3: the solutions do not depend on it
+        ts.append(t)
+        zs.append(z)
+    return np.array(ts, dtype=float), np.array(zs, dtype=complex)
 
 
-def verify_properties(ms: ModelSolution, samples: list[FieldPoint]) -> dict:
-    """Property report over a sample set of FieldPoints.
+def verify_properties(ms: ModelSolution, t: np.ndarray, z: np.ndarray) -> dict:
+    """Property report over the sample points (t, z), (n,) arrays.
 
     Measurements only, for the model suite's verdicts: the range of 2t*alpha
     (in [-(m+1), -1]), min d alpha/dt (centred, step 1e-5; positive), the
@@ -295,7 +282,6 @@ def verify_properties(ms: ModelSolution, samples: list[FieldPoint]) -> dict:
     sup of |B3|,|E1|,|E2| x^3/t, and the rescaling error at lambda in
     {2, 1/3}.  Each offset and rescaling is evaluated once over all samples.
     """
-    t, z = _coords(samples)
     ev = evaluate(ms, t, z)
     alpha_scaled = 2.0 * t * ev.alpha
     h = 1e-5
@@ -312,7 +298,7 @@ def verify_properties(ms: ModelSolution, samples: list[FieldPoint]) -> dict:
         for name, w in weights.items():
             err = np.abs(lam ** w * getattr(evq, name) - getattr(ev, name))
             scale_err = max(scale_err, float(np.max(err)))
-    return {"m": ms.m, "n_samples": len(samples),
+    return {"m": ms.m, "n_samples": len(t),
             "alpha_scaled_min": float(alpha_scaled.min()),
             "alpha_scaled_max": float(alpha_scaled.max()),
             "dalpha_dt_min": float(dalpha_dt.min()),
@@ -343,9 +329,10 @@ def case4_section(ms: ModelSolution, p_degree: int, t, z) -> np.ndarray:
     return _section(ms, p_degree, evaluate(ms, t, z), z)
 
 
-def case4_solution(ms: ModelSolution, p_degree: int, point: FieldPoint, h: float) -> dict:
+def case4_solution(ms: ModelSolution, p_degree: int, t: float, z: complex, h: float) -> dict:
     """Finite-difference residuals of the two decoupled first-order equations
-    for sigma_minus, plus the homogeneity exponent of |sigma_minus| along a ray.
+    for sigma_minus at the point (t, z), plus the homogeneity exponent of
+    |sigma_minus| along the ray through it.
 
     The equations are grad_t sigma + 2 alpha sigma = 0 and
     (grad_1 + i grad_2) sigma = 0; each residual is divided by the sum of the
@@ -355,7 +342,6 @@ def case4_solution(ms: ModelSolution, p_degree: int, point: FieldPoint, h: float
     """
     if ms.m < 1:
         raise ValueError("the construction is stated for m >= 1")
-    t, z = point.t, point.z
     step, ts, zs = _stencil(t, z, h)
     ev = evaluate(ms, ts, zs)
     sig = _section(ms, p_degree, ev, zs)
@@ -366,7 +352,7 @@ def case4_solution(ms: ModelSolution, p_degree: int, point: FieldPoint, h: float
     res_t = coeff_norm(dt + alpha_sig) / (coeff_norm(dt) + coeff_norm(alpha_sig))
     res_z = coeff_norm(g1 + 1j * g2) / (coeff_norm(g1) + coeff_norm(g2))
 
-    # exponent of |sigma_minus| ~ x^(p+1) along the ray through `point`
+    # exponent of |sigma_minus| ~ x^(p+1) along the ray through (t, z)
     lams = np.geomspace(0.5, 2.0, 9)
     vals = coeff_norm(case4_section(ms, p_degree, lams * t, lams * z))
     xs = np.hypot(lams * t, np.abs(lams * z))

@@ -47,6 +47,9 @@ from .torus import TorusField, stencil_symbol
 
 # the (A, a) slots: the flow's fields, without the scalar slots 3 and 7
 AA_SLOTS = (0, 1, 2, 4, 5, 6)
+# the unit wavevectors along the axes: positive_spectrum_field's modes for
+# abelian flow data that decays at the one rate of the lowest axis mode
+AXIS_MODES = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 def k_lattice(k_max: int) -> np.ndarray:
@@ -147,20 +150,16 @@ def linearized_decay(k_max: int, psi0: ModeVector, T: float, dt: float) -> dict:
 
 
 def random_mode_vector(rng: np.random.Generator, k_max: int, scale: float = 1.0,
-                       slots=range(8), include_zero: bool = False) -> ModeVector:
-    """Random reality-symmetric mode data supported on the given slots."""
+                       slots=range(8)) -> ModeVector:
+    """Random reality-symmetric mode data supported on the given slots,
+    zero at k = 0."""
     ks = k_lattice(k_max)
     coeffs = np.zeros((len(ks), 8, 3), dtype=complex)
     index = {tuple(k): i for i, k in enumerate(ks)}
     for i, k in enumerate(ks):
         tk = tuple(k)
-        if tk < tuple(-k):
-            continue  # fill each +-k pair once
-        if tk == (0, 0, 0):
-            if include_zero:
-                for s in slots:
-                    coeffs[i, s] = rng.normal(scale=scale, size=3)
-            continue
+        if tk <= tuple(-k):
+            continue  # fill each +-k pair once; k = 0, its own mirror, stays zero
         c = rng.normal(scale=scale, size=(8, 3)) + 1j * rng.normal(scale=scale, size=(8, 3))
         c[np.setdiff1d(np.arange(8), list(slots))] = 0.0
         coeffs[i] = c

@@ -18,16 +18,14 @@ from . import operator as op
 from .backgrounds import TorusTrigBackground, TrivialBackground, make_background
 from .flow import FlowConfig, FlowTrace, lojasiewicz_fit, run_flow
 from .modes import (
-    AA_SLOTS, ModeVector, decaying_sector, k_lattice, kuranishi_w, linearized_decay,
-    positive_spectrum_field, random_mode_vector,
+    AA_SLOTS, AXIS_MODES, ModeVector, decaying_sector, k_lattice, kuranishi_w,
+    linearized_decay, positive_spectrum_field, random_mode_vector,
 )
 from .reporting import CheckResult, SuiteReport
 from .torus import (
     TorusField, b_field, cs_functional, dot, gauge_transform, gradient_check,
     random_field, stencil_symbol, stencil_wavenumber,
 )
-
-SUITE_NAMES = ("algebra", "clifford", "model", "operator", "spectral", "flow-smoke")
 
 # the largest per-step decrease of cs, relative to max |cs| over the run,
 # that still counts as monotone
@@ -222,26 +220,26 @@ def model_suite(seed: int, m: int = 1, samples: int = 200) -> list[CheckResult]:
         "theta_pythagoras", "x = sqrt(t^2 + |z|^2); sinh Theta = t/|z|",
         max(abs(float(f["x"]) - 5.0), abs(math.sinh(float(f["theta"])) - 0.75)),
         1e-14))
-    pts = model.sample_points(rng, max(10, samples // 10))
+    t, z = model.sample_points(rng, max(10, samples // 10))
     # the residuals' O(h^2) truncation grows with m: a relative step shrinking
     # as 1/(m + 1) from 1e-4 at m <= 1 holds them below 5e-7 up to m = 239
-    worst = max(model.verify_reduced_eqs(ms, pts, 2e-4 / max(m + 1, 2)).values())
+    worst = max(model.verify_reduced_eqs(ms, t, z, 2e-4 / max(m + 1, 2)).values())
     out.append(CheckResult.from_bound(
         "reduced_equations", "first-order relations among alpha, phi, E, B",
         worst, 1e-6))
-    p0 = model.FieldPoint(1.0, 0.7 + 0.2j)
+    t0, z0 = 1.0, 0.7 + 0.2j  # one fixed point, a one-element set for the order check
     # the worst |r(h)/r(h/2) - 4| over the residuals, so that one residual
     # slipping to first order (ratio 2) fails however the others read; at
     # this pair truncation dominates round-off for every odd m from 1 to 17
     # (at most 3.7e-4), while at (1e-4, 5e-5) round-off competes (m = 9
     # reads 0.546 there)
-    r1 = model.verify_reduced_eqs(ms, [p0], 1e-3)
-    r2 = model.verify_reduced_eqs(ms, [p0], 5e-4)
+    r1, r2 = (model.verify_reduced_eqs(ms, np.array([t0]), np.array([z0]), h)
+              for h in (1e-3, 5e-4))
     order_err = max((abs(r1[k] / r2[k] - 4.0) for k in r1 if r2[k] > 1e-14),
                     default=math.inf)  # nothing measured fails
     out.append(CheckResult.from_bound(
         "reduced_equations_order", "residuals shrink at 2nd order", order_err, 0.5))
-    rep = model.verify_properties(ms, model.sample_points(rng, samples))
+    rep = model.verify_properties(ms, *model.sample_points(rng, samples))
     out.append(CheckResult.from_bound(
         "alpha_range", "2 t alpha in [-(m+1), -1], alpha < 0",
         max(rep["alpha_scaled_max"] + 1.0, -(m + 1) - rep["alpha_scaled_min"]),
@@ -266,7 +264,7 @@ def model_suite(seed: int, m: int = 1, samples: int = 200) -> list[CheckResult]:
     if m >= 1:
         # res_t is O(h^2) truncation growing as (m + 1)^2: a step shrinking
         # as 1/(m + 1) holds it near 1e-9 at every m (1e-4 at m = 1)
-        c4 = model.case4_solution(ms, m, p0, 2e-4 / (m + 1))
+        c4 = model.case4_solution(ms, m, t0, z0, 2e-4 / (m + 1))
         out.append(CheckResult.from_bound(
             "decoupled_sector_solution",
             "holomorphic-pairing section solves its two first-order equations",
@@ -515,7 +513,7 @@ def richardson_gradient_check(F: TorusField, direction) -> CheckResult:
         err, 1e-6)
 
 
-def stencil_symbol_check(N: int = 12, L: float = 2 * math.pi) -> CheckResult:
+def stencil_symbol_check() -> CheckResult:
     """TorusField.deriv against the closed-form symbol of each scheme.
 
     sin(m w x_i) and cos(m w x_i), w = 2 pi / L, at every wavenumber
@@ -527,6 +525,7 @@ def stencil_symbol_check(N: int = 12, L: float = 2 * math.pi) -> CheckResult:
     error relative to |s_m|.  Every rate check reads the same closed form
     through stencil_wavenumber, so a wrong matrix shows here.
     """
+    N, L = 12, 2 * math.pi
     m = np.arange(1, (N + 1) // 2)
     theta = 2 * math.pi / N * np.arange(N)
     halves = (slice(0, N // 2), slice(N // 2, N))
@@ -671,7 +670,7 @@ def flow_smoke_suite(seed: int) -> list[CheckResult]:
     out.append(gauge_invariance_check(F))
     F.scheme = "fd4"
     Fd = positive_spectrum_field(rng, 12, amplitude=0.05, abelian=True,
-                                 modes=[(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+                                 modes=AXIS_MODES)
     tr = run_flow(Fd, FlowConfig(dt=0.05 * Fd.h, steps=160))
     out += flow_checks(tr)
     out.append(CheckResult.from_bound(
@@ -723,6 +722,7 @@ SUITES = {
     "spectral": spectral_suite,
     "flow-smoke": flow_smoke_suite,
 }
+SUITE_NAMES = tuple(SUITES)
 
 
 def run_suite(name: str, seed: int = 0, **kwargs) -> SuiteReport:

@@ -24,12 +24,13 @@ periodic differentiation matrix D, one real matrix product per call
 TorusField.deriv binds that product and runs it.  A complex field is
 contracted on its float view, where the real and imaginary parts of each
 value sit side by side: along x1 and x2 with D, along x3 with the pair
-matrix kron(D, I_2).  The derivative can also be taken at a slab of x1
-rows alone (the rows argument): along x1 that is D's slab rows times
-every row of the field, along x2 and x3 the slab's own rows, so two slabs
-computed at once (flow.run_flow's two threads) read the field and write
-disjoint rows.  The product goes in blocks of at most SERIAL_GEMM_MNK =
-2^18 multiply-adds (bind_matmul), bit for bit the whole product, because
+matrix kron(D, I_2).  The derivative is taken at a slab of x1 rows (the
+rows argument), an x1 slice; every row is slice(None), whose views keep
+their arrays' strides.  Along x1 that is D's slab rows times every row of
+the field, along x2 and x3 the slab's own rows, so two slabs computed at
+once (flow.run_flow's two threads) read the field and write disjoint
+rows.  The product goes in blocks of at most SERIAL_GEMM_MNK = 2^18
+multiply-adds (bind_matmul), bit for bit the whole product, because
 OpenBLAS runs such a gemm on the calling thread: a larger one wakes
 OpenBLAS's own worker, which keeps spinning on the second core after the
 product, where the flow's second slab runs.  Up to N = 19 every product
@@ -246,8 +247,8 @@ class TorusField:
         return TorusField(self.N, self.L, self.A.copy(), self.a.copy(), self.scheme)
 
     def deriv(self, f: np.ndarray, i: int, out: np.ndarray | None = None,
-              rows: slice | None = None) -> np.ndarray:
-        """d f / d x_{i+1} on the last three axes (periodic): bind_deriv's
+              rows: slice = slice(None)) -> np.ndarray:
+        """d f / d x_{i+1} (periodic) at the x1 rows `rows`: bind_deriv's
         product, run once, written to out when given, else to a new array.
 
         f may be any array whose last three axes are the grid; where
@@ -256,8 +257,7 @@ class TorusField:
         memory) it reads a C-contiguous copy made here.
         """
         if out is None:
-            shape = f.shape if rows is None else f[..., rows, :, :].shape
-            out = np.empty(shape, np.result_type(f, float))
+            out = np.empty(f[..., rows, :, :].shape, np.result_type(f, float))
         try:
             calls = self.bind_deriv(f, i, out, rows)
         except ValueError:  # no view of f makes the product's operand
@@ -266,7 +266,7 @@ class TorusField:
         return out
 
     def bind_deriv(self, f: np.ndarray, i: int, out: np.ndarray,
-                   rows: slice | None = None) -> list:
+                   rows: slice = slice(None)) -> list:
         """d f / d x_{i+1} of f into out as bound calls: f contracted with
         diff_matrix(scheme, N, L) along that axis, one real product
         (bind_matmul's, in blocks small enough that OpenBLAS runs each on
@@ -282,13 +282,13 @@ class TorusField:
         sit side by side, which needs a contiguous last axis; along x3 that
         view takes the pair matrix kron(D, I_2) in place of D.
 
-        rows, a slice of the x1 axis, gives the derivative at those x1 rows
-        alone: out then has the shape of f[..., rows, :, :].  Along x1 f
-        still supplies every row, and D's rows `rows` multiply it; along x2
-        and x3 only f[..., rows, :, :] is read.
+        rows, an x1 slice (every row at slice(None)), gives the derivative
+        at those rows: out has the shape of f[..., rows, :, :].  Along x1 f
+        supplies every row, and D's rows `rows` multiply it; along x2 and
+        x3 only f[..., rows, :, :] is read.
         """
         D, DT, PT = deriv_matrices(self.scheme, self.N, self.L)
-        if rows is not None and i:
+        if i:
             f = f[..., rows, :, :]
         v, o, MT = f, out, DT
         if f.dtype.kind == "c":
@@ -297,9 +297,8 @@ class TorusField:
             return [bind_matmul(v, MT, o)]
         if i == 1:
             return [bind_matmul(D, v, o)]
-        # x1: D (or its rows) times each (x1, x2 x3) matrix
-        if rows is not None:
-            D = D[rows]
+        # x1: D's rows `rows` times each (x1, x2 x3) matrix
+        D = D[rows]
         return [bind_matmul(D, v.reshape(v.shape[:-3] + (self.N, -1), copy=False),
                             o.reshape(o.shape[:-3] + (len(D), -1), copy=False))]
 
@@ -347,15 +346,15 @@ def div_cov(F: TorusField, u: np.ndarray) -> np.ndarray:
 
 
 def bind_div_cov(F: TorusField, u: np.ndarray, out: np.ndarray, tmp: np.ndarray,
-                 rows: slice | None = None) -> list:
-    """div_cov of u into out as bound calls: the x1 derivative lands in
-    out, each other term in tmp (an array of out's shape), added from
-    there in the order d_0 u_0 + [A_0, u_0] + d_1 u_1 + ... .  With rows,
-    a slice of the x1 axis, only those rows (out and tmp have their
-    shape), read from u and A there except by the x1 derivative, which
-    reads every row of u[0]; each value is the whole grid's bit for bit."""
+                 rows: slice = slice(None)) -> list:
+    """div_cov of u at the x1 rows `rows` into out as bound calls: the x1
+    derivative lands in out, each other term in tmp (an array of out's
+    shape), added from there in the order d_0 u_0 + [A_0, u_0] + d_1 u_1 +
+    ... .  u and A are read at those rows, except by the x1 derivative,
+    which reads every row of u[0]; each value is the whole grid's bit for
+    bit."""
     calls = F.bind_deriv(u[0], 0, out, rows)
-    A, v = (F.A, u) if rows is None else (F.A[..., rows, :, :], u[..., rows, :, :])
+    A, v = F.A[..., rows, :, :], u[..., rows, :, :]
     add = functools.partial(np.add, out, tmp, out)
     for i in range(3):
         if i:
@@ -414,21 +413,20 @@ def curvature(F: TorusField) -> np.ndarray:
     """
     Z = complex_connection(F)
     out = np.empty_like(Z)
-    run_calls(bind_curvature(F, Z, out, None, np.empty((4,) + Z.shape[2:], Z.dtype)))
+    run_calls(bind_curvature(F, Z, out, slice(None), np.empty((4,) + Z.shape[2:], Z.dtype)))
     return out
 
 
-def bind_curvature(F: TorusField, Z: np.ndarray, out: np.ndarray, rows: slice | None,
+def bind_curvature(F: TorusField, Z: np.ndarray, out: np.ndarray, rows: slice,
                    scratch: np.ndarray) -> list:
     """curvature of Z, a complex array of F's field shape on F's grid, into
-    out (C-contiguous, Z's shape) as bound calls.  With rows, a slice of the
-    x1 axis, only out[:, :, rows] is computed and written: Z is read at
-    every x1 row by the x1 derivatives and at those rows elsewhere, so two
-    lists on disjoint rows may run at once (flow.run_flow's slabs).
-    scratch, four complex slots of the grid's shape (4, N, N, N), is used at
-    those rows, so such lists may share one."""
-    z, o = (Z, out) if rows is None else (Z[:, :, rows], out[:, :, rows])
-    d = scratch if rows is None else scratch[:, rows]
+    out (C-contiguous, Z's shape) as bound calls, at the x1 rows `rows`
+    alone: Z is read at every x1 row by the x1 derivatives and at those
+    rows elsewhere, so two lists on disjoint rows may run at once
+    (flow.run_flow's slabs).  scratch, four complex slots of the grid's
+    shape (4, N, N, N), is used at those rows, so such lists may share
+    one."""
+    z, o, d = Z[:, :, rows], out[:, :, rows], scratch[:, rows]
     calls = []
     for s in range(Z.shape[1]):
         calls += F.bind_deriv(Z[1:3, s], 0, o[2:0:-1, s], rows)
@@ -457,16 +455,13 @@ def cs_densities(F: TorusField, FZ: np.ndarray) -> list:
 
 
 def bind_cs_densities(F: TorusField, FZ: np.ndarray, out, tmp: np.ndarray,
-                      rows: slice | None = None) -> list:
-    """cs_densities into out[0] and, off the sigma3 line, out[1] as bound
-    calls; the bracket [a_1, a_2] and its product with a_3 are formed in
-    tmp, three coefficient slots of the grid at those rows.  Both densities
-    are pointwise (one np.einsum pass, and as dot forms it), so rows, a
-    slice of the x1 axis, gives the whole grid's values at those rows bit
-    for bit."""
-    a, fz = F.a, FZ.real
-    if rows is not None:
-        a, fz = a[..., rows, :, :], fz[..., rows, :, :]
+                      rows: slice = slice(None)) -> list:
+    """cs_densities at the x1 rows `rows` into out[0] and, off the sigma3
+    line, out[1] as bound calls; the bracket [a_1, a_2] and its product
+    with a_3 are formed in tmp, three coefficient slots of the grid at
+    those rows.  Both densities are pointwise (one np.einsum pass, and as
+    dot forms it), so they are the whole grid's at those rows bit for bit."""
+    a, fz = F.a[..., rows, :, :], FZ.real[..., rows, :, :]
     calls = [functools.partial(np.einsum, FORM_COEFF, a, fz, out=out[0])]
     if a.shape[1] > 1:  # the triple product is zero on the sigma3 line
         # np.add.reduce(tmp, 0, None, out) is np.sum(tmp, axis=0, out=out)
@@ -476,16 +471,16 @@ def bind_cs_densities(F: TorusField, FZ: np.ndarray, out, tmp: np.ndarray,
     return calls
 
 
-def cs_functional(F: TorusField, FZ: np.ndarray | None = None, densities=None) -> float:
+def cs_functional(F: TorusField, densities=None) -> float:
     """int <a, Re F_Z> + 2 int <[a_1, a_2], a_3>, from cs_densities of the
-    whole grid when given, else of FZ, which is curvature(F) unless given.
+    whole grid when given, else of curvature(F).
 
     <a, Re F_Z> = <a, B> - sum_k <a_k, [a_i, a_j]> and each of the three
     cyclic terms is the triple product <[a_1, a_2], a_3>, so this is
     int ( sum_k <a_k, B_k> - <[a_1, a_2], a_3> ).
     """
     if densities is None:
-        densities = cs_densities(F, curvature(F) if FZ is None else FZ)
+        densities = cs_densities(F, curvature(F))
     cs = F.integrate(densities[0])
     if len(densities) > 1:
         cs += 2.0 * F.integrate(densities[1])
@@ -578,8 +573,8 @@ def gauge_transform(F: TorusField, phi: np.ndarray) -> TorusField:
 
 
 def random_field(rng: np.random.Generator, N: int, L: float = 2 * math.pi,
-                 amplitude: float = 1e-2, k_max: int = 1) -> TorusField:
-    """Smooth random (A, a): a few low Fourier modes per component."""
+                 amplitude: float = 1e-2) -> TorusField:
+    """Smooth random (A, a): three Fourier modes k in {-1, 0, 1}^3 per component."""
     F = TorusField(N, L)
     xs = np.arange(N) * (L / N)
     X = np.meshgrid(xs, xs, xs, indexing="ij")
@@ -587,7 +582,7 @@ def random_field(rng: np.random.Generator, N: int, L: float = 2 * math.pi,
     for slot in (F.A, F.a):
         for comp in range(3):
             for _ in range(3):
-                k = rng.integers(-k_max, k_max + 1, size=3)
+                k = rng.integers(-1, 2, size=3)
                 ph = rng.uniform(0, 2 * math.pi)
                 cf = rng.normal(scale=amplitude, size=3)
                 arg = w * (k[0] * X[0] + k[1] * X[1] + k[2] * X[2]) + ph

@@ -68,11 +68,11 @@ def test_04_model_reduced_equations():
     worst = 0.0
     for m in (0, 1, 2, 3):
         ms = model.ModelSolution(m)
-        res = model.verify_reduced_eqs(ms, model.sample_points(rng, 200), 1e-4)
+        res = model.verify_reduced_eqs(ms, *model.sample_points(rng, 200), 1e-4)
         worst = max(worst, max(res.values()))
-    p0 = model.FieldPoint(1.0, 0.7 + 0.2j)
-    r1 = model.verify_reduced_eqs(model.ModelSolution(2), [p0], 1e-4)
-    r2 = model.verify_reduced_eqs(model.ModelSolution(2), [p0], 5e-5)
+    p0 = np.array([1.0]), np.array([0.7 + 0.2j])
+    r1 = model.verify_reduced_eqs(model.ModelSolution(2), *p0, 1e-4)
+    r2 = model.verify_reduced_eqs(model.ModelSolution(2), *p0, 5e-5)
     ratios = [r1[k] / r2[k] for k in r1 if r2[k] > 1e-13]
     ratio_ok = all(abs(r - 4.0) < 0.5 for r in ratios)
     report(4, "model residuals < 1e-6 at h=1e-4, 2nd-order refinement",
@@ -88,7 +88,7 @@ def test_05_model_property_suite():
     details = []
     for m in (0, 1, 2, 3):
         rep = model.verify_properties(model.ModelSolution(m),
-                                      model.sample_points(rng, 500))
+                                      *model.sample_points(rng, 500))
         # |phi| sqrt(2) t is identically 1 at m = 0 and stays below 1 otherwise
         phi_ok = (1 - 1e-10 < rep["phi_bound_min"] and rep["phi_bound_max"] < 1 + 1e-10
                   if m == 0 else rep["phi_bound_max"] <= 1 - 1e-10)

@@ -114,8 +114,8 @@ def test_quadratic_map_matches_flow_gradient():
     constraint scalar."""
     rng = np.random.default_rng(123)
     N = 8
-    Fb = random_field(rng, N, amplitude=0.05, k_max=1)
-    Fc = random_field(rng, N, amplitude=0.05, k_max=1)
+    Fb = random_field(rng, N, amplitude=0.05)
+    Fc = random_field(rng, N, amplitude=0.05)
     b, c = Fb.A, Fc.a
     psi = np.zeros((8, 3, N, N, N))
     psi[0:3] = b

@@ -401,7 +401,7 @@ def test_run_binds_ten_monitor_classes(monkeypatch, split):
     bound = []
     exact = kwlab.flow.bind_monitor_densities
 
-    def counted(F, Z, FZ, ring, i, dens, tmp, rows=None):
+    def counted(F, Z, FZ, ring, i, dens, tmp, rows=slice(None)):
         bound.append((i, rows))
         return exact(F, Z, FZ, ring, i, dens, tmp, rows)
 
@@ -412,8 +412,8 @@ def test_run_binds_ten_monitor_classes(monkeypatch, split):
         monkeypatch.setattr(kwlab.flow, "SLAB_SPLIT_MIN_POINTS", 0)
     F = random_field(np.random.default_rng(21), 8, amplitude=1e-3)
     run_flow(F, FlowConfig(dt=0.05 * F.h, steps=1))
-    slabs = [None] if not split else [slice(0, 4), slice(4, 8)]
-    assert sorted(bound, key=lambda b: (b[0], b[1] and b[1].start)) == [
+    slabs = [slice(None)] if not split else [slice(0, 4), slice(4, 8)]
+    assert sorted(bound, key=lambda b: (b[0], b[1].start or 0)) == [
         (i, r) for i in range(10) for r in slabs]
 
 
@@ -658,8 +658,8 @@ def _slab_runs(monkeypatch, F, cfg):
     rows.clear()
     density_rows.clear()
     whole = run_flow(F, cfg)
-    assert rows == [None] * len(rows)
-    assert density_rows == [None] * len(whole.times)
+    assert rows == [slice(None)] * len(rows)
+    assert density_rows == [slice(None)] * len(whole.times)
     assert one_scratch()
     return split, whole, split_rows
 

@@ -11,6 +11,8 @@ from kwlab.algebra import coeff_bracket, coeff_norm as norm, coeffs_to_su2
 SIGMA = np.eye(3)  # sigma coefficients of sigma1, sigma2, sigma3
 from kwlab.backgrounds import ModelBackground
 
+P0 = np.array([1.0]), np.array([0.7 + 0.2j])  # the model suite's point, a one-point set
+
 
 def test_theta_examples():
     ms = model.ModelSolution(1)
@@ -28,8 +30,7 @@ def test_theta_examples():
 
 def test_nahm_pole_member():
     ms = model.ModelSolution(0)
-    p = model.FieldPoint(t=0.7, z=0.5 + 0.3j)
-    ev = model.evaluate(ms, p.t, p.z)
+    ev = model.evaluate(ms, 0.7, 0.5 + 0.3j)
     assert abs(ev.alpha + 1.0 / (2 * 0.7)) < 1e-14
     assert abs(norm(ev.phi) - 1.0 / (math.sqrt(2) * 0.7)) < 1e-13
     for i, field in enumerate((ev.a1, ev.a2, ev.a3)):
@@ -41,9 +42,28 @@ def test_nahm_pole_member():
 def test_m0_curvature_vanishes_widely():
     ms = model.ModelSolution(0)
     rng = np.random.default_rng(3)
-    for p in model.sample_points(rng, 100):
-        ev = model.evaluate(ms, p.t, p.z)
+    for t, z in zip(*model.sample_points(rng, 100)):
+        ev = model.evaluate(ms, t, z)
         assert max(norm(ev.B3), norm(ev.E1), norm(ev.E2)) < 1e-14
+
+
+def test_sample_points_draw_order():
+    # seed 4's seventh candidate falls inside the excluded disk; every
+    # candidate draws t, Re z, Im z, and every accepted one an unread x3
+    rng = np.random.default_rng(4)
+    ts, zs, rejected = [], [], 0
+    while len(ts) < 200:
+        t, zr, zi = rng.uniform(0.1, 3.0), rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)
+        if abs(complex(zr, zi)) < model.SAMPLING_AXIS_EXCLUSION:
+            rejected += 1
+            continue
+        rng.uniform(0, 2 * math.pi)
+        ts.append(t)
+        zs.append(complex(zr, zi))
+    assert rejected == 1
+    t, z = model.sample_points(np.random.default_rng(4), 200)
+    assert t.dtype == float and z.dtype == complex and t.shape == z.shape == (200,)
+    assert np.array_equal(t, ts) and np.array_equal(z, zs)
 
 
 def _assert_close(batched, single):
@@ -81,16 +101,14 @@ def test_batched_evaluation_matches_pointwise(m):
 @pytest.mark.parametrize("m", [0, 1, 2, 3])
 def test_reduced_equations(m):
     ms = model.ModelSolution(m)
-    p = model.FieldPoint(1.0, 0.7 + 0.2j)
-    res = model.verify_reduced_eqs(ms, [p], 1e-4)
+    res = model.verify_reduced_eqs(ms, *P0, 1e-4)
     assert max(res.values()) < 1e-8
 
 
 def test_reduced_equations_richardson():
     ms = model.ModelSolution(2)
-    p = model.FieldPoint(1.0, 0.7 + 0.2j)
-    r1 = model.verify_reduced_eqs(ms, [p], 1e-4)
-    r2 = model.verify_reduced_eqs(ms, [p], 5e-5)
+    r1 = model.verify_reduced_eqs(ms, *P0, 1e-4)
+    r2 = model.verify_reduced_eqs(ms, *P0, 5e-5)
     for k in r1:
         if r2[k] > 1e-14:
             assert abs(r1[k] / r2[k] - 4.0) < 0.5
@@ -102,8 +120,7 @@ def test_reduced_equations_truncation_dominates(m):
     # the model suite's pair (1e-3, 5e-4) truncation, not round-off, sets
     # the residuals (the worst |ratio - 4| here is 3.2e-3)
     ms = model.ModelSolution(m)
-    p = model.FieldPoint(1.0, 0.7 + 0.2j)
-    res = [model.verify_reduced_eqs(ms, [p], h) for h in (1e-3, 5e-4, 2.5e-4)]
+    res = [model.verify_reduced_eqs(ms, *P0, h) for h in (1e-3, 5e-4, 2.5e-4)]
     for coarse, fine in zip(res, res[1:]):
         for k in coarse:
             if fine[k] > 1e-14:
@@ -113,11 +130,11 @@ def test_reduced_equations_truncation_dominates(m):
 def test_b3_negative_control():
     # deleting the |phi|^2 term must leave an O(1) residual
     ms = model.ModelSolution(1)
-    p = model.FieldPoint(1.0, 0.7 + 0.2j)
-    ev = model.evaluate(ms, p.t, p.z)
-    h = 1e-4 * min(p.t, abs(p.z))
-    ap = model.evaluate(ms, p.t + h, p.z).alpha
-    am = model.evaluate(ms, p.t - h, p.z).alpha
+    t, z = 1.0, 0.7 + 0.2j
+    ev = model.evaluate(ms, t, z)
+    h = 1e-4 * min(t, abs(z))
+    ap = model.evaluate(ms, t + h, z).alpha
+    am = model.evaluate(ms, t - h, z).alpha
     dadt = (ap - am) / (2 * h)
     broken = norm(ev.B3 - dadt * SIGMA[2])
     assert broken > 1e-2
@@ -135,9 +152,8 @@ def test_b3_negative_control():
 @settings(max_examples=40, deadline=None)
 def test_scaling_equivariance_property(t, z1, z2, lam, m):
     ms = model.ModelSolution(m)
-    p = model.FieldPoint(t, complex(z1, z2 + 0.3))
-    q = model.FieldPoint(lam * t, lam * p.z)
-    ev, evq = model.evaluate(ms, p.t, p.z), model.evaluate(ms, q.t, q.z)
+    z = complex(z1, z2 + 0.3)
+    ev, evq = model.evaluate(ms, t, z), model.evaluate(ms, lam * t, lam * z)
     assert np.max(np.abs(lam * evq.a1 - ev.a1)) < 1e-12
     assert np.max(np.abs(lam * evq.a3 - ev.a3)) < 1e-12
     assert abs(evq.Aphi - ev.Aphi) < 1e-12
@@ -147,7 +163,7 @@ def test_scaling_equivariance_property(t, z1, z2, lam, m):
 @pytest.mark.parametrize("m", [0, 1, 3])
 def test_property_report(m):
     rng = np.random.default_rng(7 + m)
-    rep = model.verify_properties(model.ModelSolution(m), model.sample_points(rng, 150))
+    rep = model.verify_properties(model.ModelSolution(m), *model.sample_points(rng, 150))
     assert -(m + 1) - 1e-12 <= rep["alpha_scaled_min"]
     assert rep["alpha_scaled_max"] <= -1 + 1e-12
     assert rep["dalpha_dt_min"] > 0
@@ -182,16 +198,16 @@ def test_sigma3_covariantly_constant():
 
 def test_case4():
     ms = model.ModelSolution(1)
-    p = model.FieldPoint(1.0, 0.7 + 0.2j)
+    t, z = 1.0, 0.7 + 0.2j
     for pdeg in (1, 2):
-        rep = model.case4_solution(ms, pdeg, p, 1e-4)
+        rep = model.case4_solution(ms, pdeg, t, z, 1e-4)
         assert rep["res_t"] < 1e-7 and rep["res_dbar"] < 1e-7
         assert abs(rep["ray_exponent"] - (pdeg + 1)) < 1e-3
     with pytest.raises(ValueError):
-        model.case4_solution(ms, 0, p, 1e-4)
+        model.case4_solution(ms, 0, t, z, 1e-4)
     # the pairing section lands in L^-
     from kwlab.algebra import l_decompose
-    sig = model.case4_section(ms, 1, p.t, p.z)
+    sig = model.case4_section(ms, 1, t, z)
     d = l_decompose(coeffs_to_su2(sig))
     assert np.max(np.abs(d.plus)) < 1e-12 and abs(d.zero) < 1e-12
 
@@ -206,8 +222,8 @@ def test_model_suite_passes_at_large_m(m):
 
 def test_case4_pairing_normalization():
     ms = model.ModelSolution(2)
-    p = model.FieldPoint(0.9, 0.5 + 0.1j)
-    sig = model.case4_section(ms, 3, p.t, p.z)
-    phi = model.evaluate(ms, p.t, p.z).phi
+    t, z = 0.9, 0.5 + 0.1j
+    sig = model.case4_section(ms, 3, t, z)
+    phi = model.evaluate(ms, t, z).phi
     pairing = np.sum(phi * sig)  # -1/2 trace(phi sig)
-    assert abs(pairing - p.z ** 3) < 1e-12
+    assert abs(pairing - z ** 3) < 1e-12

@@ -146,7 +146,8 @@ def test_symbol_eigenvalues():
 
 def test_linearized_decay_zero_mode_guard():
     rng = np.random.default_rng(2)
-    mv = random_mode_vector(rng, 1, include_zero=True)
+    mv = random_mode_vector(rng, 1)
+    mv.coeffs[[tuple(k) for k in mv.ks].index((0, 0, 0))] = rng.normal(size=(8, 3))
     with pytest.raises(ValueError):
         linearized_decay(1, mv, T=1.0, dt=0.1)
 

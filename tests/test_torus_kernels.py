@@ -307,14 +307,14 @@ def test_cs_functional_matches_the_b_field_formula(field):
     assert abs(cs_functional(F) - want) <= 1e-13 * abs(want)
 
 
-def curvature_six_products(F, Z=None, out=None, rows=None, scratch=None):
+def curvature_six_products(F, Z=None, out=None, rows=slice(None), scratch=None):
     """F_Z as six TorusField.deriv calls, each of one form component with
     every coefficient, and a comm per cyclic (k, i, j): the same arithmetic
     as curvature, in the order it adds the terms; bind_curvature's
     arguments, each optional.  Every row at once: rows, bind_curvature's x1
-    slab, must be None, and the scratch it would share between slabs goes
-    unused."""
-    assert rows is None
+    slab, must be slice(None), and the scratch it would share between
+    slabs goes unused."""
+    assert rows == slice(None)
     if Z is None:
         Z = complex_connection(F)
     if out is None:
@@ -350,7 +350,7 @@ def _count_deriv(monkeypatch):
     calls = []
     exact = TorusField.bind_deriv
 
-    def counted(self, f, i, out, rows=None):
+    def counted(self, f, i, out, rows=slice(None)):
         calls.append(i)
         return exact(self, f, i, out, rows)
 
@@ -373,7 +373,7 @@ def swap_x2_scratch_slots(monkeypatch):
     and the six-product loop are untouched."""
     exact = TorusField.bind_deriv
 
-    def swapped(self, f, i, out, rows=None):
+    def swapped(self, f, i, out, rows=slice(None)):
         if i == 1 and len(out) == 2:
             out = out[::-1]
         return exact(self, f, i, out, rows)

@@ -231,7 +231,7 @@ EXP_TRACE = flow.FlowTrace(TS, 1 - np.exp(-3 * TS), 3 * np.exp(-3 * TS), *[0 * T
 PLANE_WAVE = modes.ModeVector(modes.k_lattice(1), np.zeros((27, 8, 3), complex))
 PLANE_WAVE.coeffs[[tuple(k) for k in PLANE_WAVE.ks].index((1, 0, 0))] = 1.0
 # the model suite's point for reduced_equations_order
-P_ORDER = model.FieldPoint(1.0, 0.7 + 0.2j)
+P_ORDER = np.array([1.0]), np.array([0.7 + 0.2j])
 T, Z = np.array([0.4, 1.0, 2.5]), np.array([0.3 + 0.2j, -1.0 + 0.5j, 2.0 - 1.0j])
 FLOW_DATA = torus.random_field(np.random.default_rng(2), 8, amplitude=0.05)
 
@@ -244,7 +244,7 @@ WITNESSES = {
     "curvature": (e_factor_too_large, ("model", {}), {"curvature_decay", "reduced_equations"},
                   lambda: model.evaluate(model.ModelSolution(1), T, Z).E1),
     "t_difference": (t_difference_leans_forward, ("model", {}), {"reduced_equations_order"},
-                     lambda: model.verify_reduced_eqs(model.ModelSolution(1), [P_ORDER],
+                     lambda: model.verify_reduced_eqs(model.ModelSolution(1), *P_ORDER,
                                                       1e-3)["dt_phi"]),
     "U": (u_off_normalization, ("clifford", {}), {"u_orthogonal"},
           lambda: op.omega_apply(BG, SEC, P0, 1e-5)),
@@ -327,7 +327,7 @@ def test_first_order_residual_hides_under_the_largest_ratio(monkeypatch):
     # order metric before max |ratio - 4|, passed them
     t_difference_leans_forward(monkeypatch, lean=1e-2)
     ms = model.ModelSolution(1)
-    r1, r2 = (model.verify_reduced_eqs(ms, [P_ORDER], h) for h in (1e-3, 5e-4))
+    r1, r2 = (model.verify_reduced_eqs(ms, *P_ORDER, h) for h in (1e-3, 5e-4))
     ratios = [r1[k] / r2[k] for k in r1]
     assert abs(max(ratios) - 4.0) < 1e-3 and min(ratios) < 2.1
     check = {c.check_id: c for c in run_suite("model", seed=0).checks}[
