@@ -14,10 +14,11 @@ x1 slabs on a machine with two CPUs), this script's copies for both trees,
 all`` reaches model:1 alone), ``kwlab model --m M --seed S`` at m = 0, 2
 and 3 and the same seeds (``kwlab all`` runs the model suite at m = 1),
 and each extra ``--cmd`` given.  Their stdout, exit code and, for the flow
-runs, trace.csv and summary.json must be identical.  The first difference
-of each output is named: the check (or JSON field) whose entry differs in
-a JSON report, else the line of a text file, with its byte offset.  Exits
-0 when every output is identical and 1 otherwise.
+runs, trace.csv and summary.json must be identical.  Each differing output
+is named with the line and byte offset of its first difference and, in a
+JSON report, every check (or JSON field) whose entry differs, with both
+values of each differing field: a check's metric in both trees.  Exits 0
+when every output is identical and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -51,43 +52,51 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
-def _json_path(x, y, path=()):
-    """The path to the first differing value of two JSON values, naming a
-    checks entry by its check_id; None when they are equal."""
+def _json_diffs(x, y, path=()):
+    """(path, x value, y value) of every differing value of two JSON values,
+    naming a checks entry by its check_id; a value on one side only reads
+    None on the other."""
     if type(x) is not type(y):
-        return path
+        return [(path, x, y)]
     if isinstance(x, dict):
+        diffs = []
         for key in list(x) + [k for k in y if k not in x]:
-            if key not in x or key not in y:
-                return path + (key,)
-            found = _json_path(x[key], y[key], path + (key,))
-            if found is not None:
-                return found
-        return None
+            if key in x and key in y:
+                diffs += _json_diffs(x[key], y[key], path + (key,))
+            else:
+                diffs.append((path + (key,), x.get(key), y.get(key)))
+        return diffs
     if isinstance(x, list):
+        diffs = []
         for i, (u, v) in enumerate(zip(x, y)):
             name = u.get("check_id", i) if isinstance(u, dict) else i
-            found = _json_path(u, v, path + (name,))
-            if found is not None:
-                return found
-        return None if len(x) == len(y) else path + (min(len(x), len(y)),)
-    return None if x == y else path
+            diffs += _json_diffs(u, v, path + (name,))
+        n = min(len(x), len(y))
+        if len(x) != len(y):
+            diffs.append((path + (n,), x[n:] or None, y[n:] or None))
+        return diffs
+    return [] if x == y else [(path, x, y)]
 
 
-def first_difference(a: bytes, b: bytes) -> str | None:
-    """Where two outputs first differ, or None when they are identical."""
+def differences(a: bytes, b: bytes) -> list[str]:
+    """Where two outputs differ, empty when they are identical: the first
+    differing byte and, for JSON, every differing entry, one line each with
+    both values of each differing field (a check's metric among them)."""
     if a == b:
-        return None
+        return []
     offset = next((i for i, (u, v) in enumerate(zip(a, b)) if u != v), min(len(a), len(b)))
     line = a[:offset].count(b"\n") + 1
-    where = f"byte {offset}, line {line}"
+    lines = [f"byte {offset}, line {line}"]
     try:
-        path = _json_path(json.loads(a), json.loads(b))
+        diffs = _json_diffs(json.loads(a), json.loads(b))
     except ValueError:
-        return where
-    if path:
-        where += ", at " + "/".join(map(str, path))
-    return where
+        return lines
+    entries = {}
+    for path, u, v in diffs:
+        where, field = (path[:-1], path[-1]) if path else ((), "value")
+        entries.setdefault(where, []).append(f"{field} {json.dumps(u)} against {json.dumps(v)}")
+    return lines + [f"at {'/'.join(map(str, where)) or 'top level'}: {', '.join(fields)}"
+                    for where, fields in entries.items()]
 
 
 def run(tree: Path, args: list[str], cwd: Path) -> dict:
@@ -115,11 +124,12 @@ def compare(trees: list[Path], args: list[str]) -> list[str]:
     codes = a.pop("exit code"), b.pop("exit code")
     diffs = [f"exit code: {codes[0]} against {codes[1]}"] if codes[0] != codes[1] else []
     for name in list(a) + [k for k in b if k not in a]:
-        where = first_difference(a.get(name, b""), b.get(name, b""))
         if name not in a or name not in b:
-            where = "written by one tree only"
-        if where is not None:
-            diffs.append(f"{name}: {where}")
+            diffs.append(f"{name}: written by one tree only")
+            continue
+        where = differences(a[name], b[name])
+        if where:
+            diffs += [f"{name}: {where[0]}"] + [f"    {w}" for w in where[1:]]
     return diffs
 
 

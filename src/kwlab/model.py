@@ -104,6 +104,14 @@ def profile_factors(m: int, th: np.ndarray) -> dict[str, np.ndarray]:
     }
 
 
+def _power(base, n: int) -> np.ndarray:
+    """base ** n, taken on an array of at least one dimension: numpy takes
+    the power of a 0-d operand on its scalar path, which rounds otherwise,
+    so a single point would not get the bits it gets inside a batch."""
+    base = np.asarray(base)
+    return (np.atleast_1d(base) ** n).reshape(base.shape)
+
+
 def fields(ms: ModelSolution, t: np.ndarray, z: np.ndarray) -> dict[str, np.ndarray]:
     """Vectorized evaluation of every scalar field at (t, z) arrays.
 
@@ -124,10 +132,10 @@ def fields(ms: ModelSolution, t: np.ndarray, z: np.ndarray) -> dict[str, np.ndar
     th = np.arcsinh(t / r_safe)
     pf = profile_factors(ms.m, th)
     alpha = pf["alpha_factor"] / (2.0 * t)
-    phase = np.where(on_axis, 1.0 if ms.m == 0 else 0.0, (z / r_safe) ** ms.m)
+    phase = np.where(on_axis, 1.0 if ms.m == 0 else 0.0, _power(z / r_safe, ms.m))
     phi_coef = pf["phi_factor"] / (2.0 * t) * phase
-    b3 = pf["b3_factor"] / x ** 2
-    e_coef = pf["e_factor"] / x ** 3
+    b3 = pf["b3_factor"] / _power(x, 2)
+    e_coef = pf["e_factor"] / _power(x, 3)
     a_phi = pf["Aphi"]
     if np.any(on_axis):
         th = np.where(on_axis, np.inf, th)

@@ -25,21 +25,24 @@ The formal L2 adjoint is D^dag = -grad_t + gamma_i grad_i + rho_i [a_i, .].
 Also here: the Weitzenbock remainder X of D^dag D (an 8x8 grid of su(2)
 entries of shape (..., 8, 8, 3) acting by commutator, rows/columns 3 and 8
 identically zero), the radial factorization operator Omega on x3-invariant
-sections, the automorphism Y with D Y = -Y D^dag, and quadrature checks
-(adjoint duality, the Pythagoras split of |D psi|^2, and the identification
-of the spatial part with the complexified exterior-derivative complex).
+sections, the automorphism Y with D Y = -Y D^dag, the quadrature checks of
+adjoint duality and of the Pythagoras split of |D psi|^2 (on a periodic box
+(t, x), separated in t and x: ``box_quadrature``), and the identification
+of the spatial part with the complexified exterior-derivative complex.
 The spatial part's symbol at a constant background is ``clifford.fiber_symbol``.
 
 Sections are given by values (``FuncSection``, differenced at a step h) or
 are the exact test fields ``TrigSection``, sums of amplitude x Gaussian x
 cos(k.x + phase), whose ``jet`` gives the value and its four derivatives
-from one evaluation.
+from one evaluation, and whose ``separated`` splits each term with a
+t-envelope into its t-factor and its x-part.
 
 A background (``backgrounds``) is read through its two guarded reads, each
 of which refuses a point outside its domain: ``fields`` (A, a), once per
 ``covariant_grads`` (which returns them with the jet, so that its callers
-read no second copy) and once in each of ``omega_apply`` and
-``spatial_identification``, and ``x_fields``, once per ``x_blocks``.
+read no second copy), once in each of ``omega_apply`` and
+``spatial_identification`` and once per quadrature box, on its x-grid, and
+``x_fields``, once per ``x_blocks``.
 """
 
 from __future__ import annotations
@@ -86,12 +89,6 @@ OP_TABLE = [
     [_D(2, 1), _D(1, -1), None, _A(3, -1), _A(2, -1), _A(1, 1), _T, _D(3, -1)],
     [_A(1, -1), _A(2, -1), _A(3, -1), None, _D(1, 1), _D(2, 1), _D(3, 1), _T],
 ]
-
-
-def _pair(u, v):
-    """Pointwise spinor pairing sum_slots <u_s, v_s> (Hermitian form):
-    1/2 trace(u_s^dag v_s) = sum_a conj(u_sa) v_sa in the sigma basis."""
-    return np.sum((u.conj() * v).real, axis=(-2, -1))
 
 
 def spinor_max(v) -> float:
@@ -151,13 +148,21 @@ class TrigSection:
         self._widths = np.array(widths)
         self.envelope = envelope
 
+    def _envelopes(self, E):
+        """Per-term offsets (..., terms, envelope) of the envelope
+        coordinates E (..., envelope) and the Gaussians (..., terms)."""
+        d = E[..., None, :] - self._centers
+        return d, np.exp(-np.sum(d * d, axis=-1) / (2 * self._widths * self._widths))
+
+    def _phases_at(self, x):
+        """Per-term phases k.x + phase (..., terms) at spatial points x (..., 3)."""
+        return np.einsum("...i,ji->...j", x, self._ks) + self._phases
+
     def _terms_at(self, P):
         """Per-term envelope offsets (..., terms, envelope), Gaussians and
         phases k.x + phase (..., terms)."""
         P = np.asarray(P, dtype=float)
-        d = P[..., None, :self.envelope] - self._centers
-        g = np.exp(-np.sum(d * d, axis=-1) / (2 * self._widths * self._widths))
-        return d, g, np.einsum("...i,ji->...j", P[..., 1:], self._ks) + self._phases
+        return *self._envelopes(P[..., :self.envelope]), self._phases_at(P[..., 1:])
 
     def value(self, P):
         _, g, arg = self._terms_at(P)
@@ -176,6 +181,41 @@ class TrigSection:
         # the spatial rows add the trig derivative, onto the envelope's
         w[..., 1:, :] += (-g * np.sin(arg))[..., None, :] * self._ks.T
         return _superpose(g * cos, self._amps), _superpose(w, self._amps)
+
+    def separated(self, t, x, h: float | None = None):
+        """The terms split into t-factors and x-factors, amp_j g_j(t) c_j(x)
+        with c_j = cos(k_j.x + phase_j), for a section whose envelope reads t
+        alone (envelope <= 1; a wider one raises ValueError).
+
+        Returns (g, dg, c, dc): g_j and d g_j/dt at the nodes t, each
+        (nodes, terms), and c_j with its three spatial derivatives at the
+        points x (N, 3), (terms, N) and (terms, N, 3).  The derivatives are
+        exact when h is None, otherwise centred differences at step h: of
+        g_j in t and of c_j along each x_i.  ``amplitudes`` gives the amp_j.
+        """
+        if self.envelope > 1:
+            raise ValueError(f"an envelope over {self.envelope} coordinates reads x, "
+                             "so the terms do not separate in t and x")
+        t = np.asarray(t, dtype=float)[:, None]
+
+        def envelopes(s):  # offsets and Gaussians at the nodes s (nodes, 1)
+            return self._envelopes(s[:, :self.envelope])
+
+        d, g = envelopes(t)
+        arg = self._phases_at(x).T
+        if h is None:
+            # d has one column, or none for a periodic section (then dg = 0)
+            dg = -np.sum(d, axis=-1) / (self._widths * self._widths) * g
+            dc = -np.sin(arg)[..., None] * self._ks[:, None, :]
+        else:
+            dg = (envelopes(t + h)[1] - envelopes(t - h)[1]) / (2 * h)
+            dc = _centred(np.cos(self._phases_at(_neighbours(x, h))), h).T
+        return g, dg, np.cos(arg), dc
+
+    @property
+    def amplitudes(self):
+        """The terms' amplitudes amp_j, (terms, 8, 3)."""
+        return self._amps.reshape(-1, 8, 3)
 
 
 def random_section(rng: np.random.Generator, center=(1.0, 0.0, 0.0),
@@ -230,10 +270,11 @@ def covariant_grads(bg, sec, P, h: float | None):
 
 
 def _neighbours(P, h: float):
-    """The eight points P + h e_mu, P - h e_mu for mu = t, 1, 2, 3, stacked in
-    that order on a new leading axis, as ``_centred`` reads them."""
-    Q = np.repeat(P[None], 8, axis=0)
-    for mu in range(4):
+    """The points P + h e_mu, P - h e_mu for each coordinate mu of P (eight
+    for P = (t, x1, x2, x3)), stacked in that order on a new leading axis, as
+    ``_centred`` reads them."""
+    Q = np.repeat(P[None], 2 * P.shape[-1], axis=0)
+    for mu in range(P.shape[-1]):
         Q[2 * mu, ..., mu] += h
         Q[2 * mu + 1, ..., mu] -= h
     return Q
@@ -241,8 +282,8 @@ def _neighbours(P, h: float):
 
 def _centred(stack, h: float):
     """Centred differences of values at ``_neighbours``, direction on axis -3."""
-    return np.stack([(stack[2 * mu] - stack[2 * mu + 1]) / (2 * h) for mu in range(4)],
-                    axis=-3)
+    return np.stack([(stack[2 * mu] - stack[2 * mu + 1]) / (2 * h)
+                     for mu in range(len(stack) // 2)], axis=-3)
 
 
 def _add_connection(A, val, grads):
@@ -572,51 +613,122 @@ def y_intertwine(bg, sec, p, h: float) -> float:
 
 
 def _box_grid(t_range, nt, nx):
-    """Trapezoid nodes in t times the periodic nx^3 grid on the torus of side 2 pi."""
+    """Trapezoid nodes t and weights wt, the periodic nx^3 grid x (nx^3, 3)
+    on the torus of side 2 pi, and its cell volume."""
     L = 2 * math.pi
     t = np.linspace(t_range[0], t_range[1], nt)
     xs = np.arange(nx) * (L / nx)
-    T, X1, X2, X3 = np.meshgrid(t, xs, xs, xs, indexing="ij")
-    P = np.stack([T, X1, X2, X3], axis=-1)
+    x = np.stack(np.meshgrid(xs, xs, xs, indexing="ij"), axis=-1).reshape(-1, 3)
     wt = np.full(nt, t_range[1] - t_range[0]) / (nt - 1)
     wt[0] *= 0.5
     wt[-1] *= 0.5
-    vol_x = (L / nx) ** 3
-    return P, wt, vol_x
+    return t, wt, x, (L / nx) ** 3
 
 
-def _box_integral(f, wt, vol_x) -> float:
-    """Trapezoid in t (weights wt on the leading axis) times the periodic cell volume."""
-    return float(np.sum(np.einsum("t...,t->t...", f, wt)) * vol_x)
+def _box_background(bg, t, x):
+    """The background's (A, a) on the x-grid, from one guarded ``fields``
+    read at the first and the last t-node; a background that reads
+    differently there does not separate, and raises ValueError."""
+    ends = np.concatenate([np.broadcast_to(t[[0, -1], None, None], (2, len(x), 1)),
+                           np.broadcast_to(x, (2,) + x.shape)], axis=-1)
+    A, a = bg.fields(ends)
+    if not (np.array_equal(A[0], A[1]) and np.array_equal(a[0], a[1])):
+        raise ValueError("the box needs a t-independent background; this one reads "
+                         "differently at the first and the last t-node")
+    return A[0], a[0]
+
+
+def _box_pieces(sec, c, dc, A):
+    """The x-parts X_j = amp_j c_j of a block of sec's terms
+    amp_j g_j(t) c_j(x), from its x-factors c and dc
+    (``TrigSection.separated``), and the jets (val, grads) of their two
+    pieces per term, stacked on a leading axis of 2 terms: the t-pieces
+    (t-row X_j, coefficient g'_j), then the spatial pieces (value X_j, its
+    spatial jet with the connection A added, coefficient g_j)."""
+    amps = sec.amplitudes[:, None]
+    n = len(amps)
+    val = np.zeros((2 * n,) + c.shape[1:] + (8, 3))
+    X = val[n:]
+    X[...] = c[..., None, None] * amps
+    # held direction-major, so that each direction the gathers read is one
+    # contiguous block
+    grads = np.zeros((4,) + val.shape)
+    grads[0, :n] = X
+    grads[1:, n:] = np.moveaxis(dc, -1, 0)[..., None, None] * amps
+    grads = np.moveaxis(grads, 0, -3)
+    _add_connection(A, X, grads[n:])
+    return X, val, grads
+
+
+def _gram(u, v):
+    """G_ab = sum_x <u_a, v_b>, the Gram matrix of two stacks of real basis
+    fields (terms, points, 8, 3) over their points.
+
+    The pairings at each point (24 products each) are one batched matmul,
+    and their sum over the points one pairwise ``np.sum`` along a contiguous
+    axis: about 1e-16 relative, where one BLAS product over the flattened
+    fields (12288 products per entry on an 8^3 grid) reads up to 8e-15.
+    """
+    n = u.shape[1]
+    per_point = np.matmul(u.reshape(len(u), n, -1).transpose(1, 0, 2),
+                          v.reshape(len(v), n, -1).transpose(1, 2, 0))
+    return np.ascontiguousarray(np.moveaxis(per_point, 0, -1)).sum(axis=-1)
+
+
+# grid points per block of the box's x-grid: one block's pieces (0.7 MB for
+# 3 terms) stay in cache, and the box holds one block's at a time (a box of
+# the suite peaks at 2.6 MB under tracemalloc, the slice loop at 4.0 MB)
+_BOX_BLOCK = 128
 
 
 def box_quadrature(bg, psi, xi, t_range=(0.5, 3.5), nt=40, nx=8,
                    h: float | None = None) -> dict:
     """Both quadrature checks of the split D = grad_t + L, D^dag = -grad_t + L,
-    from one pass over a periodic box: {"duality_gap": float, "pythagoras":
-    {"lhs", "rhs", "rel_gap"}}, as ``duality_gap(bg, psi, xi, ...)`` and
+    over a periodic box: {"duality_gap": float, "pythagoras": {"lhs", "rhs",
+    "rel_gap"}}, as ``duality_gap(bg, psi, xi, ...)`` and
     ``pythagoras_gap(bg, psi, ...)`` return them.
 
-    One t-slice at a time, psi and xi are evaluated once each, D psi and
-    L psi (dt_sign 0) are assembled from one set of psi's signed gathers
-    (``_clifford_sums``) and D^dag xi by ``_assemble_clifford``, and the
-    six pair densities that the two checks read are stored: <D psi, xi>,
-    <psi, D^dag xi>, |D psi|^2, |xi|^2, |grad_t psi|^2 and |L psi|^2.  Each
-    is integrated once at the end (trapezoid in t, exact trapezoid in the
-    periodic directions).  The gradients of the whole box (16 MB at nt = 40,
-    nx = 8) are never held.
+    The box separates in t and x: psi and xi are ``TrigSection``s whose
+    envelopes read t alone, and the background reads the same at every
+    t-node (its ``fields`` are read once, on the x-grid; ``_box_background``
+    refuses one that differs at the first and the last node).  Each term
+    amp_j g_j(t) c_j(x) is evaluated once per box (``TrigSection.separated``),
+    its t-factor on the nt nodes and its x-factor on the nx^3 grid.  One
+    block of ``_BOX_BLOCK`` grid points at a time, its x-part X_j = amp_j c_j
+    is split into a t-piece and a spatial piece (``_box_pieces``), D psi
+    and L psi (dt_sign 0) of every piece come from one set of signed
+    gathers (``_clifford_sums``), D^dag xi from one ``_assemble_clifford``,
+    and the block adds to the Gram matrices (``_gram``) of the basis fields
+    that the six integrals pair: <D psi, xi>, <psi, D^dag xi>, |D psi|^2,
+    |xi|^2, |grad_t psi|^2 and |L psi|^2.  Each integral is then the form
+    vol_x sum_t wt[t] k(t)^T G k'(t) of its Gram matrix G (exact trapezoid
+    in the periodic directions) with the pieces' coefficients k (trapezoid
+    in t).  The derivatives are exact when h is None, otherwise centred
+    differences at step h.
     """
-    P, wt, vol_x = _box_grid(t_range, nt, nx)
-    pairs = np.empty((6,) + P.shape[:-1])
-    for i, Q in enumerate(P):
-        psival, grads, _, a = covariant_grads(bg, psi, Q, h)
-        xival, xigrads, _, _ = covariant_grads(bg, xi, Q, h)
-        dpsi, lpsi = _clifford_sums(psival, grads, a, (1.0, 0.0))
-        ddagxi = _assemble_clifford(xival, xigrads, a, dt_sign=-1.0)
-        tpsi = grads[..., 0, :, :]
-        pairs[:, i] = (_pair(dpsi, xival), _pair(psival, ddagxi), _pair(dpsi, dpsi),
-                       _pair(xival, xival), _pair(tpsi, tpsi), _pair(lpsi, lpsi))
-    i1, i2, dpsi_sq, xi_sq, tpsi_sq, lpsi_sq = (_box_integral(f, wt, vol_x) for f in pairs)
+    t, wt, x, vol_x = _box_grid(t_range, nt, nx)
+    A, a = _box_background(bg, t, x)
+    for sec in (psi, xi):
+        if not isinstance(sec, TrigSection):
+            raise ValueError(f"the box separates TrigSection terms in t and x, not a "
+                             f"{type(sec).__name__}")
+    gpsi, dgpsi, cpsi, dcpsi = psi.separated(t, x, h)
+    gxi, dgxi, cxi, dcxi = xi.separated(t, x, h)
+    blocks = []
+    for start in range(0, len(x), _BOX_BLOCK):
+        b = slice(start, start + _BOX_BLOCK)
+        xpsi, *jet = _box_pieces(psi, cpsi[:, b], dcpsi[:, b], A[b])
+        dpsi, lpsi = _clifford_sums(*jet, a[b], (1.0, 0.0))
+        xxi, *jet = _box_pieces(xi, cxi[:, b], dcxi[:, b], A[b])
+        ddagxi = _assemble_clifford(*jet, a[b], dt_sign=-1.0)
+        blocks.append([_gram(u, v) for u, v in (
+            (dpsi, xxi), (xpsi, ddagxi), (dpsi, dpsi), (xxi, xxi), (xpsi, xpsi), (lpsi, lpsi))])
+    # the pieces' coefficients (g', g); grad_t psi's on the x-parts are g'
+    kpsi, kxi = np.concatenate([dgpsi, gpsi], axis=-1), np.concatenate([dgxi, gxi], axis=-1)
+    i1, i2, dpsi_sq, xi_sq, tpsi_sq, lpsi_sq = (
+        vol_x * float(np.sum((wt[:, None] * cu) @ sum(G) * cv))
+        for cu, G, cv in zip((kpsi, gpsi, kpsi, gxi, dgpsi, kpsi), zip(*blocks),
+                             (gxi, kxi, kpsi, gxi, dgpsi, kpsi)))
     scale = math.sqrt(dpsi_sq * xi_sq)
     rhs = tpsi_sq + lpsi_sq
     return {"duality_gap": abs(i1 - i2) / scale if scale > 0 else abs(i1 - i2),
@@ -628,8 +740,9 @@ def duality_gap(bg, psi, xi, t_range=(0.5, 3.5), nt=40, nx=8,
                 h: float | None = None) -> float:
     """| int <D psi, xi> - int <psi, D^dag xi> | over a periodic box, relative
     to its Cauchy-Schwarz bound sqrt(int |D psi|^2 int |xi|^2), read from
-    ``box_quadrature``'s one pass.  operator_suite calls box_quadrature; this
-    name is kept for tests and for the benchmark's span tracer.
+    ``box_quadrature`` (so psi, xi and bg must separate in t and x there).
+    operator_suite calls box_quadrature; this name is kept for tests and for
+    the benchmark's span tracer.
 
     psi and xi should decay at both t endpoints (Gaussian t-envelopes well
     inside the range).  The check only has teeth when int <D psi, xi> is not
@@ -642,11 +755,12 @@ def duality_gap(bg, psi, xi, t_range=(0.5, 3.5), nt=40, nx=8,
 
 def pythagoras_gap(bg, psi, t_range=(0.5, 3.5), nt=40, nx=8) -> dict:
     """For t-independent backgrounds: int |D psi|^2 against
-    int |grad_t psi|^2 + int |L psi|^2 (cross term drops by symmetry of the
-    spatial part); returns both sides and the relative gap, read from
-    ``box_quadrature``'s one pass with psi in xi's place.  operator_suite calls
+    int |grad_t psi|^2 + int |L psi|^2 (the cross term 2 int <grad_t psi,
+    L psi> drops by symmetry of the spatial part, for psi decaying at both t
+    ends); returns both sides and the relative gap, read from
+    ``box_quadrature`` with psi in xi's place.  operator_suite calls
     box_quadrature; this name is kept for tests and for the benchmark's span
-    tracer.  The whole pass runs, so it also checks the background's domain
+    tracer.  The whole box runs, so it also refuses what does not separate
     and assembles a D^dag psi that it does not read.
     """
     return box_quadrature(bg, psi, psi, t_range, nt, nx)["pythagoras"]

@@ -180,30 +180,52 @@ def test_duality_quadrature():
     assert op.duality_gap(bgt, psi, eta, t_range=(0.0, 4.0), nt=40, nx=8, h=1e-5) < 1e-6
 
 
+def _pair(u, v):
+    """Pointwise spinor pairing sum_slots <u_s, v_s> (Hermitian form):
+    1/2 trace(u_s^dag v_s) = sum_a conj(u_sa) v_sa in the sigma basis."""
+    return np.sum((u.conj() * v).real, axis=(-2, -1))
+
+
+def _trapezoid(f, wt, vol_x) -> float:
+    """Trapezoid in t (weights wt on the leading axis) times the periodic cell volume."""
+    return float(np.sum(np.einsum("t...,t->t...", f, wt)) * vol_x)
+
+
 def _two_slice_loops(bg, psi, xi, t_range, nt, nx, h):
     """box_quadrature's two results from the form it replaces: one slice loop
-    per check, each taking covariant_grads and _assemble_clifford per slice."""
-    P, wt, vol_x = op._box_grid(t_range, nt, nx)
+    per check, each taking covariant_grads and _assemble_clifford per slice
+    of the box's (t, x) grid, and the pair densities summed in t then x."""
+    t, wt, x, vol_x = op._box_grid(t_range, nt, nx)
+    P = np.concatenate([np.broadcast_to(t[:, None, None], (nt, len(x), 1)),
+                        np.broadcast_to(x, (nt,) + x.shape)], axis=-1)
     dual = np.empty((4,) + P.shape[:-1])
     for i, Q in enumerate(P):
         psival, grads, _, a = op.covariant_grads(bg, psi, Q, h)
         dpsi = op._assemble_clifford(psival, grads, a)
         xival, grads, _, _ = op.covariant_grads(bg, xi, Q, h)
         ddagxi = op._assemble_clifford(xival, grads, a, dt_sign=-1.0)
-        dual[:, i] = (op._pair(dpsi, xival), op._pair(psival, ddagxi),
-                      op._pair(dpsi, dpsi), op._pair(xival, xival))
+        dual[:, i] = (_pair(dpsi, xival), _pair(psival, ddagxi),
+                      _pair(dpsi, dpsi), _pair(xival, xival))
     pyth = np.empty((3,) + P.shape[:-1])
     for i, Q in enumerate(P):
         val, grads, _, a = op.covariant_grads(bg, psi, Q, h)
         dpsi = op._assemble_clifford(val, grads, a)
         lpsi = op._assemble_clifford(val, grads, a, dt_sign=0.0)
         tpsi = grads[..., 0, :, :]
-        pyth[:, i] = op._pair(dpsi, dpsi), op._pair(tpsi, tpsi), op._pair(lpsi, lpsi)
-    i1, i2, dpsi_sq, xi_sq = (op._box_integral(f, wt, vol_x) for f in dual)
-    lhs, tpsi_sq, lpsi_sq = (op._box_integral(f, wt, vol_x) for f in pyth)
+        pyth[:, i] = _pair(dpsi, dpsi), _pair(tpsi, tpsi), _pair(lpsi, lpsi)
+    i1, i2, dpsi_sq, xi_sq = (_trapezoid(f, wt, vol_x) for f in dual)
+    lhs, tpsi_sq, lpsi_sq = (_trapezoid(f, wt, vol_x) for f in pyth)
     rhs = tpsi_sq + lpsi_sq
     return {"duality_gap": abs(i1 - i2) / math.sqrt(dpsi_sq * xi_sq),
             "pythagoras": {"lhs": lhs, "rhs": rhs, "rel_gap": abs(lhs - rhs) / abs(lhs)}}
+
+
+def _assert_box_near(got, want, tol):
+    """lhs and rhs within tol relative, duality_gap and rel_gap within tol."""
+    for side in ("lhs", "rhs"):
+        assert abs(got["pythagoras"][side] / want["pythagoras"][side] - 1) <= tol, side
+    assert abs(got["duality_gap"] - want["duality_gap"]) <= tol
+    assert abs(got["pythagoras"]["rel_gap"] - want["pythagoras"]["rel_gap"]) <= tol
 
 
 def _suite_box(monkeypatch):
@@ -232,7 +254,10 @@ def _suite_box(monkeypatch):
 
 @pytest.mark.parametrize("data", ["suite", "torus-trig", "torus-trig-differenced"])
 def test_box_pass_equals_two_slice_loops(monkeypatch, data):
-    # one pass gives both checks the floats of one slice loop each
+    # the separated box adds the slice loops' trapezoid terms in another
+    # order: with exact jets the two agree to 2.7e-16 relative (lhs, rhs) and
+    # 2.3e-17 (duality_gap), and through differences at h = 1e-5, whose
+    # quotients amplify the round-off by 1/h, to 7.2e-14
     if data == "suite":
         _, [((bg, psi, xi), kwargs, _)] = _suite_box(monkeypatch)
         box = dict(kwargs, h=None)
@@ -243,20 +268,49 @@ def test_box_pass_equals_two_slice_loops(monkeypatch, data):
         xi = op.random_torus_section(rng, k_max=1, n_terms=3, t_center=2.0, t_width=0.35)
         box = dict(t_range=(0.0, 4.0), nt=40, nx=8,
                    h=1e-5 if data == "torus-trig-differenced" else None)
+    tol = 1e-14 if box["h"] is None else 1e-12
     want = _two_slice_loops(bg, psi, xi, **box)
-    assert op.box_quadrature(bg, psi, xi, **box) == want
-    assert op.duality_gap(bg, psi, xi, **box) == want["duality_gap"]
+    got = op.box_quadrature(bg, psi, xi, **box)
+    _assert_box_near(got, want, tol)
+    assert op.duality_gap(bg, psi, xi, **box) == got["duality_gap"]
     if box["h"] is None:
         pythagoras = op.pythagoras_gap(bg, psi, box["t_range"], box["nt"], box["nx"])
-        assert pythagoras == want["pythagoras"]
+        _assert_box_near({"duality_gap": 0.0, "pythagoras": pythagoras},
+                         {"duality_gap": 0.0, "pythagoras": want["pythagoras"]}, tol)
 
 
 def test_box_pass_call_counts(monkeypatch):
     # in one operator suite run the box makes two sets of signed gathers per
-    # t-slice: psi's, which give D psi and L psi, and xi's, for D^dag xi
+    # block of its 8^3 x-grid, whatever nt: psi's pieces, which give D psi
+    # and L psi, and xi's, for D^dag xi
     checks, [(_, kwargs, n_assembled)] = _suite_box(monkeypatch)
     assert all(c.status == "pass" for c in checks)
-    assert n_assembled == 2 * kwargs["nt"]
+    assert (kwargs["nt"], kwargs["nx"], op._BOX_BLOCK) == (40, 8, 128)
+    assert n_assembled == 2 * 4
+
+
+@pytest.mark.parametrize("refused", ["t-dependent background", "envelope reads x",
+                                     "not a TrigSection"])
+def test_box_refuses_what_does_not_separate(refused):
+    # the box reads the background once and each term once: a background
+    # that changes along t, an envelope over x, or a section known only by
+    # its values would be integrated wrongly, so each is refused
+    rng = np.random.default_rng(3)
+    bg = TorusTrigBackground(DUALITY_TERMS)
+    psi = op.random_torus_section(rng, k_max=1, n_terms=2, t_center=2.0, t_width=0.35)
+    xi = psi
+    if refused == "t-dependent background":
+        bg = NahmBackground()
+        message = "reads differently at the first and the last t-node"
+    elif refused == "envelope reads x":
+        xi = op.random_section(rng, center=(2.0, 0.0, 0.0))
+        message = "envelope over 3 coordinates reads x"
+    else:
+        xi = op.FuncSection(psi.value)
+        message = "not a FuncSection"
+    with pytest.raises(ValueError, match=message) as raised:
+        op.box_quadrature(bg, psi, xi, t_range=(0.5, 3.5), nt=5, nx=4)
+    assert "\n" not in str(raised.value)
 
 
 def _per_term_fields(terms, P, i=None):
@@ -809,10 +863,21 @@ def test_one_evaluation_per_jet_consumer(monkeypatch):
     assert len(calls) == 1
     op.x_blocks(TorusTrigBackground(DUALITY_TERMS), P)
     assert len(calls) == 1 + 1
-    # the box pass reads one jet of psi and one of xi per t-slice
+    # the box reads no point jet: it separates psi and xi once each,
+    # whatever nt
+    separations = []
+    separated = op.TrigSection.separated
+
+    def counted_separation(self, *args):
+        separations.append(1)
+        return separated(self, *args)
+
+    monkeypatch.setattr(op.TrigSection, "separated", counted_separation)
     psi = op.random_torus_section(rng, k_max=1, n_terms=2, t_center=2.0, t_width=0.35)
-    op.box_quadrature(TrivialBackground(), psi, psi, t_range=(0.0, 4.0), nt=5, nx=4)
-    assert len(calls) == 1 + 1 + 2 * 5
+    for nt in (5, 40):
+        op.box_quadrature(TrivialBackground(), psi, psi, t_range=(0.0, 4.0), nt=nt, nx=4)
+    assert len(calls) == 1 + 1
+    assert len(separations) == 2 + 2
 
 
 def _count_evaluations(monkeypatch):

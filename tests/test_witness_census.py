@@ -85,7 +85,8 @@ CENSUS = {
     "operator.spatial_identification": ("witness", "clifford_table"),
     "operator.adjoint_duality":
         ("test", "test_operator::test_adjoint_duality_check_catches_wrong_adjoint"),
-    "operator.norm_split": ("reason", UNPLANTED + "0.0 against 1e-9"),
+    "operator.norm_split":
+        ("reason", UNPLANTED + "round-off, 0.0 to 2.4e-16 against 1e-9 over seeds 0-20"),
     "operator.symbol_spectrum": ("witness", "symbol"),
     "operator.mode_symbol": ("witness", "connection_sign"),
     "spectral.hardy_halfline": ("reason", UNPLANTED + "3.92 against its constant 4"),
