@@ -13,8 +13,11 @@ x1 slabs on a machine with two CPUs), this script's copies for both trees,
 (trivial, nahm, model:1, model:2 and model:3, at seeds 0 and 5; ``kwlab
 all`` reaches model:1 alone), ``kwlab model --m M --seed S`` at m = 0, 2
 and 3 and the same seeds (``kwlab all`` runs the model suite at m = 1),
-and each extra ``--cmd`` given.  Their stdout, exit code and, for the flow
-runs, trace.csv and summary.json must be identical.  Each differing output
+each mode of ``kwlab spectral`` (``hardy``, ``exclusion --case`` b3ct, case2
+and case3, ``hemisphere --mesh 2000 --out`` and ``ode --lambda 1.0 --k 1.0
+--out``), and each extra ``--cmd`` given.  Their stdout, exit code and every
+file they write (the flow runs' trace.csv and summary.json, the spectral
+modes' CSV) must be identical.  Each differing output
 is named with the line and byte offset of its first difference and, in a
 JSON report, every check (or JSON field) whose entry differs, with both
 values of each differing field: a check's metric in both trees.  Exits 0
@@ -41,6 +44,13 @@ OPERATOR_RUNS = [["operator", "--background", bg, "--seed", seed]
 # the model suite at the m that `kwlab all` does not run (it runs m = 1)
 MODEL_RUNS = [["model", "--m", m, "--seed", seed]
               for m in ("0", "2", "3") for seed in ("0", "5")]
+# the spectral modes, each run alone, with their CSV outputs
+SPECTRAL_RUNS = ([["spectral", "hardy"]]
+                 + [["spectral", "exclusion", "--case", case]
+                    for case in ("b3ct", "case2", "case3")]
+                 + [["spectral", "hemisphere", "--mesh", "2000", "--out", "hemisphere.csv"],
+                    ["spectral", "ode", "--lambda", "1.0", "--k", "1.0",
+                     "--out", "radial_ode.csv"]])
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -102,7 +112,7 @@ def differences(a: bytes, b: bytes) -> list[str]:
 def run(tree: Path, args: list[str], cwd: Path) -> dict:
     """The outputs of `kwlab ARGS` run from tree's sources in cwd: its
     stdout, its exit code and every file it wrote there."""
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    env = dict(os.environ, PYTHONPATH=str(tree.resolve() / "src"))
     proc = subprocess.run([sys.executable, "-m", "kwlab", *args], cwd=cwd, env=env,
                           stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
     outputs = {"exit code": proc.returncode, "stdout": proc.stdout}
@@ -143,7 +153,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     runs = ([["all", "--seed", str(s)] for s in args.seeds]
             + [["flow", "run", "--config", str(c), "--out", "flow"] for c in CONFIGS]
-            + OPERATOR_RUNS + MODEL_RUNS
+            + OPERATOR_RUNS + MODEL_RUNS + SPECTRAL_RUNS
             + [shlex.split(c) for c in args.cmd])
     differing = 0
     for cmd in runs:

@@ -36,6 +36,7 @@ quadratic response is therefore probed with nonconstant 1-form-slot inputs.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -70,7 +71,11 @@ class ModeVector:
         self.coeffs = np.asarray(self.coeffs, dtype=complex)
         if self.coeffs.shape != (len(self.ks), 8, 3):
             raise ValueError("coeffs must have shape (n_modes, 8, 3)")
-        self._index = {tuple(k): i for i, k in enumerate(self.ks)}
+
+    @functools.cached_property
+    def _index(self) -> dict:
+        """{tuple(k): row} of ks, built on first read."""
+        return {tuple(k): i for i, k in enumerate(self.ks)}
 
     def reality_defect(self) -> float:
         worst = 0.0
@@ -102,11 +107,11 @@ class ModeVector:
         return out.real
 
 
-def from_grid(field8: np.ndarray, k_max: int, L: float = 2 * math.pi) -> ModeVector:
-    """Truncated Fourier data of a real grid field (8, 3, N, N, N)."""
+def from_grid(field8: np.ndarray, ks: np.ndarray, L: float = 2 * math.pi) -> ModeVector:
+    """Fourier data of a real grid field (8, 3, N, N, N) at the integer
+    wavevectors ks (n, 3), a k_lattice for truncated data."""
     N = field8.shape[-1]
     fk = np.fft.fftn(field8, axes=(-3, -2, -1), norm="forward")
-    ks = k_lattice(k_max)
     i0, i1, i2 = (ks % N).T
     return ModeVector(ks, fk[..., i0, i1, i2].transpose(2, 0, 1), L)
 
@@ -246,7 +251,7 @@ def kuranishi_w(phi: ModeVector, k_max: int) -> tuple[ModeVector, dict]:
 
     def image(w):
         """(1 - Pi0) trunc #(phi + w): the projected quadratic image."""
-        out = from_grid(quadratic_map_grid(phig + w.to_grid(N)), k_max, phi.L).coeffs
+        out = from_grid(quadratic_map_grid(phig + w.to_grid(N)), ks, phi.L).coeffs
         out[kernel] = 0.0
         return out
 

@@ -44,13 +44,16 @@ def _trapz(y, x):
     return float(np.trapezoid(y, x))
 
 
+def _halfline_quotient(fv, dv, grid, grid2) -> float:
+    """int f^2/t^2 dt over int f'^2 dt from f, f' and t^2 on grid."""
+    return _trapz(fv * fv / grid2, grid) / _trapz(dv * dv, grid)
+
+
 def hardy_halfline_ratio(f: Callable, df: Callable, grid=None) -> float:
     """int f^2/t^2 dt over int f'^2 dt on (0, inf); the sharp constant is 4."""
     if grid is None:
         grid = np.geomspace(1e-10, 60.0, 20000)
-    fv = f(grid)
-    dv = df(grid)
-    return _trapz(fv * fv / grid ** 2, grid) / _trapz(dv * dv, grid)
+    return _halfline_quotient(f(grid), df(grid), grid, grid ** 2)
 
 
 def hardy_near_extremal_sweep() -> dict:
@@ -58,33 +61,33 @@ def hardy_near_extremal_sweep() -> dict:
 
     The mass integral behaves like Gamma(2 eps) ~ 1/(2 eps), so the grid has
     to reach far below machine-scale t to capture it; the integrand powers
-    stay well inside double range.
+    stay well inside double range.  e^{-t} and t^2 are taken once for the
+    grid, t^p once per eps.
     """
     grid = np.geomspace(1e-90, 90.0, 40000)
+    decay = np.exp(-grid)
+    grid2 = grid ** 2
     out = {}
     for eps in (0.2, 0.1, 0.05, 0.02, 0.01):
         p = 0.5 + eps
-
-        def f(t, p=p):
-            return t ** p * np.exp(-t)
-
-        def df(t, p=p):
-            return (p * t ** (p - 1) - t ** p) * np.exp(-t)
-
-        out[eps] = hardy_halfline_ratio(f, df, grid=grid)
+        tp = grid ** p
+        out[eps] = _halfline_quotient(tp * decay, (p * grid ** (p - 1) - tp) * decay,
+                                      grid, grid2)
     return out
 
 
-def hardy_cone_ratio(a: float = 1.0, s: float = 1.0) -> float:
-    """int psi^2/x^2 over int |grad psi|^2 for psi = t^a exp(-x^2/(2 s^2))
-    on the half-space t > 0 (x3-invariant); the constant is 4/9.
+def hardy_cone_ratio(s: float, powers) -> dict:
+    """{a: int psi^2/x^2 over int |grad psi|^2} for psi = t^a exp(-x^2/(2 s^2))
+    at each a in powers, on the half-space t > 0 (x3-invariant); the
+    constant is 4/9.
 
     2D trapezoid quadrature in (t, r) with the measure 2 pi r dr dt, on the
     same 600 nodes up to 8 s along each axis.  psi = t^a e^{-t^2/2s^2} .
     e^{-r^2/2s^2} and both its gradient terms are products of 1D factors, so
     the energy is a sum of products of 1D trapezoids; the one factor that does
     not separate is 1/x^2 = 1/(t^2 + r^2), and the mass is one weighted
-    product u . K . v with K = 1/(t_i^2 + r_j^2), the only 2D array.
+    product u . K . v with K = 1/(t_i^2 + r_j^2), the only 2D array, built
+    once for every power.
     """
     x = np.linspace(1e-6, 8.0 * s, 600)  # the t nodes and the r nodes
     dx = np.diff(x)
@@ -92,28 +95,37 @@ def hardy_cone_ratio(a: float = 1.0, s: float = 1.0) -> float:
     w[:-1] += dx / 2
     w[1:] += dx / 2
     gauss = np.exp(-x * x / (2 * s * s))
-    # the t factors of psi^2 and (d psi/dt)^2, and the r factors of psi^2 and
-    # (d psi/dr)^2 with the measure r dr (2 pi cancels in the ratio)
-    mass_t = w * (x ** a * gauss) ** 2
-    grad_t = w * ((a * x ** (a - 1) - x ** (a + 1) / s ** 2) * gauss) ** 2
+    # the r factors of psi^2 and (d psi/dr)^2 with the measure r dr (2 pi
+    # cancels in the ratio)
     mass_r = w * x * gauss * gauss
     grad_r = w * x * (x / s ** 2 * gauss) ** 2
     kernel = np.add.outer(x * x, x * x)
     np.divide(1.0, kernel, out=kernel)  # K = 1/x^2, in place
-    num = mass_t @ kernel @ mass_r
-    den = grad_t.sum() * mass_r.sum() + mass_t.sum() * grad_r.sum()
-    return float(num / den)
+    out = {}
+    for a in powers:
+        # the t factors of psi^2 and (d psi/dt)^2
+        mass_t = w * (x ** a * gauss) ** 2
+        grad_t = w * ((a * x ** (a - 1) - x ** (a + 1) / s ** 2) * gauss) ** 2
+        num = mass_t @ kernel @ mass_r
+        den = grad_t.sum() * mass_r.sum() + mass_t.sum() * grad_r.sum()
+        out[a] = float(num / den)
+    return out
 
 
-def hardy_profile_ratio(kappa: float = 1.0) -> float:
-    """int f^2/sinh^2 over int f'^2/cosh^2 on (0, inf) for f = tanh^kappa;
-    bounded by 4 for bounded f vanishing at 0."""
+def hardy_profile_ratio(kappas) -> dict:
+    """{kappa: int f^2/sinh^2 over int f'^2/cosh^2} on (0, inf) for
+    f = tanh^kappa at each kappa in kappas; bounded by 4 for bounded f
+    vanishing at 0.  tanh, sinh^2 and cosh^2 are taken once for the grid."""
     th = np.geomspace(1e-8, 40.0, 40000)
-    f = np.tanh(th) ** kappa
-    df = kappa * np.tanh(th) ** (kappa - 1) / np.cosh(th) ** 2
-    num = _trapz(f * f / np.sinh(th) ** 2, th)
-    den = _trapz(df * df / np.cosh(th) ** 2, th)
-    return num / den
+    tanh = np.tanh(th)
+    sinh2 = np.sinh(th) ** 2
+    cosh2 = np.cosh(th) ** 2
+    out = {}
+    for kappa in kappas:
+        f = tanh ** kappa
+        df = kappa * tanh ** (kappa - 1) / cosh2
+        out[kappa] = _trapz(f * f / sinh2, th) / _trapz(df * df / cosh2, th)
+    return out
 
 
 def hardy_suite() -> dict:
@@ -122,8 +134,8 @@ def hardy_suite() -> dict:
     base = hardy_halfline_ratio(lambda t: t * np.exp(-t),
                                 lambda t: np.exp(-t) * (1 - t))
     sweep = hardy_near_extremal_sweep()
-    cone = max(hardy_cone_ratio(a, s) for a in (1.0, 2.0) for s in (0.7, 1.0, 1.6))
-    profile = max(hardy_profile_ratio(k) for k in (1.0, 2.0, 4.0))
+    cone = max(r for s in (0.7, 1.0, 1.6) for r in hardy_cone_ratio(s, (1.0, 2.0)).values())
+    profile = max(hardy_profile_ratio((1.0, 2.0, 4.0)).values())
     return {
         "halfline": {
             "constant": 4.0,
@@ -419,6 +431,36 @@ def _block_solve(p: np.ndarray, k: float, x_span, y0):
     return sol
 
 
+def _dense_read(sol, s: np.ndarray) -> np.ndarray:
+    """sol.sol(s) of a DOP853 result at the 1D points s, in one vectorized
+    pass over every point, bit for bit: (states, points).
+
+    Each point takes the segment scipy's OdeSolution gives it (searchsorted
+    on ts_sorted with its side, clipped to the segments, mirrored for an
+    inward run), and the interpolants' recurrence runs on all points at
+    once, as Dop853DenseOutput runs it on each segment's: y += F_j, then
+    y *= x or y *= 1 - x, for the coefficients F_j from the last, then
+    y += y_old, with x = (s - t_old) / h.  The coefficients are gathered one
+    at a time.  It reads the interpolants' F, t_old, h and y_old, which
+    tests/test_spectral.py holds to sol.sol.
+    """
+    ode = sol.sol
+    parts = ode.interpolants
+    seg = np.searchsorted(ode.ts_sorted, s, side=ode.side) - 1
+    np.clip(seg, 0, ode.n_segments - 1, out=seg)
+    if not ode.ascending:
+        seg = ode.n_segments - 1 - seg
+    x = ((s - np.array([p.t_old for p in parts])[seg])
+         / np.array([p.h for p in parts])[seg])[:, None]
+    F = np.stack([p.F for p in parts])  # (segments, coefficients, states)
+    y = np.zeros((s.size, F.shape[2]))
+    for i in range(F.shape[1]):
+        y += F[seg, -1 - i]
+        y *= x if i % 2 == 0 else 1 - x
+    y += np.stack([p.y_old for p in parts])[seg]
+    return y.T
+
+
 def radial_closed_form(kind: str, x, lam, k: float = 1.0):
     """The Bessel solutions (a, b) of the radial system; x and lam broadcast.
 
@@ -466,7 +508,7 @@ def radial_ode_solve(lam: float, k: float, x_range=None, init=None,
     sol = _block_solve(np.array([1.0 - lam]), k, (x0, x1), x0 * np.asarray(init, dtype=float))
 
     def ab(x):
-        return sol.sol(np.log(x)) / x
+        return _dense_read(sol, np.log(x)) / x
 
     xg = np.geomspace(min(x0, x1), max(x0, x1), n_out)
     a, b = ab(xg)
@@ -519,12 +561,12 @@ def radial_admissible(lams, k: float) -> list[dict]:
     y0 = x_max * np.concatenate(radial_closed_form("decaying", x_max, lam, k))
     sol = _block_solve(1.0 - lam, k, (x_max, x_min / 4.0), y0)
 
-    # the fit points and both integration grids, read in one dense-output call
+    # the fit points and both integration grids, read in one dense-output pass
     xs = np.geomspace(x_min, 100 * x_min, 60)
     grid1 = np.geomspace(x_min, x_max, 4000)
     grid2 = np.geomspace(x_min / 4.0, x_max, 4000)
     x_all = np.concatenate([xs, grid1, grid2])
-    fg = sol.sol(np.log(x_all)).reshape(2, lam.size, -1)
+    fg = _dense_read(sol, np.log(x_all)).reshape(2, lam.size, -1)
     g_all = np.sum(fg ** 2, axis=0)
     ab1 = fg[:, :, len(xs):len(xs) + len(grid1)] / grid1
     exact = np.array(radial_closed_form("decaying", grid1, lam[:, None], k))

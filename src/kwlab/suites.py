@@ -648,6 +648,52 @@ def constant_field_check() -> CheckResult:
         err, 1e-10)
 
 
+def abelian_rk4_oracle_check(F0: TorusField, trace: FlowTrace) -> CheckResult:
+    """A run_flow trace from sigma3-valued data F0 against its RK4
+    trajectory, mode by mode: the larger error of cs and of |grad|^2, each
+    relative to its largest value (inf for a run that does not complete).
+
+    On sigma3-valued data the flow is linear, d/dt (A, a) = (C a, C A), with
+    C the stencil curl, i q x . on the mode k, where q is the stencil symbol
+    (torus.stencil_symbol) of each component of k.  So u = A + a evolves by
+    e^{Ct} and w = A - a by e^{-Ct}, and RK4 multiplies the parts of u and w
+    in the eigenspaces +-|q| of C by R(+-dt |q|) a step, R(z) = 1 + z + z^2/2
+    + z^3/6 + z^4/24.  Per mode, |C P+- v|^2 = (|C v|^2 +- |q| <v, C v>) / 2
+    for v = u, w, so with G = |C P+ u|^2 + |C P- w|^2, the growing parts,
+    and D = |C P- u|^2 + |C P+ w|^2, the decaying ones, after n steps
+
+        cs         = L^3/4 sum_k (R(dt|q|)^2n G - R(-dt|q|)^2n D) / |q|,
+        |grad|^2   = L^3/2 sum_k (R(dt|q|)^2n G + R(-dt|q|)^2n D).
+
+    It reads no derivative matrix and none of run_flow's stepping.
+    """
+    N, L, dt = F0.N, F0.L, trace.meta["dt"]
+    s = stencil_symbol(F0.scheme, N, L, np.fft.fftfreq(N, 1.0 / N))
+    q = np.stack(np.meshgrid(s, s, s, indexing="ij"), axis=-1).reshape(-1, 3)
+    kq = np.linalg.norm(q, axis=1)
+    live = kq > 0  # C = 0 on the rest, which neither sum reads
+    q, kq = q[live], kq[live]
+    grow = decay = 0.0
+    for sign, v in ((1.0, F0.A + F0.a), (-1.0, F0.A - F0.a)):
+        vk = np.fft.fftn(v[:, -1], axes=(1, 2, 3), norm="forward").reshape(3, -1).T[live]
+        cv = 1j * np.cross(q, vk)
+        c2 = np.sum(np.abs(cv) ** 2, axis=1)
+        c1 = sign * kq * np.sum(vk.conj() * cv, axis=1).real
+        grow, decay = grow + (c2 + c1) / 2, decay + (c2 - c1) / 2
+    n2 = 2 * np.arange(len(trace.times))[:, None]
+    rp, rm = ((1 + z + z * z / 2 + z ** 3 / 6 + z ** 4 / 24) ** n2 for z in (dt * kq, -dt * kq))
+    want = (L ** 3 / 4 * (rp @ (grow / kq) - rm @ (decay / kq)),
+            L ** 3 / 2 * (rp @ grow + rm @ decay))
+    err = math.inf
+    if trace.meta["status"] == "completed":
+        err = max(float(np.max(np.abs(got - w)) / np.max(np.abs(w)))
+                  for got, w in zip((trace.cs, trace.grad_norm_sq), want))
+    return CheckResult.from_bound(
+        "abelian_rk4_oracle",
+        "on sigma3-valued data RK4 scales each helicity mode by R(+-dt|q|) a step: cs and |grad|^2",
+        err, 1e-12)
+
+
 def flow_smoke_suite(seed: int) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
     out = []
@@ -711,6 +757,7 @@ def flow_smoke_suite(seed: int) -> list[CheckResult]:
         "contraction_fixed_point", "quadratic fixed-point iteration contracts",
         diag["fixed_point_residual"], 1e-10,
         location=f"ratio {diag['max_ratio']:.3f}"))
+    out.append(abelian_rk4_oracle_check(Fd, tr))
     return out
 
 

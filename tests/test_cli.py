@@ -409,7 +409,7 @@ def test_spectral_exclusion_reports_uncovered(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("name,value", [
-    ("hardy_cone_ratio", lambda a, s: 0.5),                    # above its 4/9
+    ("hardy_cone_ratio", lambda s, powers: dict.fromkeys(powers, 0.5)),  # above its 4/9
     ("hardy_near_extremal_sweep", lambda: {0.1: 3.0}),         # short of 3.5
 ])
 def test_spectral_hardy_exit_follows_its_checks(monkeypatch, capsys, name, value):

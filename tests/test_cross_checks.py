@@ -100,7 +100,7 @@ def test_case_potentials_match_model_fields(m):
 
 
 def _apply_symbol_grid(psi_grid, k_max, N):
-    mv = from_grid(psi_grid, k_max)
+    mv = from_grid(psi_grid, k_lattice(k_max))
     out = ModeVector(mv.ks, mv.coeffs.copy(), mv.L)
     for i, k in enumerate(mv.ks):
         out.coeffs[i] = symbol(k) @ mv.coeffs[i]

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -60,7 +61,7 @@ def test_mode_vector_reality_and_grid():
     assert mv.reality_defect() < 1e-15
     grid = mv.to_grid(8)
     assert grid.shape == (8, 3, 8, 8, 8)
-    back = from_grid(grid, 1)
+    back = from_grid(grid, k_lattice(1))
     assert np.max(np.abs(back.coeffs - mv.coeffs)) < 1e-12
     # Parseval
     vol = (2 * math.pi) ** 3
@@ -314,6 +315,30 @@ def test_kuranishi_develops_function_slots():
     phi = random_mode_vector(rng, 1, scale=0.01, slots=[0, 1, 2, 4, 5, 6])
     w, _ = kuranishi_w(phi, 1)
     assert float(np.max(np.abs(w.coeffs[:, [3, 7]]))) > 0.0
+
+
+def test_kuranishi_reads_the_lattice_and_builds_the_index_once(monkeypatch):
+    # the iteration reads one k_lattice; only reality_defect and
+    # zero_mode_norm read a ModeVector's {k: row} index, so the call builds
+    # at most one (the input's), where each image built two
+    from kwlab import modes
+
+    phi = random_mode_vector(np.random.default_rng(0), 1, scale=0.01, slots=AA_SLOTS)
+    lattices, indexed = [], []
+    monkeypatch.setattr(modes, "k_lattice", lambda k_max: lattices.append(k_max)
+                        or k_lattice(k_max))
+    index = ModeVector._index.func
+
+    def counted(mv):
+        indexed.append(mv)
+        return index(mv)
+
+    prop = functools.cached_property(counted)
+    prop.__set_name__(ModeVector, "_index")
+    monkeypatch.setattr(ModeVector, "_index", prop)
+    _, diag = kuranishi_w(phi, 1)
+    assert diag["iterations"] > 10
+    assert lattices == [1] and len(indexed) <= 1
 
 
 def test_kuranishi_input_validation():

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -32,12 +33,33 @@ def test_hardy_scale_invariance():
 
 
 def test_hardy_cone_and_profile():
-    assert sp.hardy_cone_ratio(1.0, 1.0) <= 4.0 / 9.0
-    assert sp.hardy_cone_ratio(2.0, 0.7) <= 4.0 / 9.0
+    assert sp.hardy_cone_ratio(1.0, (1.0,))[1.0] <= 4.0 / 9.0
+    assert sp.hardy_cone_ratio(0.7, (2.0,))[2.0] <= 4.0 / 9.0
     # scale invariance in s
-    assert abs(sp.hardy_cone_ratio(1.0, 0.5) - sp.hardy_cone_ratio(1.0, 2.0)) < 1e-3
-    assert sp.hardy_profile_ratio(1.0) <= 4.0
-    assert sp.hardy_profile_ratio(3.0) <= 4.0
+    small, large = (sp.hardy_cone_ratio(s, (1.0,))[1.0] for s in (0.5, 2.0))
+    assert abs(small - large) < 1e-3
+    assert max(sp.hardy_profile_ratio((1.0, 3.0)).values()) <= 4.0
+
+
+def test_hardy_suite_shares_its_grid_functions(monkeypatch):
+    # one cone kernel K = 1/(t^2 + r^2) per s, for both powers (a kernel per
+    # (a, s) made 6), and one e^{-t} on the 40000-point near-extremal grid
+    # (two per eps made 10); the profile family takes no exp
+    calls = {"outer": 0, "exp": 0}
+
+    def outer(*args, **kwargs):
+        calls["outer"] += 1
+        return np.add.outer(*args, **kwargs)
+
+    def exp(x, *args, **kwargs):
+        calls["exp"] += np.size(x) == 40000
+        return np.exp(x, *args, **kwargs)
+
+    want = sp.hardy_suite()
+    monkeypatch.setattr(sp, "np", SimpleNamespace(
+        **{**vars(np), "exp": exp, "add": SimpleNamespace(outer=outer)}))
+    assert sp.hardy_suite() == want
+    assert calls == {"outer": 3, "exp": 1}
 
 
 def _hardy_cone_ratio_nested(a, s):
@@ -58,8 +80,8 @@ def _hardy_cone_ratio_nested(a, s):
 @pytest.mark.parametrize("a,s", [(a, s) for a in (1.0, 2.0) for s in (0.7, 1.0, 1.6)]
                          + [(1.0, 0.5), (1.0, 2.0)])
 def test_separable_cone_ratio_equals_nested_trapezoids(a, s):
-    assert sp.hardy_cone_ratio(a, s) == pytest.approx(_hardy_cone_ratio_nested(a, s),
-                                                      rel=1e-13, abs=0)
+    assert sp.hardy_cone_ratio(s, (a,))[a] == pytest.approx(_hardy_cone_ratio_nested(a, s),
+                                                            rel=1e-13, abs=0)
 
 
 def test_hemisphere_ground_state():
@@ -463,6 +485,34 @@ def _radial_admissible_per_grid(lam, k):
     return {"lambda": lam, "k": k, "admissible": bool(slope > -1.0 + 0.05 and growth < 0.05),
             "exponent_at_zero": slope, "fit_scatter": scatter, "extension_growth": growth,
             "x2dx_integral": i1, "closed_form_error": error}
+
+
+def _suite_radial_runs():
+    """The spectral suite's two radial integrations: the inward run of
+    lambda = 0, 1, 2 stacked, and the outward identity run."""
+    lam = np.array([0.0, 1.0, 2.0])
+    y0 = 14.0 * np.concatenate(sp.radial_closed_form("decaying", 14.0, lam, 1.0))
+    inward = sp._block_solve(1.0 - lam, 1.0, (14.0, 1e-4 / 4.0), y0)
+    outward = sp.radial_ode_solve(1.3, 0.8, (0.2, 8.0), init=[1.0, 0.3]).sol
+    return {"inward": inward, "outward": outward}
+
+
+@pytest.mark.parametrize("run", ["inward", "outward"])
+def test_dense_read_is_the_dense_output_bit_for_bit(run):
+    # _dense_read reads scipy's private F, t_old, h and y_old of each DOP853
+    # interpolant; a scipy that changes them fails here, not in a report.
+    # Unsorted points, every step point ts (both endpoints among them) and
+    # points just outside the span, which take the end segments
+    sol = _suite_radial_runs()[run]
+    ts = sol.sol.ts
+    lo, hi = min(ts[0], ts[-1]), max(ts[0], ts[-1])
+    rng = np.random.default_rng(0)
+    s = np.concatenate([rng.uniform(lo, hi, 500), ts, rng.permutation(ts),
+                        [lo - 1e-3, hi + 1e-3, ts[0], ts[-1]]])
+    want = sol.sol(s)
+    got = sp._dense_read(sol, s)
+    assert got.shape == want.shape
+    assert np.ascontiguousarray(got).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("k", [1.0, -5.0, 13.0])

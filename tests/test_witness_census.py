@@ -123,6 +123,7 @@ CENSUS = {
     "flow-smoke.constant_field_oracle": ("witness", "bracket_order"),
     "flow-smoke.single_mode_decay": ("witness", "symbol_modes"),
     "flow-smoke.contraction_fixed_point": ("witness", "symbol_modes"),
+    "flow-smoke.abelian_rk4_oracle": ("witness", "rk4_weights"),
 }
 
 

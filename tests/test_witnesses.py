@@ -9,6 +9,7 @@ a kwlab module holds it, as a wrong line in its body would.
 
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import sys
@@ -102,6 +103,20 @@ def flow_run_backwards(mp):
     # each RK4 stage steps against the flow, so cs falls
     adv = flow._advance
     plant(mp, adv, lambda Z, FZ, h, out: adv(Z, FZ, -h, out))
+
+
+def rk4_weights_1311(mp):
+    # k2 enters the RK4 sum three times and k3 once: weights 1, 3, 1, 1 in
+    # place of 1, 2, 2, 1, still six in sum.  run_flow binds k *= 2 for k2
+    # and then for k3 in each step list it builds, through flow.partial
+    weights = itertools.cycle((3, 1))
+
+    def weighted(fn, *args, **kwargs):
+        if fn is np.multiply and type(args[1]) is int:
+            args = (args[0], next(weights), *args[2:])
+        return functools.partial(fn, *args, **kwargs)
+
+    mp.setattr(flow, "partial", weighted)
 
 
 def curvature_brackets_reversed(mp):
@@ -290,6 +305,10 @@ WITNESSES = {
     "flow_step": (step_length_off_by_a_percent, ("flow-smoke", {}),
                   {"energy_identity", "two_rate_forms"},
                   lambda: flow.run_flow(FLOW_DATA, flow.FlowConfig(0.05 * FLOW_DATA.h, 5)).cs),
+    "rk4_weights": (rk4_weights_1311, ("flow-smoke", {}),
+                    {"abelian_rk4_oracle", "two_rate_forms", "linear_regime_rate",
+                     "constant_field_oracle"},
+                    lambda: flow.run_flow(FLOW_DATA, flow.FlowConfig(0.05 * FLOW_DATA.h, 5)).cs),
     "bracket_order": (curvature_brackets_reversed, ("flow-smoke", {}),
                       {"gradient_check", "gauge_invariance", "nahm_decay_exponent",
                        "constant_field_oracle"}, lambda: torus.curvature(FLOW_DATA)),
