@@ -23,9 +23,11 @@ the excluded lambda interval for each reduced sector.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -33,7 +35,9 @@ import numpy as np
 from . import model
 
 # scipy is imported inside the solvers that use it, so that importing kwlab
-# (and every command that runs no spectral solve) loads numpy alone
+# (and every command that runs no spectral solve) loads numpy alone; the
+# spectral solvers load scipy.special and scipy.linalg, and no command loads
+# scipy.integrate: the radial integrator steps DOP853 here (_dop853)
 
 
 # ---------------------------------------------------------------------------
@@ -370,13 +374,19 @@ def exclusion_report(case: str, m: int = 1) -> dict:
 # deviation from the Bessel-K pair at lambda = 0, 1, 2 reads 3.0e-9 at 1e-11
 # and 3.0e-10 at 1e-12, against the 1e-9 the closed-form tests allow
 _RADIAL_RTOL = 1e-12
+_RADIAL_ATOL = 1e-300
 _SQRT_MAX = math.sqrt(sys.float_info.max)  # the largest |x| whose square is finite
+# DOP853's step-size control (Hairer, Norsett, Wanner, Solving ODEs I, II.4
+# and II.10), as scipy's RungeKutta applies it: the new step is the old one
+# times SAFETY err^(-1/8), within [MIN_FACTOR, MAX_FACTOR]
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
+_ERROR_EXPONENT = -1 / 8  # the error estimator's order is 7
 
 
 @dataclass
 class RadialODEState:
-    """A radial solution sampled as (a, b) on x_grid; sol is the
-    integration of (f, g) in s = ln x, with its dense output."""
+    """A radial solution sampled as (a, b) on x_grid; sol is the DOP853Run
+    of (f, g) in s = ln x, whose dense output _dense_read reads."""
     lam: float
     k: float
     x_grid: np.ndarray
@@ -384,6 +394,158 @@ class RadialODEState:
     b: np.ndarray
     identity_residual: float = 0.0
     sol: object = field(default=None, repr=False)
+
+
+@functools.cache
+def _dop853_tableau():
+    """scipy's DOP853 coefficients, run from the file
+    scipy/integrate/_ivp/dop853_coefficients.py (numpy alone) without
+    loading scipy.integrate, whose package import brings scipy.optimize,
+    sparse and spatial: about 20 MB and 0.2 s a process.  A scipy without
+    that file raises ImportError naming the path."""
+    import importlib.util
+
+    import scipy
+
+    path = Path(scipy.__file__).parent / "integrate" / "_ivp" / "dop853_coefficients.py"
+    if not path.is_file():
+        raise ImportError(f"the DOP853 coefficients are not at {path}")
+    spec = importlib.util.spec_from_file_location("kwlab._dop853_coefficients", path)
+    tableau = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tableau)
+    return tableau
+
+
+@dataclass
+class DOP853Run:
+    """A DOP853 run: the step points t (t[0] the start) and, per step, its
+    dense output's t_old, h, y_old and seven coefficients F
+    (steps, 7, states).  overflow says the run stopped early, at
+    t[-1] = the point where max |y| reaches sqrt(max double)."""
+    t: np.ndarray
+    t_old: np.ndarray
+    h: np.ndarray
+    y_old: np.ndarray
+    F: np.ndarray
+    nfev: int
+    overflow: bool
+
+
+def _rms(x):
+    return np.linalg.norm(x) / x.size ** 0.5
+
+
+def _dop853(fun, t_span, y0) -> DOP853Run:
+    """solve_ivp(fun, t_span, y0, method="DOP853", rtol=_RADIAL_RTOL,
+    atol=_RADIAL_ATOL, dense_output=True), bit for bit: scipy's initial
+    step, Runge-Kutta step, 5/3 error norm, step control and dense-output
+    coefficients, with the same numpy operations in the same order
+    (tests/test_spectral.py holds every array and nfev to scipy's).  The
+    run stops after the first step where some |y| reaches sqrt(max double),
+    and t[-1] becomes the point where it does, as scipy's terminal event
+    puts it; a step size below the spacing of doubles raises RuntimeError."""
+    tab = _dop853_tableau()
+    n_stages = tab.N_STAGES
+    A, B, C = tab.A[:n_stages, :n_stages], tab.B, tab.C[:n_stages]
+    A_extra, C_extra = tab.A[n_stages + 1:], tab.C[n_stages + 1:]
+    rtol, atol = _RADIAL_RTOL, _RADIAL_ATOL
+    t0, t_bound = map(float, t_span)
+    direction = np.sign(t_bound - t0)
+    t, y = t0, y0
+    f = fun(t, y)
+
+    # the initial step (Solving ODEs I, II.4)
+    interval = abs(t_bound - t0)
+    scale = atol + np.abs(y) * rtol
+    d0, d1 = _rms(y / scale), _rms(f / scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, interval)
+    f1 = fun(t0 + h0 * direction, y + h0 * direction * f)
+    d2 = _rms((f1 - f) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 8)
+    h_abs = min(100 * h0, h1, interval)
+    nfev = 2
+
+    K_ext = np.empty((tab.N_STAGES_EXTENDED, y.size))
+    K = K_ext[:n_stages + 1]
+    ts, t_olds, hs, y_olds, Fs = [t0], [], [], [], []
+    done = overflow = False
+    while not (done or overflow):
+        min_step = 10 * np.abs(np.nextafter(t, direction * np.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise RuntimeError("integration failed: "
+                                   "Required step size is less than spacing between numbers.")
+            t_new = t + h_abs * direction
+            if direction * (t_new - t_bound) > 0:
+                t_new = t_bound
+            h = t_new - t
+            h_abs = np.abs(h)
+            K[0] = f
+            for s, (a, c) in enumerate(zip(A[1:], C[1:]), start=1):
+                K[s] = fun(t + c * h, y + np.dot(K[:s].T, a[:s]) * h)
+            y_new = y + h * np.dot(K[:-1].T, B)
+            f_new = fun(t + h, y_new)
+            K[-1] = f_new
+            nfev += n_stages
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            err5 = np.dot(K.T, tab.E5) / scale
+            err3 = np.dot(K.T, tab.E3) / scale
+            err5_2, err3_2 = np.linalg.norm(err5) ** 2, np.linalg.norm(err3) ** 2
+            if err5_2 == 0 and err3_2 == 0:
+                error = 0.0
+            else:
+                error = np.abs(h) * err5_2 / np.sqrt((err5_2 + 0.01 * err3_2) * len(scale))
+            if error < 1:
+                factor = (_MAX_FACTOR if error == 0
+                          else min(_MAX_FACTOR, _SAFETY * error ** _ERROR_EXPONENT))
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error ** _ERROR_EXPONENT)
+            rejected = True
+        t_old, y_old = t, y
+        t, y, f = t_new, y_new, f_new
+        done = direction * (t - t_bound) >= 0
+        # the dense output: three more stages, then seven coefficients
+        for s, (a, c) in enumerate(zip(A_extra, C_extra), start=n_stages + 1):
+            K_ext[s] = fun(t_old + c * h, y_old + np.dot(K_ext[:s].T, a[:s]) * h)
+        nfev += len(C_extra)
+        F = np.empty((tab.INTERPOLATOR_POWER, y.size))
+        delta_y = y - y_old
+        F[0] = delta_y
+        F[1] = h * K_ext[0] - delta_y
+        F[2] = 2 * delta_y - h * (f + K_ext[0])
+        F[3:] = h * np.dot(tab.D, K_ext)
+        ts.append(t)
+        t_olds.append(t_old)
+        hs.append(h)
+        y_olds.append(y_old)
+        Fs.append(F)
+        overflow = np.max(np.abs(y)) >= _SQRT_MAX
+    run = DOP853Run(t=np.array(ts), t_old=np.array(t_olds), h=np.array(hs),
+                    y_old=np.stack(y_olds), F=np.stack(Fs), nfev=nfev, overflow=overflow)
+    if overflow:
+        run.t[-1] = _overflow_point(run)
+    return run
+
+
+def _overflow_point(run: DOP853Run) -> float:
+    """The s on the run's last step where max |y| of the dense output
+    reaches sqrt(max double), by bisection to scipy's event tolerance
+    4 eps (1 + |s|)."""
+    below, above = run.t_old[-1], run.t[-1]
+    while abs(above - below) > 4 * sys.float_info.epsilon * (1 + abs(above)):
+        mid = 0.5 * (below + above)
+        if np.max(np.abs(_dense_read(run, np.array([mid])))) < _SQRT_MAX:
+            below = mid
+        else:
+            above = mid
+    return above
 
 
 def _block_rhs(p: np.ndarray, k: float):
@@ -398,7 +560,7 @@ def _block_rhs(p: np.ndarray, k: float):
     return rhs
 
 
-def _block_solve(p: np.ndarray, k: float, x_span, y0):
+def _block_solve(p: np.ndarray, k: float, x_span, y0) -> DOP853Run:
     """The one radial integrator: the blocks of every p in the array p,
     stacked, from x_span[0] to x_span[1] in s = ln x, starting from
     y0 = (f of each p, g of each p).  The result's dense output is in s.
@@ -408,56 +570,45 @@ def _block_solve(p: np.ndarray, k: float, x_span, y0):
     square overflows) or underflowed to all zeros, and at the first step
     where some |f| or |g| passes sqrt(max double), where the integration
     stops."""
-    from scipy.integrate import solve_ivp
-
     y0 = np.asarray(y0, dtype=float)
     if not np.all(np.abs(y0) <= _SQRT_MAX):
         raise RuntimeError("the start state's squares overflow double precision")
     if not np.any(y0):
         raise RuntimeError("the start state underflows to zero")
-
-    def leaves_range(s, y):
-        return _SQRT_MAX - np.max(np.abs(y))
-
-    leaves_range.terminal, leaves_range.direction = True, -1
-    sol = solve_ivp(_block_rhs(p, k), (math.log(x_span[0]), math.log(x_span[1])), y0,
-                    method="DOP853", rtol=_RADIAL_RTOL, atol=1e-300, dense_output=True,
-                    events=leaves_range)
-    if sol.status == 1:
+    run = _dop853(_block_rhs(p, k), (math.log(x_span[0]), math.log(x_span[1])), y0)
+    if run.overflow:
         raise RuntimeError("the solution's squares overflow double precision "
-                           f"from x = {math.exp(sol.t_events[0][0]):.3g} on")
-    if not sol.success:
-        raise RuntimeError(f"integration failed: {sol.message}")
-    return sol
+                           f"from x = {math.exp(run.t[-1]):.3g} on")
+    return run
 
 
-def _dense_read(sol, s: np.ndarray) -> np.ndarray:
-    """sol.sol(s) of a DOP853 result at the 1D points s, in one vectorized
-    pass over every point, bit for bit: (states, points).
+def _dense_read(run: DOP853Run, s: np.ndarray) -> np.ndarray:
+    """The run's dense output at the 1D points s, in one vectorized pass
+    over every point: (states, points), bit for bit what scipy's
+    OdeSolution gives.
 
-    Each point takes the segment scipy's OdeSolution gives it (searchsorted
-    on ts_sorted with its side, clipped to the segments, mirrored for an
-    inward run), and the interpolants' recurrence runs on all points at
-    once, as Dop853DenseOutput runs it on each segment's: y += F_j, then
-    y *= x or y *= 1 - x, for the coefficients F_j from the last, then
-    y += y_old, with x = (s - t_old) / h.  The coefficients are gathered one
-    at a time.  It reads the interpolants' F, t_old, h and y_old, which
-    tests/test_spectral.py holds to sol.sol.
+    Each point takes the segment OdeSolution gives it (searchsorted on the
+    ascending step points, side "left" for an outward run and "right",
+    mirrored, for an inward one, clipped to the segments), and the
+    interpolants' recurrence runs on all points at once, as
+    Dop853DenseOutput runs it on each segment's: y += F_j, then y *= x or
+    y *= 1 - x, for the coefficients F_j from the last, then y += y_old,
+    with x = (s - t_old) / h.  The coefficients are gathered one at a time.
     """
-    ode = sol.sol
-    parts = ode.interpolants
-    seg = np.searchsorted(ode.ts_sorted, s, side=ode.side) - 1
-    np.clip(seg, 0, ode.n_segments - 1, out=seg)
-    if not ode.ascending:
-        seg = ode.n_segments - 1 - seg
-    x = ((s - np.array([p.t_old for p in parts])[seg])
-         / np.array([p.h for p in parts])[seg])[:, None]
-    F = np.stack([p.F for p in parts])  # (segments, coefficients, states)
+    n = run.h.size
+    ascending = run.t[-1] >= run.t[0]
+    seg = np.searchsorted(run.t if ascending else run.t[::-1], s,
+                          side="left" if ascending else "right") - 1
+    np.clip(seg, 0, n - 1, out=seg)
+    if not ascending:
+        seg = n - 1 - seg
+    x = ((s - run.t_old[seg]) / run.h[seg])[:, None]
+    F = run.F
     y = np.zeros((s.size, F.shape[2]))
     for i in range(F.shape[1]):
         y += F[seg, -1 - i]
         y *= x if i % 2 == 0 else 1 - x
-    y += np.stack([p.y_old for p in parts])[seg]
+    y += run.y_old[seg]
     return y.T
 
 

@@ -1,9 +1,12 @@
-"""Start-up cost: scipy loads only when a spectral solver runs, and
-concurrent.futures not at all.
+"""Start-up cost: scipy loads only when a spectral solver runs,
+scipy.integrate and concurrent.futures not at all.
 
-Importing scipy.integrate takes most of a cold `import kwlab.cli`, and only
-the spectral solvers use it, so every other command must leave scipy
-unloaded.  concurrent.futures costs about 6 ms to import; the one thread
+Only the spectral solvers use scipy (scipy.special and scipy.linalg), so
+every other command must leave scipy unloaded.  The radial integrator steps
+DOP853 in kwlab with the coefficients run from scipy's file, so no command
+loads scipy.integrate, whose import brings scipy.optimize, sparse and
+spatial (about 20 MB and 0.2 s a process).  concurrent.futures costs about
+6 ms to import; the one thread
 kwlab starts (the second slab of a flow at N^3 >= flow.SLAB_SPLIT_MIN_POINTS)
 is a plain threading.Thread, so the import and a small flow leave it
 unloaded.  Each stage runs in one fresh interpreter, in order, and reports
@@ -62,7 +65,10 @@ def test_scipy_loads_only_for_the_spectral_solvers(tmp_path):
     loaded = result["loaded"]
     for stage in ("import", "verify algebra", "flow run"):
         assert loaded[stage] == [], f"{stage} loaded {loaded[stage]}"
-    assert "scipy.integrate" in loaded["verify spectral"]
+    assert {"scipy.special", "scipy.linalg"} <= set(loaded["verify spectral"])
+    for stage, modules in loaded.items():
+        integrate = [m for m in modules if m.startswith("scipy.integrate")]
+        assert integrate == [], f"{stage} loaded {integrate}"
     assert result["futures"] == {"import": [], "flow run": []}
     assert (tmp_path / "flow" / "summary.json").is_file()
     assert json.loads((tmp_path / "spectral.json").read_text())["n_fail"] == 0

@@ -23,6 +23,14 @@ def test_hardy_near_extremal_sweep():
     assert sweep[eps_sorted[0]] > sweep[eps_sorted[-1]]
 
 
+@pytest.mark.parametrize("eps,tol", [(0.2, 1e-14), (0.1, 1e-14), (0.05, 1e-9)])
+def test_hardy_near_extremal_sweep_closed_form(eps, tol):
+    # f = t^p e^{-t} with p = 1/2 + eps: both integrals are Gamma functions
+    # and the ratio is 2/p = 4/(1 + 2 eps); at eps = 0.02 and 0.01 the grid's
+    # lower cut at t = 1e-90 leaves part of the mass integral out
+    assert abs(sp.hardy_near_extremal_sweep()[eps] - 4.0 / (1.0 + 2.0 * eps)) < tol
+
+
 def test_hardy_scale_invariance():
     # the ratio is homogeneous of degree zero in f
     r1 = sp.hardy_halfline_ratio(lambda t: t * np.exp(-t), lambda t: np.exp(-t) * (1 - t))
@@ -285,25 +293,31 @@ def test_radial_identity_overflow_raises():
             sp.radial_ode_solve(100.0, 1.0)
 
 
+def _recorded_runs(monkeypatch):
+    """Record (fun, t_span, y0) and the result of every DOP853 run the
+    spectral solvers make."""
+    runs = []
+    dop853 = sp._dop853
+
+    def recorded(fun, t_span, y0):
+        runs.append(((fun, t_span, y0), dop853(fun, t_span, y0)))
+        return runs[-1][1]
+
+    monkeypatch.setattr(sp, "_dop853", recorded)
+    return runs
+
+
 def test_radial_solve_stops_where_the_squares_overflow(monkeypatch):
     # at lambda = 100 the state grows like x^99 from x = 0.1 and its squares
     # pass double range near x = 3.6: the integration stops there, after
     # about 29,200 evaluations, where running on to x = 10 took 37,499
-    import scipy.integrate
-
-    runs = []
-    exact = scipy.integrate.solve_ivp
-
-    def recorded(*args, **kwargs):
-        runs.append(exact(*args, **kwargs))
-        return runs[-1]
-
-    monkeypatch.setattr(scipy.integrate, "solve_ivp", recorded)
+    runs = _recorded_runs(monkeypatch)
     with pytest.raises(RuntimeError, match="overflow double precision from x = 3.61"):
         sp.radial_ode_solve(100.0, 1.0)
-    [sol] = runs
-    assert sol.status == 1 and sol.nfev < 30_000
-    assert np.max(np.abs(sol.y[:, -1])) == pytest.approx(math.sqrt(np.finfo(float).max))
+    [(_, run)] = runs
+    assert run.overflow and run.nfev < 30_000
+    last = sp._dense_read(run, run.t[-1:])
+    assert np.max(np.abs(last)) == pytest.approx(math.sqrt(np.finfo(float).max))
 
 
 @pytest.mark.parametrize("lam,want", [
@@ -339,45 +353,35 @@ def test_radial_errors():
         sp.radial_admissible([1.0], 0.0)
 
 
-def _count_solve_ivp(monkeypatch):
-    """Record the t_span of every solve_ivp call the spectral solvers make."""
-    import scipy.integrate
-
-    spans = []
-    solve = scipy.integrate.solve_ivp
-
-    def counted(fun, t_span, *args, **kwargs):
-        spans.append(tuple(t_span))
-        return solve(fun, t_span, *args, **kwargs)
-
-    monkeypatch.setattr(scipy.integrate, "solve_ivp", counted)
-    return spans
+def _spans(runs):
+    """The t_span of each recorded run."""
+    return [args[1] for args, _ in runs]
 
 
 @pytest.mark.parametrize("lam", [0.0, 1.0, 2.0])
 def test_admissibility_integrates_once(lam, monkeypatch):
     # a well-conditioned fit: one integration in ln x down to ln(x_min/4)
     # serves the fit and both extension integrals
-    spans = _count_solve_ivp(monkeypatch)
+    runs = _recorded_runs(monkeypatch)
     [rep] = sp.radial_admissible([lam], 1.0)
-    assert spans == [(math.log(14.0), math.log(1e-4 / 4))]
+    assert _spans(runs) == [(math.log(14.0), math.log(1e-4 / 4))]
     assert rep["fit_scatter"] <= 0.2
 
 
 def test_admissibility_at_large_k_integrates_once(monkeypatch):
     # a k-rescaling is a shift in ln x: at lambda = 1, k = 15 one integration
     # from ln(14/k) to ln(x_min/4) = ln(1e-4/(4k)) gives the admissible verdict
-    spans = _count_solve_ivp(monkeypatch)
+    runs = _recorded_runs(monkeypatch)
     [rep] = sp.radial_admissible([1.0], 15.0)
     assert rep["admissible"] is True
-    assert spans == [(math.log(14.0 / 15.0), math.log(1e-4 / 15.0 / 4.0))]
+    assert _spans(runs) == [(math.log(14.0 / 15.0), math.log(1e-4 / 15.0 / 4.0))]
 
 
 def test_admissibility_integrates_every_lambda_at_once(monkeypatch):
     # the lambdas share one integration and come back in the order given
-    spans = _count_solve_ivp(monkeypatch)
+    runs = _recorded_runs(monkeypatch)
     reps = sp.radial_admissible((2.0, 0.0, 1.0), 1.0)
-    assert len(spans) == 1
+    assert len(runs) == 1
     assert [r["lambda"] for r in reps] == [2.0, 0.0, 1.0]
     assert [r["admissible"] for r in reps] == [False, False, True]
 
@@ -387,9 +391,9 @@ def test_spectral_suite_makes_two_radial_solves(monkeypatch):
     # closed-form row, and one radial_ode_solve run for the identity; both in ln x
     from kwlab.suites import spectral_suite
 
-    spans = _count_solve_ivp(monkeypatch)
+    runs = _recorded_runs(monkeypatch)
     spectral_suite(0)
-    assert spans == [(math.log(14.0), math.log(1e-4 / 4)), (math.log(0.2), math.log(8.0))]
+    assert _spans(runs) == [(math.log(14.0), math.log(1e-4 / 4)), (math.log(0.2), math.log(8.0))]
 
 
 def test_spectral_suite_solves_each_sturm_liouville_problem_once(monkeypatch):
@@ -487,32 +491,83 @@ def _radial_admissible_per_grid(lam, k):
             "x2dx_integral": i1, "closed_form_error": error}
 
 
-def _suite_radial_runs():
-    """The spectral suite's two radial integrations: the inward run of
-    lambda = 0, 1, 2 stacked, and the outward identity run."""
-    lam = np.array([0.0, 1.0, 2.0])
-    y0 = 14.0 * np.concatenate(sp.radial_closed_form("decaying", 14.0, lam, 1.0))
-    inward = sp._block_solve(1.0 - lam, 1.0, (14.0, 1e-4 / 4.0), y0)
-    outward = sp.radial_ode_solve(1.3, 0.8, (0.2, 8.0), init=[1.0, 0.3]).sol
-    return {"inward": inward, "outward": outward}
+# the radial runs that the DOP853 stepper is held to scipy's on: the
+# spectral suite's inward run of lambda = 0, 1, 2 stacked, its outward
+# identity run, and the admissibility runs of the (lambda, k) grid below
+SUITE_RUNS = {
+    "inward": lambda: sp.radial_admissible([0.0, 1.0, 2.0], 1.0),
+    "outward": lambda: sp.radial_ode_solve(1.3, 0.8, (0.2, 8.0), init=[1.0, 0.3]),
+}
+GRID_RUNS = {f"lam={lam:g},k={k:g}": (lambda lam=lam, k=k: sp.radial_admissible([lam], k))
+             for lam in (0.0, 0.75, 1.0, 1.25, 2.0) for k in (1.0, -5.0, 13.0)}
 
 
-@pytest.mark.parametrize("run", ["inward", "outward"])
-def test_dense_read_is_the_dense_output_bit_for_bit(run):
-    # _dense_read reads scipy's private F, t_old, h and y_old of each DOP853
-    # interpolant; a scipy that changes them fails here, not in a report.
-    # Unsorted points, every step point ts (both endpoints among them) and
-    # points just outside the span, which take the end segments
-    sol = _suite_radial_runs()[run]
+def _scipy_run(fun, t_span, y0):
+    """The same run by scipy.integrate.solve_ivp, the stepper's oracle."""
+    from scipy.integrate import solve_ivp
+
+    return solve_ivp(fun, t_span, y0, method="DOP853", rtol=sp._RADIAL_RTOL,
+                     atol=sp._RADIAL_ATOL, dense_output=True)
+
+
+@pytest.mark.parametrize("name", [*SUITE_RUNS, *GRID_RUNS])
+def test_dop853_is_solve_ivp_bit_for_bit(name, monkeypatch):
+    # the step points, each segment's t_old, h, y_old and F, and nfev
+    runs = _recorded_runs(monkeypatch)
+    {**SUITE_RUNS, **GRID_RUNS}[name]()
+    [(args, run)] = runs
+    want = _scipy_run(*args)
+    parts = want.sol.interpolants
+    assert run.nfev == want.nfev and not run.overflow
+    assert run.t.tobytes() == want.t.tobytes()
+    for got, field_values in [(run.t_old, [p.t_old for p in parts]), (run.h, [p.h for p in parts]),
+                              (run.y_old, [p.y_old for p in parts]), (run.F, [p.F for p in parts])]:
+        assert got.tobytes() == np.array(field_values).tobytes()
+
+
+@pytest.mark.parametrize("run", list(SUITE_RUNS))
+def test_dense_read_is_the_dense_output_bit_for_bit(run, monkeypatch):
+    # _dense_read against scipy's OdeSolution of the same run, at unsorted
+    # points, every step point ts (both endpoints among them) and points
+    # just outside the span, which take the end segments
+    runs = _recorded_runs(monkeypatch)
+    SUITE_RUNS[run]()
+    [(args, got_run)] = runs
+    sol = _scipy_run(*args)
     ts = sol.sol.ts
     lo, hi = min(ts[0], ts[-1]), max(ts[0], ts[-1])
     rng = np.random.default_rng(0)
     s = np.concatenate([rng.uniform(lo, hi, 500), ts, rng.permutation(ts),
                         [lo - 1e-3, hi + 1e-3, ts[0], ts[-1]]])
     want = sol.sol(s)
-    got = sp._dense_read(sol, s)
+    got = sp._dense_read(got_run, s)
     assert got.shape == want.shape
     assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+
+
+def test_dop853_tableau_is_scipys():
+    # the coefficients run from scipy's file are the ones its DOP853 steps with
+    from scipy.integrate import DOP853
+
+    tab = sp._dop853_tableau()
+    n = tab.N_STAGES
+    ours = {"A": tab.A[:n, :n], "B": tab.B, "C": tab.C[:n], "E3": tab.E3, "E5": tab.E5,
+            "D": tab.D, "A_EXTRA": tab.A[n + 1:], "C_EXTRA": tab.C[n + 1:]}
+    for name, value in ours.items():
+        assert np.array_equal(value, getattr(DOP853, name)), name
+
+
+def test_dop853_tableau_missing_raises_import_error(monkeypatch, tmp_path):
+    # a scipy without the coefficients file is an ImportError naming the path
+    import scipy
+
+    monkeypatch.setattr(scipy, "__file__", str(tmp_path / "scipy" / "__init__.py"))
+    sp._dop853_tableau.cache_clear()
+    try:
+        with pytest.raises(ImportError, match="dop853_coefficients.py"):
+            sp._dop853_tableau()
+    finally:
+        sp._dop853_tableau.cache_clear()
 
 
 @pytest.mark.parametrize("k", [1.0, -5.0, 13.0])
